@@ -3,16 +3,16 @@
 Three hot paths are measured directly (no figure logic in the way):
 
 * **event throughput** -- the simulator's run loop popping
-  callback-chained timeouts (the fabric fast path's event shape);
+  callback-chained timeouts (the fabric message walk's event shape);
 * **process throughput** -- the same loop driving a generator process
-  (the slow path's event shape);
+  (the rank programs' and proxy loop's event shape);
 * **transfer throughput** -- end-to-end fabric transfers through the
   HCA port resources (request/grant/serialize/deliver/ack);
 * **cache hit path** -- covering-range registration-cache lookups (the
   rendezvous fast path after warm-up);
 * **flow throughput** -- a 256-rank bulk-transfer sweep on the fluid
-  hybrid engine versus the chunk-priced and message-level event
-  engines (docs/PERFORMANCE.md).
+  hybrid engine versus the message-level event engine
+  (docs/PERFORMANCE.md).
 
 ``collect_snapshot`` packages the results (plus optional per-figure
 wall-clock seconds) as a versioned JSON document with a commit stamp;
@@ -158,25 +158,21 @@ def bench_cache_hit_path(n: int = 50_000) -> dict:
 
 
 def bench_flow_throughput(nodes: int = 256, window: int = 4,
-                          size: int = 1 << 20, chunk: int = 64 * 1024) -> dict:
+                          size: int = 1 << 20) -> dict:
     """Flows/second of the fluid hybrid engine on a 256-rank bulk sweep.
 
     Every rank streams a window of 1 MiB transfers (alternating
     neighbor and bisection peers) through ``Fabric.transfer``.  The
-    same sweep runs on three engines:
+    same sweep runs on both engines:
 
     * **fluid** -- transfers ride the rate-shared FlowEngine
       (``ClusterSpec(fluid=True)``); reported as the headline value;
-    * **chunk-priced event engine** -- ``ClusterSpec(chunk_bytes=64
-      KiB)``, every 64 KiB chunk a discrete store-and-forward event
-      chain (the granularity psim's event mode pays, and the baseline
-      the >= 5x acceptance gate compares against);
     * **message-level event engine** -- the default exact mode, one
-      event chain per message regardless of size (reported for
-      transparency: at message granularity the event engine is already
-      coarse, so fluid's win there is modest).
+      event chain per message regardless of size (at message
+      granularity the event engine is already coarse, so fluid's win
+      there is modest).
 
-    A fourth run repeats the fluid sweep under a seeded 1% fault plan
+    A third run repeats the fluid sweep under a seeded 1% fault plan
     (error CQEs + flow drop/retransmit fates) and reports
     ``faulty_value``/``faulty_slowdown``: the flow fault path must cost
     at most a small constant factor over fault-free fluid, never
@@ -205,15 +201,13 @@ def bench_flow_throughput(nodes: int = 256, window: int = 4,
         cl.sim.run()
         return time.perf_counter() - t0
 
-    chunked = run(chunk_bytes=chunk)
     message = run()
     fluid = run(fluid=True)
     faulty = run(faults=True, fluid=True)
     total = nodes * window
     return {"value": total / fluid, "unit": "flows/s",
             "n": total, "direction": "higher",
-            "transfer_bytes": size, "chunk_bytes": chunk,
-            "speedup_vs_chunked_event": round(chunked / fluid, 2),
+            "transfer_bytes": size,
             "speedup_vs_message_event": round(message / fluid, 2),
             "faulty_value": round(total / faulty, 1),
             "faulty_slowdown": round(faulty / fluid, 2)}
@@ -440,12 +434,22 @@ def run_microbenches(repeats: int = REPEATS, verbose: bool = False) -> dict:
 # ---------------------------------------------------------------------------
 
 def _commit_stamp() -> str:
-    try:
+    """Short HEAD hash, ``-dirty`` when the tree differs from it.
+
+    A snapshot recorded before its own commit would otherwise carry the
+    *parent's* hash as if it described that code.
+    """
+    def git(*cmd) -> str:
         return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
+            ["git", *cmd], capture_output=True, text=True, timeout=10,
             cwd=Path(__file__).resolve().parent,
-        ).stdout.strip() or "unknown"
+        ).stdout.strip()
+
+    try:
+        commit = git("rev-parse", "--short", "HEAD")
+        if not commit:
+            return "unknown"
+        return commit + ("-dirty" if git("status", "--porcelain") else "")
     except (OSError, subprocess.SubprocessError):
         return "unknown"
 

@@ -128,11 +128,6 @@ class Cluster:
                 self.topology = FatTreeTopology(spec, rng=rng)
             self.fabric.attach_flow_engine(engine, self.fluid_threshold,
                                            topology=self.topology)
-        elif spec.chunk_bytes:
-            # Chunk-granularity event pricing (exact mode only: fluid
-            # routes the same bulk transfers through the FlowEngine
-            # instead of chunking them).
-            self.fabric.chunk_bytes = spec.chunk_bytes
 
         n_proxies = spec.nodes * spec.proxies_per_dpu
         #: Shared busy-time bookkeeping for slim clusters: one float64

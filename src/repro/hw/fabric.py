@@ -15,20 +15,17 @@ and -- crucially -- a sender blocked by a busy receiver never parks its
 own tx port (no artificial head-of-line blocking; real NICs interleave
 packets of concurrent flows).
 
-Two execution strategies walk that schedule (see docs/PERFORMANCE.md):
-
-* the **fast path** (no FaultPlan, no EventBus, no Tracer) drives the
-  store-and-forward chain as a flat callback state machine -- no
-  generator, no Process wrapper, no end-of-process event;
-* the **slow path** is the original generator process, which is where
-  fault actions, bus emissions and trace arrows hook in.  Attaching
-  observability or fault injection switches every message to it.
-
-Both paths schedule the *same* events at the *same* moments (the fast
-path only removes the no-op process-termination event), so simulated
-timing -- including heap tie-breaks under incast contention -- is
-bit-identical between them.  That invariant is what keeps figure tables
-byte-stable whether or not the run is observed.
+Every message -- data or control, observed or not, fault plan armed or
+not -- is one :class:`_Message` walked through that schedule as a flat
+callback chain: no generator, no Process wrapper, no end-of-process
+event.  The post-time fault fate rides in the message's slots and is
+applied where it bites (extra wire delay, error CQE, control
+drop/dup); the EventBus and the Tracer are ``is not None`` emission
+guards inside the landing step.  The run you observe, or inject faults
+into, therefore executes the same functions and schedules the same
+events as the bare run you time (tests/test_obs_nonperturbation.py pins
+it).  In fluid hybrid mode a bulk transfer swaps the port walk for a
+rate-shared flow and lands through the very same code.
 """
 
 from __future__ import annotations
@@ -59,7 +56,7 @@ class Delivery:
     #: completion (no bytes moved; the initiator must re-post).
     status: str = "ok"
     #: Which engine carried the bytes: "event" (exact store-and-forward
-    #: chunk FSM) or "flow" (fluid hybrid mode).  Lets consumers -- the
+    #: port walk) or "flow" (fluid hybrid mode).  Lets consumers -- the
     #: offload proxy's CQE accounting, the differential harness -- tell
     #: flow-completed CQEs apart without changing any timing.
     via: str = "event"
@@ -82,44 +79,70 @@ class Transfer:
     payload_src: Any = None
 
 
-class _TransferRun:
-    """One fault-free transfer driven as a flat callback chain.
+class _Message:
+    """One message in flight: identity, post-time fate, port walk, landing.
 
-    Mirrors the slow path's generator statement by statement: every
-    event is created at exactly the same moment the generator would
-    create it, so heap ``(time, seq)`` ordering -- and therefore all
-    contention tie-breaking under incast -- is bit-identical.  What it
-    drops is the per-message overhead: the generator frame, the Process
-    wrapper and its resume loop, and the process-termination event that
-    nothing ever waits on.
+    :meth:`walk` drives the store-and-forward chain -- init, tx grant,
+    tx serialise, wire, rx grant, rx serialise -- one callback per
+    event, creating every event at the moment the schedule reaches it
+    (heap ``(time, seq)`` order is what breaks incast ties).  It ends
+    in :meth:`land` for data (Delivery, payload callback, CQE after the
+    hardware ack) or :meth:`_land_control` (into the inbox).  A fluid
+    transfer never walks: the FlowEngine drains it and the fabric
+    schedules :meth:`land` after the unshared protocol tail, so both
+    engines share one landing.
     """
 
     __slots__ = (
-        "fabric", "sim", "src_hca", "dst_hca", "serialization", "latency",
-        "size", "kind", "meta", "src_node", "dst_node", "on_deliver",
-        "t_posted", "delivered", "completed", "_req", "_dv",
+        # identity; xid is the control message's cid, and latency is
+        # one-way (without the fate's extra_delay)
+        "fabric", "sim", "src_hca", "src_node", "dst_node", "size", "kind",
+        "t_posted", "xid", "latency",
+        # post-time fate (fault injection): CQE status and extra
+        # in-flight delay; for control, deliver / drop / corrupt / dup
+        "status", "extra_delay", "action",
+        # port walk
+        "dst_hca", "serialization", "_req",
+        # data landing
+        "meta", "on_deliver", "delivered", "completed", "via", "path", "_dv",
+        # control landing (inbox stays None on data messages)
+        "inbox", "msg",
+        # fluid mode: the unshared rx re-serialization tail, the engine's
+        # flow id, the 1-based transmission attempt (bumped per
+        # flow-drop retransmit), the port-seconds still to send after a
+        # mid-flight drop (None when the current flow carries the
+        # message to completion), and the posting ProcessContext (lets a
+        # proxy kill abort the flows it had in flight)
+        "tail", "fid", "attempt", "drop_remaining", "owner",
     )
 
-    def __init__(self, fabric, src_hca, dst_hca, serialization, latency, size,
-                 kind, meta, src_node, dst_node, on_deliver, t_posted,
-                 delivered, completed):
+    def __init__(self, fabric, src_hca, src_node, dst_node, size, kind,
+                 t_posted, xid, latency, delivered):
         self.fabric = fabric
-        sim = self.sim = fabric.sim
+        self.sim = fabric.sim
         self.src_hca = src_hca
-        self.dst_hca = dst_hca
-        self.serialization = serialization
-        self.latency = latency
-        self.size = size
-        self.kind = kind
-        self.meta = meta
         self.src_node = src_node
         self.dst_node = dst_node
-        self.on_deliver = on_deliver
+        self.size = size
+        self.kind = kind
         self.t_posted = t_posted
+        self.xid = xid
+        self.latency = latency
         self.delivered = delivered
-        self.completed = completed
+        self.status = "ok"
+        self.extra_delay = 0.0
+        self.inbox = None
+        self.via = "event"
+        #: Link keys the flow crosses (topology mode); None otherwise.
+        self.path = None
+
+    # -- the port walk ---------------------------------------------------
+    def walk(self, dst_hca, serialization) -> None:
+        self.dst_hca = dst_hca
+        self.serialization = serialization
         # Same kick-off shape as Process.__init__: an init event at the
         # current instant, so the tx request happens at the init pop.
+        sim = self.sim
         init = Event(sim)
         init._ok = True
         init._value = None
@@ -135,138 +158,48 @@ class _TransferRun:
 
     def _tx_done(self, _ev):
         self.src_hca.tx.release(self._req)
-        self.sim.timeout(self.latency).callbacks.append(self._arrived)
+        self.sim.timeout(self.latency + self.extra_delay).callbacks.append(
+            self._arrived)
 
     def _arrived(self, _ev):
         req = self._req = self.dst_hca.rx.request()
         req.callbacks.append(self._rx_granted)
 
     def _rx_granted(self, _ev):
-        self.sim.timeout(self.serialization).callbacks.append(self._deliver)
+        # Control messages are gap-bound; their rx dwell is the same
+        # single-packet window as their tx dwell.
+        self.sim.timeout(self.serialization).callbacks.append(self._rx_done)
 
-    def _deliver(self, _ev):
-        sim = self.sim
+    def _rx_done(self, ev):
         self.dst_hca.rx.release(self._req)
-        dv = self._dv = Delivery(
-            src_node=self.src_node, dst_node=self.dst_node, size=self.size,
-            kind=self.kind, meta=self.meta, time=sim.now, status="ok",
-        )
-        if self.on_deliver is not None:
-            self.on_deliver(dv)
-        self.src_hca.metrics.observe(
-            "fabric.xfer_latency." + self.kind, sim.now - self.t_posted
-        )
-        self.delivered.succeed(dv)
-        sim.timeout(self.fabric.params.ack_latency).callbacks.append(self._acked)
+        if self.inbox is None:
+            self.land(ev)
+        else:
+            self._land_control()
 
-    def _acked(self, _ev):
-        self.completed.succeed(self._dv)
-
-
-class _ChunkedTransferRun:
-    """One fault-free transfer priced at chunk granularity.
-
-    The message is segmented into ``chunk_bytes`` pieces that pipeline
-    store-and-forward: each chunk arbitrates for the tx port,
-    serializes, crosses the wire, and re-serializes at the rx port as
-    its own discrete event chain, so concurrent bulk transfers
-    interleave chunk by chunk instead of message by message.  This is
-    the fidelity mode the fluid engine's coarse flow steps are
-    benchmarked against (``bench_flow_throughput`` -> BENCH_engine):
-    an n-chunk transfer costs O(n) heap events here versus O(1) on the
-    FlowEngine.  Opt-in via ``ClusterSpec.chunk_bytes``; off by
-    default, keeping the message-level FSM -- and every committed
-    figure table and golden trace -- bit-identical.
-    """
-
-    __slots__ = (
-        "fabric", "sim", "src_hca", "dst_hca", "chunk_ser", "last_ser",
-        "latency", "size", "kind", "meta", "src_node", "dst_node",
-        "on_deliver", "t_posted", "xid", "delivered", "completed",
-        "n_chunks", "_tx_i", "_rx_i", "_rx_done", "_tx_req", "_dv",
-    )
-
-    def __init__(self, fabric, src_hca, dst_hca, chunk_ser, last_ser,
-                 n_chunks, latency, size, kind, meta, src_node, dst_node,
-                 on_deliver, t_posted, xid, delivered, completed):
-        self.fabric = fabric
-        sim = self.sim = fabric.sim
-        self.src_hca = src_hca
-        self.dst_hca = dst_hca
-        self.chunk_ser = chunk_ser
-        self.last_ser = last_ser
-        self.n_chunks = n_chunks
-        self.latency = latency
-        self.size = size
-        self.kind = kind
-        self.meta = meta
-        self.src_node = src_node
-        self.dst_node = dst_node
-        self.on_deliver = on_deliver
-        self.t_posted = t_posted
-        self.xid = xid
-        self.delivered = delivered
-        self.completed = completed
-        self._tx_i = 0
-        self._rx_i = 0
-        self._rx_done = 0
-        init = Event(sim)
-        init._ok = True
-        init._value = None
-        init.callbacks.append(self._start)
-        sim._schedule(init)
-
-    def _start(self, _ev):
-        req = self._tx_req = self.src_hca.tx.request()
-        req.callbacks.append(self._tx_granted)
-
-    def _tx_granted(self, _ev):
-        self._tx_i += 1
-        ser = self.last_ser if self._tx_i == self.n_chunks else self.chunk_ser
-        self.sim.timeout(ser).callbacks.append(self._tx_chunk_done)
-
-    def _tx_chunk_done(self, _ev):
-        self.src_hca.tx.release(self._tx_req)
-        self.sim.timeout(self.latency).callbacks.append(self._arrived)
-        if self._tx_i < self.n_chunks:
-            self._start(None)
-
-    def _arrived(self, _ev):
-        req = self.dst_hca.rx.request()
-        req.callbacks.append(self._rx_granted)
-
-    def _rx_granted(self, req):
-        # Chunks of one message reach the rx port in order (the tx port
-        # serializes them in order and the wire latency is constant), so
-        # a grant counter suffices to spot the short final chunk.
-        self._rx_i += 1
-        ser = self.last_ser if self._rx_i == self.n_chunks else self.chunk_ser
-        t = self.sim.timeout(ser)
-        t.callbacks.append(lambda _ev, req=req: self._rx_chunk_done(req))
-
-    def _rx_chunk_done(self, req):
-        self.dst_hca.rx.release(req)
-        self._rx_done += 1
-        if self._rx_done == self.n_chunks:
-            self._deliver()
-
-    def _deliver(self):
+    # -- landing -----------------------------------------------------------
+    def land(self, _ev) -> None:
+        """Last byte at the destination: deliver now, CQE after the ack."""
         sim = self.sim
         fabric = self.fabric
+        status = self.status
         dv = self._dv = Delivery(
             src_node=self.src_node, dst_node=self.dst_node, size=self.size,
-            kind=self.kind, meta=self.meta, time=sim.now, status="ok",
+            kind=self.kind, meta=self.meta, time=sim.now, status=status,
+            via=self.via, path=self.path,
         )
-        if self.on_deliver is not None:
+        # An error CQE moves no bytes: skip the payload callback.
+        if self.on_deliver is not None and status == "ok":
             self.on_deliver(dv)
         if fabric.tracer is not None:
             fabric.tracer.record_arrow(
                 f"node{self.src_node}", f"node{self.dst_node}", self.size,
                 self.kind, self.t_posted, sim.now,
             )
-        if fabric.bus is not None:
-            fabric.bus.emit("xfer", "deliver", f"node{self.dst_node}",
-                            xid=self.xid, status="ok")
+        bus = fabric.bus
+        if bus is not None:
+            bus.emit("xfer", "deliver", f"node{self.dst_node}", xid=self.xid,
+                     status=status, **self._via_tag())
         self.src_hca.metrics.observe(
             "fabric.xfer_latency." + self.kind, sim.now - self.t_posted
         )
@@ -274,117 +207,38 @@ class _ChunkedTransferRun:
         sim.timeout(fabric.params.ack_latency).callbacks.append(self._acked)
 
     def _acked(self, _ev):
-        if self.fabric.bus is not None:
-            self.fabric.bus.emit("xfer", "complete", f"node{self.src_node}",
-                                 xid=self.xid, status="ok")
+        bus = self.fabric.bus
+        if bus is not None:
+            bus.emit("xfer", "complete", f"node{self.src_node}", xid=self.xid,
+                     status=self.status, **self._via_tag())
         self.completed.succeed(self._dv)
 
+    def _via_tag(self) -> dict:
+        # Event-engine xfer events carry no ``via`` arg (golden traces).
+        return {"via": "flow"} if self.via == "flow" else {}
 
-class _ControlRun:
-    """One fault-free control message as a flat callback chain.
-
-    Same event-for-event mirroring of the slow path as
-    :class:`_TransferRun` (control has no fault actions, tracing or
-    completion plumbing to carry).
-    """
-
-    __slots__ = (
-        "sim", "src_hca", "dst_hca", "serialization", "latency",
-        "inbox", "msg", "t_posted", "delivered", "_req",
-    )
-
-    def __init__(self, fabric, src_hca, dst_hca, serialization, latency,
-                 inbox, msg, t_posted, delivered):
-        sim = self.sim = fabric.sim
-        self.src_hca = src_hca
-        self.dst_hca = dst_hca
-        self.serialization = serialization
-        self.latency = latency
-        self.inbox = inbox
-        self.msg = msg
-        self.t_posted = t_posted
-        self.delivered = delivered
-        init = Event(sim)
-        init._ok = True
-        init._value = None
-        init.callbacks.append(self._start)
-        sim._schedule(init)
-
-    def _start(self, _ev):
-        req = self._req = self.src_hca.tx.request()
-        req.callbacks.append(self._tx_granted)
-
-    def _tx_granted(self, _ev):
-        self.sim.timeout(self.serialization).callbacks.append(self._tx_done)
-
-    def _tx_done(self, _ev):
-        self.src_hca.tx.release(self._req)
-        self.sim.timeout(self.latency).callbacks.append(self._arrived)
-
-    def _arrived(self, _ev):
-        req = self._req = self.dst_hca.rx.request()
-        req.callbacks.append(self._rx_granted)
-
-    def _rx_granted(self, _ev):
-        self.sim.timeout(self.serialization).callbacks.append(self._deliver)
-
-    def _deliver(self, _ev):
-        self.dst_hca.rx.release(self._req)
+    def _land_control(self) -> None:
+        src_hca = self.src_hca
+        action = self.action
+        bus = self.fabric.bus
+        if action == "drop" or action == "corrupt":
+            # Lost in flight (drop) or discarded by the receiver's ICRC
+            # check (corrupt): it never reaches the inbox.
+            src_hca.metrics.add(f"fabric.faults.{action}")
+            if bus is not None:
+                bus.emit("ctrl", "drop", f"node{self.dst_node}", cid=self.xid,
+                         kind=self.kind, action=action)
+            return
         self.inbox.put(self.msg)
-        self.src_hca.metrics.observe(
-            "fabric.ctrl_latency", self.sim.now - self.t_posted
-        )
+        if action == "dup":
+            src_hca.metrics.add("fabric.faults.dup")
+            self.inbox.put(self.msg)
+        if bus is not None:
+            bus.emit("ctrl", "deliver", f"node{self.dst_node}", cid=self.xid,
+                     kind=self.kind)
+        src_hca.metrics.observe("fabric.ctrl_latency",
+                                self.sim.now - self.t_posted)
         self.delivered.succeed(self.msg)
-
-
-class _FlowState:
-    """Protocol tail of one fluid transfer (what the FlowEngine doesn't know).
-
-    The engine only shares port time; the fabric keeps the message's
-    identity, its unshared tail (wire latency + rx re-serialization),
-    and the delivery/CQE events to fire.
-    """
-
-    __slots__ = (
-        "src_hca", "src_node", "dst_node", "size", "kind", "meta",
-        "on_deliver", "t_posted", "xid", "delivered", "completed",
-        "latency", "tail", "fid", "status", "extra_delay", "attempt",
-        "drop_remaining", "owner", "path",
-    )
-
-    def __init__(self, src_hca, src_node, dst_node, size, kind, meta,
-                 on_deliver, t_posted, xid, delivered, completed,
-                 latency, tail):
-        self.src_hca = src_hca
-        self.src_node = src_node
-        self.dst_node = dst_node
-        self.size = size
-        self.kind = kind
-        self.meta = meta
-        self.on_deliver = on_deliver
-        self.t_posted = t_posted
-        self.xid = xid
-        self.delivered = delivered
-        self.completed = completed
-        self.latency = latency
-        self.tail = tail
-        self.fid = -1
-        #: CQE status decided at post time (fault injection); "error"
-        #: completes the op without moving bytes, like the event path.
-        self.status = "ok"
-        #: Extra in-flight delay (fault injection) appended to the tail.
-        self.extra_delay = 0.0
-        #: Transmission attempt, 1-based; bumped per flow-drop retransmit.
-        self.attempt = 1
-        #: Port-seconds still to send after a mid-flight drop (None when
-        #: the current flow carries the message to completion).
-        self.drop_remaining = None
-        #: Opaque owner handle (the posting ProcessContext); lets a
-        #: proxy kill abort the flows it had in flight.
-        self.owner = None
-        #: Link keys the current flow crosses (topology mode); None on
-        #: endpoint-only runs.  Captured into the Delivery.
-        self.path = None
 
 
 class Fabric:
@@ -396,17 +250,17 @@ class Fabric:
         #: Optional ClusterSpec for topology-aware hop counts (a
         #: two-level leaf/spine fabric when spec.nodes_per_switch > 0).
         self.spec = spec
-        #: Optional :class:`~repro.hw.faults.FaultPlan`; None keeps every
-        #: message on the original fault-free path.
+        #: Optional :class:`~repro.hw.faults.FaultPlan`; None leaves every
+        #: message its default fate (status "ok", no delay, "deliver").
         self.fault_plan = None
         #: Optional :class:`~repro.obs.events.EventBus`; set by
-        #: ``EventBus.attach``.  None keeps all paths emission-free.
+        #: ``EventBus.attach``.  None keeps every message emission-free.
         self.bus = None
         #: Optional :class:`~repro.hw.trace.Tracer`; set by
         #: ``Tracer.attach``.
         self.tracer = None
         #: Optional :class:`~repro.sim.flows.FlowEngine` (fluid hybrid
-        #: mode); None keeps every transfer on the exact chunk FSM.
+        #: mode); None keeps every transfer on the exact port walk.
         self.flow_engine = None
         #: Optional :class:`~repro.hw.topology.FatTreeTopology`; set by
         #: attach_flow_engine.  None keeps flows endpoint-only.
@@ -414,11 +268,6 @@ class Fabric:
         #: Byte threshold above which data transfers become flows when
         #: a flow engine is attached.
         self.fluid_threshold = 0
-        #: Chunk-granularity event pricing (exact mode): a positive
-        #: value segments data transfers larger than this into
-        #: chunk-sized store-and-forward event chains.  0 (default)
-        #: keeps message-level pricing bit-identical.
-        self.chunk_bytes = 0
         # Per-fabric ids tagging bus events so posts/deliveries/
         # completions of one message correlate (deterministic: assigned
         # in post order).
@@ -497,122 +346,36 @@ class Fabric:
             bus.emit("xfer", "post", f"node{src_node}", xid=xid, kind=kind,
                      size=size, initiator=initiator, dst=dst_node)
 
+        m = _Message(self, src_hca, src_node, dst_node, size, kind, t_posted,
+                     xid, self.one_way_latency(src_node, dst_node), delivered)
+        m.meta = meta
+        m.on_deliver = on_deliver
+        m.completed = completed
         plan = self.fault_plan
-        status, extra_delay = "ok", 0.0
         if plan is not None:
-            status, extra_delay = plan.transfer_fate(kind, initiator, src_node, dst_node)
+            m.status, m.extra_delay = plan.transfer_fate(
+                kind, initiator, src_node, dst_node)
+        serialization = src_hca.serialization_time(
+            size, initiator, src_mem, dst_mem
+        ) / max(1e-9, bw_scale)
 
         # Fluid hybrid mode: bulk data rides the rate-shared FlowEngine;
         # control messages (Fabric.control) and sub-threshold transfers
-        # keep the exact chunk FSM.  An armed FaultPlan composes with the
+        # keep the exact port walk.  An armed FaultPlan composes with the
         # flow path: the transfer_fate decided above (error CQE / extra
         # delay, drawn from the shared "faults" stream at the same point
-        # as the event path) rides the flow's protocol tail, and per-flow
+        # for both engines) rides the flow's protocol tail, and per-flow
         # drop fates come from the plan's independent flow stream.
         engine = self.flow_engine
         if engine is not None and size >= self.fluid_threshold:
-            self._flow_transfer(
-                engine, src_hca, src_node, dst_node, size, initiator,
-                src_mem, dst_mem, bw_scale, kind, meta, on_deliver,
-                t_posted, xid, delivered, completed,
-                status=status, extra_delay=extra_delay, owner=owner,
-            )
-            return Transfer(delivered=delivered, completed=completed, size=size)
-
-        # Chunk-granularity pricing (exact mode only; fault injection
-        # keeps the message-level FSM so fate hooks stay 1:1 with
-        # messages -- announced loudly, a silent engine switch is how
-        # robustness gaps hide).
-        chunk = self.chunk_bytes
-        if chunk and plan is not None and size > chunk:
-            src_hca.metrics.add("fabric.fluid_disabled")
-            if bus is not None:
-                bus.emit("fluid", "disabled", f"node{src_node}", xid=xid,
-                         kind=kind, size=size, mode="chunk",
-                         reason="fault_plan")
-        if chunk and plan is None and size > chunk:
-            n_chunks = -(-size // chunk)
-            ser = src_hca.serialization_time(chunk, initiator, src_mem, dst_mem)
-            last = src_hca.serialization_time(
-                size - (n_chunks - 1) * chunk, initiator, src_mem, dst_mem
-            )
-            scale = max(1e-9, bw_scale)
-            src_hca.metrics.add("fabric.chunks", n_chunks)
-            _ChunkedTransferRun(
-                self, src_hca, dst_hca, ser / scale, last / scale, n_chunks,
-                self.one_way_latency(src_node, dst_node), size, kind, meta,
-                src_node, dst_node, on_deliver, t_posted, xid,
-                delivered, completed,
-            )
-            return Transfer(delivered=delivered, completed=completed, size=size)
-
-        if plan is None and bus is None and self.tracer is None:
-            _TransferRun(
-                self, src_hca, dst_hca,
-                src_hca.serialization_time(size, initiator, src_mem, dst_mem)
-                / max(1e-9, bw_scale),
-                self.one_way_latency(src_node, dst_node),
-                size, kind, meta, src_node, dst_node, on_deliver, t_posted,
-                delivered, completed,
-            )
-            return Transfer(delivered=delivered, completed=completed, size=size)
-
-        def _run():
-            serialization = src_hca.serialization_time(
-                size, initiator, src_mem, dst_mem
-            ) / max(1e-9, bw_scale)
-            tx_req = src_hca.tx.request()
-            yield tx_req
-            try:
-                yield self.sim.timeout(serialization)
-            finally:
-                src_hca.tx.release(tx_req)
-            yield self.sim.timeout(self.one_way_latency(src_node, dst_node) + extra_delay)
-            rx_req = dst_hca.rx.request()
-            yield rx_req
-            try:
-                yield self.sim.timeout(serialization)
-            finally:
-                dst_hca.rx.release(rx_req)
-            dv = Delivery(
-                src_node=src_node,
-                dst_node=dst_node,
-                size=size,
-                kind=kind,
-                meta=meta,
-                time=self.sim.now,
-                status=status,
-            )
-            # An error CQE moves no bytes: skip the payload callback.
-            if on_deliver is not None and status == "ok":
-                on_deliver(dv)
-            if self.tracer is not None:
-                self.tracer.record_arrow(
-                    f"node{src_node}", f"node{dst_node}", size, kind,
-                    t_posted, self.sim.now,
-                )
-            if bus is not None:
-                bus.emit("xfer", "deliver", f"node{dst_node}", xid=xid,
-                         status=status)
-            src_hca.metrics.observe(
-                f"fabric.xfer_latency.{kind}", self.sim.now - t_posted
-            )
-            delivered.succeed(dv)
-            yield self.sim.timeout(self.params.ack_latency)
-            if bus is not None:
-                bus.emit("xfer", "complete", f"node{src_node}", xid=xid,
-                         status=status)
-            completed.succeed(dv)
-
-        self.sim.process(_run())
+            self._flow_transfer(engine, m, serialization, owner)
+        else:
+            m.walk(dst_hca, serialization)
         return Transfer(delivered=delivered, completed=completed, size=size)
 
     # -- fluid hybrid mode (docs/PERFORMANCE.md) -------------------------
-    def _flow_transfer(self, engine, src_hca, src_node, dst_node, size,
-                       initiator, src_mem, dst_mem, bw_scale, kind, meta,
-                       on_deliver, t_posted, xid, delivered, completed,
-                       status: str = "ok", extra_delay: float = 0.0,
-                       owner: Any = None) -> None:
+    def _flow_transfer(self, engine, st: _Message, work: float,
+                       owner: Any) -> None:
         """Route one bulk transfer through the rate-shared FlowEngine.
 
         The flow's *work* is the store-and-forward serialization window
@@ -622,31 +385,25 @@ class Fabric:
         appended verbatim, so a solo flow lands on exactly the event
         engine's timestamps (post + 2*serialization + latency [+ ack])
         and n symmetric flows on one port pair drain in n*serialization,
-        matching the pipelined chunk FSM.
+        matching the pipelined port walk.
 
-        Fault composition: ``status``/``extra_delay`` are the post-time
-        ``transfer_fate`` (an error CQE still occupies the ports for the
-        full window, exactly like the event path; extra delay stretches
-        the in-flight tail).  Mid-flight *drops* are flow-native fates
-        drawn per admission from the plan's independent stream: the flow
-        carries only the pre-glitch fraction of its work, and the
-        remainder is retransmitted as a fresh flow after an exponential
-        backoff (``RetryPolicy``).
+        Fault composition: ``st.status``/``st.extra_delay`` are the
+        post-time ``transfer_fate`` (an error CQE still occupies the
+        ports for the full window, exactly like the event path; extra
+        delay stretches the in-flight tail).  Mid-flight *drops* are
+        flow-native fates drawn per admission from the plan's
+        independent stream: the flow carries only the pre-glitch
+        fraction of its work, and the remainder is retransmitted as a
+        fresh flow after an exponential backoff (``RetryPolicy``).
         """
-        work = src_hca.serialization_time(
-            size, initiator, src_mem, dst_mem
-        ) / max(1e-9, bw_scale)
-        latency = self.one_way_latency(src_node, dst_node)
-        st = _FlowState(src_hca, src_node, dst_node, size, kind, meta,
-                        on_deliver, t_posted, xid, delivered, completed,
-                        latency, work)
-        st.status = status
-        st.extra_delay = extra_delay
+        st.via = "flow"
+        st.tail = work
+        st.attempt = 1
         st.owner = owner
-        src_hca.metrics.add("fabric.flows")
+        st.src_hca.metrics.add("fabric.flows")
         self._flow_admit(engine, st, work)
 
-    def _flow_admit(self, engine, st: _FlowState, work: float) -> None:
+    def _flow_admit(self, engine, st: _Message, work: float) -> None:
         """Admit (or re-admit) a flow, consulting the plan's flow fates.
 
         A "drop" fate splits ``work``: the admitted flow carries the
@@ -732,11 +489,11 @@ class Fabric:
         ev = self.sim.event()
         ev._ok = True
         ev._value = None
-        ev.callbacks.append(lambda _ev, st=st: self._flow_deliver(st))
+        ev.callbacks.append(st.land)
         self.sim.schedule_at(ev, t_drain + st.latency + st.tail
                              + st.extra_delay)
 
-    def _flow_retry(self, st: _FlowState, remaining: float) -> None:
+    def _flow_retry(self, st: _Message, remaining: float) -> None:
         """Retransmit a dropped flow's residual work as a fresh flow."""
         engine = self.flow_engine
         st.attempt += 1
@@ -764,7 +521,7 @@ class Fabric:
         bus = self.bus
         for flow in engine.flows():
             st = flow.tag
-            if not isinstance(st, _FlowState) or st.owner is not owner:
+            if not isinstance(st, _Message) or st.owner is not owner:
                 continue
             if engine.cancel_flow(flow) is None:
                 continue  # drained in this very instant; the tail runs
@@ -784,42 +541,9 @@ class Fabric:
             ev = self.sim.event()
             ev._ok = True
             ev._value = None
-            ev.callbacks.append(lambda _ev, st=st: self._flow_deliver(st))
+            ev.callbacks.append(st.land)
             self.sim.schedule_at(ev, self.sim.now + st.latency + st.tail)
         return aborted
-
-    def _flow_deliver(self, st: _FlowState) -> None:
-        sim = self.sim
-        dv = Delivery(
-            src_node=st.src_node, dst_node=st.dst_node, size=st.size,
-            kind=st.kind, meta=st.meta, time=sim.now, status=st.status,
-            via="flow", path=st.path,
-        )
-        # An error CQE moves no bytes: skip the payload callback.
-        if st.on_deliver is not None and st.status == "ok":
-            st.on_deliver(dv)
-        if self.tracer is not None:
-            self.tracer.record_arrow(
-                f"node{st.src_node}", f"node{st.dst_node}", st.size, st.kind,
-                st.t_posted, sim.now,
-            )
-        bus = self.bus
-        if bus is not None:
-            bus.emit("xfer", "deliver", f"node{st.dst_node}", xid=st.xid,
-                     status=st.status, via="flow")
-        st.src_hca.metrics.observe(
-            f"fabric.xfer_latency.{st.kind}", sim.now - st.t_posted
-        )
-        st.delivered.succeed(dv)
-        ack = sim.timeout(self.params.ack_latency)
-        ack.callbacks.append(lambda _ev, st=st, dv=dv: self._flow_acked(st, dv))
-
-    def _flow_acked(self, st: _FlowState, dv: Delivery) -> None:
-        bus = self.bus
-        if bus is not None:
-            bus.emit("xfer", "complete", f"node{st.src_node}", xid=st.xid,
-                     status=st.status, via="flow")
-        st.completed.succeed(dv)
 
     def control(
         self,
@@ -867,53 +591,14 @@ class Fabric:
             if src_node == dst_node
             else self.one_way_latency(src_node, dst_node)
         )
+        m = _Message(self, src_hca, src_node, dst_node, nbytes, kind, t_posted,
+                     cid, latency, delivered)
+        m.inbox = inbox
+        m.msg = msg
+        m.action = "deliver"
         plan = self.fault_plan
-        action, extra_delay = "deliver", 0.0
         if plan is not None:
-            action, extra_delay = plan.control_fate(kind, src_node, dst_node)
-
-        if plan is None and bus is None:
-            _ControlRun(
-                self, src_hca, dst_hca,
-                src_hca.serialization_time(nbytes, initiator, src_mem, dst_mem),
-                latency, inbox, msg, t_posted, delivered,
-            )
-            return delivered
-
-        def _run():
-            serialization = src_hca.serialization_time(nbytes, initiator, src_mem, dst_mem)
-            tx_req = src_hca.tx.request()
-            yield tx_req
-            try:
-                yield self.sim.timeout(serialization)
-            finally:
-                src_hca.tx.release(tx_req)
-            yield self.sim.timeout(latency + extra_delay)
-            rx_req = dst_hca.rx.request()
-            yield rx_req
-            try:
-                # Control messages are gap-bound; their rx dwell is the
-                # same single-packet window.
-                yield self.sim.timeout(serialization)
-            finally:
-                dst_hca.rx.release(rx_req)
-            if action in ("drop", "corrupt"):
-                # Lost in flight (drop) or discarded by the receiver's
-                # ICRC check (corrupt): it never reaches the inbox.
-                src_hca.metrics.add(f"fabric.faults.{action}")
-                if bus is not None:
-                    bus.emit("ctrl", "drop", f"node{dst_node}", cid=cid,
-                             kind=kind, action=action)
-                return
-            inbox.put(msg)
-            if action == "dup":
-                src_hca.metrics.add("fabric.faults.dup")
-                inbox.put(msg)
-            if bus is not None:
-                bus.emit("ctrl", "deliver", f"node{dst_node}", cid=cid,
-                         kind=kind)
-            src_hca.metrics.observe("fabric.ctrl_latency", self.sim.now - t_posted)
-            delivered.succeed(msg)
-
-        self.sim.process(_run())
+            m.action, m.extra_delay = plan.control_fate(kind, src_node, dst_node)
+        m.walk(dst_hca, src_hca.serialization_time(nbytes, initiator,
+                                                   src_mem, dst_mem))
         return delivered

@@ -32,9 +32,9 @@ Fault semantics, mirroring real RC-transport behaviour:
   **error CQE** (``Delivery.status == "error"``): no data lands and the
   initiator must re-post.
 
-With no plan installed (``cluster.fault_plan is None``) every hook in
-the stack takes its original path: fault-free runs are bit-identical to
-a build without this module.
+With no plan installed (``cluster.fault_plan is None``) every message
+keeps its default fate on the same code path: fault-free runs are
+bit-identical to a build without this module.
 """
 
 from __future__ import annotations

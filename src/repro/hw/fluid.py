@@ -16,11 +16,7 @@ Fluid mode composes with fault injection: an armed
 :class:`~repro.hw.faults.FaultPlan` rides the flow path (error CQEs,
 extra delay, and -- fluid-only -- flow drop/retransmit fates), and a
 :class:`~repro.hw.faults.LinkDegradePlan` drives the FlowEngine's
-endpoint capacities.  The one exception is ``chunk_bytes``: chunk-level
-event pricing under faults stays on the exact engine (the fabric emits
-``fluid.disabled`` when it forces that path), because per-chunk fault
-targeting has no flow-granularity equivalent.  See docs/FAULTS.md and
-docs/PERFORMANCE.md.
+endpoint capacities.  See docs/FAULTS.md and docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations

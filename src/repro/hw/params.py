@@ -286,14 +286,6 @@ class ClusterSpec:
     #: ``repro.hw.fluid.DEFAULT_FLUID_THRESHOLD`` for the tuning
     #: rationale).
     fluid_threshold: Optional[int] = None
-    #: Chunk-granularity event pricing: a positive value segments every
-    #: data transfer larger than this many bytes into chunk-sized
-    #: store-and-forward events that arbitrate per chunk for the tx/rx
-    #: ports (the fidelity mode the fluid engine is benchmarked
-    #: against in BENCH_engine).  ``None``/0 (default) keeps the
-    #: message-level FSM -- and every committed table -- bit-identical.
-    #: Ignored for transfers riding the FlowEngine in fluid mode.
-    chunk_bytes: Optional[int] = None
     #: Slim per-rank state for thousand-rank clusters: rank/proxy
     #: ProcessContexts, MPI runtimes, offload endpoints, and proxy
     #: engines materialize lazily on first use instead of eagerly at
@@ -325,8 +317,6 @@ class ClusterSpec:
             )
         if self.fluid_threshold is not None and self.fluid_threshold < 1:
             raise ValueError("fluid_threshold must be at least one byte")
-        if self.chunk_bytes is not None and self.chunk_bytes < 0:
-            raise ValueError("chunk_bytes must be non-negative")
 
     @property
     def world_size(self) -> int:

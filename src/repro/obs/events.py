@@ -9,8 +9,8 @@ the shape::
     if bus is not None:
         bus.emit("xfer", "post", "dpu2", size=4096, xid=17)
 
-so a run with no bus attached executes exactly the seed code path and
-costs one attribute load per site.  Emission never consumes simulated
+so a run with no bus attached executes the same code path as an
+observed one and costs one attribute load per site.  Emission never consumes simulated
 time and never perturbs the RNG streams -- attaching a bus cannot
 change what the simulation does, only what we can see of it.
 
@@ -20,11 +20,12 @@ Event taxonomy (``cat`` / ``name``; full table in docs/OBSERVABILITY.md):
 category   names
 =========  ==========================================================
 sim        deadlock
-proc       start, end
+proc       start, end   (rank programs, proxy loops, probers; fabric
+                         messages and proxy completions are callback
+                         chains, not processes -- see xfer / ctrl)
 wqe        post
 xfer       post, deliver, complete
 flow       begin, end, fault, retry   (fluid hybrid mode bulk windows)
-fluid      disabled   (an armed FaultPlan forced the exact path)
 link       degrade, restore   (LinkDegradePlan window edges)
            congested, clear   (fat-tree link contention edges: >= 2
                                flows sharing a saturated link)
@@ -56,8 +57,8 @@ __all__ = ["ObsEvent", "EventBus", "CATEGORIES"]
 #: categories too (forward compatibility), but filters and docs speak
 #: this vocabulary.
 CATEGORIES = (
-    "sim", "proc", "wqe", "xfer", "flow", "fluid", "link", "ctrl", "reg",
-    "cache", "req", "group", "proxy", "queue", "mpi", "mem", "fault",
+    "sim", "proc", "wqe", "xfer", "flow", "link", "ctrl", "reg", "cache",
+    "req", "group", "proxy", "queue", "mpi", "mem", "fault",
 )
 
 

@@ -174,7 +174,7 @@ class ProxyEngine:
         self._counters_sent: dict[tuple, int] = {}
 
         self.sim.watchdog_probes.append(self._watchdog_report)
-        self.process = self.sim.process(self._loop())
+        self.process = self.sim.process(self._main_loop())
         self.process.name = f"proxy{ctx.global_id}"
         bus = ctx.cluster.bus
         if bus is not None:
@@ -183,20 +183,33 @@ class ProxyEngine:
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
-    def _loop(self):
-        """The generator to run: batched when ``proxy_batch_drain`` is set."""
-        if self.params.proxy_batch_drain:
-            return self._batched_loop()
-        return self._main_loop()
-
     def _main_loop(self):
-        # The per-message dispatch body lives inline here rather than in
-        # a helper generator: the proxy handles one inbox message per
-        # control event, and `yield from self._dispatch(item)` would
-        # allocate a fresh generator and add a delegation frame to every
-        # one of them.
+        """The one progress loop: wake, drain, charge once, dispatch.
+
+        Each ARM wakeup serves up to ``proxy_batch_drain or 1`` queued
+        items under a single ``dpu_handler_cost`` charge.  The paper's
+        proxy rings through the doorbell/event path once per message --
+        that is the default (one item per wakeup); at thousand-rank
+        scale the handler wakeups themselves dominate ARM time, so
+        ``MachineParams.proxy_batch_drain`` lets one wakeup drain
+        whatever is already queued (capped at the batch size).  Per-item
+        protocol costs (match cost, post overheads, transfer time) are
+        the same either way; only the per-message wakeup tax is
+        amortized.  The knob is data, not a second loop: it sets the
+        drain cap, and turns on the drain accounting
+        (``proxy.wakeups`` / ``proxy.drained_items`` and one
+        ``queue.drain`` bus event carrying the item count), which
+        default runs leave untouched.
+
+        The dispatch chain lives inline rather than in a helper
+        generator: ``yield from helper(item)`` would allocate a fresh
+        generator and add a delegation frame to every message.
+        """
         ctx = self.ctx
         handler_cost = self.params.dpu_handler_cost
+        batch_drain = self.params.proxy_batch_drain
+        batch_max = batch_drain or 1
+        metrics = ctx.cluster.metrics
         while True:
             get_ev = ctx.inbox.get()
             try:
@@ -207,65 +220,6 @@ class ProxyEngine:
                 # a dead process.
                 ctx.inbox.cancel(get_ev)
                 return
-            kind = item[0]
-            if kind == "stop":
-                return
-            try:
-                yield ctx.consume(handler_cost)
-                if kind == "rts":
-                    yield from self._on_rts(item[1])
-                elif kind == "rtr":
-                    yield from self._on_rtr(item[1])
-                elif kind == "xfer_done":
-                    yield from self._on_xfer_done(item[1])
-                elif kind == "retry_xfer":
-                    yield from self._on_retry_xfer(item[1], item[2], item[3])
-                elif kind == "group_plan":
-                    yield from self._on_group_plan(item[1])
-                elif kind == "group_call":
-                    yield from self._on_group_call(item[1])
-                elif kind == "staged_read":
-                    yield from self._on_staged_read(item[1], item[2], item[3])
-                elif kind == "staged_write":
-                    yield from self._on_staged_write(item[1], item[2], item[3])
-                elif kind == "counter_probe":
-                    yield from self._on_counter_probe(item[1])
-                elif kind == "resume":
-                    if item[3] == self.incarnation:
-                        yield from self._drive_executor(item[1], item[2])
-                elif kind in self.extra_handlers:
-                    yield from self.extra_handlers[kind](self, item[1])
-                else:  # pragma: no cover - defensive
-                    raise OffloadError(f"proxy: unknown inbox item {kind!r}")
-            except Interrupt:
-                return
-
-    def _batched_loop(self):
-        """Batched drain: one ARM wakeup serves up to ``proxy_batch_drain``
-        queued items under a single handler charge.
-
-        The paper's proxy rings through the doorbell/event path once per
-        message; at thousand-rank scale the handler wakeups themselves
-        dominate ARM time.  With ``MachineParams.proxy_batch_drain`` set
-        the loop drains whatever is already queued (capped at the batch
-        size), pays ``dpu_handler_cost`` once for the whole batch, and
-        emits one ``queue.drain`` bus event carrying the item count --
-        so proxy event accounting scales with batches, not messages.
-        Per-item protocol costs (match cost, post overheads, transfer
-        time) are unchanged; only the per-message wakeup tax is
-        amortized.
-        """
-        ctx = self.ctx
-        handler_cost = self.params.dpu_handler_cost
-        batch_max = self.params.proxy_batch_drain
-        metrics = ctx.cluster.metrics
-        while True:
-            get_ev = ctx.inbox.get()
-            try:
-                item = yield get_ev
-            except Interrupt:
-                ctx.inbox.cancel(get_ev)
-                return
             if item[0] == "stop":
                 return
             batch = [item]
@@ -274,59 +228,45 @@ class ProxyEngine:
                 if not ok:
                     break
                 batch.append(nxt)
-            metrics.add("proxy.wakeups")
-            metrics.add("proxy.drained_items", len(batch))
-            bus = ctx.cluster.bus
-            if bus is not None:
-                bus.emit("queue", "drain", ctx.trace_name, n=len(batch))
+            if batch_drain:
+                metrics.add("proxy.wakeups")
+                metrics.add("proxy.drained_items", len(batch))
+                bus = ctx.cluster.bus
+                if bus is not None:
+                    bus.emit("queue", "drain", ctx.trace_name, n=len(batch))
             try:
                 yield ctx.consume(handler_cost)
-                for it in batch:
-                    if it[0] == "stop":
+                for item in batch:
+                    kind = item[0]
+                    if kind == "rts":
+                        yield from self._on_rts(item[1])
+                    elif kind == "rtr":
+                        yield from self._on_rtr(item[1])
+                    elif kind == "xfer_done":
+                        yield from self._on_xfer_done(item[1])
+                    elif kind == "retry_xfer":
+                        yield from self._on_retry_xfer(item[1], item[2], item[3])
+                    elif kind == "group_plan":
+                        yield from self._on_group_plan(item[1])
+                    elif kind == "group_call":
+                        yield from self._on_group_call(item[1])
+                    elif kind == "staged_read":
+                        yield from self._on_staged_read(item[1], item[2], item[3])
+                    elif kind == "staged_write":
+                        yield from self._on_staged_write(item[1], item[2], item[3])
+                    elif kind == "counter_probe":
+                        yield from self._on_counter_probe(item[1])
+                    elif kind == "resume":
+                        if item[3] == self.incarnation:
+                            yield from self._drive_executor(item[1], item[2])
+                    elif kind == "stop":
                         return
-                    yield from self._handle_item(it)
+                    elif kind in self.extra_handlers:
+                        yield from self.extra_handlers[kind](self, item[1])
+                    else:  # pragma: no cover - defensive
+                        raise OffloadError(f"proxy: unknown inbox item {kind!r}")
             except Interrupt:
                 return
-
-    def _dispatch(self, item):
-        # Single-message dispatch, kept as the unit-testable API mirror
-        # of the inlined loop body above (fault-injection helpers call
-        # it directly); the two must stay behaviourally identical.  The
-        # cost-free body lives in _handle_item so the batched loop can
-        # dispatch a whole drain under one handler charge.
-        yield self.ctx.consume(self.params.dpu_handler_cost)
-        yield from self._handle_item(item)
-
-    def _handle_item(self, item):
-        # Dispatch WITHOUT the handler charge (the caller has paid it --
-        # once per message in _dispatch/_main_loop, once per batch in
-        # _batched_loop).
-        kind = item[0]
-        if kind == "rts":
-            yield from self._on_rts(item[1])
-        elif kind == "rtr":
-            yield from self._on_rtr(item[1])
-        elif kind == "xfer_done":
-            yield from self._on_xfer_done(item[1])
-        elif kind == "retry_xfer":
-            yield from self._on_retry_xfer(item[1], item[2], item[3])
-        elif kind == "group_plan":
-            yield from self._on_group_plan(item[1])
-        elif kind == "group_call":
-            yield from self._on_group_call(item[1])
-        elif kind == "staged_read":
-            yield from self._on_staged_read(item[1], item[2], item[3])
-        elif kind == "staged_write":
-            yield from self._on_staged_write(item[1], item[2], item[3])
-        elif kind == "counter_probe":
-            yield from self._on_counter_probe(item[1])
-        elif kind == "resume":
-            if item[3] == self.incarnation:
-                yield from self._drive_executor(item[1], item[2])
-        elif kind in self.extra_handlers:
-            yield from self.extra_handlers[kind](self, item[1])
-        else:  # pragma: no cover - defensive
-            raise OffloadError(f"proxy: unknown inbox item {kind!r}")
 
     # ------------------------------------------------------------------
     # fault injection: kill / restart
@@ -376,7 +316,7 @@ class ProxyEngine:
         if bus is not None:
             bus.emit("proxy", "restart", self.ctx.trace_name,
                      incarnation=self.incarnation)
-        self.process = self.sim.process(self._loop())
+        self.process = self.sim.process(self._main_loop())
         self.process.name = f"proxy{self.ctx.global_id}.inc{self.incarnation}"
 
     # ------------------------------------------------------------------
@@ -457,7 +397,7 @@ class ProxyEngine:
         """Account which engine signaled a completed WQE.
 
         In fluid hybrid mode a bulk transfer's CQE is fired from a flow
-        drain instead of the exact chunk FSM; counting those here lets
+        drain instead of the exact port walk; counting those here lets
         the differential harness confirm the proxy's completions really
         rode the FlowEngine.  Exact runs never take the branch, so clean
         metrics snapshots are untouched.
@@ -500,40 +440,24 @@ class ProxyEngine:
             done = transfer.completed
         inc = self.incarnation
 
-        if self.ctx.cluster.bus is None:
-            # Direct completion callback (no watcher process): only the
-            # watcher's init and no-op termination events disappear, so
-            # every remaining event keeps its relative order.  With a bus
-            # attached the watcher's proc.start/proc.end are part of the
-            # observable trace, so the process form below is kept.
-            def _watch_cb(ev):
-                dv = ev.value
-                self._note_cqe(dv)
-                if self.resilient and getattr(dv, "status", "ok") == "error":
-                    backoff = self.sim.timeout(self.retry.rdma_backoff * attempt)
-                    backoff.callbacks.append(
-                        lambda _t: self.ctx.inbox.put(
-                            ("retry_xfer", pair, attempt + 1, inc))
-                    )
-                else:
-                    self.ctx.inbox.put(("xfer_done", pair))
-
-            done.callbacks.append(_watch_cb)
-            return
-
-        def _watch():
-            dv = yield done
+        def _watch_cb(ev):
+            # Direct completion callback on the CQE event (no watcher
+            # process).  Error CQE (fault injection): back off, then
+            # re-post through the inbox so the retry stays
+            # ARM-serialized.  The staged path retries its legs itself
+            # and completes with status ok.
+            dv = ev.value
             self._note_cqe(dv)
-            # Error CQE (fault injection): back off, then re-post through
-            # the inbox so the retry stays ARM-serialized.  The staged
-            # path retries its legs itself and completes with status ok.
             if self.resilient and getattr(dv, "status", "ok") == "error":
-                yield self.sim.timeout(self.retry.rdma_backoff * attempt)
-                self.ctx.inbox.put(("retry_xfer", pair, attempt + 1, inc))
+                backoff = self.sim.timeout(self.retry.rdma_backoff * attempt)
+                backoff.callbacks.append(
+                    lambda _t: self.ctx.inbox.put(
+                        ("retry_xfer", pair, attempt + 1, inc))
+                )
             else:
                 self.ctx.inbox.put(("xfer_done", pair))
 
-        self.sim.process(_watch())
+        done.callbacks.append(_watch_cb)
 
     def _on_retry_xfer(self, pair: dict, attempt: int, inc: int) -> None:
         if inc != self.incarnation:
@@ -601,32 +525,19 @@ class ProxyEngine:
             st["payload_src"] = read.payload_src
         inc = self.incarnation
 
-        if self.ctx.cluster.bus is None:
-            def _after_read_cb(ev):
-                dv = ev.value
-                self._note_cqe(dv)
-                if self.resilient and dv.status == "error":
-                    backoff = self.sim.timeout(self.retry.rdma_backoff * attempt)
-                    backoff.callbacks.append(
-                        lambda _t: self.ctx.inbox.put(
-                            ("staged_read", st, attempt + 1, inc))
-                    )
-                else:
-                    self.ctx.inbox.put(("staged_write", st, 1, inc))
-
-            read.completed.callbacks.append(_after_read_cb)
-            return
-
-        def _after_read():
-            dv = yield read.completed
+        def _after_read_cb(ev):
+            dv = ev.value
             self._note_cqe(dv)
             if self.resilient and dv.status == "error":
-                yield self.sim.timeout(self.retry.rdma_backoff * attempt)
-                self.ctx.inbox.put(("staged_read", st, attempt + 1, inc))
+                backoff = self.sim.timeout(self.retry.rdma_backoff * attempt)
+                backoff.callbacks.append(
+                    lambda _t: self.ctx.inbox.put(
+                        ("staged_read", st, attempt + 1, inc))
+                )
             else:
                 self.ctx.inbox.put(("staged_write", st, 1, inc))
 
-        self.sim.process(_after_read())
+        read.completed.callbacks.append(_after_read_cb)
 
     def _release_stale(self, st: dict) -> None:
         """Return a dead incarnation's bounce buffer to the pool (once)."""
@@ -671,34 +582,20 @@ class ProxyEngine:
                 return
             raise
 
-        if self.ctx.cluster.bus is None:
-            def _after_write_cb(ev):
-                dv = ev.value
-                self._note_cqe(dv)
-                if self.resilient and dv.status == "error":
-                    backoff = self.sim.timeout(self.retry.rdma_backoff * attempt)
-                    backoff.callbacks.append(
-                        lambda _t: self.ctx.inbox.put(
-                            ("staged_write", st, attempt + 1, inc))
-                    )
-                    return
-                self.staging.release(st["buf"])
-                st["done"].succeed(None)
-
-            write.completed.callbacks.append(_after_write_cb)
-            return
-
-        def _after_write():
-            dv = yield write.completed
+        def _after_write_cb(ev):
+            dv = ev.value
             self._note_cqe(dv)
             if self.resilient and dv.status == "error":
-                yield self.sim.timeout(self.retry.rdma_backoff * attempt)
-                self.ctx.inbox.put(("staged_write", st, attempt + 1, inc))
+                backoff = self.sim.timeout(self.retry.rdma_backoff * attempt)
+                backoff.callbacks.append(
+                    lambda _t: self.ctx.inbox.put(
+                        ("staged_write", st, attempt + 1, inc))
+                )
                 return
             self.staging.release(st["buf"])
             st["done"].succeed(None)
 
-        self.sim.process(_after_write())
+        write.completed.callbacks.append(_after_write_cb)
 
     def _on_xfer_done(self, pair: dict) -> None:
         """Data landed: send FIN completion writes to both host processes."""

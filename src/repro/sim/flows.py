@@ -1,7 +1,7 @@
 """Fluid-flow engine for the hybrid simulation mode.
 
-The event engine prices every chunk of a large transfer as a discrete
-event, which caps simulated cluster size.  This module implements the
+The event engine prices every message as a chain of discrete events,
+which caps simulated cluster size.  This module implements the
 coarse half of the hybrid: long transfers advance as *flows* that share
 port capacity max-min fairly (psim's ``make_progress_on_flows`` idiom),
 while everything else -- control messages, sub-threshold transfers,

@@ -167,29 +167,6 @@ class TestDeterminism:
         assert self._trace(5, 0.0, False) == self._trace(5, 0.9, False)
 
 
-class TestChunkModeStaysExact:
-    def test_armed_plan_disables_chunk_pricing_loudly(self):
-        cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1, seed=3,
-                                 chunk_bytes=64 * 1024))
-        bus = EventBus.attach(cl)
-        cl.install_faults(FaultPlan(FaultSpec(), seed=3))
-        _stream(cl, n=2, size=256 * 1024)
-        assert cl.metrics.get("fabric.fluid_disabled") == 2
-        assert cl.metrics.get("fabric.chunks") == 0  # message-level FSM
-        evs = bus.select(cat="fluid", name="disabled")
-        assert len(evs) == 2
-        assert evs[0].arg("reason") == "fault_plan"
-
-    def test_clean_chunk_mode_emits_nothing(self):
-        cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1, seed=3,
-                                 chunk_bytes=64 * 1024))
-        bus = EventBus.attach(cl)
-        _stream(cl, n=2, size=256 * 1024)
-        assert cl.metrics.get("fabric.fluid_disabled") == 0
-        assert cl.metrics.get("fabric.chunks") > 0
-        assert bus.count(cat="fluid") == 0
-
-
 class TestProxyKillAbortsFlows:
     def _bulk_exchange(self, cl, fw, iters=4, size=512 * 1024):
         data = pattern(size, seed=5)

@@ -270,7 +270,7 @@ class TestFlowWindowInvariant:
 
         def early_deliver(self, flow, t_drain):
             st = flow.tag
-            self._flow_deliver(st)   # delivery leaks into the open window
+            st.land(None)            # delivery leaks into the open window
             self.bus.emit("flow", "end", f"flow{flow.fid}", fid=flow.fid,
                           xid=st.xid)
 

@@ -46,6 +46,12 @@ def _spec(p: int, ppn: int = 1, slim: bool = False, **knobs) -> ClusterSpec:
 # slim: timing-differential against eager construction
 # ----------------------------------------------------------------------
 def _offload_allreduce_run(spec: ClusterSpec, count: int = 96):
+    t, out, _cl = _offload_allreduce_cluster(spec, count)
+    return max(t), out
+
+
+def _offload_allreduce_cluster(spec: ClusterSpec, count: int = 96):
+    """Per-rank finish times, results, and the cluster they ran on."""
     cl = Cluster(spec)
     fw = OffloadFramework(cl)
     p = spec.world_size
@@ -62,7 +68,7 @@ def _offload_allreduce_run(spec: ClusterSpec, count: int = 96):
         return cl.sim.now
 
     t = run_procs(cl, [prog(r) for r in range(p)])
-    return max(t), out
+    return t, out, cl
 
 
 class TestSlimTimingIdentical:
@@ -172,13 +178,14 @@ def _burst(batch):
 
     t = run_procs(cl, [sender(r)(cl.sim) for r in range(8)]
                       + [receiver(r)(cl.sim) for r in range(8, 16)])
-    return max(t), cl.metrics, bus
+    return t, cl.metrics, bus
 
 
 class TestBatchedProxyDrain:
     def test_burst_batches_and_is_no_slower(self):
         t_plain, m_plain, bus_plain = _burst(batch=None)
         t_batch, m_batch, bus_batch = _burst(batch=16)
+        t_plain, t_batch = max(t_plain), max(t_batch)
 
         # Defaults: the batching machinery leaves no trace at all.
         assert m_plain.get("proxy.wakeups") == 0
@@ -207,6 +214,37 @@ class TestBatchedProxyDrain:
         assert t_batch <= t_plain
         for r in range(4):
             assert out_batch[r].tobytes() == out_plain[r].tobytes()
+
+    def test_batch_of_one_is_the_default_loop(self):
+        """``proxy_batch_drain=1`` is data on the one proxy loop, not a
+        second loop: same finish times and event count as unset; only
+        the drain accounting differs (one item per wakeup)."""
+        t_plain, m_plain, bus_plain = _burst(batch=None)
+        t_one, m_one, bus_one = _burst(batch=1)
+        assert t_one == t_plain
+        assert bus_one.sim.processed_events == bus_plain.sim.processed_events
+        assert m_plain.get("proxy.wakeups") == 0
+        assert m_one.get("proxy.wakeups") == m_one.get("proxy.drained_items") > 0
+        drains = bus_one.select(cat="queue", name="drain")
+        assert len(drains) == m_one.get("proxy.wakeups")
+        assert all(ev.arg("n") == 1 for ev in drains)
+        # Everything else the bus saw is the same stream (args carry
+        # process-global request ids, so compare the tagged skeleton).
+        def strip(bus):
+            return [(e.time, e.cat, e.name, e.entity)
+                    for e in bus.events if e.cat != "queue"]
+
+        assert strip(bus_one) == strip(bus_plain)
+
+        t_plain, out_plain, cl_plain = _offload_allreduce_cluster(_spec(4))
+        t_one, out_one, cl_one = _offload_allreduce_cluster(
+            _spec(4, proxy_batch_drain=1))
+        assert t_one == t_plain
+        assert cl_one.sim.processed_events == cl_plain.sim.processed_events
+        assert cl_one.metrics.get("proxy.wakeups") \
+            == cl_one.metrics.get("proxy.drained_items") > 0
+        for r in range(4):
+            assert out_one[r].tobytes() == out_plain[r].tobytes()
 
 
 # ----------------------------------------------------------------------
