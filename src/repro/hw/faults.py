@@ -369,7 +369,7 @@ class LinkDegradePlan:
 
     The plan drives :meth:`FlowEngine.set_endpoint_capacity` at each
     window edge -- the engine settles in-flight progress and re-solves
-    ``fair_shares`` there -- and emits ``link.degrade``/``link.restore``
+    the fair shares there -- and emits ``link.degrade``/``link.restore``
     obs events.  Install via
     :meth:`repro.hw.cluster.Cluster.install_link_degrade`; the cluster
     must be in fluid mode (link capacity is a flow-path concept; the

@@ -138,8 +138,7 @@ class FatTreeTopology:
         """Declare the graph's link capacities to a flow engine.
 
         Only non-unit capacities are registered (unit links are the
-        engine's default), so a default fat-tree leaves the solver's
-        all-ones fast path untouched.
+        engine's default).
         """
         self._engine = engine
         for key, cap in self.links():

@@ -26,6 +26,7 @@ identically before and after flows are admitted on the link.
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 
@@ -39,7 +40,8 @@ from repro.hw import (
     LinkWindow,
     ecmp_hash,
 )
-from repro.sim import FlowEngine, Simulator
+from repro.sim import FlowEngine, Simulator, flows as flows_mod
+from tests.harness.waterfill import waterfill_reference
 
 REL = 1e-9
 
@@ -112,6 +114,60 @@ class TestClosedForms:
         [t] = _drains(sim, eng, [hairpin])
         # Share is capped at cap/2 by its own double crossing.
         assert t == pytest.approx(2 * work, rel=REL)
+
+
+# ---------------------------------------------------------------------------
+# staggered arrivals: every arrival and every drain is its own re-solve
+# ---------------------------------------------------------------------------
+
+def _staggered_run(seed=11, nodes=32, waves=2, posts_per_wave=3):
+    """Jittered bulk posts in two waves on a 4-leaf, 2-spine tree (the
+    shape of the repo benchmark's ``fattree_bulk_fluid``); returns the
+    engine and every transfer's completion time in post order."""
+    cl = Cluster(ClusterSpec(nodes=nodes, ppn=1, proxies_per_dpu=1,
+                             nodes_per_switch=8, spine_count=2, fluid=True))
+    cl.payloads = False
+    rng = random.Random(seed)
+    plan = [[[(rng.uniform(0.0, 50e-6), (node + 1 + rng.randrange(nodes - 1))
+               % nodes, rng.choice([1 << 18, 1 << 20, 1 << 22]))
+              for _ in range(posts_per_wave)] for _ in range(waves)]
+            for node in range(nodes)]
+    done = {}
+
+    def prog(node, node_waves):
+        for w, posts in enumerate(node_waves):
+            handles = []
+            for jitter, dst, size in posts:
+                yield cl.sim.timeout(jitter)
+                handles.append(cl.fabric.transfer(
+                    src_node=node, dst_node=dst, size=size, initiator="host"))
+            for i, t in enumerate(handles):
+                yield t.completed
+                done[node, w, i] = cl.sim.now
+
+    for node, node_waves in enumerate(plan):
+        cl.sim.process(prog(node, node_waves))
+    cl.sim.run()
+    return cl.fabric.flow_engine, [done[k] for k in sorted(done)]
+
+
+class TestStaggeredArrivals:
+    def test_drains_match_reference_waterfill(self, monkeypatch):
+        """Hundreds of distinct share levels per solve -- the regime the
+        parallel-bottleneck rounds exist for -- drain exactly where the
+        level-by-level reference puts them."""
+        engine, times = _staggered_run()
+        monkeypatch.setattr(flows_mod, "fair_shares_links",
+                            waterfill_reference)
+        ref_engine, ref_times = _staggered_run()
+        assert ref_engine.flows_finished == engine.flows_finished == 192
+        assert times == pytest.approx(ref_times, rel=REL, abs=0.0)
+
+    def test_two_recomputes_per_flow(self):
+        """One re-solve at each arrival and one at each drain: nothing
+        batches, nothing re-solves twice."""
+        engine, _times = _staggered_run()
+        assert engine.recomputes == 2 * engine.flows_started == 384
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +380,37 @@ class TestEcmp:
         cl.sim.process(prog())
         cl.sim.run()
         assert sorted(used) == [0, 1, 2, 3]
+
+    def test_least_loaded_choices_pinned_on_seeded_incast(self):
+        """63:1 incast on a 64-node tree, half the senders posting in one
+        instant (one pending batch) and half jittered (so earlier flows
+        are already in the incidence): the spines ``"least"`` picks are
+        the ones the per-flow Python walk of ``link_load`` picked."""
+        cl = Cluster(ClusterSpec(nodes=64, ppn=1, proxies_per_dpu=1,
+                                 nodes_per_switch=8, spine_count=4,
+                                 path_selector="least", fluid=True, seed=7))
+        cl.payloads = False
+        rng = random.Random(7)
+        spine = {}
+
+        def on_deliver(dv):
+            spine[dv.src_node] = dv.path[1][2] if len(dv.path) == 4 else -1
+
+        def prog(node, delay):
+            yield cl.sim.timeout(delay)
+            t = cl.fabric.transfer(src_node=node, dst_node=0, size=1 << 20,
+                                   initiator="host", on_deliver=on_deliver)
+            yield t.completed
+
+        for node in range(1, 64):
+            delay = 0.0 if node % 2 else rng.uniform(0.0, 200e-6)
+            cl.sim.process(prog(node, delay))
+        cl.sim.run()
+        assert [spine[n] for n in range(1, 64)] == [
+            -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 1, 3, 2, 2, 3, 2, 0, 0, 1,
+            1, 2, 3, 3, 1, 0, 2, 1, 0, 2, 3, 3, 2, 0, 1, 1, 0, 2, 3, 3, 0, 0,
+            3, 1, 1, 2, 2, 3, 3, 0, 0, 1, 2, 2, 1, 3, 3, 0, 1, 1, 0, 2, 2, 3,
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) on the per-link topology solver.
 
-Four families of invariants (docs/PERFORMANCE.md, "Per-link topology
+Five families of invariants (docs/PERFORMANCE.md, "Per-link topology
 mode"):
 
 * **conservation** -- ``fair_shares_links`` never oversubscribes a
@@ -12,10 +12,14 @@ mode"):
   allocation can raise any flow without lowering a poorer one;
 * **order invariance** -- the shares are a pure function of the flow
   *set*: permuting the rows permutes the shares bit-identically;
-* **endpoint-mode equivalence** -- on degenerate 2-link paths the
-  generalized solver reproduces ``fair_shares`` bit for bit (the
-  engine's fast-path guarantee), both at the solver level and through
-  a live ``FlowEngine`` driving a single-leaf fat-tree.
+* **endpoint-mode equivalence** -- ``fair_shares`` is nothing but the
+  two-column adapter over ``fair_shares_links``, and a live
+  ``FlowEngine`` drains ``tx=``/``rx=`` flows exactly like their
+  2-link ``path=`` spelling;
+* **reference differential** -- the parallel-bottleneck solver lands
+  on the allocation of the level-by-level water-filling it replaced
+  (``tests.harness.waterfill``, the old loop kept as the oracle) and
+  never takes more rounds than that one has share levels.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim import Simulator, flows as flows_mod
 from repro.sim.flows import FlowEngine, fair_shares, fair_shares_links
-from repro.sim import Simulator
+from tests.harness.waterfill import waterfill_reference
 
 _EPS = 1e-9
 
@@ -107,8 +112,8 @@ two_link_flows = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(flows=two_link_flows, link_caps=link_cap_arrays)
-def test_links_degenerate_paths_match_endpoint_solver(flows, link_caps):
-    """On 2-link paths the two solvers are bit-identical, not just close."""
+def test_endpoint_adapter_is_the_links_solver(flows, link_caps):
+    """``fair_shares`` only stacks its two columns and delegates."""
     tx = np.array([f[0] for f in flows], dtype=np.intp)
     rx = np.array([f[1] for f in flows], dtype=np.intp)
     caps = np.array([f[2] for f in flows], dtype=np.float64)
@@ -131,6 +136,49 @@ def test_links_padded_matrix_matches_ragged(flows):
     for i, p in enumerate(paths):
         padded[i, : len(p)] = p
     assert np.array_equal(ragged, fair_shares_links(padded, caps, 10))
+
+
+# ---------------------------------------------------------------------------
+# differential against the reference water-filling
+# ---------------------------------------------------------------------------
+
+_N_LINKS = 12
+
+# Ragged paths that may cross a link more than once; capacities drawn
+# from round decimals as well as arbitrary floats, because levels that
+# tie up to float residue are where a freeze rule goes wrong.  A link
+# is flapped (0.0) or has a capacity far above the solvers' 1e-12 level
+# slack: inside the slack both are free to call two levels one.
+diff_flows = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, _N_LINKS - 1), min_size=1, max_size=5),
+        st.one_of(st.sampled_from([0.1, 0.25, 0.3, 0.5, 1.0]),
+                  st.floats(0.05, 1.0, allow_nan=False)),
+    ),
+    min_size=1,
+    max_size=200,
+)
+
+diff_link_caps = st.lists(
+    st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 0.9, 1.0, 2.0]),
+              st.floats(0.05, 2.0, allow_nan=False)),
+    min_size=_N_LINKS, max_size=_N_LINKS,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flows=diff_flows, link_caps=diff_link_caps)
+def test_links_match_reference_waterfill(flows, link_caps):
+    paths = [f[0] for f in flows]
+    caps = np.array([f[1] for f in flows], dtype=np.float64)
+    lc = np.array(link_caps)
+    shares, rounds = flows_mod._solve(paths, caps, _N_LINKS, lc)
+    reference = waterfill_reference(paths, caps, _N_LINKS, lc)
+    assert np.abs(shares - reference).max() <= 1e-12
+    # The reference freezes one share level per round, so its distinct
+    # levels are a floor on *its* round count; the solver under test
+    # freezes every local bottleneck at once and must not exceed it.
+    assert rounds <= len(np.unique(reference))
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +221,8 @@ def _drain_times(flows, *, as_paths: bool) -> list[float]:
 def test_engine_degenerate_paths_drain_identically(flows):
     """2-link path= flows behave exactly like tx=/rx= endpoint flows.
 
-    Path-routed admission increments the multilink count only for
-    paths of length != 2, so both runs take the ``fair_shares`` fast
-    path -- drain times must match bit for bit.
+    ``tx=``/``rx=`` is shorthand for the two-link path, so both runs
+    build the same incidence -- drain times must match bit for bit.
     """
     assert _drain_times(flows, as_paths=True) == \
         _drain_times(flows, as_paths=False)
