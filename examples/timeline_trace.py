@@ -3,10 +3,11 @@
 
 Attaches the execution tracer and replays the ring-broadcast-under-
 compute scenario on (a) host-progressed MPI and (b) the proposed group
-offload, then prints per-process busy lanes (``#`` = core-busy time).
-You can literally *see* case 1's forwarding gap (host2 wakes again
-*after* its compute to serve the late ring) versus case 3's DPU lanes
-carrying the ring while the hosts sit in one solid compute block.
+offload, then prints per-process busy lanes (``#`` = core-busy time)
+with each lane's busy time and utilisation.  You can literally *see*
+case 1's forwarding gap (host2 wakes again *after* its compute to serve
+the late ring) versus case 3's DPU lanes carrying the ring while the
+hosts sit in one solid compute block.
 
 Run:  python examples/timeline_trace.py
 """
@@ -15,6 +16,7 @@ from repro.experiments.common import SimBarrier
 from repro.hw import Cluster, ClusterSpec
 from repro.hw.trace import Tracer
 from repro.mpi import MpiWorld
+from repro.obs import render_timeline
 from repro.offload import OffloadFramework
 
 RANKS = 3
@@ -53,7 +55,8 @@ def traced_mpi() -> str:
         return None
 
     world.run(program, ranks=range(RANKS))
-    return tracer.render_ascii(width=68, entities=[f"host{r}" for r in range(RANKS)])
+    return render_timeline(tracer, width=68,
+                           entities=[f"host{r}" for r in range(RANKS)])
 
 
 def traced_offload() -> str:
@@ -90,7 +93,7 @@ def traced_offload() -> str:
     procs = [cluster.sim.process(make(r)(cluster.sim)) for r in range(RANKS)]
     cluster.sim.run(until=cluster.sim.all_of(procs))
     lanes = [f"host{r}" for r in range(RANKS)] + [f"dpu{r}" for r in range(RANKS)]
-    return tracer.render_ascii(width=68, entities=lanes)
+    return render_timeline(tracer, width=68, entities=lanes)
 
 
 def main() -> None:

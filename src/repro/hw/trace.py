@@ -7,31 +7,25 @@ hardware layer records
   (:meth:`ProcessContext.consume`), and
 * an **arrow** for every fabric transfer (post -> delivery).
 
-``render_ascii`` turns the trace into the kind of per-process timeline
-the paper sketches in Fig 1 -- handy for eyeballing where a pattern
-stalls::
-
-    host0 |####·····##······|
-    dpu0  |···##·####·······|
-    host1 |·········####····|
-
-Usage::
+``repro.obs.render_timeline`` turns the trace into the kind of
+per-process timeline the paper sketches in Fig 1 (its docstring shows
+one) -- handy for eyeballing where a pattern stalls.  Usage::
 
     tracer = Tracer.attach(cluster)
     ...run...
-    print(tracer.render_ascii(width=72))
+    print(render_timeline(tracer, width=72))
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 __all__ = ["Span", "Arrow", "Tracer"]
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """A half-open interval of core occupancy on one process."""
 
     entity: str
@@ -43,8 +37,7 @@ class Span:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     """One message flight through the fabric."""
 
     src: str
@@ -63,6 +56,11 @@ class Tracer:
     arrows: list[Arrow] = field(default_factory=list)
     #: Ignore events before this time (e.g. warm-up iterations).
     t_min: float = 0.0
+    #: ``entity -> its spans`` in recording order, filled by
+    #: :meth:`record_span`: what per-lane readers (``busy_time``, the
+    #: timeline, the offloaded-window invariant) iterate.
+    lanes: dict[str, list[Span]] = field(
+        default_factory=lambda: defaultdict(list), init=False, repr=False)
 
     # -- wiring -----------------------------------------------------------
     @staticmethod
@@ -80,7 +78,9 @@ class Tracer:
     # -- recording ----------------------------------------------------------
     def record_span(self, entity: str, start: float, end: float) -> None:
         if end > start and end >= self.t_min:
-            self.spans.append(Span(entity, max(start, self.t_min), end))
+            span = Span(entity, max(start, self.t_min), end)
+            self.spans.append(span)
+            self.lanes[entity].append(span)
 
     def record_arrow(self, src: str, dst: str, size: int, kind: str,
                      posted: float, delivered: float) -> None:
@@ -90,6 +90,7 @@ class Tracer:
     def reset(self, t_min: Optional[float] = None) -> None:
         """Clear recordings; optionally start a fresh window at ``t_min``."""
         self.spans.clear()
+        self.lanes.clear()
         self.arrows.clear()
         if t_min is not None:
             self.t_min = t_min
@@ -97,16 +98,14 @@ class Tracer:
     # -- queries ------------------------------------------------------------
     @property
     def entities(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for s in self.spans:
-            seen.setdefault(s.entity)
+        seen: dict[str, None] = dict.fromkeys(self.lanes)
         for a in self.arrows:
             seen.setdefault(a.src)
             seen.setdefault(a.dst)
         return list(seen)
 
     def busy_time(self, entity: str) -> float:
-        return sum(s.duration for s in self.spans if s.entity == entity)
+        return sum(s.end - s.start for s in self.lanes.get(entity, ()))
 
     def window(self) -> tuple[float, float]:
         times = [s.start for s in self.spans] + [s.end for s in self.spans]
@@ -114,38 +113,3 @@ class Tracer:
         if not times:
             return (0.0, 0.0)
         return (min(times), max(times))
-
-    # -- rendering ------------------------------------------------------------
-    def render_ascii(self, width: int = 72, entities: Optional[list[str]] = None) -> str:
-        """Per-entity busy lanes over the traced window.
-
-        ``#`` marks core-busy time, ``.`` idle; one extra line per lane
-        marks message deliveries into that entity with ``v``.
-        """
-        t0, t1 = self.window()
-        if t1 <= t0:
-            return "(empty trace)"
-        scale = width / (t1 - t0)
-        names = entities if entities is not None else self.entities
-        label_w = max((len(n) for n in names), default=4) + 1
-        lines = [
-            f"{'':{label_w}s} {t0 * 1e6:.1f}us{'':{max(0, width - 16)}s}{t1 * 1e6:.1f}us"
-        ]
-        for name in names:
-            lane = ["."] * width
-            for s in self.spans:
-                if s.entity != name:
-                    continue
-                a = int((s.start - t0) * scale)
-                b = max(a + 1, int((s.end - t0) * scale))
-                for i in range(a, min(b, width)):
-                    lane[i] = "#"
-            marks = [" "] * width
-            for arrow in self.arrows:
-                if arrow.dst == name:
-                    i = min(width - 1, int((arrow.delivered - t0) * scale))
-                    marks[i] = "v"
-            lines.append(f"{name:{label_w}s}|{''.join(lane)}|")
-            if any(m != " " for m in marks):
-                lines.append(f"{'':{label_w}s}|{''.join(marks)}|")
-        return "\n".join(lines)

@@ -48,7 +48,8 @@ the Chrome-trace exporter can park instants on the matching track.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 __all__ = ["ObsEvent", "EventBus", "CATEGORIES"]
@@ -62,13 +63,15 @@ CATEGORIES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ObsEvent:
     """One tagged event on the bus.
 
     ``args`` is a tuple of sorted ``(key, value)`` pairs rather than a
     dict so events are hashable and their serialisation order is
     deterministic regardless of emission-site keyword order.
+    Slotted and unfrozen -- an observed run builds 400 k of these, so
+    no per-event ``__dict__`` and plain attribute stores in ``__init__``.
     """
 
     time: float
@@ -76,7 +79,7 @@ class ObsEvent:
     cat: str
     name: str
     entity: str
-    args: tuple = field(default=())
+    args: tuple = ()
 
     def arg(self, key: str, default=None):
         for k, v in self.args:
@@ -107,6 +110,9 @@ class EventBus:
     def __init__(self, sim=None, categories: Optional[Iterable[str]] = None):
         self.sim = sim
         self.events: list[ObsEvent] = []
+        #: ``(cat, name) -> events of that kind``, in emission order;
+        #: filled by :meth:`emit`, answers :meth:`select`.
+        self._index: dict[tuple[str, str], list[ObsEvent]] = defaultdict(list)
         self._seq = 0
         self._categories = frozenset(categories) if categories is not None else None
         self._subscribers: list[Callable[[ObsEvent], None]] = []
@@ -139,28 +145,24 @@ class EventBus:
         self._subscribers.append(fn)
 
     # -- emission -------------------------------------------------------
-    def wants(self, cat: str) -> bool:
-        return self._categories is None or cat in self._categories
-
     def emit(self, _cat: str, _name: str, _entity: str, **args) -> Optional[ObsEvent]:
         """Record one event; returns it, or ``None`` when filtered out.
 
         The three positional parameters are underscore-prefixed so event
         args may themselves be called ``name``/``cat``/``entity``.
         """
-        if not self.wants(_cat):
+        cats = self._categories
+        if cats is not None and _cat not in cats:
             return None
-        now = 0.0 if self.sim is None else self.sim.now
+        sim = self.sim
         ev = ObsEvent(
-            time=round(now, 12),
-            seq=self._seq,
-            cat=_cat,
-            name=_name,
-            entity=_entity,
-            args=tuple(sorted(args.items())),
+            0.0 if sim is None else round(sim.now, 12),
+            self._seq, _cat, _name, _entity,
+            tuple(sorted(args.items())),
         )
         self._seq += 1
         self.events.append(ev)
+        self._index[_cat, _name].append(ev)
         for fn in self._subscribers:
             fn(ev)
         return ev
@@ -172,28 +174,39 @@ class EventBus:
     def __iter__(self) -> Iterator[ObsEvent]:
         return iter(self.events)
 
+    def _kind(self, cat: Optional[str], name: Optional[str]):
+        """Events matching ``cat``/``name``, in emission order (read-only)."""
+        if cat is None and name is None:
+            return self.events
+        if cat is not None and name is not None:
+            return self._index.get((cat, name), ())
+        runs = [evs for (c, n), evs in self._index.items()
+                if (cat is None or c == cat) and (name is None or n == name)]
+        # Each bucket is in emission order; ``seq`` merges them back into it.
+        return sorted((ev for run in runs for ev in run), key=lambda ev: ev.seq)
+
     def select(self, cat: Optional[str] = None, name: Optional[str] = None,
                entity: Optional[str] = None, **args) -> list[ObsEvent]:
-        """Events matching every given filter (args match by equality)."""
-        out = []
-        for ev in self.events:
-            if cat is not None and ev.cat != cat:
-                continue
-            if name is not None and ev.name != name:
-                continue
-            if entity is not None and ev.entity != entity:
-                continue
-            if args and any(ev.arg(k, _MISSING) != v for k, v in args.items()):
-                continue
-            out.append(ev)
-        return out
+        """Events matching every given filter (args match by equality),
+        as a fresh list in emission order.  ``cat`` + ``name`` is an index
+        lookup, not a scan; ``entity`` and ``args`` filter that bucket."""
+        evs = self._kind(cat, name)
+        if entity is not None:
+            evs = [ev for ev in evs if ev.entity == entity]
+        if args:
+            evs = [ev for ev in evs
+                   if not any(ev.arg(k, _MISSING) != v for k, v in args.items())]
+        return list(evs)
 
     def count(self, cat: Optional[str] = None, name: Optional[str] = None,
               entity: Optional[str] = None, **args) -> int:
-        return len(self.select(cat=cat, name=name, entity=entity, **args))
+        if entity is None and not args:
+            return len(self._kind(cat, name))
+        return len(self.select(cat, name, entity, **args))
 
     def clear(self) -> None:
         self.events.clear()
+        self._index.clear()
 
     def render(self, limit: Optional[int] = None) -> str:
         """Plain-text dump of the stream (debugging aid)."""
@@ -204,11 +217,4 @@ class EventBus:
         return "\n".join(lines) if lines else "(no events)"
 
 
-class _Missing:
-    __slots__ = ()
-
-    def __repr__(self):  # pragma: no cover
-        return "<missing>"
-
-
-_MISSING = _Missing()
+_MISSING = object()

@@ -7,9 +7,9 @@ Three output formats, all deterministic for a fixed seed:
   spans become ``"X"`` complete slices, fabric arrows become ``"b"/"e"``
   async pairs, and bus events become ``"i"`` instants, each parked on
   the track of its emitting entity.
-* :func:`render_timeline` -- the per-rank text timeline (the successor
-  of ``Tracer.render_ascii``): busy lanes plus per-entity busy-time and
-  utilisation columns, lanes ordered hosts -> DPUs -> fabric.
+* :func:`render_timeline` -- the per-rank text timeline: busy lanes
+  plus per-entity busy-time and utilisation columns, lanes ordered
+  hosts -> DPUs -> fabric.
 * :func:`metrics_snapshot` -- a JSON-ready dict of every counter and
   histogram summary, written next to ``results/`` by ``runall`` and the
   benchmark harness so perf regressions diff as data, not prose.
@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import asdict, is_dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
@@ -73,83 +74,88 @@ def chrome_trace(cluster=None, bus=None, tracer=None,
         if tracer is None:
             tracer = getattr(cluster, "tracer", None)
 
-    entities: list[str] = []
-    if tracer is not None:
-        entities += [s.entity for s in tracer.spans]
-        entities += [a.src for a in tracer.arrows] + [a.dst for a in tracer.arrows]
+    entities = set(tracer.entities) if tracer is not None else set()
     if bus is not None:
-        entities += [ev.entity for ev in bus.events]
+        entities.update(ev.entity for ev in bus.events)
     lanes = sort_entities(entities)
     tid_of = {name: i + 1 for i, name in enumerate(lanes)}
 
-    events: list[dict] = [{
-        "name": "process_name", "ph": "M", "pid": 0, "tid": 0,
-        "args": {"name": process_name},
-    }]
-    for name, tid in tid_of.items():
-        events.append({
-            "name": "thread_name", "ph": "M", "pid": 0, "tid": tid,
-            "args": {"name": name},
-        })
-        events.append({
-            "name": "thread_sort_index", "ph": "M", "pid": 0, "tid": tid,
-            "args": {"sort_index": tid},
-        })
+    def meta(record: str, tid: int, args: dict) -> dict:
+        return {"name": record, "ph": "M", "pid": 0, "tid": tid, "args": args}
 
+    metadata = [meta("process_name", 0, {"name": process_name})]
+    for name, tid in tid_of.items():
+        metadata.append(meta("thread_name", tid, {"name": name}))
+        metadata.append(meta("thread_sort_index", tid, {"sort_index": tid}))
+
+    rows: list[dict] = []
     if tracer is not None:
         for s in tracer.spans:
-            events.append({
+            rows.append({
                 "name": "busy", "cat": "cpu", "ph": "X",
-                "ts": _us(s.start), "dur": _us(s.duration),
+                "ts": _us(s.start), "dur": _us(s.end - s.start),
                 "pid": 0, "tid": tid_of[s.entity],
             })
         for i, a in enumerate(tracer.arrows):
             common = {"cat": "fabric", "id": i, "pid": 0,
                       "name": f"{a.kind} {a.src}->{a.dst}"}
-            events.append({**common, "ph": "b", "ts": _us(a.posted),
-                           "tid": tid_of[a.src],
-                           "args": {"size": a.size, "dst": a.dst}})
-            events.append({**common, "ph": "e", "ts": _us(a.delivered),
-                           "tid": tid_of[a.src]})
+            rows.append({**common, "ph": "b", "ts": _us(a.posted),
+                         "tid": tid_of[a.src],
+                         "args": {"size": a.size, "dst": a.dst}})
+            rows.append({**common, "ph": "e", "ts": _us(a.delivered),
+                         "tid": tid_of[a.src]})
 
     if bus is not None:
+        kind_names: dict[tuple[str, str], str] = {}
         for ev in bus.events:
-            events.append({
-                "name": f"{ev.cat}.{ev.name}", "cat": ev.cat, "ph": "i",
+            kind = (ev.cat, ev.name)
+            name = kind_names.get(kind)
+            if name is None:
+                name = kind_names[kind] = f"{ev.cat}.{ev.name}"
+            rows.append({
+                "name": name, "cat": ev.cat, "ph": "i",
                 "ts": _us(ev.time), "pid": 0, "tid": tid_of[ev.entity],
-                "s": "t", "args": ev.argdict(),
+                "s": "t", "args": dict(ev.args),
             })
 
-    # Chrome sorts by ts; keep the file itself deterministic too.
-    events.sort(key=lambda e: (e.get("ts", -1.0), e.get("tid", 0), e["ph"], e["name"]))
+    # Chrome sorts by ts; keep the file itself deterministic too.  The
+    # sort is stable (ties stay in build order) and its key is built in
+    # C.  Metadata rows carry no ``ts`` and lead the file, where sorting
+    # them as ts=-1 put them: simulator times are never negative.
+    rows.sort(key=itemgetter("ts", "tid", "ph", "name"))
     return {
-        "traceEvents": events,
+        "traceEvents": metadata + rows,
         "displayTimeUnit": "ns",
         "otherData": {"schema": SCHEMA_VERSION, "generator": "repro.obs"},
     }
 
 
-def write_chrome_trace(path, cluster=None, bus=None, tracer=None) -> dict:
-    """Write :func:`chrome_trace` output to ``path``; returns the dict."""
-    doc = chrome_trace(cluster, bus=bus, tracer=tracer)
+def _write_json(path, doc: dict, indent: int) -> dict:
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    p.write_text(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
     return doc
+
+
+def write_chrome_trace(path, cluster=None, bus=None, tracer=None) -> dict:
+    """Write :func:`chrome_trace` output to ``path``; returns the dict."""
+    return _write_json(path, chrome_trace(cluster, bus=bus, tracer=tracer), 1)
 
 
 def render_timeline(tracer, width: int = 72,
                     entities: Optional[list[str]] = None) -> str:
     """Per-rank text timeline: busy lanes + busy-time/utilisation columns.
 
-    The richer successor of ``Tracer.render_ascii``::
+    ::
 
         window 0.0us .. 431.8us
         host0 |####.....##......|  busy  61.2us  14.2%
               |     v        v  |
         dpu0  |...##.####.......|  busy 102.9us  23.8%
 
-    ``v`` marks message deliveries into the lane.
+    ``#`` marks core-busy time, ``.`` idle; ``v`` marks message
+    deliveries into the lane.  Each lane reads only its own spans and
+    arrivals, so the cost is linear in the trace, not lanes x spans.
     """
     if tracer is None:
         return "(no tracer attached)"
@@ -159,12 +165,13 @@ def render_timeline(tracer, width: int = 72,
     scale = width / (t1 - t0)
     names = entities if entities is not None else sort_entities(tracer.entities)
     label_w = max((len(n) for n in names), default=4) + 1
+    arrivals: dict[str, list[float]] = {}
+    for arrow in tracer.arrows:
+        arrivals.setdefault(arrow.dst, []).append(arrow.delivered)
     lines = [f"window {t0 * 1e6:.1f}us .. {t1 * 1e6:.1f}us"]
     for name in names:
         lane = ["."] * width
-        for s in tracer.spans:
-            if s.entity != name:
-                continue
+        for s in tracer.lanes.get(name, ()):
             a = int((s.start - t0) * scale)
             b = max(a + 1, int((s.end - t0) * scale))
             for i in range(a, min(b, width)):
@@ -174,12 +181,10 @@ def render_timeline(tracer, width: int = 72,
         lines.append(
             f"{name:{label_w}s}|{''.join(lane)}|  busy {busy * 1e6:8.1f}us {util:5.1f}%"
         )
-        marks = [" "] * width
-        for arrow in tracer.arrows:
-            if arrow.dst == name:
-                i = min(width - 1, int((arrow.delivered - t0) * scale))
-                marks[i] = "v"
-        if any(m != " " for m in marks):
+        if name in arrivals:
+            marks = [" "] * width
+            for delivered in arrivals[name]:
+                marks[min(width - 1, int((delivered - t0) * scale))] = "v"
             lines.append(f"{'':{label_w}s}|{''.join(marks)}|")
     return "\n".join(lines)
 
@@ -221,8 +226,4 @@ def metrics_snapshot(cluster_or_metrics, extra: Optional[dict] = None) -> dict:
 def write_metrics_snapshot(path, cluster_or_metrics,
                            extra: Optional[dict] = None) -> dict:
     """Write :func:`metrics_snapshot` output to ``path``; returns the dict."""
-    doc = metrics_snapshot(cluster_or_metrics, extra=extra)
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return doc
+    return _write_json(path, metrics_snapshot(cluster_or_metrics, extra=extra), 2)

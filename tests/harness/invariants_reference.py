@@ -1,73 +1,30 @@
-"""Trace invariants: what a *correct* run's event stream must look like.
+"""Reference trace-invariant checker: the oracle for ``repro.obs.invariants``.
 
-The differential harness (``tests/harness``) checks payload equality
-between backends; this module checks the *shape* of the execution
-itself, straight off the :class:`~repro.obs.events.EventBus` stream
-(plus, optionally, the Tracer's span lanes):
-
-1. **Every post completes** -- each ``req.post`` (an offloaded
-   Send/Recv handed to a proxy) is matched by a ``req.complete`` with
-   the same ``rid`` at a later time.  A lost FIN shows up here.
-2. **Causality** -- each data transfer's ``post <= deliver <=
-   complete`` timestamps are monotone, and every control message that
-   was posted is either delivered or accounted for by an explicit
-   ``ctrl.drop`` record from the fault layer.
-3. **No host CPU during offloaded group execution** -- between a host
-   rank's ``group.offloaded`` marker (the host handed the group to its
-   proxy and went back to "compute") and the matching ``group.done``,
-   that rank's Tracer lane must be empty: the paper's central claim
-   (Fig 1) is that the DPU makes progress with zero host involvement.
-4. **Group plans are built once** -- after a ``group.call`` with
-   ``mode="cached"`` for some plan signature, a later ``mode="build"``
-   for the same signature is a cache regression (unless a fault event
-   intervened: proxy restarts legitimately re-ship plans).
-5. **No use after revoke** -- with a :class:`~repro.verbs.mr.KeyTable`
-   passed in (armed via ``record_uses``), no WQE may have been posted
-   under an mkey at or after the instant that mkey was revoked, and no
-   surviving live key may cover memory its owner has already freed.
-   This is the teeth behind the epoch protocol in docs/RESOURCES.md: a
-   stale key must fault (and be recovered), never silently move bytes.
-6. **Flow windows are opaque DMA** (fluid hybrid mode) -- every
-   ``flow.begin`` has a matching ``flow.end`` no earlier than it; the
-   flow's delivery (the ``xfer.deliver`` sharing its ``xid``) must not
-   precede the window's end; and no host-CPU or control-plane event may
-   occur inside the window -- neither on the flow's own lane
-   (``flow<fid>``) nor tagged with its ``fid``.  A flow models a pure
-   rate-shared DMA: any protocol work attributed to it mid-window means
-   the hybrid engine leaked event-exact work into the coarse model.
-7. **Flow faults recover** (fluid + fault injection) -- every
-   ``flow.fault`` with ``action="drop"`` at attempt *n* must be
-   followed by a ``flow.retry`` for the same ``xid`` at attempt *n+1*
-   (the retransmit of the lost remainder actually launched), and every
-   ``action="abort"`` fault must be followed by that ``xid``'s
-   ``xfer.deliver`` carrying ``status="error"`` (the flush error
-   surfaced to its consumer rather than vanishing).
-8. **Link windows are paired** -- every ``link.degrade`` has a
-   matching ``link.restore`` with the same ``wid`` no earlier than it:
-   a degraded endpoint must always get its capacity back, else the
-   plan leaked a permanent slowdown into the fabric.
-
-:func:`trace_violations` returns the violations as pointed human
-messages; :func:`check_trace` raises :class:`TraceInvariantError`
-carrying all of them.
+The check functions below are the pre-index implementation of
+``repro.obs.invariants`` (PR 13's tree), kept verbatim: every kind is
+fetched by filtering ``bus.events`` (a stream scan, not
+``EventBus.select``, so the oracle does not depend on the bus index it
+is used to check), request/fault lookups are linear ``any``/``next``
+searches and the offloaded-window check visits every tracer span per
+window.  Slow and obviously right;
+``tests/harness/test_invariants_differential.py`` requires the
+production checker to return the *same list in the same order* on
+clean, broken and mutated streams.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from functools import cache
 
-__all__ = ["TraceInvariantError", "trace_violations", "check_trace"]
+class _ScanBus:
+    """Read-only view answering ``select`` by a full stream scan."""
 
+    def __init__(self, bus):
+        self.events = bus.events
 
-class TraceInvariantError(AssertionError):
-    """A run's event stream violated one or more trace invariants."""
-
-    def __init__(self, violations: list[str]):
-        self.violations = list(violations)
-        n = len(self.violations)
-        head = f"{n} trace invariant violation{'s' if n != 1 else ''}:"
-        super().__init__("\n".join([head] + [f"  - {v}" for v in self.violations]))
+    def select(self, cat=None, name=None):
+        return [ev for ev in self.events
+                if (cat is None or ev.cat == cat)
+                and (name is None or ev.name == name)]
 
 
 def _fmt_t(t: float) -> str:
@@ -159,43 +116,27 @@ def _check_arrows(tracer, out: list[str]) -> None:
             )
 
 
-def _lane_bounds(tracer, entity: str):
-    """``(spans, starts, ends)`` of one lane, for bisecting a window to
-    the spans that can touch it; ``None`` bounds (scan the whole lane)
-    unless starts and ends are both in recording order."""
-    spans = tracer.lanes.get(entity, ())
-    starts = [s.start for s in spans]
-    ends = [s.end for s in spans]
-    if starts != sorted(starts) or ends != sorted(ends):
-        return spans, None, None
-    return spans, starts, ends
-
-
 def _check_offload_windows(bus, tracer, out: list[str], eps: float) -> None:
     """Host lanes must stay idle while their group executes on the DPU."""
-    dones: dict[tuple, object] = {}
-    for d in bus.select(cat="group", name="done"):
-        dones.setdefault((d.entity, d.arg("call")), d)
-    lane_bounds = cache(lambda entity: _lane_bounds(tracer, entity))
+    dones = bus.select(cat="group", name="done")
     for start in bus.select(cat="group", name="offloaded"):
         call = start.arg("call")
-        end = dones.get((start.entity, call))
+        end = next(
+            (d for d in dones
+             if d.entity == start.entity and d.arg("call") == call),
+            None,
+        )
         if end is None:
             out.append(
                 f"{start.entity} offloaded group call={call} at "
                 f"{_fmt_t(start.time)} but no group.done ever followed"
             )
             continue
-        spans, starts, ends = lane_bounds(start.entity)
-        w_lo = start.time + eps
-        w_hi = end.time - eps
-        if starts is not None:
-            # Only spans ending after the window opens and starting
-            # before it closes can overlap it: one run of the lane.
-            spans = spans[bisect_right(ends, w_lo):bisect_left(starts, w_hi)]
-        for s in spans:
-            lo = max(s.start, w_lo)
-            hi = min(s.end, w_hi)
+        for s in tracer.spans:
+            if s.entity != start.entity:
+                continue
+            lo = max(s.start, start.time + eps)
+            hi = min(s.end, end.time - eps)
             if hi > lo:
                 out.append(
                     f"{start.entity} burned {_fmt_t(hi - lo)} of CPU inside the "
@@ -246,7 +187,7 @@ def _check_flow_windows(bus, out: list[str]) -> None:
     # ("ctrl") events attributed to it mean event-exact work leaked into
     # the coarse model.
     for ev in bus.events:
-        if ev.cat not in ("proc", "ctrl", "wqe", "req", "group"):
+        if ev.cat == "flow":
             continue
         fids = set()
         if ev.entity.startswith("flow"):
@@ -263,11 +204,12 @@ def _check_flow_windows(bus, out: list[str]) -> None:
             end = ends.get(fid)
             if end is not None and ev.seq > end.seq:
                 continue
-            out.append(
-                f"{ev.cat}.{ev.name} ({ev.entity}) at {_fmt_t(ev.time)} "
-                f"occurred inside flow fid={fid}'s bulk window -- no "
-                f"host-CPU or control event may ride a fluid flow"
-            )
+            if ev.cat in ("proc", "ctrl", "wqe", "req", "group"):
+                out.append(
+                    f"{ev.cat}.{ev.name} ({ev.entity}) at {_fmt_t(ev.time)} "
+                    f"occurred inside flow fid={fid}'s bulk window -- no "
+                    f"host-CPU or control event may ride a fluid flow"
+                )
 
 
 def _check_flow_faults(bus, out: list[str]) -> None:
@@ -275,20 +217,18 @@ def _check_flow_faults(bus, out: list[str]) -> None:
     faults = bus.select(cat="flow", name="fault")
     if not faults:
         return
-    # Latest retry per (xid, attempt): a fault is recovered iff one is
-    # no earlier than the fault itself.
-    last_retry: dict[tuple, tuple] = {}
-    for r in bus.select(cat="flow", name="retry"):
-        key = (r.arg("xid"), r.arg("attempt"))
-        last_retry[key] = max(last_retry.get(key, (r.time, r.seq)), (r.time, r.seq))
+    retries = bus.select(cat="flow", name="retry")
     delivers = {ev.arg("xid"): ev for ev in bus.select(cat="xfer", name="deliver")}
     for f in faults:
         xid = f.arg("xid")
         action = f.arg("action")
         if action == "drop":
             attempt = f.arg("attempt")
-            retried = last_retry.get((xid, attempt + 1))
-            if retried is None or retried < (f.time, f.seq):
+            if not any(
+                r.arg("xid") == xid and r.arg("attempt") == attempt + 1
+                and (r.time, r.seq) >= (f.time, f.seq)
+                for r in retries
+            ):
                 out.append(
                     f"flow fid={f.arg('fid')} (xid={xid}) dropped at "
                     f"{_fmt_t(f.time)} on attempt {attempt} but no retry at "
@@ -330,7 +270,6 @@ def _check_link_windows(bus, out: list[str]) -> None:
 def _check_plan_cache(bus, out: list[str], allow_replay_after_fault: bool) -> None:
     fault_times = [ev.time for ev in bus.select(cat="fault")]
     fault_times += [ev.time for ev in bus.select(cat="proxy", name="kill")]
-    fault_times.sort()
     cached_at: dict[tuple, float] = {}
     for ev in bus.select(cat="group", name="call"):
         key = (ev.entity, ev.arg("sig"))
@@ -338,11 +277,10 @@ def _check_plan_cache(bus, out: list[str], allow_replay_after_fault: bool) -> No
         if mode == "cached":
             cached_at.setdefault(key, ev.time)
         elif mode in ("build", "reship") and key in cached_at:
-            if allow_replay_after_fault:
-                # First fault at or after the cache hit: is it before ev?
-                i = bisect_left(fault_times, cached_at[key])
-                if i < len(fault_times) and fault_times[i] <= ev.time:
-                    continue
+            if allow_replay_after_fault and any(
+                cached_at[key] <= t <= ev.time for t in fault_times
+            ):
+                continue
             out.append(
                 f"{ev.entity} re-{mode.rstrip('e')}ed group plan sig={ev.arg('sig')} "
                 f"at {_fmt_t(ev.time)} after it was already served from cache at "
@@ -381,6 +319,7 @@ def trace_violations(bus, tracer=None, *, keys=None, check_overlap: bool = True,
                      eps: float = 1e-12) -> list[str]:
     """All invariant violations in ``bus`` (and ``tracer``), as messages."""
     out: list[str] = []
+    bus = _ScanBus(bus)
     _check_requests(bus, out)
     _check_transfers(bus, out)
     _check_control(bus, out)
@@ -395,18 +334,3 @@ def trace_violations(bus, tracer=None, *, keys=None, check_overlap: bool = True,
         if check_overlap:
             _check_offload_windows(bus, tracer, out, eps)
     return out
-
-
-def check_trace(bus, tracer=None, *, keys=None, check_overlap: bool = True,
-                allow_replay_after_fault: bool = True,
-                eps: float = 1e-12) -> None:
-    """Raise :class:`TraceInvariantError` if any invariant is violated."""
-    violations = trace_violations(
-        bus, tracer,
-        keys=keys,
-        check_overlap=check_overlap,
-        allow_replay_after_fault=allow_replay_after_fault,
-        eps=eps,
-    )
-    if violations:
-        raise TraceInvariantError(violations)

@@ -8,16 +8,42 @@ microsecond timestamps, balanced async begin/end pairs, every event on
 a declared track.
 """
 
+import hashlib
 import json
 
 import pytest
 
+from tests.test_golden_traces import counter_renamer
 from repro.experiments.fig15_group_vs_simple import _scatter_dest
 from repro.obs import observe_cluster
 
 #: Phases of the trace_event object format this exporter may produce.
 _ALLOWED_PH = {"M", "X", "b", "e", "i"}
 _METADATA_NAMES = {"process_name", "thread_name", "thread_sort_index"}
+
+#: sha256 of ``json.dumps(_canonical(doc), sort_keys=True)`` for the
+#: fixture below, recorded at af30eb6 (PR 13) before the exporter was
+#: rebuilt around pre-keyed rows: the document may not move by a byte.
+#: (In a fresh interpreter the un-renamed document hashes to
+#: 4e1f2398...b1a6e493 at both commits.)
+FIG15_GROUP_4K_SHA256 = \
+    "a94bc82ee81818fc620f8441950563d463e79a0411648743fa98d797bf780bbe"
+
+
+def _canonical(doc: dict) -> dict:
+    """``doc`` with request/plan ids renamed to first-appearance indices.
+
+    Those args come from module-global counters, so their values depend
+    on what ran earlier in the process (see ``test_golden_traces``); row
+    order never depends on args, so the renaming is deterministic.
+    """
+    norm = counter_renamer()
+    rows = []
+    for row in doc["traceEvents"]:
+        if "args" in row:
+            row = {**row, "args": {k: norm(k, v) for k, v in row["args"].items()}}
+        rows.append(row)
+    return {**doc, "traceEvents": rows}
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +120,11 @@ class TestTraceEventSchema:
         for expected in ("group.call", "group.offloaded", "group.done",
                          "reg.mkey2", "ctrl.post", "wqe.post"):
             assert expected in instant_names
+
+    def test_document_is_byte_identical_to_the_pinned_export(self, trace):
+        assert len(trace["traceEvents"]) == 17627
+        blob = json.dumps(_canonical(trace), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == FIG15_GROUP_4K_SHA256
 
     def test_file_roundtrip(self, fig15_obs, tmp_path):
         path = tmp_path / "fig15.trace.json"

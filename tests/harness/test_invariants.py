@@ -81,32 +81,102 @@ class TestCleanRunsPass:
         assert obs.bus.count(cat="mpi", name="complete") > 0
 
 
+# -- deliberately broken streams ------------------------------------------
+# Builders rather than inline set-up: ``test_invariants_differential``
+# replays the same streams through the reference checker.
+
+def lost_fin_run():
+    """A 100% FIN-drop campaign whose requests are never waited on."""
+    cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1))
+    cl.install_faults(FaultPlan(
+        FaultSpec(drop_prob=1.0, control_kinds=frozenset({"fin"})),
+        seed=5))
+    obs = observe_cluster(cl)
+    fw = OffloadFramework(cl, mode="gvmi")
+
+    def prog(rank, peer):
+        ep = fw.endpoint(rank)
+        buf = ep.ctx.space.alloc(512, fill=rank + 1)
+        # Post but never wait: recovery is wait-driven, so the
+        # dropped FINs are never retransmitted.
+        if rank == 0:
+            yield from ep.send_offload(buf, 512, dst=peer, tag=1)
+        else:
+            yield from ep.recv_offload(buf, 512, src=peer, tag=1)
+        return True
+
+    procs = [cl.sim.process(prog(0, 1)), cl.sim.process(prog(1, 0))]
+    cl.sim.run(until=cl.sim.all_of(procs))
+    cl.sim.run()  # drain in-flight control traffic; only FINs are lost
+    return obs
+
+
+def undelivered_transfer():
+    bus = EventBus()
+    bus.emit("xfer", "post", "node0", xid=0, kind="rdma_write",
+             size=64, initiator="dpu", dst=1)
+    return bus, None
+
+
+def unaccounted_control_drop():
+    bus = EventBus()
+    bus.emit("ctrl", "post", "node0", cid=3, kind="rts",
+             size=64, initiator="host", dst=1)
+    return bus, None
+
+
+def offloaded_window(span_lane: str):
+    """host0 offloads a group for 1..9us; ``span_lane`` burns CPU at 4..6us."""
+    clock = type("Clock", (), {"now": 0.0})()
+    bus = EventBus(sim=clock)
+    clock.now = 1e-6
+    bus.emit("group", "offloaded", "host0", call=1, sig=1)
+    clock.now = 9e-6
+    bus.emit("group", "done", "host0", call=1)
+    tracer = Tracer()
+    tracer.record_span(span_lane, 4e-6, 6e-6)
+    return bus, tracer
+
+
+def plan_rebuild(fault_between: bool):
+    bus = EventBus()
+    if fault_between:
+        bus.emit("group", "call", "host0", mode="cached", sig=7, call=1)
+        bus.emit("fault", "inject", "fabric", category="proxy", detail="kill")
+        bus.emit("group", "call", "host0", mode="build", sig=7, call=2)
+    else:
+        bus.emit("group", "call", "host0", mode="build", sig=7, call=1)
+        bus.emit("group", "call", "host0", mode="cached", sig=7, call=2)
+        bus.emit("group", "call", "host0", mode="build", sig=7, call=3)
+    return bus, None
+
+
+def backwards_arrow():
+    from repro.hw.trace import Arrow
+
+    tracer = Tracer()
+    tracer.arrows.append(Arrow("node0", "node1", 64, "rts",
+                               posted=5e-6, delivered=2e-6))
+    return EventBus(), tracer
+
+
+#: ``name -> () -> (bus, tracer)``: each broken stream and its clean twin.
+SYNTHETIC_STREAMS = {
+    "undelivered_transfer": undelivered_transfer,
+    "unaccounted_control_drop": unaccounted_control_drop,
+    "cpu_inside_window": lambda: offloaded_window("host0"),
+    "cpu_on_other_lane": lambda: offloaded_window("host1"),
+    "plan_rebuild": lambda: plan_rebuild(fault_between=False),
+    "plan_rebuild_after_fault": lambda: plan_rebuild(fault_between=True),
+    "backwards_arrow": backwards_arrow,
+}
+
+
 class TestBrokenRunsFail:
     def test_lost_fin_is_reported_as_never_completed(self):
         """Acceptance scenario: a deliberately broken completion path via
         the existing fault layer makes the checker fail pointedly."""
-        cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1))
-        cl.install_faults(FaultPlan(
-            FaultSpec(drop_prob=1.0, control_kinds=frozenset({"fin"})),
-            seed=5))
-        obs = observe_cluster(cl)
-        fw = OffloadFramework(cl, mode="gvmi")
-
-        def prog(rank, peer):
-            ep = fw.endpoint(rank)
-            buf = ep.ctx.space.alloc(512, fill=rank + 1)
-            # Post but never wait: recovery is wait-driven, so the
-            # dropped FINs are never retransmitted.
-            if rank == 0:
-                yield from ep.send_offload(buf, 512, dst=peer, tag=1)
-            else:
-                yield from ep.recv_offload(buf, 512, src=peer, tag=1)
-            return True
-
-        procs = [cl.sim.process(prog(0, 1)), cl.sim.process(prog(1, 0))]
-        cl.sim.run(until=cl.sim.all_of(procs))
-        cl.sim.run()  # drain in-flight control traffic; only FINs are lost
-
+        obs = lost_fin_run()
         with pytest.raises(TraceInvariantError) as exc:
             obs.check()
         msg = str(exc.value)
@@ -119,56 +189,27 @@ class TestBrokenRunsFail:
         assert "neither delivered nor recorded as dropped" not in msg
 
     def test_undelivered_transfer_flagged(self):
-        bus = EventBus()
-        bus.emit("xfer", "post", "node0", xid=0, kind="rdma_write",
-                 size=64, initiator="dpu", dst=1)
-        (violation,) = trace_violations(bus)
+        (violation,) = trace_violations(*undelivered_transfer())
         assert "never delivered" in violation and "bytes in flight" in violation
 
     def test_unaccounted_control_drop_flagged(self):
-        bus = EventBus()
-        bus.emit("ctrl", "post", "node0", cid=3, kind="rts",
-                 size=64, initiator="host", dst=1)
-        (violation,) = trace_violations(bus)
+        (violation,) = trace_violations(*unaccounted_control_drop())
         assert "cid=3" in violation
         assert "neither delivered nor recorded as dropped" in violation
 
     def test_host_cpu_inside_offloaded_window_flagged(self):
-        clock = type("Clock", (), {"now": 0.0})()
-        bus = EventBus(sim=clock)
-        clock.now = 1e-6
-        bus.emit("group", "offloaded", "host0", call=1, sig=1)
-        clock.now = 9e-6
-        bus.emit("group", "done", "host0", call=1)
-        tracer = Tracer()
-        tracer.record_span("host0", 4e-6, 6e-6)  # CPU burn mid-window
-        violations = trace_violations(bus, tracer)
+        violations = trace_violations(*offloaded_window("host0"))
         assert any("without host involvement" in v for v in violations)
         # The same stream with the span on another lane is clean.
-        tracer2 = Tracer()
-        tracer2.record_span("host1", 4e-6, 6e-6)
-        assert trace_violations(bus, tracer2) == []
+        assert trace_violations(*offloaded_window("host1")) == []
 
     def test_plan_rebuild_after_cache_hit_flagged(self):
-        bus = EventBus()
-        bus.emit("group", "call", "host0", mode="build", sig=7, call=1)
-        bus.emit("group", "call", "host0", mode="cached", sig=7, call=2)
-        bus.emit("group", "call", "host0", mode="build", sig=7, call=3)
-        violations = trace_violations(bus)
+        violations = trace_violations(*plan_rebuild(fault_between=False))
         assert any("plan-cache hits must stay monotone" in v
                    for v in violations)
         # With an intervening fault the rebuild is legitimate.
-        bus2 = EventBus()
-        bus2.emit("group", "call", "host0", mode="cached", sig=7, call=1)
-        bus2.emit("fault", "inject", "fabric", category="proxy", detail="kill")
-        bus2.emit("group", "call", "host0", mode="build", sig=7, call=2)
-        assert trace_violations(bus2) == []
+        assert trace_violations(*plan_rebuild(fault_between=True)) == []
 
     def test_backwards_arrow_flagged(self):
-        from repro.hw.trace import Arrow
-
-        tracer = Tracer()
-        tracer.arrows.append(Arrow("node0", "node1", 64, "rts",
-                                   posted=5e-6, delivered=2e-6))
-        (violation,) = trace_violations(EventBus(), tracer)
+        (violation,) = trace_violations(*backwards_arrow())
         assert "before it was posted" in violation

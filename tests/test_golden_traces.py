@@ -36,8 +36,8 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 _COUNTER_KEYS = {"rid": "r", "call": "r", "plan": "p", "sig": "p"}
 
 
-def serialize_events(bus) -> str:
-    """Deterministic text form of a bus stream (one line per event)."""
+def counter_renamer():
+    """``norm(key, value)``: counter-valued args -> first-appearance index."""
     renames: dict[str, dict] = {"r": {}, "p": {}}
 
     def norm(key, value):
@@ -49,6 +49,12 @@ def serialize_events(bus) -> str:
             table[value] = f"{prefix}{len(table)}"
         return table[value]
 
+    return norm
+
+
+def serialize_events(bus) -> str:
+    """Deterministic text form of a bus stream (one line per event)."""
+    norm = counter_renamer()
     lines = []
     for ev in bus.events:
         kv = " ".join(f"{k}={norm(k, v)}" for k, v in ev.args)

@@ -1,4 +1,4 @@
-"""Tests for the execution tracer and its ASCII timeline."""
+"""Tests for the execution tracer and its text timeline."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from tests.helpers import run_procs
 from repro.hw import Cluster, ClusterSpec
 from repro.hw.trace import Tracer
+from repro.obs import render_timeline
 from repro.offload import OffloadFramework
 
 
@@ -57,7 +58,7 @@ def test_t_min_window_filters_warmup():
     assert len(tracer.spans) == 1
 
 
-def test_render_ascii_shows_lanes_and_arrivals():
+def test_timeline_shows_lanes_and_arrivals():
     cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1))
     tracer = Tracer.attach(cl)
     fw = OffloadFramework(cl)
@@ -76,14 +77,14 @@ def test_render_ascii_shows_lanes_and_arrivals():
         yield from ep.wait(req)
 
     run_procs(cl, [sender(cl.sim), receiver(cl.sim)])
-    text = tracer.render_ascii(width=60)
+    text = render_timeline(tracer, width=60)
     assert "host0" in text and "dpu0" in text
     assert "#" in text  # busy time visible
     assert "v" in text  # message arrivals visible
 
 
 def test_render_empty_trace():
-    assert Tracer().render_ascii() == "(empty trace)"
+    assert render_timeline(Tracer()) == "(empty trace)"
 
 
 def test_tracing_off_by_default_costs_nothing():

@@ -1,6 +1,9 @@
 """Unit tests for the observability core: bus, filters, exporters."""
 
+import copy
 import json
+
+import pytest
 
 from repro.hw import Cluster, ClusterSpec
 from repro.hw.trace import Tracer
@@ -24,6 +27,20 @@ class TestObsEvent:
         assert ev.arg("nope", "dflt") == "dflt"
         assert ev.argdict() == {"rid": 3, "size": 64}
         hash(ev)  # frozen + tuple args -> usable in sets
+
+    def test_slotted_record_equal_and_hashed_by_fields(self):
+        ev = ObsEvent(time=1.0, seq=4, cat="req", name="post", entity="host0",
+                      args=(("rid", 3),))
+        with pytest.raises(AttributeError):
+            ev.note = "no attribute addition"
+        assert not hasattr(ev, "__dict__")
+        twin = copy.copy(ev)
+        assert twin is not ev and twin == ev and hash(twin) == hash(ev)
+        assert len({ev, twin, ObsEvent(1.0, 4, "req", "post", "host0",
+                                       (("rid", 3),))}) == 1
+        assert ev != ObsEvent(1.0, 5, "req", "post", "host0", (("rid", 3),))
+        assert ev != (1.0, 4, "req", "post", "host0", (("rid", 3),))
+        assert repr(ev).startswith("ObsEvent(time=1.0, seq=4, cat='req'")
 
     def test_label_is_compact(self):
         ev = ObsEvent(time=2e-6, seq=0, cat="ctrl", name="post",
@@ -74,6 +91,44 @@ class TestEventBus:
         assert "... (3 more)" in bus.render(limit=2)
         bus.clear()
         assert len(bus) == 0
+        # ... and the per-kind index went with the stream.
+        assert bus.select(cat="wqe", name="post") == []
+        assert bus.select(cat="wqe") == [] and bus.count(cat="wqe") == 0
+        ev = bus.emit("wqe", "post", "node0", size=9)
+        assert bus.select(cat="wqe", name="post") == [ev]
+
+    def test_select_by_kind_is_the_stream_filtered(self):
+        """Whatever the filter combination, ``select`` returns what a scan
+        of the stream would, in emission order -- also across the kinds
+        of one category, whose index buckets must be merged by ``seq``."""
+        bus = EventBus()
+        names = ["post", "deliver", "complete", "post", "drop", "deliver"]
+        for i in range(60):
+            cat = ("xfer", "ctrl")[i % 2]
+            bus.emit(cat, names[i % 6], f"node{i % 3}", xid=i % 5)
+        stream = bus.events
+
+        def scan(cat=None, name=None, entity=None, **args):
+            return [ev for ev in stream
+                    if (cat is None or ev.cat == cat)
+                    and (name is None or ev.name == name)
+                    and (entity is None or ev.entity == entity)
+                    and all(ev.arg(k) == v for k, v in args.items())]
+
+        for q in ({}, {"cat": "xfer"}, {"cat": "ctrl"}, {"name": "post"},
+                  {"name": "deliver", "entity": "node1"},
+                  {"cat": "xfer", "name": "post"}, {"cat": "ctrl", "xid": 3},
+                  {"cat": "xfer", "name": "complete", "entity": "node2", "xid": 2},
+                  {"entity": "node0"}, {"xid": 4}, {"cat": "nope"},
+                  {"cat": "xfer", "name": "drop"}):
+            assert bus.select(**q) == scan(**q), q
+            assert bus.count(**q) == len(scan(**q)), q
+        in_cat = bus.select(cat="xfer")
+        assert len({ev.name for ev in in_cat}) > 1
+        assert [ev.seq for ev in in_cat] == sorted(ev.seq for ev in in_cat)
+        # The result is the caller's list: mutating it leaves the bus alone.
+        bus.select(cat="xfer", name="post").clear()
+        assert bus.count(cat="xfer", name="post") > 0
 
     def test_unknown_category_is_accepted(self):
         # forward compatibility: the vocabulary is advisory
