@@ -1,7 +1,7 @@
 """Fig 18: thousand-rank collective scaling, offloaded vs host MPI.
 
-Two questions the scale-out machinery (slim per-rank state, batched
-proxy queues, offloaded collectives) exists to answer:
+Two questions the scale-out machinery (first-touch per-rank state,
+batched proxy queues, offloaded collectives) exists to answer:
 
 * **Latency scaling** -- how does one sum-Iallreduce behave from 64 to
   4096 ranks when the whole collective (messages, barrier counters,
@@ -17,10 +17,10 @@ proxy queues, offloaded collectives) exists to answer:
   keeps computing, so the step time approaches
   ``max(compute, collective)`` instead of their sum.
 
-Both halves run on **slim** clusters with proxy batching enabled --
-this figure doubles as the end-to-end exercise of the scale-out path
-(quick scale tops out at 64 ranks; paper scale sweeps to 4096, which
-wants ``--fluid`` for the large-payload points).
+Both halves run with proxy batching enabled -- this figure doubles as
+the end-to-end exercise of the scale-out path (quick scale tops out at
+64 ranks; paper scale sweeps to 4096, which wants ``--fluid`` for the
+large-payload points).
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ def _spec(scale: str, ranks: int) -> ClusterSpec:
         nodes=max(1, ranks // ppn),
         ppn=ppn,
         proxies_per_dpu=4 if scale == "paper" else 2,
-        slim=True,
         params=MachineParams(proxy_batch_drain=16, counter_doorbell_batch=True),
     )
 
@@ -226,7 +225,7 @@ def run(scale: str = "quick") -> FigureResult:
         config={
             "scale": scale, "ranks": ranks, "ppn": spec0.ppn,
             "small_bytes": SMALL_BYTES, "large_bytes": large,
-            "slim": True, "proxy_batch_drain": 16,
+            "proxy_batch_drain": 16,
             "counter_doorbell_batch": True,
             "ml_ranks": _ml_ranks(scale), "ml_buckets": ML_BUCKETS,
             "ml_bucket_bytes": _ml_bucket_bytes(scale),

@@ -28,7 +28,8 @@ Options:
                      (docs/PERFORMANCE.md; tables approximate the exact
                      engine within the documented tolerance)
     --fluid-threshold BYTES
-                     bulk/control split for --fluid (default 65536)
+                     bulk/control split for --fluid (default
+                     repro.hw.fluid.DEFAULT_FLUID_THRESHOLD, 256 KiB)
     --out DIR        also write each table to DIR/figNN.txt plus a JSON
                      metrics snapshot (series + counters/histograms) to
                      DIR/figNN.json
@@ -85,6 +86,11 @@ from repro.experiments.parallel import (
     using_jobs,
 )
 from repro.hw import memory as hw_memory
+from repro.hw.fluid import (
+    DEFAULT_FLUID_THRESHOLD,
+    default_fluid_threshold,
+    set_default_fluid,
+)
 from repro.util import atomic_write
 
 __all__ = ["main", "run_figures", "run_one", "run_selected", "FIGURE_GROUPS"]
@@ -402,8 +408,8 @@ def main(argv: list[str] | None = None) -> int:
                              "transfers as rate-shared flows; approximate)")
     parser.add_argument("--fluid-threshold", type=int, default=None,
                         metavar="BYTES",
-                        help="bulk/control byte split for --fluid "
-                             "(default 65536)")
+                        help="bulk/control byte split for --fluid (default "
+                             f"DEFAULT_FLUID_THRESHOLD = {DEFAULT_FLUID_THRESHOLD})")
     parser.add_argument("--out", default=None, help="directory for per-figure text tables")
     parser.add_argument("--bench", action="store_true",
                         help="also run engine microbenchmarks and write BENCH_engine.json")
@@ -436,14 +442,12 @@ def main(argv: list[str] | None = None) -> int:
     set_default_jobs(jobs)
 
     if args.fluid or args.fluid_threshold is not None:
-        from repro.hw.fluid import set_default_fluid
-
         # Ambient + environment, so spawned sweep workers inherit the
         # engine choice (figure specs leave ClusterSpec.fluid = None).
         set_default_fluid(bool(args.fluid), args.fluid_threshold)
         if args.fluid:
             print("engine: fluid-flow hybrid "
-                  f"(threshold {args.fluid_threshold or 65536} bytes)",
+                  f"(threshold {default_fluid_threshold()} bytes)",
                   file=sys.stderr)
 
     stall_timeout = args.stall_timeout

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.hw.fabric import Fabric
 from repro.hw.fluid import resolve_fluid
 from repro.hw.topology import FatTreeTopology, resolve_topology_spec
@@ -14,25 +12,26 @@ from repro.hw.node import Node, ProcessContext
 from repro.hw.params import ClusterSpec
 from repro.sim import FlowEngine, RngRegistry, Simulator
 
-__all__ = ["Cluster"]
+__all__ = ["Cluster", "LazySeq"]
 
 
-class _LazyContexts(Sequence):
-    """List-like view over a slim cluster's rank or proxy contexts.
+class LazySeq(Sequence):
+    """Fixed-length sequence whose items are built on first index.
 
-    Indexing materializes (and caches) the requested
-    :class:`~repro.hw.node.ProcessContext`; iteration materializes the
-    lot, so code that genuinely needs every context still works.
-    Construction is a plain call with no simulator side effects, which
-    is what makes first-touch creation timing-invisible (see
-    tests/test_scale_slim.py for the differential proof).
+    ``factory(i)`` runs once per index and the result is cached;
+    iteration and slicing build whatever they visit, so code that
+    genuinely needs every item still works.  Every per-rank container
+    (rank and proxy contexts here, ``MpiWorld.runtimes``) is one of
+    these: the factories are plain calls with no simulator side
+    effects, which is what makes first-touch creation timing-invisible
+    (tests/test_scale_out.py holds the differential proof).
     """
 
-    def __init__(self, cluster: "Cluster", kind: str, count: int):
-        self._cluster = cluster
-        self._kind = kind
+    def __init__(self, what: str, count: int, factory):
+        self._what = what
         self._count = count
-        self._made: dict[int, ProcessContext] = {}
+        self._factory = factory
+        self._made: dict = {}
 
     def __len__(self) -> int:
         return self._count
@@ -43,37 +42,25 @@ class _LazyContexts(Sequence):
         if idx < 0:
             idx += self._count
         if not 0 <= idx < self._count:
-            raise IndexError(f"{self._kind} context {idx} out of range")
-        ctx = self._made.get(idx)
-        if ctx is None:
-            ctx = self._made[idx] = self._make(idx)
-        return ctx
+            raise IndexError(f"{self._what} {idx} out of range")
+        item = self._made.get(idx)
+        if item is None:
+            item = self._made[idx] = self._factory(idx)
+        return item
 
-    def _make(self, idx: int) -> ProcessContext:
-        cl = self._cluster
-        spec = cl.spec
-        if self._kind == "host":
-            return ProcessContext(
-                cl, "host", spec.node_of_rank(idx),
-                global_id=idx, local_id=spec.local_rank(idx),
-            )
-        return ProcessContext(
-            cl, "dpu", idx // spec.proxies_per_dpu,
-            global_id=idx, local_id=idx % spec.proxies_per_dpu,
-        )
-
-    def materialized(self) -> list[ProcessContext]:
-        """The contexts created so far, in id order."""
+    def materialized(self) -> list:
+        """The items built so far, in index order."""
         return [self._made[i] for i in sorted(self._made)]
 
 
 class Cluster:
     """The complete simulated machine.
 
-    Construction wires up every node's HCA into one fabric and creates a
-    :class:`~repro.hw.node.ProcessContext` for each host rank and each
-    DPU proxy.  Higher layers (verbs, MPI, offload) attach their state to
-    these contexts; the cluster itself stays protocol-agnostic.
+    Construction wires up every node's HCA into one fabric; the
+    :class:`~repro.hw.node.ProcessContext` of a host rank or DPU proxy
+    is created the first time ``ranks[r]`` / ``proxies[g]`` is indexed.
+    Higher layers (verbs, MPI, offload) attach their state to these
+    contexts; the cluster itself stays protocol-agnostic.
     """
 
     def __init__(self, spec: ClusterSpec):
@@ -129,52 +116,20 @@ class Cluster:
             self.fabric.attach_flow_engine(engine, self.fluid_threshold,
                                            topology=self.topology)
 
-        n_proxies = spec.nodes * spec.proxies_per_dpu
-        #: Shared busy-time bookkeeping for slim clusters: one float64
-        #: slot per process (ranks first, then proxies) instead of one
-        #: boxed float per context.  ``None`` when eager -- the consume
-        #: hot path then stays a plain attribute add.
-        self._busy_times = (
-            np.zeros(spec.world_size + n_proxies) if spec.slim else None
+        ppd = spec.proxies_per_dpu
+        #: Host rank contexts, indexed by MPI rank (built on first index).
+        self.ranks = LazySeq(
+            "host context", spec.world_size,
+            lambda rank: ProcessContext(
+                self, "host", spec.node_of_rank(rank),
+                global_id=rank, local_id=spec.local_rank(rank)),
         )
-
-        if spec.slim:
-            #: Host rank contexts, indexed by MPI rank (lazy when slim).
-            self.ranks = _LazyContexts(self, "host", spec.world_size)
-            #: Proxy contexts, node-major (lazy when slim).
-            self.proxies = _LazyContexts(self, "dpu", n_proxies)
-        else:
-            #: Flat list of host rank contexts, indexed by MPI rank.
-            self.ranks: list[ProcessContext] = []
-            for rank in range(spec.world_size):
-                node_id = spec.node_of_rank(rank)
-                ctx = ProcessContext(
-                    self, "host", node_id, global_id=rank,
-                    local_id=spec.local_rank(rank)
-                )
-                self.nodes[node_id].host_procs.append(ctx)
-                self.ranks.append(ctx)
-
-            #: Flat list of proxy contexts, node-major.
-            self.proxies: list[ProcessContext] = []
-            for node_id in range(spec.nodes):
-                for local_idx in range(spec.proxies_per_dpu):
-                    gid = node_id * spec.proxies_per_dpu + local_idx
-                    ctx = ProcessContext(
-                        self, "dpu", node_id, global_id=gid, local_id=local_idx
-                    )
-                    self.nodes[node_id].dpu_procs.append(ctx)
-                    self.proxies.append(ctx)
-
-    def _busy_slot(self, kind: str, global_id: int):
-        """Index of a process's slot in the shared busy-time array.
-
-        ``None`` when this cluster is eager (contexts then keep a plain
-        float, the faster path for the consume hot loop).
-        """
-        if self._busy_times is None:
-            return None
-        return global_id if kind == "host" else self.spec.world_size + global_id
+        #: Proxy contexts, node-major (built on first index).
+        self.proxies = LazySeq(
+            "dpu context", spec.nodes * ppd,
+            lambda gid: ProcessContext(
+                self, "dpu", gid // ppd, global_id=gid, local_id=gid % ppd),
+        )
 
     # -- fault injection ----------------------------------------------------
     def install_faults(self, plan) -> "Cluster":

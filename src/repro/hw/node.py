@@ -52,16 +52,9 @@ class ProcessContext:
         #: range is released and covering keys are revoked -- caches
         #: register here to drop entries over freed memory.
         self.free_listeners: list = []
-        # Busy-time bookkeeping (diagnostics; incremented by
-        # :meth:`consume`).  Slim clusters share one numpy array across
-        # all contexts (8 bytes/process); eager clusters keep a plain
-        # float so the consume hot path stays a single attribute add.
-        slot = cluster._busy_slot(kind, global_id)
-        if slot is None:
-            self._busy_arr, self._busy_slot = None, 0
-            self._busy_local = 0.0
-        else:
-            self._busy_arr, self._busy_slot = cluster._busy_times, slot
+        #: Seconds of core time charged so far (diagnostics; incremented
+        #: by :meth:`consume`).
+        self.busy_time = 0.0
 
     @property
     def space(self) -> AddressSpace:
@@ -90,18 +83,6 @@ class ProcessContext:
             ib = self._inbox = Store(self.sim)
         return ib
 
-    @property
-    def busy_time(self) -> float:
-        arr = self._busy_arr
-        return self._busy_local if arr is None else float(arr[self._busy_slot])
-
-    @busy_time.setter
-    def busy_time(self, value: float) -> None:
-        if self._busy_arr is None:
-            self._busy_local = value
-        else:
-            self._busy_arr[self._busy_slot] = value
-
     # -- convenience ------------------------------------------------------
     @property
     def node(self) -> "Node":
@@ -118,10 +99,7 @@ class ProcessContext:
 
     def consume(self, seconds: float):
         """Occupy this process's core for ``seconds`` (a timeout event)."""
-        if self._busy_arr is None:
-            self._busy_local += seconds
-        else:
-            self._busy_arr[self._busy_slot] += seconds
+        self.busy_time += seconds
         tracer = self.cluster.tracer
         if tracer is not None and seconds > 0:
             tracer.record_span(self.trace_name, self.sim.now, self.sim.now + seconds)
@@ -177,13 +155,6 @@ class Node:
         self.cluster = cluster
         self.node_id = node_id
         self.hca = Hca(cluster.sim, node_id, cluster.params, cluster.metrics)
-        #: Host rank contexts living on this node (filled by Cluster;
-        #: left empty by slim clusters, whose contexts materialize
-        #: lazily -- the accessors below go through the cluster either
-        #: way and return the same objects).
-        self.host_procs: list[ProcessContext] = []
-        #: DPU proxy contexts (filled by Cluster; empty when slim).
-        self.dpu_procs: list[ProcessContext] = []
 
     def host_proc(self, local_rank: int) -> ProcessContext:
         return self.cluster.ranks[self.node_id * self.cluster.spec.ppn + local_rank]
@@ -194,7 +165,8 @@ class Node:
         ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        spec = self.cluster.spec
         return (
-            f"<Node {self.node_id}: {len(self.host_procs)} host ranks, "
-            f"{len(self.dpu_procs)} proxies>"
+            f"<Node {self.node_id}: {spec.ppn} host ranks, "
+            f"{spec.proxies_per_dpu} proxies>"
         )

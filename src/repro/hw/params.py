@@ -286,14 +286,9 @@ class ClusterSpec:
     #: ``repro.hw.fluid.DEFAULT_FLUID_THRESHOLD`` for the tuning
     #: rationale).
     fluid_threshold: Optional[int] = None
-    #: Slim per-rank state for thousand-rank clusters: rank/proxy
-    #: ProcessContexts, MPI runtimes, offload endpoints, and proxy
-    #: engines materialize lazily on first use instead of eagerly at
-    #: construction, and per-rank busy-time bookkeeping moves into one
-    #: shared numpy array.  ``False`` (default) keeps eager
-    #: construction -- and every committed table and golden trace --
-    #: bit-identical.  Simulated timings are unchanged either way (see
-    #: tests/test_scale_slim.py); only resident bytes/rank drop.
+    #: Ignored (per-rank state is always lazy); accepted only because
+    #: bench/workloads.py passes it -- delete with that argument in the
+    #: next ``benchmark`` PR.
     slim: bool = False
     params: MachineParams = field(default_factory=MachineParams)
 

@@ -4,39 +4,13 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from repro.hw.cluster import Cluster
+from repro.hw.cluster import Cluster, LazySeq
 from repro.mpi.communicator import Communicator
 from repro.mpi.datatypes import MpiError
 from repro.mpi.runtime import MpiRuntime
 from repro.sim import Process
 
 __all__ = ["MpiWorld"]
-
-
-class _LazyRuntimes:
-    """Per-rank MpiRuntimes for a slim cluster, built on first use."""
-
-    def __init__(self, world: "MpiWorld"):
-        self._world = world
-        self._count = world.cluster.world_size
-        self._made: dict[int, MpiRuntime] = {}
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, rank: int) -> MpiRuntime:
-        rt = self._made.get(rank)
-        if rt is None:
-            world = self._world
-            rt = MpiRuntime(world, world.cluster.ranks[rank])
-            rt.ctx.mpi = rt
-            self._made[rank] = rt
-        return rt
-
-    def __iter__(self):
-        # Iteration (assert_quiescent) only visits runtimes that exist:
-        # a rank that never ran has no protocol state to leak.
-        return iter(self._made[r] for r in sorted(self._made))
 
 
 class MpiWorld:
@@ -59,15 +33,14 @@ class MpiWorld:
     def __init__(self, cluster: Cluster):
         self.cluster = cluster
         self.sim = cluster.sim
-        if cluster.spec.slim:
-            self.runtimes = _LazyRuntimes(self)
-        else:
-            self.runtimes: list[MpiRuntime] = [
-                MpiRuntime(self, ctx) for ctx in cluster.ranks
-            ]
-            for rt in self.runtimes:
-                rt.ctx.mpi = rt
+        #: Per-rank runtimes, built (and hung on ``ctx.mpi``) on first index.
+        self.runtimes = LazySeq("rank", cluster.world_size, self._make_runtime)
         self.comm_world = Communicator.world(cluster.world_size)
+
+    def _make_runtime(self, rank: int) -> MpiRuntime:
+        rt = MpiRuntime(self, self.cluster.ranks[rank])
+        rt.ctx.mpi = rt
+        return rt
 
     @property
     def size(self) -> int:
@@ -119,7 +92,8 @@ class MpiWorld:
         receive, unexpected message, or un-FINed send means the test's
         communication did not actually complete cleanly.
         """
-        for rt in self.runtimes:
+        # A rank that never ran has no runtime and no state to leak.
+        for rt in self.runtimes.materialized():
             if len(rt.incoming):
                 raise MpiError(f"rank {rt.rank}: {len(rt.incoming)} unprocessed items")
             if not rt.matching.idle():

@@ -152,19 +152,14 @@ class OffloadFramework:
         #: (requests that abandoned their proxy for the host path).
         self.fallback_log: list[tuple] = []
 
-        #: Slim clusters materialize endpoints and proxy engines on
-        #: first use (ProxyEngine start events then appear at the time
-        #: of first contact rather than t=0, which is why slim is
-        #: opt-in: eager construction stays byte-identical).
-        self._slim = cluster.spec.slim
-        if self._slim:
-            self._endpoints: dict[int, OffloadEndpoint] = {}
-            self._proxy_engines: dict[int, ProxyEngine] = {}
-        else:
-            self._endpoints = [OffloadEndpoint(self, ctx) for ctx in cluster.ranks]
-            self._proxy_engines = {
-                ctx.global_id: ProxyEngine(self, ctx) for ctx in cluster.proxies
-            }
+        #: Per-rank endpoints are built on first use; the proxy engines
+        #: -- O(nodes), and the paper launches the DPU proxy processes
+        #: inside Init_Offload (Section VII-A) -- all start here, so a
+        #: control message never lands in an inbox nobody drains.
+        self._endpoints: dict[int, OffloadEndpoint] = {}
+        self._proxy_engines = {
+            ctx.global_id: ProxyEngine(self, ctx) for ctx in cluster.proxies
+        }
         if self.fault_plan is not None:
             for kill in self.fault_plan.kills:
                 self.sim.process(self._execute_kill(kill))
@@ -191,43 +186,18 @@ class OffloadFramework:
             engine.restart()
 
     def endpoint(self, rank: int) -> "OffloadEndpoint":
-        if self._slim:
-            ep = self._endpoints.get(rank)
-            if ep is None:
-                ep = self._endpoints[rank] = OffloadEndpoint(
-                    self, self.cluster.ranks[rank]
-                )
-            return ep
-        return self._endpoints[rank]
+        ep = self._endpoints.get(rank)
+        if ep is None:
+            ep = self._endpoints[rank] = OffloadEndpoint(
+                self, self.cluster.ranks[rank]
+            )
+        return ep
 
     def proxy_engine(self, proxy_ctx: ProcessContext) -> ProxyEngine:
-        gid = proxy_ctx.global_id
-        engine = self._proxy_engines.get(gid)
-        if engine is None:
-            if not self._slim:
-                raise KeyError(gid)
-            engine = self._proxy_engines[gid] = ProxyEngine(self, proxy_ctx)
-        return engine
+        return self._proxy_engines[proxy_ctx.global_id]
 
     def proxy_engine_for_rank(self, rank: int) -> ProxyEngine:
         return self.proxy_engine(self.cluster.proxy_for_rank(rank))
-
-    def serving_proxy(self, rank: int) -> ProcessContext:
-        """The proxy context serving ``rank``, with its engine running.
-
-        Endpoints must target proxies through this (not bare
-        ``cluster.proxy_for_rank``): on a slim cluster the engine only
-        exists once someone asks for it, and a control message posted to
-        an engine-less inbox would sit there forever.  Materialization
-        is a plain call, so first-touch start changes no simulated time.
-        """
-        ctx = self.cluster.proxy_for_rank(rank)
-        if self._slim:
-            self.proxy_engine(ctx)
-        return ctx
-
-    def _live_endpoints(self):
-        return self._endpoints.values() if self._slim else self._endpoints
 
     def finalize(self) -> None:
         """``Finalize_Offload``: stop every proxy loop."""
@@ -250,7 +220,7 @@ class OffloadFramework:
                 raise OffloadError(
                     f"proxy {engine.ctx.global_id}: executors still waiting on counters"
                 )
-        for ep in self._live_endpoints():
+        for ep in self._endpoints.values():
             if ep._pending:
                 raise OffloadError(f"rank {ep.rank}: incomplete offload requests")
 
@@ -419,7 +389,7 @@ class OffloadEndpoint:
                      kind=req.kind)
         cluster = self.framework.cluster
         if req.kind == "send":
-            proxy = self.framework.serving_proxy(self.rank)
+            proxy = cluster.proxy_for_rank(self.rank)
             if self.framework.mode == "gvmi":
                 gvmi = gvmi_id_of(proxy)
                 mkey = yield from self.gvmi_cache.get(proxy, gvmi, req.addr, req.size)
@@ -439,7 +409,7 @@ class OffloadEndpoint:
                     "req_id": req.req_id,
                 })
         else:
-            proxy = self.framework.serving_proxy(req.peer)
+            proxy = cluster.proxy_for_rank(req.peer)
             handle = yield from self.ib_cache.get(req.addr, req.size)
             msg = ("rtr", {
                 "src": req.peer, "dst": self.rank, "tag": req.tag,
@@ -461,7 +431,7 @@ class OffloadEndpoint:
         req = OffloadRequest(kind="send", rank=self.rank, peer=dst, tag=tag,
                              addr=addr, size=size)
         self._register_pending(req)
-        proxy = self.framework.serving_proxy(self.rank)
+        proxy = self.ctx.cluster.proxy_for_rank(self.rank)
         self.ctx.cluster.metrics.add("offload.basic_sends")
         if self.framework.mode == "staged":
             # Staging: the proxy will RDMA-READ the source buffer, so a
@@ -503,7 +473,7 @@ class OffloadEndpoint:
                              addr=addr, size=size)
         self._register_pending(req)
         handle = yield from self.ib_cache.get(addr, size)
-        proxy = self.framework.serving_proxy(src)
+        proxy = self.ctx.cluster.proxy_for_rank(src)
         self.ctx.cluster.metrics.add("offload.basic_recvs")
         rtr = {
             "src": src, "dst": self.rank, "tag": tag,
@@ -600,7 +570,7 @@ class OffloadEndpoint:
         if greq.needs_rebuild:
             yield from self._rebuild_group(greq)
             return
-        proxy = self.framework.serving_proxy(self.rank)
+        proxy = self.ctx.cluster.proxy_for_rank(self.rank)
         if plan.sent_to_proxy and not plan.dirty:
             yield from post_control(
                 self.ctx, proxy,
@@ -642,7 +612,7 @@ class OffloadEndpoint:
         if bus is not None:
             bus.emit("group", "rebuild", self.ctx.trace_name, call=greq.req_id)
         self._gdesc_seen.clear()
-        proxy = self.framework.serving_proxy(self.rank)
+        proxy = self.ctx.cluster.proxy_for_rank(self.rank)
         entries = yield from self._build_entries(greq, proxy)
         if self.framework.group_caching:
             plan = self.group_cache.insert(greq.signature(), entries)
@@ -861,7 +831,7 @@ class OffloadEndpoint:
         # (keeps cached plans from going stale; see group_cache).
         yield from self._drain_inbox()
 
-        proxy = self.framework.serving_proxy(self.rank)
+        proxy = self.ctx.cluster.proxy_for_rank(self.rank)
         caching = self.framework.group_caching
         plan = self.group_cache.lookup(greq.signature()) if caching else None
         metrics = self.ctx.cluster.metrics

@@ -166,6 +166,21 @@ class TestRunallRobustness:
         assert runall.main(["nope"]) == 2
         assert "no figures match" in capsys.readouterr().out
 
+    def test_fluid_banner_prints_the_resolved_threshold(self, monkeypatch,
+                                                        capsys):
+        from repro.experiments import runall
+        from repro.hw.fluid import DEFAULT_FLUID_THRESHOLD
+
+        # main() exports the engine choice through these; pin them so
+        # monkeypatch restores the environment afterwards.
+        monkeypatch.setenv("REPRO_FLUID", "0")
+        monkeypatch.setenv("REPRO_FLUID_THRESHOLD", "")
+        assert runall.main(["fig05", "--fluid"]) == 0
+        assert (f"(threshold {DEFAULT_FLUID_THRESHOLD} bytes)"
+                in capsys.readouterr().err)
+        assert runall.main(["fig05", "--fluid", "--fluid-threshold", "4096"]) == 0
+        assert "(threshold 4096 bytes)" in capsys.readouterr().err
+
 
 class TestBenchCommitStamp:
     """A snapshot recorded on an uncommitted tree must not pass for the

@@ -247,9 +247,9 @@ class TestFluidVsExact:
         vals = _contrib(p, nbytes // 8)
         ref = np.sum(vals, axis=0)
         exact, t_exact = _offload_allreduce(
-            p, vals, algorithm=algorithm, fluid=False, slim=True)
+            p, vals, algorithm=algorithm, fluid=False)
         fluid, t_fluid = _offload_allreduce(
-            p, vals, algorithm=algorithm, fluid=True, slim=True)
+            p, vals, algorithm=algorithm, fluid=True)
         assert abs(t_fluid - t_exact) <= FLUID_RTOL * t_exact
         for r in range(p):
             assert exact[r].tobytes() == ref.tobytes()
@@ -260,7 +260,7 @@ class TestZeroHostCpuWindow:
     @pytest.mark.parametrize("builder", ["bcast", "allgather", "allreduce"])
     def test_no_host_spans_inside_offloaded_window(self, builder):
         p = 4
-        cl = _cluster(p, slim=True)
+        cl = _cluster(p)
         bus = EventBus.attach(cl)
         tracer = Tracer.attach(cl)
         fw = OffloadFramework(cl)
