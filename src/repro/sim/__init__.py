@@ -6,8 +6,8 @@ engines, the fabric -- is a :class:`~repro.sim.process.Process`
 (a Python generator) running on a shared :class:`~repro.sim.core.Simulator`
 clock.  Time is measured in **seconds** throughout the code base.
 
-The kernel is deliberately deterministic: ties in the event heap are
-broken by insertion order, and all randomness flows through the named,
+The kernel is deliberately deterministic: the events of one instant
+fire in the order they were scheduled, and all randomness flows through the named,
 seeded streams of :mod:`repro.sim.rng`, so a given configuration always
 produces the identical event trace.
 """

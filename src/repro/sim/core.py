@@ -1,18 +1,21 @@
-"""Event heap, events and condition events.
+"""Event calendar, events and condition events.
 
-The engine follows the classic event-scheduling world view: a priority
-heap of ``(time, seq, event)`` entries, where ``seq`` is a monotonically
-increasing tie-breaker making the simulation fully deterministic.
+The engine follows the classic event-scheduling world view, with the
+queue shaped for SPMD traffic where almost every event ties with its
+predecessor: one FIFO bucket per simulated *instant* (float ``==``),
+plus a heap of the distinct future instants.  The order is total and
+fully deterministic: earlier instants first, and the events of one
+instant fire in the order they were scheduled.
 
 An :class:`Event` is a one-shot box: it is *pending* until somebody
 calls :meth:`Event.succeed` or :meth:`Event.fail`, at which point it is
-placed on the heap and, when popped, delivers its value to every
-registered callback (usually suspended processes).
+appended to the current instant's bucket and, when popped, delivers its
+value to every registered callback (usually suspended processes).
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import deque
 from heapq import heappop, heappush
 from sys import getrefcount
 from typing import Any, Callable, Iterable, Optional
@@ -35,7 +38,7 @@ class SimulationError(RuntimeError):
 
 
 class DeadlockError(SimulationError):
-    """The event heap ran dry while the simulation still had waiters.
+    """The event queue ran dry while the simulation still had waiters.
 
     Raised by :meth:`Simulator.run` when an ``until`` event can never
     fire.  ``reports`` holds one human-readable line per outstanding
@@ -132,8 +135,7 @@ class Event:
         self._ok = True
         self._value = value
         self._scheduled = True
-        sim = self.sim
-        heappush(sim._heap, (sim._now, next(sim._seq), self))
+        self.sim._cur.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -167,25 +169,25 @@ class Event:
 class Timeout(Event):
     """An event that fires automatically ``delay`` seconds in the future.
 
-    Construction is deliberately flat (no ``super().__init__`` chain, the
-    heap push inlined): timeouts dominate event traffic, and
-    :meth:`Simulator.timeout` additionally recycles processed instances
-    through a free list, so this constructor only runs on pool misses.
+    Construction is deliberately flat (no ``super().__init__`` chain):
+    timeouts dominate event traffic.  :meth:`Simulator.timeout` recycles
+    processed instances through a free list, so this constructor only
+    runs on pool misses.
     """
 
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        if not delay >= 0:  # also rejects NaN, which would never fire
+            raise ValueError(f"negative or NaN delay {delay!r}")
         self.sim = sim
         self.callbacks = []
         self._value = value
         self._ok = True
-        self._scheduled = True
+        self._scheduled = False
         self._defused = False
         self.delay = delay
-        heappush(sim._heap, (sim._now + delay, next(sim._seq), self))
+        sim._schedule_at(self, sim._now + delay)
 
 
 class _Condition(Event):
@@ -260,6 +262,15 @@ class Simulator:
         sim = Simulator()
         sim.process(my_generator(sim))
         sim.run()
+
+    The queue is an instant calendar.  ``_cur`` holds the events still
+    due at ``_now``, in scheduling order; ``_buckets`` maps each future
+    instant to what is due then, also in scheduling order -- the event
+    itself while it is alone (a lone event costs no container), a list
+    from the second on; ``_times`` is a heap of those distinct instants.
+    ``_cur`` is never in ``_buckets`` and its instant never in
+    ``_times``, so anything scheduled for ``_now`` -- however it got
+    there -- queues behind what that instant already holds.
     """
 
     #: Upper bound on the Timeout free list; past this, processed
@@ -268,8 +279,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
-        self._seq = itertools.count()
+        self._cur: deque[Event] = deque()
+        self._buckets: dict[float, Event | list[Event]] = {}
+        self._times: list[float] = []
         #: Optional :class:`~repro.obs.events.EventBus`; ``None`` keeps
         #: the kernel entirely observation-free.
         self.bus = None
@@ -284,14 +296,14 @@ class Simulator:
         #: goes dry, so registering probes costs nothing in the hot path.
         self.watchdog_probes: list[Callable[[], Iterable[str]]] = []
         #: Optional :class:`~repro.sim.flows.FlowEngine` interleaving
-        #: coarse fluid-flow progress with this heap (hybrid mode).
+        #: coarse fluid-flow progress with this queue (hybrid mode).
         #: ``None`` in exact mode; set via :meth:`attach_flow_engine`.
         self.flow_engine = None
 
     def attach_flow_engine(self, engine) -> None:
         """Interleave a fluid :class:`~repro.sim.flows.FlowEngine`.
 
-        The engine schedules its own wake events on this heap (via
+        The engine schedules its own wake events on this queue (via
         :meth:`schedule_at`), so flow progress and event-exact control
         traffic advance on one clock.  Its probe joins the deadlock
         watchdog so a hung run names in-flight flows.
@@ -316,7 +328,9 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` if none)."""
-        return self._heap[0][0] if self._heap else float("inf")
+        if self._cur:
+            return self._now
+        return self._times[0] if self._times else float("inf")
 
     # -- event factories ------------------------------------------------
     def event(self) -> Event:
@@ -329,18 +343,32 @@ class Simulator:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay!r}")
-            t = pool.pop()
-            # callbacks is already an (empty, reused) list; _ok is True.
-            t.delay = delay
-            t._value = value
-            t._scheduled = True
-            t._defused = False
-            heappush(self._heap, (self._now + delay, next(self._seq), t))
-            return t
-        return Timeout(self, delay, value)
+        if not pool:
+            return Timeout(self, delay, value)
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN delay {delay!r}")
+        t = pool.pop()
+        # callbacks is already an (empty, reused) list; _ok is True.
+        t.delay = delay
+        t._value = value
+        t._scheduled = True
+        t._defused = False
+        # _schedule_at's filing step, inlined: the hottest scheduling site.
+        now = self._now
+        when = now + delay
+        if when == now:
+            self._cur.append(t)
+        else:
+            buckets = self._buckets
+            due = buckets.get(when)
+            if due is None:
+                buckets[when] = t
+                heappush(self._times, when)
+            elif type(due) is list:
+                due.append(t)
+            else:
+                buckets[when] = [due, t]
+        return t
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -354,10 +382,9 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        if event._scheduled:
-            raise SimulationError(f"{event!r} already scheduled")
-        event._scheduled = True
-        heappush(self._heap, (self._now + delay, next(self._seq), event))
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN delay {delay!r}")
+        self._schedule_at(event, self._now + delay)
 
     def _schedule_at(self, event: Event, when: float) -> None:
         """Schedule at an *absolute* time (fast-path use).
@@ -369,10 +396,23 @@ class Simulator:
         """
         if event._scheduled:
             raise SimulationError(f"{event!r} already scheduled")
-        if when < self._now:
+        if not when >= self._now:
+            if when != when:
+                raise ValueError("cannot schedule at NaN")
             raise SimulationError("cannot schedule into the past")
         event._scheduled = True
-        heappush(self._heap, (when, next(self._seq), event))
+        if when == self._now:
+            self._cur.append(event)
+            return
+        buckets = self._buckets
+        due = buckets.get(when)
+        if due is None:
+            buckets[when] = event
+            heappush(self._times, when)
+        elif type(due) is list:
+            due.append(event)
+        else:
+            buckets[when] = [due, event]
 
     def schedule_at(self, event: Event, when: float) -> None:
         """Public absolute-time scheduling (see :meth:`_schedule_at`).
@@ -386,8 +426,19 @@ class Simulator:
 
     def step(self) -> None:
         """Pop and process one event."""
-        when, _, event = heappop(self._heap)
-        self._now = when
+        cur = self._cur
+        if cur:
+            event = cur.popleft()
+        else:
+            if not self._times:
+                raise SimulationError("step() with no scheduled event")
+            # The instant is spent: move on to the next one and make
+            # what is due then the new ``_cur``.
+            self._now = when = heappop(self._times)
+            event = self._buckets.pop(when)
+            if type(event) is list:
+                cur.extend(event)
+                event = cur.popleft()
         callbacks = event.callbacks
         event.callbacks = None
         if len(callbacks) == 1:
@@ -403,11 +454,11 @@ class Simulator:
             raise event._value
         # Recycle fully-consumed timeouts and plain events.  getrefcount
         # == 2 means the only references left are our local `event` and
-        # the getrefcount argument itself: no process, condition, or
-        # user code still holds the object (both classes use __slots__
-        # with no weakref slot, so there is no hidden aliasing).  The
-        # emptied callbacks list is reused too, so a pooled instance
-        # costs zero allocations.
+        # the getrefcount argument itself: popleft() already dropped the
+        # queue's, and no process, condition, or user code still holds
+        # the object (both classes use __slots__ with no weakref slot,
+        # so there is no hidden aliasing).  The emptied callbacks list
+        # is reused too, so a pooled instance costs zero allocations.
         cls = type(event)
         if cls is Timeout:
             if getrefcount(event) == 2:
@@ -431,85 +482,52 @@ class Simulator:
                     pool.append(event)
 
     def run(self, until: Optional[float | Event] = None) -> Any:
-        """Run until the heap is empty, a deadline passes, or an event fires.
+        """Run until the queue is empty, a deadline passes, or an event fires.
 
         ``until`` may be a time (run up to and including that instant) or
         an :class:`Event` (run until it is processed; returns its value).
+        Stopping on an event may leave the rest of its instant in
+        ``_cur``; the next ``run``/``step`` carries on from there.
 
-        The body of :meth:`step` is inlined into both loops below (with
-        the heap, pool and helpers bound to locals): the loop runs once
+        The body of :meth:`step` is inlined into the loop below (with
+        the queue, pools and helpers bound to locals): the loop runs once
         per simulated event, and the per-iteration call/attribute
         overhead of delegating to ``step`` is the single largest fixed
         cost of the engine.  Any change here must be mirrored in
         :meth:`step`, which remains the single-event API.
         """
-        heap = self._heap
+        if isinstance(until, Event):
+            sentinel = until
+            if sentinel.callbacks is None:
+                return sentinel._value if sentinel._ok else None
+            deadline = float("inf")
+        else:
+            sentinel = None
+            deadline = float("inf") if until is None else float(until)
+            if not deadline >= self._now:
+                raise ValueError("cannot run into the past")
+        cur = self._cur
+        times = self._times
+        buckets = self._buckets
         t_pool = self._timeout_pool
         e_pool = self._event_pool
         pool_max = self._TIMEOUT_POOL_MAX
         timeout_cls = Timeout
         event_cls = Event
         refcount = getrefcount
-        if isinstance(until, Event):
-            sentinel = until
-            if sentinel.processed:
-                return sentinel._value if sentinel._ok else None
-            stop: list[Any] = []
-            assert sentinel.callbacks is not None
-            sentinel.callbacks.append(stop.append)
-            processed = self.processed_events
-            try:
-                while heap and not stop:
-                    when, _, event = heappop(heap)
-                    self._now = when
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    if len(callbacks) == 1:
-                        callbacks[0](event)
-                    else:
-                        for cb in callbacks:
-                            cb(event)
-                    processed += 1
-                    if not event._ok and not event._defused:
-                        raise event._value
-                    cls = type(event)
-                    if cls is timeout_cls:
-                        if refcount(event) == 2 and len(t_pool) < pool_max:
-                            callbacks.clear()
-                            event.callbacks = callbacks
-                            event._value = None
-                            event._scheduled = False
-                            t_pool.append(event)
-                    elif cls is event_cls:
-                        if refcount(event) == 2 and len(e_pool) < pool_max:
-                            callbacks.clear()
-                            event.callbacks = callbacks
-                            event._value = PENDING
-                            event._ok = True
-                            event._scheduled = False
-                            event._defused = False
-                            e_pool.append(event)
-            finally:
-                self.processed_events = processed
-            if not stop:
-                reports = self._deadlock_reports()
-                if self.bus is not None:
-                    self.bus.emit("sim", "deadlock", "sim", waiters=len(reports))
-                raise DeadlockError(
-                    "simulation ran dry before `until` event fired",
-                    reports,
-                )
-            if not sentinel._ok:
-                raise sentinel._value
-            return sentinel._value
-        deadline = float("inf") if until is None else float(until)
-        if deadline < self._now:
-            raise ValueError("cannot run into the past")
         processed = self.processed_events
         try:
-            while heap and heap[0][0] <= deadline:
-                when, _, event = heappop(heap)
-                self._now = when
+            while True:
+                if cur:
+                    event = cur.popleft()
+                else:
+                    if not times or times[0] > deadline:
+                        break
+                    self._now = when = heappop(times)
+                    event = buckets.pop(when)
+                    if type(event) is list:
+                        cur.extend(event)
+                        event = cur.popleft()
                 callbacks = event.callbacks
                 event.callbacks = None
                 if len(callbacks) == 1:
@@ -520,6 +538,8 @@ class Simulator:
                 processed += 1
                 if not event._ok and not event._defused:
                     raise event._value
+                if event is sentinel:
+                    break
                 cls = type(event)
                 if cls is timeout_cls:
                     if refcount(event) == 2 and len(t_pool) < pool_max:
@@ -539,9 +559,21 @@ class Simulator:
                         e_pool.append(event)
         finally:
             self.processed_events = processed
-        if until is not None:
-            self._now = deadline
-        return None
+        if sentinel is None:
+            if until is not None:
+                self._now = deadline
+            return None
+        if sentinel.callbacks is not None:
+            reports = self._deadlock_reports()
+            if self.bus is not None:
+                self.bus.emit("sim", "deadlock", "sim", waiters=len(reports))
+            raise DeadlockError(
+                "simulation ran dry before `until` event fired",
+                reports,
+            )
+        if not sentinel._ok:
+            raise sentinel._value
+        return sentinel._value
 
 
 _PROCESS_CLS = None

@@ -212,7 +212,7 @@ class Flow:
 
 
 class FlowEngine:
-    """Rate-shared flow progression interleaved with the event heap.
+    """Rate-shared flow progression interleaved with the event queue.
 
     The engine keeps at most one pending *wake* event on the simulator
     heap, scheduled at the earliest predicted flow drain; a generation

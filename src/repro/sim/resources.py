@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from heapq import heappush
 from typing import Any, Callable, Optional
 
 from repro.sim.core import PENDING, Event, SimulationError, Simulator
@@ -19,12 +18,12 @@ from repro.sim.core import PENDING, Event, SimulationError, Simulator
 # NOTE on the inlined triggers below: granting a request / admitting an
 # item calls Event.succeed once per port acquisition or store message,
 # which makes the trigger itself a hot path.  The succeed body (value +
-# schedule + heap push) is therefore inlined at the internal call sites
-# in this module; the guard checks are skipped because the surrounding
-# data structures guarantee each event is granted exactly once (a
-# Request leaves the queue when granted, a putter/getter leaves its
-# list when served).  Any change here must stay equivalent to
-# Event.succeed.
+# schedule + append to the current instant's bucket) is therefore
+# inlined at the internal call sites in this module; the guard checks
+# are skipped because the surrounding data structures guarantee each
+# event is granted exactly once (a Request leaves the queue when
+# granted, a putter/getter leaves its list when served).  Any change
+# here must stay equivalent to Event.succeed.
 
 __all__ = ["Resource", "Store", "PriorityStore"]
 
@@ -90,8 +89,7 @@ class Resource:
             users.add(req)
             req._value = req
             req._scheduled = True
-            sim = self.sim
-            heappush(sim._heap, (sim._now, next(sim._seq), req))
+            self.sim._cur.append(req)
         else:
             self._queue.append(req)
             self._grant()
@@ -115,13 +113,13 @@ class Resource:
             return
         users = self._users
         capacity = self.capacity
-        sim = self.sim
+        cur = self.sim._cur
         while queue and len(users) < capacity:
             req = queue.popleft()
             users.add(req)
             req._value = req
             req._scheduled = True
-            heappush(sim._heap, (sim._now, next(sim._seq), req))
+            cur.append(req)
 
 
 class Store:
@@ -154,8 +152,7 @@ class Store:
             self._items.append(item)
             ev._value = item
             ev._scheduled = True
-            sim = self.sim
-            heappush(sim._heap, (sim._now, next(sim._seq), ev))
+            self.sim._cur.append(ev)
             if self._getters:
                 self._dispatch()
         else:
@@ -175,8 +172,7 @@ class Store:
             del self._items[0]
             ev._value = item
             ev._scheduled = True
-            sim = self.sim
-            heappush(sim._heap, (sim._now, next(sim._seq), ev))
+            self.sim._cur.append(ev)
             if self._putters:
                 self._admit_putters()
         else:
@@ -212,8 +208,7 @@ class Store:
             self._items.append(item)
             ev._value = item
             ev._scheduled = True
-            sim = self.sim
-            heappush(sim._heap, (sim._now, next(sim._seq), ev))
+            self.sim._cur.append(ev)
 
     def _dispatch(self) -> None:
         # Serve getters in FIFO order; a blocked filter-getter does not

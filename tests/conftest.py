@@ -7,6 +7,17 @@ import pytest
 from repro.hw import Cluster, ClusterSpec
 from repro.mpi import MpiWorld
 
+try:
+    from hypothesis import settings
+except ImportError:  # jobs that run no property test install no Hypothesis
+    pass
+else:
+    # A profile named by --hypothesis-profile must exist before the plugin's
+    # pytest_configure, i.e. before any test module is imported.  Tests
+    # that want to be fuzzed harder read settings.default.max_examples
+    # (tests/harness/test_kernel_differential.py).
+    settings.register_profile("fuzz", max_examples=2000, deadline=None)
+
 
 def pytest_addoption(parser):
     parser.addoption(

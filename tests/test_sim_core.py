@@ -52,6 +52,52 @@ class TestClock:
         with pytest.raises(ValueError):
             sim.timeout(-1.0)
 
+    def test_nan_delay_rejected_at_every_entry(self, sim):
+        nan = float("nan")
+        with pytest.raises(ValueError):
+            sim.timeout(nan)  # empty free list: the constructor branch
+        with pytest.raises(ValueError):
+            Timeout(sim, nan)
+        sim.timeout(0.0)
+        sim.run()
+        assert sim._timeout_pool
+        with pytest.raises(ValueError):
+            sim.timeout(nan)  # the recycling branch
+        assert sim._timeout_pool  # the rejected call consumed nothing
+        with pytest.raises(ValueError):
+            sim._schedule(sim.event(), nan)
+        with pytest.raises(ValueError):
+            sim.schedule_at(sim.event(), nan)
+        assert sim.peek() == float("inf")
+
+    def test_nan_delay_loses_no_other_timeout(self, sim):
+        # Used to pass the `delay < 0` guard and break the heap invariant:
+        # only the 1.0 and 2.0 timeouts fired and run() returned at 2.0.
+        fired = []
+        for d in (3.0, float("nan"), 1.0, 2.0):
+            try:
+                sim.timeout(d).callbacks.append(lambda _e, d=d: fired.append(d))
+            except ValueError:
+                pass
+        sim.run()
+        assert fired == [1.0, 2.0, 3.0] and sim.now == 3.0
+
+    def test_infinite_delay_is_legal(self, sim):
+        sim.timeout(float("inf"))
+        sim.timeout(1.0)
+        assert sim.peek() == 1.0
+        sim.run(until=5.0)
+        assert sim.now == 5.0 and sim.peek() == float("inf")
+
+    def test_step_on_empty_queue_is_a_simulation_error(self, sim):
+        with pytest.raises(SimulationError, match="no scheduled event"):
+            sim.step()
+        sim.timeout(1.0)
+        sim.step()
+        assert sim.now == 1.0
+        with pytest.raises(SimulationError, match="no scheduled event"):
+            sim.step()
+
     def test_zero_timeout_fires_at_now(self, sim):
         t = sim.timeout(0.0, value="x")
         sim.run()
