@@ -143,6 +143,12 @@ class RetryPolicy:
     #: Proxy-side timeout before probing a peer for a lost counter write.
     counter_probe_after: float = 80e-6
 
+    def next_timeout(self, timeout: float, ceiling: Optional[float] = None) -> float:
+        """The wait after ``timeout`` in the exponential progression,
+        capped at ``ceiling`` (default :attr:`max_timeout`)."""
+        return min(timeout * self.backoff,
+                   self.max_timeout if ceiling is None else ceiling)
+
 
 class FaultPlan:
     """Deterministic per-message fault decisions plus an audit trace.

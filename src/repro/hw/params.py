@@ -150,8 +150,8 @@ class MachineParams:
     #: Max prepared plans in each host-side group request cache.
     group_cache_capacity: Optional[int] = None
     #: Max plans in each proxy's DPU plan cache.  Eviction recovery runs
-    #: through the plan_nack path, so a bounded plan cache requires
-    #: resilient mode (see docs/RESOURCES.md).
+    #: through the plan_nack path, so a bounded plan cache requires a
+    #: RetryPolicy -- checked at Init_Offload (see docs/RESOURCES.md).
     plan_cache_capacity: Optional[int] = None
     #: Admission window: max incomplete offload requests per endpoint;
     #: further posts block (in simulated time) until one completes.
@@ -181,8 +181,6 @@ class MachineParams:
     #: Host double-precision throughput per core (Broadwell ~ 2.4 GHz
     #: AVX2 FMA: ~16 flop/cycle sustained fraction).
     host_flops_per_core: float = 22.0e9
-    #: Relative jitter applied to modelled compute chunks (lognormal-ish).
-    compute_jitter: float = 0.0
 
     def with_overrides(self, **kw) -> "MachineParams":
         """Return a copy with selected fields replaced."""
@@ -248,8 +246,6 @@ class ClusterSpec:
     proxies_per_dpu: int = 4
     #: ARM cores on each DPU (BlueField-2: 8).
     dpu_cores: int = 8
-    #: Host cores per node (paper: dual-socket 16-core => 32).
-    host_cores: int = 32
     #: Root seed for all random streams.
     seed: int = 0
     #: Nodes per leaf switch.  0 (default) = the paper's single-switch

@@ -29,7 +29,6 @@ repeat calls.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from repro.hw.cluster import Cluster
@@ -39,6 +38,12 @@ from repro.mpi.regcache import RegistrationCache
 from repro.offload.group_cache import HostGroupCache
 from repro.offload.gvmi_cache import HostGvmiCache
 from repro.offload.proxy import ProxyEngine
+from repro.offload.recovery import (
+    EndpointRecovery,
+    ProxyRecovery,
+    arm_kills,
+    check_kills,
+)
 from repro.offload.requests import (
     GroupOp,
     OffloadError,
@@ -47,33 +52,9 @@ from repro.offload.requests import (
 )
 from repro.sim import Event, Store
 from repro.verbs.gvmi import gvmi_id_of
-from repro.verbs.rdma import post_control, rdma_read
+from repro.verbs.rdma import post_control
 
 __all__ = ["OffloadFramework", "OffloadEndpoint"]
-
-#: Unique ids stamped on group receive descriptors so the receiving
-#: endpoint can discard fault-injected duplicates/replays.
-_desc_ids = itertools.count(1)
-
-
-class _RecoverySink:
-    """Inbox adapter for proxy recovery notifications.
-
-    ``stale_nack``/``oom_nack`` control messages land here.  Each
-    arrival spawns an independent handler process, so recovery makes
-    progress even while the application computes or sits in a plain
-    (non-resilient) wait -- draining the shared endpoint inbox from
-    ``wait`` would change clean-run timing, which the golden traces
-    forbid.
-    """
-
-    def __init__(self, endpoint: "OffloadEndpoint"):
-        self.endpoint = endpoint
-
-    def put(self, item) -> None:
-        kind, info = item
-        ep = self.endpoint
-        ep.sim.process(ep._on_recovery(kind, info))
 
 
 class _CompletionSink:
@@ -90,19 +71,12 @@ class _CompletionSink:
         self.endpoint = endpoint
 
     def put(self, msg) -> None:
-        if isinstance(msg, tuple):
-            req_id, call_no = msg
-            req = self.endpoint._pending.get(req_id)
-            if req is not None and getattr(req, "calls", call_no) != call_no:
-                # FIN for an earlier call of this re-used group request
-                # (a retransmit raced the next call): the live call has
-                # its own FIN coming, so this one must not complete it.
-                self.endpoint.ctx.cluster.metrics.add(
-                    "offload.stale_fins_dropped")
+        ep = self.endpoint
+        if isinstance(msg, tuple):  # a group completion: (req_id, call_no)
+            msg, call_no = msg
+            if ep.recovery is not None and ep.recovery.stale_fin(msg, call_no):
                 return
-            self.endpoint._complete_by_id(req_id)
-            return
-        self.endpoint._complete_by_id(msg)
+        ep._complete_by_id(msg)
 
 
 class OffloadFramework:
@@ -140,14 +114,22 @@ class OffloadFramework:
 
         #: Fault/recovery wiring (docs/FAULTS.md).  A cluster with an
         #: installed FaultPlan gets the default RetryPolicy implicitly;
-        #: ``resilient`` gates EVERY recovery branch in the stack so a
-        #: clean run (no plan, no policy) is bit-identical to a build
-        #: without the chaos machinery.
+        #: the recovery layer (repro.offload.recovery) is installed iff
+        #: there is a policy, so a clean run (no plan, no policy) is
+        #: bit-identical to a build without the chaos machinery.
         self.fault_plan = cluster.fault_plan
         if retry is None and self.fault_plan is not None:
             retry = RetryPolicy()
         self.retry = retry
         self.resilient = retry is not None
+        if retry is None and cluster.params.plan_cache_capacity is not None:
+            raise OffloadError(
+                f"MachineParams.plan_cache_capacity={cluster.params.plan_cache_capacity} "
+                "needs a RetryPolicy (retry=, or an installed FaultPlan): an evicted "
+                "plan comes back by plan_nack + re-ship, which is recovery (docs/RESOURCES.md)"
+            )
+        if self.fault_plan is not None:
+            check_kills(self.fault_plan, len(cluster.proxies))
         #: (time, rank, kind, req_id) records of graceful degradations
         #: (requests that abandoned their proxy for the host path).
         self.fallback_log: list[tuple] = []
@@ -160,9 +142,11 @@ class OffloadFramework:
         self._proxy_engines = {
             ctx.global_id: ProxyEngine(self, ctx) for ctx in cluster.proxies
         }
-        if self.fault_plan is not None:
-            for kill in self.fault_plan.kills:
-                self.sim.process(self._execute_kill(kill))
+        if retry is not None:
+            for engine in self._proxy_engines.values():
+                ProxyRecovery(engine, retry)
+            if self.fault_plan is not None:
+                arm_kills(self)
         p = cluster.params
         world = cluster.world_size + len(cluster.proxies)
         setup = 2 * p.ctrl_latency + max(1, world - 1).bit_length() * (
@@ -171,26 +155,14 @@ class OffloadFramework:
         self.ready: Event = self.sim.timeout(setup)
         self.finalized = False
 
-    def _execute_kill(self, kill):
-        """Arm one scheduled ProxyKillPlan (a simulation process)."""
-        plan = self.fault_plan
-        engine = self.proxy_engine(self.cluster.proxies[kill.proxy_gid])
-        yield self.sim.timeout(max(0.0, kill.at - self.sim.now))
-        plan.stats["kills"] += 1
-        plan.record("kill", f"proxy{kill.proxy_gid}")
-        engine.kill()
-        if kill.restart_after is not None:
-            yield self.sim.timeout(kill.restart_after)
-            plan.stats["restarts"] += 1
-            plan.record("restart", f"proxy{kill.proxy_gid}")
-            engine.restart()
-
     def endpoint(self, rank: int) -> "OffloadEndpoint":
         ep = self._endpoints.get(rank)
         if ep is None:
             ep = self._endpoints[rank] = OffloadEndpoint(
                 self, self.cluster.ranks[rank]
             )
+            if self.retry is not None:
+                EndpointRecovery(ep, self.retry)
         return ep
 
     def proxy_engine(self, proxy_ctx: ProcessContext) -> ProxyEngine:
@@ -245,9 +217,6 @@ class OffloadEndpoint:
         #: Control-message inbox (remote receive descriptors).
         self.inbox = Store(self.sim)
         self.completion_sink = _CompletionSink(self)
-        #: Proxy recovery notifications (stale_nack / oom_nack) land
-        #: here and run in their own processes.
-        self.recovery_sink = _RecoverySink(self)
         #: Requests awaiting their completion write, by req_id.
         self._pending: dict[int, object] = {}
         #: Remote receive descriptors gathered for my sends, keyed by
@@ -255,20 +224,12 @@ class OffloadEndpoint:
         #: key, mirroring the proxy's queue discipline.
         self._recv_descs: dict[tuple[int, int], list[dict]] = {}
         self._ready_seen = False
-
-        # -- resilience state (only touched when framework.resilient) ---
-        self.retry = framework.retry
-        self.resilient = framework.resilient
-        #: Fallback offers (fb_rts) not yet matched to a local receive.
-        self._fb_rts: list[dict] = []
-        #: src_req ids already served by a fallback pull (idempotent
-        #: fb_fin resend on duplicate offers).
-        self._fb_served: dict[int, int] = {}
-        #: desc_ids of group descriptors already applied (dup discard).
-        self._gdesc_seen: set[int] = set()
-        #: Descriptors I sent, keyed (sender rank, tag), replayed on a
-        #: gdesc_req when the original was lost.
-        self._gdesc_sent: dict[tuple[int, int], list[dict]] = {}
+        #: Extension point, as on ProxyEngine: extra inbox-item handlers,
+        #: kind -> generator(endpoint, payload).
+        self.extra_handlers: dict[str, object] = {}
+        #: The recovery policy layer (repro.offload.recovery), installed
+        #: by the framework iff it has a RetryPolicy; None otherwise.
+        self.recovery: Optional[EndpointRecovery] = None
         self.sim.watchdog_probes.append(self._watchdog_report)
 
     # ------------------------------------------------------------------
@@ -283,13 +244,10 @@ class OffloadEndpoint:
     def _complete_by_id(self, req_id: int) -> None:
         req = self._pending.pop(req_id, None)
         if req is None:
-            if self.resilient:
-                # Duplicate FIN: a retransmit-triggered resend, or a
-                # revived proxy finishing work the fallback path already
-                # completed.  Benign under recovery -- count and drop.
-                self.ctx.cluster.metrics.add("offload.dup_completions")
-                return
-            raise OffloadError(f"completion write for unknown request {req_id}")
+            if self.recovery is None:
+                raise OffloadError(f"completion write for unknown request {req_id}")
+            self.recovery.duplicate_completion()
+            return
         req.complete = True
         req.complete_time = self.sim.now
         if req.post_time is not None:
@@ -321,16 +279,15 @@ class OffloadEndpoint:
     def _admit(self):
         """Block (in simulated time) while the outstanding window is full.
 
-        A generator run before every post.  With resilience armed the
-        stall doubles as a mini recovery driver: it drains the inbox,
-        serves fallback offers, and nudges the oldest request with a
-        retransmit when nothing completes -- otherwise a lost control
-        message could wedge the window shut forever.
+        A generator run before every post.  With a recovery policy
+        installed the stall doubles as a mini recovery driver
+        (:meth:`EndpointRecovery.admission_stall`) -- otherwise a lost
+        control message could wedge the window shut forever.
         """
         limit = self.max_outstanding
         if limit is None:
             return
-        timeout = self.retry.timeout if self.resilient else 0.0
+        timeout = None
         while len(self._pending) >= limit:
             events = [r.event for r in self._pending.values()
                       if r.event is not None and not r.event.processed]
@@ -341,85 +298,11 @@ class OffloadEndpoint:
             if bus is not None:
                 bus.emit("req", "stall", self.ctx.trace_name,
                          outstanding=len(self._pending))
-            if not self.resilient:
+            if self.recovery is None:
                 yield self.sim.any_of(events)
-                continue
-            yield self.sim.any_of(events + [self.sim.timeout(timeout)])
-            yield from self._drain_inbox()
-            yield from self._try_fb_matches()
-            if len(self._pending) >= limit and not any(e.processed for e in events):
-                oldest = next(iter(self._pending.values()))
-                if not oldest.complete:
-                    yield from self._retransmit(oldest)
-                timeout = min(timeout * self.retry.backoff, self.retry.max_timeout)
-
-    # ------------------------------------------------------------------
-    # proxy recovery notifications (stale keys, memory exhaustion)
-    # ------------------------------------------------------------------
-    def _on_recovery(self, kind: str, info: dict):
-        """Handle one stale_nack / oom_nack (its own simulation process)."""
-        yield self.ctx.consume(self.params.host_handler_cost)
-        req = self._pending.get(info["req_id"])
-        if req is None or req.complete or not isinstance(req, OffloadRequest):
-            return
-        if kind == "stale_key":
-            yield from self._repost_stale(req)
-        elif kind == "oom_nack":
-            if not req.fallback:
-                self.ctx.cluster.metrics.add("offload.oom_fallbacks")
-                yield from self._engage_fallback(req)
-        else:  # pragma: no cover - defensive
-            raise OffloadError(f"endpoint: unknown recovery item {kind!r}")
-
-    def _repost_stale(self, req: OffloadRequest):
-        """The proxy faulted on one of my revoked keys: re-register and
-        re-post.
-
-        The free that revoked the keys also invalidated the host-side
-        caches (free listeners), so going back through them mints fresh
-        registrations over the buffer's current incarnation.  Requires
-        the range to be mapped again -- re-registering a still-freed
-        buffer faults loudly, which is correct: the data to send no
-        longer exists.
-        """
-        self.ctx.cluster.metrics.add("offload.stale_reposts")
-        bus = self.ctx.cluster.bus
-        if bus is not None:
-            bus.emit("req", "repost", self.ctx.trace_name, rid=req.req_id,
-                     kind=req.kind)
-        cluster = self.framework.cluster
-        if req.kind == "send":
-            proxy = cluster.proxy_for_rank(self.rank)
-            if self.framework.mode == "gvmi":
-                gvmi = gvmi_id_of(proxy)
-                mkey = yield from self.gvmi_cache.get(proxy, gvmi, req.addr, req.size)
-                msg = ("rts", {
-                    "src": self.rank, "dst": req.peer, "tag": req.tag,
-                    "addr": req.addr, "size": req.size,
-                    "reg_addr": mkey.addr, "reg_size": mkey.size,
-                    "mkey": mkey.key, "gvmi_id": gvmi,
-                    "req_id": req.req_id,
-                })
             else:
-                handle = yield from self.ib_cache.get(req.addr, req.size)
-                msg = ("rts", {
-                    "src": self.rank, "dst": req.peer, "tag": req.tag,
-                    "addr": req.addr, "size": req.size,
-                    "rkey": handle.rkey,
-                    "req_id": req.req_id,
-                })
-        else:
-            proxy = cluster.proxy_for_rank(req.peer)
-            handle = yield from self.ib_cache.get(req.addr, req.size)
-            msg = ("rtr", {
-                "src": req.peer, "dst": self.rank, "tag": req.tag,
-                "addr": req.addr, "size": req.size,
-                "rkey": handle.rkey,
-                "req_id": req.req_id,
-            })
-        if self.resilient:
-            req.resend = (proxy, msg)
-        yield from post_control(self.ctx, proxy, msg, kind=msg[0])
+                timeout = yield from self.recovery.admission_stall(
+                    events, limit, timeout)
 
     # ------------------------------------------------------------------
     # Basic primitives (Listing 2, Section VII-A)
@@ -455,7 +338,7 @@ class OffloadEndpoint:
                 "mkey": mkey.key, "gvmi_id": gvmi,
                 "req_id": req.req_id,
             }
-        if self.resilient:
+        if self.recovery is not None:
             req.resend = (proxy, ("rts", rts))
         req.post_time = self.sim.now
         bus = self.ctx.cluster.bus
@@ -481,7 +364,7 @@ class OffloadEndpoint:
             "rkey": handle.rkey,
             "req_id": req.req_id,
         }
-        if self.resilient:
+        if self.recovery is not None:
             req.resend = (proxy, ("rtr", rtr))
         req.post_time = self.sim.now
         bus = self.ctx.cluster.bus
@@ -496,268 +379,17 @@ class OffloadEndpoint:
 
         No protocol work happens here -- the host merely observes the
         completion counter (so an application that computes instead of
-        waiting loses nothing: perfect overlap).  With resilience armed
-        the wait doubles as the recovery driver: it retransmits the
-        request's control message with exponential backoff, serves
-        fallback offers from peers, and -- past the liveness deadline --
-        degrades a basic operation to the host-driven path.
+        waiting loses nothing: perfect overlap).  With a recovery policy
+        installed the wait doubles as the recovery driver
+        (:meth:`EndpointRecovery.await_completion`).
         """
         if not req.complete:
-            if self.resilient:
-                yield from self._wait_resilient(req)
+            if self.recovery is not None:
+                yield from self.recovery.await_completion(req)
             else:
                 yield req.event
         if isinstance(req, OffloadGroupRequest):
             req.state = "ready"
-
-    def _wait_resilient(self, req) -> None:
-        pol = self.retry
-        start = self.sim.now
-        timeout = pol.timeout
-        attempts = 0
-        while not req.complete:
-            yield self.sim.any_of([req.event, self.sim.timeout(timeout)])
-            if req.complete:
-                break
-            yield from self._drain_inbox()
-            yield from self._try_fb_matches()
-            if req.complete:
-                break
-            attempts += 1
-            if attempts > pol.max_attempts:
-                raise OffloadError(
-                    f"rank {self.rank}: request {req.req_id} still incomplete "
-                    f"after {pol.max_attempts} retransmits"
-                )
-            if (
-                isinstance(req, OffloadRequest)
-                and not req.fallback
-                and self.sim.now - start >= pol.fallback_after
-            ):
-                yield from self._engage_fallback(req)
-            else:
-                yield from self._retransmit(req)
-            timeout = min(timeout * pol.backoff, pol.max_timeout)
-        if attempts:
-            # Recovery latency: how long a request that needed at least
-            # one retransmit/fallback took from the first wait to its
-            # completion.  The soak harness's SLO report (p50/p95/p99)
-            # is built from this histogram; clean waits (attempts == 0)
-            # record nothing, so fault-free runs are unchanged.
-            self.ctx.cluster.metrics.observe(
-                "offload.recovery_latency", self.sim.now - start
-            )
-
-    def _retransmit(self, req) -> None:
-        self.ctx.cluster.metrics.add("offload.retransmits")
-        bus = self.ctx.cluster.bus
-        if bus is not None:
-            bus.emit("req", "retransmit", self.ctx.trace_name, rid=req.req_id)
-        if isinstance(req, OffloadGroupRequest):
-            yield from self._retransmit_group(req)
-            return
-        if req.fallback and req.kind == "send":
-            # The offer itself may have been lost: repeat it.
-            yield from self._send_fb_rts(req)
-            return
-        proxy, msg = req.resend
-        yield from post_control(self.ctx, proxy, msg, kind=msg[0])
-
-    def _retransmit_group(self, greq: OffloadGroupRequest) -> None:
-        plan = greq.resend_plan
-        if plan is None:  # pragma: no cover - defensive
-            raise OffloadError("group retransmit without a saved plan")
-        if greq.needs_rebuild:
-            yield from self._rebuild_group(greq)
-            return
-        proxy = self.ctx.cluster.proxy_for_rank(self.rank)
-        if plan.sent_to_proxy and not plan.dirty:
-            yield from post_control(
-                self.ctx, proxy,
-                ("group_call", {"plan_id": plan.plan_id, "host_rank": self.rank,
-                                "req_id": greq.req_id,
-                                "call_no": greq.calls}),
-                kind="group_call",
-            )
-            return
-        packet = {
-            "plan_id": plan.plan_id,
-            "host_rank": self.rank,
-            "entries": plan.entries,
-            "req_id": greq.req_id,
-            "call_no": greq.calls,
-        }
-        nbytes = max(
-            self.params.ctrl_bytes,
-            len(plan.entries) * self.params.group_op_bytes,
-        )
-        yield from post_control(self.ctx, proxy, ("group_plan", packet),
-                                size=nbytes, kind="group_plan")
-        plan.sent_to_proxy = True
-        plan.dirty = False
-
-    def _rebuild_group(self, greq: OffloadGroupRequest) -> None:
-        """Stale-plan recovery: rebuild from scratch and ship the result.
-
-        The proxy faulted on a revoked key inside the plan, so the saved
-        entries are poison -- re-shipping them would fault again.  A
-        full rebuild runs the registrations back through the (since-
-        invalidated) caches and redoes the descriptor exchange; the
-        ``desc_id`` dedupe set is cleared first so peers' replayed
-        descriptors are accepted afresh.
-        """
-        greq.needs_rebuild = False
-        self.ctx.cluster.metrics.add("offload.group_rebuilds")
-        bus = self.ctx.cluster.bus
-        if bus is not None:
-            bus.emit("group", "rebuild", self.ctx.trace_name, call=greq.req_id)
-        self._gdesc_seen.clear()
-        proxy = self.ctx.cluster.proxy_for_rank(self.rank)
-        entries = yield from self._build_entries(greq, proxy)
-        if self.framework.group_caching:
-            plan = self.group_cache.insert(greq.signature(), entries)
-        else:
-            from repro.offload.group_cache import HostPlan, _plan_ids
-
-            plan = HostPlan(plan_id=next(_plan_ids), signature=greq.signature(),
-                            entries=entries)
-        greq.resend_plan = plan
-        packet = {
-            "plan_id": plan.plan_id,
-            "host_rank": self.rank,
-            "entries": plan.entries,
-            "req_id": greq.req_id,
-            "call_no": greq.calls,
-        }
-        nbytes = max(
-            self.params.ctrl_bytes,
-            len(plan.entries) * self.params.group_op_bytes,
-        )
-        yield from post_control(self.ctx, proxy, ("group_plan", packet),
-                                size=nbytes, kind="group_plan")
-        plan.sent_to_proxy = True
-        plan.dirty = False
-
-    # ------------------------------------------------------------------
-    # graceful degradation: the host-driven fallback path
-    # ------------------------------------------------------------------
-    def _engage_fallback(self, req: OffloadRequest) -> None:
-        """The proxy missed its liveness deadline: leave the offload path.
-
-        A send offers its (IB-registered) buffer straight to the peer
-        endpoint; the peer pulls with a host-initiated RDMA READ and
-        FINs back -- the classic host rendezvous, with no proxy in the
-        loop.  A receive degrades passively: it simply waits for the
-        sender's offer (or a revived proxy, whichever is first).
-        Logged, never fatal.
-        """
-        req.fallback = True
-        self.ctx.cluster.metrics.add("offload.fallbacks")
-        bus = self.ctx.cluster.bus
-        if bus is not None:
-            bus.emit("req", "fallback", self.ctx.trace_name, rid=req.req_id,
-                     kind=req.kind)
-        self.framework.fallback_log.append(
-            (round(self.sim.now, 9), self.rank, req.kind, req.req_id)
-        )
-        if req.kind == "send":
-            yield from self._send_fb_rts(req)
-
-    def _send_fb_rts(self, req: OffloadRequest) -> None:
-        handle = yield from self.ib_cache.get(req.addr, req.size)
-        peer_ep = self.framework.endpoint(req.peer)
-        self.ctx.cluster.metrics.add("offload.fb_rts")
-        yield from post_control(
-            self.ctx, peer_ep.ctx,
-            ("fb_rts", {
-                "src": self.rank, "dst": req.peer, "tag": req.tag,
-                "addr": req.addr, "size": req.size, "rkey": handle.rkey,
-                "src_req": req.req_id,
-            }),
-            inbox=peer_ep.inbox,
-            kind="fb_rts",
-        )
-
-    def _try_fb_matches(self) -> None:
-        """Serve queued fallback offers against my pending receives."""
-        if not self._fb_rts:
-            return
-        remaining = []
-        for fb in self._fb_rts:
-            if fb["src_req"] in self._fb_served:
-                # Duplicate offer for a pull already done: only the
-                # sender's FIN can have been lost -- resend it.
-                yield from self._send_fb_fin(fb["src"], fb["src_req"])
-                continue
-            req = self._match_fb(fb)
-            if req is None:
-                remaining.append(fb)
-                continue
-            yield from self._fb_pull(fb, req)
-        self._fb_rts = remaining
-
-    def _match_fb(self, fb: dict):
-        for req in self._pending.values():
-            if (
-                isinstance(req, OffloadRequest)
-                and req.kind == "recv"
-                and not req.complete
-                and req.peer == fb["src"]
-                and req.tag == fb["tag"]
-            ):
-                return req
-        return None
-
-    def _fb_pull(self, fb: dict, req: OffloadRequest) -> None:
-        """Host-initiated pull of a fallback offer into my receive buffer."""
-        if fb["size"] > req.size:
-            raise OffloadError(
-                f"fallback send of {fb['size']} bytes overflows receive of "
-                f"{req.size} (src={fb['src']} tag={fb['tag']})"
-            )
-        handle = yield from self.ib_cache.get(req.addr, req.size)
-        self.ctx.cluster.metrics.add("offload.fb_pulls")
-        attempt = 1
-        while True:
-            transfer = yield from rdma_read(
-                self.ctx,
-                lkey=handle.lkey,
-                local_addr=req.addr,
-                rkey=fb["rkey"],
-                remote_addr=fb["addr"],
-                size=fb["size"],
-            )
-            dv = yield transfer.completed
-            if getattr(dv, "via", "event") == "flow":
-                # Fluid hybrid mode: this CQE was signaled from a flow
-                # drain, not the exact chunk FSM (never hit in exact mode).
-                self.ctx.cluster.metrics.add("offload.flow_cqes")
-            if getattr(dv, "status", "ok") != "error":
-                break
-            attempt += 1
-            if attempt > self.retry.rdma_retry_limit:
-                raise OffloadError("fallback pull exceeded the RDMA re-post limit")
-            yield self.sim.timeout(self.retry.rdma_backoff * attempt)
-        req.fallback = True
-        self._fb_served[fb["src_req"]] = fb["src"]
-        self._complete_by_id(req.req_id)
-        yield from self._send_fb_fin(fb["src"], fb["src_req"])
-
-    def _send_fb_fin(self, src_rank: int, src_req: int) -> None:
-        """Complete the offering sender directly (its completion sink)."""
-        peer_ep = self.framework.endpoint(src_rank)
-        yield self.ctx.consume(self.ctx.hca.post_overhead("host"))
-        self.ctx.cluster.metrics.add("offload.fb_fins")
-        self.ctx.cluster.fabric.control(
-            src_node=self.ctx.node_id,
-            dst_node=peer_ep.ctx.node_id,
-            initiator="host",
-            inbox=peer_ep.completion_sink,
-            msg=src_req,
-            src_mem="host",
-            dst_mem="host",
-            kind="fb_fin",
-        )
 
     def waitall(self, reqs) -> None:
         for req in reqs:
@@ -831,68 +463,27 @@ class OffloadEndpoint:
         # (keeps cached plans from going stale; see group_cache).
         yield from self._drain_inbox()
 
-        proxy = self.ctx.cluster.proxy_for_rank(self.rank)
         caching = self.framework.group_caching
         plan = self.group_cache.lookup(greq.signature()) if caching else None
         metrics = self.ctx.cluster.metrics
-        bus = self.ctx.cluster.bus
-        if plan is not None and plan.sent_to_proxy and not plan.dirty:
-            metrics.add("offload.group_call_cached")
-            if bus is not None:
-                bus.emit("group", "call", self.ctx.trace_name, mode="cached",
-                         sig=plan.plan_id, call=greq.req_id)
-            if self.resilient:
-                greq.resend_plan = plan
-            greq.post_time = self.sim.now
-            yield from post_control(
-                self.ctx, proxy,
-                ("group_call", {"plan_id": plan.plan_id, "host_rank": self.rank,
-                                "req_id": greq.req_id,
-                                "call_no": greq.calls}),
-                kind="group_call",
-            )
-            if bus is not None:
-                bus.emit("group", "offloaded", self.ctx.trace_name,
-                         call=greq.req_id, sig=plan.plan_id)
-            return greq
-
         if plan is None:
+            mode = "build"
             metrics.add("offload.group_call_build")
-            entries = yield from self._build_entries(greq, proxy)
-            if caching:
-                plan = self.group_cache.insert(greq.signature(), entries)
-            else:
-                from repro.offload.group_cache import HostPlan, _plan_ids
-
-                plan = HostPlan(plan_id=next(_plan_ids), signature=greq.signature(),
-                                entries=entries)
-            if bus is not None:
-                bus.emit("group", "call", self.ctx.trace_name, mode="build",
-                         sig=plan.plan_id, call=greq.req_id)
+            plan = yield from self._build_plan(greq)
+        elif plan.sent_to_proxy and not plan.dirty:
+            mode = "cached"
+            metrics.add("offload.group_call_cached")
         else:
+            mode = "reship"
             metrics.add("offload.group_call_reship")
-            if bus is not None:
-                bus.emit("group", "call", self.ctx.trace_name, mode="reship",
-                         sig=plan.plan_id, call=greq.req_id)
-
-        packet = {
-            "plan_id": plan.plan_id,
-            "host_rank": self.rank,
-            "entries": plan.entries,
-            "req_id": greq.req_id,
-            "call_no": greq.calls,
-        }
-        nbytes = max(
-            self.params.ctrl_bytes,
-            len(plan.entries) * self.params.group_op_bytes,
-        )
-        if self.resilient:
+        bus = self.ctx.cluster.bus
+        if bus is not None:
+            bus.emit("group", "call", self.ctx.trace_name, mode=mode,
+                     sig=plan.plan_id, call=greq.req_id)
+        if self.recovery is not None:
             greq.resend_plan = plan
         greq.post_time = self.sim.now
-        yield from post_control(self.ctx, proxy, ("group_plan", packet),
-                                size=nbytes, kind="group_plan")
-        plan.sent_to_proxy = True
-        plan.dirty = False
+        yield from self._ship_plan(greq, plan)
         if bus is not None:
             bus.emit("group", "offloaded", self.ctx.trace_name,
                      call=greq.req_id, sig=plan.plan_id)
@@ -903,9 +494,36 @@ class OffloadEndpoint:
         yield from self.wait(greq)
 
     # ------------------------------------------------------------------
-    # group_call internals
+    # group_call internals: prepare (build through the caches) + ship
     # ------------------------------------------------------------------
-    def _build_entries(self, greq: OffloadGroupRequest, proxy: ProcessContext) -> list[dict]:
+    def _ship_plan(self, greq: OffloadGroupRequest, plan) -> None:
+        """Hand one call of ``plan`` to my proxy (a generator).
+
+        The request/plan ID alone when the proxy holds a current copy
+        (Section VII-D), else the whole matched queue as one contiguous
+        packet.
+        """
+        proxy = self.ctx.cluster.proxy_for_rank(self.rank)
+        packet = {"plan_id": plan.plan_id, "host_rank": self.rank,
+                  "req_id": greq.req_id, "call_no": greq.calls}
+        if plan.sent_to_proxy and not plan.dirty:
+            yield from post_control(self.ctx, proxy, ("group_call", packet),
+                                    kind="group_call")
+            return
+        packet["entries"] = plan.entries
+        nbytes = max(
+            self.params.ctrl_bytes,
+            len(plan.entries) * self.params.group_op_bytes,
+        )
+        yield from post_control(self.ctx, proxy, ("group_plan", packet),
+                                size=nbytes, kind="group_plan")
+        plan.sent_to_proxy = True
+        plan.dirty = False
+
+    def _build_plan(self, greq: OffloadGroupRequest):
+        """Cache miss: prepare the pattern (Fig 9's registration, descriptor
+        exchange and matching) and file it under a new plan ID."""
+        proxy = self.ctx.cluster.proxy_for_rank(self.rank)
         gvmi = gvmi_id_of(proxy)
         entries: list[dict] = []
         # Per-op bookkeeping cost of walking the recorded queue.
@@ -913,7 +531,6 @@ class OffloadEndpoint:
 
         # Pass 1: register local buffers; send my receive descriptors to
         # the hosts that will write into them.
-        needed: dict[tuple[int, int], int] = {}  # (dst=peer, tag) -> count needed
         staged = self.framework.mode == "staged"
         for op in greq.ops:
             if op.kind == "send":
@@ -935,7 +552,6 @@ class OffloadEndpoint:
                         "dst_addr": None, "rkey": None,  # resolved in pass 2
                     }
                 entries.append(entry)
-                needed[(op.peer, op.tag)] = needed.get((op.peer, op.tag), 0) + 1
             elif op.kind == "recv":
                 handle = yield from self.ib_cache.get(op.addr, op.size)
                 entries.append({
@@ -947,11 +563,8 @@ class OffloadEndpoint:
                     "src": op.peer, "dst": self.rank, "tag": op.tag,
                     "addr": op.addr, "size": op.size, "rkey": handle.rkey,
                 }
-                if self.resilient:
-                    # Stamp for receiver-side dedupe and keep for replay
-                    # should the sender ask (gdesc_req) after a loss.
-                    desc["desc_id"] = next(_desc_ids)
-                    self._gdesc_sent.setdefault((op.peer, op.tag), []).append(desc)
+                if self.recovery is not None:
+                    self.recovery.stamp_descriptor(desc)
                 yield from post_control(
                     self.ctx, peer_ep.ctx,
                     ("gdesc", desc),
@@ -983,43 +596,19 @@ class OffloadEndpoint:
                 )
             entry["dst_addr"] = desc["addr"]
             entry["rkey"] = desc["rkey"]
-        return entries
+        return self.group_cache.insert(greq.signature(), entries,
+                                       keep=self.framework.group_caching)
 
     def _await_descriptor(self, key: tuple[int, int]) -> dict:
         while True:
             bucket = self._recv_descs.get(key)
             if bucket:
                 return bucket.pop(0)
-            if not self.resilient:
+            if self.recovery is None:
                 item = yield self.inbox.get()
                 yield from self._handle_inbox_item(item)
             else:
-                yield from self._await_descriptor_resilient(key)
-
-    def _await_descriptor_resilient(self, key: tuple[int, int]) -> None:
-        """One bounded wait for a descriptor; nudges the peer on timeout.
-
-        The gdesc may have been dropped in flight, so the get races a
-        timeout; on expiry a ``gdesc_req`` asks the receiving endpoint to
-        replay everything it recorded for me under this (rank, tag).
-        """
-        timeout = self.retry.timeout
-        while not self._recv_descs.get(key):
-            get_ev = self.inbox.get()
-            yield self.sim.any_of([get_ev, self.sim.timeout(timeout)])
-            if get_ev.triggered:
-                yield from self._handle_inbox_item(get_ev.value)
-                return
-            self.inbox.cancel(get_ev)
-            peer_ep = self.framework.endpoint(key[0])
-            self.ctx.cluster.metrics.add("offload.gdesc_reqs")
-            yield from post_control(
-                self.ctx, peer_ep.ctx,
-                ("gdesc_req", {"src": self.rank, "tag": key[1]}),
-                inbox=peer_ep.inbox,
-                kind="gdesc_req",
-            )
-            timeout = min(timeout * self.retry.backoff, self.retry.max_timeout)
+                yield from self.recovery.await_descriptor(key)
 
     def _drain_inbox(self):
         while True:
@@ -1033,52 +622,13 @@ class OffloadEndpoint:
         yield self.ctx.consume(self.params.host_handler_cost)
         if kind == "gdesc":
             desc = item[1]
-            desc_id = desc.get("desc_id")
-            if desc_id is not None:
-                if desc_id in self._gdesc_seen:
-                    self.ctx.cluster.metrics.add("offload.dup_gdesc_dropped")
-                    return
-                self._gdesc_seen.add(desc_id)
+            if self.recovery is not None and self.recovery.duplicate_descriptor(desc):
+                return
             key = (desc["dst"], desc["tag"])
             self._recv_descs.setdefault(key, []).append(desc)
             # Patch cached plans if this supersedes an old descriptor.
             self.group_cache.patch_descriptor(desc["src"], desc["tag"], desc["dst"], desc)
-        elif kind == "gdesc_req":
-            info = item[1]
-            # A sender never saw one of my descriptors: replay everything
-            # recorded for it (desc_id dedupe on its side keeps this
-            # idempotent).
-            peer_ep = self.framework.endpoint(info["src"])
-            for desc in self._gdesc_sent.get((info["src"], info["tag"]), []):
-                self.ctx.cluster.metrics.add("offload.gdesc_replays")
-                yield from post_control(
-                    self.ctx, peer_ep.ctx, ("gdesc", desc),
-                    inbox=peer_ep.inbox, kind="gdesc",
-                )
-        elif kind == "plan_nack":
-            info = item[1]
-            self.ctx.cluster.metrics.add("offload.plan_nacks")
-            stale = info.get("stale", False)
-            if stale:
-                # The proxy faulted on a revoked key: the saved entries
-                # are poison, drop the plan entirely and force a full
-                # rebuild on the next retransmit.
-                self.group_cache.drop_plan(info["plan_id"])
-            else:
-                self.group_cache.invalidate(info["plan_id"])
-            req = self._pending.get(info["req_id"])
-            call_no = info.get("call_no")
-            if (req is not None and call_no is not None
-                    and getattr(req, "calls", call_no) != call_no):
-                # NACK for a superseded call of this re-used request.
-                return
-            plan = getattr(req, "resend_plan", None)
-            if plan is not None and plan.plan_id == info["plan_id"]:
-                plan.sent_to_proxy = False
-                plan.dirty = True
-                if stale:
-                    req.needs_rebuild = True
-        elif kind == "fb_rts":
-            self._fb_rts.append(item[1])
+        elif kind in self.extra_handlers:
+            yield from self.extra_handlers[kind](self, item[1])
         else:  # pragma: no cover - defensive
             raise OffloadError(f"endpoint: unknown inbox item {kind!r}")

@@ -35,7 +35,7 @@ class HostPlan:
 
     plan_id: int
     signature: tuple
-    #: Prepared entries (dicts; see api._build_entries for the schema).
+    #: Prepared entries (dicts; see api._build_plan for the schema).
     entries: list[dict]
     #: True once the proxy holds a current copy of the entries.
     sent_to_proxy: bool = False
@@ -76,10 +76,17 @@ class HostGroupCache:
             self.misses += 1
         return plan
 
-    def insert(self, signature: tuple, entries: list[dict]) -> HostPlan:
+    def insert(self, signature: tuple, entries: list[dict],
+               keep: bool = True) -> HostPlan:
+        """A fresh plan (new plan ID) for freshly built ``entries``.
+
+        ``keep=False`` is the ``group_caching=False`` ablation: the plan
+        still needs an ID to ship under, but is not filed for lookup.
+        """
         plan = HostPlan(plan_id=next(_plan_ids), signature=signature, entries=entries)
-        self._by_sig[signature] = plan
-        self._evict_over_capacity()
+        if keep:
+            self._by_sig[signature] = plan
+            self._evict_over_capacity()
         return plan
 
     def _evict_over_capacity(self) -> None:
@@ -173,7 +180,7 @@ class DpuPlanCache:
     With a ``capacity`` the least-recently-fetched plan is dropped on
     overflow.  A host calling an evicted plan by ID gets a plan_nack
     and re-ships the full entries -- which is why a bounded plan cache
-    requires resilient mode (docs/RESOURCES.md).
+    requires a RetryPolicy, checked at Init_Offload (docs/RESOURCES.md).
     """
 
     def __init__(self, ctx=None, capacity: Optional[int] = None) -> None:

@@ -72,54 +72,14 @@ class GroupExecutor:
         try:
             yield from self._run_inner()
         except StalePlanError as exc:
-            yield from self._abort_stale(exc)
-
-    def _abort_stale(self, exc: StalePlanError):
-        """Abandon this invocation: the plan touches revoked memory.
-
-        Drops the DPU copy of the plan, marks the launch record
-        replayable, and sends a ``stale``-flagged plan_nack so the host
-        rebuilds the plan from scratch (fresh registrations and
-        descriptors) instead of re-shipping the same stale entries.
-        Counter writes already issued stay valid: the relaunch replays
-        with the original sequence numbers and counter writes are
-        monotone.
-        """
-        engine = self.engine
-        host_rank = self.plan["host_rank"]
-        if not engine.resilient:
-            raise OffloadError(
-                f"group plan {self.plan['plan_id']} of host {host_rank} "
-                f"references a revoked registration: {exc.cause}"
-            ) from exc.cause
-        ctx = engine.ctx
-        ctx.cluster.metrics.add("proxy.stale_plans")
-        bus = ctx.cluster.bus
-        if bus is not None:
-            bus.emit("reg", "stale_use", ctx.trace_name,
-                     plan=self.plan["plan_id"], call=self.req_id)
-        rec = engine._group_launches.get(self.req_id)
-        if rec is not None:
-            # Not done, and no incarnation owns it: the retransmitted
-            # call relaunches with the ORIGINAL sequence numbers.
-            rec["incarnation"] = None
-        engine.plan_cache.drop(self.plan["plan_id"])
-        ep = engine.framework.endpoint(host_rank)
-        yield ctx.consume(ctx.hca.post_overhead("dpu"))
-        ctx.cluster.metrics.add("proxy.plan_nacks")
-        ctx.cluster.fabric.control(
-            src_node=ctx.node_id,
-            dst_node=ep.ctx.node_id,
-            initiator="dpu",
-            inbox=ep.inbox,
-            msg=("plan_nack", {"plan_id": self.plan["plan_id"],
-                               "req_id": self.req_id,
-                               "call_no": self.call_no,
-                               "stale": True}),
-            src_mem="dpu",
-            dst_mem="host",
-            kind="plan_nack",
-        )
+            recovery = self.engine.recovery
+            if recovery is None:
+                raise OffloadError(
+                    f"group plan {self.plan['plan_id']} of host "
+                    f"{self.plan['host_rank']} references a revoked "
+                    f"registration: {exc.cause}"
+                ) from exc.cause
+            yield from recovery.abort_stale(self)
 
     def _run_inner(self):
         engine = self.engine
@@ -163,41 +123,36 @@ class GroupExecutor:
                 engine.counters.clear((src, dst, seq))
 
         # Completion-counter RDMA write into host memory: Group_Wait
-        # observes it with zero host-side protocol work.  Routed through
-        # the engine so the "done" fact is recorded durably first (a
-        # replayed invocation then only resends this write).
-        yield from engine.finish_group(host_rank, self.req_id, self.call_no)
+        # observes it with zero host-side protocol work.  Recovery records
+        # the "done" fact durably first (a replayed invocation then only
+        # resends this write).
+        if engine.recovery is not None:
+            engine.recovery.mark_done(self.req_id, self.call_no)
+        yield from engine._send_group_completion(host_rank, self.req_id, self.call_no)
 
     # ------------------------------------------------------------------
     def _post_send(self, entry):
         """Post one send entry; returns its completion event (a generator)."""
         engine = self.engine
-        if engine.mode == "staged":
-            try:
-                done = yield from engine.staged_send_start(
+        try:
+            if engine.mode == "staged":
+                return (yield from engine.staged_send_start(
                     src_rkey=entry["src_rkey"], src_addr=entry["addr"],
                     size=entry["size"],
                     dst_rkey=entry["rkey"], dst_addr=entry["dst_addr"],
-                )
-            except ProtectionError as exc:
-                raise StalePlanError(self.plan["plan_id"], exc) from exc
-            return done
-        mkey2_key = entry.get("mkey2")
-        if mkey2_key is None:
-            try:
+                ))
+            mkey2_key = entry.get("mkey2")
+            if mkey2_key is None:
                 info = yield from engine.gvmi_cache.get(
                     self.plan["host_rank"], entry["gvmi_id"], entry["mkey"],
                     entry.get("reg_addr", entry["addr"]),
                     entry.get("reg_size", entry["size"]),
                 )
-            except ProtectionError as exc:
-                raise StalePlanError(self.plan["plan_id"], exc) from exc
-            mkey2_key = info.key
-            # Attach for future cached invocations (Section VII-D: "the
-            # group entry queue also contains the GVMI registration
-            # cache entry").
-            entry["mkey2"] = mkey2_key
-        try:
+                mkey2_key = info.key
+                # Attach for future cached invocations (Section VII-D: "the
+                # group entry queue also contains the GVMI registration
+                # cache entry").
+                entry["mkey2"] = mkey2_key
             transfer = yield from rdma_write(
                 self.engine.ctx,
                 lkey=mkey2_key,
@@ -207,8 +162,9 @@ class GroupExecutor:
                 size=entry["size"],
             )
         except ProtectionError as exc:
-            # The attached mkey2 (or the remote rkey) died since the
-            # plan was built: invalidate the attachment before aborting.
+            # A key the plan names -- or the mkey2 attached to the entry --
+            # died since the plan was built: invalidate the attachment
+            # (if any) before aborting.
             entry.pop("mkey2", None)
             raise StalePlanError(self.plan["plan_id"], exc) from exc
         return transfer.completed
@@ -240,38 +196,14 @@ class GroupExecutor:
             space.write(entry["dst_addr"], acc + inc)
 
     def _flush_segment(self, pending, send_set, host_rank, epoch):
-        """Wait for the segment's sends, then write counters to their peers.
-
-        Under fault injection a send can complete with an error CQE (no
-        bytes moved); those entries are re-posted with backoff until they
-        land or the re-post limit trips.
-        """
+        """Wait for the segment's sends, then write counters to their peers."""
         engine = self.engine
-        attempt = 1
-        while pending:
-            incomplete = [ev for _entry, ev in pending if not ev.processed]
-            if incomplete:
-                yield (PARK, engine.sim.all_of(incomplete))
-            if not engine.resilient:
-                break
-            failed = [
-                entry for entry, ev in pending
-                if getattr(ev.value, "status", "ok") == "error"
-            ]
-            if not failed:
-                break
-            if attempt > engine.retry.rdma_retry_limit:
-                raise OffloadError(
-                    f"group send segment of host {host_rank} exceeded "
-                    f"{engine.retry.rdma_retry_limit} RDMA re-posts"
-                )
-            engine.ctx.cluster.metrics.add("proxy.rdma_retries")
-            yield (PARK, engine.sim.timeout(engine.retry.rdma_backoff * attempt))
-            attempt += 1
-            pending = []
-            for entry in failed:
-                done = yield from self._post_send(entry)
-                pending.append((entry, done))
+        incomplete = [ev for _entry, ev in pending if not ev.processed]
+        if incomplete:
+            yield (PARK, engine.sim.all_of(incomplete))
+        if engine.recovery is not None:
+            # A send may have completed with an error CQE (no bytes moved).
+            yield from engine.recovery.repost_failed_sends(self, pending)
         if engine.params.counter_doorbell_batch and len(send_set) > 1:
             writes = [
                 (dst, (host_rank, dst, self.seqs[(host_rank, dst)]), epoch)
@@ -291,9 +223,9 @@ class GroupExecutor:
             key = (src, host_rank, seq)
             ev = engine.counters.wait(key, epoch)
             if not ev.processed:
-                # Chase a possibly-dropped counter write (no-op when the
-                # run is clean).
-                engine.arm_counter_probe(key, ev, writer_rank=src,
-                                         my_rank=host_rank)
+                if engine.recovery is not None:
+                    # Chase a possibly-dropped counter write.
+                    engine.recovery.arm_counter_probe(
+                        key, ev, writer_rank=src, my_rank=host_rank)
                 yield (PARK, ev)
             yield engine.ctx.consume(engine.params.dpu_handler_cost * 0.25)

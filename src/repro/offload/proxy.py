@@ -24,7 +24,7 @@ host ranks keeps making progress for the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from repro.hw.memory import OutOfMemoryError
@@ -35,7 +35,7 @@ from repro.offload.requests import OffloadError
 from repro.offload.staging import StagingChannel
 from repro.sim import Event, Interrupt
 from repro.verbs.mr import ProtectionError
-from repro.verbs.rdma import rdma_read, rdma_write, verbs_state
+from repro.verbs.rdma import rdma_read, rdma_write
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.offload.api import OffloadFramework
@@ -110,17 +110,6 @@ class _CounterSink:
         self.board.write(key, epoch)
 
 
-@dataclass
-class _PendingOp:
-    """One side of a Basic-primitive pair waiting for its match."""
-
-    kind: str  # "rts" | "rtr"
-    src: int
-    dst: int
-    tag: int
-    info: dict[str, Any] = field(default_factory=dict)
-
-
 class ProxyEngine:
     """Protocol engine of one DPU worker process."""
 
@@ -139,39 +128,29 @@ class ProxyEngine:
         self.staging = StagingChannel(ctx)
         self.counters = CounterBoard(self.sim)
         self.counter_sink = _CounterSink(self.counters)
-        #: Fig 8's request queues, keyed (src, dst, tag), FIFO within a key.
-        self._send_q: dict[tuple, list[_PendingOp]] = {}
-        self._recv_q: dict[tuple, list[_PendingOp]] = {}
+        #: Fig 8's request queues, keyed (src, dst, tag), FIFO within a
+        #: key; each entry is the RTS / RTR info dict awaiting its match.
+        self._send_q: dict[tuple, list[dict]] = {}
+        self._recv_q: dict[tuple, list[dict]] = {}
         #: Outbound per-(src,dst) group-call sequence numbers.
         self._seq_out: dict[tuple[int, int], int] = {}
         #: Inbound per-(src,dst) group-call sequence numbers.
         self._seq_in: dict[tuple[int, int], int] = {}
-        #: Extension point: front-ends (e.g. the SHMEM layer) register
-        #: extra inbox-item handlers here: kind -> generator(engine, payload).
+        #: Extension point: front-ends (the SHMEM layer, the recovery
+        #: policy) register extra inbox-item handlers here:
+        #: kind -> generator(engine, payload).
         self.extra_handlers: dict[str, object] = {}
-
-        # -- resilience state (see docs/FAULTS.md) ----------------------
-        self.retry = framework.retry
-        self.fault_plan = ctx.cluster.fault_plan
-        #: True when any fault/retry machinery is armed; every recovery
-        #: branch is gated on this so clean runs stay bit-identical.
-        self.resilient = framework.resilient
-        #: Bumped on kill; items tagged with an older incarnation belong
-        #: to a previous life of this worker and are discarded.
+        #: The recovery policy layer (repro.offload.recovery), installed
+        #: by the framework iff it has a RetryPolicy.  Every recovery
+        #: branch is one ``is not None`` test: clean runs stay bit-identical.
+        self.recovery = None
+        #: Bumped when recovery kills this worker; items tagged with an
+        #: older incarnation belong to a previous life and are discarded.
         self.incarnation = 0
         self.alive = True
-        #: Process-local (dies with the worker): parked executors and
-        #: the req_ids of in-flight basic pairs.
+        #: Executors parked on an event (Algorithm 1's return to the
+        #: progress engine); process-local, so it dies with the worker.
         self._parked: dict[Any, Event] = {}
-        self._live_reqs: set[int] = set()
-        #: DPU-DRAM durable records (survive kill/restart): FINs already
-        #: sent (req_id -> host rank, for idempotent resend), group
-        #: launches (req_id -> {seqs, incarnation, done}, for replay with
-        #: the original sequence numbers), and the last counter epoch
-        #: written per key (re-written when a peer probes for a loss).
-        self._fin_sent: dict[int, int] = {}
-        self._group_launches: dict[int, dict] = {}
-        self._counters_sent: dict[tuple, int] = {}
 
         self.sim.watchdog_probes.append(self._watchdog_report)
         self.process = self.sim.process(self._main_loop())
@@ -239,23 +218,17 @@ class ProxyEngine:
                 for item in batch:
                     kind = item[0]
                     if kind == "rts":
-                        yield from self._on_rts(item[1])
+                        yield from self._match(item[1], self._send_q, self._recv_q)
                     elif kind == "rtr":
-                        yield from self._on_rtr(item[1])
+                        yield from self._match(item[1], self._recv_q, self._send_q)
                     elif kind == "xfer_done":
                         yield from self._on_xfer_done(item[1])
-                    elif kind == "retry_xfer":
-                        yield from self._on_retry_xfer(item[1], item[2], item[3])
                     elif kind == "group_plan":
                         yield from self._on_group_plan(item[1])
                     elif kind == "group_call":
                         yield from self._on_group_call(item[1])
-                    elif kind == "staged_read":
-                        yield from self._on_staged_read(item[1], item[2], item[3])
                     elif kind == "staged_write":
-                        yield from self._on_staged_write(item[1], item[2], item[3])
-                    elif kind == "counter_probe":
-                        yield from self._on_counter_probe(item[1])
+                        yield from self._post_staged_write(item[1], 1, item[2])
                     elif kind == "resume":
                         if item[3] == self.incarnation:
                             yield from self._drive_executor(item[1], item[2])
@@ -269,109 +242,27 @@ class ProxyEngine:
                 return
 
     # ------------------------------------------------------------------
-    # fault injection: kill / restart
-    # ------------------------------------------------------------------
-    def kill(self) -> None:
-        """Crash this worker process (chaos testing).
-
-        Process-local state dies with it: the RTS/RTR matching queues,
-        in-flight pair tracking, parked executors.  What lives in DPU
-        DRAM survives for the next incarnation: the plan cache, counter
-        board, sequence counters, staging pool, and the durable
-        FIN/launch/counter records used for idempotent recovery.
-        """
-        if not self.alive:
-            return
-        self.alive = False
-        self.incarnation += 1
-        self._send_q.clear()
-        self._recv_q.clear()
-        self._live_reqs.clear()
-        self._parked.clear()
-        self.ctx.cluster.metrics.add("proxy.kills")
-        bus = self.ctx.cluster.bus
-        if bus is not None:
-            bus.emit("proxy", "kill", self.ctx.trace_name,
-                     incarnation=self.incarnation)
-        # Fluid mode: this worker's in-flight bulk flows die with its
-        # QPs.  Each aborts into a flush-error CQE; the dead
-        # incarnation's watchers discard it, and the host-side
-        # retransmit / group-replay machinery redoes the work against
-        # the next incarnation.
-        fabric = self.ctx.cluster.fabric
-        if fabric.flow_engine is not None:
-            aborted = fabric.abort_flows(self.ctx)
-            if aborted:
-                self.ctx.cluster.metrics.add("proxy.flows_aborted", aborted)
-        if self.process.is_alive:
-            self.process.interrupt("proxy killed")
-
-    def restart(self) -> None:
-        """Boot a fresh worker over the surviving DPU-DRAM state."""
-        if self.alive:
-            return
-        self.alive = True
-        self.ctx.cluster.metrics.add("proxy.restarts")
-        bus = self.ctx.cluster.bus
-        if bus is not None:
-            bus.emit("proxy", "restart", self.ctx.trace_name,
-                     incarnation=self.incarnation)
-        self.process = self.sim.process(self._main_loop())
-        self.process.name = f"proxy{self.ctx.global_id}.inc{self.incarnation}"
-
-    # ------------------------------------------------------------------
     # Basic primitives: RTS/RTR matching (Fig 8)
     # ------------------------------------------------------------------
-    def _dup_ctrl_handled(self, info: dict):
-        """Idempotent receive of a (possibly retransmitted) RTS/RTR.
-
-        Returns True when the message is a duplicate and has been fully
-        handled: already-finished requests get their FIN resent (the
-        original FIN may have been the loss that triggered the
-        retransmit); requests still queued or in flight are dropped.
-        Generator -- the FIN resend pays post overhead.
-        """
-        req_id = info["req_id"]
-        if req_id in self._fin_sent:
-            yield from self._resend_fin(req_id)
-            return True
-        if req_id in self._live_reqs:
-            self.ctx.cluster.metrics.add("proxy.dup_ctrl_dropped")
-            return True
-        self._live_reqs.add(req_id)
-        return False
-
-    def _on_rts(self, info: dict) -> None:
+    def _match(self, info: dict, own_q: dict, other_q: dict) -> None:
+        """One arriving RTS (``own_q`` is the send queue) or RTR (the
+        receive queue): search the other side's queue, pair up or wait."""
         key = (info["src"], info["dst"], info["tag"])
         yield self.ctx.consume(self.params.dpu_match_cost)
-        if self.resilient and (yield from self._dup_ctrl_handled(info)):
+        if self.recovery is not None and (
+                yield from self.recovery.duplicate_ctrl(info)):
             return
-        recvs = self._recv_q.get(key)
-        if recvs:
-            rtr = recvs.pop(0)
-            if not recvs:
-                del self._recv_q[key]
-            yield from self._process_pair(info, rtr.info)
-        else:
-            self._send_q.setdefault(key, []).append(
-                _PendingOp("rts", info["src"], info["dst"], info["tag"], info)
-            )
-
-    def _on_rtr(self, info: dict) -> None:
-        key = (info["src"], info["dst"], info["tag"])
-        yield self.ctx.consume(self.params.dpu_match_cost)
-        if self.resilient and (yield from self._dup_ctrl_handled(info)):
+        waiting = other_q.get(key)
+        if not waiting:
+            own_q.setdefault(key, []).append(info)
             return
-        sends = self._send_q.get(key)
-        if sends:
-            rts = sends.pop(0)
-            if not sends:
-                del self._send_q[key]
-            yield from self._process_pair(rts.info, info)
+        peer = waiting.pop(0)
+        if not waiting:
+            del other_q[key]
+        if own_q is self._send_q:
+            yield from self._process_pair(info, peer)
         else:
-            self._recv_q.setdefault(key, []).append(
-                _PendingOp("rtr", info["src"], info["dst"], info["tag"], info)
-            )
+            yield from self._process_pair(peer, info)
 
     def _process_pair(self, rts: dict, rtr: dict) -> None:
         """A matched send/recv: move the bytes on the hosts' behalf.
@@ -393,35 +284,16 @@ class ProxyEngine:
         pair = {"rts": rts, "rtr": rtr}
         yield from self._post_pair_transfer(pair, attempt=1)
 
-    def _note_cqe(self, dv) -> None:
-        """Account which engine signaled a completed WQE.
-
-        In fluid hybrid mode a bulk transfer's CQE is fired from a flow
-        drain instead of the exact port walk; counting those here lets
-        the differential harness confirm the proxy's completions really
-        rode the FlowEngine.  Exact runs never take the branch, so clean
-        metrics snapshots are untouched.
-        """
-        if getattr(dv, "via", "event") == "flow":
-            self.ctx.cluster.metrics.add("proxy.flow_cqes")
-
     def _post_pair_transfer(self, pair: dict, attempt: int) -> None:
         rts, rtr = pair["rts"], pair["rtr"]
-        if self.mode == "staged":
-            try:
+        try:
+            if self.mode == "staged":
                 done = yield from self.staged_send_start(
                     src_rkey=rts["rkey"], src_addr=rts["addr"], size=rts["size"],
                     dst_rkey=rtr["rkey"], dst_addr=rtr["addr"],
                     pair=pair,
                 )
-            except OutOfMemoryError as exc:
-                yield from self._degrade_pair(pair, exc)
-                return
-            except ProtectionError as exc:
-                yield from self._on_stale_pair(pair, exc)
-                return
-        else:
-            try:
+            else:
                 mkey2 = yield from self.gvmi_cache.get(
                     rts["src"], rts["gvmi_id"], rts["mkey"],
                     rts.get("reg_addr", rts["addr"]), rts.get("reg_size", rts["size"]),
@@ -434,42 +306,39 @@ class ProxyEngine:
                     dst_addr=rtr["addr"],
                     size=rts["size"],
                 )
-            except ProtectionError as exc:
-                yield from self._on_stale_pair(pair, exc)
-                return
-            done = transfer.completed
-        inc = self.incarnation
+                done = transfer.completed
+        except ProtectionError as exc:
+            yield from self._pair_key_fault(pair, exc)
+            return
+        except OutOfMemoryError as exc:  # only staging allocates DPU DRAM
+            yield from self._pair_out_of_memory(pair, exc)
+            return
+        # The staged path re-posts its own legs and completes with status ok.
+        done.callbacks.append(
+            partial(self._on_cqe, "pair", pair, attempt, self.incarnation))
 
-        def _watch_cb(ev):
-            # Direct completion callback on the CQE event (no watcher
-            # process).  Error CQE (fault injection): back off, then
-            # re-post through the inbox so the retry stays
-            # ARM-serialized.  The staged path retries its legs itself
-            # and completes with status ok.
-            dv = ev.value
-            self._note_cqe(dv)
-            if self.resilient and getattr(dv, "status", "ok") == "error":
-                backoff = self.sim.timeout(self.retry.rdma_backoff * attempt)
-                backoff.callbacks.append(
-                    lambda _t: self.ctx.inbox.put(
-                        ("retry_xfer", pair, attempt + 1, inc))
-                )
-            else:
-                self.ctx.inbox.put(("xfer_done", pair))
-
-        done.callbacks.append(_watch_cb)
-
-    def _on_retry_xfer(self, pair: dict, attempt: int, inc: int) -> None:
-        if inc != self.incarnation:
-            return  # a previous life's transfer; the retransmit redoes it
-        if attempt > self.retry.rdma_retry_limit:
-            raise OffloadError(
-                f"basic pair src={pair['rts']['src']} dst={pair['rtr']['dst']} "
-                f"tag={pair['rts']['tag']} exceeded "
-                f"{self.retry.rdma_retry_limit} RDMA re-posts"
-            )
-        self.ctx.cluster.metrics.add("proxy.rdma_retries")
-        yield from self._post_pair_transfer(pair, attempt)
+    def _on_cqe(self, leg: str, state: dict, attempt: int, inc: int, ev) -> None:
+        """A posted transfer completed: a direct callback on the CQE event
+        (no watcher process) that hands the next step to the inbox, so
+        all ARM work stays serialized through the main loop.  ``leg`` is
+        ``"pair"`` (a basic pair's data landed), ``"read"`` (staged source
+        leg: the write leg is next) or ``"write"`` (staged transfer done).
+        """
+        dv = ev.value
+        if getattr(dv, "via", "event") == "flow":
+            # Fluid hybrid mode: the CQE was fired from a flow drain, not
+            # the exact port walk; the differential harness counts these
+            # to confirm completions really rode the FlowEngine.
+            self.ctx.cluster.metrics.add("proxy.flow_cqes")
+        if self.recovery is not None and getattr(dv, "status", "ok") == "error":
+            self.recovery.repost_after_error(leg, state, attempt, inc)
+        elif leg == "pair":
+            self.ctx.inbox.put(("xfer_done", state))
+        elif leg == "read":
+            self.ctx.inbox.put(("staged_write", state, inc))
+        else:
+            self.staging.release(state["buf"])
+            state["done"].succeed(None)
 
     # ------------------------------------------------------------------
     # staged transfers (Fig 6's bounce path; used by BluesMPI-style mode)
@@ -523,46 +392,15 @@ class ProxyEngine:
         )
         if lazy:
             st["payload_src"] = read.payload_src
-        inc = self.incarnation
+        read.completed.callbacks.append(
+            partial(self._on_cqe, "read", st, attempt, self.incarnation))
 
-        def _after_read_cb(ev):
-            dv = ev.value
-            self._note_cqe(dv)
-            if self.resilient and dv.status == "error":
-                backoff = self.sim.timeout(self.retry.rdma_backoff * attempt)
-                backoff.callbacks.append(
-                    lambda _t: self.ctx.inbox.put(
-                        ("staged_read", st, attempt + 1, inc))
-                )
-            else:
-                self.ctx.inbox.put(("staged_write", st, 1, inc))
-
-        read.completed.callbacks.append(_after_read_cb)
-
-    def _release_stale(self, st: dict) -> None:
-        """Return a dead incarnation's bounce buffer to the pool (once)."""
-        if not st.get("released"):
-            st["released"] = True
-            self.staging.release(st["buf"])
-
-    def _on_staged_read(self, st: dict, attempt: int, inc: int) -> None:
+    def _post_staged_write(self, st: dict, attempt: int, inc: int) -> None:
         if inc != self.incarnation:
-            self._release_stale(st)
+            # The read leg of a worker that has died since (only the
+            # recovery layer kills workers).
+            self.recovery.release_stale(st)
             return
-        if attempt > self.retry.rdma_retry_limit:
-            raise OffloadError("staged RDMA read exceeded the re-post limit")
-        self.ctx.cluster.metrics.add("proxy.rdma_retries")
-        yield from self._post_staged_read(st, attempt)
-
-    def _on_staged_write(self, st: dict, attempt: int, inc: int) -> None:
-        if inc != self.incarnation:
-            self._release_stale(st)
-            return
-        if attempt > 1:
-            # Only resilient runs ever enqueue a re-post (attempt > 1).
-            if attempt > self.retry.rdma_retry_limit:
-                raise OffloadError("staged RDMA write exceeded the re-post limit")
-            self.ctx.cluster.metrics.add("proxy.rdma_retries")
         try:
             write = yield from rdma_write(
                 self.ctx,
@@ -578,148 +416,76 @@ class ProxyEngine:
             # write legs).  Recover at pair granularity when we can.
             self.staging.release(st["buf"])
             if st.get("pair") is not None:
-                yield from self._on_stale_pair(st["pair"], exc)
+                yield from self._pair_key_fault(st["pair"], exc)
                 return
             raise
-
-        def _after_write_cb(ev):
-            dv = ev.value
-            self._note_cqe(dv)
-            if self.resilient and dv.status == "error":
-                backoff = self.sim.timeout(self.retry.rdma_backoff * attempt)
-                backoff.callbacks.append(
-                    lambda _t: self.ctx.inbox.put(
-                        ("staged_write", st, attempt + 1, inc))
-                )
-                return
-            self.staging.release(st["buf"])
-            st["done"].succeed(None)
-
-        write.completed.callbacks.append(_after_write_cb)
+        write.completed.callbacks.append(
+            partial(self._on_cqe, "write", st, attempt, inc))
 
     def _on_xfer_done(self, pair: dict) -> None:
         """Data landed: send FIN completion writes to both host processes."""
-        fw = self.framework
-        for side in ("rts", "rtr"):
-            info = pair[side]
-            host_rank = info["src"] if side == "rts" else info["dst"]
+        for info, host_rank in ((pair["rts"], pair["rts"]["src"]),
+                                (pair["rtr"], pair["rtr"]["dst"])):
             req_id = info["req_id"]
-            if self.resilient:
-                self._live_reqs.discard(req_id)
-                self._fin_sent[req_id] = host_rank
-            ep = fw.endpoint(host_rank)
+            if self.recovery is not None:
+                self.recovery.fin_sent(req_id, host_rank)
+            ep = self.framework.endpoint(host_rank)
             yield self.ctx.consume(self.ctx.hca.post_overhead("dpu"))
-            self.ctx.cluster.metrics.add("proxy.fin_writes")
             bus = self.ctx.cluster.bus
             if bus is not None:
                 bus.emit("proxy", "fin", self.ctx.trace_name,
                          rid=req_id, to=host_rank)
-            self.ctx.cluster.fabric.control(
-                src_node=self.ctx.node_id,
-                dst_node=ep.ctx.node_id,
-                initiator="dpu",
-                inbox=ep.completion_sink,
-                msg=req_id,
-                src_mem="dpu",
-                dst_mem="host",
-                kind="fin",
-            )
+            self._control_write(ep.ctx, ep.completion_sink, req_id, "fin",
+                                "proxy.fin_writes")
 
-    def _resend_fin(self, req_id: int) -> None:
-        """A duplicate RTS/RTR for a finished request: the FIN was lost."""
-        host_rank = self._fin_sent[req_id]
-        ep = self.framework.endpoint(host_rank)
-        yield self.ctx.consume(self.ctx.hca.post_overhead("dpu"))
-        self.ctx.cluster.metrics.add("proxy.fin_resends")
+    def _control_write(self, target: ProcessContext, inbox, msg, kind: str,
+                       metric: str, size: int = None) -> None:
+        """One control write from this ARM core into ``inbox`` -- a host
+        endpoint's sink or a peer proxy's -- counted as ``metric``; the
+        caller has paid ``post_overhead("dpu")``.  Not
+        :func:`post_control`: that would also count it under
+        ``ctrl.dpu_to_*``, which the benchmark ledger adds *to*
+        ``proxy.fin_writes`` and ``proxy.group_completions``.
+        """
+        self.ctx.cluster.metrics.add(metric)
         self.ctx.cluster.fabric.control(
             src_node=self.ctx.node_id,
-            dst_node=ep.ctx.node_id,
+            dst_node=target.node_id,
             initiator="dpu",
-            inbox=ep.completion_sink,
-            msg=req_id,
+            inbox=inbox,
+            msg=msg,
+            size=size,
             src_mem="dpu",
-            dst_mem="host",
-            kind="fin",
+            dst_mem=target.kind,  # ProcessContext.mem_kind, minus the property call
+            kind=kind,
         )
 
     # ------------------------------------------------------------------
-    # resource governance: stale keys and memory exhaustion
+    # loud failures of the bare protocol: stale keys, memory exhaustion
     # ------------------------------------------------------------------
-    def _on_stale_pair(self, pair: dict, exc: ProtectionError) -> None:
+    def _pair_key_fault(self, pair: dict, exc: ProtectionError) -> None:
         """A matched pair faulted on a revoked key at WQE post.
 
         The host freed (or its cache evicted) the registration after
         posting the control message -- the race the epoch protocol
-        exists for.  Probe which side is stale, requeue the surviving
-        side at the FRONT of its queue (so the recovered repost matches
-        it), and nack the stale side so its Wait re-registers and
-        re-posts.  Non-resilient runs fail loudly instead of silently
+        exists for.  A bare framework fails loudly instead of silently
         writing through recycled memory.
         """
-        rts, rtr = pair["rts"], pair["rtr"]
+        rts = pair["rts"]
         self.ctx.cluster.metrics.add("proxy.stale_keys")
         bus = self.ctx.cluster.bus
         if bus is not None:
             bus.emit("reg", "stale_use", self.ctx.trace_name,
                      src=rts["src"], dst=rts["dst"], tag=rts["tag"])
-        keys = verbs_state(self.ctx.cluster).keys
-        if self.mode == "staged":
-            send_live = keys.is_live(rts["rkey"])
-        else:
-            send_live = keys.is_live(rts["mkey"])
-            # Drop the cached cross-registration so recovery registers
-            # a fresh chain rather than rediscovering the stale one.
-            self.gvmi_cache.invalidate(
-                rts["src"],
-                rts.get("reg_addr", rts["addr"]),
-                rts.get("reg_size", rts["size"]),
-            )
-        recv_live = keys.is_live(rtr["rkey"])
-        if not self.resilient:
+        if self.recovery is None:
             raise OffloadError(
                 f"stale registration in offloaded pair src={rts['src']} "
                 f"dst={rts['dst']} tag={rts['tag']}: {exc}"
             ) from exc
-        if send_live and recv_live:
-            # Only the mkey2 was stale (e.g. evicted under DPU memory
-            # pressure): one re-post cross-registers afresh.
-            if pair.get("stale_retries", 0) >= 1:
-                raise OffloadError(
-                    f"pair src={rts['src']} dst={rts['dst']} tag={rts['tag']} "
-                    f"keeps faulting with live endpoint keys: {exc}"
-                ) from exc
-            pair["stale_retries"] = pair.get("stale_retries", 0) + 1
-            yield from self._post_pair_transfer(pair, attempt=1)
-            return
-        key = (rts["src"], rts["dst"], rts["tag"])
-        if send_live:
-            self._send_q.setdefault(key, []).insert(
-                0, _PendingOp("rts", rts["src"], rts["dst"], rts["tag"], rts)
-            )
-        if recv_live:
-            self._recv_q.setdefault(key, []).insert(
-                0, _PendingOp("rtr", rtr["src"], rtr["dst"], rtr["tag"], rtr)
-            )
-        for info, host_rank, live in (
-            (rts, rts["src"], send_live),
-            (rtr, rtr["dst"], recv_live),
-        ):
-            if live:
-                continue
-            # Forget the request so the recovered repost (same req_id,
-            # fresh keys) is not dropped as a duplicate.
-            self._live_reqs.discard(info["req_id"])
-            yield from self._nack_recovery(host_rank, "stale_key",
-                                           info["req_id"], kind="stale_nack")
+        yield from self.recovery.on_stale_pair(pair, exc)
 
-    def _degrade_pair(self, pair: dict, exc: OutOfMemoryError) -> None:
-        """DPU DRAM exhausted: this pair cannot be staged.
-
-        Resilient runs push the sender onto the host-driven fallback
-        path (mirroring the proxy-death degradation of PR 1); the pair's
-        req_ids stay in ``_live_reqs`` so control retransmits are
-        dropped quietly while the hosts finish over the fallback.
-        """
+    def _pair_out_of_memory(self, pair: dict, exc: OutOfMemoryError) -> None:
+        """DPU DRAM exhausted: this pair cannot be staged."""
         rts = pair["rts"]
         self.ctx.cluster.metrics.add("proxy.oom_degrades")
         bus = self.ctx.cluster.bus
@@ -727,31 +493,13 @@ class ProxyEngine:
             bus.emit("proxy", "degrade", self.ctx.trace_name,
                      src=rts["src"], dst=rts["dst"], tag=rts["tag"],
                      size=rts["size"])
-        if not self.resilient:
+        if self.recovery is None:
             raise OffloadError(
                 f"proxy {self.ctx.global_id} out of staging memory for pair "
                 f"src={rts['src']} dst={rts['dst']} tag={rts['tag']} "
                 f"({exc})"
             ) from exc
-        yield from self._nack_recovery(rts["src"], "oom_nack",
-                                       rts["req_id"], kind="oom_nack")
-
-    def _nack_recovery(self, host_rank: int, what: str, req_id: int,
-                       kind: str) -> None:
-        """Deliver a recovery notification to a host endpoint's sink."""
-        ep = self.framework.endpoint(host_rank)
-        yield self.ctx.consume(self.ctx.hca.post_overhead("dpu"))
-        self.ctx.cluster.metrics.add(f"proxy.{kind}s")
-        self.ctx.cluster.fabric.control(
-            src_node=self.ctx.node_id,
-            dst_node=ep.ctx.node_id,
-            initiator="dpu",
-            inbox=ep.recovery_sink,
-            msg=(what, {"req_id": req_id}),
-            src_mem="dpu",
-            dst_mem="host",
-            kind=kind,
-        )
+        yield from self.recovery.degrade_pair(pair)
 
     # ------------------------------------------------------------------
     # Group primitives (Figs 9-10, Algorithm 1)
@@ -776,31 +524,14 @@ class ProxyEngine:
         """Request-ID-only invocation (host cache hit, Section VII-D)."""
         plan = self.plan_cache.fetch(packet["plan_id"])
         if plan is None:
-            if self.resilient:
-                # The plan never made it here (a dropped group_plan, or a
-                # group_call racing ahead of it): NACK so the host marks
-                # its cached copy stale and re-ships the full plan on the
-                # next retransmit.
-                self.ctx.cluster.metrics.add("proxy.plan_nacks")
-                ep = self.framework.endpoint(packet["host_rank"])
-                yield self.ctx.consume(self.ctx.hca.post_overhead("dpu"))
-                self.ctx.cluster.fabric.control(
-                    src_node=self.ctx.node_id,
-                    dst_node=ep.ctx.node_id,
-                    initiator="dpu",
-                    inbox=ep.inbox,
-                    msg=("plan_nack", {"plan_id": packet["plan_id"],
-                                       "req_id": packet["req_id"],
-                                       "call_no": packet.get("call_no")}),
-                    src_mem="dpu",
-                    dst_mem="host",
-                    kind="plan_nack",
+            if self.recovery is None:
+                raise OffloadError(
+                    f"group_call for unknown plan {packet['plan_id']} "
+                    f"(host cache believed the proxy had it)"
                 )
-                return
-            raise OffloadError(
-                f"group_call for unknown plan {packet['plan_id']} "
-                f"(host cache believed the proxy had it)"
-            )
+            yield from self.recovery.plan_nack(packet["host_rank"], packet["plan_id"],
+                                               packet["req_id"], packet.get("call_no"))
+            return
         yield from self._launch_plan(plan, packet["req_id"], cached=True,
                                      call_no=packet.get("call_no", 1))
 
@@ -809,40 +540,15 @@ class ProxyEngine:
         from repro.offload.group_exec import GroupExecutor
 
         host_rank = plan["host_rank"]
-        rec = self._group_launches.get(req_id) if self.resilient else None
-        if rec is not None and rec.get("call_no", 1) != call_no:
-            if call_no < rec.get("call_no", 1):
-                # Duplicate of an already-superseded call: its FIN is the
-                # only thing the host could still be missing.
-                yield from self._send_group_completion(host_rank, req_id,
-                                                       call_no)
+        seqs = None
+        if self.recovery is not None:
+            # Idempotent launch: a retransmitted or replayed invocation
+            # may need no executor at all (False), or the ORIGINAL
+            # sequence numbers of the launch a kill interrupted.
+            seqs = yield from self.recovery.relaunch(plan, req_id, call_no)
+            if seqs is False:
                 return
-            # A recorded pattern being re-called: a fresh invocation, not
-            # a replay of the finished one -- launch anew with new seqs.
-            rec = None
-        if rec is not None:
-            if rec["done"]:
-                # Finished in an earlier life/attempt: the completion
-                # write must have been lost -- resend it idempotently.
-                yield from self._send_group_completion(host_rank, req_id,
-                                                       call_no)
-                return
-            if rec["incarnation"] == self.incarnation:
-                # Duplicate invocation while the executor still runs.
-                self.ctx.cluster.metrics.add("proxy.dup_ctrl_dropped")
-                return
-            # Killed mid-run: replay with the ORIGINAL per-pair sequence
-            # numbers so peer proxies' (src, dst, seq) counter keys still
-            # line up with what they already wrote or await.
-            rec["incarnation"] = self.incarnation
-            seqs = dict(rec["seqs"])
-            self.ctx.cluster.metrics.add("proxy.group_replays")
-            if self.ctx.cluster.bus is not None:
-                self.ctx.cluster.bus.emit(
-                    "group", "replay", self.ctx.trace_name,
-                    plan=plan["plan_id"], call=req_id,
-                )
-        else:
+        if seqs is None:
             seqs = {}
             for entry in plan["entries"]:
                 if entry["kind"] == "send":
@@ -855,13 +561,8 @@ class ProxyEngine:
                     if pair not in seqs:
                         self._seq_in[pair] = self._seq_in.get(pair, 0) + 1
                         seqs[pair] = self._seq_in[pair]
-            if self.resilient:
-                self._group_launches[req_id] = {
-                    "seqs": dict(seqs),
-                    "incarnation": self.incarnation,
-                    "done": False,
-                    "call_no": call_no,
-                }
+            if self.recovery is not None:
+                self.recovery.record_launch(req_id, seqs, call_no)
         executor = GroupExecutor(self, plan, req_id, seqs, cached=cached,
                                  call_no=call_no)
         self.ctx.cluster.metrics.add("proxy.group_plans_cached" if cached else "proxy.group_plans_full")
@@ -871,31 +572,13 @@ class ProxyEngine:
                      plan=plan["plan_id"], call=req_id, cached=cached)
         yield from self._drive_executor(executor, None)
 
-    def finish_group(self, host_rank: int, req_id: int, call_no: int = 1):
-        """Executor epilogue: durably mark done, then write completion."""
-        if self.resilient:
-            rec = self._group_launches.get(req_id)
-            if rec is not None and rec.get("call_no", 1) == call_no:
-                rec["done"] = True
-        yield from self._send_group_completion(host_rank, req_id, call_no)
-
     def _send_group_completion(self, host_rank: int, req_id: int,
                                call_no: int = 1):
         """Completion-counter RDMA write into host memory (Group_Wait)."""
         ep = self.framework.endpoint(host_rank)
         yield self.ctx.consume(self.ctx.hca.post_overhead("dpu"))
-        self.ctx.cluster.metrics.add("proxy.group_completions")
-        self.ctx.cluster.fabric.control(
-            src_node=self.ctx.node_id,
-            dst_node=ep.ctx.node_id,
-            initiator="dpu",
-            inbox=ep.completion_sink,
-            msg=(req_id, call_no),
-            size=8,
-            src_mem="dpu",
-            dst_mem="host",
-            kind="fin",
-        )
+        self._control_write(ep.ctx, ep.completion_sink, (req_id, call_no),
+                            "fin", "proxy.group_completions", size=8)
 
     def _drive_executor(self, executor, send_value) -> None:
         """Advance an executor until it finishes or parks (Alg 1's 'break')."""
@@ -930,24 +613,11 @@ class ProxyEngine:
     def write_counter_to(self, dst_rank: int, key: tuple, epoch: int):
         """RDMA-write a barrier counter to ``dst_rank``'s proxy (a generator)."""
         peer = self.ctx.cluster.proxy_for_rank(dst_rank)
-        peer_engine = self.framework.proxy_engine(peer)
-        if self.resilient:
-            # Durable record: a peer probing for a lost write gets this
-            # epoch re-written (see _on_counter_probe).
-            self._counters_sent[key] = max(self._counters_sent.get(key, 0), epoch)
+        if self.recovery is not None:
+            self.recovery.counter_written(key, epoch)
         yield self.ctx.consume(self.ctx.hca.post_overhead("dpu"))
-        self.ctx.cluster.metrics.add("proxy.counter_writes")
-        self.ctx.cluster.fabric.control(
-            src_node=self.ctx.node_id,
-            dst_node=peer.node_id,
-            initiator="dpu",
-            inbox=peer_engine.counter_sink,
-            msg=(key, epoch),
-            size=8,
-            src_mem="dpu",
-            dst_mem="dpu",
-            kind="counter",
-        )
+        self._control_write(peer, self.framework.proxy_engine(peer).counter_sink,
+                            (key, epoch), "counter", "proxy.counter_writes", size=8)
 
     def write_counters_batch(self, writes):
         """Chained counter post: one doorbell arms many WQEs (a generator).
@@ -963,65 +633,11 @@ class ProxyEngine:
         self.ctx.cluster.metrics.add("proxy.counter_doorbells")
         for dst_rank, key, epoch in writes:
             peer = self.ctx.cluster.proxy_for_rank(dst_rank)
-            peer_engine = self.framework.proxy_engine(peer)
-            if self.resilient:
-                self._counters_sent[key] = max(self._counters_sent.get(key, 0), epoch)
-            self.ctx.cluster.metrics.add("proxy.counter_writes")
-            self.ctx.cluster.fabric.control(
-                src_node=self.ctx.node_id,
-                dst_node=peer.node_id,
-                initiator="dpu",
-                inbox=peer_engine.counter_sink,
-                msg=(key, epoch),
-                size=8,
-                src_mem="dpu",
-                dst_mem="dpu",
-                kind="counter",
-            )
-
-    def arm_counter_probe(self, key: tuple, ev: Event,
-                          writer_rank: int, my_rank: int) -> None:
-        """Chase a possibly-lost counter write while ``ev`` is unfired.
-
-        Spawns a prober that, with backoff, asks the proxy serving
-        ``writer_rank`` to re-write counter ``key`` toward ``my_rank``'s
-        proxy (this engine).  No-op on clean runs.
-        """
-        if not self.resilient or self.fault_plan is None or ev.triggered:
-            return
-        peer = self.ctx.cluster.proxy_for_rank(writer_rank)
-        inc = self.incarnation
-
-        def _prober():
-            delay = self.retry.counter_probe_after
-            while True:
-                yield self.sim.timeout(delay)
-                if ev.triggered or self.incarnation != inc or not self.alive:
-                    return
-                self.ctx.cluster.metrics.add("proxy.counter_probes")
-                self.ctx.cluster.fabric.control(
-                    src_node=self.ctx.node_id,
-                    dst_node=peer.node_id,
-                    initiator="dpu",
-                    inbox=peer.inbox,
-                    msg=("counter_probe", {"key": key, "rank": my_rank}),
-                    size=16,
-                    src_mem="dpu",
-                    dst_mem="dpu",
-                    kind="counter_probe",
-                )
-                delay = min(delay * self.retry.backoff, 4 * self.retry.max_timeout)
-
-        self.sim.process(_prober())
-
-    def _on_counter_probe(self, info: dict) -> None:
-        """A peer suspects it lost one of my counter writes: re-write it."""
-        key = info["key"]
-        epoch = self._counters_sent.get(key)
-        if epoch is None:
-            return  # not written yet; the peer will probe again
-        self.ctx.cluster.metrics.add("proxy.counter_rewrites")
-        yield from self.write_counter_to(info["rank"], key, epoch)
+            if self.recovery is not None:
+                self.recovery.counter_written(key, epoch)
+            self._control_write(
+                peer, self.framework.proxy_engine(peer).counter_sink,
+                (key, epoch), "counter", "proxy.counter_writes", size=8)
 
     # -- diagnostics --------------------------------------------------------
     @property

@@ -96,3 +96,18 @@ class TestClusterAssembly:
         b = small_cluster.rank_ctx(1).space
         addr = a.alloc(10)
         assert not b.contains(addr)
+
+
+def test_flag_surface_may_only_shrink():
+    """The three counts ROADMAP tracks (aim 2), as a ratchet: lower a
+    bound when a flag goes, never raise one -- a new independently
+    settable value needs a reader that an existing one cannot serve."""
+    import re
+    from dataclasses import fields
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src" / "repro"
+    text = "\n".join(p.read_text() for p in sorted(src.rglob("*.py")))
+    assert len(fields(MachineParams)) + len(fields(ClusterSpec)) <= 59
+    assert len(set(re.findall(r"\bREPRO_[A-Z_]+", text))) <= 9
+    assert len(re.findall(r"^\s*def using_", text, flags=re.M)) <= 3

@@ -150,3 +150,177 @@ class TestProxyMapping:
         assert engines[0] is engines[2]
         assert engines[1] is engines[3]
         assert engines[0] is not engines[1]
+
+
+# ---------------------------------------------------------------------------
+# recovery is a layer the framework installs -- or does not
+# ---------------------------------------------------------------------------
+
+#: Every table the recovery layer owns (repro.offload.recovery); none may
+#: exist on an endpoint or engine of a framework without a RetryPolicy.
+RECOVERY_TABLES = ("_fb_rts", "_fb_served", "_gdesc_seen", "_gdesc_sent",
+                   "_live_reqs", "_fin_sent", "_group_launches",
+                   "_counters_sent")
+
+
+class TestUnarmedFrameworkOwnsNoRecoveryState:
+    def test_bare_framework_builds_and_starts_nothing_of_recovery(
+            self, small_cluster, monkeypatch):
+        from repro.offload import recovery
+        from repro.sim import Simulator
+
+        def never(self, *args, **kwargs):
+            raise AssertionError(
+                f"{type(self).__name__} built on a framework with no policy")
+
+        monkeypatch.setattr(recovery.EndpointRecovery, "__init__", never)
+        monkeypatch.setattr(recovery.ProxyRecovery, "__init__", never)
+        started = []
+        spawn = Simulator.process
+        monkeypatch.setattr(
+            Simulator, "process",
+            lambda sim, gen: started.append(gen) or spawn(sim, gen))
+
+        cl = small_cluster
+        fw = OffloadFramework(cl)
+        assert len(started) == len(cl.proxies)  # the proxy loops, nothing else
+        assert fw.resilient is False and fw.retry is None
+        n, size = cl.world_size, 512
+        data = {r: pattern(size, seed=r) for r in range(n)}
+
+        def prog(rank):
+            ep, peer = fw.endpoint(rank), rank ^ 2  # the rank across the wire
+            sbuf = ep.ctx.space.alloc_like(data[rank])
+            rbuf = ep.ctx.space.alloc(size)
+            sreq = yield from ep.send_offload(sbuf, size, dst=peer, tag=1)
+            rreq = yield from ep.recv_offload(rbuf, size, src=peer, tag=1)
+            yield from ep.waitall([sreq, rreq])
+            assert (ep.ctx.space.read(rbuf, size) == data[peer]).all()
+            g = ep.group_start()
+            ep.group_send(g, sbuf, size, dst=peer, tag=2)
+            ep.group_recv(g, rbuf, size, src=peer, tag=2)
+            ep.group_barrier(g)
+            ep.group_end(g)
+            for _ in range(2):
+                yield from ep.group_call(g)
+                yield from ep.group_wait(g)
+
+        run_procs(cl, [prog(r) for r in range(n)])
+        fw.assert_quiescent()
+        holders = list(fw._endpoints.values()) + list(fw._proxy_engines.values())
+        assert len(holders) == n + len(cl.proxies)
+        for obj in holders:
+            assert obj.recovery is None
+            assert not [t for t in RECOVERY_TABLES if hasattr(obj, t)]
+
+    def test_a_policy_installs_it_everywhere(self, tiny_cluster):
+        from repro.hw import RetryPolicy
+        from repro.offload.recovery import EndpointRecovery, ProxyRecovery
+
+        fw = OffloadFramework(tiny_cluster, retry=RetryPolicy())
+        assert fw.resilient
+        assert isinstance(fw.endpoint(0).recovery, EndpointRecovery)
+        for engine in fw._proxy_engines.values():
+            assert isinstance(engine.recovery, ProxyRecovery)
+            assert {"retry_xfer", "counter_probe"} <= set(engine.extra_handlers)
+
+
+class TestConstructionTimeRejections:
+    """Unsupported combinations raise at Init_Offload, not mid-run."""
+
+    @pytest.mark.parametrize("gid", [99, 2, -1])
+    def test_kill_plan_for_a_proxy_that_does_not_exist(self, tiny_cluster, gid):
+        from repro.hw import FaultPlan, ProxyKillPlan
+
+        assert len(tiny_cluster.proxies) == 2
+        tiny_cluster.install_faults(
+            FaultPlan(kills=[ProxyKillPlan(proxy_gid=gid, at=1e-6)]))
+        probes = len(tiny_cluster.sim.watchdog_probes)
+        with pytest.raises(OffloadError, match=rf"proxy_gid={gid}\b.*2 proxies"):
+            OffloadFramework(tiny_cluster)
+        # Rejected before any engine was built (each registers a probe).
+        assert len(tiny_cluster.sim.watchdog_probes) == probes
+
+    @pytest.mark.parametrize("kill", [
+        dict(proxy_gid=0, at=-1e-6),
+        dict(proxy_gid=0, at=1e-6, restart_after=-5e-6),
+    ])
+    def test_kill_plan_with_a_negative_time(self, tiny_cluster, kill):
+        from repro.hw import FaultPlan, ProxyKillPlan
+
+        tiny_cluster.install_faults(FaultPlan(kills=[ProxyKillPlan(**kill)]))
+        with pytest.raises(OffloadError, match="must be >= 0"):
+            OffloadFramework(tiny_cluster)
+
+    def test_bounded_dpu_plan_cache_without_a_retry_policy(self):
+        from repro.hw import MachineParams, RetryPolicy
+
+        params = MachineParams().with_overrides(plan_cache_capacity=1)
+        cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1,
+                                 params=params))
+        with pytest.raises(OffloadError,
+                           match="plan_cache_capacity=1 needs a RetryPolicy"):
+            OffloadFramework(cl)
+        # The supported form (tests/test_faults_pins.py drives it end to end).
+        assert OffloadFramework(cl, retry=RetryPolicy()).resilient
+
+
+class TestLoudFailuresWithoutAPolicy:
+    """Detection stays in the protocol files: with no recovery layer the
+    faults it would have absorbed are ``OffloadError``s, never silence."""
+
+    def test_staging_out_of_memory(self):
+        from repro.hw import MachineParams
+
+        params = MachineParams().with_overrides(dpu_mem_budget=16 * 1024)
+        cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1,
+                                 params=params))
+        fw = OffloadFramework(cl, mode="staged")
+        size = 64 * 1024
+
+        def sender(sim):
+            ep = fw.endpoint(0)
+            req = yield from ep.send_offload(ep.ctx.space.alloc(size), size,
+                                             dst=1, tag=0)
+            yield from ep.wait(req)
+
+        def receiver(sim):
+            ep = fw.endpoint(1)
+            req = yield from ep.recv_offload(ep.ctx.space.alloc(size), size,
+                                             src=0, tag=0)
+            yield from ep.wait(req)
+
+        with pytest.raises(OffloadError, match="out of staging memory"):
+            run_procs(cl, [sender(cl.sim), receiver(cl.sim)])
+        assert cl.metrics.get("proxy.oom_degrades") == 1
+
+    def test_group_call_for_a_plan_the_proxy_does_not_hold(self, tiny_cluster):
+        fw = OffloadFramework(tiny_cluster)
+        engine = fw.proxy_engine_for_rank(0)
+        engine.ctx.inbox.put(("group_call", {
+            "plan_id": 424242, "host_rank": 0, "req_id": 1, "call_no": 1}))
+        with pytest.raises(OffloadError, match="unknown plan 424242"):
+            tiny_cluster.sim.run()
+
+    def test_cached_group_plan_over_a_freed_buffer(self, tiny_cluster):
+        fw = OffloadFramework(tiny_cluster)
+        size = 4096
+
+        def prog(rank, peer):
+            ep = fw.endpoint(rank)
+            sbuf = ep.ctx.space.alloc(size)
+            rbuf = ep.ctx.space.alloc(size)
+            g = ep.group_start()
+            ep.group_send(g, sbuf, size, dst=peer, tag=7)
+            ep.group_recv(g, rbuf, size, src=peer, tag=7)
+            ep.group_end(g)
+            yield from ep.group_call(g)
+            yield from ep.group_wait(g)
+            yield from ep.group_call(g)  # by plan id ...
+            if rank == 0:
+                ep.ctx.free(sbuf)        # ... over memory that is gone
+            yield from ep.group_wait(g)
+
+        with pytest.raises(OffloadError,
+                           match="references a revoked registration"):
+            run_procs(tiny_cluster, [prog(0, 1), prog(1, 0)])
