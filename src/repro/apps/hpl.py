@@ -107,7 +107,7 @@ def lu_validate(flavor: str, spec: ClusterSpec, n: int = 32, nb: int = 8,
         finals[be.rank] = local
         return True
 
-    ok = all(stack.run(program))
+    ok = all(stack.run_once(program))
 
     # Reassemble and verify L @ U == A.
     full = np.zeros((n, n))
@@ -233,7 +233,7 @@ def hpl_run(
             out["compute"] = compute_acc
         return total
 
-    stack.run(program)
+    stack.run_once(program)
     return HplResult(
         total=out["total"], n=n, nb=nb, steps=steps,
         comm_time=out["comm"], compute_time=out["compute"],

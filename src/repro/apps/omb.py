@@ -57,7 +57,7 @@ def pingpong_latency(
                 samples.append(be.sim.now - t0)
         return None
 
-    stack.run(program)
+    stack.run_once(program)
     return mean(samples)
 
 
@@ -116,7 +116,7 @@ def ialltoall_overlap(
                 overall_samples.append(be.sim.now - t0)
         return None
 
-    stack.run(program)
+    stack.run_once(program)
     return OverlapResult(
         pure_comm=mean(pure_samples),
         overall=mean(overall_samples),

@@ -55,7 +55,7 @@ def osu_latency(flavor: str, spec: ClusterSpec, sizes: list[int],
                     yield from be.wait(sreq)
         return None
 
-    stack.run(program)
+    stack.run_once(program)
     return {s: mean(v) for s, v in out.items()}
 
 
@@ -97,7 +97,7 @@ def osu_bw(flavor: str, spec: ClusterSpec, sizes: list[int],
                     yield from be.wait(sreq)
         return None
 
-    stack.run(program)
+    stack.run_once(program)
     return {s: mean(v) for s, v in out.items()}
 
 
@@ -134,7 +134,7 @@ def osu_ibcast(flavor: str, spec: ClusterSpec, size: int, root: int = 0,
                 overall.append(be.sim.now - t0)
         return None
 
-    stack.run(program)
+    stack.run_once(program)
     return OverlapResult(pure_comm=mean(pure), overall=mean(overall),
                          compute=compute_box[0])
 
@@ -175,6 +175,6 @@ def osu_iallgather(spec: ClusterSpec, block: int, iters: int = 3,
                 overall.append(be.sim.now - t0)
         return None
 
-    stack.run(program)
+    stack.run_once(program)
     return OverlapResult(pure_comm=mean(pure), overall=mean(overall),
                          compute=compute_box[0])

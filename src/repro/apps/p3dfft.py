@@ -152,7 +152,7 @@ def fft3d_validate(flavor: str, spec: ClusterSpec, x: int = 8, y: int = 8, z: in
             raise AssertionError(f"rank {be.rank}: FFT mismatch")
         return True
 
-    return all(stack.run(program))
+    return all(stack.run_once(program))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,7 @@ def p3dfft_phase(
             result["comm"] = be.time_in_comm
         return overall
 
-    stack.run(program)
+    stack.run_once(program)
     return P3dfftProfile(
         overall=result["overall"],
         compute_time=result["compute"],

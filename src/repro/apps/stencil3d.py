@@ -135,7 +135,7 @@ def stencil_overlap(
                 overall_samples.append(be.sim.now - t0)
         return None
 
-    stack.run(program)
+    stack.run_once(program)
     return OverlapResult(
         pure_comm=mean(pure_samples), overall=mean(overall_samples), compute=compute
     )
@@ -177,4 +177,4 @@ def halo_exchange_validate(flavor: str, spec: ClusterSpec, n: int = 8) -> bool:
                 raise AssertionError(f"rank {be.rank}: face {face} from {peer} corrupt")
         return True
 
-    return all(stack.run(program))
+    return all(stack.run_once(program))

@@ -194,6 +194,28 @@ class BackendStack:
                 raise proc.value
         return [p.value for p in procs]
 
+    def run_once(self, program, *args, **kwargs) -> list:
+        """:meth:`run` for a job that runs nothing afterwards, then
+        :meth:`close` -- how every ``apps.*`` entry point runs its job."""
+        try:
+            return self.run(program, *args, **kwargs)
+        finally:
+            self.close()
+
+    def close(self) -> None:
+        """End of life (``Finalize_Offload`` without simulating): proxy
+        loops closed, calendar emptied, upward pointers dropped -- zero
+        events processed, and dropping the stack then frees the whole job
+        by reference counting (docs/PERFORMANCE.md, "Memory lifetime").
+        ``cluster.metrics``, ``cluster.sim.now`` / ``processed_events``,
+        ``ctx.busy_time`` and ``backend(r).time_in_comm`` stay readable."""
+        if self.framework is not None:
+            self.framework.close()
+        self.world.close()
+        self.cluster.close()
+        for be in self._backends.values():
+            be.stack = None
+
 
 def make_stack(flavor: str, spec: ClusterSpec) -> BackendStack:
     """Fresh cluster + stack for one experiment run."""

@@ -358,9 +358,10 @@ def run_microbenches(repeats: int = REPEATS, verbose: bool = False) -> dict:
     """Run every microbenchmark; keep the best (highest) of ``repeats``.
 
     The cyclic collector is paused around each sample -- the same
-    measurement policy ``runall`` applies to the figures -- so that
-    where a generation-0 sweep happens to land does not add noise to a
-    gate with a 20% threshold.
+    measurement policy ``runall.run_one`` applies to the figures, on the
+    guarantee tests/test_memory_lifetime.py keeps -- so that where a
+    generation-0 sweep happens to land does not add noise to a gate
+    with a 20% threshold.
     """
     out = {}
     for name, fn in MICROBENCHES.items():

@@ -96,7 +96,7 @@ def _incast_point(flavor: str, n: int, iters: int = 3,
                 yield from be.barrier(comm)
         return None
 
-    stack.run(program)
+    stack.run_once(program)
     return mean(samples)
 
 
@@ -164,7 +164,7 @@ def _interference_point(flavor: str, k: int, iters: int = 3,
                 yield from be.barrier(comm)
         return None
 
-    stack.run(program)
+    stack.run_once(program)
     return mean(samples)
 
 

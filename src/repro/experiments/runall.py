@@ -123,9 +123,11 @@ def run_one(name: str, scale: str = "quick", profile: bool = False):
         hw_memory.reset_peak_stats()
         # The simulators allocate millions of short-lived objects; the
         # cyclic collector's generation-0 sweeps cost several percent of
-        # figure wall-clock while collecting almost nothing (the event
-        # structures are acyclic and freed by refcount).  Pause it for
-        # the run and do one catch-up collection after.
+        # figure wall-clock and have nothing to collect: no event's value
+        # refers to its owner, and a job run through BackendStack.run_once
+        # is freed by refcount when dropped -- tests/test_memory_lifetime.py
+        # keeps both true.  Pause it for the run; the collection after
+        # picks up only jobs that built a bare Cluster and never closed it.
         gc_was_enabled = gc.isenabled()
         gc.disable()
         t0 = time.time()

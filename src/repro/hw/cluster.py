@@ -48,6 +48,10 @@ class LazySeq(Sequence):
             item = self._made[idx] = self._factory(idx)
         return item
 
+    def close(self) -> None:
+        """Build nothing more: lets go of the factory (it closes over the owner)."""
+        self._factory = None
+
     def materialized(self) -> list:
         """The items built so far, in index order."""
         return [self._made[i] for i in sorted(self._made)]
@@ -159,6 +163,22 @@ class Cluster:
             plan.bus = self.bus
         self.link_plan = plan.bind(self)
         return self
+
+    def close(self) -> None:
+        """End of life of the machine, processing no event: the simulator
+        forgets its calendar and every pointer back up to the cluster is
+        dropped, so dropping the cluster frees it by reference counting.
+        ``metrics``, ``sim.now`` / ``processed_events`` / ``flow_engine``
+        counters and each built context's ``busy_time`` stay readable."""
+        self.sim.close()
+        engine = self.sim.flow_engine
+        if engine is not None:
+            engine.sim = engine.on_congestion = None
+        for seq in (self.ranks, self.proxies):
+            seq.close()
+            for ctx in seq.materialized():
+                ctx.cluster = None
+                ctx.free_listeners.clear()
 
     # -- lookups -----------------------------------------------------------
     @property

@@ -193,12 +193,12 @@ class _Message:
             self.on_deliver(dv)
         if fabric.tracer is not None:
             fabric.tracer.record_arrow(
-                f"node{self.src_node}", f"node{self.dst_node}", self.size,
+                self.src_hca.lane, fabric.hcas[self.dst_node].lane, self.size,
                 self.kind, self.t_posted, sim.now,
             )
         bus = fabric.bus
         if bus is not None:
-            bus.emit("xfer", "deliver", f"node{self.dst_node}", xid=self.xid,
+            bus.emit("xfer", "deliver", fabric.hcas[self.dst_node].lane, xid=self.xid,
                      status=status, **self._via_tag())
         self.src_hca.metrics.observe(
             "fabric.xfer_latency." + self.kind, sim.now - self.t_posted
@@ -209,7 +209,7 @@ class _Message:
     def _acked(self, _ev):
         bus = self.fabric.bus
         if bus is not None:
-            bus.emit("xfer", "complete", f"node{self.src_node}", xid=self.xid,
+            bus.emit("xfer", "complete", self.src_hca.lane, xid=self.xid,
                      status=self.status, **self._via_tag())
         self.completed.succeed(self._dv)
 
@@ -226,7 +226,7 @@ class _Message:
             # check (corrupt): it never reaches the inbox.
             src_hca.metrics.add(f"fabric.faults.{action}")
             if bus is not None:
-                bus.emit("ctrl", "drop", f"node{self.dst_node}", cid=self.xid,
+                bus.emit("ctrl", "drop", self.dst_hca.lane, cid=self.xid,
                          kind=self.kind, action=action)
             return
         self.inbox.put(self.msg)
@@ -234,7 +234,7 @@ class _Message:
             src_hca.metrics.add("fabric.faults.dup")
             self.inbox.put(self.msg)
         if bus is not None:
-            bus.emit("ctrl", "deliver", f"node{self.dst_node}", cid=self.xid,
+            bus.emit("ctrl", "deliver", self.dst_hca.lane, cid=self.xid,
                      kind=self.kind)
         src_hca.metrics.observe("fabric.ctrl_latency",
                                 self.sim.now - self.t_posted)
@@ -343,7 +343,7 @@ class Fabric:
         self._xfer_seq += 1
         bus = self.bus
         if bus is not None:
-            bus.emit("xfer", "post", f"node{src_node}", xid=xid, kind=kind,
+            bus.emit("xfer", "post", src_hca.lane, xid=xid, kind=kind,
                      size=size, initiator=initiator, dst=dst_node)
 
         m = _Message(self, src_hca, src_node, dst_node, size, kind, t_posted,
@@ -500,7 +500,7 @@ class Fabric:
         st.src_hca.metrics.add("fabric.flow_retries")
         bus = self.bus
         if bus is not None:
-            bus.emit("flow", "retry", f"node{st.src_node}", xid=st.xid,
+            bus.emit("flow", "retry", st.src_hca.lane, xid=st.xid,
                      attempt=st.attempt, kind=st.kind)
         self._flow_admit(engine, st, remaining)
 
@@ -584,7 +584,7 @@ class Fabric:
         t_posted = self.sim.now
         bus = self.bus
         if bus is not None:
-            bus.emit("ctrl", "post", f"node{src_node}", cid=cid, kind=kind,
+            bus.emit("ctrl", "post", src_hca.lane, cid=cid, kind=kind,
                      size=nbytes, initiator=initiator, dst=dst_node)
         latency = (
             self.params.ctrl_latency

@@ -45,6 +45,8 @@ class Hca:
     ):
         self.sim = sim
         self.node_id = node_id
+        #: Lane name of this node on the bus and the tracer (built once).
+        self.lane = f"node{node_id}"
         self.params = params
         self.metrics = metrics
         #: Outbound serialization engine (one QP scheduler's worth).
@@ -128,5 +130,5 @@ class Hca:
         metrics.add(msgs_label)
         metrics.add(bytes_label, size)
         if self.bus is not None:
-            self.bus.emit("wqe", "post", f"node{self.node_id}",
+            self.bus.emit("wqe", "post", self.lane,
                           initiator=initiator, size=size)

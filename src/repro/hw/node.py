@@ -42,6 +42,9 @@ class ProcessContext:
         self.global_id = global_id
         #: Index within this node (local rank / local proxy index).
         self.local_id = local_id
+        #: Lane name on the bus and the tracer (built once: ``consume``
+        #: and every emit read it).
+        self.trace_name = f"{kind}{global_id}"
         # Address space and inbox are built on first touch: neither
         # constructor has simulator side effects, and at thousand-rank
         # scale most of a figure's resident bytes would otherwise be
@@ -140,10 +143,6 @@ class ProcessContext:
             listener(addr, size)
         return revoked
 
-    @property
-    def trace_name(self) -> str:
-        return f"{self.kind}{self.global_id}"
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.kind}{self.global_id} node={self.node_id}>"
 
@@ -152,21 +151,8 @@ class Node:
     """One cluster node: host CPUs + BlueField DPU behind a shared HCA."""
 
     def __init__(self, cluster: "Cluster", node_id: int):
-        self.cluster = cluster
         self.node_id = node_id
         self.hca = Hca(cluster.sim, node_id, cluster.params, cluster.metrics)
 
-    def host_proc(self, local_rank: int) -> ProcessContext:
-        return self.cluster.ranks[self.node_id * self.cluster.spec.ppn + local_rank]
-
-    def dpu_proc(self, local_idx: int) -> ProcessContext:
-        return self.cluster.proxies[
-            self.node_id * self.cluster.spec.proxies_per_dpu + local_idx
-        ]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        spec = self.cluster.spec
-        return (
-            f"<Node {self.node_id}: {spec.ppn} host ranks, "
-            f"{spec.proxies_per_dpu} proxies>"
-        )
+        return f"<Node {self.node_id}>"

@@ -115,12 +115,6 @@ class RegistrationCache:
         self._evict_over_capacity()
         return handle
 
-    def _find_covering(self, addr: int, size: int):
-        for (base, length), handle in self._entries.items():
-            if base <= addr and addr + size <= base + length:
-                return (base, length), handle
-        return None, None
-
     def _find_covering_unique(self, addr: int, size: int):
         """First covering entry (LRU order) plus whether it is the only one."""
         found_key = found = None

@@ -46,6 +46,7 @@ from repro.mpi.datatypes import (
 )
 from repro.mpi.matching import MatchingEngine, UnexpectedMessage
 from repro.mpi.regcache import RegistrationCache
+from repro.sim import Store
 from repro.verbs.rdma import post_control, rdma_read
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,9 +64,6 @@ class MpiRuntime:
         self.sim = ctx.sim
         self.rank = ctx.global_id
         self.params = ctx.cluster.params
-        self.incoming = None  # created lazily to keep Store import local
-        from repro.sim import Store
-
         self.incoming = Store(self.sim)
         self.matching = MatchingEngine()
         self.regcache = RegistrationCache(ctx, name="ib")

@@ -42,6 +42,13 @@ class MpiWorld:
         rt.ctx.mpi = rt
         return rt
 
+    def close(self) -> None:
+        """End of life: every built runtime stops pointing back here and
+        comes off its context; ``size`` and the runtimes' counters stay."""
+        self.runtimes.close()
+        for rt in self.runtimes.materialized():
+            rt.world = rt.ctx.mpi = None
+
     @property
     def size(self) -> int:
         return len(self.runtimes)

@@ -106,5 +106,5 @@ def observe_cluster(cluster, categories=None) -> Observability:
     # arming works even before the first registration.
     from repro.verbs.rdma import verbs_state
 
-    verbs_state(cluster).keys.record_uses(lambda: cluster.sim.now)
+    verbs_state(cluster).keys.record_uses(lambda sim=cluster.sim: sim.now)
     return Observability(cluster, bus, tracer)

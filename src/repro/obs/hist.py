@@ -10,6 +10,7 @@ histogram per key next to the counters, so instrumented layers can do
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Optional
 
 __all__ = ["Histogram", "percentile"]
@@ -35,17 +36,21 @@ def percentile(sorted_samples, q: float) -> float:
 
 
 class Histogram:
-    """Exact-sample histogram with deterministic summaries."""
+    """Exact-sample histogram with deterministic summaries.
+
+    Samples are packed C doubles (8 bytes each, not a 32-byte float
+    object and its list slot): every fabric message records up to three.
+    """
 
     __slots__ = ("_samples", "_sorted")
 
     def __init__(self, samples: Optional[Iterable[float]] = None):
-        self._samples: list[float] = list(samples) if samples is not None else []
+        self._samples = array("d", samples if samples is not None else ())
         self._sorted = False
 
     # -- recording ------------------------------------------------------
     def observe(self, value: float) -> None:
-        self._samples.append(float(value))
+        self._samples.append(value)
         self._sorted = False
 
     def merge(self, other: "Histogram") -> "Histogram":
@@ -57,7 +62,7 @@ class Histogram:
     # -- queries --------------------------------------------------------
     def samples(self) -> list[float]:
         """Copy of the raw samples (cross-process histogram merges)."""
-        return list(self._samples)
+        return self._samples.tolist()
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -69,9 +74,11 @@ class Histogram:
     def count(self) -> int:
         return len(self._samples)
 
-    def _ordered(self) -> list[float]:
+    def _ordered(self) -> array:
+        # Sorts in place as far as callers can tell: ``mean`` / ``total``
+        # sum in whatever order the last query left.
         if not self._sorted:
-            self._samples.sort()
+            self._samples = array("d", sorted(self._samples))
             self._sorted = True
         return self._samples
 

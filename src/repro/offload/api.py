@@ -172,12 +172,29 @@ class OffloadFramework:
         return self.proxy_engine(self.cluster.proxy_for_rank(rank))
 
     def finalize(self) -> None:
-        """``Finalize_Offload``: stop every proxy loop."""
+        """``Finalize_Offload``: stop every proxy loop (each stops when the
+        simulation next runs; :meth:`close` is the variant for a job that
+        will not run again).  Posting afterwards raises ``OffloadError``."""
         if self.finalized:
             return
         self.finalized = True
+        for ep in self._endpoints.values():
+            ep._ready_seen = False  # next post takes _ensure_ready's slow path
         for engine in self._proxy_engines.values():
             engine.ctx.inbox.put(("stop",))
+
+    def close(self) -> None:
+        """``Finalize_Offload`` for a framework that will never run again:
+        every proxy loop is closed where it is parked and the endpoints
+        and engines (each points back here) are let go, processing no
+        event."""
+        self.finalized = True
+        for engine in self._proxy_engines.values():
+            engine.process.close()
+            engine.framework = engine.recovery = None
+        for ep in self._endpoints.values():
+            ep.framework = ep.recovery = ep.completion_sink = None
+            ep._ready_seen = False
 
     # -- diagnostics --------------------------------------------------------
     def assert_quiescent(self) -> None:
@@ -237,8 +254,11 @@ class OffloadEndpoint:
     # ------------------------------------------------------------------
     def _ensure_ready(self):
         if not self._ready_seen:
-            if not self.framework.ready.processed:
-                yield self.framework.ready
+            fw = self.framework
+            if fw is None or fw.finalized:
+                raise OffloadError(f"rank {self.rank}: post after Finalize_Offload")
+            if not fw.ready.processed:
+                yield fw.ready
             self._ready_seen = True
 
     def _complete_by_id(self, req_id: int) -> None:
@@ -261,7 +281,7 @@ class OffloadEndpoint:
             else:
                 bus.emit("req", "complete", self.ctx.trace_name, rid=req.req_id)
         if req.event is not None and not req.event.triggered:
-            req.event.succeed(req)
+            req.event.succeed(None)
 
     def _register_pending(self, req) -> None:
         req.event = Event(self.sim)

@@ -118,55 +118,51 @@ class AvlTree:
         return depth
 
     # -- insert -------------------------------------------------------------
+    # (The recursive helpers are methods, not closures: a nested function
+    # that calls itself is a reference cycle per call.)
     def insert(self, key, value) -> None:
         """Insert or overwrite."""
-        def _ins(node: Optional[_Node]) -> _Node:
-            if node is None:
-                self._count += 1
-                return _Node(key, value)
-            if key < node.key:
-                node.left = _ins(node.left)
-            elif node.key < key:
-                node.right = _ins(node.right)
-            else:
-                node.value = value
-                return node
-            return _rebalance(node)
+        self._root = self._ins(self._root, key, value)
 
-        self._root = _ins(self._root)
+    def _ins(self, node: Optional[_Node], key, value) -> _Node:
+        if node is None:
+            self._count += 1
+            return _Node(key, value)
+        if key < node.key:
+            node.left = self._ins(node.left, key, value)
+        elif node.key < key:
+            node.right = self._ins(node.right, key, value)
+        else:
+            node.value = value
+            return node
+        return _rebalance(node)
 
     # -- remove -------------------------------------------------------------
     def remove(self, key) -> bool:
         """Delete ``key``; returns True if it was present."""
-        removed = [False]
+        before = self._count
+        self._root = self._rm(self._root, key)
+        return self._count < before
 
-        def _min_node(node: _Node) -> _Node:
-            while node.left is not None:
-                node = node.left
-            return node
-
-        def _rm(node: Optional[_Node], key) -> Optional[_Node]:
-            if node is None:
-                return None
-            if key < node.key:
-                node.left = _rm(node.left, key)
-            elif node.key < key:
-                node.right = _rm(node.right, key)
-            else:
-                removed[0] = True
-                if node.left is None:
-                    return node.right
-                if node.right is None:
-                    return node.left
-                successor = _min_node(node.right)
-                node.key, node.value = successor.key, successor.value
-                node.right = _rm(node.right, successor.key)
-            return _rebalance(node)
-
-        self._root = _rm(self._root, key)
-        if removed[0]:
+    def _rm(self, node: Optional[_Node], key) -> Optional[_Node]:
+        """``node``'s subtree without ``key``; a hit unlinks exactly one
+        node (itself, or the successor whose entry it takes over)."""
+        if node is None:
+            return None
+        if key < node.key:
+            node.left = self._rm(node.left, key)
+        elif node.key < key:
+            node.right = self._rm(node.right, key)
+        elif node.left is None or node.right is None:
             self._count -= 1
-        return removed[0]
+            return node.right if node.left is None else node.left
+        else:
+            successor = node.right
+            while successor.left is not None:
+                successor = successor.left
+            node.key, node.value = successor.key, successor.value
+            node.right = self._rm(node.right, successor.key)
+        return _rebalance(node)
 
     # -- iteration / introspection -------------------------------------------
     def items(self) -> Iterator[tuple[Any, Any]]:
@@ -190,17 +186,18 @@ class AvlTree:
 
     def check_invariants(self) -> None:
         """Raise AssertionError if BST order or AVL balance is violated."""
-        def _chk(node: Optional[_Node], lo, hi) -> int:
-            if node is None:
-                return 0
-            if lo is not None:
-                assert lo < node.key, f"BST order violated at {node.key}"
-            if hi is not None:
-                assert node.key < hi, f"BST order violated at {node.key}"
-            lh = _chk(node.left, lo, node.key)
-            rh = _chk(node.right, node.key, hi)
-            assert abs(lh - rh) <= 1, f"AVL balance violated at {node.key}"
-            assert node.height == 1 + max(lh, rh), f"stale height at {node.key}"
-            return node.height
+        _check(self._root, None, None)
 
-        _chk(self._root, None, None)
+
+def _check(node: Optional[_Node], lo, hi) -> int:
+    if node is None:
+        return 0
+    if lo is not None:
+        assert lo < node.key, f"BST order violated at {node.key}"
+    if hi is not None:
+        assert node.key < hi, f"BST order violated at {node.key}"
+    lh = _check(node.left, lo, node.key)
+    rh = _check(node.right, node.key, hi)
+    assert abs(lh - rh) <= 1, f"AVL balance violated at {node.key}"
+    assert node.height == 1 + max(lh, rh), f"stale height at {node.key}"
+    return node.height

@@ -297,7 +297,7 @@ class ShmemEndpoint:
             raise OffloadError(f"completion for unknown SHMEM op {op_id}")
         op.complete = True
         if op.event is not None and not op.event.triggered:
-            op.event.succeed(op)
+            op.event.succeed(None)
 
     def _notify_write(self, addr: int) -> None:
         """A remote put landed at ``addr``: wake matching waiters."""
@@ -325,17 +325,6 @@ class _OpCompletionSink:
 
     def put(self, op_id: int) -> None:
         self.endpoint._complete_op(op_id)
-
-
-class _WriteNotifySink:
-    """Adapter: a proxy's landed-put notification wakes wait_until."""
-
-    def __init__(self, endpoint: ShmemEndpoint, addr: int):
-        self.endpoint = endpoint
-        self.addr = addr
-
-    def put(self, _msg) -> None:
-        self.endpoint._notify_write(self.addr)
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,3 @@ class StagingChannel:
     @property
     def pooled(self) -> int:
         return sum(len(v) for v in self._free.values())
-
-    @property
-    def pooled_bytes(self) -> int:
-        return sum(b.size_class for bucket in self._free.values() for b in bucket)

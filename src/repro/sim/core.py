@@ -311,6 +311,15 @@ class Simulator:
         self.flow_engine = engine
         self.watchdog_probes.append(engine.probe)
 
+    def close(self) -> None:
+        """End of life: forget what is scheduled, pooled, registered or
+        observing without processing an event -- each of those refers back
+        here.  ``now`` and ``processed_events`` stay readable."""
+        for held in (self._cur, self._buckets, self._times, self._timeout_pool,
+                     self._event_pool, self.watchdog_probes):
+            held.clear()
+        self.bus = None
+
     def _deadlock_reports(self) -> list[str]:
         reports: list[str] = []
         for probe in self.watchdog_probes:

@@ -80,6 +80,15 @@ class Process(Event):
         carrier.callbacks.append(self._resume)
         self.sim._schedule(carrier)
 
+    def close(self) -> None:
+        """End of life without simulating: stop waiting and close the
+        generator (its ``finally`` blocks run); a parked process stays
+        pending for good."""
+        target, self._target = self._target, None
+        if target is not None and target.callbacks is not None:
+            target.callbacks.remove(self._resume)
+        self._generator.close()
+
     # -- engine --------------------------------------------------------
     def _resume(self, event: Event) -> None:
         # The hottest frame in the simulator: locals are bound once and

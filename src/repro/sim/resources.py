@@ -87,7 +87,7 @@ class Resource:
             # order to append + _grant (which would pop this same request
             # and succeed it in the same moment).
             users.add(req)
-            req._value = req
+            req._value = None
             req._scheduled = True
             self.sim._cur.append(req)
         else:
@@ -117,7 +117,7 @@ class Resource:
         while queue and len(users) < capacity:
             req = queue.popleft()
             users.add(req)
-            req._value = req
+            req._value = None
             req._scheduled = True
             cur.append(req)
 

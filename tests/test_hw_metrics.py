@@ -171,6 +171,48 @@ class TestHistogram:
         assert a.merge(b) is a
         assert a.count == 3 and a.total == 9.0
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_packed_doubles_match_the_list_version_bit_for_bit(self, seed):
+        """Random and merged sample sets, queried in random order: the
+        unsorted mean, the sort a percentile leaves behind, later
+        observes and merges all read the same as the list version."""
+        from tests.harness.hist_reference import ListHistogram
+
+        rng = np.random.default_rng(seed)
+        pairs = [(Histogram(), ListHistogram()) for _ in range(3)]
+
+        def same(new, ref):
+            assert new.samples() == ref.samples()
+            assert len(new) == len(ref.samples())
+            if ref.samples():
+                assert new.mean.hex() == ref.mean.hex()
+            assert new.summary() == ref.summary()
+            assert new.samples() == ref.samples()  # summary() sorted both
+
+        for _ in range(40):
+            new, ref = pairs[int(rng.integers(3))]
+            step = int(rng.integers(4))
+            if step == 0:
+                # Mixed magnitudes so summation order shows in the bits.
+                for v in rng.uniform(0, 1, int(rng.integers(1, 30))) * 10.0 ** rng.integers(-9, 3):
+                    value = [float(v), np.float64(v), int(v * 1e6)][int(rng.integers(3))]
+                    new.observe(value)
+                    ref.observe(value)
+            elif step == 1:
+                other_new, other_ref = pairs[int(rng.integers(3))]
+                if other_new is not new:
+                    assert new.merge(other_new) is new
+                    ref.merge(other_ref)
+            elif step == 2 and ref.samples():
+                q = float(rng.uniform(0, 100))
+                assert new.percentile(q).hex() == ref.percentile(q).hex()
+            else:
+                same(new, ref)
+        for new, ref in pairs:
+            same(new, ref)
+            clone = Histogram(new.samples())
+            assert clone.summary() == new.summary()
+
     def test_percentile_function_validates(self):
         with pytest.raises(ValueError):
             percentile([], 50)
