@@ -33,6 +33,7 @@ import numpy as np
 from repro.apps.harness import compute_with_tests, dims_create
 from repro.baselines.base import make_stack
 from repro.hw.params import ClusterSpec
+from repro.mpi import schedules
 
 __all__ = ["lu_validate", "hpl_run", "HplResult", "n_for_memory_fraction"]
 
@@ -248,20 +249,17 @@ def _ring_bcast_p2p(be, comm, root: int, addr: int, size: int):
     its receive completes -- handled by the caller's test-driven compute
     loop via a :class:`_RingForwardState` shim that mimics a request.
     """
-    me = comm.rank_of(be.rank)
-    p = comm.size
-    if p == 1:
+    ops = [op for ops in schedules.bcast_ring(
+        comm.rank_of(be.rank), comm.size, root, size).rounds for op in ops]
+    if not ops:
         return []
-    right = (me + 1) % p
-    left = (me - 1) % p
-    last = (root - 1) % p
-    if me == root:
-        req = yield from be.isend(comm, right, addr, size, tag=53)
+    if ops[0].kind == "send":
+        req = yield from be.isend(comm, ops[0].peer, addr, size, tag=53)
         return [req]
-    recv = yield from be.irecv(comm, left, addr, size, tag=53)
-    if me == last:
+    recv = yield from be.irecv(comm, ops[0].peer, addr, size, tag=53)
+    if len(ops) == 1:  # the ring's tail
         return [recv]
-    return [_RingForward(be, comm, recv, right, addr, size)]
+    return [_RingForward(be, comm, recv, ops[1].peer, addr, size)]
 
 
 class _RingForward:

@@ -14,30 +14,37 @@ fall out uniformly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from importlib import import_module
+from typing import Iterable, Optional
 
 from repro.hw.cluster import Cluster
 from repro.hw.params import ClusterSpec
+from repro.mpi import collectives as coll
+from repro.mpi import schedules
 from repro.mpi.communicator import Communicator
+from repro.mpi.datatypes import CollectiveRequest, MpiRequest
 from repro.mpi.world import MpiWorld
+from repro.offload.api import OffloadFramework
+from repro.offload.collectives import record_schedule
+from repro.offload.requests import OffloadGroupRequest, OffloadRequest
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.offload.api import OffloadFramework
-
-__all__ = ["CommBackend", "BackendStack", "make_stack"]
+__all__ = ["CommBackend", "GroupBackend", "BackendStack", "make_stack"]
 
 
 class CommBackend:
     """Rank-local communication API shared by all three runtimes.
 
-    Subclasses implement ``_isend``/``_irecv``/``_wait``/``_ialltoall``
-    /``_ibcast``; the public methods add uniform time accounting.
+    The private ``_isend``/``_irecv``/``_wait``/``_test``/``_ialltoall``
+    /``_ibcast`` are host MPI here; offloading runtimes override what
+    they offload.  The public methods add uniform time accounting.
     Requests returned by the ``i*`` methods are opaque -- pass them back
     to :meth:`wait`/:meth:`test` of the same backend only.
     """
 
     #: Short name used in reports ("intelmpi", "bluesmpi", "proposed").
     name = "abstract"
+    #: The rank's offload endpoint (offloading runtimes only).
+    ep = None
 
     def __init__(self, stack: "BackendStack", rank: int):
         self.stack = stack
@@ -113,48 +120,108 @@ class CommBackend:
         return self._timed(self._ibcast(comm, root, addr, size))
 
     def barrier(self, comm: Communicator):
-        from repro.mpi import collectives as coll
+        return self._timed(coll._and_wait(self.rt, coll._ibarrier(self.rt, comm)))
 
-        return self._timed(coll._ibarrier_and_wait(self.rt, comm))
+    # -- host MPI underneath every runtime -------------------------------------
+    def _isend(self, comm, dst, addr, size, tag):
+        return (yield from self.rt._isend(comm, dst, addr, size, tag))
 
-    # -- to implement ----------------------------------------------------------
-    def _isend(self, comm, dst, addr, size, tag):  # pragma: no cover - abstract
-        raise NotImplementedError
+    def _irecv(self, comm, src, addr, size, tag):
+        return (yield from self.rt._irecv(comm, src, addr, size, tag))
 
-    def _irecv(self, comm, src, addr, size, tag):  # pragma: no cover - abstract
-        raise NotImplementedError
+    def _wait(self, req):
+        if isinstance(req, (MpiRequest, CollectiveRequest)):
+            yield from self.rt._wait(req)
+        elif self.ep is not None and isinstance(req, (OffloadRequest, OffloadGroupRequest)):
+            yield from self.ep.wait(req)
+        else:
+            raise TypeError(f"{self.name} cannot wait on {type(req).__name__}")
 
-    def _wait(self, req):  # pragma: no cover - abstract
-        raise NotImplementedError
+    def _test(self, req):
+        if isinstance(req, (MpiRequest, CollectiveRequest)):
+            yield self.ctx.consume(self.rt.params.mpi_call_overhead)
+            yield from self.rt._drain()
+        # Offload requests complete via the completion counter; testing
+        # them is a host-memory load, no protocol work.
+        return bool(req.complete)
 
-    def _test(self, req):  # pragma: no cover - abstract
-        raise NotImplementedError
+    def _ialltoall(self, comm, send_addr, recv_addr, block):
+        return (yield from coll._ialltoall(self.rt, comm, send_addr, recv_addr, block))
 
-    def _ialltoall(self, comm, send_addr, recv_addr, block):  # pragma: no cover
-        raise NotImplementedError
+    def _ibcast(self, comm, root, addr, size):
+        return (yield from coll._ibcast(self.rt, comm, root, addr, size, "binomial"))
 
-    def _ibcast(self, comm, root, addr, size):  # pragma: no cover - abstract
-        raise NotImplementedError
+
+class GroupBackend(CommBackend):
+    """What the two offloading runtimes share: ``ialltoall`` / ``ibcast``
+    (the ring pipeline of paper Listing 5) recorded as Group patterns
+    from the shared schedules.  Subclasses declare what differs in the
+    paper: the transport ``mode``, and whether the Section VII-D request
+    caches exist (a recorded request is then reused across calls)."""
+
+    mode: str
+    keeps_patterns: bool
+    a2a_tag: int
+    bcast_tag: int
+
+    def __init__(self, stack, rank):
+        super().__init__(stack, rank)
+        self.ep = stack.framework.endpoint(rank)
+        #: Persistent group requests keyed by the pattern identity.
+        self._patterns: dict[tuple, OffloadGroupRequest] = {}
+
+    def _call(self, key: tuple, comm, base_tag, schedule, **addrs):
+        """``Group_Offload_call`` on pattern ``key``: the kept request,
+        or one recorded now from ``schedule()``."""
+        greq = self._patterns.get(key) if self.keeps_patterns else None
+        if greq is None:
+            greq, _ = record_schedule(self.ep, schedule(), base_tag=base_tag,
+                                      world_rank=comm.world_rank, **addrs)
+            if self.keeps_patterns:
+                self._patterns[key] = greq
+        yield from self.ep.group_call(greq)
+        return greq
+
+    def _ialltoall(self, comm, send_addr, recv_addr, block):
+        me, p = comm.rank_of(self.rank), comm.size
+        yield from self.rt.copy_local(send_addr + me * block, recv_addr + me * block, block)
+        return (yield from self._call(
+            ("a2a", comm.comm_id, send_addr, recv_addr, block), comm, self.a2a_tag,
+            lambda: schedules.alltoall(me, p, block),
+            send_addr=send_addr, recv_addr=recv_addr))
+
+    def _ibcast(self, comm, root, addr, size):
+        me, p = comm.rank_of(self.rank), comm.size
+        return (yield from self._call(
+            ("bcast", comm.comm_id, root, addr, size), comm, self.bcast_tag,
+            lambda: schedules.bcast_ring(me, p, root, size), recv_addr=addr))
+
+
+#: flavor -> (module, class) of its rank-local backend, imported on first
+#: use (those modules import this one).
+_BACKENDS = {
+    "intelmpi": ("repro.baselines.hostmpi", "HostMpiBackend"),
+    "bluesmpi": ("repro.baselines.bluesmpi", "BluesMpiBackend"),
+    "proposed": ("repro.offload.backend", "ProposedBackend"),
+}
 
 
 class BackendStack:
     """Shared state for one job under one runtime flavour."""
 
     def __init__(self, cluster: Cluster, flavor: str):
+        if flavor not in _BACKENDS:
+            raise ValueError(f"unknown backend flavor {flavor!r}")
+        module, name = _BACKENDS[flavor]
+        self._backend_cls = getattr(import_module(module), name)
         self.cluster = cluster
         self.flavor = flavor
         self.world = MpiWorld(cluster)
-        self.framework: Optional["OffloadFramework"] = None
-        if flavor == "proposed":
-            from repro.offload.api import OffloadFramework
-
-            self.framework = OffloadFramework(cluster, mode="gvmi", group_caching=True)
-        elif flavor == "bluesmpi":
-            from repro.offload.api import OffloadFramework
-
-            self.framework = OffloadFramework(cluster, mode="staged", group_caching=False)
-        elif flavor != "intelmpi":
-            raise ValueError(f"unknown backend flavor {flavor!r}")
+        self.framework: Optional[OffloadFramework] = None
+        if issubclass(self._backend_cls, GroupBackend):
+            self.framework = OffloadFramework(
+                cluster, mode=self._backend_cls.mode,
+                group_caching=self._backend_cls.keeps_patterns)
         self._backends: dict[int, CommBackend] = {}
 
     @property
@@ -164,19 +231,7 @@ class BackendStack:
     def backend(self, rank: int) -> CommBackend:
         be = self._backends.get(rank)
         if be is None:
-            if self.flavor == "intelmpi":
-                from repro.baselines.hostmpi import HostMpiBackend
-
-                be = HostMpiBackend(self, rank)
-            elif self.flavor == "bluesmpi":
-                from repro.baselines.bluesmpi import BluesMpiBackend
-
-                be = BluesMpiBackend(self, rank)
-            else:
-                from repro.offload.backend import ProposedBackend
-
-                be = ProposedBackend(self, rank)
-            self._backends[rank] = be
+            be = self._backends[rank] = self._backend_cls(self, rank)
         return be
 
     def run(self, program, *args, **kwargs) -> list:

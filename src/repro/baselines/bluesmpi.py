@@ -19,80 +19,14 @@ hide this behind warm-up iterations, applications do not.
 
 from __future__ import annotations
 
-from repro.baselines.base import CommBackend
-from repro.mpi.datatypes import CollectiveRequest, MpiRequest
-from repro.offload.requests import OffloadGroupRequest, OffloadRequest
+from repro.baselines.base import GroupBackend
 
 __all__ = ["BluesMpiBackend"]
 
 
-class BluesMpiBackend(CommBackend):
+class BluesMpiBackend(GroupBackend):
     name = "bluesmpi"
-
-    def __init__(self, stack, rank):
-        super().__init__(stack, rank)
-        assert stack.framework is not None and stack.framework.mode == "staged"
-        self.ep = stack.framework.endpoint(rank)
-
-    # -- p2p: host MPI, exactly like IntelMPI ------------------------------
-    def _isend(self, comm, dst, addr, size, tag):
-        return (yield from self.rt._isend(comm, dst, addr, size, tag))
-
-    def _irecv(self, comm, src, addr, size, tag):
-        return (yield from self.rt._irecv(comm, src, addr, size, tag))
-
-    def _wait(self, req):
-        if isinstance(req, (MpiRequest, CollectiveRequest)):
-            yield from self.rt._wait(req)
-        elif isinstance(req, (OffloadRequest, OffloadGroupRequest)):
-            yield from self.ep.wait(req)
-        else:
-            raise TypeError(f"cannot wait on {type(req).__name__}")
-
-    def _test(self, req):
-        if isinstance(req, (MpiRequest, CollectiveRequest)):
-            yield self.ctx.consume(self.rt.params.mpi_call_overhead)
-            yield from self.rt._drain()
-        return bool(req.complete)
-
-    # -- offloaded collectives (staged, re-built every call) -----------------
-    def _ialltoall(self, comm, send_addr, recv_addr, block):
-        me = comm.rank_of(self.rank)
-        p = comm.size
-        yield from self.rt.copy_local(send_addr + me * block, recv_addr + me * block, block)
-        greq = self.ep.group_start()
-        for dist in range(1, p):
-            dst = (me + dist) % p
-            src = (me - dist) % p
-            self.ep.group_send(greq, send_addr + dst * block, block,
-                               dst=comm.world_rank(dst), tag=17)
-            self.ep.group_recv(greq, recv_addr + src * block, block,
-                               src=comm.world_rank(src), tag=17)
-        self.ep.group_end(greq)
-        yield from self.ep.group_call(greq)
-        return greq
-
-    def _ibcast(self, comm, root, addr, size):
-        """Staged offloaded broadcast (ring pipeline on the proxies)."""
-        me = comm.rank_of(self.rank)
-        p = comm.size
-        if p == 1:
-            greq = self.ep.group_start()
-            self.ep.group_end(greq)
-            yield from self.ep.group_call(greq)
-            return greq
-        right = comm.world_rank((me + 1) % p)
-        left = comm.world_rank((me - 1) % p)
-        last = (root - 1) % p
-        greq = self.ep.group_start()
-        if me == root:
-            self.ep.group_send(greq, addr, size, dst=right, tag=19)
-            self.ep.group_barrier(greq)
-        else:
-            self.ep.group_recv(greq, addr, size, src=left, tag=19)
-            self.ep.group_barrier(greq)
-            if me != last:
-                self.ep.group_send(greq, addr, size, dst=right, tag=19)
-        self.ep.group_end(greq)
-        yield from self.ep.group_call(greq)
-        return greq
+    mode = "staged"
+    keeps_patterns = False
+    a2a_tag = 17
+    bcast_tag = 19

@@ -15,35 +15,12 @@ from __future__ import annotations
 
 from repro.baselines.base import CommBackend
 from repro.mpi import collectives as coll
-from repro.mpi.datatypes import CollectiveRequest, MpiRequest
 
 __all__ = ["HostMpiBackend"]
 
 
 class HostMpiBackend(CommBackend):
     name = "intelmpi"
-
-    def _isend(self, comm, dst, addr, size, tag):
-        return (yield from self.rt._isend(comm, dst, addr, size, tag))
-
-    def _irecv(self, comm, src, addr, size, tag):
-        return (yield from self.rt._irecv(comm, src, addr, size, tag))
-
-    def _wait(self, req):
-        if not isinstance(req, (MpiRequest, CollectiveRequest)):
-            raise TypeError(f"host MPI cannot wait on {type(req).__name__}")
-        yield from self.rt._wait(req)
-
-    def _test(self, req):
-        yield self.ctx.consume(self.rt.params.mpi_call_overhead)
-        yield from self.rt._drain()
-        return bool(req.complete)
-
-    def _ialltoall(self, comm, send_addr, recv_addr, block):
-        return (yield from coll._ialltoall(self.rt, comm, send_addr, recv_addr, block))
-
-    def _ibcast(self, comm, root, addr, size):
-        return (yield from coll._ibcast(self.rt, comm, root, addr, size, "binomial"))
 
     def ibcast_ring(self, comm, root, addr, size):
         """HPL's 1-ring broadcast as a host-progressed collective."""

@@ -25,7 +25,7 @@ from repro.apps.harness import mean
 from repro.apps.omb import ialltoall_overlap
 from repro.experiments.common import FigureResult, Series, SimBarrier, fmt_size
 from repro.hw import Cluster, ClusterSpec, MachineParams
-from repro.offload import OffloadFramework
+from repro.offload import OffloadFramework, build_ialltoall
 
 __all__ = [
     "run_reg_cache_ablation",
@@ -221,12 +221,7 @@ def run_group_cache_ablation(scale: str = "quick") -> FigureResult:
                 ep = fw.endpoint(rank)
                 sbuf = ep.ctx.space.alloc(P * block, fill=1)
                 rbuf = ep.ctx.space.alloc(P * block)
-                greq = ep.group_start()
-                for d in range(1, P):
-                    dst, src = (rank + d) % P, (rank - d) % P
-                    ep.group_send(greq, sbuf + dst * block, block, dst=dst, tag=2)
-                    ep.group_recv(greq, rbuf + src * block, block, src=src, tag=2)
-                ep.group_end(greq)
+                greq = build_ialltoall(ep, sbuf, rbuf, block, comm_size=P, base_tag=2)
                 for it in range(iters):
                     yield from barrier.arrive()
                     t0 = sim.now

@@ -19,7 +19,8 @@ from repro.apps.harness import mean
 from repro.experiments.common import FigureResult, Series, SimBarrier, fmt_size
 from repro.experiments.parallel import sweep_map
 from repro.hw import Cluster, ClusterSpec
-from repro.offload import OffloadFramework
+from repro.mpi import schedules
+from repro.offload import OffloadFramework, build_ialltoall
 
 __all__ = ["run"]
 
@@ -59,15 +60,11 @@ def _scatter_dest(scale: str, block: int, variant: str, iters: int = 3, warmup: 
             ep = fw.endpoint(rank)
             sbuf = ep.ctx.space.alloc(P * block)
             rbuf = ep.ctx.space.alloc(P * block)
-            greq = None
             if variant == "group":
-                greq = ep.group_start()
-                for dist in range(1, P):
-                    dst = (rank + dist) % P
-                    src = (rank - dist) % P
-                    ep.group_send(greq, sbuf + dst * block, block, dst=dst, tag=6)
-                    ep.group_recv(greq, rbuf + src * block, block, src=src, tag=6)
-                ep.group_end(greq)
+                greq = build_ialltoall(ep, sbuf, rbuf, block, comm_size=P, base_tag=6)
+            else:
+                pairs = [op for op in schedules.alltoall(rank, P, block).rounds[0]
+                         if op.kind != "copy"]
             for it in range(warmup + iters):
                 yield from barrier.arrive()
                 t0 = sim.now
@@ -76,13 +73,13 @@ def _scatter_dest(scale: str, block: int, variant: str, iters: int = 3, warmup: 
                     yield from ep.group_wait(greq)
                 else:
                     reqs = []
-                    for dist in range(1, P):
-                        dst = (rank + dist) % P
-                        src = (rank - dist) % P
-                        reqs.append((yield from ep.send_offload(
-                            sbuf + dst * block, block, dst=dst, tag=6)))
-                        reqs.append((yield from ep.recv_offload(
-                            rbuf + src * block, block, src=src, tag=6)))
+                    for op in pairs:
+                        if op.kind == "send":
+                            reqs.append((yield from ep.send_offload(
+                                sbuf + op.off, block, dst=op.peer, tag=6)))
+                        else:
+                            reqs.append((yield from ep.recv_offload(
+                                rbuf + op.off, block, src=op.peer, tag=6)))
                     yield from ep.waitall(reqs)
                 if it >= warmup and rank == 0:
                     samples.append(sim.now - t0)

@@ -5,33 +5,34 @@ Every non-blocking collective is a :class:`~repro.mpi.datatypes.CollectiveReques
 advanced by the owning rank's progress engine.  This is exactly how a
 host-progressed MPI implements them, and is what limits their overlap:
 moving from one round to the next requires the CPU to be inside an MPI
-call.
+call.  The rounds themselves are data from :mod:`repro.mpi.schedules`
+(shared with the offloaded runtimes); this module only binds a
+schedule to addresses, a tag and a runtime.
 
-Algorithms:
-
-* ``ialltoall`` -- scatter-destination (each rank posts all its
-  personalized sends/receives up front, rotated to avoid incast); the
-  same algorithm the paper implements with Group primitives.
-* ``ibcast`` -- binomial tree (IntelMPI-best-Ibcast stand-in) or ring
-  (HPL's 1-ring pipeline).
-* ``ibarrier`` -- dissemination.
-* ``iallgather`` -- ring.
-* ``ireduce``/``iallreduce`` -- binomial reduce (+ broadcast), with real
-  float64 summation so numerics can be validated.
+Algorithms (each described at its schedule): scatter-destination
+``ialltoall``; ``ibcast`` by binomial tree (IntelMPI-best-Ibcast
+stand-in), scatter + ring allgather above ``SCAG_THRESHOLD``, or HPL's
+1-ring; dissemination ``ibarrier``; ring ``iallgather``; binomial
+``ireduce``/``igather``/``iscatter``; ``allreduce`` = reduce + broadcast,
+with real float64 summation so numerics can be validated.
 
 Tags: collective traffic lives in a reserved tag space above
 ``COLL_TAG_BASE``; instances on the same communicator draw a per-rank
 sequence number, which stays coherent because MPI requires all ranks to
 call collectives on a communicator in the same order.
+
+Scratch: a schedule's ``scratch_bytes`` are allocated here and freed by
+the engine when the collective finishes locally (the bump allocator
+never reuses an address, so the next call still registers afresh).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.mpi import schedules
 from repro.mpi.communicator import Communicator
 from repro.mpi.datatypes import CollectiveRequest, MpiError
 from repro.mpi.runtime import MpiRuntime
+from repro.mpi.schedules import RECV, SCRATCH, SEND
 
 __all__ = [
     "COLL_TAG_BASE",
@@ -54,22 +55,41 @@ __all__ = [
 
 COLL_TAG_BASE = 1 << 20
 
-#: per (comm_id, world_rank) sequence counters -- kept here rather than on
-#: the Communicator so communicators stay pure descriptors.
-_seq: dict[tuple[int, int], int] = {}
-
-
 #: Tag stride per collective instance: multi-round algorithms may use
 #: ``tag + r`` sub-tags, so instances are spaced widely apart.
 COLL_TAG_STRIDE = 4096
 
 
-def coll_tag(comm: Communicator, world_rank: int) -> int:
-    """Next collective tag for this (comm, rank); coherent across ranks."""
-    key = (comm.comm_id, world_rank)
-    n = _seq.get(key, 0)
-    _seq[key] = n + 1
+def coll_tag(comm: Communicator, rt: MpiRuntime) -> int:
+    """Next collective tag for this (comm, rank); coherent across ranks.
+    The sequence lives on the runtime: communicators stay pure
+    descriptors, and the counter dies with the job."""
+    n = rt._coll_seq.get(comm.comm_id, 0)
+    rt._coll_seq[comm.comm_id] = n + 1
     return COLL_TAG_BASE + n * COLL_TAG_STRIDE
+
+
+def _start(rt: MpiRuntime, comm: Communicator, op: str, schedule, sizes: tuple,
+           send_addr=None, recv_addr=None, scratch=None):
+    """Start this rank's ``schedule(me, p, *sizes)``, bound to its addresses."""
+    sched = schedule(comm.rank_of(rt.rank), comm.size, *sizes)
+    owned = None
+    if scratch is None and sched.scratch_bytes:
+        scratch = owned = rt.ctx.space.alloc(sched.scratch_bytes)
+    coll = CollectiveRequest(
+        rank=rt.rank, comm_id=comm.comm_id, op=op, rounds=sched.rounds,
+        comm=comm, tag=coll_tag(comm, rt), owned_scratch=owned,
+        bufs={SEND: send_addr, RECV: recv_addr, SCRATCH: scratch},
+    )
+    yield from rt.start_collective(coll)
+    return coll
+
+
+def _and_wait(rt: MpiRuntime, start):
+    """Blocking collective body without the runtime's timing wrapper
+    (for callers that do their own accounting, e.g. CommBackend)."""
+    coll = yield from start
+    yield from rt._wait(coll)
 
 
 # ---------------------------------------------------------------------------
@@ -82,58 +102,16 @@ def ialltoall(rt: MpiRuntime, comm: Communicator, send_addr: int, recv_addr: int
 
 
 def _ialltoall(rt: MpiRuntime, comm: Communicator, send_addr: int, recv_addr: int, block: int):
-    tag = coll_tag(comm, rt.rank)
-    me = comm.rank_of(rt.rank)
-    p = comm.size
-
-    def round0(rt: MpiRuntime):
-        reqs = []
-        yield from rt.copy_local(send_addr + me * block, recv_addr + me * block, block)
-        for dist in range(1, p):
-            dst = (me + dist) % p
-            src = (me - dist) % p
-            reqs.append(
-                (yield from rt._isend(comm, dst, send_addr + dst * block, block, tag))
-            )
-            reqs.append(
-                (yield from rt._irecv(comm, src, recv_addr + src * block, block, tag))
-            )
-        return reqs
-
-    coll = CollectiveRequest(rank=rt.rank, comm_id=comm.comm_id, op="ialltoall", rounds=[round0])
-    yield from rt.start_collective(coll)
-    return coll
+    return _start(rt, comm, "ialltoall", schedules.alltoall, (block,), send_addr, recv_addr)
 
 
 def alltoall(rt: MpiRuntime, comm: Communicator, send_addr: int, recv_addr: int, block: int):
-    def _go():
-        coll = yield from _ialltoall(rt, comm, send_addr, recv_addr, block)
-        yield from rt._wait(coll)
-
-    return rt._timed(_go())
+    return rt._timed(_and_wait(rt, _ialltoall(rt, comm, send_addr, recv_addr, block)))
 
 
 # ---------------------------------------------------------------------------
 # broadcast
 # ---------------------------------------------------------------------------
-
-def _binomial_parent_children(vrank: int, p: int) -> tuple[int | None, list[int]]:
-    """Parent/children of a virtual rank in a binomial broadcast tree.
-
-    A node's parent is itself with the highest set bit cleared; its
-    children are ``vrank + 2**k`` for every ``2**k > vrank`` still in
-    range.
-    """
-    parent = None
-    if vrank > 0:
-        parent = vrank & ~(1 << (vrank.bit_length() - 1))
-    children = []
-    k = 1 if vrank == 0 else 1 << vrank.bit_length()
-    while vrank + k < p:
-        children.append(vrank + k)
-        k <<= 1
-    return parent, children
-
 
 def ibcast(
     rt: MpiRuntime,
@@ -159,185 +137,18 @@ SCAG_THRESHOLD = 64 * 1024
 def _ibcast(rt, comm, root, addr, size, algorithm="binomial"):
     if algorithm == "binomial":
         if size > SCAG_THRESHOLD and comm.size > 2:
-            gen = _ibcast_scag(rt, comm, root, addr, size)
+            op, build = "ibcast_scag", schedules.bcast_scag
         else:
-            gen = _ibcast_binomial(rt, comm, root, addr, size)
+            op, build = "ibcast", schedules.bcast_binomial
     elif algorithm == "ring":
-        gen = _ibcast_ring(rt, comm, root, addr, size)
+        op, build = "ibcast_ring", schedules.bcast_ring
     else:
         raise MpiError(f"unknown broadcast algorithm {algorithm!r}")
-    return (yield from gen)
-
-
-def _ibcast_binomial(rt, comm, root, addr, size):
-    tag = coll_tag(comm, rt.rank)
-    me = comm.rank_of(rt.rank)
-    p = comm.size
-    vrank = (me - root) % p
-    parent_v, children_v = _binomial_parent_children(vrank, p)
-
-    def recv_round(rt: MpiRuntime):
-        if parent_v is None:
-            return []
-        parent = (parent_v + root) % p
-        req = yield from rt._irecv(comm, parent, addr, size, tag)
-        return [req]
-
-    def send_round(rt: MpiRuntime):
-        reqs = []
-        for child_v in children_v:
-            child = (child_v + root) % p
-            reqs.append((yield from rt._isend(comm, child, addr, size, tag)))
-        return reqs
-
-    coll = CollectiveRequest(
-        rank=rt.rank, comm_id=comm.comm_id, op="ibcast",
-        rounds=[recv_round, send_round],
-    )
-    yield from rt.start_collective(coll)
-    return coll
-
-
-def _ibcast_ring(rt, comm, root, addr, size):
-    """The HPL-1ring pattern: root -> root+1 -> ... around the ring.
-
-    Every non-root rank must *receive before it can forward* -- the
-    data dependency that forces CPU intervention in host MPI (paper
-    Listing 1) and that Group primitives offload wholesale.
-    """
-    tag = coll_tag(comm, rt.rank)
-    me = comm.rank_of(rt.rank)
-    p = comm.size
-    right = (me + 1) % p
-    is_root = me == root
-    last = (root - 1) % p  # the ring's tail does not forward
-
-    def recv_round(rt: MpiRuntime):
-        if is_root:
-            return []
-        left = (me - 1) % p
-        req = yield from rt._irecv(comm, left, addr, size, tag)
-        return [req]
-
-    def send_round(rt: MpiRuntime):
-        if me == last and not is_root:
-            return []
-        if p == 1:
-            return []
-        req = yield from rt._isend(comm, right, addr, size, tag)
-        return [req]
-
-    coll = CollectiveRequest(
-        rank=rt.rank, comm_id=comm.comm_id, op="ibcast_ring",
-        rounds=[recv_round, send_round],
-    )
-    yield from rt.start_collective(coll)
-    return coll
-
-
-def _ibcast_scag(rt, comm, root, addr, size):
-    """Large-message broadcast: binomial scatter + ring allgather.
-
-    The buffer is cut into ``p`` segments.  A binomial-tree scatter
-    leaves virtual rank ``v`` holding exactly segment ``v``; a ring
-    allgather then circulates every segment (p-1 dependent rounds).
-    Bandwidth-optimal (~2 x (p-1)/p x size moved per rank), but each of
-    those dependent rounds is a CPU-intervention point for a
-    host-progressed runtime.  This is the MPICH/IntelMPI large-message
-    broadcast.
-    """
-    tag = coll_tag(comm, rt.rank)
-    me = comm.rank_of(rt.rank)
-    p = comm.size
-    vr = (me - root) % p
-    seg = max(1, size // p)
-
-    def seg_bounds(i: int) -> tuple[int, int]:
-        lo = i * seg
-        hi = size if i == p - 1 else min(size, (i + 1) * seg)
-        return lo, max(0, hi - lo)
-
-    def rank_of_v(v: int) -> int:
-        return (v + root) % p
-
-    def range_bytes(first_seg: int, n_segs: int) -> tuple[int, int]:
-        """Contiguous byte range covering segments [first, first+n)."""
-        lo, _ = seg_bounds(first_seg)
-        last = min(p, first_seg + n_segs) - 1
-        llo, lln = seg_bounds(last)
-        return lo, (llo + lln) - lo
-
-    # Binomial scatter tree: parent(v) = v with its lowest set bit
-    # cleared; v arrives owning segments [v, v+lowbit(v)) and hands the
-    # upper halves to children v + 2^j (2^j < lowbit(v)), largest first.
-    span = (1 << max(0, (p - 1).bit_length())) if vr == 0 else (vr & -vr)
-    parent_v = None if vr == 0 else (vr & (vr - 1))
-    children = []
-    j = span >> 1
-    while j >= 1:
-        if vr + j < p:
-            children.append((vr + j, j))
-        j >>= 1
-
-    rounds = []
-
-    def scatter_recv_round(rt: MpiRuntime):
-        if parent_v is None:
-            return []
-        lo, ln = range_bytes(vr, span)
-        if ln == 0:
-            return []
-        req = yield from rt._irecv(comm, rank_of_v(parent_v), addr + lo, ln, tag)
-        return [req]
-
-    def scatter_send_round(rt: MpiRuntime):
-        reqs = []
-        for child_v, child_span in children:
-            lo, ln = range_bytes(child_v, child_span)
-            if ln:
-                reqs.append((yield from rt._isend(
-                    comm, rank_of_v(child_v), addr + lo, ln, tag)))
-        return reqs
-
-    rounds.append(scatter_recv_round)
-    rounds.append(scatter_send_round)
-
-    # Ring allgather: p-1 dependent rounds shifting one segment each.
-    right = rank_of_v((vr + 1) % p)
-    left = rank_of_v((vr - 1) % p)
-    for r in range(p - 1):
-        def make_ag_round(r=r):
-            def round_fn(rt: MpiRuntime):
-                send_idx = (vr - r) % p
-                recv_idx = (vr - r - 1) % p
-                slo, sln = seg_bounds(send_idx)
-                rlo, rln = seg_bounds(recv_idx)
-                reqs = []
-                if sln:
-                    reqs.append((yield from rt._isend(
-                        comm, right, addr + slo, sln, tag + 1 + r)))
-                if rln:
-                    reqs.append((yield from rt._irecv(
-                        comm, left, addr + rlo, rln, tag + 1 + r)))
-                return reqs
-
-            return round_fn
-
-        rounds.append(make_ag_round())
-
-    coll = CollectiveRequest(
-        rank=rt.rank, comm_id=comm.comm_id, op="ibcast_scag", rounds=rounds,
-    )
-    yield from rt.start_collective(coll)
-    return coll
+    return _start(rt, comm, op, build, (root, size), recv_addr=addr)
 
 
 def bcast(rt, comm, root, addr, size, algorithm="binomial"):
-    def _go():
-        coll = yield from _ibcast(rt, comm, root, addr, size, algorithm)
-        yield from rt._wait(coll)
-
-    return rt._timed(_go())
+    return rt._timed(_and_wait(rt, _ibcast(rt, comm, root, addr, size, algorithm)))
 
 
 # ---------------------------------------------------------------------------
@@ -350,42 +161,15 @@ def ibarrier(rt: MpiRuntime, comm: Communicator):
 
 
 def _ibarrier(rt, comm):
-    tag = coll_tag(comm, rt.rank)
-    me = comm.rank_of(rt.rank)
-    p = comm.size
-    rounds = []
-    scratch = rt.ctx.space.alloc(max(1, p.bit_length()))  # 1 byte per round
-
-    def make_round(k: int):
-        def round_fn(rt: MpiRuntime):
-            dst = (me + (1 << k)) % p
-            src = (me - (1 << k)) % p
-            reqs = []
-            if dst != me:
-                reqs.append((yield from rt._isend(comm, dst, scratch + k, 1, tag + k)))
-                reqs.append((yield from rt._irecv(comm, src, scratch + k, 1, tag + k)))
-            return reqs
-
-        return round_fn
-
-    k = 0
-    while (1 << k) < p:
-        rounds.append(make_round(k))
-        k += 1
-    coll = CollectiveRequest(rank=rt.rank, comm_id=comm.comm_id, op="ibarrier", rounds=rounds)
-    yield from rt.start_collective(coll)
-    return coll
-
-
-def _ibarrier_and_wait(rt, comm):
-    """Blocking barrier body without the runtime's timing wrapper
-    (for callers that do their own accounting, e.g. CommBackend)."""
-    coll = yield from _ibarrier(rt, comm)
-    yield from rt._wait(coll)
+    # One pad per runtime serves every barrier: 1-byte eager messages,
+    # 64 of them cover any communicator size.
+    if rt._barrier_pad is None:
+        rt._barrier_pad = rt.ctx.space.alloc(64)
+    return _start(rt, comm, "ibarrier", schedules.barrier, (), scratch=rt._barrier_pad)
 
 
 def barrier(rt, comm):
-    return rt._timed(_ibarrier_and_wait(rt, comm))
+    return rt._timed(_and_wait(rt, _ibarrier(rt, comm)))
 
 
 # ---------------------------------------------------------------------------
@@ -398,49 +182,16 @@ def iallgather(rt: MpiRuntime, comm: Communicator, send_addr: int, recv_addr: in
 
 
 def _iallgather(rt, comm, send_addr, recv_addr, block):
-    tag = coll_tag(comm, rt.rank)
-    me = comm.rank_of(rt.rank)
-    p = comm.size
-    right = (me + 1) % p
-    left = (me - 1) % p
-
-    def round0(rt: MpiRuntime):
-        yield from rt.copy_local(send_addr, recv_addr + me * block, block)
-        return []
-
-    def make_round(r: int):
-        def round_fn(rt: MpiRuntime):
-            send_block = (me - r) % p
-            recv_block = (me - r - 1) % p
-            reqs = [
-                (yield from rt._isend(comm, right, recv_addr + send_block * block, block, tag + r)),
-                (yield from rt._irecv(comm, left, recv_addr + recv_block * block, block, tag + r)),
-            ]
-            return reqs
-
-        return round_fn
-
-    rounds = [round0] + [make_round(r) for r in range(p - 1)]
-    coll = CollectiveRequest(rank=rt.rank, comm_id=comm.comm_id, op="iallgather", rounds=rounds)
-    yield from rt.start_collective(coll)
-    return coll
+    return _start(rt, comm, "iallgather", schedules.allgather, (block,), send_addr, recv_addr)
 
 
 def allgather(rt, comm, send_addr, recv_addr, block):
-    def _go():
-        coll = yield from _iallgather(rt, comm, send_addr, recv_addr, block)
-        yield from rt._wait(coll)
-
-    return rt._timed(_go())
+    return rt._timed(_and_wait(rt, _iallgather(rt, comm, send_addr, recv_addr, block)))
 
 
 # ---------------------------------------------------------------------------
 # reduce / allreduce (binomial, float64 sum)
 # ---------------------------------------------------------------------------
-
-def _reduce_flops_cost(rt: MpiRuntime, count: int) -> float:
-    return count / rt.params.host_flops_per_core
-
 
 def ireduce(rt: MpiRuntime, comm: Communicator, root: int, addr: int, nbytes: int):
     """Binomial-tree sum-reduce of float64 data into ``root``'s buffer.
@@ -455,54 +206,8 @@ def ireduce(rt: MpiRuntime, comm: Communicator, root: int, addr: int, nbytes: in
 def _ireduce(rt, comm, root, addr, nbytes):
     if nbytes % 8:
         raise MpiError("reduce payload must be whole float64 words")
-    tag = coll_tag(comm, rt.rank)
-    me = comm.rank_of(rt.rank)
-    p = comm.size
-    vrank = (me - root) % p
-    count = nbytes // 8
-
-    # Reduce runs the broadcast tree backwards: a node receives from each
-    # of its (binomial) children, accumulating, then sends to its parent.
-    parent_v, children_v = _binomial_parent_children(vrank, p)
-    scratch = rt.ctx.space.alloc(nbytes) if children_v else None
-    rounds = []
-
-    def make_child_round(child_v: int):
-        def round_fn(rt: MpiRuntime):
-            child = (child_v + root) % p
-            req = yield from rt._irecv(comm, child, scratch, nbytes, tag)
-            return [req]
-
-        return round_fn
-
-    def make_accum_round():
-        def round_fn(rt: MpiRuntime):
-            yield rt.ctx.consume(_reduce_flops_cost(rt, count))
-            if rt.ctx.cluster.payloads:
-                acc = rt.ctx.space.read_as(addr, np.float64, count)
-                inc = rt.ctx.space.read_as(scratch, np.float64, count)
-                rt.ctx.space.write(addr, acc + inc)
-            return []
-
-        return round_fn
-
-    # Children must be drained deepest-first (largest child first), the
-    # reverse of the broadcast send order.
-    for child_v in reversed(children_v):
-        rounds.append(make_child_round(child_v))
-        rounds.append(make_accum_round())
-
-    def send_round(rt: MpiRuntime):
-        if parent_v is None:
-            return []
-        parent = (parent_v + root) % p
-        req = yield from rt._isend(comm, parent, addr, nbytes, tag)
-        return [req]
-
-    rounds.append(send_round)
-    coll = CollectiveRequest(rank=rt.rank, comm_id=comm.comm_id, op="ireduce", rounds=rounds)
-    yield from rt.start_collective(coll)
-    return coll
+    return (yield from _start(
+        rt, comm, "ireduce", schedules.reduce, (root, nbytes), recv_addr=addr))
 
 
 def allreduce(rt: MpiRuntime, comm: Communicator, addr: int, nbytes: int):
@@ -512,10 +217,8 @@ def allreduce(rt: MpiRuntime, comm: Communicator, addr: int, nbytes: int):
     callers that want overlap use :func:`ireduce` + :func:`ibcast`.)
     """
     def _go():
-        red = yield from _ireduce(rt, comm, 0, addr, nbytes)
-        yield from rt._wait(red)
-        bc = yield from _ibcast(rt, comm, 0, addr, nbytes, "binomial")
-        yield from rt._wait(bc)
+        yield from _and_wait(rt, _ireduce(rt, comm, 0, addr, nbytes))
+        yield from _and_wait(rt, _ibcast(rt, comm, 0, addr, nbytes, "binomial"))
 
     return rt._timed(_go())
 
@@ -536,101 +239,12 @@ def igather(rt: MpiRuntime, comm: Communicator, root: int, send_addr: int,
     return rt._timed(_igather(rt, comm, root, send_addr, recv_addr, block))
 
 
-def _subtree_span(vrank: int, p: int) -> int:
-    """Number of virtual ranks in vrank's binomial *scatter-tree* subtree."""
-    span = (1 << max(0, (p - 1).bit_length())) if vrank == 0 else (vrank & -vrank)
-    return min(span, p - vrank)
-
-
-def _scatter_tree(vrank: int, p: int) -> tuple[int | None, list[int]]:
-    """Parent/children in the binomial scatter/gather tree.
-
-    This is the *other* binomial tree (parent = clear the LOWEST set
-    bit), in which node v owns the contiguous virtual range
-    [v, v + span(v)) -- the property scatter offsets rely on.  Children
-    are listed largest-subtree-first.
-    """
-    myspan = (1 << max(0, (p - 1).bit_length())) if vrank == 0 else (vrank & -vrank)
-    parent = None if vrank == 0 else vrank & (vrank - 1)
-    children = []
-    j = myspan >> 1
-    while j >= 1:
-        if vrank + j < p:
-            children.append(vrank + j)
-        j >>= 1
-    return parent, children
-
-
 def _igather(rt, comm, root, send_addr, recv_addr, block):
-    tag = coll_tag(comm, rt.rank)
-    me = comm.rank_of(rt.rank)
-    p = comm.size
-    vrank = (me - root) % p
-    span = _subtree_span(vrank, p)
-    parent_v, children_v = _scatter_tree(vrank, p)
-    # Children arrive smallest-subtree-first (they finish soonest).
-    children_v = list(reversed(children_v))
-    # Collect my subtree into contiguous scratch (the root writes the
-    # user recv buffer directly; note virtual order == user order only
-    # when root == 0, so non-zero roots unpack at completion).
-    if vrank == 0:
-        scratch = recv_addr if root == 0 else rt.ctx.space.alloc(p * block)
-    else:
-        scratch = rt.ctx.space.alloc(span * block)
-    rounds = []
-
-    def own_block_round(rt: MpiRuntime):
-        yield from rt.copy_local(send_addr, scratch, block)
-        return []
-
-    rounds.append(own_block_round)
-
-    for child_v in children_v:
-        child_span = _subtree_span(child_v, p)
-
-        def make_recv(child_v=child_v, child_span=child_span):
-            def round_fn(rt: MpiRuntime):
-                child = (child_v + root) % p
-                off = (child_v - vrank) * block
-                req = yield from rt._irecv(
-                    comm, child, scratch + off, child_span * block, tag)
-                return [req]
-
-            return round_fn
-
-        rounds.append(make_recv())
-
-    def send_up_round(rt: MpiRuntime):
-        if parent_v is None:
-            return []
-        parent = (parent_v + root) % p
-        req = yield from rt._isend(comm, parent, scratch, span * block, tag)
-        return [req]
-
-    rounds.append(send_up_round)
-
-    def unpack(rt: MpiRuntime):
-        # Non-zero root: scratch is in virtual order; rotate into user order.
-        if vrank == 0 and root != 0:
-            for v in range(p):
-                actual = (v + root) % p
-                yield from rt.copy_local(
-                    scratch + v * block, recv_addr + actual * block, block)
-
-    coll = CollectiveRequest(
-        rank=rt.rank, comm_id=comm.comm_id, op="igather", rounds=rounds,
-        on_complete=unpack if (vrank == 0 and root != 0) else None,
-    )
-    yield from rt.start_collective(coll)
-    return coll
+    return _start(rt, comm, "igather", schedules.gather, (root, block), send_addr, recv_addr)
 
 
 def gather(rt, comm, root, send_addr, recv_addr, block):
-    def _go():
-        coll = yield from _igather(rt, comm, root, send_addr, recv_addr, block)
-        yield from rt._wait(coll)
-
-    return rt._timed(_go())
+    return rt._timed(_and_wait(rt, _igather(rt, comm, root, send_addr, recv_addr, block)))
 
 
 def iscatter(rt: MpiRuntime, comm: Communicator, root: int, send_addr: int,
@@ -645,70 +259,8 @@ def iscatter(rt: MpiRuntime, comm: Communicator, root: int, send_addr: int,
 
 
 def _iscatter(rt, comm, root, send_addr, recv_addr, block):
-    tag = coll_tag(comm, rt.rank)
-    me = comm.rank_of(rt.rank)
-    p = comm.size
-    vrank = (me - root) % p
-    span = _subtree_span(vrank, p)
-    parent_v, children_v = _scatter_tree(vrank, p)
-
-    if vrank == 0:
-        if root == 0:
-            scratch = send_addr
-            pack = None
-        else:
-            scratch = rt.ctx.space.alloc(p * block)
-
-            def pack(rt: MpiRuntime):
-                for v in range(p):
-                    actual = (v + root) % p
-                    yield from rt.copy_local(
-                        send_addr + actual * block, scratch + v * block, block)
-                return []
-    else:
-        scratch = rt.ctx.space.alloc(span * block)
-        pack = None
-    rounds = []
-    if pack is not None:
-        rounds.append(pack)
-
-    def recv_round(rt: MpiRuntime):
-        if parent_v is None:
-            return []
-        parent = (parent_v + root) % p
-        req = yield from rt._irecv(comm, parent, scratch, span * block, tag)
-        return [req]
-
-    rounds.append(recv_round)
-
-    def send_round(rt: MpiRuntime):
-        reqs = []
-        # Largest subtree first, as in the broadcast.
-        for child_v in children_v:
-            child_span = _subtree_span(child_v, p)
-            child = (child_v + root) % p
-            off = (child_v - vrank) * block
-            reqs.append((yield from rt._isend(
-                comm, child, scratch + off, child_span * block, tag)))
-        return reqs
-
-    rounds.append(send_round)
-
-    def deliver_own(rt: MpiRuntime):
-        yield from rt.copy_local(scratch, recv_addr, block)
-        return []
-
-    rounds.append(deliver_own)
-    coll = CollectiveRequest(
-        rank=rt.rank, comm_id=comm.comm_id, op="iscatter", rounds=rounds,
-    )
-    yield from rt.start_collective(coll)
-    return coll
+    return _start(rt, comm, "iscatter", schedules.scatter, (root, block), send_addr, recv_addr)
 
 
 def scatter(rt, comm, root, send_addr, recv_addr, block):
-    def _go():
-        coll = yield from _iscatter(rt, comm, root, send_addr, recv_addr, block)
-        yield from rt._wait(coll)
-
-    return rt._timed(_go())
+    return rt._timed(_and_wait(rt, _iscatter(rt, comm, root, send_addr, recv_addr, block)))

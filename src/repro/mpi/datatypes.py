@@ -82,12 +82,13 @@ class MpiRequest:
 class CollectiveRequest:
     """A non-blocking collective: a dependency-ordered schedule of rounds.
 
-    ``rounds`` is a list of callables; each, when invoked with the
-    runtime, returns the list of :class:`MpiRequest` for that round.
-    The progress engine starts round *k+1* only once every request of
-    round *k* has completed -- which is how a host-progressed library
-    really chains e.g. a binomial-tree Ibcast, and why its overlap
-    suffers: advancing to the next round needs the CPU.
+    ``rounds`` is the rank's :class:`repro.mpi.schedules.Schedule` --
+    a list of op lists over the symbolic buffers ``bufs`` resolves and
+    the base ``tag`` offsets.  The progress engine starts round *k+1*
+    only once every request of round *k* has completed -- which is how
+    a host-progressed library really chains e.g. a binomial-tree
+    Ibcast, and why its overlap suffers: advancing to the next round
+    needs the CPU.
     """
 
     rank: int
@@ -99,8 +100,13 @@ class CollectiveRequest:
     complete: bool = False
     complete_time: Optional[float] = None
     req_id: int = field(default_factory=lambda: next(_req_ids))
-    #: Optional completion hook (copy-out, unpacking).
-    on_complete: Any = None
+    comm: Any = None
+    tag: int = 0
+    #: Symbolic buffer name -> base address.
+    bufs: dict = field(default_factory=dict)
+    #: Scratch the engine allocated for this collective and frees when
+    #: it finishes locally (None: no scratch, or the caller's).
+    owned_scratch: Optional[int] = None
 
     def __hash__(self) -> int:
         return self.req_id

@@ -32,7 +32,9 @@ Protocols:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Optional
+
+import numpy as np
 
 from repro.hw.node import ProcessContext
 from repro.mpi.communicator import Communicator
@@ -71,6 +73,10 @@ class MpiRuntime:
         self._awaiting_fin: dict[int, MpiRequest] = {}
         #: Active non-blocking collectives.
         self._collectives: list[CollectiveRequest] = []
+        #: Collectives started so far per communicator id (their tags).
+        self._coll_seq: dict[int, int] = {}
+        #: The dissemination barrier's bytes (never read), allocated once.
+        self._barrier_pad: Optional[int] = None
         #: Total simulated time this rank spent inside MPI calls
         #: (Fig 16c's "Time spent in MPI").
         self.time_in_mpi = 0.0
@@ -425,16 +431,28 @@ class MpiRuntime:
         yield from self._start_round(coll)
 
     def _start_round(self, coll: CollectiveRequest):
-        while coll.round_idx < len(coll.rounds):
-            round_fn = coll.rounds[coll.round_idx]
-            coll.active = yield from round_fn(self)
+        """The host interpreter of :mod:`repro.mpi.schedules`: post the
+        next round's ops; a round that posts no request (nothing for
+        this rank to do, or only local work) falls through."""
+        rounds, comm, tag, bufs = coll.rounds, coll.comm, coll.tag, coll.bufs
+        while coll.round_idx < len(rounds):
+            active = []
+            for op in rounds[coll.round_idx]:
+                kind = op.kind
+                addr = bufs[op.buf] + op.off
+                if kind in ("send", "recv"):
+                    post = self._isend if kind == "send" else self._irecv
+                    active.append((yield from post(
+                        comm, op.peer, addr, op.nbytes, tag + op.tag)))
+                elif kind == "copy":
+                    yield from self.copy_local(bufs[op.src] + op.src_off, addr, op.nbytes)
+                else:
+                    yield from self._accumulate(bufs[op.src] + op.src_off, addr, op.nbytes)
+            coll.active = active
             coll.round_idx += 1
-            if coll.active:
+            if active:
                 return
-            # Empty round (nothing for this rank to do): fall through.
         self._finish_collective(coll)
-        if coll.on_complete is not None:
-            yield from coll.on_complete(self)
 
     def _advance_collectives(self):
         progressed = True
@@ -454,6 +472,8 @@ class MpiRuntime:
         coll.complete_time = self.sim.now
         if coll in self._collectives:
             self._collectives.remove(coll)
+        if coll.owned_scratch is not None:
+            self.ctx.free(coll.owned_scratch)
 
     # ------------------------------------------------------------------
     # local data movement helper
@@ -463,3 +483,12 @@ class MpiRuntime:
         yield self.ctx.consume(size / self.params.copy_bandwidth)
         if size and self.ctx.cluster.payloads:
             self.ctx.space.write(dst_addr, self.ctx.space.read(src_addr, size))
+
+    def _accumulate(self, src_addr: int, dst_addr: int, size: int):
+        """``dst += src`` over float64 words, at the host's flop rate."""
+        count = size // 8
+        yield self.ctx.consume(count / self.params.host_flops_per_core)
+        if self.ctx.cluster.payloads:
+            space = self.ctx.space
+            space.write(dst_addr, space.read_as(dst_addr, np.float64, count)
+                        + space.read_as(src_addr, np.float64, count))

@@ -30,6 +30,7 @@ from repro.offload.collectives import (
     allreduce_algorithm,
     build_iallgather,
     build_iallreduce,
+    build_ialltoall,
     build_ibcast,
 )
 from repro.offload.gvmi_cache import DpuGvmiCache, HostGvmiCache
@@ -47,6 +48,7 @@ __all__ = [
     "allreduce_algorithm",
     "build_iallgather",
     "build_iallreduce",
+    "build_ialltoall",
     "build_ibcast",
     "GroupOp",
     "HostGvmiCache",

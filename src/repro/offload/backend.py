@@ -15,29 +15,18 @@
 
 from __future__ import annotations
 
-from repro.baselines.base import CommBackend
-from repro.mpi.datatypes import CollectiveRequest, MpiRequest
-from repro.offload.requests import OffloadGroupRequest, OffloadRequest
+from repro.baselines.base import GroupBackend
 
 __all__ = ["ProposedBackend"]
 
-#: Reserved tags for the backend's collective patterns.
-_A2A_TAG = 23
-_BCAST_TAG = 29
 
-
-class ProposedBackend(CommBackend):
+class ProposedBackend(GroupBackend):
     name = "proposed"
+    mode = "gvmi"
+    keeps_patterns = True
+    a2a_tag = 23
+    bcast_tag = 29
 
-    def __init__(self, stack, rank):
-        super().__init__(stack, rank)
-        assert stack.framework is not None and stack.framework.mode == "gvmi"
-        self.ep = stack.framework.endpoint(rank)
-        #: Persistent group requests keyed by the pattern identity, so
-        #: iteration 2+ of an application collective is a cache hit.
-        self._patterns: dict[tuple, OffloadGroupRequest] = {}
-
-    # -- p2p ---------------------------------------------------------------
     def _isend(self, comm, dst, addr, size, tag):
         dst_world = comm.world_rank(dst)
         if self.ctx.cluster.same_node(self.rank, dst_world):
@@ -49,64 +38,3 @@ class ProposedBackend(CommBackend):
         if self.ctx.cluster.same_node(self.rank, src_world):
             return (yield from self.rt._irecv(comm, src, addr, size, tag))
         return (yield from self.ep.recv_offload(addr, size, src=src_world, tag=tag))
-
-    def _wait(self, req):
-        if isinstance(req, (MpiRequest, CollectiveRequest)):
-            yield from self.rt._wait(req)
-        elif isinstance(req, (OffloadRequest, OffloadGroupRequest)):
-            yield from self.ep.wait(req)
-        else:
-            raise TypeError(f"cannot wait on {type(req).__name__}")
-
-    def _test(self, req):
-        if isinstance(req, (MpiRequest, CollectiveRequest)):
-            yield self.ctx.consume(self.rt.params.mpi_call_overhead)
-            yield from self.rt._drain()
-        # Offload requests complete via the completion counter; testing
-        # them is a host-memory load, no protocol work.
-        return bool(req.complete)
-
-    # -- collectives over Group primitives ------------------------------------
-    def _ialltoall(self, comm, send_addr, recv_addr, block):
-        me = comm.rank_of(self.rank)
-        p = comm.size
-        yield from self.rt.copy_local(send_addr + me * block, recv_addr + me * block, block)
-        key = ("a2a", comm.comm_id, send_addr, recv_addr, block)
-        greq = self._patterns.get(key)
-        if greq is None:
-            greq = self.ep.group_start()
-            for dist in range(1, p):
-                dst = (me + dist) % p
-                src = (me - dist) % p
-                self.ep.group_send(greq, send_addr + dst * block, block,
-                                   dst=comm.world_rank(dst), tag=_A2A_TAG)
-                self.ep.group_recv(greq, recv_addr + src * block, block,
-                                   src=comm.world_rank(src), tag=_A2A_TAG)
-            self.ep.group_end(greq)
-            self._patterns[key] = greq
-        yield from self.ep.group_call(greq)
-        return greq
-
-    def _ibcast(self, comm, root, addr, size):
-        me = comm.rank_of(self.rank)
-        p = comm.size
-        key = ("bcast", comm.comm_id, root, addr, size)
-        greq = self._patterns.get(key)
-        if greq is None:
-            greq = self.ep.group_start()
-            if p > 1:
-                right = comm.world_rank((me + 1) % p)
-                left = comm.world_rank((me - 1) % p)
-                last = (root - 1) % p
-                if me == root:
-                    self.ep.group_send(greq, addr, size, dst=right, tag=_BCAST_TAG)
-                    self.ep.group_barrier(greq)
-                else:
-                    self.ep.group_recv(greq, addr, size, src=left, tag=_BCAST_TAG)
-                    self.ep.group_barrier(greq)
-                    if me != last:
-                        self.ep.group_send(greq, addr, size, dst=right, tag=_BCAST_TAG)
-            self.ep.group_end(greq)
-            self._patterns[key] = greq
-        yield from self.ep.group_call(greq)
-        return greq

@@ -1,7 +1,10 @@
-"""Offloaded collectives: Ibcast / Iallgather / Iallreduce as Group DAGs.
+"""Offloaded collectives: Ialltoall / Ibcast / Iallgather / Iallreduce
+as Group DAGs.
 
-Each builder records a complete collective round structure into one
-:class:`~repro.offload.requests.OffloadGroupRequest` per rank.  Once the
+Each builder hands one rank's :mod:`repro.mpi.schedules` schedule to
+:func:`record_schedule`, the Group interpreter, which records the whole
+round structure into one
+:class:`~repro.offload.requests.OffloadGroupRequest`.  Once the
 pattern is shipped (``Group_Offload_call``) the whole collective --
 message posting, barrier counters, and for Iallreduce the arithmetic
 itself (DPU-side :meth:`group_reduce` entries) -- runs on the proxies
@@ -9,46 +12,34 @@ with **zero host CPU inside the window**: the host is free between the
 call and ``Group_Wait``, which the trace invariant
 (:func:`repro.obs.invariants.check_invariants`) enforces.
 
-Round structure and barrier discipline
---------------------------------------
+Barrier discipline: the group executor flushes barrier counters per
+*segment* (the ops between consecutive barriers) and the recorder puts
+one barrier between consecutive schedule rounds, so
 
-The group executor flushes barrier counters per *segment* (the ops
-between consecutive barriers), so two constraints shape every builder:
-
-* every rank of the communicator records the **same number of
-  barriers** (the executor's matching assumption) -- ranks idle in a
-  round still record that round's barrier;
-* a send that forwards received data sits in a **later segment** than
+* every rank of the communicator has the **same number of rounds**
+  (the executor matches barriers by count) -- ranks idle in a round
+  still record that round's barrier;
+* a send that forwards received data sits in a **later round** than
   its receive, so the barrier's counter await orders the remote write
   before the forward.
 
-Algorithms (classic MPICH shapes, adapted to the Group entry queue):
-
-* **Ibcast** -- binomial tree, ``ceil(log2 p)`` rounds.
-* **Iallgather** -- ring, ``p - 1`` rounds; block ``(me - r) % p``
-  moves right each round, landing directly in the receive buffer.
-* **Iallreduce** -- recursive doubling (power-of-two ``p``,
-  ``log2 p`` rounds) or ring reduce-scatter + allgather (any ``p``,
-  ``2(p-1)`` rounds); ``auto`` picks by communicator size.  Inbound
-  partials land in **per-round scratch slots**: a partner one round
-  ahead may RDMA-write its next contribution while this rank's ARM is
-  still folding the previous one, and distinct slots make that overlap
-  safe without extra barriers.
-
-Payloads are float64 words (``group_reduce``'s element type); sizes
-must be multiples of 8 bytes.
+Payloads of reductions are float64 words (``group_reduce``'s element
+type); their sizes must be multiples of 8 bytes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.mpi import schedules
+from repro.mpi.schedules import RECV, SCRATCH, SEND, Schedule
 from repro.offload.requests import OffloadError, OffloadGroupRequest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.offload.api import OffloadEndpoint
 
 __all__ = [
+    "build_ialltoall",
     "build_ibcast",
     "build_iallgather",
     "build_iallreduce",
@@ -67,8 +58,48 @@ TAG_ALLGATHER = 0x7B00
 TAG_ALLREDUCE = 0x7C00
 
 
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
+def record_schedule(ep: "OffloadEndpoint", sched: Schedule, *, base_tag: int,
+                    send_addr: Optional[int] = None, recv_addr: Optional[int] = None,
+                    world_rank: Callable[[int], int] = int,
+                    ) -> tuple[OffloadGroupRequest, Optional[int]]:
+    """The Group interpreter: record ``sched`` as one sealed pattern.
+
+    Ops become ``group_send`` / ``group_recv`` / ``group_reduce``
+    entries in order, with a ``group_barrier`` between consecutive
+    rounds; ``world_rank`` translates the schedule's communicator ranks
+    (identity by default).  A Group pattern has no local-copy entry:
+    ``copy`` ops are the caller's, before ``Group_Offload_call``.
+    Returns ``(request, scratch_addr)``; the scratch (``None`` when the
+    schedule needs none) must stay allocated while the request lives.
+    """
+    greq = ep.group_start()
+    scratch = ep.ctx.space.alloc(sched.scratch_bytes) if sched.scratch_bytes else None
+    bufs = {SEND: send_addr, RECV: recv_addr, SCRATCH: scratch}
+    for i, ops in enumerate(sched.rounds):
+        if i:
+            ep.group_barrier(greq)
+        for op in ops:
+            addr = bufs[op.buf] + op.off
+            if op.kind == "send":
+                ep.group_send(greq, addr, op.nbytes, dst=world_rank(op.peer),
+                              tag=base_tag + op.tag)
+            elif op.kind == "recv":
+                ep.group_recv(greq, addr, op.nbytes, src=world_rank(op.peer),
+                              tag=base_tag + op.tag)
+            elif op.kind == "reduce":
+                ep.group_reduce(greq, bufs[op.src] + op.src_off, addr, op.nbytes)
+    ep.group_end(greq)
+    return greq, scratch
+
+
+def _comm_rank(ep: "OffloadEndpoint", comm_size: int, root: int = 0) -> int:
+    """``ep.rank`` as a rank of the communicator the builders assume
+    (world ranks ``0 .. comm_size-1``).  An endpoint or root outside it
+    would record an aliased rank's pattern and deadlock later."""
+    if not (0 <= ep.rank < comm_size and 0 <= root < comm_size):
+        raise OffloadError(
+            f"rank {ep.rank} / root {root} outside a communicator of {comm_size}")
+    return ep.rank
 
 
 def allreduce_algorithm(comm_size: int, algorithm: str = "auto") -> str:
@@ -79,20 +110,29 @@ def allreduce_algorithm(comm_size: int, algorithm: str = "auto") -> str:
     ``2(p-1)`` rounds only win on very large payloads at small ``p``,
     which callers can force with ``algorithm="ring"``.
     """
+    pow2 = comm_size > 0 and comm_size & (comm_size - 1) == 0
     if algorithm == "auto":
-        return "rd" if _is_pow2(comm_size) else "ring"
+        return "rd" if pow2 else "ring"
     if algorithm not in ("rd", "ring"):
         raise OffloadError(f"unknown Iallreduce algorithm {algorithm!r}")
-    if algorithm == "rd" and not _is_pow2(comm_size):
+    if algorithm == "rd" and not pow2:
         raise OffloadError(
             f"recursive doubling needs a power-of-two communicator, got {comm_size}"
         )
     return algorithm
 
 
-# ----------------------------------------------------------------------
-# Ibcast: binomial tree
-# ----------------------------------------------------------------------
+def build_ialltoall(ep: "OffloadEndpoint", send_addr: int, recv_addr: int,
+                    block: int, *, comm_size: int,
+                    base_tag: int) -> OffloadGroupRequest:
+    """Record the scatter-destination exchange of ``block`` bytes per
+    peer (the pattern of paper Fig 15): every pair posted up front, one
+    tag, no barrier.  The caller moves the self block itself."""
+    sched = schedules.alltoall(_comm_rank(ep, comm_size), comm_size, block)
+    return record_schedule(ep, sched, base_tag=base_tag,
+                           send_addr=send_addr, recv_addr=recv_addr)[0]
+
+
 def build_ibcast(ep: "OffloadEndpoint", addr: int, size: int, *,
                  root: int = 0, comm_size: int,
                  base_tag: int = TAG_BCAST) -> OffloadGroupRequest:
@@ -104,30 +144,11 @@ def build_ibcast(ep: "OffloadEndpoint", addr: int, size: int, *,
     barrier, so the tree pipelines without host involvement.  Returns
     the sealed request (``Group_Offload_end`` already applied).
     """
-    p = comm_size
-    me = ep.rank
-    v = (me - root) % p
-    rounds = (p - 1).bit_length()
-    greq = ep.group_start()
-    for k in range(rounds):
-        bit = 1 << k
-        if v < bit:
-            peer = v + bit
-            if peer < p:
-                ep.group_send(greq, addr, size, dst=(peer + root) % p,
-                              tag=base_tag + k)
-        elif v < (bit << 1):
-            ep.group_recv(greq, addr, size, src=(v - bit + root) % p,
-                          tag=base_tag + k)
-        if k != rounds - 1:
-            ep.group_barrier(greq)
-    ep.group_end(greq)
-    return greq
+    sched = schedules.bcast_binomial(
+        _comm_rank(ep, comm_size, root), comm_size, root, size, levels=True)
+    return record_schedule(ep, sched, base_tag=base_tag, recv_addr=addr)[0]
 
 
-# ----------------------------------------------------------------------
-# Iallgather: ring
-# ----------------------------------------------------------------------
 def build_iallgather(ep: "OffloadEndpoint", recv_addr: int, block_size: int, *,
                      comm_size: int,
                      base_tag: int = TAG_ALLGATHER) -> OffloadGroupRequest:
@@ -139,26 +160,10 @@ def build_iallgather(ep: "OffloadEndpoint", recv_addr: int, block_size: int, *,
     neighbour while block ``(me - r - 1) % p`` arrives from the left,
     directly into its final slot (no scratch copies).
     """
-    p = comm_size
-    me = ep.rank
-    right, left = (me + 1) % p, (me - 1) % p
-    greq = ep.group_start()
-    for r in range(p - 1):
-        s_blk = (me - r) % p
-        r_blk = (me - r - 1) % p
-        ep.group_send(greq, recv_addr + s_blk * block_size, block_size,
-                      dst=right, tag=base_tag + r)
-        ep.group_recv(greq, recv_addr + r_blk * block_size, block_size,
-                      src=left, tag=base_tag + r)
-        if r != p - 2:
-            ep.group_barrier(greq)
-    ep.group_end(greq)
-    return greq
+    sched = schedules.allgather(_comm_rank(ep, comm_size), comm_size, block_size)
+    return record_schedule(ep, sched, base_tag=base_tag, recv_addr=recv_addr)[0]
 
 
-# ----------------------------------------------------------------------
-# Iallreduce: recursive doubling / ring
-# ----------------------------------------------------------------------
 def build_iallreduce(ep: "OffloadEndpoint", addr: int, size: int, *,
                      comm_size: int, algorithm: str = "auto",
                      base_tag: int = TAG_ALLREDUCE,
@@ -174,90 +179,6 @@ def build_iallreduce(ep: "OffloadEndpoint", addr: int, size: int, *,
         raise OffloadError("Iallreduce operates on float64 words "
                            f"(size must be a multiple of 8, got {size})")
     algo = allreduce_algorithm(comm_size, algorithm)
-    if algo == "rd":
-        return _build_allreduce_rd(ep, addr, size, comm_size, base_tag)
-    return _build_allreduce_ring(ep, addr, size, comm_size, base_tag)
-
-
-def _build_allreduce_rd(ep, addr, size, p, base_tag):
-    """Recursive doubling: ``log2 p`` rounds of pairwise exchange+fold."""
-    me = ep.rank
-    rounds = p.bit_length() - 1
-    greq = ep.group_start()
-    scratch = ep.ctx.space.alloc(size * rounds) if rounds else None
-    for k in range(rounds):
-        partner = me ^ (1 << k)
-        slot = scratch + k * size
-        ep.group_send(greq, addr, size, dst=partner, tag=base_tag + k)
-        ep.group_recv(greq, slot, size, src=partner, tag=base_tag + k)
-        # The barrier orders the partner's write before the fold; the
-        # fold (same segment) then precedes the next round's send, so
-        # each exchange ships an up-to-date partial.
-        ep.group_barrier(greq)
-        ep.group_reduce(greq, slot, addr, size)
-    ep.group_end(greq)
-    return greq, scratch
-
-
-def _build_allreduce_ring(ep, addr, size, p, base_tag):
-    """Ring reduce-scatter + ring allgather (any communicator size).
-
-    Chunks are word-granular: chunk ``i`` holds ``count // p`` words
-    plus one of the ``count % p`` remainder words.  A chunk emptied by
-    ``count < p`` is skipped on **both** its sender and its receiver
-    (the chunk index decides, identically on each side), so barrier
-    counts and counter epochs stay aligned across ranks.
-    """
-    me = ep.rank
-    count = size // 8
-    base, rem = divmod(count, p)
-
-    def cw(i: int) -> int:  # words in chunk i
-        return base + (1 if i < rem else 0)
-
-    def off(i: int) -> int:  # byte offset of chunk i
-        return (i * base + min(i, rem)) * 8
-
-    right, left = (me + 1) % p, (me - 1) % p
-    greq = ep.group_start()
-    rs_rounds = p - 1
-    slot_sizes = [cw((me - r - 1) % p) * 8 for r in range(rs_rounds)]
-    total_scratch = sum(slot_sizes)
-    scratch = ep.ctx.space.alloc(total_scratch) if total_scratch else None
-    slots, o = [], scratch or 0
-    for nb in slot_sizes:
-        slots.append(o)
-        o += nb
-
-    # Reduce-scatter: after round r, chunk (me - r - 1) % p is folded
-    # here; after all rounds this rank owns complete chunk (me + 1) % p.
-    for r in range(rs_rounds):
-        s_idx = (me - r) % p
-        r_idx = (me - r - 1) % p
-        snb, rnb = cw(s_idx) * 8, cw(r_idx) * 8
-        if snb:
-            ep.group_send(greq, addr + off(s_idx), snb, dst=right,
-                          tag=base_tag + r)
-        if rnb:
-            ep.group_recv(greq, slots[r], rnb, src=left, tag=base_tag + r)
-        ep.group_barrier(greq)
-        if rnb:
-            ep.group_reduce(greq, slots[r], addr + off(r_idx), rnb)
-
-    # Allgather: complete chunks circulate; inbound ones land straight
-    # in ``addr`` (their final place), no folding needed.
-    ag_base = base_tag + rs_rounds
-    for r in range(p - 1):
-        s_idx = (me + 1 - r) % p
-        r_idx = (me - r) % p
-        snb, rnb = cw(s_idx) * 8, cw(r_idx) * 8
-        if snb:
-            ep.group_send(greq, addr + off(s_idx), snb, dst=right,
-                          tag=ag_base + r)
-        if rnb:
-            ep.group_recv(greq, addr + off(r_idx), rnb, src=left,
-                          tag=ag_base + r)
-        if r != p - 2:
-            ep.group_barrier(greq)
-    ep.group_end(greq)
-    return greq, scratch
+    build = schedules.allreduce_rd if algo == "rd" else schedules.allreduce_ring
+    sched = build(_comm_rank(ep, comm_size), comm_size, size)
+    return record_schedule(ep, sched, base_tag=base_tag, recv_addr=addr)

@@ -23,6 +23,7 @@ from repro.apps.hpl import hpl_run
 from repro.apps.omb import ialltoall_overlap
 from repro.baselines.base import make_stack
 from repro.hw import Cluster, ClusterSpec
+from repro.mpi import collectives
 from repro.offload import OffloadFramework
 from repro.offload.requests import OffloadError
 from repro.sim import Simulator
@@ -230,6 +231,10 @@ def test_sweep_object_count_is_flat():
             alltoall(FLAVORS[point % 3], 2)
             counts.append(live_objects())
     assert abs(counts[11] - counts[1]) <= 0.05 * counts[1], counts
+    # The collective tag sequence is per runtime: twelve dead worlds left
+    # no entry in any process-global table.
+    assert not [name for name, value in vars(collectives).items()
+                if isinstance(value, dict) and value and not name.startswith("__")]
 
 
 # -- (e): the end of life simulates nothing and keeps the counters -------------

@@ -7,7 +7,7 @@ from tests.helpers import pattern
 from repro.hw import Cluster, ClusterSpec
 from repro.mpi import MpiWorld
 from repro.mpi import collectives as coll
-from repro.mpi.collectives import _binomial_parent_children
+from repro.mpi.schedules import binomial_tree as _binomial_parent_children
 
 
 @pytest.fixture(params=[(2, 2), (3, 2), (2, 3)])
@@ -218,3 +218,56 @@ class TestSubCommunicators:
 
         assert all(world.run(program))
         world.assert_quiescent()
+
+
+class TestScratchAndTagLifetime:
+    """A collective owns what it allocates: scratch is released when the
+    collective finishes locally, and the tag sequence dies with the job."""
+
+    @staticmethod
+    def _loop(iters: int, **params):
+        from repro.hw import MachineParams
+
+        cl = Cluster(ClusterSpec(nodes=2, ppn=2, params=MachineParams(**params)))
+        world = MpiWorld(cl)
+
+        def program(rt):
+            addr = rt.ctx.space.alloc(1024)
+            for _ in range(iters):
+                yield from coll.barrier(rt, world.comm_world)
+                yield from coll.allreduce(rt, world.comm_world, addr, 1024)
+            return len(rt.ctx.space._sizes), rt.ctx.space.allocated_bytes
+
+        return world.run(program), cl.metrics.snapshot()
+
+    def test_a_collective_loop_holds_a_constant_number_of_allocations(self):
+        short, _ = self._loop(10)
+        long, _ = self._loop(100)
+        assert long == short
+        # The user buffer and the barrier's pad; nothing per call.
+        assert long[0] == (2, 1024 + 64)
+
+    def test_a_collective_loop_survives_a_small_memory_budget(self):
+        self._loop(100, host_mem_budget=16 * 1024)
+
+    def test_freeing_scratch_moves_no_counter_but_mem_frees(self):
+        """The counters of the tree that leaked (10 iterations), plus
+        the frees: ranks 0 and 1 hold reduce children."""
+        _, counters = self._loop(10)
+        assert counters == {
+            "mpi.eager_sends": 100.0, "mpi.shm_sends": 40.0,
+            "nic.host_posted_msgs": 100.0, "nic.host_posted_bytes": 41020.0,
+            "mem.frees": 20.0,
+        }
+
+    def test_tag_sequence_lives_on_the_runtime(self, world):
+        def program(rt):
+            yield from coll.barrier(rt, world.comm_world)
+            yield from coll.barrier(rt, world.comm_world)
+            return dict(rt._coll_seq)
+
+        assert world.run(program) == [{world.comm_world.comm_id: 2}] * world.size
+        # No process-global state: nothing at module level grows with use.
+        assert not [name for name, value in vars(coll).items()
+                    if isinstance(value, (dict, list, set))
+                    and name not in ("__all__", "__builtins__")]

@@ -31,6 +31,7 @@ from repro.mpi import MpiWorld
 from repro.mpi import collectives as host_coll
 from repro.obs import EventBus, trace_violations
 from repro.offload import (
+    OffloadError,
     OffloadFramework,
     allreduce_algorithm,
     build_iallgather,
@@ -226,6 +227,19 @@ class TestAlgorithmsAndEdges:
         off, _ = _offload_allreduce(p, vals, algorithm="ring")
         for r in range(p):
             assert off[r].tobytes() == ref.tobytes(), f"rank {r}"
+
+    @pytest.mark.parametrize("rank,root", [(3, 0), (0, 2), (1, -1)])
+    def test_rank_or_root_outside_the_communicator_is_refused(self, rank, root):
+        """``comm_size`` names world ranks 0..comm_size-1; anything else
+        used to record a pattern for the aliased rank and deadlock."""
+        ep = OffloadFramework(_cluster(4)).endpoint(rank)
+        addr = ep.ctx.space.alloc(64)
+        with pytest.raises(OffloadError, match="outside a communicator of 2"):
+            build_ibcast(ep, addr, 64, root=root, comm_size=2)
+        if rank >= 2:
+            for build in (build_iallgather, build_iallreduce):
+                with pytest.raises(OffloadError, match="outside"):
+                    build(ep, addr, 16, comm_size=2)
 
     def test_single_rank_collectives(self):
         data = np.arange(32, dtype=np.float64)
