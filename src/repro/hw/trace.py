@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple, Optional
 
 __all__ = ["Span", "Arrow", "Tracer"]
@@ -108,8 +109,8 @@ class Tracer:
         return sum(s.end - s.start for s in self.lanes.get(entity, ()))
 
     def window(self) -> tuple[float, float]:
-        times = [s.start for s in self.spans] + [s.end for s in self.spans]
-        times += [a.posted for a in self.arrows] + [a.delivered for a in self.arrows]
-        if not times:
-            return (0.0, 0.0)
-        return (min(times), max(times))
+        # Both records end in their two times; one pass, no copies.
+        lo, hi = float("inf"), float("-inf")
+        for rec in chain(self.spans, self.arrows):
+            lo, hi = min(lo, rec[-2], rec[-1]), max(hi, rec[-2], rec[-1])
+        return (lo, hi) if lo <= hi else (0.0, 0.0)

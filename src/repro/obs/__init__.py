@@ -70,9 +70,11 @@ class Observability:
         self.tracer = tracer
 
     def chrome_trace(self) -> dict:
+        """The trace document; ``traceEvents`` is a ``Sequence`` view of rows."""
         return chrome_trace(self.cluster, bus=self.bus, tracer=self.tracer)
 
     def write_chrome_trace(self, path) -> dict:
+        """Stream the document to ``path``, one row per line; returns it."""
         return write_chrome_trace(path, self.cluster, bus=self.bus,
                                   tracer=self.tracer)
 

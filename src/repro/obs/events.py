@@ -50,6 +50,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 __all__ = ["ObsEvent", "EventBus", "CATEGORIES"]
@@ -63,15 +64,18 @@ CATEGORIES = (
 )
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True, unsafe_hash=True, init=False, repr=False)
 class ObsEvent:
     """One tagged event on the bus.
 
-    ``args`` is a tuple of sorted ``(key, value)`` pairs rather than a
-    dict so events are hashable and their serialisation order is
-    deterministic regardless of emission-site keyword order.
-    Slotted and unfrozen -- an observed run builds 400 k of these, so
-    no per-event ``__dict__`` and plain attribute stores in ``__init__``.
+    Arguments are stored column-wise: ``keys`` is the sorted tuple of
+    argument names (one tuple per emission signature, shared by every
+    event of that shape) and ``vals`` the values in that order.  ``args``
+    zips them into the tuple of sorted ``(key, value)`` pairs the
+    constructor takes: events are hashable and serialise in one order
+    whatever the emit site's keyword order.  Slotted, ~200 B each
+    (docs/OBSERVABILITY.md, 'Memory'): an observed run builds 400 k of
+    these, and those of one simulated instant share one ``time`` float.
     """
 
     time: float
@@ -79,20 +83,36 @@ class ObsEvent:
     cat: str
     name: str
     entity: str
-    args: tuple = ()
+    keys: tuple
+    vals: tuple
+
+    def __init__(self, time: float, seq: int, cat: str, name: str,
+                 entity: str, args: tuple = ()):
+        self.time, self.seq = time, seq
+        self.cat, self.name, self.entity = cat, name, entity
+        self.keys, self.vals = tuple(zip(*args)) or ((), ())
+
+    @property
+    def args(self) -> tuple:
+        return tuple(zip(self.keys, self.vals))
+
+    def __repr__(self) -> str:
+        return (f"ObsEvent(time={self.time!r}, seq={self.seq!r}, "
+                f"cat={self.cat!r}, name={self.name!r}, "
+                f"entity={self.entity!r}, args={self.args!r})")
 
     def arg(self, key: str, default=None):
-        for k, v in self.args:
-            if k == key:
-                return v
-        return default
+        try:
+            return self.vals[self.keys.index(key)]
+        except ValueError:
+            return default
 
     def argdict(self) -> dict:
-        return dict(self.args)
+        return dict(zip(self.keys, self.vals))
 
     def label(self) -> str:
         """Compact one-line rendering (used by timelines and messages)."""
-        kv = " ".join(f"{k}={v}" for k, v in self.args)
+        kv = " ".join(f"{k}={v}" for k, v in zip(self.keys, self.vals))
         base = f"[{self.time * 1e6:10.3f}us] {self.entity:<8} {self.cat}.{self.name}"
         return f"{base} {kv}".rstrip()
 
@@ -114,6 +134,10 @@ class EventBus:
         #: filled by :meth:`emit`, answers :meth:`select`.
         self._index: dict[tuple[str, str], list[ObsEvent]] = defaultdict(list)
         self._seq = 0
+        #: For :meth:`emit`: the clock value last stamped and its rounding;
+        #: keyword order at an emit site -> ``(sorted keys, value picker)``.
+        self._now, self._time = None, 0.0
+        self._shapes: dict[tuple, tuple] = {}
         self._categories = frozenset(categories) if categories is not None else None
         self._subscribers: list[Callable[[ObsEvent], None]] = []
 
@@ -154,12 +178,19 @@ class EventBus:
         cats = self._categories
         if cats is not None and _cat not in cats:
             return None
-        sim = self.sim
-        ev = ObsEvent(
-            0.0 if sim is None else round(sim.now, 12),
-            self._seq, _cat, _name, _entity,
-            tuple(sorted(args.items())),
-        )
+        now = 0.0 if self.sim is None else self.sim.now
+        if now is not self._now:
+            # A new instant: events of one instant share one rounded float.
+            self._now, self._time = now, round(now, 12)
+        shape = self._shapes.get(order := tuple(args))
+        if shape is None:
+            keys = tuple(sorted(order))
+            # No picker when the site already spells its keywords sorted.
+            shape = self._shapes[order] = (
+                keys, None if keys == order else itemgetter(*keys))
+        ev = ObsEvent(self._time, self._seq, _cat, _name, _entity)
+        ev.keys, pick = shape
+        ev.vals = tuple(args.values()) if pick is None else pick(args)
         self._seq += 1
         self.events.append(ev)
         self._index[_cat, _name].append(ev)

@@ -18,11 +18,16 @@ Three output formats, all deterministic for a fixed seed:
 from __future__ import annotations
 
 import json
+import os
 import re
+from array import array
+from collections.abc import Sequence
 from dataclasses import asdict, is_dataclass
-from operator import itemgetter
+from operator import eq
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 __all__ = [
     "chrome_trace",
@@ -60,71 +65,114 @@ def _us(t: float) -> float:
     return round(t * 1e6, 4)
 
 
+class _TraceRows(Sequence):
+    """Read-only ``traceEvents``: metadata, then the rows ``order`` names by
+    build index (spans, arrow begin/end pairs, events), rendered on demand."""
+
+    def __init__(self, metadata, order, tid_of, spans, arrows, events):
+        self._metadata, self._order, self._tid_of = metadata, order, tid_of
+        self._spans, self._arrows, self._events = spans, arrows, events
+
+    def __len__(self) -> int:
+        return len(self._metadata) + len(self._order)
+
+    def _row(self, r: int) -> dict:
+        if r < len(self._spans):
+            s = self._spans[r]
+            return {"name": "busy", "cat": "cpu", "ph": "X",
+                    "ts": _us(s.start), "dur": _us(s.end - s.start),
+                    "pid": 0, "tid": self._tid_of[s.entity]}
+        i, end = divmod(r - len(self._spans), 2)
+        if i < len(self._arrows):
+            a = self._arrows[i]
+            row = {"cat": "fabric", "id": i, "pid": 0,
+                   "name": f"{a.kind} {a.src}->{a.dst}", "ph": "be"[end],
+                   "ts": _us(a.delivered if end else a.posted),
+                   "tid": self._tid_of[a.src]}
+            if not end:
+                row["args"] = {"size": a.size, "dst": a.dst}
+            return row
+        ev = self._events[r - len(self._spans) - 2 * len(self._arrows)]
+        return {"name": f"{ev.cat}.{ev.name}", "cat": ev.cat, "ph": "i",
+                "ts": _us(ev.time), "pid": 0, "tid": self._tid_of[ev.entity],
+                "s": "t", "args": ev.argdict()}
+
+    def __iter__(self):
+        yield from self._metadata
+        yield from map(self._row, self._order)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        # ``range`` normalises a negative index and raises ``IndexError``.
+        i = range(len(self))[i] - len(self._metadata)
+        return self._metadata[i] if i < 0 else self._row(self._order[i])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
 def chrome_trace(cluster=None, bus=None, tracer=None,
                  process_name: str = "repro-sim") -> dict:
     """Build a Chrome ``trace_event`` JSON object for one run.
 
     Any of ``bus``/``tracer`` may be ``None`` (defaults come from the
     cluster's attached instances); an entirely empty run still yields a
-    valid trace containing only metadata records.
+    valid trace containing only metadata records.  ``traceEvents`` is a
+    ``Sequence`` view fixed at the call: it holds what was recorded so
+    far (not the cluster) and equals the list of row dicts it renders.
     """
-    if cluster is not None:
-        if bus is None:
-            bus = getattr(cluster, "bus", None)
-        if tracer is None:
-            tracer = getattr(cluster, "tracer", None)
+    bus = getattr(cluster, "bus", None) if bus is None else bus
+    tracer = getattr(cluster, "tracer", None) if tracer is None else tracer
+    spans, arrows = ([], []) if tracer is None else (tracer.spans[:], tracer.arrows[:])
+    events = [] if bus is None else bus.events[:]
 
-    entities = set(tracer.entities) if tracer is not None else set()
-    if bus is not None:
-        entities.update(ev.entity for ev in bus.events)
-    lanes = sort_entities(entities)
-    tid_of = {name: i + 1 for i, name in enumerate(lanes)}
+    # One pass fills the sort columns; lanes and row names are interned
+    # to first-appearance ids and ranked once all of them are known.
+    lanes = {} if tracer is None else {e: i for i, e in enumerate(tracer.lanes)}
+    names = {"busy": 0}
+    ts = array("d", (_us(s.start) for s in spans))
+    lane = array("i", (lanes[s.entity] for s in spans))
+    name = array("i", bytes(4 * len(spans)))
+    for a in arrows:
+        src = lanes.setdefault(a.src, len(lanes))
+        lanes.setdefault(a.dst, len(lanes))
+        label = names.setdefault(f"{a.kind} {a.src}->{a.dst}", len(names))
+        ts.extend((_us(a.posted), _us(a.delivered)))
+        lane.extend((src, src))
+        name.extend((label, label))
+    for ev in events:
+        ts.append(_us(ev.time))
+        lane.append(lanes.setdefault(ev.entity, len(lanes)))
+        name.append(names.setdefault(f"{ev.cat}.{ev.name}", len(names)))
+    ph = bytes(len(spans)) + b"\1\2" * len(arrows) + b"\3" * len(events)
+
+    tid_of = {entity: i + 1 for i, entity in enumerate(sort_entities(lanes))}
+    tids = np.array([tid_of[entity] for entity in lanes], dtype=np.intp)
+    rank_of = {label: i for i, label in enumerate(sorted(names))}
+    ranks = np.array([rank_of[label] for label in names], dtype=np.intp)
+    # Chrome sorts by ts; keep the file itself deterministic too: by
+    # (ts, tid, ph, name), 'X' < 'b' < 'e' < 'i', ties in build order
+    # (lexsort is stable and takes its primary key last).
+    order = np.lexsort((ranks[np.asarray(name)], np.frombuffer(ph, np.uint8),
+                        tids[np.asarray(lane)], ts))
 
     def meta(record: str, tid: int, args: dict) -> dict:
         return {"name": record, "ph": "M", "pid": 0, "tid": tid, "args": args}
 
+    # Metadata rows carry no ``ts`` and lead the file.
     metadata = [meta("process_name", 0, {"name": process_name})]
-    for name, tid in tid_of.items():
-        metadata.append(meta("thread_name", tid, {"name": name}))
+    for entity, tid in tid_of.items():
+        metadata.append(meta("thread_name", tid, {"name": entity}))
         metadata.append(meta("thread_sort_index", tid, {"sort_index": tid}))
-
-    rows: list[dict] = []
-    if tracer is not None:
-        for s in tracer.spans:
-            rows.append({
-                "name": "busy", "cat": "cpu", "ph": "X",
-                "ts": _us(s.start), "dur": _us(s.end - s.start),
-                "pid": 0, "tid": tid_of[s.entity],
-            })
-        for i, a in enumerate(tracer.arrows):
-            common = {"cat": "fabric", "id": i, "pid": 0,
-                      "name": f"{a.kind} {a.src}->{a.dst}"}
-            rows.append({**common, "ph": "b", "ts": _us(a.posted),
-                         "tid": tid_of[a.src],
-                         "args": {"size": a.size, "dst": a.dst}})
-            rows.append({**common, "ph": "e", "ts": _us(a.delivered),
-                         "tid": tid_of[a.src]})
-
-    if bus is not None:
-        kind_names: dict[tuple[str, str], str] = {}
-        for ev in bus.events:
-            kind = (ev.cat, ev.name)
-            name = kind_names.get(kind)
-            if name is None:
-                name = kind_names[kind] = f"{ev.cat}.{ev.name}"
-            rows.append({
-                "name": name, "cat": ev.cat, "ph": "i",
-                "ts": _us(ev.time), "pid": 0, "tid": tid_of[ev.entity],
-                "s": "t", "args": dict(ev.args),
-            })
-
-    # Chrome sorts by ts; keep the file itself deterministic too.  The
-    # sort is stable (ties stay in build order) and its key is built in
-    # C.  Metadata rows carry no ``ts`` and lead the file, where sorting
-    # them as ts=-1 put them: simulator times are never negative.
-    rows.sort(key=itemgetter("ts", "tid", "ph", "name"))
+    # Nothing recorded, nothing to view: an empty run's document stays
+    # plain ``json.dumps`` material.
+    rows = _TraceRows(metadata, array(order.dtype.char, order.tobytes()), tid_of,
+                      spans, arrows, events) if len(order) else metadata
     return {
-        "traceEvents": metadata + rows,
+        "traceEvents": rows,
         "displayTimeUnit": "ns",
         "otherData": {"schema": SCHEMA_VERSION, "generator": "repro.obs"},
     }
@@ -138,8 +186,25 @@ def _write_json(path, doc: dict, indent: int) -> dict:
 
 
 def write_chrome_trace(path, cluster=None, bus=None, tracer=None) -> dict:
-    """Write :func:`chrome_trace` output to ``path``; returns the dict."""
-    return _write_json(path, chrome_trace(cluster, bus=bus, tracer=tracer), 1)
+    """Stream :func:`chrome_trace` output to ``path`` (one compact JSON
+    row per line, never the whole text; ``.tmp`` + rename, so no partial
+    file); returns the document."""
+    doc = chrome_trace(cluster, bus=bus, tracer=tracer)
+    encode = json.JSONEncoder(sort_keys=True).encode
+    head = {k: v for k, v in doc.items() if k != "traceEvents"}
+    p = Path(path)
+    p.parent.mkdir(parents=True, exist_ok=True)
+    tmp = p.with_name(p.name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            rows = iter(doc["traceEvents"])
+            fh.write(encode(head)[:-1] + ', "traceEvents": [\n' + encode(next(rows)))
+            fh.writelines(",\n" + encode(row) for row in rows)
+            fh.write("\n]}\n")
+        os.replace(tmp, p)
+    finally:
+        tmp.unlink(missing_ok=True)     # a no-op once renamed
+    return doc
 
 
 def render_timeline(tracer, width: int = 72,

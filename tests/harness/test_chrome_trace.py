@@ -10,6 +10,7 @@ a declared track.
 
 import hashlib
 import json
+from collections.abc import Sequence
 
 import pytest
 
@@ -64,7 +65,7 @@ def trace(fig15_obs):
 class TestTraceEventSchema:
     def test_toplevel_object_format(self, trace):
         assert set(trace) == {"traceEvents", "displayTimeUnit", "otherData"}
-        assert isinstance(trace["traceEvents"], list)
+        assert isinstance(trace["traceEvents"], Sequence)
         assert trace["displayTimeUnit"] in ("ms", "ns")
         assert trace["otherData"]["schema"] == "repro.obs/1"
         assert len(trace["traceEvents"]) > 100  # a real run, not a stub

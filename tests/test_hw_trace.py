@@ -87,6 +87,24 @@ def test_render_empty_trace():
     assert render_timeline(Tracer()) == "(empty trace)"
 
 
+def test_window_spans_every_recorded_time():
+    """One pass over spans and arrows; the extremes of all four columns."""
+    tracer = Tracer()
+    assert tracer.window() == (0.0, 0.0)
+    tracer.record_span("host0", 3e-6, 5e-6)
+    tracer.record_span("dpu0", 2e-6, 9e-6)
+    assert tracer.window() == (2e-6, 9e-6)
+    tracer.record_arrow("node0", "node1", 64, "rdma", 1e-6, 4e-6)
+    tracer.record_arrow("node1", "node0", 64, "ctrl", 8e-6, 11e-6)
+    assert tracer.window() == (1e-6, 11e-6)
+    only_arrows = Tracer()
+    only_arrows.record_arrow("node0", "node1", 8, "ctrl", 7e-6, 7.5e-6)
+    assert only_arrows.window() == (7e-6, 7.5e-6)
+    times = [t for s in tracer.spans for t in (s.start, s.end)] \
+        + [t for a in tracer.arrows for t in (a.posted, a.delivered)]
+    assert tracer.window() == (min(times), max(times))
+
+
 def test_tracing_off_by_default_costs_nothing():
     cl = Cluster(ClusterSpec(nodes=1, ppn=1))
     assert Tracer.of(cl) is None
