@@ -266,10 +266,10 @@ def bench_bytes_per_rank(ranks: int = 1024, ppn: int = 16) -> dict:
     ``tracemalloc`` and reports the settled bytes/rank (direction
     "lower": memory regressions fail CI like speed regressions).  What
     is priced is the machine before any rank runs: nodes, fabric, and
-    every proxy engine started by ``Init_Offload`` (each holds two
-    world-sized array-of-BST first levels, most of the figure) -- and
-    no rank context, runtime or endpoint, which are built on first
-    touch.  First-touch rank state is priced separately by
+    every proxy engine started by ``Init_Offload`` (its array-of-BST
+    caches hold only the ranks they have seen, so the figure is flat in
+    ``ranks``) -- and no rank context, runtime or endpoint, which are
+    built on first touch.  First-touch rank state is priced separately by
     :func:`bench_ranks_scaling`, which actually runs a collective on
     every rank.
     """

@@ -35,7 +35,7 @@ from repro.hw.cluster import Cluster
 from repro.hw.faults import RetryPolicy
 from repro.hw.node import ProcessContext
 from repro.mpi.regcache import RegistrationCache
-from repro.offload.group_cache import HostGroupCache
+from repro.offload.group_cache import HostGroupCache, SendEntry
 from repro.offload.gvmi_cache import HostGvmiCache
 from repro.offload.proxy import ProxyEngine
 from repro.offload.recovery import (
@@ -45,6 +45,7 @@ from repro.offload.recovery import (
     check_kills,
 )
 from repro.offload.requests import (
+    BARRIER,
     GroupOp,
     OffloadError,
     OffloadGroupRequest,
@@ -238,7 +239,8 @@ class OffloadEndpoint:
         self._pending: dict[int, object] = {}
         #: Remote receive descriptors gathered for my sends, keyed by
         #: (destination rank, tag) -- Fig 9's matching key.  FIFO per
-        #: key, mirroring the proxy's queue discipline.
+        #: key, mirroring the proxy's queue discipline; a key goes once
+        #: its last descriptor is consumed.
         self._recv_descs: dict[tuple[int, int], list[dict]] = {}
         self._ready_seen = False
         #: Extension point, as on ProxyEngine: extra inbox-item handlers,
@@ -449,12 +451,14 @@ class OffloadEndpoint:
     def group_barrier(self, greq: OffloadGroupRequest) -> None:
         """``Local_barrier_Goffload``: everything after starts only after
         everything before completes (local to this rank's pattern)."""
-        greq.record(GroupOp("barrier"))
+        greq.record(BARRIER)
 
     def group_end(self, greq: OffloadGroupRequest) -> None:
-        """``Group_Offload_end``: seal the recording."""
+        """``Group_Offload_end``: seal the recording (its cache signature
+        is built here, once, not per call)."""
         if greq.state != "recording":
             raise OffloadError(f"Group_Offload_end in state {greq.state!r}")
+        greq.seal()
         greq.state = "ready"
 
     def group_call(self, greq: OffloadGroupRequest):
@@ -545,7 +549,7 @@ class OffloadEndpoint:
         exchange and matching) and file it under a new plan ID."""
         proxy = self.ctx.cluster.proxy_for_rank(self.rank)
         gvmi = gvmi_id_of(proxy)
-        entries: list[dict] = []
+        entries: list = []
         # Per-op bookkeeping cost of walking the recorded queue.
         yield self.ctx.consume(self.params.host_cache_lookup * max(1, len(greq.ops)))
 
@@ -554,30 +558,22 @@ class OffloadEndpoint:
         staged = self.framework.mode == "staged"
         for op in greq.ops:
             if op.kind == "send":
+                # dst_addr / rkey are resolved in pass 2.
                 if staged:
                     handle = yield from self.ib_cache.get(op.addr, op.size)
-                    entry = {
-                        "kind": "send", "addr": op.addr, "size": op.size,
-                        "dst": op.peer, "tag": op.tag,
-                        "src_rkey": handle.rkey,
-                        "dst_addr": None, "rkey": None,  # resolved in pass 2
-                    }
+                    entries.append(SendEntry(op, src_rkey=handle.rkey))
                 else:
                     mkey = yield from self.gvmi_cache.get(proxy, gvmi, op.addr, op.size)
-                    entry = {
-                        "kind": "send", "addr": op.addr, "size": op.size,
-                        "dst": op.peer, "tag": op.tag,
-                        "reg_addr": mkey.addr, "reg_size": mkey.size,
-                        "mkey": mkey.key, "gvmi_id": gvmi,
-                        "dst_addr": None, "rkey": None,  # resolved in pass 2
-                    }
-                entries.append(entry)
-            elif op.kind == "recv":
+                    entries.append(SendEntry(op, mkey=mkey.key, reg_addr=mkey.addr,
+                                             reg_size=mkey.size, gvmi_id=gvmi))
+                continue
+            # A recv, reduce or barrier entry is the recorded op itself.
+            # A reduce's two buffers are this rank's own memory, which the
+            # proxy reaches through the GVMI mapping it already holds: no
+            # registration or descriptor exchange.
+            entries.append(op)
+            if op.kind == "recv":
                 handle = yield from self.ib_cache.get(op.addr, op.size)
-                entries.append({
-                    "kind": "recv", "addr": op.addr, "size": op.size,
-                    "src": op.peer, "tag": op.tag,
-                })
                 peer_ep = self.framework.endpoint(op.peer)
                 desc = {
                     "src": op.peer, "dst": self.rank, "tag": op.tag,
@@ -591,31 +587,20 @@ class OffloadEndpoint:
                     inbox=peer_ep.inbox,
                     kind="gdesc",
                 )
-            elif op.kind == "reduce":
-                # Both buffers are this rank's own memory; the proxy
-                # reaches them through the GVMI mapping it already holds,
-                # so no registration or descriptor exchange is needed.
-                entries.append({
-                    "kind": "reduce", "addr": op.addr,
-                    "dst_addr": op.addr2, "size": op.size,
-                })
-            else:
-                entries.append({"kind": "barrier"})
 
         # Pass 2: gather remote receive descriptors for my sends and
         # match by (destination rank, tag) -- Fig 9's matching step.
         for entry in entries:
-            if entry["kind"] != "send":
+            if entry.kind != "send":
                 continue
-            key = (entry["dst"], entry["tag"])
-            desc = yield from self._await_descriptor(key)
-            if desc["size"] < entry["size"]:
+            desc = yield from self._await_descriptor((entry.peer, entry.tag))
+            if desc["size"] < entry.size:
                 raise OffloadError(
-                    f"group send of {entry['size']} bytes overflows remote "
-                    f"receive of {desc['size']} (dst={entry['dst']} tag={entry['tag']})"
+                    f"group send of {entry.size} bytes overflows remote "
+                    f"receive of {desc['size']} (dst={entry.peer} tag={entry.tag})"
                 )
-            entry["dst_addr"] = desc["addr"]
-            entry["rkey"] = desc["rkey"]
+            entry.dst_addr = desc["addr"]
+            entry.rkey = desc["rkey"]
         return self.group_cache.insert(greq.signature(), entries,
                                        keep=self.framework.group_caching)
 
@@ -623,7 +608,10 @@ class OffloadEndpoint:
         while True:
             bucket = self._recv_descs.get(key)
             if bucket:
-                return bucket.pop(0)
+                desc = bucket.pop(0)
+                if not bucket:
+                    del self._recv_descs[key]
+                return desc
             if self.recovery is None:
                 item = yield self.inbox.get()
                 yield from self._handle_inbox_item(item)

@@ -7,6 +7,12 @@ remote buffer descriptors) plus the flag the paper describes --
 host sends the proxy *only the request/plan ID*, collapsing the
 per-call metadata exchange to one tiny message.
 
+Plan entries are stored once, in slots: a send is a :class:`SendEntry`
+(the keys resolved in ``api._build_plan`` and the destination gathered
+from the peer's descriptor); a recv, reduce or barrier needs nothing
+beyond what was recorded, so the recorded
+:class:`~repro.offload.requests.GroupOp` itself is the entry.
+
 DPU side: keyed by plan ID.  An entry holds the Group_op queue with the
 GVMI cache entries already attached, "saving the DPU process from
 searching the GVMI cache for each Group_op entry".
@@ -22,11 +28,41 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import NamedTuple, Optional
 
-__all__ = ["HostPlan", "HostGroupCache", "DpuPlanCache"]
+__all__ = ["SendEntry", "DpuPlan", "HostPlan", "HostGroupCache", "DpuPlanCache"]
 
 _plan_ids = itertools.count(1)
+
+
+class SendEntry:
+    """A prepared send: source keys resolved, destination matched.
+
+    GVMI mode carries the host mkey and its registered range; staged
+    mode the source ``src_rkey`` instead.  ``dst_addr`` / ``rkey`` come
+    from the receiver's descriptor (and are patched when it changes);
+    ``mkey2`` is the DPU's cross-registration, attached on first
+    execution.
+    """
+
+    __slots__ = ("addr", "size", "peer", "tag", "mkey", "reg_addr", "reg_size",
+                 "gvmi_id", "src_rkey", "dst_addr", "rkey", "mkey2")
+    kind = "send"
+
+    def __init__(self, op, mkey=None, reg_addr=None, reg_size=None,
+                 gvmi_id=None, src_rkey=None):
+        self.addr, self.size, self.peer, self.tag = op.addr, op.size, op.peer, op.tag
+        self.mkey, self.reg_addr, self.reg_size = mkey, reg_addr, reg_size
+        self.gvmi_id, self.src_rkey = gvmi_id, src_rkey
+        self.dst_addr = self.rkey = self.mkey2 = None
+
+
+class DpuPlan(NamedTuple):
+    """A plan as the proxy holds it."""
+
+    plan_id: int
+    host_rank: int
+    entries: list
 
 
 @dataclass
@@ -35,8 +71,8 @@ class HostPlan:
 
     plan_id: int
     signature: tuple
-    #: Prepared entries (dicts; see api._build_plan for the schema).
-    entries: list[dict]
+    #: Prepared entries: ``SendEntry`` records and recorded ``GroupOp``s.
+    entries: list
     #: True once the proxy holds a current copy of the entries.
     sent_to_proxy: bool = False
     #: True if a descriptor update invalidated the proxy's copy.
@@ -76,7 +112,7 @@ class HostGroupCache:
             self.misses += 1
         return plan
 
-    def insert(self, signature: tuple, entries: list[dict],
+    def insert(self, signature: tuple, entries: list,
                keep: bool = True) -> HostPlan:
         """A fresh plan (new plan ID) for freshly built ``entries``.
 
@@ -119,11 +155,9 @@ class HostGroupCache:
             sig
             for sig, plan in self._by_sig.items()
             if any(
-                e.get("addr") is not None
-                and e["addr"] < addr + size
-                and addr < e["addr"] + e["size"]
+                e.addr < addr + size and addr < e.addr + e.size
                 for e in plan.entries
-                if e["kind"] in ("send", "recv")
+                if e.kind in ("send", "recv")
             )
         ]
         for sig in doomed:
@@ -143,13 +177,13 @@ class HostGroupCache:
             changed = False
             for entry in plan.entries:
                 if (
-                    entry["kind"] == "send"
-                    and entry["dst"] == dst_rank
-                    and entry["tag"] == tag
-                    and (entry["dst_addr"] != desc["addr"] or entry["rkey"] != desc["rkey"])
+                    entry.kind == "send"
+                    and entry.peer == dst_rank
+                    and entry.tag == tag
+                    and (entry.dst_addr != desc["addr"] or entry.rkey != desc["rkey"])
                 ):
-                    entry["dst_addr"] = desc["addr"]
-                    entry["rkey"] = desc["rkey"]
+                    entry.dst_addr = desc["addr"]
+                    entry.rkey = desc["rkey"]
                     changed = True
             if changed:
                 plan.dirty = True
@@ -189,17 +223,17 @@ class DpuPlanCache:
             capacity = ctx.cluster.params.plan_cache_capacity
         self.capacity = capacity
         #: Insertion order is LRU order (refreshed on fetch/store).
-        self._plans: dict[int, dict[str, Any]] = {}
+        self._plans: dict[int, DpuPlan] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def store(self, plan_id: int, plan: dict[str, Any]) -> None:
+    def store(self, plan_id: int, plan: DpuPlan) -> None:
         self._plans.pop(plan_id, None)
         self._plans[plan_id] = plan
         self._evict_over_capacity()
 
-    def fetch(self, plan_id: int) -> Optional[dict[str, Any]]:
+    def fetch(self, plan_id: int) -> Optional[DpuPlan]:
         plan = self._plans.get(plan_id)
         if plan is not None:
             self.hits += 1

@@ -37,6 +37,7 @@ from repro.verbs.mr import ProtectionError
 from repro.verbs.rdma import rdma_write
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.offload.group_cache import DpuPlan
     from repro.offload.proxy import ProxyEngine
 
 __all__ = ["GroupExecutor", "StalePlanError"]
@@ -54,8 +55,8 @@ class StalePlanError(Exception):
 class GroupExecutor:
     """One in-flight Group_Offload_packet on one proxy."""
 
-    def __init__(self, engine: "ProxyEngine", plan: dict, req_id: int, seqs: dict, cached: bool,
-                 call_no: int = 1):
+    def __init__(self, engine: "ProxyEngine", plan: "DpuPlan", req_id: int, seqs: dict,
+                 cached: bool, call_no: int = 1):
         self.engine = engine
         self.plan = plan
         self.req_id = req_id
@@ -75,8 +76,8 @@ class GroupExecutor:
             recovery = self.engine.recovery
             if recovery is None:
                 raise OffloadError(
-                    f"group plan {self.plan['plan_id']} of host "
-                    f"{self.plan['host_rank']} references a revoked "
+                    f"group plan {self.plan.plan_id} of host "
+                    f"{self.plan.host_rank} references a revoked "
                     f"registration: {exc.cause}"
                 ) from exc.cause
             yield from recovery.abort_stale(self)
@@ -85,20 +86,20 @@ class GroupExecutor:
         engine = self.engine
         ctx = engine.ctx
         params = engine.params
-        host_rank = self.plan["host_rank"]
+        host_rank = self.plan.host_rank
         send_set: set[int] = set()
         recv_set: set[int] = set()
         pending: list = []  # completion events of sends since last barrier
         num_barriers = 0
 
-        for entry in self.plan["entries"]:
-            kind = entry["kind"]
+        for entry in self.plan.entries:
+            kind = entry.kind
             if kind == "send":
                 done = yield from self._post_send(entry)
                 pending.append((entry, done))
-                send_set.add(entry["dst"])
+                send_set.add(entry.peer)
             elif kind == "recv":
-                recv_set.add(entry["src"])
+                recv_set.add(entry.peer)
             elif kind == "reduce":
                 yield from self._exec_reduce(entry)
             elif kind == "barrier":
@@ -137,40 +138,39 @@ class GroupExecutor:
         try:
             if engine.mode == "staged":
                 return (yield from engine.staged_send_start(
-                    src_rkey=entry["src_rkey"], src_addr=entry["addr"],
-                    size=entry["size"],
-                    dst_rkey=entry["rkey"], dst_addr=entry["dst_addr"],
+                    src_rkey=entry.src_rkey, src_addr=entry.addr, size=entry.size,
+                    dst_rkey=entry.rkey, dst_addr=entry.dst_addr,
                 ))
-            mkey2_key = entry.get("mkey2")
+            mkey2_key = entry.mkey2
             if mkey2_key is None:
                 info = yield from engine.gvmi_cache.get(
-                    self.plan["host_rank"], entry["gvmi_id"], entry["mkey"],
-                    entry.get("reg_addr", entry["addr"]),
-                    entry.get("reg_size", entry["size"]),
+                    self.plan.host_rank, entry.gvmi_id, entry.mkey,
+                    entry.reg_addr, entry.reg_size,
                 )
                 mkey2_key = info.key
                 # Attach for future cached invocations (Section VII-D: "the
                 # group entry queue also contains the GVMI registration
                 # cache entry").
-                entry["mkey2"] = mkey2_key
+                entry.mkey2 = mkey2_key
             transfer = yield from rdma_write(
                 self.engine.ctx,
                 lkey=mkey2_key,
-                src_addr=entry["addr"],
-                rkey=entry["rkey"],
-                dst_addr=entry["dst_addr"],
-                size=entry["size"],
+                src_addr=entry.addr,
+                rkey=entry.rkey,
+                dst_addr=entry.dst_addr,
+                size=entry.size,
             )
         except ProtectionError as exc:
             # A key the plan names -- or the mkey2 attached to the entry --
             # died since the plan was built: invalidate the attachment
             # (if any) before aborting.
-            entry.pop("mkey2", None)
-            raise StalePlanError(self.plan["plan_id"], exc) from exc
+            entry.mkey2 = None
+            raise StalePlanError(self.plan.plan_id, exc) from exc
         return transfer.completed
 
     def _exec_reduce(self, entry):
-        """One DPU-side accumulate: ``dst += src`` over float64 words.
+        """One DPU-side accumulate: ``dst += src`` over float64 words
+        (the entry is the recorded op: ``addr`` is src, ``addr2`` dst).
 
         Cost model: the ARM core streams both operands in and the
         result out through the DPU's memory path (3 x size bytes) and
@@ -179,7 +179,7 @@ class GroupExecutor:
         """
         engine = self.engine
         params = engine.params
-        size = entry["size"]
+        size = entry.size
         count = size // 8
         cost = (3 * size / params.dpu_memory_bandwidth
                 + 3 * count / params.host_flops_per_core)
@@ -190,10 +190,10 @@ class GroupExecutor:
         if cluster.payloads and count:
             import numpy as np
 
-            space = cluster.rank_ctx(self.plan["host_rank"]).space
-            acc = space.read_as(entry["dst_addr"], np.float64, count)
-            inc = space.read_as(entry["addr"], np.float64, count)
-            space.write(entry["dst_addr"], acc + inc)
+            space = cluster.rank_ctx(self.plan.host_rank).space
+            acc = space.read_as(entry.addr2, np.float64, count)
+            inc = space.read_as(entry.addr, np.float64, count)
+            space.write(entry.addr2, acc + inc)
 
     def _flush_segment(self, pending, send_set, host_rank, epoch):
         """Wait for the segment's sends, then write counters to their peers."""

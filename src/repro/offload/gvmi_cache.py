@@ -3,7 +3,10 @@
 Two caches with the same two-level shape -- a first level indexed by
 remote rank (an array, "because there is only a finite number of ranks
 allowed in a communicator") and a second level that is a BST indexed by
-``(address, size)``:
+``(address, size)``.  The first level is modelled -- and charged
+(``host_cache_lookup`` / ``dpu_cache_lookup``) -- as that array, but
+stored as a dict of the slots a rank has touched, so an idle slot costs
+no memory and a machine's cache state does not grow as ranks x proxies:
 
 * the **host-side** cache memoises ``host_gvmi_register`` results
   (mkeys).  Its array is indexed by the *mapped DPU proxy's* global
@@ -33,27 +36,38 @@ __all__ = ["HostGvmiCache", "DpuGvmiCache"]
 
 
 class _ArrayOfBsts:
-    """First level: fixed-size array by rank; second level: AVL by (addr, size)."""
+    """First level: ``slots`` rank-indexed slots, bounds-checked like an
+    array's but holding only the touched ones; second level: AVL by (addr, size)."""
 
     def __init__(self, slots: int):
-        self._slots: list[Optional[AvlTree]] = [None] * slots
+        self.slots = slots
+        self._trees: dict[int, AvlTree] = {}
+
+    def get(self, index: int) -> Optional[AvlTree]:
+        if not 0 <= index < self.slots:
+            raise IndexError(f"slot {index} outside an array of {self.slots}")
+        return self._trees.get(index)
 
     def tree(self, index: int) -> AvlTree:
-        t = self._slots[index]
+        t = self._trees.get(index)
         if t is None:
-            t = AvlTree()
-            self._slots[index] = t
+            self.get(index)  # bounds check
+            t = self._trees[index] = AvlTree()
         return t
 
     def peek(self, index: int, addr: int, size: int):
-        t = self._slots[index]
+        t = self.get(index)
         return None if t is None else t.find((addr, size))
 
+    def items(self):
+        """``(slot, tree)`` pairs of the touched slots, in slot order."""
+        return sorted(self._trees.items())
+
     def total_entries(self) -> int:
-        return sum(len(t) for t in self._slots if t is not None)
+        return sum(len(t) for t in self._trees.values())
 
     def trees(self):
-        return [t for t in self._slots if t is not None]
+        return [t for _slot, t in self.items()]
 
 
 class HostGvmiCache:
@@ -184,7 +198,7 @@ class HostGvmiCache:
         return self._store.peek(proxy_rank, addr, size)
 
     def invalidate(self, proxy_rank: int, addr: int, size: int) -> bool:
-        t = self._store._slots[proxy_rank]
+        t = self._store.get(proxy_rank)
         self._lru.pop((proxy_rank, addr, size), None)
         self._cover_memo.clear()
         return bool(t and t.remove((addr, size)))
@@ -196,9 +210,7 @@ class HostGvmiCache:
         so entries are simply dropped.
         """
         dropped = 0
-        for slot, tree in enumerate(self._store._slots):
-            if tree is None:
-                continue
+        for slot, tree in self._store.items():
             doomed = [
                 (base, length)
                 for (base, length), _info in tree.items()
@@ -329,7 +341,7 @@ class DpuGvmiCache:
 
     def invalidate(self, host_rank: int, addr: int, size: int) -> bool:
         """Drop one entry (stale-key recovery); no revoke (already dead)."""
-        t = self._store._slots[host_rank]
+        t = self._store.get(host_rank)
         self._lru.pop((host_rank, addr, size), None)
         return bool(t and t.remove((addr, size)))
 

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.hw.memory import OutOfMemoryError
 from repro.hw.node import ProcessContext
-from repro.offload.group_cache import DpuPlanCache
+from repro.offload.group_cache import DpuPlan, DpuPlanCache
 from repro.offload.gvmi_cache import DpuGvmiCache
 from repro.offload.requests import OffloadError
 from repro.offload.staging import StagingChannel
@@ -511,12 +511,12 @@ class ProxyEngine:
         yield self.ctx.consume(
             self.params.dpu_handler_cost * 0.25 * max(1, len(packet["entries"]))
         )
-        plan = {
-            "plan_id": packet["plan_id"],
-            "host_rank": packet["host_rank"],
-            "entries": packet["entries"],
-        }
-        self.plan_cache.store(packet["plan_id"], plan)
+        plan = DpuPlan(packet["plan_id"], packet["host_rank"], packet["entries"])
+        # Kept for calls by ID: the host's cached calls and recovery's
+        # retransmits.  With neither (the uncached ablation, BluesMPI)
+        # nobody asks again, and keeping it would grow per call.
+        if self.framework.group_caching or self.recovery is not None:
+            self.plan_cache.store(packet["plan_id"], plan)
         yield from self._launch_plan(plan, packet["req_id"], cached=False,
                                      call_no=packet.get("call_no", 1))
 
@@ -535,11 +535,11 @@ class ProxyEngine:
         yield from self._launch_plan(plan, packet["req_id"], cached=True,
                                      call_no=packet.get("call_no", 1))
 
-    def _launch_plan(self, plan: dict, req_id: int, cached: bool,
+    def _launch_plan(self, plan: DpuPlan, req_id: int, cached: bool,
                      call_no: int = 1) -> None:
         from repro.offload.group_exec import GroupExecutor
 
-        host_rank = plan["host_rank"]
+        host_rank = plan.host_rank
         seqs = None
         if self.recovery is not None:
             # Idempotent launch: a retransmitted or replayed invocation
@@ -550,14 +550,14 @@ class ProxyEngine:
                 return
         if seqs is None:
             seqs = {}
-            for entry in plan["entries"]:
-                if entry["kind"] == "send":
-                    pair = (host_rank, entry["dst"])
+            for entry in plan.entries:
+                if entry.kind == "send":
+                    pair = (host_rank, entry.peer)
                     if pair not in seqs:
                         self._seq_out[pair] = self._seq_out.get(pair, 0) + 1
                         seqs[pair] = self._seq_out[pair]
-                elif entry["kind"] == "recv":
-                    pair = (entry["src"], host_rank)
+                elif entry.kind == "recv":
+                    pair = (entry.peer, host_rank)
                     if pair not in seqs:
                         self._seq_in[pair] = self._seq_in.get(pair, 0) + 1
                         seqs[pair] = self._seq_in[pair]
@@ -569,7 +569,7 @@ class ProxyEngine:
         bus = self.ctx.cluster.bus
         if bus is not None:
             bus.emit("group", "launch", self.ctx.trace_name,
-                     plan=plan["plan_id"], call=req_id, cached=cached)
+                     plan=plan.plan_id, call=req_id, cached=cached)
         yield from self._drive_executor(executor, None)
 
     def _send_group_completion(self, host_rank: int, req_id: int,
@@ -656,7 +656,7 @@ class ProxyEngine:
         for executor, event in self._parked.items():
             yield (
                 f"proxy{gid}: group req={executor.req_id} "
-                f"host={executor.plan['host_rank']} parked on {event!r}"
+                f"host={executor.plan.host_rank} parked on {event!r}"
             )
         for key, ops in self._send_q.items():
             yield f"proxy{gid}: {len(ops)} unmatched RTS for (src, dst, tag)={key}"

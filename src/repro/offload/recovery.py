@@ -628,7 +628,7 @@ class ProxyRecovery:
             if not failed:
                 return
             self._count_repost(
-                attempt, f"group send segment of host {executor.plan['host_rank']}")
+                attempt, f"group send segment of host {executor.plan.host_rank}")
             yield (PARK, self.sim.timeout(self.policy.rdma_backoff * attempt))
             attempt += 1
             pending = []
@@ -723,7 +723,7 @@ class ProxyRecovery:
         with the original sequence numbers and counter writes are
         monotone.
         """
-        plan_id = executor.plan["plan_id"]
+        plan_id = executor.plan.plan_id
         self.metrics.add("proxy.stale_plans")
         _emit(self.engine.ctx, "reg", "stale_use", plan=plan_id, call=executor.req_id)
         rec = self._group_launches.get(executor.req_id)
@@ -732,10 +732,10 @@ class ProxyRecovery:
             # call relaunches with the ORIGINAL sequence numbers.
             rec["incarnation"] = None
         self.engine.plan_cache.drop(plan_id)
-        yield from self.plan_nack(executor.plan["host_rank"], plan_id,
+        yield from self.plan_nack(executor.plan.host_rank, plan_id,
                                   executor.req_id, executor.call_no, stale=True)
 
-    def relaunch(self, plan: dict, req_id: int, call_no: int):
+    def relaunch(self, plan, req_id: int, call_no: int):
         """Idempotent group launch (a generator).
 
         Returns None for a fresh launch, False when there is nothing to
@@ -752,7 +752,7 @@ class ProxyRecovery:
             # A duplicate of a superseded call, or of one that finished in
             # an earlier life/attempt: the completion write is the only
             # thing the host could still be missing -- resend it.
-            yield from engine._send_group_completion(plan["host_rank"], req_id, call_no)
+            yield from engine._send_group_completion(plan.host_rank, req_id, call_no)
             return False
         if rec["incarnation"] == engine.incarnation:
             # Duplicate invocation while the executor still runs.
@@ -763,7 +763,7 @@ class ProxyRecovery:
         # line up with what they already wrote or await.
         rec["incarnation"] = engine.incarnation
         self.metrics.add("proxy.group_replays")
-        _emit(engine.ctx, "group", "replay", plan=plan["plan_id"], call=req_id)
+        _emit(engine.ctx, "group", "replay", plan=plan.plan_id, call=req_id)
         return dict(rec["seqs"])
 
     def record_launch(self, req_id: int, seqs: dict, call_no: int) -> None:

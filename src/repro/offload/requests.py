@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
-__all__ = ["OffloadError", "OffloadRequest", "GroupOp", "OffloadGroupRequest"]
+__all__ = ["OffloadError", "OffloadRequest", "GroupOp", "BARRIER", "OffloadGroupRequest"]
 
 _ids = itertools.count()
 
@@ -44,9 +44,12 @@ class OffloadRequest:
         return self.req_id
 
 
-@dataclass(frozen=True)
-class GroupOp:
-    """One recorded entry of a group pattern (the paper's ``Group_op``)."""
+class GroupOp(NamedTuple):
+    """One recorded entry of a group pattern (the paper's ``Group_op``).
+
+    A tuple, so the op is its own cache signature; the recv / reduce /
+    barrier ops double as their plan entries (see ``group_cache``).
+    """
 
     #: "send" | "recv" | "barrier" | "reduce"
     kind: str
@@ -59,8 +62,9 @@ class GroupOp:
     #: (``addr`` is then the source the DPU folds in); 0 otherwise.
     addr2: int = 0
 
-    def signature(self) -> tuple:
-        return (self.kind, self.addr, self.size, self.peer, self.tag, self.addr2)
+
+#: ``Local_barrier_Goffload``: every recorded barrier is this one op.
+BARRIER = GroupOp("barrier")
 
 
 @dataclass
@@ -77,6 +81,7 @@ class OffloadGroupRequest:
     rank: int
     req_id: int = field(default_factory=lambda: next(_ids))
     state: str = "recording"
+    #: The recorded queue; a tuple once sealed.
     ops: list[GroupOp] = field(default_factory=list)
     complete: bool = False
     complete_time: Optional[float] = None
@@ -93,6 +98,8 @@ class OffloadGroupRequest:
     #: scratch (fresh registrations + descriptor exchange) rather than
     #: re-ship the saved entries.
     needs_rebuild: bool = False
+    #: The signature, built once by :meth:`seal` (``Group_Offload_end``).
+    sealed: Optional[tuple] = field(default=None, repr=False)
 
     def record(self, op: GroupOp) -> None:
         if self.state != "recording":
@@ -102,9 +109,15 @@ class OffloadGroupRequest:
             )
         self.ops.append(op)
 
+    def seal(self) -> None:
+        """Freeze the op queue; the signature is built here, once."""
+        self.ops = tuple(self.ops)
+        self.sealed = (self.rank, self.ops)
+
     def signature(self) -> tuple:
-        """Identity of the recorded pattern for the request caches."""
-        return (self.rank, tuple(op.signature() for op in self.ops))
+        """Identity of the recorded pattern for the request caches: the
+        rank and the ops themselves (no copy of either)."""
+        return self.sealed or (self.rank, tuple(self.ops))
 
     @property
     def n_sends(self) -> int:

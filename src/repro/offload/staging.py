@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from repro.hw.memory import OutOfMemoryError
 from repro.hw.node import ProcessContext
 from repro.offload.requests import OffloadError
+from repro.sim import Interrupt
 from repro.verbs.mr import MemoryRegionHandle, dereg_mr, reg_mr
 
 __all__ = ["StagingBuffer", "StagingChannel"]
@@ -96,7 +97,14 @@ class StagingChannel:
                     cluster.bus.emit("mem", "oom", self.ctx.trace_name,
                                      size=sc, pooled=self.pooled)
                 raise
-        handle = yield from reg_mr(self.ctx, addr, sc)
+        try:
+            handle = yield from reg_mr(self.ctx, addr, sc)
+        except (Interrupt, GeneratorExit):
+            # The proxy was killed or closed inside the registration:
+            # nobody will ever hold this buffer.
+            self.ctx.space.free(addr)
+            self._outstanding -= 1
+            raise
         return StagingBuffer(addr=addr, size_class=sc, handle=handle)
 
     def _reclaim(self, needed: int) -> None:

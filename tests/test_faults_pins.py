@@ -218,6 +218,27 @@ class TestKillMidStagedTransfer:
         assert plan.stats["kills"] == 1 and plan.stats["restarts"] == 1
         assert cl.metrics.get("offload.retransmits") > 0
 
+    def test_kill_inside_the_bounce_buffer_registration(self):
+        """The proxy dies while registering a fresh 1 MiB bounce buffer
+        (inside ``StagingChannel.acquire``, between the allocation and
+        the hand-over): the allocation is undone, so nothing stays
+        outstanding and DPU DRAM holds only the next life's buffer."""
+        cl, plan = _chaos_cluster(kills=[ProxyKillPlan(
+            proxy_gid=_proxy_gid(), at=80e-6, restart_after=30e-6)], seed=3)
+        fw = OffloadFramework(cl, mode="staged")
+        engine = fw.proxy_engine_for_rank(0)
+        dram = engine.ctx.space.allocated_bytes
+        _stream(cl, fw, n=1, size=1 << 20)
+        cl.sim.run()
+        fw.assert_quiescent()
+        staging = engine.staging
+        # Two buffers were allocated, one registration finished.
+        assert staging.created == 2
+        assert cl.metrics.get("verbs.reg_mr.dpu") == 1
+        assert staging.outstanding == 0
+        assert staging.pooled == 1
+        assert engine.ctx.space.allocated_bytes - dram == 1 << 20
+        assert plan.stats["kills"] == 1 and plan.stats["restarts"] == 1
 
     def test_kill_inside_an_error_cqe_backoff(self):
         """The read leg took an error CQE and the proxy dies during the

@@ -16,7 +16,8 @@ from repro.hw.memory import AddressSpace, OutOfMemoryError, peak_stats, reset_pe
 from repro.mpi.regcache import RegistrationCache
 from repro.offload import OffloadFramework
 from repro.offload.gvmi_cache import HostGvmiCache
-from repro.offload.group_cache import DpuPlanCache, HostGroupCache
+from repro.offload.group_cache import DpuPlan, DpuPlanCache, HostGroupCache
+from repro.offload.requests import BARRIER
 from repro.offload.shmem import ShmemWorld
 from repro.offload.staging import StagingChannel
 from repro.verbs import CqOverflowError, QueuePair, rdma_write, reg_mr
@@ -259,7 +260,7 @@ class TestCacheEviction:
 
     def test_host_group_cache_bounded(self, tiny_cluster):
         cache = HostGroupCache(capacity=2)
-        plans = [cache.insert(("sig", i), [{"kind": "barrier"}]) for i in range(3)]
+        plans = [cache.insert(("sig", i), [BARRIER]) for i in range(3)]
         assert cache.lookup(("sig", 0)) is None  # evicted
         assert cache.lookup(("sig", 1)) is plans[1]
         assert cache.lookup(("sig", 2)) is plans[2]
@@ -269,7 +270,7 @@ class TestCacheEviction:
         proxy = tiny_cluster.proxies[0]
         cache = DpuPlanCache(ctx=proxy, capacity=2)
         for pid in (1, 2, 3):
-            cache.store(pid, {"plan_id": pid, "entries": []})
+            cache.store(pid, DpuPlan(pid, host_rank=0, entries=[BARRIER]))
         assert cache.fetch(1) is None
         assert cache.fetch(2) is not None and cache.fetch(3) is not None
         assert cache.evictions == 1
