@@ -434,15 +434,18 @@ def collect_snapshot(
     return snap
 
 
-def _measure_scaling_run(names, scale, jobs, conn):
+def _measure_scaling_run(names, scale, jobs, run, conn):
     """Child-process body for :func:`collect_parallel_snapshot`.
 
-    Runs the selected figures at one job count and ships the timings
-    back over ``conn``.  Top-level so the spawn start method can pickle
-    it; must stay importable without side effects.
+    Installs the parent's run config ``run``, runs the selected figures
+    at one job count and ships the timings back over ``conn``.
+    Top-level so the spawn start method can pickle it; must stay
+    importable without side effects.
     """
-    from repro.experiments.parallel import using_jobs
+    from repro import runconfig
     from repro.experiments.runall import run_selected
+
+    runconfig.install(run)
 
     group_walls: dict[str, float] = {}
 
@@ -451,9 +454,7 @@ def _measure_scaling_run(names, scale, jobs, conn):
             group_walls[",".join(ev["point"][0])] = round(ev.get("wall_s", 0.0), 2)
 
     t0 = time.perf_counter()
-    with using_jobs(1):
-        records = run_selected(names, scale=scale, jobs=jobs,
-                               progress=progress)
+    records = run_selected(names, scale=scale, jobs=jobs, progress=progress)
     total = time.perf_counter() - t0
     conn.send({
         "total": total,
@@ -487,9 +488,9 @@ def collect_parallel_snapshot(
     import multiprocessing as mp
     import os
 
-    from repro.experiments.parallel import _START_METHOD
+    from repro import runconfig
 
-    ctx = mp.get_context(_START_METHOD)
+    ctx = mp.get_context("spawn")
     doc: dict = {
         "schema": PARALLEL_SCHEMA,
         "commit": _commit_stamp(),
@@ -501,7 +502,7 @@ def collect_parallel_snapshot(
     for j in jobs:
         recv, send = ctx.Pipe(duplex=False)
         proc = ctx.Process(target=_measure_scaling_run,
-                           args=(names, scale, j, send))
+                           args=(names, scale, j, runconfig.current(), send))
         proc.start()
         send.close()
         try:

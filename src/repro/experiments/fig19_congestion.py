@@ -21,8 +21,8 @@ probe them directly:
   a congested fabric erodes everyone equally.
 
 Both sweeps pin the fluid engine on explicitly (``fluid=True`` in the
-spec), so the committed tables are identical under ``runall`` in exact
-and ``--fluid`` ambient modes alike.
+spec), so the committed tables are identical under ``runall`` and
+``runall --fluid`` alike.
 """
 
 from __future__ import annotations

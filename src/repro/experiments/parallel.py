@@ -49,9 +49,9 @@ Resilience (docs/RESILIENCE.md):
   byte-identical results and merged peak-memory watermarks -- on the
   next run.
 * **Stall detection.**  The parent's dead-worker sweep and the
-  all-workers-gone backstop use ``stall_timeout`` (default
-  ``$REPRO_STALL_TIMEOUT`` or 30 s; ``runall --scale paper`` scales it
-  up) instead of a hard-coded constant.
+  all-workers-gone backstop use the run config's ``stall_timeout``
+  (30 s; ``runall --scale paper`` scales it up) instead of a
+  hard-coded constant.
 
 Progress/timing flows back over the same IPC channel as results
 (``start``/``done``/``retry`` events through an optional ``progress``
@@ -59,24 +59,25 @@ callback); ``benchkit`` consumes it to stamp per-figure walls and the
 ``results/BENCH_parallel.json`` scaling snapshot.
 
 Job-count resolution: an explicit ``jobs=`` argument wins; otherwise
-the ambient default set by ``runall --jobs`` / :func:`using_jobs` /
-the ``REPRO_JOBS`` environment variable applies; inside a worker
-process nested sweeps always run serially (no pool-in-pool).
+the installed :class:`~repro.runconfig.RunConfig`'s ``jobs`` applies
+(``runall --jobs`` / ``$REPRO_JOBS``).  Workers receive the parent's
+config as an argument and install it with ``jobs=1``, so nested sweeps
+always run serially (no pool-in-pool) on the parent's engine.
 """
 
 from __future__ import annotations
 
 import heapq
 import multiprocessing as mp
-import os
 import pickle
 import time
 import traceback
 from queue import Empty
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Optional, Sequence
 
+from repro import runconfig
+from repro.runconfig import RunConfig
 from repro.sim.rng import spawn_seed
 
 __all__ = [
@@ -86,23 +87,11 @@ __all__ = [
     "sweep_map",
     "merge_messages",
     "point_seeds",
-    "default_stall_timeout",
-    "set_default_jobs",
-    "get_default_jobs",
-    "using_jobs",
     "in_worker",
 ]
 
-#: Ambient job count used when ``sweep_map`` is called without ``jobs=``.
-_DEFAULT_JOBS: int | None = None
-
 #: Set in worker processes: nested sweeps must not spawn pools.
 _IN_WORKER = False
-
-#: multiprocessing start method; ``spawn`` gives every worker a fresh
-#: interpreter (override with REPRO_MP_START=fork for faster startup
-#: on platforms where fork is safe).
-_START_METHOD = os.environ.get("REPRO_MP_START", "spawn")
 
 #: Error types treated as *transient* by the retry machinery: the point
 #: itself may be fine, the execution environment failed around it.
@@ -120,53 +109,6 @@ TRANSIENT_ERROR_TYPES = frozenset({
 })
 
 
-def default_stall_timeout() -> float:
-    """Seconds of silence after a worker death before failing stragglers.
-
-    ``$REPRO_STALL_TIMEOUT`` overrides the 30 s default (paper-scale
-    points legitimately run for minutes; ``runall --scale paper``
-    exports a scaled value for its nested sweeps).
-    """
-    try:
-        return max(1.0, float(os.environ.get("REPRO_STALL_TIMEOUT", "30")))
-    except ValueError:
-        return 30.0
-
-
-# ---------------------------------------------------------------------------
-# job-count plumbing
-# ---------------------------------------------------------------------------
-
-def set_default_jobs(jobs: int | None) -> None:
-    """Set the ambient job count (``runall --jobs`` calls this)."""
-    global _DEFAULT_JOBS
-    _DEFAULT_JOBS = None if jobs is None else max(1, int(jobs))
-
-
-def get_default_jobs() -> int:
-    """Ambient job count: explicit default, else $REPRO_JOBS, else 1."""
-    if _IN_WORKER:
-        return 1
-    if _DEFAULT_JOBS is not None:
-        return _DEFAULT_JOBS
-    try:
-        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
-@contextmanager
-def using_jobs(jobs: int | None):
-    """Temporarily set the ambient job count (tests use this)."""
-    global _DEFAULT_JOBS
-    prev = _DEFAULT_JOBS
-    set_default_jobs(jobs)
-    try:
-        yield
-    finally:
-        _DEFAULT_JOBS = prev
-
-
 def in_worker() -> bool:
     """True inside a sweep worker process."""
     return _IN_WORKER
@@ -175,7 +117,7 @@ def in_worker() -> bool:
 def _resolve_jobs(jobs: int | None, n_points: int) -> int:
     if _IN_WORKER:
         return 1
-    j = get_default_jobs() if jobs is None else max(1, int(jobs))
+    j = runconfig.current().jobs if jobs is None else max(1, int(jobs))
     return min(j, max(1, n_points))
 
 
@@ -277,28 +219,6 @@ def point_seeds(root_seed: int, label: str, n_points: int) -> list[int]:
     return [spawn_seed(root_seed, label, i) for i in range(n_points)]
 
 
-def _point_journal_key(journal, label: str, seed: int, point) -> str:
-    from repro.experiments.campaign import point_key
-
-    return point_key(label, seed, point, extra=_engine_extra())
-
-
-def _engine_extra():
-    """Engine-mode discriminator folded into journal content keys.
-
-    Fluid and exact runs of the same sweep point produce different
-    results, so their journal records must never collide -- otherwise a
-    ``--resume`` after flipping ``--fluid`` would serve stale tables
-    from the other engine.  Exact mode returns ``None`` so existing
-    (pre-fluid) journals keep resolving unchanged.
-    """
-    from repro.hw.fluid import default_fluid, default_fluid_threshold
-
-    if not default_fluid():
-        return None
-    return ("engine", "fluid", default_fluid_threshold())
-
-
 # ---------------------------------------------------------------------------
 # worker side
 # ---------------------------------------------------------------------------
@@ -310,13 +230,16 @@ def _call_point(fn: Callable, point, seed_kwarg: str | None, seed: int):
     return fn(*args)
 
 
-def _worker_main(wid: int, fn, seed_kwarg, task_q, result_q) -> None:
+def _worker_main(wid: int, fn, seed_kwarg, run: RunConfig, task_q,
+                 result_q) -> None:
     """Serve points from this worker's private queue until the ``None``
     sentinel.  The queue holds at most one task at a time (the parent
     dispatches point-by-point), which is what lets the parent kill an
-    idle or hung worker without racing a half-claimed task."""
+    idle or hung worker without racing a half-claimed task.  ``run`` is
+    the parent's config, installed with ``jobs=1``."""
     global _IN_WORKER
     _IN_WORKER = True
+    runconfig.install(replace(run, jobs=1))
     from repro.hw import memory as hw_memory
 
     while True:
@@ -380,8 +303,10 @@ class _SweepConfig:
     transient: frozenset = TRANSIENT_ERROR_TYPES
     journal: Any = None
     journal_if: Optional[Callable] = None
-    stall_timeout: float = 30.0
     point_timeout: Optional[float] = None
+    #: The parent's run config: stall window, journal engine key, and
+    #: what every worker installs.
+    run: RunConfig = RunConfig()
 
 
 def sweep_map(
@@ -398,7 +323,6 @@ def sweep_map(
     transient: Iterable[str] | None = None,
     journal=None,
     journal_if: Callable[[Any], bool] | None = None,
-    stall_timeout: float | None = None,
     point_timeout: float | None = None,
 ) -> list:
     """Run ``fn`` over ``points``; return results in point order.
@@ -454,9 +378,7 @@ def sweep_map(
         transient=frozenset(transient) if transient is not None
         else TRANSIENT_ERROR_TYPES,
         journal=journal, journal_if=journal_if,
-        stall_timeout=(default_stall_timeout() if stall_timeout is None
-                       else max(1.0, float(stall_timeout))),
-        point_timeout=point_timeout,
+        point_timeout=point_timeout, run=runconfig.current(),
     )
     # Hang conversion needs a killable process boundary; route a
     # timed sweep through a pool even when it is otherwise serial.
@@ -478,9 +400,11 @@ def _journal_key_of(cfg: _SweepConfig, index: int) -> str:
     point occupies in a later selection (``runall --resume`` with a
     different figure subset).
     """
+    from repro.experiments.campaign import point_key
+
     seed = cfg.seeds[index] if cfg.seed_kwarg else None
-    return _point_journal_key(cfg.journal, cfg.label, seed,
-                              cfg.points[index])
+    return point_key(cfg.label, seed, cfg.points[index],
+                     extra=cfg.run.journal_extra)
 
 
 def _journal_lookup(cfg: _SweepConfig, index: int):
@@ -607,7 +531,7 @@ class _Pool:
     def __init__(self, cfg: _SweepConfig, n_jobs: int):
         self.cfg = cfg
         self.n_jobs = n_jobs
-        self.ctx = mp.get_context(_START_METHOD)
+        self.ctx = mp.get_context("spawn")
         self.result_q = self.ctx.Queue()
         self.workers: dict[int, _Worker] = {}
         self._next_wid = 0
@@ -626,8 +550,8 @@ class _Pool:
         task_q = self.ctx.Queue()
         proc = self.ctx.Process(
             target=_worker_main,
-            args=(wid, self.cfg.fn, self.cfg.seed_kwarg, task_q,
-                  self.result_q),
+            args=(wid, self.cfg.fn, self.cfg.seed_kwarg, self.cfg.run,
+                  task_q, self.result_q),
             daemon=True,
         )
         proc.start()
@@ -854,7 +778,7 @@ def _sweep_pool(cfg: _SweepConfig, n_jobs: int) -> list:
                                       "this point")
                 elif (pool.unresolved()
                       and time.monotonic() - pool.last_event
-                      > cfg.stall_timeout
+                      > cfg.run.stall_timeout
                       and not pool.pending and not pool.retry_at
                       and all(w.index is None
                               for w in pool.workers.values())):

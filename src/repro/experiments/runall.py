@@ -20,8 +20,8 @@ Options:
                      the campaign (forces pool execution)
     --stall-timeout SECS
                      silence window after a worker death before the
-                     sweep declares lost points failed (default
-                     $REPRO_STALL_TIMEOUT or 30; x4 under --scale paper)
+                     sweep declares lost points failed (default 30;
+                     x4 under --scale paper)
     --fluid          run every figure on the fluid-flow hybrid engine:
                      bulk transfers above the byte threshold advance as
                      rate-shared flows, control stays event-exact
@@ -29,7 +29,7 @@ Options:
                      engine within the documented tolerance)
     --fluid-threshold BYTES
                      bulk/control split for --fluid (default
-                     repro.hw.fluid.DEFAULT_FLUID_THRESHOLD, 256 KiB)
+                     repro.runconfig.DEFAULT_FLUID_THRESHOLD, 256 KiB)
     --out DIR        also write each table to DIR/figNN.txt plus a JSON
                      metrics snapshot (series + counters/histograms) to
                      DIR/figNN.json
@@ -61,12 +61,13 @@ import argparse
 import gc
 import importlib
 import json
-import os
 import sys
 import time
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
+from repro import runconfig
 from repro.experiments import ALL_FIGURES
 from repro.experiments.campaign import (
     EXIT_CLEAN,
@@ -77,19 +78,12 @@ from repro.experiments.campaign import (
     classify_campaign,
     point_key,
 )
-from repro.experiments.parallel import (
-    PointFailure,
-    _engine_extra,
-    in_worker,
-    set_default_jobs,
-    sweep_map,
-    using_jobs,
-)
+from repro.experiments.parallel import PointFailure, in_worker, sweep_map
 from repro.hw import memory as hw_memory
-from repro.hw.fluid import (
+from repro.runconfig import (
     DEFAULT_FLUID_THRESHOLD,
-    default_fluid_threshold,
-    set_default_fluid,
+    DEFAULT_STALL_TIMEOUT,
+    RunConfig,
 )
 from repro.util import atomic_write
 
@@ -161,13 +155,14 @@ def run_one(name: str, scale: str = "quick", profile: bool = False):
         return None, exc
 
 
-def _run_group(names: tuple, scale: str) -> list[dict]:
-    """Sweep-point function for figure-level sharding: one worker runs a
-    whole figure group serially (nested sweeps stay in-process) and
-    returns picklable per-figure records."""
+def _run_group(names: tuple, scale: str, profile: bool = False) -> list[dict]:
+    """Run one figure group and return its per-figure records -- the
+    sweep-point function for figure-level sharding (a worker runs the
+    whole group, nested sweeps in-process) and the in-process path's
+    body alike."""
     records = []
     for name in names:
-        fig, exc = run_one(name, scale=scale)
+        fig, exc = run_one(name, scale=scale, profile=profile)
         records.append({
             "name": name,
             "fig": fig,
@@ -210,7 +205,7 @@ def _group_key(group: list[str], scale: str) -> str:
     recomputes instead of serving the other engine's tables.
     """
     return point_key("figures", None, (tuple(group), scale),
-                     extra=_engine_extra())
+                     extra=runconfig.current().journal_extra)
 
 
 def _journal_safe(records: list[dict]) -> list[dict]:
@@ -227,7 +222,6 @@ def run_selected(
     journal: Journal | None = None,
     retries: int = 0,
     point_timeout: float | None = None,
-    stall_timeout: float | None = None,
 ) -> list[dict]:
     """Run figures (optionally sharded over ``jobs`` workers).
 
@@ -242,8 +236,8 @@ def run_selected(
     With ``journal`` set, every fully-successful figure group is
     durably recorded under a content key of (group, scale) and skipped
     -- with identical records -- when already journaled (``runall
-    --resume``).  ``retries``/``point_timeout``/``stall_timeout`` are
-    the campaign resilience knobs threaded through
+    --resume``).  ``retries``/``point_timeout`` are the campaign
+    resilience knobs threaded through
     :func:`repro.experiments.parallel.sweep_map`.
     """
     names = list(names) if names is not None else list(ALL_FIGURES)
@@ -287,61 +281,47 @@ def run_selected(
             pass
 
     by_group: dict[int, list[dict]] = dict(cached)
-    if todo:
-        if jobs > 1 and len(todo) == 1 and point_timeout is None:
-            # One group: nothing to shard at figure level -- parallelise
-            # the sweep points *inside* the figure instead.
-            gi = todo[0]
-            with using_jobs(jobs):
-                by_group[gi] = _run_group(tuple(groups[gi]), scale)
-            _checkpoint(gi, by_group[gi])
-        elif jobs > 1 or point_timeout is not None:
-            points = [(tuple(groups[gi]), scale) for gi in todo]
-            outcomes = sweep_map(
-                _run_group, points, jobs=jobs, on_error="keep",
-                label="figures", progress=progress,
-                retries=retries, point_timeout=point_timeout,
-                stall_timeout=stall_timeout,
-                # The pool journals each group the moment its worker
-                # reports in (same key scheme as _group_key).
-                journal=journal,
-                journal_if=_group_clean,
-            )
-            for gi, outcome in zip(todo, outcomes):
-                if isinstance(outcome, PointFailure):
-                    by_group[gi] = [
-                        {
-                            "name": name, "fig": None,
-                            "error": f"{outcome.error_type}: "
-                                     f"{outcome.message}",
-                            "traceback": outcome.traceback,
-                            "exc": None,
-                            "quarantined": outcome.quarantined,
-                            "attempts": outcome.attempts,
-                        }
-                        for name in groups[gi]
-                    ]
-                else:
-                    by_group[gi] = outcome
-        else:
-            # jobs == 1: fully serial, including nested sweeps -- this
-            # is the reference execution every parallel mode must
-            # reproduce bit-for-bit.
-            with using_jobs(1):
-                for gi in todo:
-                    records = []
-                    for name in groups[gi]:
-                        fig, exc = run_one(name, scale=scale, profile=profile)
-                        records.append({
-                            "name": name,
-                            "fig": fig,
-                            "error": None if exc is None else repr(exc),
-                            "traceback": None if exc is None else "".join(
-                                traceback.format_exception(exc)),
-                            "exc": exc,
-                        })
-                    by_group[gi] = records
-                    _checkpoint(gi, records)
+    if todo and (point_timeout is not None or (jobs > 1 and len(todo) > 1)):
+        points = [(tuple(groups[gi]), scale) for gi in todo]
+        outcomes = sweep_map(
+            _run_group, points, jobs=jobs, on_error="keep",
+            label="figures", progress=progress,
+            retries=retries, point_timeout=point_timeout,
+            # The pool journals each group the moment its worker
+            # reports in (same key scheme as _group_key).
+            journal=journal,
+            journal_if=_group_clean,
+        )
+        for gi, outcome in zip(todo, outcomes):
+            if isinstance(outcome, PointFailure):
+                by_group[gi] = [
+                    {
+                        "name": name, "fig": None,
+                        "error": f"{outcome.error_type}: "
+                                 f"{outcome.message}",
+                        "traceback": outcome.traceback,
+                        "exc": None,
+                        "quarantined": outcome.quarantined,
+                        "attempts": outcome.attempts,
+                    }
+                    for name in groups[gi]
+                ]
+            else:
+                by_group[gi] = outcome
+    elif todo:
+        # In process.  With one group left there is nothing to shard at
+        # figure level, so ``jobs`` parallelises the sweep points inside
+        # the figure instead; jobs == 1 is fully serial, nested sweeps
+        # included -- the reference execution every parallel mode must
+        # reproduce bit for bit.
+        outer = runconfig.current()
+        runconfig.install(replace(outer, jobs=jobs))
+        try:
+            for gi in todo:
+                by_group[gi] = _run_group(tuple(groups[gi]), scale, profile)
+                _checkpoint(gi, by_group[gi])
+        finally:
+            runconfig.install(outer)
 
     records: list[dict] = []
     for gi in range(len(groups)):
@@ -403,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="per-figure-group hang watchdog in seconds")
     parser.add_argument("--stall-timeout", type=float, default=None,
                         help="worker-death stall window in seconds "
-                             "(default $REPRO_STALL_TIMEOUT or 30; "
+                             f"(default {DEFAULT_STALL_TIMEOUT:g}; "
                              "x4 under --scale paper)")
     parser.add_argument("--fluid", action="store_true",
                         help="run on the fluid-flow hybrid engine (bulk "
@@ -433,35 +413,17 @@ def main(argv: list[str] | None = None) -> int:
     else:
         selected = list(ALL_FIGURES)
 
-    jobs = args.jobs
-    if jobs is None:
-        try:
-            jobs = max(1, int(os.environ.get("REPRO_JOBS", "1")))
-        except ValueError:
-            jobs = 1
-    # Make the ambient default match the CLI choice so directly-invoked
-    # helpers (ablations, figure modules) see the same setting.
-    set_default_jobs(jobs)
-
-    if args.fluid or args.fluid_threshold is not None:
-        # Ambient + environment, so spawned sweep workers inherit the
-        # engine choice (figure specs leave ClusterSpec.fluid = None).
-        set_default_fluid(bool(args.fluid), args.fluid_threshold)
-        if args.fluid:
-            print("engine: fluid-flow hybrid "
-                  f"(threshold {default_fluid_threshold()} bytes)",
-                  file=sys.stderr)
-
     stall_timeout = args.stall_timeout
-    if args.scale == "paper":
-        # Paper-scale points legitimately run for minutes; scale the
-        # worker-death stall window (and export it so nested sweeps in
-        # workers inherit the same setting).
-        if stall_timeout is None:
-            from repro.experiments.parallel import default_stall_timeout
-
-            stall_timeout = 4.0 * default_stall_timeout()
-        os.environ.setdefault("REPRO_STALL_TIMEOUT", str(stall_timeout))
+    if stall_timeout is None and args.scale == "paper":
+        # Paper-scale points legitimately run for minutes.
+        stall_timeout = 4.0 * DEFAULT_STALL_TIMEOUT
+    run = RunConfig.resolve(
+        jobs=1 if args.profile else args.jobs, fluid=args.fluid,
+        fluid_threshold=args.fluid_threshold, stall_timeout=stall_timeout)
+    runconfig.install(run)
+    if run.fluid:
+        print("engine: fluid-flow hybrid "
+              f"(threshold {run.fluid_threshold} bytes)", file=sys.stderr)
 
     journal = Journal(args.resume, label="runall") if args.resume else None
 
@@ -470,10 +432,9 @@ def main(argv: list[str] | None = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     records = run_selected(
-        selected, scale=args.scale, jobs=jobs, profile=args.profile,
-        progress=_print_progress if (jobs > 1 or args.timeout) else None,
-        journal=journal, retries=args.retries,
-        point_timeout=args.timeout, stall_timeout=stall_timeout,
+        selected, scale=args.scale, jobs=run.jobs, profile=args.profile,
+        progress=_print_progress if (run.jobs > 1 or args.timeout) else None,
+        journal=journal, retries=args.retries, point_timeout=args.timeout,
     )
 
     statuses: list[tuple[str, str]] = []

@@ -41,6 +41,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro import runconfig
 from repro.experiments.campaign import Journal, classify_campaign
 from repro.experiments.parallel import PointFailure, sweep_map
 from repro.hw import (
@@ -51,7 +52,9 @@ from repro.hw import (
     FaultSpec,
     MachineParams,
 )
+from repro.mpi.schedules import ring_neighbours
 from repro.obs.hist import Histogram
+from repro.runconfig import RunConfig
 from repro.util import atomic_write
 
 __all__ = ["main", "soak_iteration", "SOAK_SCHEMA"]
@@ -90,8 +93,7 @@ def soak_iteration(iteration: int, scale: str, drop: float,
     iters, size = _SCALES[scale]
     params = MachineParams().with_overrides(dpu_mem_budget=_DPU_BUDGET)
     spec = ClusterSpec(nodes=nodes, ppn=ppn, proxies_per_dpu=proxies,
-                       seed=seed, params=params,
-                       fluid=True if fluid else None,
+                       seed=seed, params=params, fluid=fluid,
                        fluid_threshold=size if fluid else None)
     cl = Cluster(spec)
     # The SLO metrics are latencies and counters; skip moving payload
@@ -109,8 +111,7 @@ def soak_iteration(iteration: int, scale: str, drop: float,
     world = spec.world_size
 
     def player(rank: int):
-        left = (rank - 1) % world
-        right = (rank + 1) % world
+        right, left = ring_neighbours(rank, world)
 
         def prog(sim):
             ep = fw.endpoint(rank)
@@ -240,7 +241,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="flow drop/retransmit probability, fluid mode "
                              "only (default 0.05)")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="iteration worker processes")
+                        help="iteration worker processes "
+                             "(default: $REPRO_JOBS or 1)")
     parser.add_argument("--retries", type=int, default=1,
                         help="retry budget per crashed iteration (default 1)")
     parser.add_argument("--timeout", type=float, default=None,
@@ -251,6 +253,8 @@ def main(argv: list[str] | None = None) -> int:
                              "same DIR resumes completed iterations")
     args = parser.parse_args(argv)
 
+    run = RunConfig.resolve(jobs=args.jobs)
+    runconfig.install(run)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     journal = Journal(out, label="soak")
@@ -261,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
               for i in range(args.iters)]
     t0 = time.time()
     outcomes = sweep_map(
-        soak_iteration, points, jobs=args.jobs, on_error="keep",
+        soak_iteration, points, jobs=run.jobs, on_error="keep",
         label="soak", seed_root=args.seed, seed_kwarg="seed",
         retries=args.retries, point_timeout=args.timeout, journal=journal,
     )

@@ -23,21 +23,7 @@ from repro.hw.faults import (
     ProxyKillPlan,
     RetryPolicy,
 )
-from repro.hw.fluid import (
-    DEFAULT_FLUID_THRESHOLD,
-    default_fluid,
-    default_fluid_threshold,
-    engine_mode,
-    set_default_fluid,
-    using_fluid,
-)
-from repro.hw.topology import (
-    FatTreeTopology,
-    PATH_SELECTORS,
-    ecmp_hash,
-    resolve_topology_spec,
-    using_topology,
-)
+from repro.hw.topology import FatTreeTopology, PATH_SELECTORS, ecmp_hash
 from repro.hw.node import Node, ProcessContext
 from repro.hw.cluster import Cluster
 from repro.hw.metrics import Metrics
@@ -46,12 +32,8 @@ __all__ = [
     "AddressSpace",
     "Cluster",
     "ClusterSpec",
-    "DEFAULT_FLUID_THRESHOLD",
-    "default_fluid",
-    "default_fluid_threshold",
     "Delivery",
     "ecmp_hash",
-    "engine_mode",
     "Fabric",
     "FatTreeTopology",
     "FaultPlan",
@@ -68,8 +50,4 @@ __all__ = [
     "ProcessContext",
     "ProxyKillPlan",
     "RetryPolicy",
-    "resolve_topology_spec",
-    "set_default_fluid",
-    "using_fluid",
-    "using_topology",
 ]

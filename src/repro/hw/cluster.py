@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from repro import runconfig
 from repro.hw.fabric import Fabric
-from repro.hw.fluid import resolve_fluid
-from repro.hw.topology import FatTreeTopology, resolve_topology_spec
+from repro.hw.topology import FatTreeTopology
 from repro.hw.metrics import Metrics
 from repro.hw.node import Node, ProcessContext
 from repro.hw.params import ClusterSpec
@@ -68,10 +68,6 @@ class Cluster:
     """
 
     def __init__(self, spec: ClusterSpec):
-        # Ambient fat-tree overrides (repro.hw.topology.using_topology /
-        # REPRO_NODES_PER_SWITCH ...) land only on fields the spec left
-        # at defaults; with none set this is the spec itself, unchanged.
-        spec = resolve_topology_spec(spec)
         self.spec = spec
         self.params = spec.params
         self.sim = Simulator()
@@ -101,12 +97,16 @@ class Cluster:
         self.fabric = Fabric(self.sim, [n.hca for n in self.nodes], self.params,
                              spec=spec)
 
-        #: Hybrid engine selection (docs/PERFORMANCE.md): explicit
-        #: ``spec.fluid`` wins, ``None`` inherits the ambient default
-        #: (``runall --fluid`` / ``repro.hw.fluid.using_fluid``).  Exact
-        #: mode leaves ``fabric.flow_engine`` as None, so every existing
-        #: code path is untouched byte for byte.
-        self.fluid, self.fluid_threshold = resolve_fluid(spec)
+        #: Hybrid engine selection (docs/PERFORMANCE.md): explicit spec
+        #: fields win, ``None`` ones come from the installed
+        #: :class:`~repro.runconfig.RunConfig` (``runall --fluid``).
+        #: Exact mode leaves ``fabric.flow_engine`` as None, so every
+        #: existing code path is untouched byte for byte.
+        run = runconfig.current()
+        self.fluid = run.fluid if spec.fluid is None else spec.fluid
+        self.fluid_threshold = (run.fluid_threshold
+                                if spec.fluid_threshold is None
+                                else spec.fluid_threshold)
         #: Explicit leaf/spine link graph (fluid mode with
         #: ``nodes_per_switch > 0``); None keeps flows endpoint-only.
         self.topology = None
@@ -116,7 +116,7 @@ class Cluster:
             if spec.nodes_per_switch > 0:
                 rng = (self.rng.stream("ecmp-paths")
                        if spec.path_selector == "random" else None)
-                self.topology = FatTreeTopology(spec, rng=rng)
+                self.topology = FatTreeTopology(spec, rng=rng, engine=engine)
             self.fabric.attach_flow_engine(engine, self.fluid_threshold,
                                            topology=self.topology)
 

@@ -294,7 +294,6 @@ class Fabric:
         self.fluid_threshold = threshold
         self.topology = topology
         if topology is not None:
-            topology.register_links(engine)
             engine.util_enabled = True
             engine.on_congestion = self._on_link_congestion
 

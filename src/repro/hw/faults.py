@@ -485,12 +485,10 @@ class LinkDegradePlan:
         return min(factors) if factors else 1.0
 
     def _apply(self, key: tuple) -> None:
-        # The engine stores absolute capacities, so degrade factors
-        # compose with the link's registered base (a half-capacity spine
-        # uplink degraded to 0.5 runs at 0.25 port-shares); with no open
-        # window this restores the base exactly, clearing the override.
-        base = self._engine.base_capacity(key)
-        self._engine.set_endpoint_capacity(key, base * self._effective(key))
+        # Every link's healthy capacity is one port-share, so the
+        # effective factor is the capacity; with no open window this
+        # restores 1.0 exactly, clearing the override.
+        self._engine.set_endpoint_capacity(key, self._effective(key))
 
     @staticmethod
     def _describe(w: LinkWindow) -> str:

@@ -24,7 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-__all__ = ["MachineParams", "ClusterSpec"]
+__all__ = ["DPU_CORES", "MachineParams", "ClusterSpec"]
+
+#: ARM cores on each DPU (BlueField-2: 8).
+DPU_CORES = 8
 
 
 @dataclass(frozen=True)
@@ -242,10 +245,9 @@ class ClusterSpec:
     nodes: int = 2
     #: Host MPI processes per node (paper: 32).
     ppn: int = 2
-    #: Worker/proxy processes launched on each DPU by Init_Offload().
+    #: Worker/proxy processes launched on each DPU by Init_Offload()
+    #: (at most :data:`DPU_CORES`, one per ARM core).
     proxies_per_dpu: int = 4
-    #: ARM cores on each DPU (BlueField-2: 8).
-    dpu_cores: int = 8
     #: Root seed for all random streams.
     seed: int = 0
     #: Nodes per leaf switch.  0 (default) = the paper's single-switch
@@ -257,13 +259,10 @@ class ClusterSpec:
     #: Equal-cost leaf<->spine uplinks per leaf (= number of spine
     #: switches).  Only meaningful with ``nodes_per_switch > 0``; the
     #: default single uplink makes every cross-leaf flow share one
-    #: spine path.
+    #: spine path.  Each leaf<->spine link carries one node port's
+    #: capacity, so ``nodes_per_switch / spine_count`` is the tree's
+    #: oversubscription ratio.
     spine_count: int = 1
-    #: Capacity of each leaf<->spine link, in units of one node port's
-    #: capacity.  ``nodes_per_switch / (spine_count * uplink_capacity)``
-    #: is the tree's oversubscription ratio; the default 1.0 matches
-    #: one host port per uplink.
-    uplink_capacity: float = 1.0
     #: How cross-leaf flows pick among the ``spine_count`` equal-cost
     #: uplinks: ``"ecmp"`` (deterministic per-pair hash, the default),
     #: ``"random"`` (seeded per-flow choice) or ``"least"`` (per-flow
@@ -272,15 +271,15 @@ class ClusterSpec:
     #: Fluid-flow hybrid mode (docs/PERFORMANCE.md): ``True`` routes
     #: bulk transfers above :attr:`fluid_threshold` into the rate-shared
     #: :class:`~repro.sim.flows.FlowEngine`; ``False`` forces the exact
-    #: event engine.  ``None`` (default) inherits the ambient mode set
-    #: by ``repro.hw.fluid.set_default_fluid`` / ``runall --fluid`` --
-    #: which keeps every committed figure config byte-identical while
+    #: event engine.  ``None`` (default) takes the installed
+    #: :class:`~repro.runconfig.RunConfig`'s mode (``runall --fluid``)
+    #: -- which keeps every committed figure config byte-identical while
     #: letting a whole campaign flip engines with one switch.
     fluid: Optional[bool] = None
     #: Byte threshold above which data transfers become flows in fluid
-    #: mode.  ``None`` inherits the ambient default (256 KiB -- see
-    #: ``repro.hw.fluid.DEFAULT_FLUID_THRESHOLD`` for the tuning
-    #: rationale).
+    #: mode.  ``None`` takes the installed ``RunConfig``'s threshold
+    #: (256 KiB unless set -- see
+    #: ``repro.runconfig.DEFAULT_FLUID_THRESHOLD`` for the rationale).
     fluid_threshold: Optional[int] = None
     #: Ignored (per-rank state is always lazy); accepted only because
     #: bench/workloads.py passes it -- delete with that argument in the
@@ -295,12 +294,10 @@ class ClusterSpec:
             raise ValueError("need at least one process per node")
         if self.proxies_per_dpu < 1:
             raise ValueError("need at least one proxy per DPU")
-        if self.proxies_per_dpu > self.dpu_cores:
+        if self.proxies_per_dpu > DPU_CORES:
             raise ValueError("more proxies than DPU cores")
         if self.spine_count < 1:
             raise ValueError("need at least one spine uplink")
-        if self.uplink_capacity <= 0.0:
-            raise ValueError("uplink_capacity must be positive")
         if self.path_selector not in ("ecmp", "random", "least"):
             raise ValueError(
                 f"unknown path_selector {self.path_selector!r}; "

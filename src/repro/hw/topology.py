@@ -18,9 +18,9 @@ id by the :class:`~repro.sim.flows.FlowEngine`:
     the leaf -> NIC downlink (capacity 1.0).  Same key as the
     endpoint-only destination.
 ``("up", leaf, spine)`` / ``("down", spine, leaf)``
-    one of ``spine_count`` equal-cost leaf<->spine links, capacity
-    ``uplink_capacity`` port-shares each (>1.0 models oversubscribed
-    hosts on a fat uplink; <1.0 models a tapered/oversubscribed tree).
+    one of ``spine_count`` equal-cost leaf<->spine links, capacity 1.0
+    each (so ``nodes_per_switch / spine_count`` is the tree's
+    oversubscription ratio).
 
 Paths
 -----
@@ -46,23 +46,10 @@ Path selectors
 ``"least"``
     per-flow least-loaded choice: the spine whose up+down links carry
     the fewest in-flight flows right now (ties -> lowest spine id).
-
-Ambient overrides
------------------
-Like ``repro.hw.fluid``, the topology can be switched on ambiently for
-a whole campaign without touching any committed figure config:
-``using_topology(nodes_per_switch=..., spine_count=...)`` (or the
-``REPRO_NODES_PER_SWITCH`` / ``REPRO_SPINE_COUNT`` /
-``REPRO_PATH_SELECTOR`` / ``REPRO_UPLINK_CAPACITY`` environment
-variables) apply to every spec whose own fields were left at their
-defaults.  With no override set, specs pass through untouched.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from dataclasses import replace
 from typing import Callable, Optional
 
 __all__ = [
@@ -70,8 +57,6 @@ __all__ = [
     "PATH_SELECTORS",
     "ecmp_hash",
     "make_selector",
-    "resolve_topology_spec",
-    "using_topology",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -97,12 +82,13 @@ class FatTreeTopology:
     """Two-level leaf/spine link graph over a :class:`ClusterSpec`.
 
     Pure structure + path selection; owns no simulation state.  The
-    cluster registers the graph's non-unit link capacities with the
-    flow engine (:meth:`register_links`) and the fabric asks
-    :meth:`path` for each bulk flow's link list.
+    fabric asks :meth:`path` for each bulk flow's link list; ``engine``
+    (the cluster's :class:`~repro.sim.flows.FlowEngine`) is read only
+    by the ``"least"`` selector's load probe.
     """
 
-    def __init__(self, spec, *, selector: Optional[str] = None, rng=None):
+    def __init__(self, spec, *, selector: Optional[str] = None, rng=None,
+                 engine=None):
         self.spec = spec
         nps = spec.nodes_per_switch
         if nps <= 0:
@@ -110,40 +96,15 @@ class FatTreeTopology:
         self.nodes_per_switch = nps
         self.n_leaves = (spec.nodes + nps - 1) // nps
         self.spine_count = max(1, getattr(spec, "spine_count", 1))
-        self.uplink_capacity = float(getattr(spec, "uplink_capacity", 1.0))
         name = selector if selector is not None \
             else getattr(spec, "path_selector", "ecmp")
         self.selector_name = name
-        self._engine = None
+        self._engine = engine
         self._choose = make_selector(name, self, rng=rng)
 
     # -- structure -------------------------------------------------------
     def leaf_of_node(self, node: int) -> int:
         return node // self.nodes_per_switch
-
-    def links(self) -> list[tuple[tuple, float]]:
-        """Every (link key, base capacity) pair in the graph."""
-        out: list[tuple[tuple, float]] = []
-        for n in range(self.spec.nodes):
-            out.append((("tx", n), 1.0))
-            out.append((("rx", n), 1.0))
-        if self.n_leaves > 1:
-            for leaf in range(self.n_leaves):
-                for s in range(self.spine_count):
-                    out.append((("up", leaf, s), self.uplink_capacity))
-                    out.append((("down", s, leaf), self.uplink_capacity))
-        return out
-
-    def register_links(self, engine) -> None:
-        """Declare the graph's link capacities to a flow engine.
-
-        Only non-unit capacities are registered (unit links are the
-        engine's default).
-        """
-        self._engine = engine
-        for key, cap in self.links():
-            if cap != 1.0:
-                engine.register_link(key, cap)
 
     # -- path selection --------------------------------------------------
     def path(self, src_node: int, dst_node: int) -> tuple[tuple, ...]:
@@ -224,64 +185,3 @@ def make_selector(name: str, topo: "FatTreeTopology", *, rng=None):
         ) from None
     return factory(topo, rng)
 
-
-# -- ambient overrides ---------------------------------------------------
-_ENV_NPS = "REPRO_NODES_PER_SWITCH"
-_ENV_SPINES = "REPRO_SPINE_COUNT"
-_ENV_SELECTOR = "REPRO_PATH_SELECTOR"
-_ENV_UPLINK = "REPRO_UPLINK_CAPACITY"
-
-
-def resolve_topology_spec(spec):
-    """Apply ambient topology overrides to a spec's *defaulted* fields.
-
-    Each override only lands on a field the spec left at its default
-    (an explicit per-spec choice always wins), mirroring how
-    ``repro.hw.fluid.resolve_fluid`` treats ``spec.fluid``.  With no
-    ambient override set this returns ``spec`` itself, unchanged --
-    the committed-figure/golden-trace bit-identity path.
-    """
-    kw = {}
-    nps = os.environ.get(_ENV_NPS)
-    if nps is not None and spec.nodes_per_switch == 0:
-        kw["nodes_per_switch"] = int(nps)
-    spines = os.environ.get(_ENV_SPINES)
-    if spines is not None and spec.spine_count == 1:
-        kw["spine_count"] = int(spines)
-    sel = os.environ.get(_ENV_SELECTOR)
-    if sel is not None and spec.path_selector == "ecmp":
-        kw["path_selector"] = sel
-    up = os.environ.get(_ENV_UPLINK)
-    if up is not None and spec.uplink_capacity == 1.0:
-        kw["uplink_capacity"] = float(up)
-    if not kw:
-        return spec
-    return replace(spec, **kw)
-
-
-@contextmanager
-def using_topology(*, nodes_per_switch: Optional[int] = None,
-                   spine_count: Optional[int] = None,
-                   path_selector: Optional[str] = None,
-                   uplink_capacity: Optional[float] = None):
-    """Ambient fat-tree override for every defaulted spec in the block."""
-    pairs = [
-        (_ENV_NPS, nodes_per_switch),
-        (_ENV_SPINES, spine_count),
-        (_ENV_SELECTOR, path_selector),
-        (_ENV_UPLINK, uplink_capacity),
-    ]
-    saved = {}
-    try:
-        for env, val in pairs:
-            if val is None:
-                continue
-            saved[env] = os.environ.get(env)
-            os.environ[env] = str(val)
-        yield
-    finally:
-        for env, old in saved.items():
-            if old is None:
-                os.environ.pop(env, None)
-            else:
-                os.environ[env] = old

@@ -246,9 +246,6 @@ class FlowEngine:
         # capacity); empty on a healthy fabric.  Populated by link
         # degradation (see repro.hw.faults.LinkDegradePlan).
         self._ep_caps: dict[int, float] = {}
-        # Non-unit *base* link capacities (dense id -> capacity),
-        # declared by a topology via register_link; empty by default.
-        self._base_caps: dict[int, float] = {}
         #: Optional congestion hook: ``fn(key, congested, nflows)``
         #: fires on every link's congested/clear transition (>= 2 flows
         #: sharing a saturated link).  Computed only when set.
@@ -387,40 +384,14 @@ class FlowEngine:
         """Snapshot of every in-flight flow (active + this instant's batch)."""
         return self._active + self._pending
 
-    def register_link(self, key: Any, capacity: float = 1.0) -> None:
-        """Declare a link's *base* (healthy) capacity in port-shares.
-
-        Links default to unit capacity, so only non-unit links need
-        registration (a topology's fat uplinks, a tapered tree).  The
-        base is what :meth:`set_endpoint_capacity` restores to and what
-        degrade factors multiply against.
-        """
-        if capacity < 0.0:
-            raise ValueError(f"link capacity must be >= 0, got {capacity!r}")
-        eid = self.endpoint(key)
-        if capacity == 1.0:
-            self._base_caps.pop(eid, None)
-        else:
-            self._base_caps[eid] = float(capacity)
-        self._dirty = True
-        self._schedule_kick()
-
-    def base_capacity(self, key: Any) -> float:
-        """A link's healthy capacity (1.0 unless registered otherwise)."""
-        eid = self._endpoints.get(key)
-        if eid is None:
-            return 1.0
-        return self._base_caps.get(eid, 1.0)
-
     def set_endpoint_capacity(self, key: Any, capacity: float) -> None:
-        """Set a link's current capacity (base when healthy, 0.0 flapped).
+        """Set a link's current capacity (1.0 when healthy, 0.0 flapped).
 
         Takes effect at the current instant: in-flight progress is
         settled under the old shares, then the fair shares are re-solved
         against the new capacity (the degrade/restore edge).  Values at
-        or above the link's base capacity clear the override -- a link
-        cannot run faster than its physical base, so "restore" is just
-        ``set_endpoint_capacity(key, engine.base_capacity(key))``.
+        or above 1.0 clear the override -- a link cannot run faster than
+        one port, so "restore" is just ``set_endpoint_capacity(key, 1.0)``.
 
         The setting is symmetric with :meth:`endpoint_capacity` at any
         point in a flow's life: it applies to links referenced only by
@@ -430,8 +401,7 @@ class FlowEngine:
         if capacity < 0.0:
             raise ValueError(f"endpoint capacity must be >= 0, got {capacity!r}")
         eid = self.endpoint(key)
-        base = self._base_caps.get(eid, 1.0)
-        if capacity >= base:
+        if capacity >= 1.0:
             self._ep_caps.pop(eid, None)
         else:
             self._ep_caps[eid] = float(capacity)
@@ -439,17 +409,16 @@ class FlowEngine:
         self._schedule_kick()
 
     def endpoint_capacity(self, key: Any) -> float:
-        """Current capacity of a link (its base unless degraded).
+        """Current capacity of a link (1.0 unless degraded).
 
         The exact inverse of :meth:`set_endpoint_capacity`, including
         for links that only pending flows reference and links no flow
-        has ever crossed (those report their base capacity).
+        has ever crossed (those report 1.0).
         """
         eid = self._endpoints.get(key)
         if eid is None:
             return 1.0
-        base = self._base_caps.get(eid, 1.0)
-        return self._ep_caps.get(eid, base)
+        return self._ep_caps.get(eid, 1.0)
 
     def link_load(self, key: Any) -> int:
         """In-flight flows (active + pending) crossing a link.
@@ -609,11 +578,9 @@ class FlowEngine:
 
     def _caps_array(self) -> Optional[np.ndarray]:
         """Effective per-link capacities, or ``None`` for all-ones."""
-        if not self._ep_caps and not self._base_caps:
+        if not self._ep_caps:
             return None
         caps = np.ones(len(self._endpoints), dtype=np.float64)
-        for eid, c in self._base_caps.items():
-            caps[eid] = c
         for eid, c in self._ep_caps.items():
             caps[eid] = c
         return caps

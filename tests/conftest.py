@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro import runconfig
 from repro.hw import Cluster, ClusterSpec
 from repro.mpi import MpiWorld
+from repro.runconfig import RunConfig
 
 try:
     from hypothesis import settings
@@ -30,6 +32,22 @@ def pytest_addoption(parser):
 @pytest.fixture
 def regen_golden(request) -> bool:
     return request.config.getoption("--regen-golden")
+
+
+@pytest.fixture(autouse=True)
+def run_config(monkeypatch):
+    """Every test starts on the default :class:`RunConfig` and gets it
+    back afterwards, whatever the test (or a CLI ``main`` it calls)
+    installs.  ``run_config(fluid=True, ...)`` installs a config for
+    the rest of the test and returns it."""
+    monkeypatch.setattr(runconfig, "_current", RunConfig())
+
+    def install(**fields) -> RunConfig:
+        config = RunConfig(**fields)
+        runconfig.install(config)
+        return config
+
+    return install
 
 
 @pytest.fixture

@@ -166,15 +166,10 @@ class TestRunallRobustness:
         assert runall.main(["nope"]) == 2
         assert "no figures match" in capsys.readouterr().out
 
-    def test_fluid_banner_prints_the_resolved_threshold(self, monkeypatch,
-                                                        capsys):
+    def test_fluid_banner_prints_the_resolved_threshold(self, capsys):
         from repro.experiments import runall
-        from repro.hw.fluid import DEFAULT_FLUID_THRESHOLD
+        from repro.runconfig import DEFAULT_FLUID_THRESHOLD
 
-        # main() exports the engine choice through these; pin them so
-        # monkeypatch restores the environment afterwards.
-        monkeypatch.setenv("REPRO_FLUID", "0")
-        monkeypatch.setenv("REPRO_FLUID_THRESHOLD", "")
         assert runall.main(["fig05", "--fluid"]) == 0
         assert (f"(threshold {DEFAULT_FLUID_THRESHOLD} bytes)"
                 in capsys.readouterr().err)

@@ -501,15 +501,3 @@ class TestEndpointCapacityQuery:
         # Restoring to (>=) base pops the override.
         eng.set_endpoint_capacity(("rx", 0), 1.0)
         assert eng.endpoint_capacity(("rx", 0)) == 1.0
-
-    def test_registered_link_base(self):
-        """register_link declares the base; degrade factors scale it and
-        restore returns to the declared base, not to 1.0."""
-        _sim, eng = _engine()
-        eng.register_link(("up", 0, 0), 2.0)
-        assert eng.base_capacity(("up", 0, 0)) == 2.0
-        assert eng.endpoint_capacity(("up", 0, 0)) == 2.0
-        eng.set_endpoint_capacity(("up", 0, 0), 0.5)
-        assert eng.endpoint_capacity(("up", 0, 0)) == 0.5
-        eng.set_endpoint_capacity(("up", 0, 0), 2.0)
-        assert eng.endpoint_capacity(("up", 0, 0)) == 2.0

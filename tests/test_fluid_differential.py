@@ -23,13 +23,14 @@ while still catching any genuine modelling drift.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.experiments import runall
 from repro.experiments.common import canonical_json
-from repro.hw import Cluster, ClusterSpec, using_fluid, using_topology
+from repro.hw import Cluster, ClusterSpec
 from repro.obs import EventBus, trace_violations
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
@@ -76,14 +77,14 @@ class TestExactModeBitIdentity:
         assert cl.fabric.flow_engine is None
         assert cl.sim.flow_engine is None
 
-    def test_golden_traces_unchanged_even_in_fluid_mode(self):
+    def test_golden_traces_unchanged_even_in_fluid_mode(self, run_config):
         """Control-plane scenarios carry no bulk: their event streams
         must match the golden files byte-for-byte in *both* modes (the
         hybrid split leaves everything below the threshold exact)."""
         from tests.test_golden_traces import GOLDEN_DIR, SCENARIOS, serialize_events
 
-        with using_fluid():
-            obs = SCENARIOS["ring_broadcast"]()
+        run_config(fluid=True)
+        obs = SCENARIOS["ring_broadcast"]()
         got = serialize_events(obs.bus)
         assert got == (GOLDEN_DIR / "ring_broadcast.events").read_text()
 
@@ -92,9 +93,9 @@ class TestFluidWithinTolerance:
     """Fluid on => every micro-figure point within FLUID_RTOL."""
 
     @pytest.mark.parametrize("name", DIFF_FIGURES)
-    def test_tables_match_within_tolerance(self, name):
-        with using_fluid():
-            fig = _run(name)
+    def test_tables_match_within_tolerance(self, name, run_config):
+        run_config(fluid=True)
+        fig = _run(name)
         assert fig.all_passed, (
             f"{name}: paper-shape checks failed in fluid mode: "
             + "; ".join(c.name for c in fig.checks if not c.passed)
@@ -146,17 +147,34 @@ class TestFluidWithinTolerance:
         assert cl.fabric.flow_engine.flows_started == 0
 
 
+@pytest.fixture
+def single_switch_fat_tree(monkeypatch, run_config):
+    """Fluid engine, and every cluster the test builds from a
+    single-switch spec gets the identity fat-tree instead: one leaf
+    holding every node, so the per-link machinery is attached."""
+    run_config(fluid=True)
+    build = Cluster.__init__
+
+    def init(self, spec):
+        if spec.nodes_per_switch == 0:
+            spec = replace(spec, nodes_per_switch=1 << 20)
+        build(self, spec)
+
+    monkeypatch.setattr(Cluster, "__init__", init)
+
+
+@pytest.mark.usefixtures("single_switch_fat_tree")
 class TestTopologyModeBitIdentity:
     """A single-switch fat-tree is the identity topology: every flow's
     path degenerates to the 2-link (tx, rx) pair, and the committed
     fluid-equivalent tables must regenerate within FLUID_RTOL -- with
-    the per-link machinery attached, not bypassed.  Golden traces stay byte-identical too (the
-    control plane never touches the flow engine)."""
+    the per-link machinery attached, not bypassed.  Golden traces stay
+    byte-identical too (the control plane never touches the flow
+    engine)."""
 
     @pytest.mark.parametrize("name", DIFF_FIGURES)
     def test_single_switch_tables_match(self, name):
-        with using_fluid(), using_topology(nodes_per_switch=1 << 20):
-            fig = _run(name)
+        fig = _run(name)
         assert fig.all_passed, (
             f"{name}: paper-shape checks failed in topology mode: "
             + "; ".join(c.name for c in fig.checks if not c.passed)
@@ -174,10 +192,9 @@ class TestTopologyModeBitIdentity:
                 )
 
     def test_topology_attached_not_bypassed(self):
-        """Guard against vacuity: the ambient override must actually
-        build a FatTreeTopology and route flows through path= admission."""
-        with using_fluid(), using_topology(nodes_per_switch=1 << 20):
-            cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1))
+        """Guard against vacuity: the rewritten spec must actually build
+        a FatTreeTopology and route flows through path= admission."""
+        cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1))
         assert cl.topology is not None
         assert cl.topology.n_leaves == 1
         seen = {}
@@ -195,19 +212,9 @@ class TestTopologyModeBitIdentity:
     def test_golden_traces_unchanged_in_topology_mode(self):
         from tests.test_golden_traces import GOLDEN_DIR, SCENARIOS, serialize_events
 
-        with using_fluid(), using_topology(nodes_per_switch=1 << 20):
-            obs = SCENARIOS["ring_broadcast"]()
+        obs = SCENARIOS["ring_broadcast"]()
         got = serialize_events(obs.bus)
         assert got == (GOLDEN_DIR / "ring_broadcast.events").read_text()
-
-    def test_explicit_spec_wins_over_ambient(self):
-        """A spec that chose its own fat-tree keeps it under overrides."""
-        spec = ClusterSpec(nodes=8, ppn=1, nodes_per_switch=2,
-                           spine_count=2, fluid=True)
-        with using_topology(nodes_per_switch=1 << 20, spine_count=7):
-            cl = Cluster(spec)
-        assert cl.topology.nodes_per_switch == 2
-        assert cl.topology.spine_count == 2
 
 
 def _bulk_observed(break_finisher=None):

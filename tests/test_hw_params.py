@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hw import ClusterSpec, MachineParams
+from repro.hw.params import DPU_CORES
 
 
 class TestMachineParams:
@@ -64,7 +65,7 @@ class TestClusterSpec:
             {"nodes": 0},
             {"ppn": 0},
             {"proxies_per_dpu": 0},
-            {"proxies_per_dpu": 9, "dpu_cores": 8},
+            {"proxies_per_dpu": DPU_CORES + 1},
         ],
     )
     def test_invalid_shapes_rejected(self, kwargs):
@@ -108,6 +109,6 @@ def test_flag_surface_may_only_shrink():
 
     src = Path(__file__).resolve().parent.parent / "src" / "repro"
     text = "\n".join(p.read_text() for p in sorted(src.rglob("*.py")))
-    assert len(fields(MachineParams)) + len(fields(ClusterSpec)) <= 59
-    assert len(set(re.findall(r"\bREPRO_[A-Z_]+", text))) <= 9
-    assert len(re.findall(r"^\s*def using_", text, flags=re.M)) <= 3
+    assert len(fields(MachineParams)) + len(fields(ClusterSpec)) <= 57
+    assert len(set(re.findall(r"\bREPRO_[A-Z_]+", text))) <= 1
+    assert len(re.findall(r"^\s*def using_", text, flags=re.M)) == 0

@@ -21,12 +21,7 @@ import pytest
 
 from repro.experiments import fig05_registration, fig15_group_vs_simple
 from repro.experiments.common import canonical_json
-from repro.experiments.parallel import (
-    PointFailure,
-    SweepError,
-    sweep_map,
-    using_jobs,
-)
+from repro.experiments.parallel import PointFailure, SweepError, sweep_map
 from repro.experiments.runall import run_one, run_selected
 
 
@@ -56,13 +51,13 @@ def _hard_exit_at_one(x):
 
 @pytest.mark.parametrize("module", [fig05_registration, fig15_group_vs_simple],
                          ids=["fig05", "fig15"])
-def test_figure_identical_across_job_counts(module):
+def test_figure_identical_across_job_counts(module, run_config):
     serial_fig = module.run(scale="quick")
     serial_json = canonical_json(serial_fig.to_dict())
     serial_table = serial_fig.render()
     for jobs in (2, 4):
-        with using_jobs(jobs):
-            fig = module.run(scale="quick")
+        run_config(jobs=jobs)
+        fig = module.run(scale="quick")
         assert canonical_json(fig.to_dict()) == serial_json, (
             f"{module.__name__}: to_dict() drifted at jobs={jobs}"
         )
@@ -71,16 +66,15 @@ def test_figure_identical_across_job_counts(module):
         )
 
 
-def test_run_one_metrics_identical_across_job_counts():
+def test_run_one_metrics_identical_across_job_counts(run_config):
     """run_one's full payload -- including the peak_resident_bytes
     watermark merged back from the workers -- matches the serial run."""
-    with using_jobs(1):
-        fig, exc = run_one("fig15_group_vs_simple")
+    fig, exc = run_one("fig15_group_vs_simple")
     assert exc is None
     serial = canonical_json(fig.to_dict())
     assert fig.metrics["peak_resident_bytes"]["host"] > 0
-    with using_jobs(2):
-        fig2, exc = run_one("fig15_group_vs_simple")
+    run_config(jobs=2)
+    fig2, exc = run_one("fig15_group_vs_simple")
     assert exc is None
     assert canonical_json(fig2.to_dict()) == serial
 
