@@ -34,7 +34,6 @@ def _info() -> int:
     print("  python -m repro ablations")
     print("  python -m repro soak --iters 10  # chaos-soak SLO harness")
     print("  pytest tests/                 # unit/integration/property tests")
-    print("  pytest benchmarks/ --benchmark-only")
     print("  python examples/quickstart.py")
     return 0
 

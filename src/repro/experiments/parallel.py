@@ -55,8 +55,7 @@ Resilience (docs/RESILIENCE.md):
 
 Progress/timing flows back over the same IPC channel as results
 (``start``/``done``/``retry`` events through an optional ``progress``
-callback); ``benchkit`` consumes it to stamp per-figure walls and the
-``results/BENCH_parallel.json`` scaling snapshot.
+callback); ``runall`` prints them as per-group status lines.
 
 Job-count resolution: an explicit ``jobs=`` argument wins; otherwise
 the installed :class:`~repro.runconfig.RunConfig`'s ``jobs`` applies

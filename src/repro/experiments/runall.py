@@ -33,14 +33,9 @@ Options:
     --out DIR        also write each table to DIR/figNN.txt plus a JSON
                      metrics snapshot (series + counters/histograms) to
                      DIR/figNN.json
-    --bench          after the figures, run the engine microbenchmarks
-                     and write a BENCH_engine.json snapshot (schema +
-                     commit stamp + per-figure wall-clock seconds) to
-                     the --out directory (default results/)
-    --bench-parallel rerun the selected figures at jobs=1/2/4 and write
-                     a BENCH_parallel.json scaling snapshot
-    --profile        run each figure under cProfile and print the top
-                     25 functions by cumulative time (forces --jobs 1)
+
+Profile a figure with the standard library:
+``python -m cProfile -s cumulative -m repro.experiments.runall figNN``.
 
 Campaign exit codes (docs/RESILIENCE.md): 0 = clean (every figure
 passed), 1 = failed (shape checks failed, or nothing survived),
@@ -106,12 +101,8 @@ FIGURE_GROUPS: list[list[str]] = [
 ]
 
 
-def run_one(name: str, scale: str = "quick", profile: bool = False):
-    """Run one figure module; returns ``(figure, None)`` or ``(None, exc)``.
-
-    With ``profile=True`` the figure runs under cProfile and the top 25
-    functions by cumulative time are printed to stderr.
-    """
+def run_one(name: str, scale: str = "quick"):
+    """Run one figure module; returns ``(figure, None)`` or ``(None, exc)``."""
     try:
         module = importlib.import_module(f"repro.experiments.{name}")
         hw_memory.reset_peak_stats()
@@ -126,22 +117,7 @@ def run_one(name: str, scale: str = "quick", profile: bool = False):
         gc.disable()
         t0 = time.time()
         try:
-            if profile:
-                import cProfile
-                import pstats
-
-                profiler = cProfile.Profile()
-                profiler.enable()
-                try:
-                    fig = module.run(scale=scale)
-                finally:
-                    profiler.disable()
-                    print(f"--- {name}: top 25 by cumulative time ---",
-                          file=sys.stderr)
-                    pstats.Stats(profiler, stream=sys.stderr) \
-                        .sort_stats("cumulative").print_stats(25)
-            else:
-                fig = module.run(scale=scale)
+            fig = module.run(scale=scale)
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -155,14 +131,14 @@ def run_one(name: str, scale: str = "quick", profile: bool = False):
         return None, exc
 
 
-def _run_group(names: tuple, scale: str, profile: bool = False) -> list[dict]:
+def _run_group(names: tuple, scale: str) -> list[dict]:
     """Run one figure group and return its per-figure records -- the
     sweep-point function for figure-level sharding (a worker runs the
     whole group, nested sweeps in-process) and the in-process path's
     body alike."""
     records = []
     for name in names:
-        fig, exc = run_one(name, scale=scale, profile=profile)
+        fig, exc = run_one(name, scale=scale)
         records.append({
             "name": name,
             "fig": fig,
@@ -217,7 +193,6 @@ def run_selected(
     names: list[str] | None = None,
     scale: str = "quick",
     jobs: int = 1,
-    profile: bool = False,
     progress=None,
     journal: Journal | None = None,
     retries: int = 0,
@@ -243,9 +218,6 @@ def run_selected(
     names = list(names) if names is not None else list(ALL_FIGURES)
     groups = _groups_for(names)
     jobs = max(1, int(jobs))
-    if profile:
-        jobs = 1
-        point_timeout = None
 
     # Resume: serve journaled groups, run only the remainder.
     cached: dict[int, list[dict]] = {}
@@ -318,7 +290,7 @@ def run_selected(
         runconfig.install(replace(outer, jobs=jobs))
         try:
             for gi in todo:
-                by_group[gi] = _run_group(tuple(groups[gi]), scale, profile)
+                by_group[gi] = _run_group(tuple(groups[gi]), scale)
                 _checkpoint(gi, by_group[gi])
         finally:
             runconfig.install(outer)
@@ -393,13 +365,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="bulk/control byte split for --fluid (default "
                              f"DEFAULT_FLUID_THRESHOLD = {DEFAULT_FLUID_THRESHOLD})")
     parser.add_argument("--out", default=None, help="directory for per-figure text tables")
-    parser.add_argument("--bench", action="store_true",
-                        help="also run engine microbenchmarks and write BENCH_engine.json")
-    parser.add_argument("--bench-parallel", action="store_true",
-                        help="rerun the selected figures at jobs=1/2/4 and "
-                             "write a BENCH_parallel.json scaling snapshot")
-    parser.add_argument("--profile", action="store_true",
-                        help="run each figure under cProfile (top 25 cumulative)")
     args = parser.parse_args(argv)
 
     if args.figures and not args.all:
@@ -418,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
         # Paper-scale points legitimately run for minutes.
         stall_timeout = 4.0 * DEFAULT_STALL_TIMEOUT
     run = RunConfig.resolve(
-        jobs=1 if args.profile else args.jobs, fluid=args.fluid,
+        jobs=args.jobs, fluid=args.fluid,
         fluid_threshold=args.fluid_threshold, stall_timeout=stall_timeout)
     runconfig.install(run)
     if run.fluid:
@@ -432,13 +397,12 @@ def main(argv: list[str] | None = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     records = run_selected(
-        selected, scale=args.scale, jobs=run.jobs, profile=args.profile,
+        selected, scale=args.scale, jobs=run.jobs,
         progress=_print_progress if (run.jobs > 1 or args.timeout) else None,
         journal=journal, retries=args.retries, point_timeout=args.timeout,
     )
 
     statuses: list[tuple[str, str]] = []
-    fig_walls: dict[str, float] = {}
     for rec in records:
         name, fig = rec["name"], rec["fig"]
         if fig is None:
@@ -459,34 +423,7 @@ def main(argv: list[str] | None = None) -> int:
             snap = {"schema": "repro.obs/1", **fig.to_dict()}
             atomic_write(out_dir / f"{fig.fig_id}.json",
                          json.dumps(snap, indent=2, sort_keys=True) + "\n")
-        fig_walls[fig.fig_id] = fig.config.get("wall_seconds", 0.0)
         statuses.append((name, "pass" if fig.all_passed else "shape-fail"))
-
-    if args.bench:
-        from repro.experiments import benchkit
-
-        print("running engine microbenchmarks...")
-        snap = benchkit.collect_snapshot(
-            figure_walls=fig_walls, scale=args.scale, verbose=True)
-        bench_dir = out_dir if out_dir else Path("results")
-        bench_dir.mkdir(parents=True, exist_ok=True)
-        bench_path = bench_dir / "BENCH_engine.json"
-        atomic_write(bench_path,
-                     json.dumps(snap, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {bench_path}")
-
-    if args.bench_parallel:
-        from repro.experiments import benchkit
-
-        print("running parallel-scaling snapshot (jobs=1/2/4)...")
-        snap = benchkit.collect_parallel_snapshot(
-            names=selected, scale=args.scale, verbose=True)
-        bench_dir = out_dir if out_dir else Path("results")
-        bench_dir.mkdir(parents=True, exist_ok=True)
-        bench_path = bench_dir / "BENCH_parallel.json"
-        atomic_write(bench_path,
-                     json.dumps(snap, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {bench_path}")
 
     passed = sum(1 for _, s in statuses if s == "pass")
     shape_failed = sum(1 for _, s in statuses if s == "shape-fail")

@@ -175,30 +175,3 @@ class TestRunallRobustness:
                 in capsys.readouterr().err)
         assert runall.main(["fig05", "--fluid", "--fluid-threshold", "4096"]) == 0
         assert "(threshold 4096 bytes)" in capsys.readouterr().err
-
-
-class TestBenchCommitStamp:
-    """A snapshot recorded on an uncommitted tree must not pass for the
-    parent commit's measurement."""
-
-    def _stamp(self, monkeypatch, head, porcelain):
-        import types
-
-        from repro.experiments import benchkit
-
-        def fake_run(cmd, **_kw):
-            out = head if cmd[1] == "rev-parse" else porcelain
-            return types.SimpleNamespace(stdout=out)
-
-        monkeypatch.setattr(benchkit.subprocess, "run", fake_run)
-        return benchkit._commit_stamp()
-
-    def test_clean_tree_is_the_bare_hash(self, monkeypatch):
-        assert self._stamp(monkeypatch, "abc1234\n", "") == "abc1234"
-
-    def test_dirty_tree_is_flagged(self, monkeypatch):
-        assert self._stamp(
-            monkeypatch, "abc1234\n", " M src/x.py\n") == "abc1234-dirty"
-
-    def test_outside_a_repo_is_unknown(self, monkeypatch):
-        assert self._stamp(monkeypatch, "", "") == "unknown"

@@ -13,8 +13,8 @@ import tracemalloc
 
 import pytest
 
-from repro.experiments.benchkit import bench_bytes_per_rank
 from repro.hw import Cluster, ClusterSpec
+from repro.mpi import MpiWorld
 from repro.offload import OffloadFramework, build_iallreduce
 
 #: Resident bytes per rank of an idle, fully wired machine, at 1024 and at
@@ -26,6 +26,29 @@ IDLE_BYTES_PER_RANK_BUDGET = 1300
 #: caches, the cluster left open.  Measured 21 322 (with a second copy of
 #: every op and dict plan entries: 34 046).
 RETAINED_BYTES_PER_RANK_BUDGET = 30_000
+
+
+def _idle_bytes_per_rank(ranks: int, ppn: int = 16) -> float:
+    """Settled bytes per rank of an idle, fully wired machine.
+
+    Prices ``Cluster + OffloadFramework + MpiWorld`` before any rank
+    runs: nodes, fabric, and every proxy engine ``Init_Offload`` starts.
+    No rank context, runtime or endpoint is counted; those are built on
+    first touch (priced by the ``retained`` fixture below).
+    """
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cl = Cluster(ClusterSpec(nodes=ranks // ppn, ppn=ppn,
+                                 proxies_per_dpu=4))
+        fw = OffloadFramework(cl)
+        world = MpiWorld(cl)
+        gc.collect()
+        current, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del cl, fw, world
+    return current / ranks
 
 
 def _iallreduce(nodes: int, calls: int = 3):
@@ -66,7 +89,7 @@ def retained():
 
 @pytest.mark.parametrize("ranks", [1024, 4096])
 def test_idle_machine_bytes_per_rank_are_flat(ranks):
-    assert bench_bytes_per_rank(ranks)["value"] <= IDLE_BYTES_PER_RANK_BUDGET
+    assert _idle_bytes_per_rank(ranks) <= IDLE_BYTES_PER_RANK_BUDGET
 
 
 def test_bytes_retained_per_rank_after_cached_calls(retained):
