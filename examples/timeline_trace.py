@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Render the paper's Fig-1 timelines from an actual simulated run.
 
-Attaches the execution tracer and replays the ring-broadcast-under-
-compute scenario on (a) host-progressed MPI and (b) the proposed group
+Observes the cluster (the event bus records every busy span) and replays
+the ring-broadcast-under-compute scenario on (a) host-progressed MPI and (b) the proposed group
 offload, then prints per-process busy lanes (``#`` = core-busy time)
 with each lane's busy time and utilisation.  You can literally *see*
 case 1's forwarding gap (host2 wakes again *after* its compute to serve
@@ -14,9 +14,8 @@ Run:  python examples/timeline_trace.py
 
 from repro.experiments.common import SimBarrier
 from repro.hw import Cluster, ClusterSpec
-from repro.hw.trace import Tracer
 from repro.mpi import MpiWorld
-from repro.obs import render_timeline
+from repro.obs import observe_cluster
 from repro.offload import OffloadFramework
 
 RANKS = 3
@@ -27,7 +26,7 @@ CHUNK = 8e-6
 
 def traced_mpi() -> str:
     cluster = Cluster(ClusterSpec(nodes=RANKS, ppn=1))
-    tracer = Tracer.attach(cluster)
+    obs = observe_cluster(cluster)
     world = MpiWorld(cluster)
     barrier = SimBarrier(cluster.sim, RANKS)
 
@@ -37,7 +36,7 @@ def traced_mpi() -> str:
         for it in range(2):
             yield from barrier.arrive()
             if it == 1 and rt.rank == 0:
-                tracer.reset(t_min=rt.sim.now)  # trace the warm iteration
+                obs.bus.clear()  # trace the warm iteration
             if rt.rank == 0:
                 req = yield from rt.isend(comm, 1, buf, SIZE, tag=it)
             else:
@@ -55,13 +54,12 @@ def traced_mpi() -> str:
         return None
 
     world.run(program, ranks=range(RANKS))
-    return render_timeline(tracer, width=68,
-                           entities=[f"host{r}" for r in range(RANKS)])
+    return obs.timeline(width=68, entities=[f"host{r}" for r in range(RANKS)])
 
 
 def traced_offload() -> str:
     cluster = Cluster(ClusterSpec(nodes=RANKS, ppn=1, proxies_per_dpu=1))
-    tracer = Tracer.attach(cluster)
+    obs = observe_cluster(cluster)
     framework = OffloadFramework(cluster)
     barrier = SimBarrier(cluster.sim, RANKS)
 
@@ -82,7 +80,7 @@ def traced_offload() -> str:
             for it in range(2):
                 yield from barrier.arrive()
                 if it == 1 and rank == 0:
-                    tracer.reset(t_min=sim.now)
+                    obs.bus.clear()
                 yield from ep.group_call(greq)
                 yield ep.ctx.consume(COMPUTE)
                 yield from ep.group_wait(greq)
@@ -93,7 +91,7 @@ def traced_offload() -> str:
     procs = [cluster.sim.process(make(r)(cluster.sim)) for r in range(RANKS)]
     cluster.sim.run(until=cluster.sim.all_of(procs))
     lanes = [f"host{r}" for r in range(RANKS)] + [f"dpu{r}" for r in range(RANKS)]
-    return render_timeline(tracer, width=68, entities=lanes)
+    return obs.timeline(width=68, entities=lanes)
 
 
 def main() -> None:

@@ -41,7 +41,7 @@ def _scatter_dest(scale: str, block: int, variant: str, iters: int = 3, warmup: 
     ``instrument``, when given, is called with the freshly built cluster
     before any framework objects exist -- the hook the observability
     layer (``repro.obs.observe_cluster``) and the trace tests use to
-    attach an event bus / tracer to an otherwise stock figure run.
+    attach an event bus to an otherwise stock figure run.
     """
     spec = _spec(scale)
     cl = Cluster(spec)

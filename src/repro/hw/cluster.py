@@ -81,11 +81,9 @@ class Cluster:
         self.link_plan = None
         #: Optional :class:`~repro.obs.events.EventBus`; set by
         #: ``EventBus.attach`` (or ``repro.obs.observe_cluster``).
+        #: Declared here so the hot consume path can test it with a
+        #: plain attribute load.
         self.bus = None
-        #: Optional :class:`~repro.hw.trace.Tracer`; set by
-        #: ``Tracer.attach``.  Declared here so the hot consume/transfer
-        #: paths can test it with a plain attribute load.
-        self.tracer = None
         #: When False, deliveries skip moving real bytes (perf-only
         #: sweeps whose programs never read the payload buffers set
         #: this; validation programs leave it True).  Simulated timing

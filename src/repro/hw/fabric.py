@@ -20,8 +20,8 @@ not -- is one :class:`_Message` walked through that schedule as a flat
 callback chain: no generator, no Process wrapper, no end-of-process
 event.  The post-time fault fate rides in the message's slots and is
 applied where it bites (extra wire delay, error CQE, control
-drop/dup); the EventBus and the Tracer are ``is not None`` emission
-guards inside the landing step.  The run you observe, or inject faults
+drop/dup); the EventBus is an ``is not None`` emission guard inside
+the landing step.  The run you observe, or inject faults
 into, therefore executes the same functions and schedules the same
 events as the bare run you time (tests/test_obs_nonperturbation.py pins
 it).  In fluid hybrid mode a bulk transfer swaps the port walk for a
@@ -191,11 +191,6 @@ class _Message:
         # An error CQE moves no bytes: skip the payload callback.
         if self.on_deliver is not None and status == "ok":
             self.on_deliver(dv)
-        if fabric.tracer is not None:
-            fabric.tracer.record_arrow(
-                self.src_hca.lane, fabric.hcas[self.dst_node].lane, self.size,
-                self.kind, self.t_posted, sim.now,
-            )
         bus = fabric.bus
         if bus is not None:
             bus.emit("xfer", "deliver", fabric.hcas[self.dst_node].lane, xid=self.xid,
@@ -256,9 +251,6 @@ class Fabric:
         #: Optional :class:`~repro.obs.events.EventBus`; set by
         #: ``EventBus.attach``.  None keeps every message emission-free.
         self.bus = None
-        #: Optional :class:`~repro.hw.trace.Tracer`; set by
-        #: ``Tracer.attach``.
-        self.tracer = None
         #: Optional :class:`~repro.sim.flows.FlowEngine` (fluid hybrid
         #: mode); None keeps every transfer on the exact port walk.
         self.flow_engine = None
@@ -471,26 +463,16 @@ class Fabric:
                          xid=st.xid, action="drop", attempt=st.attempt)
                 bus.emit("flow", "end", f"flow{flow.fid}", fid=flow.fid,
                          xid=st.xid)
-            ev = self.sim.event()
-            ev._ok = True
-            ev._value = None
-            ev.callbacks.append(
-                lambda _ev, st=st, remaining=remaining:
-                    self._flow_retry(st, remaining)
-            )
-            self.sim.schedule_at(ev, t_drain + backoff)
+            self.sim.call_at(t_drain + backoff,
+                             lambda _ev: self._flow_retry(st, remaining))
             plan.note_flow_retry(st.kind, st.src_node, st.dst_node,
                                  st.attempt, backoff)
             return
         if bus is not None:
             bus.emit("flow", "end", f"flow{flow.fid}", fid=flow.fid,
                      xid=st.xid)
-        ev = self.sim.event()
-        ev._ok = True
-        ev._value = None
-        ev.callbacks.append(st.land)
-        self.sim.schedule_at(ev, t_drain + st.latency + st.tail
-                             + st.extra_delay)
+        self.sim.call_at(t_drain + st.latency + st.tail + st.extra_delay,
+                         st.land)
 
     def _flow_retry(self, st: _Message, remaining: float) -> None:
         """Retransmit a dropped flow's residual work as a fresh flow."""
@@ -537,11 +519,7 @@ class Fabric:
             # in-flight bytes still have to land somewhere); delivery
             # carries status="error" so nothing moves and consumers see
             # the failed CQE.
-            ev = self.sim.event()
-            ev._ok = True
-            ev._value = None
-            ev.callbacks.append(st.land)
-            self.sim.schedule_at(ev, self.sim.now + st.latency + st.tail)
+            self.sim.call_at(self.sim.now + st.latency + st.tail, st.land)
         return aborted
 
     def control(

@@ -468,17 +468,8 @@ class LinkDegradePlan:
         return self
 
     def _arm_window(self, wid: int, w: LinkWindow) -> None:
-        sim = self.sim
-        begin = sim.event()
-        begin._ok = True
-        begin._value = None
-        begin.callbacks.append(lambda _ev, wid=wid, w=w: self._degrade(wid, w))
-        sim.schedule_at(begin, w.start)
-        end = sim.event()
-        end._ok = True
-        end._value = None
-        end.callbacks.append(lambda _ev, wid=wid, w=w: self._restore(wid, w))
-        sim.schedule_at(end, w.start + w.duration)
+        self.sim.call_at(w.start, lambda _ev: self._degrade(wid, w))
+        self.sim.call_at(w.start + w.duration, lambda _ev: self._restore(wid, w))
 
     def _effective(self, key: tuple) -> float:
         factors = self._open.get(key)

@@ -45,7 +45,7 @@ class Hca:
     ):
         self.sim = sim
         self.node_id = node_id
-        #: Lane name of this node on the bus and the tracer (built once).
+        #: Lane name of this node on the bus (built once).
         self.lane = f"node{node_id}"
         self.params = params
         self.metrics = metrics

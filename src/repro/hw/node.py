@@ -42,8 +42,8 @@ class ProcessContext:
         self.global_id = global_id
         #: Index within this node (local rank / local proxy index).
         self.local_id = local_id
-        #: Lane name on the bus and the tracer (built once: ``consume``
-        #: and every emit read it).
+        #: Lane name on the bus (built once: ``consume`` and every emit
+        #: read it).
         self.trace_name = f"{kind}{global_id}"
         # Address space and inbox are built on first touch: neither
         # constructor has simulator side effects, and at thousand-rank
@@ -101,11 +101,12 @@ class ProcessContext:
         return self.kind
 
     def consume(self, seconds: float):
-        """Occupy this process's core for ``seconds`` (a timeout event)."""
+        """Occupy this process's core for ``seconds`` (a timeout event);
+        an observed cluster's bus records the busy span."""
         self.busy_time += seconds
-        tracer = self.cluster.tracer
-        if tracer is not None and seconds > 0:
-            tracer.record_span(self.trace_name, self.sim.now, self.sim.now + seconds)
+        bus = self.cluster.bus
+        if bus is not None and seconds > 0:
+            bus.span(self.trace_name, self.sim.now, self.sim.now + seconds)
         return self.sim.timeout(seconds)
 
     def free(self, addr: int) -> list:

@@ -286,15 +286,16 @@ class MpiRuntime:
             if req.size and ctx.cluster.payloads
             else None
         )
-        peer_rt = self.world.runtime(env.dst)
+        incoming = self.world.runtime(env.dst).incoming
+        item = ("shm", env, payload, req.size)
         delay = p.shm_latency + req.size / p.shm_bandwidth
         ctx.cluster.metrics.add("mpi.shm_sends")
 
-        def _deliver():
-            yield self.sim.timeout(delay)
-            peer_rt.incoming.put(("shm", env, payload, req.size))
+        # Where a helper process would start, a kick arms the copy's delay.
+        def _arm(_kick):
+            self.sim.timeout(delay).callbacks.append(lambda _ev: incoming.put(item))
 
-        self.sim.process(_deliver())
+        self.sim.call_at(self.sim.now, _arm)
         self._complete(req)
 
     def _irecv(self, comm: Communicator, src: int, addr: int, size: int, tag: int):
@@ -408,12 +409,18 @@ class MpiRuntime:
                 remote_addr=raddr,
                 size=size,
             )
+            item = ("read_done", req, env, send_req_id)
 
-            def _notify():
-                yield transfer.completed
-                self.incoming.put(("read_done", req, env, send_req_id))
+            def _read_done(ev):
+                if not ev._ok:
+                    raise ev._value     # a failed read may not pass silently
+                self.incoming.put(item)
 
-            self.sim.process(_notify())
+            # Where a helper process would start, a kick hooks the read's
+            # completion (an ack after delivery, so never this instant).
+            completed = transfer.completed
+            self.sim.call_at(self.sim.now,
+                             lambda _kick: completed.callbacks.append(_read_done))
         else:  # pragma: no cover - defensive
             raise MpiError(f"unknown matched kind {kind!r}")
 

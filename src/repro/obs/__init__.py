@@ -6,12 +6,11 @@ amortisation (Sec VII-B/D) -- so "it ran" is not a useful test oracle;
 "it ran the way the paper says" is.  This package supplies the
 measurement substrate:
 
-* :class:`~repro.obs.events.EventBus` -- a typed, deterministic event
-  stream (WQE posts/completions, registrations, cache hits/misses,
-  RTS/RTR/FIN control traffic, group plan record/replay, fault
-  injections, proxy lifecycle) emitted from every layer of the stack
-  when a bus is attached to the cluster.  With no bus attached every
-  hook is a single ``is None`` check -- clean runs are unchanged.
+* :class:`~repro.obs.events.EventBus` -- the one observation channel:
+  a typed, deterministic event stream from every layer of the stack
+  (WQEs, registrations, caches, control traffic, group plans, faults,
+  proxy lifecycle) plus every host/DPU busy span, stored as columns.
+  With no bus attached every hook is a single ``is None`` check.
 * :class:`~repro.obs.hist.Histogram` -- latency histograms with
   p50/p95/p99, layered onto :class:`~repro.hw.metrics.Metrics` via
   ``Metrics.observe``.
@@ -19,18 +18,18 @@ measurement substrate:
   (open in https://ui.perfetto.dev), per-rank text timelines, and JSON
   metrics snapshots written next to ``results/`` by ``runall``.
 * :mod:`~repro.obs.invariants` -- the trace invariant checker consumed
-  by ``tests/harness``: every post completes, arrows respect causality,
-  no host CPU span overlaps offloaded group execution, group plans are
-  never rebuilt once cached.
+  by ``tests/harness``: every post completes, transfers respect
+  causality, no host CPU span overlaps offloaded group execution, group
+  plans are never rebuilt once cached.
 
 Typical wiring::
 
     from repro.obs import observe_cluster
-    obs = observe_cluster(cluster)      # EventBus + Tracer, both attached
+    obs = observe_cluster(cluster)      # the EventBus, attached
     ...run...
     obs.write_chrome_trace("trace.json")
     print(obs.timeline())
-    check_trace(obs.bus, tracer=obs.tracer)
+    check_trace(obs.bus)
 """
 
 from repro.obs.events import EventBus, ObsEvent
@@ -62,24 +61,22 @@ __all__ = [
 
 
 class Observability:
-    """Bundle of an :class:`EventBus` + :class:`Tracer` on one cluster."""
+    """The :class:`EventBus` observing one cluster, and its exports."""
 
-    def __init__(self, cluster, bus, tracer):
+    def __init__(self, cluster, bus):
         self.cluster = cluster
         self.bus = bus
-        self.tracer = tracer
 
     def chrome_trace(self) -> dict:
         """The trace document; ``traceEvents`` is a ``Sequence`` view of rows."""
-        return chrome_trace(self.cluster, bus=self.bus, tracer=self.tracer)
+        return chrome_trace(self.cluster, bus=self.bus)
 
     def write_chrome_trace(self, path) -> dict:
         """Stream the document to ``path``, one row per line; returns it."""
-        return write_chrome_trace(path, self.cluster, bus=self.bus,
-                                  tracer=self.tracer)
+        return write_chrome_trace(path, self.cluster, bus=self.bus)
 
     def timeline(self, width: int = 72, entities=None) -> str:
-        return render_timeline(self.tracer, width=width, entities=entities)
+        return render_timeline(self.bus, width=width, entities=entities)
 
     def metrics_snapshot(self, extra: dict | None = None) -> dict:
         return metrics_snapshot(self.cluster, extra=extra)
@@ -89,7 +86,7 @@ class Observability:
             state = getattr(self.cluster, "_verbs", None)
             if state is not None:
                 kw["keys"] = state.keys
-        check_trace(self.bus, tracer=self.tracer, **kw)
+        check_trace(self.bus, **kw)
 
 
 def observe_cluster(cluster, categories=None) -> Observability:
@@ -98,10 +95,7 @@ def observe_cluster(cluster, categories=None) -> Observability:
     Must run before traffic flows; returns the :class:`Observability`
     handle used to export traces and snapshots after the run.
     """
-    from repro.hw.trace import Tracer
-
     bus = EventBus.attach(cluster, categories=categories)
-    tracer = Tracer.attach(cluster)
     # Arm use/revoke logging on the cluster-wide key table so the
     # no-use-after-revoke invariant has data to check against.  The
     # verbs state is created eagerly here (it is pure bookkeeping) so
@@ -109,4 +103,4 @@ def observe_cluster(cluster, categories=None) -> Observability:
     from repro.verbs.rdma import verbs_state
 
     verbs_state(cluster).keys.record_uses(lambda sim=cluster.sim: sim.now)
-    return Observability(cluster, bus, tracer)
+    return Observability(cluster, bus)

@@ -1,4 +1,4 @@
-"""Typed event bus for the simulated offload stack.
+"""Typed event bus for the simulated offload stack: one channel, as columns.
 
 Every instrumented layer (``sim/core``, ``hw/fabric``, ``hw/nic``,
 ``verbs/*``, ``offload/api``, ``offload/proxy``, ``mpi/runtime``) holds
@@ -10,50 +10,30 @@ the shape::
         bus.emit("xfer", "post", "dpu2", size=4096, xid=17)
 
 so a run with no bus attached executes the same code path as an
-observed one and costs one attribute load per site.  Emission never consumes simulated
-time and never perturbs the RNG streams -- attaching a bus cannot
-change what the simulation does, only what we can see of it.
+observed one and costs one attribute load per site.  Emission never
+consumes simulated time and never perturbs the RNG streams.  The event
+taxonomy (``cat`` / ``name``, :data:`CATEGORIES`) is tabled in
+docs/OBSERVABILITY.md; ``entity`` names the emitting lane (``host3``,
+``dpu1``, ``node0``, ``fabric``, ``sim``).
 
-Event taxonomy (``cat`` / ``name``; full table in docs/OBSERVABILITY.md):
-
-=========  ==========================================================
-category   names
-=========  ==========================================================
-sim        deadlock
-proc       start, end   (rank programs, proxy loops, probers; fabric
-                         messages and proxy completions are callback
-                         chains, not processes -- see xfer / ctrl)
-wqe        post
-xfer       post, deliver, complete
-flow       begin, end, fault, retry   (fluid hybrid mode bulk windows)
-link       degrade, restore   (LinkDegradePlan window edges)
-           congested, clear   (fat-tree link contention edges: >= 2
-                               flows sharing a saturated link)
-ctrl       post, deliver, drop
-reg        mr, mkey, mkey2, revoke, stale_use
-cache      hit, miss, stale, evict   (args name the cache)
-req        post, complete, retransmit, fallback, stall, repost
-group      call, offloaded, launch, replay, done, rebuild
-proxy      start, kill, restart, pair, fin, degrade
-queue      drain   (batched proxy wakeups; ``n`` = items served)
-mpi        isend, complete
-mem        free, oom
-fault      inject, cq_overflow
-=========  ==========================================================
-
-``entity`` identifies the emitting lane and matches the Tracer's lane
-names where one exists (``host3``, ``dpu1``, ``fabric``, ``sim``), so
-the Chrome-trace exporter can park instants on the matching track.
+Beside the events the bus records **busy spans** (``ProcessContext.consume``
+calls :meth:`EventBus.span`); they are not rows of the event stream.  A
+fabric **arrow** is not recorded at all: it is the ``xfer.post`` and
+``xfer.deliver`` rows of one ``xid``.  Storage is columnar
+(:class:`Columns`): no Python object per record, and :class:`ObsEvent`
+is built only when a row is asked for.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from array import array
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-__all__ = ["ObsEvent", "EventBus", "CATEGORIES"]
+import numpy as np
+
+__all__ = ["ObsEvent", "EventBus", "Columns", "CATEGORIES"]
 
 #: Known categories, in taxonomy order.  ``EventBus`` accepts unknown
 #: categories too (forward compatibility), but filters and docs speak
@@ -66,16 +46,14 @@ CATEGORIES = (
 
 @dataclass(slots=True, unsafe_hash=True, init=False, repr=False)
 class ObsEvent:
-    """One tagged event on the bus.
+    """One tagged event: a row of the bus, built on demand.
 
-    Arguments are stored column-wise: ``keys`` is the sorted tuple of
-    argument names (one tuple per emission signature, shared by every
-    event of that shape) and ``vals`` the values in that order.  ``args``
-    zips them into the tuple of sorted ``(key, value)`` pairs the
-    constructor takes: events are hashable and serialise in one order
-    whatever the emit site's keyword order.  Slotted, ~200 B each
-    (docs/OBSERVABILITY.md, 'Memory'): an observed run builds 400 k of
-    these, and those of one simulated instant share one ``time`` float.
+    ``keys`` is the sorted tuple of argument names (one tuple per
+    emission signature, shared by every row of that shape) and ``vals``
+    the values in that order.  ``args`` zips them into the tuple of
+    sorted ``(key, value)`` pairs the constructor takes: events are
+    hashable and serialise in one order whatever the emit site's keyword
+    order.
     """
 
     time: float
@@ -117,40 +95,156 @@ class ObsEvent:
         return f"{base} {kv}".rstrip()
 
 
-class EventBus:
-    """Collects :class:`ObsEvent` records from an instrumented cluster.
+_new_event = object.__new__
 
-    The bus stamps each event with the simulator clock and a
-    monotonically increasing sequence number (so simultaneous events
-    keep their emission order -- the total order is deterministic for a
-    fixed seed).  ``categories`` restricts collection to a subset of
-    :data:`CATEGORIES`; everything else is dropped at the emit site.
+
+class Columns:
+    """One recording: parallel arrays, appended to and never edited (so a
+    reader such as a Chrome-trace view keeps what it saw).
+
+    Event row ``r`` is at ``time[r]``, of shape ``shapes[shape[r]] ==
+    (cat, name, keys)``, on lane ``entities[entity[r]]``, with argument
+    values ``values[offset[r]:offset[r] + len(keys)]``; its ``seq`` is
+    ``base + r``; ``kinds[cat, name]`` indexes the rows of one kind.
+    Span ``i`` keeps lane ``entities[span_entity[i]]`` busy over
+    ``[span_start[i], span_end[i])``.  Codes widen from ``'H'`` to ``'I'``
+    past 65 535 lanes or shapes.
+    """
+
+    __slots__ = ("base", "time", "shape", "entity", "offset", "values",
+                 "shapes", "entities", "kinds", "span_entity", "span_start",
+                 "span_end", "_sites", "_entity_code")
+
+    def __init__(self, base: int = 0):
+        self.base = base
+        self.time = array("d")
+        self.shape = array("H")
+        self.entity = array("H")
+        self.offset = array("I")
+        self.values: list = []
+        self.shapes: list[tuple[str, str, tuple]] = []
+        self.entities: list[str] = []
+        self.kinds: dict[tuple[str, str], array] = {}
+        self.span_entity = array("H")
+        self.span_start = array("d")
+        self.span_end = array("d")
+        #: ``(cat, name, *site keyword order) -> (shape code, value picker
+        #: or None if the site spells its keys sorted, the kind's rows)``.
+        self._sites: dict[tuple, tuple] = {}
+        self._entity_code: dict[str, int] = {}
+
+    def _site(self, cat: str, name: str, order: tuple) -> tuple:
+        keys = tuple(sorted(order))
+        shape = (cat, name, keys)
+        try:
+            code = self.shapes.index(shape)
+        except ValueError:
+            code = len(self.shapes)
+            self.shapes.append(shape)
+            if code == 0x10000:
+                self.shape = array("I", self.shape)
+        rows = self.kinds.get((cat, name))
+        if rows is None:
+            rows = self.kinds[cat, name] = array("I")
+        site = self._sites[(cat, name, *order)] = (
+            code, None if keys == order else itemgetter(*keys), rows)
+        return site
+
+    def _lane(self, entity: str) -> int:
+        code = self._entity_code[entity] = len(self.entities)
+        self.entities.append(entity)
+        if code == 0x10000:
+            self.entity = array("I", self.entity)
+            self.span_entity = array("I", self.span_entity)
+        return code
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def rows(self, cat: Optional[str] = None,
+             name: Optional[str] = None) -> Sequence[int]:
+        """Row numbers of the events of a kind, in emission order (read-only)."""
+        if cat is None and name is None:
+            return range(len(self.time))
+        if cat is not None and name is not None:
+            return self.kinds.get((cat, name), ())
+        return sorted(r for (c, n), rows in self.kinds.items()
+                      if (cat is None or c == cat) and (name is None or n == name)
+                      for r in rows)
+
+    def event(self, row: int) -> ObsEvent:
+        """Row ``row`` as an :class:`ObsEvent`."""
+        cat, name, keys = self.shapes[self.shape[row]]
+        off = self.offset[row]
+        ev = _new_event(ObsEvent)
+        ev.time, ev.seq = self.time[row], self.base + row
+        ev.cat, ev.name, ev.entity = cat, name, self.entities[self.entity[row]]
+        ev.keys, ev.vals = keys, tuple(self.values[off:off + len(keys)])
+        return ev
+
+    def arg(self, row: int, key: str, default=None):
+        keys = self.shapes[self.shape[row]][2]
+        return self.values[self.offset[row] + keys.index(key)] if key in keys else default
+
+    def column(self, rows: Iterable[int], key: str, default=None) -> list:
+        """Argument ``key`` of each of ``rows`` (``default`` where absent)."""
+        at = [keys.index(key) if key in keys else -1 for _, _, keys in self.shapes]
+        shape, offset, values = self.shape, self.offset, self.values
+        return [default if (i := at[shape[r]]) < 0 else values[offset[r] + i]
+                for r in rows]
+
+    def arrows(self) -> tuple[array, array]:
+        """Fabric arrows as ``(post rows, deliver rows)`` in delivery order:
+        each ``xfer.deliver`` joined to the ``xfer.post`` of its ``xid``
+        (a deliver whose post was not recorded draws no arrow)."""
+        posts = self.rows("xfer", "post")
+        post_of = dict(zip(self.column(posts, "xid"), posts))
+        delivers = self.rows("xfer", "deliver")
+        src, dst = array("I"), array("I")
+        for xid, row in zip(self.column(delivers, "xid"), delivers):
+            post = post_of.get(xid)
+            if post is not None:
+                src.append(post)
+                dst.append(row)
+        return src, dst
+
+    def span_lanes(self) -> dict[int, tuple[list, list]]:
+        """Lane code -> ``(starts, ends)`` of its spans, in recording order."""
+        ent = np.frombuffer(self.span_entity, self.span_entity.typecode)
+        order = np.argsort(ent, kind="stable")
+        codes, first = np.unique(ent[order], return_index=True)
+        starts = np.frombuffer(self.span_start)[order].tolist()
+        ends = np.frombuffer(self.span_end)[order].tolist()
+        bounds = [*first.tolist(), len(order)]
+        return {code: (starts[lo:hi], ends[lo:hi])
+                for code, lo, hi in zip(codes.tolist(), bounds, bounds[1:])}
+
+
+class EventBus:
+    """Records the events and busy spans of an instrumented cluster.
+
+    Each event is stamped with the simulator clock (rounded to the
+    picosecond) and a sequence number, so the total order is
+    deterministic for a fixed seed.  ``categories`` restricts the
+    events (not the spans) to a subset of :data:`CATEGORIES`.
     """
 
     def __init__(self, sim=None, categories: Optional[Iterable[str]] = None):
         self.sim = sim
-        self.events: list[ObsEvent] = []
-        #: ``(cat, name) -> events of that kind``, in emission order;
-        #: filled by :meth:`emit`, answers :meth:`select`.
-        self._index: dict[tuple[str, str], list[ObsEvent]] = defaultdict(list)
-        self._seq = 0
-        #: For :meth:`emit`: the clock value last stamped and its rounding;
-        #: keyword order at an emit site -> ``(sorted keys, value picker)``.
+        #: For :meth:`emit`: the clock value last stamped and its rounding.
         self._now, self._time = None, 0.0
-        self._shapes: dict[tuple, tuple] = {}
         self._categories = frozenset(categories) if categories is not None else None
         self._subscribers: list[Callable[[ObsEvent], None]] = []
+        #: The current recording (:meth:`clear` replaces it).
+        self.columns = Columns()
 
     # -- wiring ---------------------------------------------------------
     @classmethod
     def attach(cls, cluster, categories: Optional[Iterable[str]] = None) -> "EventBus":
-        """Create a bus and hang it on every emitting object of ``cluster``.
-
-        Mirrors ``Tracer.attach``: the cluster, its simulator, fabric,
-        per-node HCAs, and (if installed) fault plan all share the one
-        bus.  Objects constructed later -- MPI runtimes, offload
-        frameworks -- pick the bus up from the cluster at their own
-        construction time, so attach the bus before building those.
+        """Create a bus and hang it on every emitting object of ``cluster``:
+        the cluster (whose contexts record spans), its simulator, fabric,
+        HCAs and fault plans.  MPI runtimes and offload frameworks pick the
+        bus up from the cluster when built, so attach it before those.
         """
         bus = cls(sim=cluster.sim, categories=categories)
         cluster.bus = bus
@@ -168,62 +262,78 @@ class EventBus:
         """Call ``fn(event)`` on every accepted event (live consumers)."""
         self._subscribers.append(fn)
 
-    # -- emission -------------------------------------------------------
-    def emit(self, _cat: str, _name: str, _entity: str, **args) -> Optional[ObsEvent]:
-        """Record one event; returns it, or ``None`` when filtered out.
+    def emit(self, _cat: str, _name: str, _entity: str, **args) -> None:
+        """Record one event (unless its category is filtered out).
 
         The three positional parameters are underscore-prefixed so event
         args may themselves be called ``name``/``cat``/``entity``.
         """
         cats = self._categories
         if cats is not None and _cat not in cats:
-            return None
+            return
         now = 0.0 if self.sim is None else self.sim.now
         if now is not self._now:
-            # A new instant: events of one instant share one rounded float.
             self._now, self._time = now, round(now, 12)
-        shape = self._shapes.get(order := tuple(args))
-        if shape is None:
-            keys = tuple(sorted(order))
-            # No picker when the site already spells its keywords sorted.
-            shape = self._shapes[order] = (
-                keys, None if keys == order else itemgetter(*keys))
-        ev = ObsEvent(self._time, self._seq, _cat, _name, _entity)
-        ev.keys, pick = shape
-        ev.vals = tuple(args.values()) if pick is None else pick(args)
-        self._seq += 1
-        self.events.append(ev)
-        self._index[_cat, _name].append(ev)
-        for fn in self._subscribers:
-            fn(ev)
-        return ev
+        c = self.columns
+        site = c._sites.get((_cat, _name, *args))
+        if site is None:
+            site = c._site(_cat, _name, tuple(args))
+        code, pick, rows = site
+        ent = c._entity_code.get(_entity)
+        if ent is None:
+            ent = c._lane(_entity)
+        row = len(c.time)
+        rows.append(row)
+        c.time.append(self._time)
+        c.shape.append(code)
+        c.entity.append(ent)
+        values = c.values
+        c.offset.append(len(values))
+        values.extend(args.values() if pick is None else pick(args))
+        if self._subscribers:
+            ev = c.event(row)
+            for fn in self._subscribers:
+                fn(ev)
+
+    def span(self, entity: str, start: float, end: float) -> None:
+        """Record that ``entity``'s core was busy over ``[start, end)``."""
+        c = self.columns
+        ent = c._entity_code.get(entity)
+        if ent is None:
+            ent = c._lane(entity)
+        c.span_entity.append(ent)
+        c.span_start.append(start)
+        c.span_end.append(end)
+
+    def clear(self) -> None:
+        """Start a fresh recording (events and spans); ``seq`` keeps counting."""
+        self.columns = Columns(self.columns.base + len(self.columns))
 
     # -- queries --------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.columns)
 
     def __iter__(self) -> Iterator[ObsEvent]:
-        return iter(self.events)
+        c = self.columns
+        return map(c.event, range(len(c)))
 
-    def _kind(self, cat: Optional[str], name: Optional[str]):
-        """Events matching ``cat``/``name``, in emission order (read-only)."""
-        if cat is None and name is None:
-            return self.events
-        if cat is not None and name is not None:
-            return self._index.get((cat, name), ())
-        runs = [evs for (c, n), evs in self._index.items()
-                if (cat is None or c == cat) and (name is None or n == name)]
-        # Each bucket is in emission order; ``seq`` merges them back into it.
-        return sorted((ev for run in runs for ev in run), key=lambda ev: ev.seq)
+    @property
+    def events(self) -> list[ObsEvent]:
+        """Every event, as a fresh list of rows (built on each call)."""
+        return list(self)
 
     def select(self, cat: Optional[str] = None, name: Optional[str] = None,
                entity: Optional[str] = None, **args) -> list[ObsEvent]:
         """Events matching every given filter (args match by equality),
         as a fresh list in emission order.  ``cat`` + ``name`` is an index
-        lookup, not a scan; ``entity`` and ``args`` filter that bucket."""
-        evs = self._kind(cat, name)
+        lookup, not a scan; ``entity`` and ``args`` filter that kind."""
+        c = self.columns
+        rows = c.rows(cat, name)
         if entity is not None:
-            evs = [ev for ev in evs if ev.entity == entity]
+            code = c._entity_code.get(entity)
+            ents = c.entity
+            rows = [r for r in rows if ents[r] == code]
+        evs = map(c.event, rows)
         if args:
             evs = [ev for ev in evs
                    if not any(ev.arg(k, _MISSING) != v for k, v in args.items())]
@@ -232,19 +342,24 @@ class EventBus:
     def count(self, cat: Optional[str] = None, name: Optional[str] = None,
               entity: Optional[str] = None, **args) -> int:
         if entity is None and not args:
-            return len(self._kind(cat, name))
+            return len(self.columns.rows(cat, name))
         return len(self.select(cat, name, entity, **args))
 
-    def clear(self) -> None:
-        self.events.clear()
-        self._index.clear()
+    def spans(self, entity: Optional[str] = None) -> list[tuple[str, float, float]]:
+        """Busy spans ``(entity, start, end)`` in recording order."""
+        c = self.columns
+        names = c.entities
+        out = [(names[e], s, t)
+               for e, s, t in zip(c.span_entity, c.span_start, c.span_end)]
+        return out if entity is None else [sp for sp in out if sp[0] == entity]
 
     def render(self, limit: Optional[int] = None) -> str:
         """Plain-text dump of the stream (debugging aid)."""
-        evs = self.events if limit is None else self.events[:limit]
-        lines = [ev.label() for ev in evs]
-        if limit is not None and len(self.events) > limit:
-            lines.append(f"... ({len(self.events) - limit} more)")
+        c = self.columns
+        n = len(c) if limit is None else min(limit, len(c))
+        lines = [c.event(r).label() for r in range(n)]
+        if n < len(c):
+            lines.append(f"... ({len(c) - n} more)")
         return "\n".join(lines) if lines else "(no events)"
 
 

@@ -3,16 +3,20 @@
 Three output formats, all deterministic for a fixed seed:
 
 * :func:`chrome_trace` -- the Chrome/Perfetto ``trace_event`` JSON
-  object format (https://ui.perfetto.dev loads the file as-is).  Tracer
-  spans become ``"X"`` complete slices, fabric arrows become ``"b"/"e"``
-  async pairs, and bus events become ``"i"`` instants, each parked on
-  the track of its emitting entity.
+  object format (https://ui.perfetto.dev loads the file as-is).  Busy
+  spans become ``"X"`` complete slices, fabric arrows (``xfer.post`` ->
+  ``xfer.deliver`` of one ``xid``) become ``"b"/"e"`` async pairs, and
+  bus events become ``"i"`` instants, each parked on the track of its
+  emitting entity.
 * :func:`render_timeline` -- the per-rank text timeline: busy lanes
   plus per-entity busy-time and utilisation columns, lanes ordered
   hosts -> DPUs -> fabric.
 * :func:`metrics_snapshot` -- a JSON-ready dict of every counter and
   histogram summary, written next to ``results/`` by ``runall`` and the
   benchmark harness so perf regressions diff as data, not prose.
+
+The first two read the bus's columns (:class:`~repro.obs.events.Columns`)
+directly; neither builds an :class:`~repro.obs.events.ObsEvent`.
 """
 
 from __future__ import annotations
@@ -23,11 +27,14 @@ import re
 from array import array
 from collections.abc import Sequence
 from dataclasses import asdict, is_dataclass
+from itertools import chain
 from operator import eq
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
+
+from repro.obs.events import Columns
 
 __all__ = [
     "chrome_trace",
@@ -65,37 +72,45 @@ def _us(t: float) -> float:
     return round(t * 1e6, 4)
 
 
-class _TraceRows(Sequence):
+class _TraceView(Sequence):
     """Read-only ``traceEvents``: metadata, then the rows ``order`` names by
-    build index (spans, arrow begin/end pairs, events), rendered on demand."""
+    build index (spans, arrow begin/end pairs, events), rendered on demand
+    from the recording ``cols`` (whose later rows it never reads)."""
 
-    def __init__(self, metadata, order, tid_of, spans, arrows, events):
+    def __init__(self, metadata, order, tid_of, cols, n_spans, arrows):
         self._metadata, self._order, self._tid_of = metadata, order, tid_of
-        self._spans, self._arrows, self._events = spans, arrows, events
+        self._cols, self._n_spans = cols, n_spans
+        self._posts, self._delivers = arrows
+        self._labels = [f"{cat}.{name}" for cat, name, _ in cols.shapes]
 
     def __len__(self) -> int:
         return len(self._metadata) + len(self._order)
 
     def _row(self, r: int) -> dict:
-        if r < len(self._spans):
-            s = self._spans[r]
+        c, tid_of = self._cols, self._tid_of
+        if r < self._n_spans:
+            start = c.span_start[r]
             return {"name": "busy", "cat": "cpu", "ph": "X",
-                    "ts": _us(s.start), "dur": _us(s.end - s.start),
-                    "pid": 0, "tid": self._tid_of[s.entity]}
-        i, end = divmod(r - len(self._spans), 2)
-        if i < len(self._arrows):
-            a = self._arrows[i]
+                    "ts": _us(start), "dur": _us(c.span_end[r] - start),
+                    "pid": 0, "tid": tid_of[c.span_entity[r]]}
+        i, end = divmod(r - self._n_spans, 2)
+        if i < len(self._posts):
+            post, dv = self._posts[i], self._delivers[i]
+            src, dst = c.entity[post], c.entities[c.entity[dv]]
             row = {"cat": "fabric", "id": i, "pid": 0,
-                   "name": f"{a.kind} {a.src}->{a.dst}", "ph": "be"[end],
-                   "ts": _us(a.delivered if end else a.posted),
-                   "tid": self._tid_of[a.src]}
+                   "name": f"{c.arg(post, 'kind')} {c.entities[src]}->{dst}",
+                   "ph": "be"[end], "ts": _us(c.time[dv if end else post]),
+                   "tid": tid_of[src]}
             if not end:
-                row["args"] = {"size": a.size, "dst": a.dst}
+                row["args"] = {"size": c.arg(post, "size"), "dst": dst}
             return row
-        ev = self._events[r - len(self._spans) - 2 * len(self._arrows)]
-        return {"name": f"{ev.cat}.{ev.name}", "cat": ev.cat, "ph": "i",
-                "ts": _us(ev.time), "pid": 0, "tid": self._tid_of[ev.entity],
-                "s": "t", "args": ev.argdict()}
+        e = r - self._n_spans - 2 * len(self._posts)
+        code = c.shape[e]
+        cat, _, keys = c.shapes[code]
+        off = c.offset[e]
+        return {"name": self._labels[code], "cat": cat, "ph": "i",
+                "ts": _us(c.time[e]), "pid": 0, "tid": tid_of[c.entity[e]],
+                "s": "t", "args": dict(zip(keys, c.values[off:off + len(keys)]))}
 
     def __iter__(self):
         yield from self._metadata
@@ -114,50 +129,57 @@ class _TraceRows(Sequence):
         return len(self) == len(other) and all(map(eq, self, other))
 
 
-def chrome_trace(cluster=None, bus=None, tracer=None,
-                 process_name: str = "repro-sim") -> dict:
+def _view(col: array) -> np.ndarray:
+    """A column as a numpy array, without a copy.  Only for use inside
+    one call: while the view lives, the bus cannot append to ``col``."""
+    return np.frombuffer(col, col.typecode)
+
+
+def chrome_trace(cluster=None, bus=None, process_name: str = "repro-sim") -> dict:
     """Build a Chrome ``trace_event`` JSON object for one run.
 
-    Any of ``bus``/``tracer`` may be ``None`` (defaults come from the
-    cluster's attached instances); an entirely empty run still yields a
-    valid trace containing only metadata records.  ``traceEvents`` is a
-    ``Sequence`` view fixed at the call: it holds what was recorded so
-    far (not the cluster) and equals the list of row dicts it renders.
+    ``bus`` defaults to the cluster's; with neither, or on an empty run,
+    the trace holds only metadata records.  ``traceEvents`` is a
+    ``Sequence`` view fixed at the call: it holds the recording as it
+    stood (not the cluster) and equals the list of row dicts it renders.
     """
     bus = getattr(cluster, "bus", None) if bus is None else bus
-    tracer = getattr(cluster, "tracer", None) if tracer is None else tracer
-    spans, arrows = ([], []) if tracer is None else (tracer.spans[:], tracer.arrows[:])
-    events = [] if bus is None else bus.events[:]
+    c = Columns() if bus is None else bus.columns
+    posts, delivers = c.arrows()
+    n_spans, n_arrows, n_events = len(c.span_start), len(posts), len(c)
 
-    # One pass fills the sort columns; lanes and row names are interned
-    # to first-appearance ids and ranked once all of them are known.
-    lanes = {} if tracer is None else {e: i for i, e in enumerate(tracer.lanes)}
+    # Every lane in the recording carries a span or an event: rank them.
+    tid_of = {entity: i + 1 for i, entity in enumerate(sort_entities(c.entities))}
+    lane_tid = np.array([tid_of[entity] for entity in c.entities], dtype=np.int32)
+    # Row names are interned to first-appearance ids, ranked once known.
     names = {"busy": 0}
-    ts = array("d", (_us(s.start) for s in spans))
-    lane = array("i", (lanes[s.entity] for s in spans))
-    name = array("i", bytes(4 * len(spans)))
-    for a in arrows:
-        src = lanes.setdefault(a.src, len(lanes))
-        lanes.setdefault(a.dst, len(lanes))
-        label = names.setdefault(f"{a.kind} {a.src}->{a.dst}", len(names))
-        ts.extend((_us(a.posted), _us(a.delivered)))
-        lane.extend((src, src))
-        name.extend((label, label))
-    for ev in events:
-        ts.append(_us(ev.time))
-        lane.append(lanes.setdefault(ev.entity, len(lanes)))
-        name.append(names.setdefault(f"{ev.cat}.{ev.name}", len(names)))
-    ph = bytes(len(spans)) + b"\1\2" * len(arrows) + b"\3" * len(events)
-
-    tid_of = {entity: i + 1 for i, entity in enumerate(sort_entities(lanes))}
-    tids = np.array([tid_of[entity] for entity in lanes], dtype=np.intp)
+    shape_name = [names.setdefault(f"{cat}.{name}", len(names))
+                  for cat, name, _ in c.shapes]
+    ent = _view(c.entity)
+    src = ent[_view(posts)]
+    arrow_name = [names.setdefault(f"{kind} {c.entities[s]}->{c.entities[ent[d]]}",
+                                   len(names))
+                  for kind, s, d in zip(c.column(posts, "kind"), src.tolist(), delivers)]
     rank_of = {label: i for i, label in enumerate(sorted(names))}
-    ranks = np.array([rank_of[label] for label in names], dtype=np.intp)
+    rank = np.array([rank_of[label] for label in names], dtype=np.int32)
+
+    # The four sort columns, rows in build order: spans, arrow pairs, events.
+    time = c.time
+    arrow_ts = (_us(time[r]) for pair in zip(posts, delivers) for r in pair)
+    ts = np.fromiter(chain(map(_us, c.span_start), arrow_ts, map(_us, time)),
+                     float, n_spans + 2 * n_arrows + n_events)
+    tid = np.concatenate((lane_tid[_view(c.span_entity)],
+                          np.repeat(lane_tid[src], 2), lane_tid[ent]))
+    name = np.concatenate((np.full(n_spans, rank[0], np.int32),
+                           np.repeat(rank[arrow_name], 2),
+                           rank[shape_name][_view(c.shape)]))
+    ph = np.concatenate((np.zeros(n_spans, np.uint8),
+                         np.tile(np.array([1, 2], np.uint8), n_arrows),
+                         np.full(n_events, 3, np.uint8)))
     # Chrome sorts by ts; keep the file itself deterministic too: by
     # (ts, tid, ph, name), 'X' < 'b' < 'e' < 'i', ties in build order
     # (lexsort is stable and takes its primary key last).
-    order = np.lexsort((ranks[np.asarray(name)], np.frombuffer(ph, np.uint8),
-                        tids[np.asarray(lane)], ts))
+    order = np.lexsort((name, ph, tid, ts))
 
     def meta(record: str, tid: int, args: dict) -> dict:
         return {"name": record, "ph": "M", "pid": 0, "tid": tid, "args": args}
@@ -169,8 +191,9 @@ def chrome_trace(cluster=None, bus=None, tracer=None,
         metadata.append(meta("thread_sort_index", tid, {"sort_index": tid}))
     # Nothing recorded, nothing to view: an empty run's document stays
     # plain ``json.dumps`` material.
-    rows = _TraceRows(metadata, array(order.dtype.char, order.tobytes()), tid_of,
-                      spans, arrows, events) if len(order) else metadata
+    rows = _TraceView(metadata, array("I", order.astype(np.uint32).tobytes()),
+                      lane_tid.tolist(), c, n_spans, (posts, delivers)) \
+        if len(order) else metadata
     return {
         "traceEvents": rows,
         "displayTimeUnit": "ns",
@@ -185,11 +208,11 @@ def _write_json(path, doc: dict, indent: int) -> dict:
     return doc
 
 
-def write_chrome_trace(path, cluster=None, bus=None, tracer=None) -> dict:
+def write_chrome_trace(path, cluster=None, bus=None) -> dict:
     """Stream :func:`chrome_trace` output to ``path`` (one compact JSON
     row per line, never the whole text; ``.tmp`` + rename, so no partial
     file); returns the document."""
-    doc = chrome_trace(cluster, bus=bus, tracer=tracer)
+    doc = chrome_trace(cluster, bus=bus)
     encode = json.JSONEncoder(sort_keys=True).encode
     head = {k: v for k, v in doc.items() if k != "traceEvents"}
     p = Path(path)
@@ -207,7 +230,7 @@ def write_chrome_trace(path, cluster=None, bus=None, tracer=None) -> dict:
     return doc
 
 
-def render_timeline(tracer, width: int = 72,
+def render_timeline(bus, width: int = 72,
                     entities: Optional[list[str]] = None) -> str:
     """Per-rank text timeline: busy lanes + busy-time/utilisation columns.
 
@@ -219,29 +242,39 @@ def render_timeline(tracer, width: int = 72,
         dpu0  |...##.####.......|  busy 102.9us  23.8%
 
     ``#`` marks core-busy time, ``.`` idle; ``v`` marks message
-    deliveries into the lane.  Each lane reads only its own spans and
-    arrivals, so the cost is linear in the trace, not lanes x spans.
+    deliveries into the lane.  The window spans every span and arrow.
+    Each lane reads only its own spans and arrivals, so the cost is
+    linear in the trace, not lanes x spans.
     """
-    if tracer is None:
-        return "(no tracer attached)"
-    t0, t1 = tracer.window()
+    if bus is None:
+        return "(no bus attached)"
+    c = bus.columns
+    posts, delivers = c.arrows()
+    time, lane_of, lanes = c.time, c.entity, c.entities
+    arrow_times = [time[r] for r in chain(posts, delivers)]
+    t0 = min(chain(c.span_start, arrow_times), default=0.0)
+    t1 = max(chain(c.span_end, arrow_times), default=0.0)
     if t1 <= t0:
         return "(empty trace)"
-    scale = width / (t1 - t0)
-    names = entities if entities is not None else sort_entities(tracer.entities)
-    label_w = max((len(n) for n in names), default=4) + 1
+    spans = {lanes[code]: lane for code, lane in c.span_lanes().items()}
     arrivals: dict[str, list[float]] = {}
-    for arrow in tracer.arrows:
-        arrivals.setdefault(arrow.dst, []).append(arrow.delivered)
+    for r in delivers:
+        arrivals.setdefault(lanes[lane_of[r]], []).append(time[r])
+    if entities is None:
+        entities = sort_entities([*spans, *arrivals,
+                                  *(lanes[lane_of[r]] for r in posts)])
+    scale = width / (t1 - t0)
+    label_w = max((len(n) for n in entities), default=4) + 1
     lines = [f"window {t0 * 1e6:.1f}us .. {t1 * 1e6:.1f}us"]
-    for name in names:
+    for name in entities:
         lane = ["."] * width
-        for s in tracer.lanes.get(name, ()):
-            a = int((s.start - t0) * scale)
-            b = max(a + 1, int((s.end - t0) * scale))
+        starts, ends = spans.get(name, ((), ()))
+        for start, end in zip(starts, ends):
+            a = int((start - t0) * scale)
+            b = max(a + 1, int((end - t0) * scale))
             for i in range(a, min(b, width)):
                 lane[i] = "#"
-        busy = tracer.busy_time(name)
+        busy = sum(end - start for start, end in zip(starts, ends))
         util = 100.0 * busy / (t1 - t0)
         lines.append(
             f"{name:{label_w}s}|{''.join(lane)}|  busy {busy * 1e6:8.1f}us {util:5.1f}%"

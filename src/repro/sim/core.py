@@ -423,6 +423,15 @@ class Simulator:
         else:
             buckets[when] = [due, event]
 
+    def call_at(self, when: float, fn: Callable[[Event], None]) -> None:
+        """Call ``fn(event)`` at absolute time ``when`` (``now`` queues it
+        behind this instant's events): a callback chain's kick-off."""
+        ev = self.event()
+        ev._ok = True
+        ev._value = None
+        ev.callbacks.append(fn)
+        self._schedule_at(ev, when)
+
     def schedule_at(self, event: Event, when: float) -> None:
         """Public absolute-time scheduling (see :meth:`_schedule_at`).
 

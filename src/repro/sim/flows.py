@@ -469,11 +469,7 @@ class FlowEngine:
         if self._kick_scheduled:
             return
         self._kick_scheduled = True
-        ev = self.sim.event()
-        ev._ok = True
-        ev._value = None
-        ev.callbacks.append(self._on_kick)
-        self.sim._schedule(ev)
+        self.sim.call_at(self.sim.now, self._on_kick)
 
     def _on_kick(self, _ev) -> None:
         self._kick_scheduled = False
@@ -661,11 +657,7 @@ class FlowEngine:
             # wake strictly advances and the residue is absorbed.
             t_next = float(np.nextafter(now, np.inf))
         gen = self._wake_gen
-        ev = self.sim.event()
-        ev._ok = True
-        ev._value = None
-        ev.callbacks.append(lambda _ev: self._on_wake(gen))
-        self.sim.schedule_at(ev, t_next)
+        self.sim.call_at(t_next, lambda _ev: self._on_wake(gen))
 
     def _sync_flows(self) -> None:
         """Copy authoritative array state back onto the Flow objects."""

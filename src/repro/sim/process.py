@@ -44,11 +44,7 @@ class Process(Event):
             sim.bus.emit("proc", "start", "sim", name=self.name)
         # Kick off at the current instant via an initialisation event
         # (pool-recycled: nothing holds it after the kick-off pop).
-        init = sim.event()
-        init._ok = True
-        init._value = None
-        init.callbacks.append(self._resume)
-        sim._schedule(init)
+        sim.call_at(sim._now, self._resume)
 
     # -- public --------------------------------------------------------
     @property

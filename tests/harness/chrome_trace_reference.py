@@ -8,12 +8,70 @@ per row and is obviously right;
 ``tests/harness/test_chrome_trace_differential.py`` requires the
 production exporter's column view to render the *same rows in the same
 order* on real, faulted, filtered, cleared and synthetic streams.
+
+It was written against a separate span-and-arrow recorder, which the bus
+has since absorbed.  :class:`Recorded` is the adapter: it rebuilds that
+recorder's ``spans`` and ``arrows`` lists from a bus through its public
+queries (``spans()``, ``select``), and :func:`chrome_trace_of` feeds
+them to the verbatim builder.
 """
 
 from __future__ import annotations
 
 import re
 from operator import itemgetter
+from typing import NamedTuple
+
+
+class Span(NamedTuple):
+    """A half-open interval of core occupancy on one process."""
+
+    entity: str
+    start: float
+    end: float
+
+
+class Arrow(NamedTuple):
+    """One message flight through the fabric."""
+
+    src: str
+    dst: str
+    size: int
+    kind: str
+    posted: float
+    delivered: float
+
+
+class Recorded:
+    """The old recorder's lists, rebuilt from ``bus``: its spans in
+    recording order, and one arrow per ``xfer.deliver`` whose ``xid`` has
+    an ``xfer.post`` (the last such post), in delivery order."""
+
+    def __init__(self, bus):
+        self.spans = [Span(*span) for span in bus.spans()]
+        posts = {ev.arg("xid"): ev for ev in bus.select(cat="xfer", name="post")}
+        self.arrows = []
+        for dv in bus.select(cat="xfer", name="deliver"):
+            post = posts.get(dv.arg("xid"))
+            if post is not None:
+                self.arrows.append(Arrow(post.entity, dv.entity, post.arg("size"),
+                                         post.arg("kind"), post.time, dv.time))
+
+    @property
+    def entities(self) -> list[str]:
+        seen: dict[str, None] = dict.fromkeys(s.entity for s in self.spans)
+        for a in self.arrows:
+            seen.setdefault(a.src)
+            seen.setdefault(a.dst)
+        return list(seen)
+
+
+def chrome_trace_of(cluster=None, bus=None) -> dict:
+    """:func:`chrome_trace` of ``bus`` (default: the cluster's) and its
+    :class:`Recorded` spans and arrows."""
+    bus = getattr(cluster, "bus", None) if bus is None else bus
+    return chrome_trace(cluster, bus=bus,
+                        tracer=None if bus is None else Recorded(bus))
 
 #: Version stamp written into every snapshot / trace we produce.
 SCHEMA_VERSION = "repro.obs/1"

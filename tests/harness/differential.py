@@ -15,7 +15,7 @@ from different runtimes can be compared with ``==``:
 
 All runners accept ``instrument``: a callable invoked with the fresh
 cluster before any runtime objects exist, so tests can attach an
-observability bus/tracer (``repro.obs.observe_cluster``) and check
+observability bus (``repro.obs.observe_cluster``) and check
 trace invariants over the very runs being diffed.
 """
 

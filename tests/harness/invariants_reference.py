@@ -10,9 +10,18 @@ window.  Slow and obviously right;
 ``tests/harness/test_invariants_differential.py`` requires the
 production checker to return the *same list in the same order* on
 clean, broken and mutated streams.
+
+The spans and arrows it reads came from a separate recorder that the bus
+has since absorbed; :func:`violations_of` rebuilds the spans from the
+bus (``chrome_trace_reference.Recorded``) and runs the verbatim checker.
+It passes no arrows: an arrow is now the ``xfer.post`` / ``xfer.deliver``
+pair ``_check_transfers`` already reads, and the production checker no
+longer reports the same fault twice.
 """
 
 from __future__ import annotations
+
+from tests.harness.chrome_trace_reference import Recorded
 
 
 class _ScanBus:
@@ -334,3 +343,11 @@ def trace_violations(bus, tracer=None, *, keys=None, check_overlap: bool = True,
         if check_overlap:
             _check_offload_windows(bus, tracer, out, eps)
     return out
+
+
+def violations_of(bus, **kw) -> list[str]:
+    """:func:`trace_violations` of ``bus`` with its :class:`Recorded`
+    spans (and no arrows)."""
+    recorded = Recorded(bus)
+    recorded.arrows = []
+    return trace_violations(bus, recorded, **kw)

@@ -23,12 +23,16 @@ _ALLOWED_PH = {"M", "X", "b", "e", "i"}
 _METADATA_NAMES = {"process_name", "thread_name", "thread_sort_index"}
 
 #: sha256 of ``json.dumps(_canonical(doc), sort_keys=True)`` for the
-#: fixture below, recorded at af30eb6 (PR 13) before the exporter was
-#: rebuilt around pre-keyed rows: the document may not move by a byte.
+#: fixture below: the document may not move by a byte.  Recorded at
+#: af30eb6 as a94bc82e...f780bbe; re-recorded once when arrows
+#: became the ``xfer.post``/``xfer.deliver`` rows of their ``xid``.  An
+#: arrow now ends at its deliver row's picosecond-rounded time, so the
+#: ``"e"`` rows of arrows 752-754 moved from ts 282.4664 to 282.4663 (the
+#: ts of their ``xfer.deliver`` instants) and ahead of those instants.
 #: (In a fresh interpreter the un-renamed document hashes to
-#: 4e1f2398...b1a6e493 at both commits.)
+#: 530077c1...f034fe70.)
 FIG15_GROUP_4K_SHA256 = \
-    "a94bc82ee81818fc620f8441950563d463e79a0411648743fa98d797bf780bbe"
+    "1d182b4b862bf53723b22af3df7f58809b9b1a6be11f9a4663d7002cf06fe1f5"
 
 
 def _canonical(doc: dict) -> dict:

@@ -8,6 +8,8 @@ faulted, filtered, cleared and synthetic streams the two must produce
 the *same rows in the same order* -- the tie order of ``lexsort``
 against the Python sort is the one place this can go wrong, so the
 property test draws its times, lanes and kinds from very small sets.
+The oracle reads spans and arrows in its old recorder's shape, rebuilt
+from the bus (``reference.chrome_trace_of``).
 """
 
 from types import SimpleNamespace
@@ -26,14 +28,13 @@ from repro.hw import (
     FaultSpec,
     LinkDegradePlan,
 )
-from repro.hw.trace import Tracer
 from repro.obs import EventBus, chrome_trace, observe_cluster
 
 
-def _same(cluster=None, bus=None, tracer=None) -> dict:
+def _same(cluster=None, bus=None) -> dict:
     """The production document, after asserting it renders the oracle's."""
-    new = chrome_trace(cluster, bus=bus, tracer=tracer)
-    old = reference.chrome_trace(cluster, bus=bus, tracer=tracer)
+    new = chrome_trace(cluster, bus=bus)
+    old = reference.chrome_trace_of(cluster, bus=bus)
     assert set(new) == set(old) == {"traceEvents", "displayTimeUnit", "otherData"}
     rows = new["traceEvents"]
     assert list(rows) == old["traceEvents"]     # row for row, via __iter__
@@ -53,23 +54,43 @@ def _fig15(variant: str, categories=None):
     return holder["obs"]
 
 
+def _replayed(bus, events=True, spans=True) -> EventBus:
+    """A fresh bus holding ``bus``'s events and/or spans."""
+    clock = SimpleNamespace(now=0.0)
+    out = EventBus(sim=clock)
+    if events:
+        for ev in bus:
+            clock.now = ev.time
+            out.emit(ev.cat, ev.name, ev.entity, **ev.argdict())
+    if spans:
+        for span in bus.spans():
+            out.span(*span)
+    return out
+
+
 class TestRealRuns:
     @pytest.mark.parametrize("variant", ["simple", "group"])
     def test_fig15_quick_cells(self, variant):
         obs = _fig15(variant)
-        doc = _same(obs.cluster, obs.bus, obs.tracer)
+        doc = _same(obs.cluster, obs.bus)
         assert len(doc["traceEvents"]) > 10_000
 
-    def test_bus_only_and_tracer_only(self):
+    def test_events_only_and_spans_only(self):
         obs = _fig15("group")
-        _same(bus=obs.bus)
-        _same(tracer=obs.tracer)
+        events = _replayed(obs.bus, spans=False)
+        assert len(events) == len(obs.bus) and not events.spans()
+        doc = _same(bus=events)
+        assert {r["ph"] for r in doc["traceEvents"]} == {"M", "b", "e", "i"}
+        doc = _same(bus=_replayed(obs.bus, events=False))
+        assert {r["ph"] for r in doc["traceEvents"]} == {"M", "X"}
 
     def test_category_filtered_bus(self):
         obs = _fig15("group", categories=("wqe", "group", "ctrl"))
-        doc = _same(obs.cluster, obs.bus, obs.tracer)
+        doc = _same(obs.cluster, obs.bus)
         cats = {r["cat"] for r in doc["traceEvents"] if r["ph"] == "i"}
         assert cats == {"wqe", "group", "ctrl"}
+        # No xfer rows, no arrows; spans are recorded whatever the filter.
+        assert {r["ph"] for r in doc["traceEvents"]} == {"M", "X", "i"}
 
     def test_faulted_fluid_run(self):
         """flow.fault / flow.retry / link.* rows; str and float args (``None``
@@ -80,7 +101,7 @@ class TestRealRuns:
         cl.install_faults(FaultPlan(FaultSpec(flow_drop_prob=0.5), seed=11))
         cl.install_link_degrade(LinkDegradePlan(count=4, horizon=2e-4))
         assert flows._stream(cl, n=8) == ["ok"] * 8
-        doc = _same(cl, obs.bus, obs.tracer)
+        doc = _same(cl, obs.bus)
         instants = [r for r in doc["traceEvents"] if r["ph"] == "i"]
         assert {"flow.fault", "flow.retry", "link.degrade", "link.restore"} \
             <= {r["name"] for r in instants}
@@ -88,7 +109,7 @@ class TestRealRuns:
         assert {str, float, int} <= kinds
 
     def test_empty_run(self):
-        doc = _same(bus=EventBus(), tracer=Tracer())
+        doc = _same(bus=EventBus())
         assert [r["ph"] for r in doc["traceEvents"]] == ["M"]
         _same()
 
@@ -102,7 +123,7 @@ class TestRealRuns:
         obs.bus.clear()
         flows._stream(cl, n=3)
         assert obs.bus.events[0].seq > 0
-        _same(cl, obs.bus, obs.tracer)
+        _same(cl, obs.bus)
 
 
 def test_clear_keeps_seq_monotone():
@@ -112,17 +133,18 @@ def test_clear_keeps_seq_monotone():
     for i in range(3):
         bus.emit("xfer", "post", "node0", xid=i)
     bus.clear()
-    later = [bus.emit("xfer", name, "node0", xid=9)
-             for name in ("deliver", "post", "deliver")]
+    for name in ("deliver", "post", "deliver"):
+        bus.emit("xfer", name, "node0", xid=9)
+    later = bus.events
     assert [ev.seq for ev in later] == [3, 4, 5]
-    assert bus.select(cat="xfer") == later == bus.events
+    assert bus.select(cat="xfer") == later
 
 
 class TestTheView:
     @pytest.fixture(scope="class")
     def pair(self):
         obs = _fig15("group")
-        return (chrome_trace(obs.cluster), reference.chrome_trace(obs.cluster),
+        return (chrome_trace(obs.cluster), reference.chrome_trace_of(obs.cluster),
                 obs)
 
     def test_indexing_matches_the_list(self, pair):
@@ -149,10 +171,9 @@ class TestTheView:
         rows = new["traceEvents"]
         n = len(rows)
         obs.bus.emit("mem", "free", "host0", addr=1)
-        obs.tracer.record_span("host0", 1.0, 2.0)
+        obs.bus.span("host0", 1.0, 2.0)
         assert len(rows) == n and list(rows) == old["traceEvents"]
         obs.bus.clear()
-        obs.tracer.reset()
         assert list(rows) == old["traceEvents"]
 
 
@@ -175,18 +196,20 @@ _EVENTS = st.lists(
 
 
 @settings(deadline=None)
-@given(spans=_SPANS, arrows=_ARROWS, events=_EVENTS, use_tracer=st.booleans())
-def test_synthetic_streams_with_equal_timestamps(spans, arrows, events,
-                                                 use_tracer):
-    tracer = Tracer() if use_tracer else None
-    if tracer is not None:
-        for lane, start, dur in spans:
-            tracer.record_span(lane, start, start + dur)
-        for src, dst, size, kind, posted, flight in arrows:
-            tracer.record_arrow(src, dst, size, kind, posted, posted + flight)
+@given(spans=_SPANS, arrows=_ARROWS, events=_EVENTS)
+def test_synthetic_streams_with_equal_timestamps(spans, arrows, events):
+    """Spans, arrows (an ``xfer.post`` / ``xfer.deliver`` pair each) and
+    events; the drawn ``xfer`` events pair up into arrows of their own."""
     clock = SimpleNamespace(now=0.0)
     bus = EventBus(sim=clock)
+    for lane, start, dur in spans:
+        bus.span(lane, start, start + dur)
+    for xid, (src, dst, size, kind, posted, flight) in enumerate(arrows, 100):
+        clock.now = posted
+        bus.emit("xfer", "post", src, xid=xid, kind=kind, size=size)
+        clock.now = posted + flight
+        bus.emit("xfer", "deliver", dst, xid=xid)
     for time_, cat, name, entity, args in events:
         clock.now = time_
         bus.emit(cat, name, entity, **args)
-    _same(bus=bus, tracer=tracer)
+    _same(bus=bus)

@@ -12,7 +12,6 @@ import pytest
 
 from tests.harness import differential as d
 from repro.hw import Cluster, ClusterSpec, FaultPlan, FaultSpec
-from repro.hw.trace import Tracer
 from repro.obs import (
     EventBus,
     TraceInvariantError,
@@ -115,14 +114,14 @@ def undelivered_transfer():
     bus = EventBus()
     bus.emit("xfer", "post", "node0", xid=0, kind="rdma_write",
              size=64, initiator="dpu", dst=1)
-    return bus, None
+    return bus
 
 
 def unaccounted_control_drop():
     bus = EventBus()
     bus.emit("ctrl", "post", "node0", cid=3, kind="rts",
              size=64, initiator="host", dst=1)
-    return bus, None
+    return bus
 
 
 def offloaded_window(span_lane: str):
@@ -133,9 +132,8 @@ def offloaded_window(span_lane: str):
     bus.emit("group", "offloaded", "host0", call=1, sig=1)
     clock.now = 9e-6
     bus.emit("group", "done", "host0", call=1)
-    tracer = Tracer()
-    tracer.record_span(span_lane, 4e-6, 6e-6)
-    return bus, tracer
+    bus.span(span_lane, 4e-6, 6e-6)
+    return bus
 
 
 def plan_rebuild(fault_between: bool):
@@ -148,19 +146,21 @@ def plan_rebuild(fault_between: bool):
         bus.emit("group", "call", "host0", mode="build", sig=7, call=1)
         bus.emit("group", "call", "host0", mode="cached", sig=7, call=2)
         bus.emit("group", "call", "host0", mode="build", sig=7, call=3)
-    return bus, None
+    return bus
 
 
 def backwards_arrow():
-    from repro.hw.trace import Arrow
+    """A transfer delivered 3us before it was posted."""
+    clock = type("Clock", (), {"now": 5e-6})()
+    bus = EventBus(sim=clock)
+    bus.emit("xfer", "post", "node0", xid=0, kind="rts", size=64,
+             initiator="host", dst=1)
+    clock.now = 2e-6
+    bus.emit("xfer", "deliver", "node1", xid=0, status="ok")
+    return bus
 
-    tracer = Tracer()
-    tracer.arrows.append(Arrow("node0", "node1", 64, "rts",
-                               posted=5e-6, delivered=2e-6))
-    return EventBus(), tracer
 
-
-#: ``name -> () -> (bus, tracer)``: each broken stream and its clean twin.
+#: ``name -> () -> bus``: each broken stream and its clean twin.
 SYNTHETIC_STREAMS = {
     "undelivered_transfer": undelivered_transfer,
     "unaccounted_control_drop": unaccounted_control_drop,
@@ -189,27 +189,29 @@ class TestBrokenRunsFail:
         assert "neither delivered nor recorded as dropped" not in msg
 
     def test_undelivered_transfer_flagged(self):
-        (violation,) = trace_violations(*undelivered_transfer())
+        (violation,) = trace_violations(undelivered_transfer())
         assert "never delivered" in violation and "bytes in flight" in violation
 
     def test_unaccounted_control_drop_flagged(self):
-        (violation,) = trace_violations(*unaccounted_control_drop())
+        (violation,) = trace_violations(unaccounted_control_drop())
         assert "cid=3" in violation
         assert "neither delivered nor recorded as dropped" in violation
 
     def test_host_cpu_inside_offloaded_window_flagged(self):
-        violations = trace_violations(*offloaded_window("host0"))
+        violations = trace_violations(offloaded_window("host0"))
         assert any("without host involvement" in v for v in violations)
         # The same stream with the span on another lane is clean.
-        assert trace_violations(*offloaded_window("host1")) == []
+        assert trace_violations(offloaded_window("host1")) == []
 
     def test_plan_rebuild_after_cache_hit_flagged(self):
-        violations = trace_violations(*plan_rebuild(fault_between=False))
+        violations = trace_violations(plan_rebuild(fault_between=False))
         assert any("plan-cache hits must stay monotone" in v
                    for v in violations)
         # With an intervening fault the rebuild is legitimate.
-        assert trace_violations(*plan_rebuild(fault_between=True)) == []
+        assert trace_violations(plan_rebuild(fault_between=True)) == []
 
     def test_backwards_arrow_flagged(self):
-        (violation,) = trace_violations(*backwards_arrow())
-        assert "before it was posted" in violation
+        """An arrow is its transfer's post/deliver pair: one violation."""
+        (violation,) = trace_violations(backwards_arrow())
+        assert "transfer xid=0 delivered at 2.000us before its post at " \
+            "5.000us" in violation

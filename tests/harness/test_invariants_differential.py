@@ -22,15 +22,14 @@ from tests.harness.test_invariants import SYNTHETIC_STREAMS, lost_fin_run
 from tests.test_golden_traces import SCENARIOS
 from repro.experiments.fig15_group_vs_simple import _scatter_dest
 from repro.hw import Cluster, ClusterSpec, FaultSpec, ProxyKillPlan
-from repro.hw.trace import Arrow, Span, Tracer
 from repro.obs import EventBus, observe_cluster, trace_violations
 from repro.offload import OffloadFramework
 
 
-def _both(bus, tracer=None, **kw) -> list[str]:
+def _both(bus, **kw) -> list[str]:
     """Violations, after asserting the oracle reports exactly the same."""
-    got = trace_violations(bus, tracer, **kw)
-    assert got == reference.trace_violations(bus, tracer, **kw)
+    got = trace_violations(bus, **kw)
+    assert got == reference.violations_of(bus, **kw)
     return got
 
 
@@ -42,46 +41,38 @@ class TestRealRuns:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_golden_runs(self, name):
         obs = SCENARIOS[name]()
-        assert _both(obs.bus, obs.tracer, keys=_keys(obs)) == []
+        assert _both(obs.bus, keys=_keys(obs)) == []
 
     def test_lost_fin_run(self):
         obs = lost_fin_run()
-        assert len(_both(obs.bus, obs.tracer, keys=_keys(obs))) == 2
+        assert len(_both(obs.bus, keys=_keys(obs))) == 2
 
     @pytest.mark.parametrize("name", sorted(SYNTHETIC_STREAMS))
     def test_synthetic_streams(self, name):
-        bus, tracer = SYNTHETIC_STREAMS[name]()
-        _both(bus, tracer)
-        _both(bus, tracer, allow_replay_after_fault=False)
-        _both(bus, tracer, check_overlap=False)
+        bus = SYNTHETIC_STREAMS[name]()
+        _both(bus)
+        _both(bus, allow_replay_after_fault=False)
+        _both(bus, check_overlap=False)
 
 
 # -- seeded mutations ---------------------------------------------------------
-def _replay(events) -> EventBus:
-    """A fresh bus holding ``events`` in the given order (``seq`` re-stamped)."""
+def _replay(events, spans=()) -> EventBus:
+    """A fresh bus holding ``events`` in the given order (``seq`` re-stamped)
+    and ``spans``."""
     clock = SimpleNamespace(now=0.0)
     bus = EventBus(sim=clock)
     for time_, cat, name, entity, args in events:
         clock.now = time_
         bus.emit(cat, name, entity, **args)
+    for span in spans:
+        bus.span(*span)
     return bus
 
 
-def _retrace(spans, arrows) -> Tracer:
-    tracer = Tracer()
-    for span in spans:
-        tracer.record_span(*span)
-    for arrow in arrows:
-        tracer.record_arrow(*arrow)
-    return tracer
-
-
-def _recorded(bus, tracer=None):
+def _recorded(bus):
     events = [(ev.time, ev.cat, ev.name, ev.entity, dict(ev.args))
               for ev in bus.events]
-    if tracer is None:
-        return events, [], []
-    return events, list(tracer.spans), list(tracer.arrows)
+    return events, bus.spans()
 
 
 #: Categories some invariant reads; mutations land here four times in five.
@@ -101,13 +92,23 @@ def _pick(rng, events, cat=None, name=None):
     return rng.choice(hits) if hits else None
 
 
-def _mutate(rng, events, spans, arrows):
+def _arrow_pairs(events) -> list[tuple[int, int]]:
+    """``(post, deliver)`` indices of the transfers in ``events``."""
+    posts = {e[4].get("xid"): i for i, e in enumerate(events)
+             if e[1:3] == ("xfer", "post")}
+    return [(posts[e[4].get("xid")], i) for i, e in enumerate(events)
+            if e[1:3] == ("xfer", "deliver") and e[4].get("xid") in posts]
+
+
+def _mutate(rng, events, spans):
     """Apply one random mutation in place."""
     horizon = max(e[0] for e in events)
-    hosts = sorted({s.entity for s in spans if s.entity.startswith("host")})
+    hosts = sorted({s[0] for s in spans if s[0].startswith("host")})
     ops = ["drop", "duplicate", "shift", "retime_to_zero", "flip_arg"]
     if hosts:
-        ops += ["shift_span", "insert_span", "append_early_span", "flip_arrow"]
+        ops += ["shift_span", "insert_span", "append_early_span"]
+    if any(e[1:3] == ("xfer", "deliver") for e in events):
+        ops += ["flip_arrow"]
     if any(e[1:3] == ("group", "done") for e in events):
         ops += ["delete_done", "duplicate_done"]
     op = rng.choice(ops)
@@ -145,44 +146,41 @@ def _mutate(rng, events, spans, arrows):
             events.insert(rng.randrange(0, len(events)),
                           (rng.uniform(0, horizon), *rest))
     elif op == "shift_span":
-        i = rng.choice([i for i, s in enumerate(spans) if s.entity in hosts])
-        s = spans[i]
-        start = rng.uniform(0, horizon)
-        spans[i] = Span(s.entity, start, start + (s.end - s.start))
+        i = rng.choice([i for i, s in enumerate(spans) if s[0] in hosts])
+        entity, start, end = spans[i]
+        shifted = rng.uniform(0, horizon)
+        spans[i] = (entity, shifted, shifted + (end - start))
     elif op == "insert_span":
         start = rng.uniform(0, horizon)
         spans.insert(rng.randrange(len(spans) + 1),
-                     Span(rng.choice(hosts), start, start + rng.uniform(1e-9, 5e-6)))
+                     (rng.choice(hosts), start, start + rng.uniform(1e-9, 5e-6)))
     elif op == "append_early_span":
         # Recorded last but early in time: the lane is no longer ordered.
         start = rng.uniform(0, horizon / 4)
-        spans.append(Span(rng.choice(hosts), start,
-                          start + rng.uniform(1e-9, horizon)))
+        spans.append((rng.choice(hosts), start,
+                       start + rng.uniform(1e-9, horizon)))
     elif op == "flip_arrow":
-        i = rng.randrange(len(arrows))
-        a = arrows[i]
-        arrows[i] = Arrow(a.src, a.dst, a.size, a.kind, a.delivered, a.posted)
+        # Swap one transfer's post and delivery times.
+        pairs = _arrow_pairs(events)
+        if pairs:
+            p, d = rng.choice(pairs)
+            events[p], events[d] = ((events[d][0], *events[p][1:]),
+                                    (events[p][0], *events[d][1:]))
 
 
-def _mutation_sweep(bus, tracer, n, seed):
+def _mutation_sweep(bus, n, seed):
     """``n`` single/double mutants; returns every violation they raised."""
-    base = _recorded(bus, tracer)
-    base_bus = _replay(base[0])
-    base_tracer = _retrace(*base[1:]) if tracer is not None else None
+    base = _recorded(bus)
+    base_bus = _replay(*base)
     seen: list[str] = []
     dirty = 0
     for k in range(n):
         rng = random.Random(seed * 100_003 + k)
-        events, spans, arrows = (list(part) for part in base)
+        events, spans = (list(part) for part in base)
         for _ in range(rng.choice([1, 1, 2])):
-            _mutate(rng, events, spans, arrows)
-        # Rebuild only the side the mutation touched.
-        mbus = base_bus if events == base[0] else _replay(events)
-        mtracer = base_tracer
-        if tracer is not None and (spans, arrows) != base[1:]:
-            mtracer = _retrace(spans, arrows)
-        violations = _both(mbus, mtracer,
-                           allow_replay_after_fault=rng.random() < 0.8)
+            _mutate(rng, events, spans)
+        mbus = base_bus if (events, spans) == base else _replay(events, spans)
+        violations = _both(mbus, allow_replay_after_fault=rng.random() < 0.8)
         dirty += bool(violations)
         seen += violations
     assert dirty >= n // 4, "mutations hardly ever broke an invariant"
@@ -202,16 +200,17 @@ def fig15_obs():
 class TestMutatedStreams:
     def test_replay_is_faithful(self, fig15_obs):
         """The unmutated replay is the recorded run: clean, same stream."""
-        events, spans, arrows = _recorded(fig15_obs.bus, fig15_obs.tracer)
-        bus = _replay(events)
+        events, spans = _recorded(fig15_obs.bus)
+        bus = _replay(events, spans)
         assert bus.events == fig15_obs.bus.events
-        assert _both(bus, _retrace(spans, arrows)) == []
+        assert bus.spans() == fig15_obs.bus.spans() != []
+        assert _both(bus) == []
 
     def test_fig15_group_mutations(self, fig15_obs):
-        seen = _mutation_sweep(fig15_obs.bus, fig15_obs.tracer, n=200, seed=14)
+        seen = _mutation_sweep(fig15_obs.bus, n=200, seed=14)
         # Non-vacuous: each of these invariants was tripped by some mutant.
         for needle in ("never delivered", "neither delivered nor recorded",
-                       "before it was posted", "no group.done ever followed",
+                       "before its post", "no group.done ever followed",
                        "without host involvement",
                        "plan-cache hits must stay monotone"):
             assert any(needle in v for v in seen), needle
@@ -219,7 +218,7 @@ class TestMutatedStreams:
     def test_ring_broadcast_mutations(self):
         """Basic primitives: the request post/complete invariant."""
         obs = SCENARIOS["ring_broadcast"]()
-        seen = _mutation_sweep(obs.bus, obs.tracer, n=80, seed=17)
+        seen = _mutation_sweep(obs.bus, n=80, seed=17)
         assert any("never completed" in v for v in seen)
 
     def test_fluid_fault_mutations(self):
@@ -227,7 +226,7 @@ class TestMutatedStreams:
         cl, _plan, bus = flows._fluid_cluster(FaultSpec(flow_drop_prob=0.5))
         flows._stream(cl, n=8)
         assert bus.count(cat="flow", name="retry") > 0
-        seen = _mutation_sweep(bus, None, n=120, seed=15)
+        seen = _mutation_sweep(bus, n=120, seed=15)
         for needle in ("never retransmitted", "its finisher was lost",
                        "after the flow drains"):
             assert any(needle in v for v in seen), needle
@@ -241,7 +240,7 @@ class TestMutatedStreams:
         flows.TestProxyKillAbortsFlows()._bulk_exchange(cl, OffloadFramework(cl))
         assert bus.count(cat="flow", name="fault", action="abort") > 0
         assert _both(bus) == []
-        _mutation_sweep(bus, None, n=80, seed=16)
+        _mutation_sweep(bus, n=80, seed=16)
 
 
 class TestScaling:
@@ -252,21 +251,20 @@ class TestScaling:
         box, not a micro-timing."""
         clock = SimpleNamespace(now=0.0)
         bus = EventBus(sim=clock)
-        tracer = Tracer()
         for w in range(2000):
             t = w * 1e-3
             # 100 spans of host CPU before each window opens ...
             for k in range(100):
-                tracer.record_span("host0", t + k * 1e-6, t + k * 1e-6 + 5e-7)
+                bus.span("host0", t + k * 1e-6, t + k * 1e-6 + 5e-7)
             clock.now = t + 2e-4
             bus.emit("group", "offloaded", "host0", call=w, sig=1)
             clock.now = t + 8e-4
             bus.emit("group", "done", "host0", call=w)
-        assert len(tracer.spans) == 200_000
+        assert len(bus.spans()) == 200_000
         t0 = time.perf_counter()
-        assert trace_violations(bus, tracer) == []
+        assert trace_violations(bus) == []
         assert time.perf_counter() - t0 < 2.0
         # ... and one span inside the last window is still found.
-        tracer.record_span("host0", 1999e-3 + 4e-4, 1999e-3 + 5e-4)
-        (violation,) = trace_violations(bus, tracer)
+        bus.span("host0", 1999e-3 + 4e-4, 1999e-3 + 5e-4)
+        (violation,) = trace_violations(bus)
         assert "call=1999" in violation and "without host involvement" in violation

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.hw import Cluster, ClusterSpec
-from repro.mpi import MpiError, MpiWorld
+from repro.mpi import MpiError, MpiWorld, runtime
 from repro.mpi import collectives as coll
+from repro.obs import EventBus
 
 
 class TestWaitEdges:
@@ -169,3 +170,48 @@ class TestWorld:
 
         with pytest.raises(ValueError, match="app bug"):
             world.run(program, ranks=[0])
+
+
+class TestHelperCallbacks:
+    """A shm delivery and a rendezvous read's report are callback chains
+    on the events they wait for, not a process per message."""
+
+    def _pingpong(self, cluster, size):
+        world = MpiWorld(cluster)
+
+        def program(rt):
+            comm = world.comm_world
+            addr = rt.ctx.space.alloc(size, fill=rt.rank + 1)
+            if rt.rank == 0:
+                req = yield from rt.isend(comm, 1, addr, size, tag=1)
+            else:
+                req = yield from rt.irecv(comm, 0, addr, size, tag=1)
+            yield from rt.wait(req)
+            return bytes(rt.ctx.space.read(addr, 4))
+
+        return world.run(program, ranks=[0, 1])
+
+    @pytest.mark.parametrize("ppn, size", [(2, 64), (1, 128 * 1024)],
+                             ids=["shm", "rndv"])
+    def test_no_helper_process_is_started(self, ppn, size):
+        cluster = Cluster(ClusterSpec(nodes=2 // ppn, ppn=ppn))
+        bus = EventBus.attach(cluster)
+        assert self._pingpong(cluster, size) == [b"\1" * 4] * 2
+        # Only the two rank programs ran as processes.
+        assert bus.count(cat="proc", name="start") == 2
+
+    def test_a_failed_read_completion_raises(self, monkeypatch):
+        real_read = runtime.rdma_read
+
+        def failing_read(ctx, **kw):
+            # The completion fails a microsecond after the read is armed.
+            transfer = yield from real_read(ctx, **kw)
+            failed = transfer.completed = ctx.sim.event()
+            ctx.sim.timeout(1e-6).callbacks.append(
+                lambda _ev: failed.fail(RuntimeError("read completion failed")))
+            return transfer
+
+        monkeypatch.setattr(runtime, "rdma_read", failing_read)
+        cluster = Cluster(ClusterSpec(nodes=2, ppn=1))
+        with pytest.raises(RuntimeError, match="read completion failed"):
+            self._pingpong(cluster, 128 * 1024)

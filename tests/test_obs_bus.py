@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.hw import Cluster, ClusterSpec
-from repro.hw.trace import Tracer
 from repro.obs import (
     EventBus,
     ObsEvent,
@@ -51,20 +50,23 @@ class TestObsEvent:
 class TestEventBus:
     def test_emit_without_sim_uses_time_zero(self):
         bus = EventBus()
-        ev = bus.emit("req", "post", "host0", rid=1)
+        assert bus.emit("req", "post", "host0", rid=1) is None
+        (ev,) = bus.events
         assert ev.time == 0.0 and ev.seq == 0
         assert len(bus) == 1 and list(bus) == [ev]
 
     def test_category_filter_drops_at_emit_site(self):
         bus = EventBus(categories=("req",))
-        assert bus.emit("ctrl", "post", "node0", cid=0) is None
-        assert bus.emit("req", "post", "host0", rid=1) is not None
-        assert bus.count() == 1
+        bus.emit("ctrl", "post", "node0", cid=0)
+        bus.emit("req", "post", "host0", rid=1)
+        assert bus.count() == 1 and bus.events[0].cat == "req"
+        # ... and its lane was never interned.
+        assert bus.columns.entities == ["host0"]
 
     def test_event_args_may_shadow_positional_names(self):
         bus = EventBus()
-        ev = bus.emit("proc", "start", "sim", name="worker", cat="x",
-                      entity="y")
+        bus.emit("proc", "start", "sim", name="worker", cat="x", entity="y")
+        (ev,) = bus.events
         assert ev.name == "start" and ev.arg("name") == "worker"
 
     def test_select_by_args_and_missing_key(self):
@@ -94,8 +96,9 @@ class TestEventBus:
         # ... and the per-kind index went with the stream.
         assert bus.select(cat="wqe", name="post") == []
         assert bus.select(cat="wqe") == [] and bus.count(cat="wqe") == 0
-        ev = bus.emit("wqe", "post", "node0", size=9)
-        assert bus.select(cat="wqe", name="post") == [ev]
+        bus.emit("wqe", "post", "node0", size=9)
+        (ev,) = bus.select(cat="wqe", name="post")
+        assert ev.seq == 5 and ev.arg("size") == 9 and bus.events == [ev]
 
     def test_select_by_kind_is_the_stream_filtered(self):
         """Whatever the filter combination, ``select`` returns what a scan
@@ -130,10 +133,23 @@ class TestEventBus:
         bus.select(cat="xfer", name="post").clear()
         assert bus.count(cat="xfer", name="post") > 0
 
+    def test_lane_codes_widen_past_65535(self):
+        """Lane codes start as ``'H'``; a fluid run names a lane per flow."""
+        bus = EventBus()
+        for i in range(70_000):
+            bus.emit("flow", "begin", f"flow{i}", fid=i)
+        bus.span("host0", 0.0, 1.0)
+        assert bus.columns.entity.typecode == bus.columns.span_entity.typecode == "I"
+        (ev,) = bus.select(entity="flow69999")
+        assert ev.arg("fid") == 69999 and ev.seq == 69999
+        assert bus.spans() == [("host0", 0.0, 1.0)]
+
     def test_unknown_category_is_accepted(self):
         # forward compatibility: the vocabulary is advisory
         assert "sim" in CATEGORIES
-        assert EventBus().emit("experimental", "x", "sim") is not None
+        bus = EventBus()
+        bus.emit("experimental", "x", "sim")
+        assert bus.count(cat="experimental") == 1
 
 
 class TestExporterEdges:
@@ -143,13 +159,13 @@ class TestExporterEdges:
             ["host2", "host10", "dpu0", "node1", "fabric0", "sim"]
 
     def test_chrome_trace_of_empty_run_is_valid(self):
-        doc = chrome_trace(bus=EventBus(), tracer=Tracer())
+        doc = chrome_trace(bus=EventBus())
         assert [e["ph"] for e in doc["traceEvents"]] == ["M"]
         json.dumps(doc)
 
     def test_timeline_fallbacks(self):
-        assert render_timeline(None) == "(no tracer attached)"
-        assert render_timeline(Tracer()) == "(empty trace)"
+        assert render_timeline(None) == "(no bus attached)"
+        assert render_timeline(EventBus()) == "(empty trace)"
 
     def test_metrics_snapshot_accepts_bare_metrics(self):
         from repro.hw import Metrics

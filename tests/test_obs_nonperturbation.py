@@ -1,8 +1,8 @@
 """Observation and fault hooks do not perturb the run they attach to.
 
 The fabric walks every message through one callback chain and the proxy
-completes every RDMA leg through one callback; the EventBus, the Tracer
-and the FaultPlan are hooks on that single path.  So attaching any of
+completes every RDMA leg through one callback; the EventBus (events and
+busy spans) and the FaultPlan are hooks on that single path.  So attaching any of
 them must leave the kernel's event count, the final clock and every
 rank's finish time exactly where the bare run puts them -- the run you
 can see is the run you time (ROADMAP item 5(e)).
@@ -14,8 +14,7 @@ import pytest
 
 from tests.helpers import pattern
 from repro.hw import Cluster, ClusterSpec, FaultPlan, FaultSpec
-from repro.hw.trace import Tracer
-from repro.obs import EventBus
+from repro.obs import EventBus, observe_cluster
 from repro.offload import OffloadFramework
 
 P, SIZE, ITERS = 4, 8192, 3
@@ -25,9 +24,9 @@ def _attach_nothing(cl):
     pass
 
 
-def _attach_both(cl):
-    EventBus.attach(cl)
-    Tracer.attach(cl)
+def _attach_filtered_bus(cl):
+    # Collects no event at all, but every busy span.
+    EventBus.attach(cl, categories=())
 
 
 def _attach_inert_plan(cl):
@@ -35,8 +34,8 @@ def _attach_inert_plan(cl):
     cl.install_faults(FaultPlan(FaultSpec(), seed=11))
 
 
-#: name -> (hook, attach before the framework is built?).  The bus and
-#: tracer go on first, as observe_cluster asks.  The plan goes on the
+#: name -> (hook, attach before the framework is built?).  The bus goes
+#: on first, as observe_cluster asks.  The plan goes on the
 #: built stack: every fabric and proxy fate hook consults it, while the
 #: endpoints' retransmit timers -- real protocol events that a
 #: framework built over an armed plan adds -- stay out of the count
@@ -44,8 +43,8 @@ def _attach_inert_plan(cl):
 ATTACHMENTS = {
     "none": (_attach_nothing, True),
     "bus": (EventBus.attach, True),
-    "tracer": (Tracer.attach, True),
-    "bus+tracer": (_attach_both, True),
+    "spans-only bus": (_attach_filtered_bus, True),
+    "observe_cluster": (observe_cluster, True),
     "inert-plan": (_attach_inert_plan, False),
 }
 

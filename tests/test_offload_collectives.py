@@ -26,7 +26,6 @@ import pytest
 
 from tests.helpers import run_procs
 from repro.hw import Cluster, ClusterSpec
-from repro.hw.trace import Tracer
 from repro.mpi import MpiWorld
 from repro.mpi import collectives as host_coll
 from repro.obs import EventBus, trace_violations
@@ -276,7 +275,6 @@ class TestZeroHostCpuWindow:
         p = 4
         cl = _cluster(p)
         bus = EventBus.attach(cl)
-        tracer = Tracer.attach(cl)
         fw = OffloadFramework(cl)
         vals = _contrib(p, 64)
 
@@ -302,5 +300,7 @@ class TestZeroHostCpuWindow:
         # Every rank opened and closed a window...
         assert len(bus.select(cat="group", name="offloaded")) == p
         assert len(bus.select(cat="group", name="done")) == p
-        # ...and no host lane burned CPU inside any of them.
-        assert trace_violations(bus, tracer) == []
+        # ...and no host lane burned CPU inside any of them (though the
+        # hosts did burn CPU outside them).
+        assert any(lane.startswith("host") for lane, _, _ in bus.spans())
+        assert trace_violations(bus) == []
