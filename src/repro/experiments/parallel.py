@@ -1,4 +1,4 @@
-"""Work-stealing process-pool scheduler for embarrassingly parallel sweeps.
+"""Process-pool scheduler for embarrassingly parallel sweeps.
 
 Every paper figure is (or contains) a sweep: an ordered list of
 independent points -- ``(message_size, variant)``, ``(flavor, nodes,
@@ -11,10 +11,10 @@ regardless of job count or completion order.
 
 Design rules that make "parallel changes nothing" hold:
 
-* **Ordered merge.**  The parent dispatches the next undone point to
-  the first idle worker (self-scheduling / work stealing); results
-  stream back tagged with their point index, and
-  :func:`merge_messages` re-assembles them in index order.
+* **Ordered merge.**  The parent pushes the next undone point to the
+  first idle worker, one point per worker at a time; results come back
+  tagged with their point index, and :func:`merge_messages`
+  re-assembles them in index order.
 * **Seeds from the spec, never the clock.**  Each point gets a seed
   derived by :func:`repro.sim.rng.spawn_seed` from the sweep's root
   seed and the point's stable key ``(label, index)``.  The derivation
@@ -30,32 +30,19 @@ Design rules that make "parallel changes nothing" hold:
   around its point and the parent max-merges them, so per-figure
   ``peak_resident_bytes`` snapshots match the serial run exactly.
 
-Resilience (docs/RESILIENCE.md):
+Each worker owns one duplex pipe and the parent blocks on the busy
+workers' pipes and process sentinels together.  A pipe send has no
+feeder thread, so by the time a worker's sentinel fires everything it
+sent is readable; the parent drains a ready pipe before it reads a
+death into it.  Every dispatched point is therefore resolved by exactly
+one of three things: a result, a worker death (``WorkerDied``) or a
+passed deadline (``PointTimeout``).
 
-* **Retry + quarantine.**  ``retries=N`` re-runs a *transiently* failed
-  point (worker death, :class:`DeadlockError`, timeouts -- see
-  :data:`TRANSIENT_ERROR_TYPES`) up to N extra times with exponential
-  backoff, each attempt on a freshly spawned worker.  A point that
-  exhausts its budget is **quarantined**: its :class:`PointFailure`
-  (with the attempt count) occupies the slot and the sweep keeps going.
-* **Hang conversion.**  ``point_timeout`` bounds one point's wall
-  clock; an overdue worker is killed and the point becomes a
-  structured ``PointTimeout`` failure (retryable) instead of wedging
-  the campaign.  Enforcement needs process isolation, so a timeout
-  routes even a jobs=1 sweep through a single-worker pool.
-* **Journal.**  ``journal=`` (a :class:`~repro.experiments.campaign.Journal`)
-  makes the sweep resumable: completed points are durably recorded
-  under a content key of (label, seed, point) and skipped -- with
-  byte-identical results and merged peak-memory watermarks -- on the
-  next run.
-* **Stall detection.**  The parent's dead-worker sweep and the
-  all-workers-gone backstop use the run config's ``stall_timeout``
-  (30 s; ``runall --scale paper`` scales it up) instead of a
-  hard-coded constant.
-
-Progress/timing flows back over the same IPC channel as results
-(``start``/``done``/``retry`` events through an optional ``progress``
-callback); ``runall`` prints them as per-group status lines.
+Retries, quarantine, the ``point_timeout`` hang watchdog and the
+resume journal are described on :func:`sweep_map` and in
+docs/RESILIENCE.md.  Both execution modes resolve every attempt through
+one :class:`_Sweep`, so retry classification, backoff, quarantine,
+journal records and ``progress`` events are written once.
 
 Job-count resolution: an explicit ``jobs=`` argument wins; otherwise
 the installed :class:`~repro.runconfig.RunConfig`'s ``jobs`` applies
@@ -71,12 +58,14 @@ import multiprocessing as mp
 import pickle
 import time
 import traceback
-from queue import Empty
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Optional, Sequence
+from multiprocessing.connection import wait
+from typing import Any, Callable, Iterable, Sequence
 
 from repro import runconfig
-from repro.runconfig import RunConfig
+from repro.experiments.campaign import point_key
+from repro.hw import memory as hw_memory
 from repro.sim.rng import spawn_seed
 
 __all__ = [
@@ -106,6 +95,10 @@ TRANSIENT_ERROR_TYPES = frozenset({
     "EOFError",
     "BrokenPipeError",
 })
+
+#: Seconds before a failed point's first retry; each further retry of
+#: the same point waits twice as long as the one before.
+RETRY_BACKOFF = 0.05
 
 
 def in_worker() -> bool:
@@ -175,6 +168,14 @@ class SweepError(RuntimeError):
         )
 
 
+def _failure(index: int, point, exc: BaseException) -> PointFailure:
+    """The failure record of an attempt that raised ``exc`` (called
+    inside the ``except`` block, so the traceback is the live one)."""
+    return PointFailure(index=index, point=point,
+                        error_type=type(exc).__name__, message=str(exc),
+                        traceback=traceback.format_exc())
+
+
 # ---------------------------------------------------------------------------
 # deterministic merge (pure -- property-tested directly)
 # ---------------------------------------------------------------------------
@@ -218,10 +219,6 @@ def point_seeds(root_seed: int, label: str, n_points: int) -> list[int]:
     return [spawn_seed(root_seed, label, i) for i in range(n_points)]
 
 
-# ---------------------------------------------------------------------------
-# worker side
-# ---------------------------------------------------------------------------
-
 def _call_point(fn: Callable, point, seed_kwarg: str | None, seed: int):
     args = point if isinstance(point, tuple) else (point,)
     if seed_kwarg:
@@ -229,83 +226,128 @@ def _call_point(fn: Callable, point, seed_kwarg: str | None, seed: int):
     return fn(*args)
 
 
-def _worker_main(wid: int, fn, seed_kwarg, run: RunConfig, task_q,
-                 result_q) -> None:
-    """Serve points from this worker's private queue until the ``None``
-    sentinel.  The queue holds at most one task at a time (the parent
-    dispatches point-by-point), which is what lets the parent kill an
-    idle or hung worker without racing a half-claimed task.  ``run`` is
-    the parent's config, installed with ``jobs=1``."""
-    global _IN_WORKER
-    _IN_WORKER = True
-    runconfig.install(replace(run, jobs=1))
-    from repro.hw import memory as hw_memory
-
-    while True:
-        item = task_q.get()
-        if item is None:
-            break
-        index, point, seed = item
-        hw_memory.reset_peak_stats()
-        t0 = time.perf_counter()
-        try:
-            value = _call_point(fn, point, seed_kwarg, seed)
-            # Pickle here, synchronously: an unpicklable result must
-            # surface as this point's failure, not as a feeder-thread
-            # crash that wedges the whole sweep.  The same blob doubles
-            # as the journal payload on the parent side.
-            blob = pickle.dumps((value, hw_memory.peak_stats()))
-            result_q.put(("ok", wid, index,
-                          (blob, time.perf_counter() - t0)))
-        except BaseException as exc:  # noqa: BLE001 - crash isolation
-            failure = PointFailure(
-                index=index, point=point,
-                error_type=type(exc).__name__, message=str(exc),
-                traceback=traceback.format_exc(),
-            )
-            result_q.put(("err", wid, index,
-                          (pickle.dumps(failure), time.perf_counter() - t0)))
-            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                break
-
-
 # ---------------------------------------------------------------------------
-# parent side
+# the sweep: one resolution path for both execution modes
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Worker:
-    """Parent-side handle of one worker process and its private queue."""
+class _Sweep:
+    """One sweep's points and the one place an attempt is resolved.
 
-    wid: int
-    proc: Any
-    task_q: Any
-    #: Point index currently dispatched to this worker (None = idle).
-    index: Optional[int] = None
-    #: ``time.monotonic()`` of the dispatch (hang watchdog anchor).
-    started: float = 0.0
+    Both executors call :meth:`start` before every attempt and
+    :meth:`finish` or :meth:`fail` after it, so retry classification,
+    backoff, quarantine, journal records and progress events are the
+    same in-process and in a pool.
+    """
 
+    def __init__(self, fn: Callable, points: list, label: str,
+                 seed_root: int, seed_kwarg: str | None, on_error: str,
+                 progress: Callable[[dict], None] | None, retries: int,
+                 journal, journal_if: Callable[[Any], bool] | None):
+        self.fn = fn
+        self.points = points
+        self.label = label
+        self.seeds = point_seeds(seed_root, label, len(points))
+        self.seed_kwarg = seed_kwarg
+        self.on_error = on_error
+        self.progress = progress
+        self.retries = retries
+        self.journal = journal
+        self.journal_if = journal_if
+        #: The parent's run config: journal engine key, and what every
+        #: worker installs.
+        self.run = runconfig.current()
+        self.attempts = [0] * len(points)
+        self.messages: list[tuple] = []
 
-@dataclass
-class _SweepConfig:
-    """Resolved knobs of one pool run (packed to keep signatures sane)."""
+    def unresolved(self) -> int:
+        return len(self.points) - len(self.messages)
 
-    fn: Callable
-    points: list
-    label: str
-    seeds: list[int]
-    seed_kwarg: Optional[str]
-    on_error: str
-    progress: Optional[Callable]
-    retries: int = 0
-    retry_backoff: float = 0.05
-    transient: frozenset = TRANSIENT_ERROR_TYPES
-    journal: Any = None
-    journal_if: Optional[Callable] = None
-    point_timeout: Optional[float] = None
-    #: The parent's run config: stall window, journal engine key, and
-    #: what every worker installs.
-    run: RunConfig = RunConfig()
+    def _event(self, event: str, index: int, **fields) -> None:
+        if self.progress is not None:
+            self.progress({"event": event, "label": self.label,
+                           "index": index, "point": self.points[index],
+                           "seed": self.seeds[index], **fields})
+
+    def _journal_key(self, index: int) -> str:
+        """Journal key of one point: (label, seed, point).
+
+        The seed enters the key only for seeded sweeps (``seed_kwarg``
+        set): an unseeded ``fn`` cannot depend on the per-point seed, so
+        its records stay valid -- and reusable -- whatever position the
+        point occupies in a later selection (``runall --resume`` with a
+        different figure subset).
+        """
+        seed = self.seeds[index] if self.seed_kwarg else None
+        return point_key(self.label, seed, self.points[index],
+                         extra=self.run.journal_extra)
+
+    def serve_journaled(self) -> list[int]:
+        """Resolve every journaled point; return the indices left to run."""
+        todo = []
+        for index in range(len(self.points)):
+            cached = (None if self.journal is None
+                      else self.journal.lookup(self._journal_key(index)))
+            if cached is None:
+                todo.append(index)
+                continue
+            value, peak = cached
+            hw_memory.record_peak(peak)
+            self.messages.append(("ok", index, value))
+            self._event("done", index, ok=True, wall_s=0.0, cached=True)
+        return todo
+
+    def start(self, index: int) -> tuple:
+        """Count one attempt at ``index``; return its task."""
+        self.attempts[index] += 1
+        self._event("start", index, attempt=self.attempts[index])
+        return index, self.points[index], self.seeds[index]
+
+    def finish(self, index: int, value, peak, wall: float,
+               blob: bytes | None = None) -> None:
+        """Resolve ``index`` with ``value``.  ``blob`` is the worker's
+        pickle of ``(value, peak)``, journaled as is."""
+        hw_memory.record_peak(peak)
+        self.messages.append(("ok", index, value))
+        if self.journal is not None and (self.journal_if is None
+                                         or self.journal_if(value)):
+            try:
+                self.journal.record_bytes(
+                    self._journal_key(index),
+                    blob or pickle.dumps((value, peak)), meta={"index": index})
+            except Exception:
+                # Journaling is an optimisation for the *next* run; never
+                # let a record failure (unpicklable value, full disk)
+                # kill this one.
+                pass
+        self._event("done", index, ok=True, wall_s=wall,
+                    attempt=self.attempts[index])
+
+    def fail(self, index: int, failure: PointFailure,
+             wall: float) -> float | None:
+        """Resolve a failed attempt at ``index``.
+
+        Returns the backoff before a retry when the failure is transient
+        and the point has budget left; otherwise records the failure in
+        the point's slot and returns None.
+        """
+        attempts = self.attempts[index]
+        if (failure.error_type in TRANSIENT_ERROR_TYPES
+                and attempts <= self.retries):
+            self._event("retry", index, attempt=attempts,
+                        error_type=failure.error_type)
+            return RETRY_BACKOFF * 2 ** (attempts - 1)
+        failure.attempts = attempts
+        failure.quarantined = self.on_error == "keep"
+        self.messages.append(("err", index, failure))
+        self._event("done", index, ok=False, wall_s=wall, attempt=attempts)
+        return None
+
+    def result(self) -> list:
+        merged = merge_messages(len(self.points), self.messages)
+        failures = [r for r in merged if isinstance(r, PointFailure)]
+        if failures and self.on_error == "raise":
+            raise SweepError(failures)
+        return merged
 
 
 def sweep_map(
@@ -318,8 +360,6 @@ def sweep_map(
     seed_kwarg: str | None = None,
     progress: Callable[[dict], None] | None = None,
     retries: int = 0,
-    retry_backoff: float = 0.05,
-    transient: Iterable[str] | None = None,
     journal=None,
     journal_if: Callable[[Any], bool] | None = None,
     point_timeout: float | None = None,
@@ -338,11 +378,10 @@ def sweep_map(
     :class:`PointFailure` in the failed slot.
 
     ``retries`` grants each point that many *extra* attempts when it
-    fails with a transient error type (``transient`` overrides
-    :data:`TRANSIENT_ERROR_TYPES`), with exponential backoff
-    (``retry_backoff * 2**(attempt-1)`` seconds) between attempts; in
-    pool mode every retry runs on a freshly spawned worker.  A point
-    that exhausts the budget is quarantined (see :class:`PointFailure`).
+    fails with one of :data:`TRANSIENT_ERROR_TYPES`, waiting
+    ``RETRY_BACKOFF * 2**(attempt-1)`` seconds before each; in pool
+    mode every retry runs on a freshly spawned worker.  A point that
+    exhausts the budget is quarantined (see :class:`PointFailure`).
 
     ``journal`` (a :class:`repro.experiments.campaign.Journal`) makes
     the sweep resumable: completed points are recorded durably and
@@ -367,445 +406,239 @@ def sweep_map(
         raise ValueError(f"on_error must be 'raise' or 'keep', not {on_error!r}")
     points = list(points)
     label = label or getattr(fn, "__name__", "sweep")
-    seeds = point_seeds(seed_root, label, len(points))
-    n_jobs = _resolve_jobs(jobs, len(points))
-    cfg = _SweepConfig(
-        fn=fn, points=points, label=label, seeds=seeds,
-        seed_kwarg=seed_kwarg, on_error=on_error, progress=progress,
-        retries=max(0, int(retries)),
-        retry_backoff=max(0.0, float(retry_backoff)),
-        transient=frozenset(transient) if transient is not None
-        else TRANSIENT_ERROR_TYPES,
-        journal=journal, journal_if=journal_if,
-        point_timeout=point_timeout, run=runconfig.current(),
-    )
+    sweep = _Sweep(fn, points, label, seed_root, seed_kwarg, on_error,
+                   progress, max(0, int(retries)), journal, journal_if)
+    todo = sweep.serve_journaled()
+    n_jobs = _resolve_jobs(jobs, len(todo))
     # Hang conversion needs a killable process boundary; route a
     # timed sweep through a pool even when it is otherwise serial.
-    if n_jobs <= 1 and not (point_timeout and not _IN_WORKER):
-        return _sweep_serial(cfg)
-    return _sweep_pool(cfg, n_jobs)
+    if n_jobs > 1 or (point_timeout and not _IN_WORKER):
+        _Pool(sweep, n_jobs, point_timeout).run(todo)
+    else:
+        _run_serial(sweep, todo)
+    return sweep.result()
 
 
 # ---------------------------------------------------------------------------
 # serial execution (the reference semantics)
 # ---------------------------------------------------------------------------
 
-def _journal_key_of(cfg: _SweepConfig, index: int) -> str:
-    """Journal key of one point: (label, seed, point).
-
-    The seed enters the key only for seeded sweeps (``seed_kwarg``
-    set): an unseeded ``fn`` cannot depend on the per-point seed, so
-    its records stay valid -- and reusable -- whatever position the
-    point occupies in a later selection (``runall --resume`` with a
-    different figure subset).
-    """
-    from repro.experiments.campaign import point_key
-
-    seed = cfg.seeds[index] if cfg.seed_kwarg else None
-    return point_key(cfg.label, seed, cfg.points[index],
-                     extra=cfg.run.journal_extra)
-
-
-def _journal_lookup(cfg: _SweepConfig, index: int):
-    """``(value, peak)`` journaled for this point, or None."""
-    if cfg.journal is None:
-        return None
-    return cfg.journal.lookup(_journal_key_of(cfg, index))
-
-
-def _journal_record(cfg: _SweepConfig, index: int, value, peak,
-                    blob: bytes | None = None) -> None:
-    if cfg.journal is None:
-        return
-    if cfg.journal_if is not None and not cfg.journal_if(value):
-        return
-    key = _journal_key_of(cfg, index)
-    try:
-        if blob is not None:
-            cfg.journal.record_bytes(key, blob, meta={"index": index})
-        else:
-            cfg.journal.record(key, (value, peak), meta={"index": index})
-    except Exception:
-        # Journaling is an optimisation for the *next* run; never let a
-        # record failure (unpicklable value, full disk) kill this one.
-        pass
-
-
-def _sweep_serial(cfg: _SweepConfig) -> list:
-    from repro.hw import memory as hw_memory
-
-    results = []
-    failures = []
-    for index, point in enumerate(cfg.points):
-        cached = _journal_lookup(cfg, index)
-        if cached is not None:
-            value, peak = cached
-            hw_memory.record_peak(peak)
-            results.append(value)
-            if cfg.progress is not None:
-                cfg.progress({"event": "done", "label": cfg.label,
-                              "index": index, "point": point, "ok": True,
-                              "wall_s": 0.0, "seed": cfg.seeds[index],
-                              "cached": True})
-            continue
-        if cfg.progress is not None:
-            cfg.progress({"event": "start", "label": cfg.label, "index": index,
-                          "point": point, "seed": cfg.seeds[index]})
-        t0 = time.perf_counter()
-        value, ok, attempts = _run_point_serial(cfg, index, point)
-        if not ok:
-            failures.append(value)
-        results.append(value)
-        if cfg.progress is not None:
-            cfg.progress({"event": "done", "label": cfg.label, "index": index,
-                          "point": point, "ok": ok,
-                          "wall_s": time.perf_counter() - t0,
-                          "seed": cfg.seeds[index], "attempt": attempts})
-    return results
-
-
-def _run_point_serial(cfg: _SweepConfig, index: int, point):
-    """One point, serial mode, with in-place retries.
-
-    Returns ``(value_or_failure, ok, attempts)``.  ``on_error='raise'``
-    re-raises the original exception once the retry budget is spent
-    (preserving serial raise semantics for non-retrying callers).
-    """
-    from repro.hw import memory as hw_memory
-
-    attempts = 0
-    while True:
-        attempts += 1
-        # Isolate this point's watermark so its journal record carries
-        # its own peak; max-merge keeps the global watermark exact.
-        before = hw_memory.peak_stats()
-        hw_memory.reset_peak_stats()
-        try:
-            value = _call_point(cfg.fn, point, cfg.seed_kwarg,
-                                cfg.seeds[index])
-            peak = hw_memory.peak_stats()
-            hw_memory.record_peak(before)
-            _journal_record(cfg, index, value, peak)
-            return value, True, attempts
-        except Exception as exc:
-            hw_memory.record_peak(before)
-            retryable = (type(exc).__name__ in cfg.transient
-                         and attempts <= cfg.retries)
-            if retryable:
-                if cfg.progress is not None:
-                    cfg.progress({"event": "retry", "label": cfg.label,
-                                  "index": index, "point": point,
-                                  "attempt": attempts,
-                                  "error_type": type(exc).__name__,
-                                  "seed": cfg.seeds[index]})
-                backoff = cfg.retry_backoff * (2 ** (attempts - 1))
-                if backoff > 0:
-                    time.sleep(backoff)
-                continue
-            if cfg.on_error == "raise":
-                raise
-            failure = PointFailure(
-                index=index, point=point,
-                error_type=type(exc).__name__, message=str(exc),
-                traceback=traceback.format_exc(),
-                attempts=attempts, quarantined=True,
-            )
-            return failure, False, attempts
+def _run_serial(sweep: _Sweep, todo: list[int]) -> None:
+    """Run ``todo`` in this process, in point order; a point's retries
+    run before the next point starts.  ``on_error='raise'`` re-raises
+    the original exception once the point's retry budget is spent."""
+    for index in todo:
+        while True:
+            _, point, seed = sweep.start(index)
+            # Isolate this point's watermark so its journal record
+            # carries its own peak; max-merge keeps the global one exact.
+            before = hw_memory.peak_stats()
+            hw_memory.reset_peak_stats()
+            t0 = time.perf_counter()
+            try:
+                value = _call_point(sweep.fn, point, sweep.seed_kwarg, seed)
+            except Exception as exc:
+                hw_memory.record_peak(before)
+                backoff = sweep.fail(index, _failure(index, point, exc),
+                                     time.perf_counter() - t0)
+                if backoff is None:
+                    if sweep.on_error == "raise":
+                        raise
+                    break
+                time.sleep(backoff)
+            else:
+                peak = hw_memory.peak_stats()
+                hw_memory.record_peak(before)
+                sweep.finish(index, value, peak, time.perf_counter() - t0)
+                break
 
 
 # ---------------------------------------------------------------------------
 # pool execution
 # ---------------------------------------------------------------------------
 
-class _Pool:
-    """Parent-side scheduler: dispatch, retry, hang watchdog, respawn.
+def _worker_main(fn, seed_kwarg, run: runconfig.RunConfig, conn) -> None:
+    """Serve points from ``conn`` until the parent closes it.
 
-    Unlike a shared task queue, the parent hands each worker exactly one
-    point at a time through a private queue.  That makes every unit of
-    work attributable -- a dead or hung worker implicates exactly one
-    known point -- so retries, timeouts and replacement workers are
-    race-free by construction.
+    The parent sends one ``(index, point, seed)`` task at a time and
+    reads one reply per task: ``(True, pickle of (value, peak), wall)``
+    or ``(False, PointFailure, wall)``.  A worker that failed a point
+    exits, so no attempt ever runs in a process another attempt broke.
+    ``run`` is the parent's config, installed with ``jobs=1``.
+    """
+    global _IN_WORKER
+    _IN_WORKER = True
+    runconfig.install(replace(run, jobs=1))
+    while True:
+        try:
+            index, point, seed = conn.recv()
+        except EOFError:
+            return
+        hw_memory.reset_peak_stats()
+        t0 = time.perf_counter()
+        try:
+            value = _call_point(fn, point, seed_kwarg, seed)
+            # Pickle here, synchronously: an unpicklable result must
+            # surface as this point's failure.  The same blob doubles
+            # as the journal payload on the parent side.
+            blob = pickle.dumps((value, hw_memory.peak_stats()))
+        except BaseException as exc:  # noqa: BLE001 - crash isolation
+            conn.send((False, _failure(index, point, exc),
+                       time.perf_counter() - t0))
+            return
+        conn.send((True, blob, time.perf_counter() - t0))
+
+
+@dataclass
+class _Worker:
+    """Parent-side handle of one worker process and its pipe end."""
+
+    proc: Any
+    conn: Any
+    #: Point index dispatched to this worker while it is busy.
+    index: int = -1
+    #: ``time.monotonic()`` of the dispatch (hang watchdog anchor).
+    started: float = 0.0
+
+
+class _Pool:
+    """Parent-side scheduler: dispatch, death and deadline detection.
+
+    The parent hands each worker exactly one point at a time, so every
+    unit of work is attributable -- a dead or hung worker implicates
+    exactly one known point -- and retries, timeouts and replacement
+    workers are race-free by construction.
     """
 
-    def __init__(self, cfg: _SweepConfig, n_jobs: int):
-        self.cfg = cfg
+    def __init__(self, sweep: _Sweep, n_jobs: int,
+                 point_timeout: float | None):
+        self.sweep = sweep
         self.n_jobs = n_jobs
+        self.point_timeout = point_timeout or None
         self.ctx = mp.get_context("spawn")
-        self.result_q = self.ctx.Queue()
-        self.workers: dict[int, _Worker] = {}
-        self._next_wid = 0
-        self.pending: list[int] = []          # indices awaiting dispatch
+        self.pending: deque[int] = deque()
         self.retry_at: list[tuple[float, int]] = []  # (monotonic, index) heap
-        self.attempts: dict[int, int] = {}
-        self.messages: list[tuple] = []
-        self.completed: set[int] = set()
-        self.last_event = time.monotonic()
+        self.idle: list[_Worker] = []
+        self.busy: list[_Worker] = []
 
-    # -- lifecycle ------------------------------------------------------
-
-    def spawn_worker(self) -> _Worker:
-        wid = self._next_wid
-        self._next_wid += 1
-        task_q = self.ctx.Queue()
-        proc = self.ctx.Process(
-            target=_worker_main,
-            args=(wid, self.cfg.fn, self.cfg.seed_kwarg, self.cfg.run,
-                  task_q, self.result_q),
-            daemon=True,
-        )
-        proc.start()
-        worker = _Worker(wid=wid, proc=proc, task_q=task_q)
-        self.workers[wid] = worker
-        return worker
-
-    def retire_worker(self, worker: _Worker, kill: bool = False) -> None:
-        self.workers.pop(worker.wid, None)
-        if worker.proc.is_alive():
-            if kill:
-                worker.proc.kill()
-            else:
-                worker.proc.terminate()
-        worker.task_q.cancel_join_thread()
-
-    def shutdown(self) -> None:
-        for worker in list(self.workers.values()):
-            if worker.proc.is_alive():
-                try:
-                    worker.task_q.put(None)
-                except Exception:  # pragma: no cover - queue torn down
-                    pass
-        deadline = time.monotonic() + 5.0
-        for worker in list(self.workers.values()):
-            worker.proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            if worker.proc.is_alive():
-                worker.proc.terminate()
-                worker.proc.join(timeout=1.0)
-            worker.task_q.cancel_join_thread()
-        self.result_q.cancel_join_thread()
+    def run(self, todo: list[int]) -> None:
+        self.pending.extend(todo)
+        try:
+            while self.sweep.unresolved():
+                self.dispatch()
+                ready = set(wait([o for w in self.busy
+                                  for o in (w.conn, w.proc.sentinel)],
+                                 self.wait_timeout()))
+                now = time.monotonic()
+                for worker in list(self.busy):
+                    if worker.conn in ready or worker.proc.sentinel in ready:
+                        self.collect(worker)
+                    elif (self.point_timeout is not None
+                          and now - worker.started >= self.point_timeout):
+                        self.lost(worker, "PointTimeout",
+                                  f"exceeded the {self.point_timeout:.1f}s "
+                                  f"hang watchdog; worker killed")
+        finally:
+            self.shutdown()
 
     # -- scheduling -----------------------------------------------------
 
-    def unresolved(self) -> int:
-        return len(self.cfg.points) - len(self.completed)
-
-    def promote_due_retries(self) -> None:
-        now = time.monotonic()
-        while self.retry_at and self.retry_at[0][0] <= now:
-            _, index = heapq.heappop(self.retry_at)
-            # A late result may have completed the point while its
-            # retry was waiting out the backoff.
-            if index not in self.completed:
-                self.pending.append(index)
+    def spawn(self) -> _Worker:
+        conn, child = self.ctx.Pipe()
+        proc = self.ctx.Process(
+            target=_worker_main,
+            args=(self.sweep.fn, self.sweep.seed_kwarg, self.sweep.run, child),
+            daemon=True,
+        )
+        proc.start()
+        # Only the worker holds the other end now, so its exit reads as
+        # EOF on ``conn``.
+        child.close()
+        return _Worker(proc=proc, conn=conn)
 
     def dispatch(self) -> None:
-        """Hand pending points to idle live workers, spawning up to the
-        job budget when dispatchable work outnumbers live workers."""
-        if not self.pending:
-            return
-        for worker in list(self.workers.values()):
-            if worker.index is None and not worker.proc.is_alive():
-                # Died while idle (exit-on-exception path): replace lazily.
-                self.retire_worker(worker)
-        busy = sum(1 for w in self.workers.values() if w.index is not None)
-        while self.pending and len(self.workers) < min(self.n_jobs,
-                                                       busy + len(self.pending)):
-            self.spawn_worker()
-        for worker in self.workers.values():
-            while self.pending and self.pending[0] in self.completed:
-                self.pending.pop(0)
-            if not self.pending:
-                break
-            if worker.index is not None:
+        """Queue due retries, then hand pending points to idle workers,
+        spawning up to the job budget."""
+        now = time.monotonic()
+        while self.retry_at and self.retry_at[0][0] <= now:
+            self.pending.append(heapq.heappop(self.retry_at)[1])
+        while self.pending and len(self.busy) < self.n_jobs:
+            worker = self.idle.pop() if self.idle else self.spawn()
+            if not worker.proc.is_alive():
+                self.retire(worker)
                 continue
-            index = self.pending.pop(0)
-            self.attempts[index] = self.attempts.get(index, 0) + 1
-            worker.index = index
-            worker.started = time.monotonic()
-            worker.task_q.put((index, self.cfg.points[index],
-                               self.cfg.seeds[index]))
-            self._progress({"event": "start", "index": index,
-                            "attempt": self.attempts[index]})
+            worker.index = self.pending.popleft()
+            worker.started = now
+            self.busy.append(worker)
+            try:
+                worker.conn.send(self.sweep.start(worker.index))
+            except OSError:
+                pass  # the worker is gone: its sentinel resolves the point
 
-    def _progress(self, ev: dict) -> None:
-        if self.cfg.progress is None:
-            return
-        index = ev["index"]
-        ev.setdefault("label", self.cfg.label)
-        ev.setdefault("point", self.cfg.points[index])
-        ev.setdefault("seed", self.cfg.seeds[index])
-        self.cfg.progress(ev)
+    def wait_timeout(self) -> float | None:
+        """Seconds until the earliest retry due time or point deadline."""
+        due = [self.retry_at[0][0]] if self.retry_at else []
+        if self.point_timeout is not None:
+            due += [w.started + self.point_timeout for w in self.busy]
+        return max(0.0, min(due) - time.monotonic()) if due else None
 
     # -- resolution -----------------------------------------------------
 
-    def resolve_ok(self, index: int, value, peak, wall: float,
-                   blob: bytes | None = None) -> None:
-        from repro.hw import memory as hw_memory
-
-        if index in self.completed:
+    def collect(self, worker: _Worker) -> None:
+        """Resolve ``worker``'s point from its reply or, when nothing is
+        left to read, from its death."""
+        try:
+            reply = worker.conn.recv() if worker.conn.poll() else None
+        except (EOFError, OSError):
+            reply = None
+        if reply is None:
+            self.lost(worker, "WorkerDied", "worker exited")
             return
-        hw_memory.record_peak(peak)
-        self.messages.append(("ok", index, value))
-        self.completed.add(index)
-        self.last_event = time.monotonic()
-        _journal_record(self.cfg, index, value, peak, blob=blob)
-        self._progress({"event": "done", "index": index, "ok": True,
-                        "wall_s": wall,
-                        "attempt": self.attempts.get(index, 1)})
-
-    def resolve_err(self, index: int, failure: PointFailure,
-                    wall: float = 0.0) -> bool:
-        """Retry a transient failure within budget, else quarantine.
-
-        Returns True when a retry was scheduled (the caller retires the
-        reporting worker, if still alive, so the retry runs on a fresh
-        process)."""
-        if index in self.completed:
-            return False
-        self.last_event = time.monotonic()
-        attempts = self.attempts.get(index, 1)
-        if (failure.error_type in self.cfg.transient
-                and attempts <= self.cfg.retries):
-            self._progress({"event": "retry", "index": index,
-                            "attempt": attempts,
-                            "error_type": failure.error_type})
-            backoff = self.cfg.retry_backoff * (2 ** (attempts - 1))
-            heapq.heappush(self.retry_at,
-                           (time.monotonic() + backoff, index))
-            return True
-        failure.attempts = attempts
-        failure.quarantined = self.cfg.on_error == "keep"
-        self.messages.append(("err", index, failure))
-        self.completed.add(index)
-        self._progress({"event": "done", "index": index, "ok": False,
-                        "wall_s": wall, "attempt": attempts})
-        return False
-
-    # -- failure detection ----------------------------------------------
-
-    def reap_dead_workers(self) -> None:
-        """Dead worker with a dispatched point -> WorkerDied failure."""
-        for worker in list(self.workers.values()):
-            if worker.proc.is_alive():
-                continue
-            index = worker.index
-            self.retire_worker(worker)
-            if index is None or index in self.completed:
-                continue
-            self.resolve_err(index, PointFailure(
-                index=index, point=self.cfg.points[index],
-                error_type="WorkerDied",
-                message=f"worker {worker.wid} exited with code "
-                        f"{worker.proc.exitcode} while running point "
-                        f"#{index}",
-            ))
-
-    def kill_overdue_workers(self) -> None:
-        """Per-point hang watchdog: kill and convert to PointTimeout."""
-        if not self.cfg.point_timeout:
-            return
-        now = time.monotonic()
-        for worker in list(self.workers.values()):
-            if worker.index is None:
-                continue
-            if now - worker.started <= self.cfg.point_timeout:
-                continue
-            index = worker.index
-            self.retire_worker(worker, kill=True)
-            self.resolve_err(index, PointFailure(
-                index=index, point=self.cfg.points[index],
-                error_type="PointTimeout",
-                message=f"point #{index} exceeded the "
-                        f"{self.cfg.point_timeout:.1f}s hang watchdog "
-                        f"(worker {worker.wid} killed)",
-            ), wall=now - worker.started)
-
-    def fail_stalled(self, why: str) -> None:
-        """Backstop: mark every unresolved point failed (no retry)."""
-        self.pending.clear()
-        self.retry_at.clear()
-        for index in range(len(self.cfg.points)):
-            if index in self.completed:
-                continue
-            self.attempts[index] = max(self.attempts.get(index, 1),
-                                       self.cfg.retries + 1)
-            self.resolve_err(index, PointFailure(
-                index=index, point=self.cfg.points[index],
-                error_type="WorkerDied", message=why,
-            ))
-
-
-def _sweep_pool(cfg: _SweepConfig, n_jobs: int) -> list:
-    from repro.hw import memory as hw_memory
-
-    pool = _Pool(cfg, n_jobs)
-
-    # Serve journaled points before any worker spawns.
-    for index in range(len(cfg.points)):
-        cached = _journal_lookup(cfg, index)
-        if cached is not None:
-            value, peak = cached
-            hw_memory.record_peak(peak)
-            pool.messages.append(("ok", index, value))
-            pool.completed.add(index)
-            pool._progress({"event": "done", "index": index, "ok": True,
-                            "wall_s": 0.0, "cached": True})
+        self.busy.remove(worker)
+        ok, payload, wall = reply
+        if ok:
+            value, peak = pickle.loads(payload)
+            self.idle.append(worker)
+            self.sweep.finish(worker.index, value, peak, wall, blob=payload)
         else:
-            pool.pending.append(index)
+            self.retire(worker)  # it exits after a failure anyway
+            self.failed(worker.index, payload, wall)
 
-    try:
-        while pool.unresolved():
-            pool.promote_due_retries()
-            pool.dispatch()
-            if not pool.workers and not pool.pending and not pool.retry_at:
-                pool.fail_stalled("all workers exited before running "
-                                  "this point")
-                continue
-            wait = 1.0
-            if pool.retry_at:
-                wait = min(wait, max(0.01,
-                                     pool.retry_at[0][0] - time.monotonic()))
-            try:
-                kind, wid, index, payload = pool.result_q.get(timeout=wait)
-            except Empty:
-                pool.reap_dead_workers()
-                pool.kill_overdue_workers()
-                if (pool.unresolved()
-                        and not any(w.proc.is_alive()
-                                    for w in pool.workers.values())
-                        and not pool.pending and not pool.retry_at):
-                    pool.fail_stalled("all workers exited before running "
-                                      "this point")
-                elif (pool.unresolved()
-                      and time.monotonic() - pool.last_event
-                      > cfg.run.stall_timeout
-                      and not pool.pending and not pool.retry_at
-                      and all(w.index is None
-                              for w in pool.workers.values())):
-                    # Nothing dispatched, nothing due, nothing arriving:
-                    # results were lost in transit (worker death races).
-                    pool.fail_stalled("sweep stalled after a worker death")
-                continue
-            worker = pool.workers.get(wid)
-            if worker is not None and worker.index == index:
-                worker.index = None
-            blob, wall = payload
-            value = pickle.loads(blob)
-            if kind == "ok":
-                result, peak = value
-                pool.resolve_ok(index, result, peak, wall, blob=blob)
-            else:
-                retried = pool.resolve_err(index, value, wall=wall)
-                if retried and worker is not None:
-                    # Fresh-worker discipline: the process that just
-                    # failed this point is idle (its private queue is
-                    # empty), so retiring it here is race-free; the
-                    # next dispatch spawns a clean replacement.
-                    pool.retire_worker(worker)
-    finally:
-        pool.shutdown()
+    def lost(self, worker: _Worker, error_type: str, what: str) -> None:
+        """``worker`` died or overran its deadline holding its point."""
+        self.busy.remove(worker)
+        self.retire(worker)
+        index = worker.index
+        self.failed(index, PointFailure(
+            index=index, point=self.sweep.points[index],
+            error_type=error_type,
+            message=f"point #{index}: {what} (pid {worker.proc.pid}, "
+                    f"exit code {worker.proc.exitcode})",
+        ), time.monotonic() - worker.started)
 
-    merged = merge_messages(len(cfg.points), pool.messages)
-    failures = [r for r in merged if isinstance(r, PointFailure)]
-    if failures and cfg.on_error == "raise":
-        raise SweepError(failures)
-    return merged
+    def failed(self, index: int, failure: PointFailure, wall: float) -> None:
+        backoff = self.sweep.fail(index, failure, wall)
+        if backoff is not None:
+            heapq.heappush(self.retry_at, (time.monotonic() + backoff, index))
+
+    # -- lifecycle ------------------------------------------------------
+
+    def retire(self, worker: _Worker) -> None:
+        if worker.proc.is_alive():
+            worker.proc.kill()
+        worker.proc.join()
+        worker.conn.close()
+
+    def shutdown(self) -> None:
+        """Close idle workers' pipes (they exit on EOF); kill the busy
+        ones, which only an exception in the parent leaves behind."""
+        for worker in self.busy:
+            worker.proc.kill()
+        for worker in self.idle + self.busy:
+            worker.conn.close()
+        deadline = time.monotonic() + 5.0
+        for worker in self.idle + self.busy:
+            worker.proc.join(timeout=max(0.0, deadline - time.monotonic()))
+            if worker.proc.is_alive():
+                worker.proc.kill()
+                worker.proc.join()

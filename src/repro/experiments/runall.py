@@ -18,10 +18,6 @@ Options:
                      this wall clock is killed and recorded as a
                      structured PointTimeout crash instead of wedging
                      the campaign (forces pool execution)
-    --stall-timeout SECS
-                     silence window after a worker death before the
-                     sweep declares lost points failed (default 30;
-                     x4 under --scale paper)
     --fluid          run every figure on the fluid-flow hybrid engine:
                      bulk transfers above the byte threshold advance as
                      rate-shared flows, control stays event-exact
@@ -75,11 +71,7 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.parallel import PointFailure, in_worker, sweep_map
 from repro.hw import memory as hw_memory
-from repro.runconfig import (
-    DEFAULT_FLUID_THRESHOLD,
-    DEFAULT_STALL_TIMEOUT,
-    RunConfig,
-)
+from repro.runconfig import DEFAULT_FLUID_THRESHOLD, RunConfig
 from repro.util import atomic_write
 
 __all__ = ["main", "run_figures", "run_one", "run_selected", "FIGURE_GROUPS"]
@@ -184,11 +176,6 @@ def _group_key(group: list[str], scale: str) -> str:
                      extra=runconfig.current().journal_extra)
 
 
-def _journal_safe(records: list[dict]) -> list[dict]:
-    """Strip live exception objects before pickling into the journal."""
-    return [{**rec, "exc": None} for rec in records]
-
-
 def run_selected(
     names: list[str] | None = None,
     scale: str = "quick",
@@ -220,80 +207,58 @@ def run_selected(
     jobs = max(1, int(jobs))
 
     # Resume: serve journaled groups, run only the remainder.
-    cached: dict[int, list[dict]] = {}
+    by_group: dict[int, list[dict]] = {}
     if journal is not None:
         for gi, group in enumerate(groups):
             hit = journal.lookup(_group_key(group, scale))
             if hit is not None:
                 records, peak = hit
                 hw_memory.record_peak(peak)
-                cached[gi] = records
+                by_group[gi] = records
                 if progress is not None:
                     progress({"event": "done", "label": "figures",
                               "index": gi, "point": (tuple(group), scale),
                               "ok": True, "wall_s": 0.0, "cached": True})
-    todo = [gi for gi in range(len(groups)) if gi not in cached]
+    todo = [gi for gi in range(len(groups)) if gi not in by_group]
 
     def _group_clean(records) -> bool:
         return bool(records) and all(r["error"] is None for r in records)
 
-    def _checkpoint(gi: int, records: list[dict]) -> None:
-        """WAL discipline: journal a fully-successful group *as it
-        completes*, so a kill at any later instant loses only in-flight
-        work (a write failure costs resumability, never correctness)."""
-        if journal is None or not _group_clean(records):
-            return
-        try:
-            journal.record(
-                _group_key(groups[gi], scale),
-                (_journal_safe(records), hw_memory.peak_stats()),
-                meta={"group": list(groups[gi]), "scale": scale},
-            )
-        except Exception:
-            pass
-
-    by_group: dict[int, list[dict]] = dict(cached)
-    if todo and (point_timeout is not None or (jobs > 1 and len(todo) > 1)):
-        points = [(tuple(groups[gi]), scale) for gi in todo]
+    # With one group left there is nothing to shard at figure level, so
+    # it runs in process and ``jobs`` parallelises the sweep points
+    # inside its figures instead; jobs == 1 is fully serial, nested
+    # sweeps included -- the reference execution every parallel mode
+    # must reproduce bit for bit.  A hang watchdog needs workers.
+    inline = point_timeout is None and (jobs == 1 or len(todo) == 1)
+    outer = runconfig.current()
+    runconfig.install(replace(outer, jobs=jobs))
+    try:
         outcomes = sweep_map(
-            _run_group, points, jobs=jobs, on_error="keep",
-            label="figures", progress=progress,
-            retries=retries, point_timeout=point_timeout,
-            # The pool journals each group the moment its worker
-            # reports in (same key scheme as _group_key).
-            journal=journal,
-            journal_if=_group_clean,
+            _run_group, [(tuple(groups[gi]), scale) for gi in todo],
+            jobs=1 if inline else jobs, on_error="keep", label="figures",
+            progress=progress, retries=retries, point_timeout=point_timeout,
+            # Each clean group is journaled the moment it completes
+            # (same key scheme as _group_key), so a kill at any later
+            # instant loses only in-flight work.
+            journal=journal, journal_if=_group_clean,
         )
-        for gi, outcome in zip(todo, outcomes):
-            if isinstance(outcome, PointFailure):
-                by_group[gi] = [
-                    {
-                        "name": name, "fig": None,
-                        "error": f"{outcome.error_type}: "
-                                 f"{outcome.message}",
-                        "traceback": outcome.traceback,
-                        "exc": None,
-                        "quarantined": outcome.quarantined,
-                        "attempts": outcome.attempts,
-                    }
-                    for name in groups[gi]
-                ]
-            else:
-                by_group[gi] = outcome
-    elif todo:
-        # In process.  With one group left there is nothing to shard at
-        # figure level, so ``jobs`` parallelises the sweep points inside
-        # the figure instead; jobs == 1 is fully serial, nested sweeps
-        # included -- the reference execution every parallel mode must
-        # reproduce bit for bit.
-        outer = runconfig.current()
-        runconfig.install(replace(outer, jobs=jobs))
-        try:
-            for gi in todo:
-                by_group[gi] = _run_group(tuple(groups[gi]), scale)
-                _checkpoint(gi, by_group[gi])
-        finally:
-            runconfig.install(outer)
+    finally:
+        runconfig.install(outer)
+    for gi, outcome in zip(todo, outcomes):
+        if isinstance(outcome, PointFailure):
+            by_group[gi] = [
+                {
+                    "name": name, "fig": None,
+                    "error": f"{outcome.error_type}: {outcome.message}",
+                    "traceback": outcome.traceback,
+                    "exc": None,
+                    "quarantined": outcome.quarantined,
+                    "attempts": outcome.attempts,
+                }
+                for name in groups[gi]
+            ]
+        else:
+            by_group[gi] = outcome
 
     records: list[dict] = []
     for gi in range(len(groups)):
@@ -353,10 +318,6 @@ def main(argv: list[str] | None = None) -> int:
                              "groups before quarantining them")
     parser.add_argument("--timeout", type=float, default=None,
                         help="per-figure-group hang watchdog in seconds")
-    parser.add_argument("--stall-timeout", type=float, default=None,
-                        help="worker-death stall window in seconds "
-                             f"(default {DEFAULT_STALL_TIMEOUT:g}; "
-                             "x4 under --scale paper)")
     parser.add_argument("--fluid", action="store_true",
                         help="run on the fluid-flow hybrid engine (bulk "
                              "transfers as rate-shared flows; approximate)")
@@ -378,13 +339,8 @@ def main(argv: list[str] | None = None) -> int:
     else:
         selected = list(ALL_FIGURES)
 
-    stall_timeout = args.stall_timeout
-    if stall_timeout is None and args.scale == "paper":
-        # Paper-scale points legitimately run for minutes.
-        stall_timeout = 4.0 * DEFAULT_STALL_TIMEOUT
-    run = RunConfig.resolve(
-        jobs=args.jobs, fluid=args.fluid,
-        fluid_threshold=args.fluid_threshold, stall_timeout=stall_timeout)
+    run = RunConfig.resolve(jobs=args.jobs, fluid=args.fluid,
+                            fluid_threshold=args.fluid_threshold)
     runconfig.install(run)
     if run.fluid:
         print("engine: fluid-flow hybrid "

@@ -1,8 +1,8 @@
 """How one command runs the simulator: :class:`RunConfig`, resolved once.
 
-Engine mode, job count and the worker stall window are choices about
-*running* the simulator, not about the machine or the protocol, so they
-are not :class:`~repro.hw.params.ClusterSpec` fields.  Each CLI entry
+Engine mode and job count are choices about *running* the simulator,
+not about the machine or the protocol, so they are not
+:class:`~repro.hw.params.ClusterSpec` fields.  Each CLI entry
 point (``runall``, ``soak``) resolves one config from its flags and
 installs it; sweep workers receive the parent's config as an argument
 and install it with ``jobs=1`` (a nested sweep never spawns a pool).
@@ -21,7 +21,6 @@ from typing import Optional
 
 __all__ = [
     "DEFAULT_FLUID_THRESHOLD",
-    "DEFAULT_STALL_TIMEOUT",
     "RunConfig",
     "current",
     "install",
@@ -39,10 +38,6 @@ __all__ = [
 #: exact engine's timing.
 DEFAULT_FLUID_THRESHOLD = 256 * 1024
 
-#: Seconds of silence after a worker death before a pool sweep fails
-#: its lost points (``runall --scale paper`` uses four times this).
-DEFAULT_STALL_TIMEOUT = 30.0
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -56,8 +51,6 @@ class RunConfig:
     fluid: bool = False
     #: Flow/event byte split for specs that leave ``fluid_threshold=None``.
     fluid_threshold: int = DEFAULT_FLUID_THRESHOLD
-    #: Pool sweeps' worker-death stall window, in seconds.
-    stall_timeout: float = DEFAULT_STALL_TIMEOUT
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -65,14 +58,10 @@ class RunConfig:
         if self.fluid_threshold < 1:
             raise ValueError(
                 f"fluid threshold must be >= 1, got {self.fluid_threshold}")
-        if self.stall_timeout < 1.0:
-            raise ValueError(
-                f"stall timeout must be >= 1 s, got {self.stall_timeout}")
 
     @classmethod
     def resolve(cls, *, jobs: Optional[int] = None, fluid: bool = False,
-                fluid_threshold: Optional[int] = None,
-                stall_timeout: Optional[float] = None) -> "RunConfig":
+                fluid_threshold: Optional[int] = None) -> "RunConfig":
         """The config a command line asks for: unset flags take their
         defaults, and an unset job count falls back to ``$REPRO_JOBS``."""
         if jobs is None:
@@ -85,8 +74,6 @@ class RunConfig:
             fluid=bool(fluid),
             fluid_threshold=(DEFAULT_FLUID_THRESHOLD if fluid_threshold is None
                              else fluid_threshold),
-            stall_timeout=(DEFAULT_STALL_TIMEOUT if stall_timeout is None
-                           else max(1.0, float(stall_timeout))),
         )
 
     @property

@@ -158,7 +158,7 @@ class TestRetryQuarantine:
     def test_worker_death_is_retried_on_fresh_worker(self, tmp_path):
         out = sweep_map(
             _flaky_until, [(str(tmp_path), 1, 3), (str(tmp_path), 0, 4)],
-            jobs=2, on_error="keep", retries=2, retry_backoff=0.01,
+            jobs=2, on_error="keep", retries=2,
             label="flaky")
         assert out == [30, 40]
         # The flaky point really did die once before succeeding.
@@ -168,7 +168,7 @@ class TestRetryQuarantine:
     def test_exhausted_retries_quarantine_the_point(self):
         out = sweep_map(
             _always_raises, [1], jobs=1, on_error="keep",
-            retries=2, retry_backoff=0.0, label="hopeless")
+            retries=2, label="hopeless")
         (failure,) = out
         assert isinstance(failure, PointFailure)
         assert failure.quarantined
@@ -185,22 +185,7 @@ class TestRetryQuarantine:
             raise ValueError("wrong answer, retrying will not help")
 
         out = sweep_map(bad, [1], jobs=1, on_error="keep",
-                        retries=5, retry_backoff=0.0, label="typed")
+                        retries=5, label="typed")
         assert isinstance(out[0], PointFailure)
         assert out[0].attempts == 1
         assert calls == [1]
-
-    def test_custom_transient_set_overrides_default(self):
-        attempts = []
-
-        def flaky(x):
-            attempts.append(x)
-            if len(attempts) < 2:
-                raise ValueError("transient by config")
-            return x
-
-        out = sweep_map(flaky, [7], jobs=1, on_error="keep", retries=1,
-                        retry_backoff=0.0, transient={"ValueError"},
-                        label="custom")
-        assert out == [7]
-        assert len(attempts) == 2

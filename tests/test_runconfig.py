@@ -50,7 +50,6 @@ def test_resolve_reads_only_repro_jobs(monkeypatch):
     assert RunConfig.resolve(jobs=2).jobs == 2
     monkeypatch.setenv("REPRO_JOBS", "many")
     assert RunConfig.resolve().jobs == 1
-    assert RunConfig.resolve(stall_timeout=0.1).stall_timeout == 1.0
     with pytest.raises(ValueError):
         RunConfig(fluid_threshold=0)
 
