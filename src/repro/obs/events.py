@@ -20,14 +20,16 @@ Beside the events the bus records **busy spans** (``ProcessContext.consume``
 calls :meth:`EventBus.span`); they are not rows of the event stream.  A
 fabric **arrow** is not recorded at all: it is the ``xfer.post`` and
 ``xfer.deliver`` rows of one ``xid``.  Storage is columnar
-(:class:`Columns`): no Python object per record, and :class:`ObsEvent`
-is built only when a row is asked for.
+(:class:`Columns`): no Python object per record or argument value, and
+:class:`ObsEvent` is built only when a row is asked for.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -97,57 +99,141 @@ class ObsEvent:
 
 _new_event = object.__new__
 
+#: Rows a shape stages before :meth:`_Shape.pack` moves them into its
+#: typed columns: bounds the boxed values alive at once.
+PACK_ROWS = 128
+#: Integer typecodes by width ('b' < 'h' < 'i' < 'q' as strings too), and their ranges.
+_RANGES = {code: (-1 << 8 * n - 1, (1 << 8 * n - 1) - 1) for code, n in zip("bhiq", (1, 2, 4, 8))}
+_TYPECODES = {int: "b", str: "b", bool: "b", float: "d"}
+_BOOLS = (False, True)
+
+
+class _Strings(dict):
+    """A recording's intern table: ``str -> code``, ``texts[code] -> str``."""
+
+    __slots__ = ("texts",)
+
+    def __init__(self):
+        self.texts: list[str] = []
+
+    def __missing__(self, text: str) -> int:
+        code = self[text] = len(self.texts)
+        self.texts.append(text)
+        return code
+
+
+class _Column:
+    """One argument key of one shape, by ``kind``, the one type of its values:
+    ``int`` in the narrowest ``array`` of 'b'/'h'/'i'/'q' holding them all
+    (widened in place), ``float`` in ``array('d')``, ``str`` and ``bool`` as
+    codes into ``table`` (the intern table's ``texts``, or ``(False, True)``);
+    else (``None``, tuples, ints past 64 bits, mixed types) a plain list."""
+
+    __slots__ = ("kind", "data", "table")
+
+    def __init__(self):
+        self.kind = self.data = self.table = None
+
+    def values(self) -> list:
+        return list(self.data if self.table is None else map(self.table.__getitem__, self.data))
+
+    def _as_list(self) -> None:
+        self.data, self.kind, self.table = self.values() if self.kind else [], list, None
+
+    def extend(self, vals: list, strings: _Strings) -> None:
+        if self.kind is not list:
+            types = set(map(type, vals))
+            kind = types.pop() if len(types) == 1 else list
+            if self.kind is None and kind in _TYPECODES:
+                self.kind, self.data = kind, array(_TYPECODES[kind])
+                self.table = strings.texts if kind is str else _BOOLS if kind is bool else None
+            elif kind is not self.kind:
+                self._as_list()
+        kind = self.kind
+        if kind is str:
+            vals = list(map(strings.__getitem__, vals))
+        if kind is int or kind is str:
+            lo, hi = min(vals), max(vals)
+            code = next((code for code, (low, high) in _RANGES.items()
+                         if low <= lo and hi <= high), None)
+            if code is None:
+                self._as_list()
+            elif code > self.data.typecode:
+                self.data = array(code, self.data)
+        self.data.extend(vals)
+
+
+class _Shape:
+    """One emission shape ``(cat, name, keys)``: its rows in emission order,
+    one :class:`_Column` per key (the ``i``-th row's value at ``i``), and
+    ``stage``, the values emitted since the last :meth:`pack`, flat."""
+
+    __slots__ = ("cat", "name", "keys", "rows", "cols", "stage", "strings")
+
+    def __init__(self, cat: str, name: str, keys: tuple, strings: _Strings):
+        self.cat, self.name, self.keys, self.strings = cat, name, keys, strings
+        self.rows = array("I")
+        self.cols = [_Column() for _ in keys]
+        self.stage: list = []
+
+    def pack(self) -> None:
+        for j, col in enumerate(self.cols):
+            col.extend(self.stage[j::len(self.keys)], self.strings)
+        self.stage.clear()
+
+    def values(self, pos: int) -> tuple:
+        """The argument values of this shape's ``pos``-th row, in ``keys`` order."""
+        if self.stage:
+            self.pack()
+        return tuple([col.data[pos] if col.table is None else col.table[col.data[pos]]
+                      for col in self.cols])
+
 
 class Columns:
     """One recording: parallel arrays, appended to and never edited (so a
     reader such as a Chrome-trace view keeps what it saw).
 
-    Event row ``r`` is at ``time[r]``, of shape ``shapes[shape[r]] ==
-    (cat, name, keys)``, on lane ``entities[entity[r]]``, with argument
-    values ``values[offset[r]:offset[r] + len(keys)]``; its ``seq`` is
-    ``base + r``; ``kinds[cat, name]`` indexes the rows of one kind.
-    Span ``i`` keeps lane ``entities[span_entity[i]]`` busy over
-    ``[span_start[i], span_end[i])``.  Codes widen from ``'H'`` to ``'I'``
-    past 65 535 lanes or shapes.
+    Event row ``r`` is at ``time[r]``, on lane ``entities[entity[r]]``, of
+    shape ``shapes[shape[r]]`` (a :class:`_Shape`), whose columns hold its
+    argument values at position ``bisect_left(shape.rows, r)``; its ``seq``
+    is ``base + r``.  Span ``i`` keeps lane ``entities[span_entity[i]]``
+    busy over ``[span_start[i], span_end[i])``.  Codes widen from ``'H'`` to
+    ``'I'`` past 65 535 lanes or shapes.  Values are read after :meth:`pack`.
     """
 
-    __slots__ = ("base", "time", "shape", "entity", "offset", "values",
-                 "shapes", "entities", "kinds", "span_entity", "span_start",
-                 "span_end", "_sites", "_entity_code")
+    __slots__ = ("base", "time", "shape", "entity", "shapes", "entities",
+                 "strings", "span_entity", "span_start", "span_end", "_sites",
+                 "_entity_code")
 
     def __init__(self, base: int = 0):
         self.base = base
         self.time = array("d")
         self.shape = array("H")
         self.entity = array("H")
-        self.offset = array("I")
-        self.values: list = []
-        self.shapes: list[tuple[str, str, tuple]] = []
+        self.shapes: list[_Shape] = []
         self.entities: list[str] = []
-        self.kinds: dict[tuple[str, str], array] = {}
+        self.strings = _Strings()
         self.span_entity = array("H")
         self.span_start = array("d")
         self.span_end = array("d")
         #: ``(cat, name, *site keyword order) -> (shape code, value picker
-        #: or None if the site spells its keys sorted, the kind's rows)``.
+        #: or None if the site spells its keys sorted, the shape's rows and
+        #: stage, the stage length that packs it)``.
         self._sites: dict[tuple, tuple] = {}
         self._entity_code: dict[str, int] = {}
 
     def _site(self, cat: str, name: str, order: tuple) -> tuple:
         keys = tuple(sorted(order))
-        shape = (cat, name, keys)
-        try:
-            code = self.shapes.index(shape)
-        except ValueError:
-            code = len(self.shapes)
-            self.shapes.append(shape)
+        code = next((code for code, sh in enumerate(self.shapes)
+                     if (sh.cat, sh.name, sh.keys) == (cat, name, keys)), len(self.shapes))
+        if code == len(self.shapes):
+            self.shapes.append(_Shape(cat, name, keys, self.strings))
             if code == 0x10000:
                 self.shape = array("I", self.shape)
-        rows = self.kinds.get((cat, name))
-        if rows is None:
-            rows = self.kinds[cat, name] = array("I")
+        sh = self.shapes[code]
         site = self._sites[(cat, name, *order)] = (
-            code, None if keys == order else itemgetter(*keys), rows)
+            code, None if keys == order else itemgetter(*keys), sh.rows, sh.stage,
+            PACK_ROWS * max(1, len(keys)))
         return site
 
     def _lane(self, entity: str) -> int:
@@ -161,37 +247,61 @@ class Columns:
     def __len__(self) -> int:
         return len(self.time)
 
+    def pack(self) -> None:
+        for sh in self.shapes:
+            if sh.stage:
+                sh.pack()
+
     def rows(self, cat: Optional[str] = None,
              name: Optional[str] = None) -> Sequence[int]:
         """Row numbers of the events of a kind, in emission order (read-only)."""
         if cat is None and name is None:
             return range(len(self.time))
-        if cat is not None and name is not None:
-            return self.kinds.get((cat, name), ())
-        return sorted(r for (c, n), rows in self.kinds.items()
-                      if (cat is None or c == cat) and (name is None or n == name)
-                      for r in rows)
+        runs = [sh.rows for sh in self.shapes
+                if (cat is None or sh.cat == cat) and (name is None or sh.name == name)]
+        return runs[0] if len(runs) == 1 else sorted(chain.from_iterable(runs))
 
-    def event(self, row: int) -> ObsEvent:
-        """Row ``row`` as an :class:`ObsEvent`."""
-        cat, name, keys = self.shapes[self.shape[row]]
-        off = self.offset[row]
+    def positions(self) -> array:
+        """Each row's position among its shape's rows: a pass over many rows
+        reads it here instead of a bisect per row."""
+        out = array("I", [0]) * len(self)
+        at = np.frombuffer(out, np.uint32)
+        for sh in self.shapes:
+            at[np.frombuffer(sh.rows, np.uint32)] = np.arange(len(sh.rows), dtype=np.uint32)
+        return out
+
+    def event(self, row: int, pos: Optional[int] = None) -> ObsEvent:
+        """Row ``row`` (at ``pos`` among its shape's rows) as an :class:`ObsEvent`."""
+        sh = self.shapes[self.shape[row]]
         ev = _new_event(ObsEvent)
         ev.time, ev.seq = self.time[row], self.base + row
-        ev.cat, ev.name, ev.entity = cat, name, self.entities[self.entity[row]]
-        ev.keys, ev.vals = keys, tuple(self.values[off:off + len(keys)])
+        ev.cat, ev.name, ev.entity = sh.cat, sh.name, self.entities[self.entity[row]]
+        ev.keys, ev.vals = sh.keys, sh.values(bisect_left(sh.rows, row) if pos is None else pos)
         return ev
 
     def arg(self, row: int, key: str, default=None):
-        keys = self.shapes[self.shape[row]][2]
-        return self.values[self.offset[row] + keys.index(key)] if key in keys else default
+        sh = self.shapes[self.shape[row]]
+        if key not in sh.keys:
+            return default
+        return sh.values(bisect_left(sh.rows, row))[sh.keys.index(key)]
 
     def column(self, rows: Iterable[int], key: str, default=None) -> list:
-        """Argument ``key`` of each of ``rows`` (``default`` where absent)."""
-        at = [keys.index(key) if key in keys else -1 for _, _, keys in self.shapes]
-        shape, offset, values = self.shape, self.offset, self.values
-        return [default if (i := at[shape[r]]) < 0 else values[offset[r] + i]
-                for r in rows]
+        """Argument ``key`` of each of ``rows`` (``default`` where absent):
+        each shape among ``rows`` reads its typed column whole, and its
+        values are scattered to their rows by position."""
+        self.pack()
+        rows = np.asarray(rows, dtype=np.intp)
+        codes = np.frombuffer(self.shape, self.shape.typecode)[rows]
+        out = np.empty(len(rows), object)
+        out.fill(default)
+        for code in np.flatnonzero(np.bincount(codes)).tolist():
+            sh = self.shapes[code]
+            if key in sh.keys:
+                vals = sh.cols[sh.keys.index(key)].values()
+                at = np.flatnonzero(codes == code)
+                pos = np.searchsorted(np.frombuffer(sh.rows, np.uint32), rows[at])
+                out[at] = np.fromiter(vals, object, len(vals))[pos]
+        return out.tolist()
 
     def arrows(self) -> tuple[array, array]:
         """Fabric arrows as ``(post rows, deliver rows)`` in delivery order:
@@ -278,7 +388,7 @@ class EventBus:
         site = c._sites.get((_cat, _name, *args))
         if site is None:
             site = c._site(_cat, _name, tuple(args))
-        code, pick, rows = site
+        code, pick, rows, stage, limit = site
         ent = c._entity_code.get(_entity)
         if ent is None:
             ent = c._lane(_entity)
@@ -287,9 +397,9 @@ class EventBus:
         c.time.append(self._time)
         c.shape.append(code)
         c.entity.append(ent)
-        values = c.values
-        c.offset.append(len(values))
-        values.extend(args.values() if pick is None else pick(args))
+        stage.extend(args.values() if pick is None else pick(args))
+        if len(stage) >= limit:
+            c.shapes[code].pack()
         if self._subscribers:
             ev = c.event(row)
             for fn in self._subscribers:
@@ -315,7 +425,7 @@ class EventBus:
 
     def __iter__(self) -> Iterator[ObsEvent]:
         c = self.columns
-        return map(c.event, range(len(c)))
+        return map(c.event, range(len(c)), c.positions())
 
     @property
     def events(self) -> list[ObsEvent]:

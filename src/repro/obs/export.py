@@ -25,9 +25,10 @@ import json
 import os
 import re
 from array import array
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import asdict, is_dataclass
-from itertools import chain
+from itertools import chain, repeat
 from operator import eq
 from pathlib import Path
 from typing import Optional
@@ -81,12 +82,12 @@ class _TraceView(Sequence):
         self._metadata, self._order, self._tid_of = metadata, order, tid_of
         self._cols, self._n_spans = cols, n_spans
         self._posts, self._delivers = arrows
-        self._labels = [f"{cat}.{name}" for cat, name, _ in cols.shapes]
+        self._labels = [f"{sh.cat}.{sh.name}" for sh in cols.shapes]
 
     def __len__(self) -> int:
         return len(self._metadata) + len(self._order)
 
-    def _row(self, r: int) -> dict:
+    def _row(self, r: int, pos=None) -> dict:
         c, tid_of = self._cols, self._tid_of
         if r < self._n_spans:
             start = c.span_start[r]
@@ -106,15 +107,15 @@ class _TraceView(Sequence):
             return row
         e = r - self._n_spans - 2 * len(self._posts)
         code = c.shape[e]
-        cat, _, keys = c.shapes[code]
-        off = c.offset[e]
-        return {"name": self._labels[code], "cat": cat, "ph": "i",
+        sh = c.shapes[code]
+        return {"name": self._labels[code], "cat": sh.cat, "ph": "i",
                 "ts": _us(c.time[e]), "pid": 0, "tid": tid_of[c.entity[e]],
-                "s": "t", "args": dict(zip(keys, c.values[off:off + len(keys)]))}
+                "s": "t", "args": dict(zip(sh.keys, sh.values(
+                    bisect_left(sh.rows, e) if pos is None else pos[e])))}
 
     def __iter__(self):
         yield from self._metadata
-        yield from map(self._row, self._order)
+        yield from map(self._row, self._order, repeat(self._cols.positions()))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -135,6 +136,85 @@ def _view(col: array) -> np.ndarray:
     return np.frombuffer(col, col.typecode)
 
 
+#: Rows per slice while the sort keys are filled: the temporaries of a
+#: slice (gathered indices, times) are this long, whatever the trace's.
+#: Even, so a slice of the arrow rows holds whole begin/end pairs.
+_CHUNK = 1 << 12
+
+
+def _ticks(t: np.ndarray) -> np.ndarray:
+    """``_us(t) * 1e4`` of each of ``t`` as a whole number, exactly: the
+    count of 0.1 ns ``_us`` rounds to.  Only a product within an ulp of a
+    rounding tie can round the other way; ``_us`` itself rounds those."""
+    tenths = t * 1e6 * 1e4
+    near = np.abs(tenths - np.floor(tenths) - 0.5) <= np.spacing(tenths)
+    tenths = np.rint(tenths)
+    if near.any():
+        tenths[near] = [round(_us(v) * 1e4) for v in t[near].tolist()]
+    return tenths
+
+
+def _order(c: Columns, posts: array, delivers: array, lane_tid: list) -> array:
+    """Build indexes (spans, arrow begin/end pairs, events) in file order:
+    by ``(ts, tid, ph, name)``, 'X' < 'b' < 'e' < 'i', ties in build order.
+    Two keys, filled slice by slice: ``ts`` as its count of 0.1 ns (exact:
+    see :func:`_ticks`; 32 bits when the run's counts fit them), and
+    ``(tid, ph, name rank)`` packed into one integer.  One stable
+    ``lexsort`` (primary key last), written straight into the kept array."""
+    # Row names are interned to first-appearance ids, ranked once known.
+    names = {"busy": 0}
+    shape_name = [names.setdefault(f"{sh.cat}.{sh.name}", len(names)) for sh in c.shapes]
+    labels = (f"{kind} {c.entities[c.entity[s]]}->{c.entities[c.entity[d]]}"
+              for kind, s, d in zip(c.column(posts, "kind"), posts, delivers))
+    arrow_name = np.fromiter((names.setdefault(label, len(names)) for label in labels),
+                             np.intp, len(posts))
+    rank_of = {label: i for i, label in enumerate(sorted(names))}
+    rank = [rank_of[label] for label in names]
+    n_spans, n_pairs = len(c.span_start), 2 * len(posts)
+    ph_at = len(rank).bit_length()
+    tid_at = ph_at + 2
+    kind = np.uint32 if (len(lane_tid) + 1) << tid_at <= 1 << 32 else np.uint64
+    lane = np.array(lane_tid, kind) << kind(tid_at)
+    ranks = np.array(rank, kind)
+    event_key, arrow_key = ranks[shape_name] | kind(3 << ph_at), ranks[arrow_name]
+    entity, shape, times = _view(c.entity), _view(c.shape), _view(c.time)
+    starts, post_rows, deliver_rows = _view(c.span_start), _view(posts), _view(delivers)
+    spread = [_us(float(f(v))) for v in (starts, times) if len(v) for f in (np.min, np.max)]
+    whole = 0 <= min(spread) and max(spread) * 1e4 < (1 << 32) - 1
+
+    def interleave(begins: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        return np.column_stack((begins, ends)).ravel()
+
+    def span_part(lo: int, hi: int) -> tuple:
+        return lane[_view(c.span_entity)[lo:hi]] | kind(rank[0]), starts[lo:hi]
+
+    def arrow_part(lo: int, hi: int) -> tuple:
+        a, b = lo // 2, hi // 2
+        key = lane[entity[post_rows[a:b]]] | arrow_key[a:b]
+        return (interleave(key | kind(1 << ph_at), key | kind(2 << ph_at)),
+                times[interleave(post_rows[a:b], deliver_rows[a:b])])
+
+    def event_part(lo: int, hi: int) -> tuple:
+        return lane[entity[lo:hi]] | event_key[shape[lo:hi]], times[lo:hi]
+
+    n = n_spans + n_pairs + len(c)
+    tie, ts = np.empty(n, kind), np.empty(n, np.uint32 if whole else np.int64)
+    at = 0
+    for size, part in ((n_spans, span_part), (n_pairs, arrow_part), (len(c), event_part)):
+        for lo in range(0, size, _CHUNK):
+            hi = min(size, lo + _CHUNK)
+            tie[at + lo:at + hi], t = part(lo, hi)
+            ts[at + lo:at + hi] = _ticks(t)
+        at += size
+    del arrow_key, arrow_name
+
+    order = np.lexsort((tie, ts))
+    del tie, ts
+    kept = array("I", [0]) * n
+    np.frombuffer(kept, np.uint32)[:] = order
+    return kept
+
+
 def chrome_trace(cluster=None, bus=None, process_name: str = "repro-sim") -> dict:
     """Build a Chrome ``trace_event`` JSON object for one run.
 
@@ -145,41 +225,14 @@ def chrome_trace(cluster=None, bus=None, process_name: str = "repro-sim") -> dic
     """
     bus = getattr(cluster, "bus", None) if bus is None else bus
     c = Columns() if bus is None else bus.columns
+    c.pack()
     posts, delivers = c.arrows()
-    n_spans, n_arrows, n_events = len(c.span_start), len(posts), len(c)
-
     # Every lane in the recording carries a span or an event: rank them.
     tid_of = {entity: i + 1 for i, entity in enumerate(sort_entities(c.entities))}
-    lane_tid = np.array([tid_of[entity] for entity in c.entities], dtype=np.int32)
-    # Row names are interned to first-appearance ids, ranked once known.
-    names = {"busy": 0}
-    shape_name = [names.setdefault(f"{cat}.{name}", len(names))
-                  for cat, name, _ in c.shapes]
-    ent = _view(c.entity)
-    src = ent[_view(posts)]
-    arrow_name = [names.setdefault(f"{kind} {c.entities[s]}->{c.entities[ent[d]]}",
-                                   len(names))
-                  for kind, s, d in zip(c.column(posts, "kind"), src.tolist(), delivers)]
-    rank_of = {label: i for i, label in enumerate(sorted(names))}
-    rank = np.array([rank_of[label] for label in names], dtype=np.int32)
-
-    # The four sort columns, rows in build order: spans, arrow pairs, events.
-    time = c.time
-    arrow_ts = (_us(time[r]) for pair in zip(posts, delivers) for r in pair)
-    ts = np.fromiter(chain(map(_us, c.span_start), arrow_ts, map(_us, time)),
-                     float, n_spans + 2 * n_arrows + n_events)
-    tid = np.concatenate((lane_tid[_view(c.span_entity)],
-                          np.repeat(lane_tid[src], 2), lane_tid[ent]))
-    name = np.concatenate((np.full(n_spans, rank[0], np.int32),
-                           np.repeat(rank[arrow_name], 2),
-                           rank[shape_name][_view(c.shape)]))
-    ph = np.concatenate((np.zeros(n_spans, np.uint8),
-                         np.tile(np.array([1, 2], np.uint8), n_arrows),
-                         np.full(n_events, 3, np.uint8)))
-    # Chrome sorts by ts; keep the file itself deterministic too: by
-    # (ts, tid, ph, name), 'X' < 'b' < 'e' < 'i', ties in build order
-    # (lexsort is stable and takes its primary key last).
-    order = np.lexsort((name, ph, tid, ts))
+    lane_tid = [tid_of[entity] for entity in c.entities]
+    # Nothing recorded, nothing to view: an empty run's document stays
+    # plain ``json.dumps`` material.
+    order = _order(c, posts, delivers, lane_tid) if len(c) or len(c.span_start) else None
 
     def meta(record: str, tid: int, args: dict) -> dict:
         return {"name": record, "ph": "M", "pid": 0, "tid": tid, "args": args}
@@ -189,11 +242,8 @@ def chrome_trace(cluster=None, bus=None, process_name: str = "repro-sim") -> dic
     for entity, tid in tid_of.items():
         metadata.append(meta("thread_name", tid, {"name": entity}))
         metadata.append(meta("thread_sort_index", tid, {"sort_index": tid}))
-    # Nothing recorded, nothing to view: an empty run's document stays
-    # plain ``json.dumps`` material.
-    rows = _TraceView(metadata, array("I", order.astype(np.uint32).tobytes()),
-                      lane_tid.tolist(), c, n_spans, (posts, delivers)) \
-        if len(order) else metadata
+    rows = metadata if order is None else _TraceView(
+        metadata, order, lane_tid, c, len(c.span_start), (posts, delivers))
     return {
         "traceEvents": rows,
         "displayTimeUnit": "ns",

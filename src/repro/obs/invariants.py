@@ -30,7 +30,7 @@ full:
 :func:`trace_violations` returns the violations as pointed human
 messages; :func:`check_trace` raises :class:`TraceInvariantError`
 carrying all of them.  Every check reads the columns it needs through
-the bus's per-kind row index; an :class:`~repro.obs.events.ObsEvent` is
+the bus's per-shape row arrays; an :class:`~repro.obs.events.ObsEvent` is
 built only to word a violation.
 """
 
@@ -230,9 +230,9 @@ def _check_flow_windows(c: Columns, out: list[str]) -> None:
     # the coarse model.  Shape and lane codes pick the candidate rows
     # before any row is read: a watched category and either a ``fid``
     # argument or a ``flow<fid>`` lane.
-    watched = [code for code, (cat, _, _) in enumerate(c.shapes)
-               if cat in ("proc", "ctrl", "wqe", "req", "group")]
-    with_fid = [code for code in watched if "fid" in c.shapes[code][2]]
+    watched = [code for code, sh in enumerate(c.shapes)
+               if sh.cat in ("proc", "ctrl", "wqe", "req", "group")]
+    with_fid = [code for code in watched if "fid" in c.shapes[code].keys]
     flow_lane = {code: int(name[4:]) for code, name in enumerate(c.entities)
                  if name.startswith("flow") and name[4:].isdigit()}
     shape = np.frombuffer(c.shape, c.shape.typecode)

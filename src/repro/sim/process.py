@@ -29,7 +29,7 @@ __all__ = ["Process"]
 class Process(Event):
     """Wraps a generator and advances it through simulated time."""
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "_target", "_closed", "name")
 
     def __init__(self, sim: Simulator, generator: Generator, name: str = ""):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -39,12 +39,13 @@ class Process(Event):
         #: The event this process is currently waiting on (None if running
         #: or finished).
         self._target: Optional[Event] = None
+        self._closed = False
         self.name = name or getattr(generator, "__name__", "process")
         if sim.bus is not None:
             sim.bus.emit("proc", "start", "sim", name=self.name)
         # Kick off at the current instant via an initialisation event
         # (pool-recycled: nothing holds it after the kick-off pop).
-        sim.call_at(sim._now, self._resume)
+        sim.call_at(sim._now, self._start)
 
     # -- public --------------------------------------------------------
     @property
@@ -79,13 +80,20 @@ class Process(Event):
     def close(self) -> None:
         """End of life without simulating: stop waiting and close the
         generator (its ``finally`` blocks run); a parked process stays
-        pending for good."""
+        pending for good, and so does one not started yet (its body never
+        runs when the kick-off comes)."""
         target, self._target = self._target, None
         if target is not None and target.callbacks is not None:
             target.callbacks.remove(self._resume)
+        self._closed = True
         self._generator.close()
 
     # -- engine --------------------------------------------------------
+    def _start(self, event: Event) -> None:
+        # The kick-off: a process closed before it never runs its body.
+        if not self._closed:
+            self._resume(event)
+
     def _resume(self, event: Event) -> None:
         # The hottest frame in the simulator: locals are bound once and
         # the generator's bound methods reused across the resume loop.

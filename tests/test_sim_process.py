@@ -57,6 +57,20 @@ class TestLifecycle:
         with pytest.raises(TypeError):
             sim.process(lambda: None)
 
+    def test_generator_like_object_runs(self, sim):
+        class Once:
+            """Has ``send`` and ``throw`` but is no Python generator."""
+
+            def send(self, value):
+                raise StopIteration(7)
+
+            def throw(self, exc):
+                raise exc
+
+        p = sim.process(Once())
+        sim.run()
+        assert p.value == 7
+
     def test_yielding_non_event_raises_inside_process(self, sim):
         def proc(sim):
             yield 42  # not an event
@@ -88,6 +102,29 @@ class TestLifecycle:
         p = sim.process(outer(sim))
         sim.run()
         assert p.value == 20 and sim.now == 2.0
+
+    def test_close_before_start_stays_pending(self, sim):
+        ran = []
+
+        def body(sim):
+            ran.append("body")
+            yield sim.timeout(1.0)
+
+        def waiter(sim, target):
+            yield target
+            ran.append("woken")
+
+        p = sim.process(body(sim))
+        w = sim.process(waiter(sim, p))
+        p.close()
+        sim.run()
+        assert ran == [] and p.is_alive and not p.triggered
+        assert w.is_alive
+        # Interrupting a process whose kick-off is still queued is refused,
+        # closed or not.
+        q = sim.process(body(sim))
+        with pytest.raises(SimulationError, match="running"):
+            q.interrupt()
 
 
 class TestInterrupt:
