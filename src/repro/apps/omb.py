@@ -17,7 +17,7 @@ from repro.apps.harness import OverlapResult, compute_with_tests, mean
 from repro.baselines.base import make_stack
 from repro.hw.params import ClusterSpec
 
-__all__ = ["pingpong_latency", "ialltoall_overlap", "run_ialltoall_series"]
+__all__ = ["pingpong_latency", "ialltoall_overlap"]
 
 
 def pingpong_latency(
@@ -123,15 +123,3 @@ def ialltoall_overlap(
         compute=compute_box[0],
     )
 
-
-def run_ialltoall_series(
-    flavors: list[str],
-    spec: ClusterSpec,
-    blocks: list[int],
-    **kw,
-) -> dict[str, list[OverlapResult]]:
-    """Sweep of :func:`ialltoall_overlap` across runtimes and sizes."""
-    return {
-        flavor: [ialltoall_overlap(flavor, spec, b, **kw) for b in blocks]
-        for flavor in flavors
-    }

@@ -6,9 +6,6 @@ works and what the paper's future-work hardware would change:
 * ``run_reg_cache_ablation`` -- Section VII-B's array-of-BST GVMI
   registration caches, on vs off, on a repeated Basic-primitive
   exchange (the cost they amortise is Fig 5's).
-* ``run_gvmi_cache_capacity_ablation`` -- bounded registration caches
-  (docs/RESOURCES.md): hit rate and steady-state latency as the host
-  GVMI cache's capacity sweeps past the working-set size.
 * ``run_group_cache_ablation`` -- Section VII-D's request caches, on vs
   off, on a repeated group alltoall.
 * ``run_proxy_sweep`` -- how many DPU worker processes per BlueField
@@ -29,7 +26,6 @@ from repro.offload import OffloadFramework, build_ialltoall
 
 __all__ = [
     "run_reg_cache_ablation",
-    "run_gvmi_cache_capacity_ablation",
     "run_group_cache_ablation",
     "run_proxy_sweep",
     "run_dpu_generation",
@@ -106,100 +102,6 @@ def run_reg_cache_ablation(scale: str = "quick") -> FigureResult:
         "without caches, every iteration cross-registers",
         xregs and all(x == iters for x in xregs),
         f"{xregs}",
-    )
-    return fig
-
-
-def run_gvmi_cache_capacity_ablation(scale: str = "quick") -> FigureResult:
-    """Bounded registration caches: the hit-rate/latency tradeoff.
-
-    docs/RESOURCES.md's eviction policy, measured: a hot buffer
-    interleaved with a rotating cold set (working set of 4 entries)
-    against host GVMI-cache capacities 1/2/4/unbounded.  Capacity 1
-    thrashes everything, 2 keeps the hot entry resident, 4 fits the
-    whole working set -- the same curve a Fig 5-style registration-cost
-    sweep produces, but driven by capacity instead of buffer size.
-    """
-    size = 32768
-    rounds = 5
-    n_cold = 3
-    caps = [1, 2, 4, None]
-    labels = [str(c) if c is not None else "unbounded" for c in caps]
-    hit_rates, steady, evictions = [], [], []
-    for cap in caps:
-        params = MachineParams().with_overrides(gvmi_cache_capacity=cap)
-        cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1,
-                                 params=params))
-        fw = OffloadFramework(cl)
-        barrier = SimBarrier(cl.sim, 2)
-        times: list[float] = []
-
-        def sender(sim):
-            ep = fw.endpoint(0)
-            hot = ep.ctx.space.alloc(size, fill=1)
-            colds = [ep.ctx.space.alloc(size, fill=2) for _ in range(n_cold)]
-            for r in range(rounds):
-                yield from barrier.arrive()
-                t0 = sim.now
-                for j, cold in enumerate(colds):
-                    tag = r * 2 * n_cold + 2 * j
-                    req = yield from ep.send_offload(hot, size, dst=1, tag=tag)
-                    yield from ep.wait(req)
-                    req = yield from ep.send_offload(cold, size, dst=1,
-                                                     tag=tag + 1)
-                    yield from ep.wait(req)
-                times.append(sim.now - t0)
-
-        def receiver(sim):
-            ep = fw.endpoint(1)
-            addr = ep.ctx.space.alloc(2 * n_cold * size)
-            for r in range(rounds):
-                yield from barrier.arrive()
-                for j in range(2 * n_cold):
-                    tag = r * 2 * n_cold + j
-                    req = yield from ep.recv_offload(addr + j * size, size,
-                                                     src=0, tag=tag)
-                    yield from ep.wait(req)
-
-        procs = [cl.sim.process(sender(cl.sim)),
-                 cl.sim.process(receiver(cl.sim))]
-        cl.sim.run(until=cl.sim.all_of(procs))
-        hits = cl.metrics.get("gvmi_cache.host.hit")
-        misses = cl.metrics.get("gvmi_cache.host.miss")
-        hit_rates.append(hits / max(1, hits + misses))
-        steady.append(mean(times[1:]) * 1e6)
-        evictions.append(cl.metrics.get("gvmi_cache.host.evict"))
-    fig = FigureResult(
-        fig_id="abl-cachecap",
-        title="Ablation: host GVMI-cache capacity (hit rate vs latency)",
-        series=[
-            Series("hit rate", labels, hit_rates, unit="frac"),
-            Series("steady-state round", labels, steady, unit="us"),
-            Series("evictions", labels, [float(e) for e in evictions],
-                   unit="#"),
-        ],
-        config={"scale": scale, "size": size, "rounds": rounds,
-                "working_set": n_cold + 1},
-    )
-    fig.check(
-        "hit rate is nondecreasing in capacity",
-        all(a <= b + 1e-12 for a, b in zip(hit_rates, hit_rates[1:])),
-        " -> ".join(f"{h:.2f}" for h in hit_rates),
-    )
-    fig.check(
-        "a capacity covering the working set matches unbounded",
-        abs(hit_rates[-2] - hit_rates[-1]) < 1e-9
-        and steady[-2] <= min(steady[:-2]) * 1.001,
-    )
-    fig.check(
-        "unbounded is fastest and never evicts",
-        evictions[-1] == 0 and steady[-1] <= min(steady) * 1.001,
-        f"evictions={evictions}",
-    )
-    fig.check(
-        "undersized capacities evict continuously",
-        all(e > 0 for e in evictions[:-1]),
-        f"{evictions}",
     )
     return fig
 
@@ -338,10 +240,3 @@ def run_dpu_generation(scale: str = "quick") -> FigureResult:
         " / ".join(f"{k}={v:.2f}x" for k, v in gaps.items()),
     )
     return fig
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for fn in (run_reg_cache_ablation, run_gvmi_cache_capacity_ablation,
-               run_group_cache_ablation, run_proxy_sweep, run_dpu_generation):
-        print(fn().render())
-        print()

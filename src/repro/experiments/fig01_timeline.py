@@ -154,7 +154,3 @@ def run(scale: str = "quick") -> FigureResult:
         f"MPI {mpi_t:.1f}us",
     )
     return fig
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

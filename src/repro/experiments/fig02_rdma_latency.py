@@ -78,7 +78,3 @@ def run(scale: str = "quick") -> FigureResult:
         all(d >= h * 0.999 for d, h in zip(dpu, host)),
     )
     return fig
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

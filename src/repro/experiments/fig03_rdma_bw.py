@@ -85,7 +85,3 @@ def run(scale: str = "quick") -> FigureResult:
     )
     fig.check("host path is never slower", all(r <= 1.001 for r in normalised))
     return fig
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -92,7 +92,3 @@ def run(scale: str = "quick") -> FigureResult:
         all(g < st for g, st in zip(gvmi, staged)),
     )
     return fig
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -76,7 +76,3 @@ def run(scale: str = "quick") -> FigureResult:
         f"reg {total:.0f}us vs wire {wire:.0f}us",
     )
     return fig
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

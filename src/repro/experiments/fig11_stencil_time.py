@@ -44,7 +44,3 @@ def run(scale: str = "quick") -> FigureResult:
         f"best improvement {best:.1f}%",
     )
     return fig
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

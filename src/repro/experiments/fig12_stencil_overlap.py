@@ -46,7 +46,3 @@ def run(scale: str = "quick") -> FigureResult:
         f"{prop[-1]:.0f}% vs {intel[-1]:.0f}%",
     )
     return fig
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

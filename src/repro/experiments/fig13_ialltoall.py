@@ -90,7 +90,3 @@ def run(scale: str = "quick") -> FigureResult:
         ),
     )
     return fig
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

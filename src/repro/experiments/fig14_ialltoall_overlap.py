@@ -61,7 +61,3 @@ def run(scale: str = "quick") -> FigureResult:
         f"{min(min(prop), min(blues)):.0f}%",
     )
     return fig
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -150,7 +150,3 @@ def run(scale: str = "quick") -> FigureResult:
         f"e.g. {simple_ctrl[0]:.0f} -> {group_ctrl[0]:.0f} per iteration",
     )
     return fig
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -79,7 +79,3 @@ def run(scale: str = "quick") -> FigureResult:
         "mpi: " + ", ".join(f"{k}={v * 1e3:.2f}ms" for k, v in mpi_times.items()),
     )
     return fig
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -61,7 +61,3 @@ def run(scale: str = "quick") -> FigureResult:
         f"{(1 - prop[0] / ibc[0]) * 100:.1f}%",
     )
     return fig
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

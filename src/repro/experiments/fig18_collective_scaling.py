@@ -264,7 +264,3 @@ def run(scale: str = "quick") -> FigureResult:
         f"{len(lat)} points, up to {ranks[-1]} ranks",
     )
     return fig
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -258,7 +258,3 @@ def run(scale: str = "quick") -> FigureResult:
             f"difference ratio {r3:.2f}",
         )
     return fig
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

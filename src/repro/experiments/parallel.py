@@ -75,7 +75,6 @@ __all__ = [
     "sweep_map",
     "merge_messages",
     "point_seeds",
-    "in_worker",
 ]
 
 #: Set in worker processes: nested sweeps must not spawn pools.
@@ -99,11 +98,6 @@ TRANSIENT_ERROR_TYPES = frozenset({
 #: Seconds before a failed point's first retry; each further retry of
 #: the same point waits twice as long as the one before.
 RETRY_BACKOFF = 0.05
-
-
-def in_worker() -> bool:
-    """True inside a sweep worker process."""
-    return _IN_WORKER
 
 
 def _resolve_jobs(jobs: int | None, n_points: int) -> int:

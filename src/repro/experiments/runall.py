@@ -69,12 +69,12 @@ from repro.experiments.campaign import (
     classify_campaign,
     point_key,
 )
-from repro.experiments.parallel import PointFailure, in_worker, sweep_map
+from repro.experiments.parallel import PointFailure, sweep_map
 from repro.hw import memory as hw_memory
 from repro.runconfig import DEFAULT_FLUID_THRESHOLD, RunConfig
 from repro.util import atomic_write
 
-__all__ = ["main", "run_figures", "run_one", "run_selected", "FIGURE_GROUPS"]
+__all__ = ["main", "run_one", "run_selected", "FIGURE_GROUPS"]
 
 #: Figures that must run in the same worker because they share one
 #: memoised application sweep (running them apart would recompute it).
@@ -137,11 +137,6 @@ def _run_group(names: tuple, scale: str) -> list[dict]:
             "error": None if exc is None else repr(exc),
             "traceback": None if exc is None else "".join(
                 traceback.format_exception(exc)),
-            # The live exception for in-process callers (run_figures
-            # re-raises it); dropped in workers, where the record
-            # crosses a pickle boundary and the string form is the
-            # reliable representation.
-            "exc": None if in_worker() else exc,
         })
     return records
 
@@ -189,11 +184,8 @@ def run_selected(
 
     Returns one record per figure, in canonical figure order:
     ``{"name", "fig": FigureResult | None, "error": str | None,
-    "traceback": str | None, "exc": BaseException | None}``.  ``exc``
-    is the live exception when the figure ran in this process and None
-    when it ran in a worker or was served from a journal; every other
-    field is identical for every ``jobs`` value -- only the wall clock
-    changes.
+    "traceback": str | None}``, identical for every ``jobs`` value --
+    only the wall clock changes.
 
     With ``journal`` set, every fully-successful figure group is
     durably recorded under a content key of (group, scale) and skipped
@@ -251,7 +243,6 @@ def run_selected(
                     "name": name, "fig": None,
                     "error": f"{outcome.error_type}: {outcome.message}",
                     "traceback": outcome.traceback,
-                    "exc": None,
                     "quarantined": outcome.quarantined,
                     "attempts": outcome.attempts,
                 }
@@ -264,24 +255,6 @@ def run_selected(
     for gi in range(len(groups)):
         records.extend(by_group[gi])
     return records
-
-
-def run_figures(names: list[str], scale: str = "quick", jobs: int = 1) -> list:
-    """Run several figures, raising on the first failure (library use).
-
-    Serial runs re-raise the figure's original exception; sharded runs
-    (where the exception object stayed in the worker) raise a
-    ``RuntimeError`` carrying the worker's formatted traceback.
-    """
-    results = []
-    for rec in run_selected(names, scale=scale, jobs=jobs):
-        if rec["error"] is not None:
-            if rec.get("exc") is not None:
-                raise rec["exc"]
-            raise RuntimeError(
-                f"{rec['name']} failed: {rec['error']}\n{rec['traceback']}")
-        results.append(rec["fig"])
-    return results
 
 
 def _print_progress(ev: dict) -> None:

@@ -23,7 +23,7 @@ from repro.hw.faults import (
     ProxyKillPlan,
     RetryPolicy,
 )
-from repro.hw.topology import FatTreeTopology, PATH_SELECTORS, ecmp_hash
+from repro.hw.topology import FatTreeTopology, ecmp_hash
 from repro.hw.node import Node, ProcessContext
 from repro.hw.cluster import Cluster
 from repro.hw.metrics import Metrics
@@ -46,7 +46,6 @@ __all__ = [
     "Node",
     "OFFLOAD_CONTROL_KINDS",
     "PAGE_SIZE",
-    "PATH_SELECTORS",
     "ProcessContext",
     "ProxyKillPlan",
     "RetryPolicy",

@@ -76,6 +76,9 @@ class Cluster:
         #: Optional :class:`~repro.hw.faults.FaultPlan` (chaos testing);
         #: installed via :meth:`install_faults`, None for clean runs.
         self.fault_plan = None
+        #: Set by ``OffloadFramework`` at Init_Offload, which reads
+        #: :attr:`fault_plan` once: a plan installed later is refused.
+        self.offload_initialized = False
         #: Optional :class:`~repro.hw.faults.LinkDegradePlan` (fluid
         #: mode only); installed via :meth:`install_link_degrade`.
         self.link_plan = None
@@ -112,9 +115,7 @@ class Cluster:
             engine = FlowEngine(self.sim, threshold=self.fluid_threshold)
             self.sim.attach_flow_engine(engine)
             if spec.nodes_per_switch > 0:
-                rng = (self.rng.stream("ecmp-paths")
-                       if spec.path_selector == "random" else None)
-                self.topology = FatTreeTopology(spec, rng=rng, engine=engine)
+                self.topology = FatTreeTopology(spec)
             self.fabric.attach_flow_engine(engine, self.fluid_threshold,
                                            topology=self.topology)
 
@@ -138,10 +139,15 @@ class Cluster:
         """Attach a :class:`~repro.hw.faults.FaultPlan` to this machine.
 
         Binds the plan to the cluster's seeded RNG registry and hands it
-        to the fabric.  Must happen before traffic flows (ideally right
-        after construction); scheduled proxy kills are armed by
-        ``OffloadFramework`` at Init_Offload time.
+        to the fabric.  Must happen before traffic flows and before an
+        ``OffloadFramework`` is built: Init_Offload reads the plan to
+        build the recovery layer and arm scheduled proxy kills, so a
+        later plan would drop messages nothing recovers.
         """
+        if self.offload_initialized:
+            raise ValueError(
+                "install_faults after OffloadFramework(cluster): install the "
+                "fault plan first, then build the framework")
         self.fault_plan = plan.bind(self)
         self.fabric.fault_plan = self.fault_plan
         if self.bus is not None:
@@ -197,6 +203,3 @@ class Cluster:
     def same_node(self, rank_a: int, rank_b: int) -> bool:
         return self.spec.node_of_rank(rank_a) == self.spec.node_of_rank(rank_b)
 
-    def run(self, until=None):
-        """Convenience passthrough to the simulator."""
-        return self.sim.run(until=until)

@@ -47,19 +47,6 @@ class Metrics:
     def __iter__(self) -> Iterator[tuple[str, float]]:
         return iter(sorted(self._counters.items()))
 
-    def with_prefix(self, prefix: str) -> dict[str, float]:
-        """All counters under ``prefix.`` (key is returned un-prefixed).
-
-        An empty prefix returns every counter unchanged (there is no
-        ``"."`` level to strip).
-        """
-        if not prefix:
-            return dict(self._counters)
-        cut = len(prefix) + 1
-        return {
-            k[cut:]: v for k, v in self._counters.items() if k.startswith(prefix + ".")
-        }
-
     # -- histograms -------------------------------------------------------
     def observe(self, key: str, value: float) -> None:
         """Record one sample into the histogram named ``key``."""
@@ -110,13 +97,3 @@ class Metrics:
     def reset(self) -> None:
         self._counters.clear()
         self._hists.clear()
-
-    def report(self) -> str:
-        lines = [f"{k:<48s} {v:>14.3f}" for k, v in self]
-        for key, hist in self.hists():
-            if hist:
-                lines.append(
-                    f"{key:<48s} n={hist.count} p50={hist.p50:.3e} "
-                    f"p95={hist.p95:.3e} p99={hist.p99:.3e}"
-                )
-        return "\n".join(lines)

@@ -77,13 +77,6 @@ class Hca:
         }
 
     # -- cost helpers -----------------------------------------------------
-    def injection_gap(self, initiator: str) -> float:
-        if initiator == "host":
-            return self.params.host_injection_gap
-        if initiator == "dpu":
-            return self.params.dpu_injection_gap
-        raise ValueError(f"unknown initiator kind {initiator!r}")
-
     def post_overhead(self, initiator: str) -> float:
         if initiator == "host":
             return self.params.host_post_overhead
@@ -98,13 +91,6 @@ class Hca:
             return self.params.dpu_memory_bandwidth
         raise ValueError(f"unknown memory kind {mem!r}")
 
-    def path_bandwidth(self, src_mem: str, dst_mem: str) -> float:
-        return min(
-            self.memory_bandwidth(src_mem),
-            self.params.wire_bandwidth,
-            self.memory_bandwidth(dst_mem),
-        )
-
     def serialization_time(
         self, size: int, initiator: str, src_mem: str, dst_mem: str
     ) -> float:
@@ -116,8 +102,8 @@ class Hca:
         try:
             bw = self._bw[(src_mem, dst_mem)]
         except KeyError:
-            # Re-derive through the validating helpers for the error text.
-            bw = self.path_bandwidth(src_mem, dst_mem)
+            bad = dst_mem if src_mem in MEM_KINDS else src_mem
+            raise ValueError(f"unknown memory kind {bad!r}") from None
         return max(gap, size / bw)
 
     def count_post(self, initiator: str, size: int) -> None:

@@ -161,9 +161,6 @@ class MachineParams:
     max_outstanding_offloads: Optional[int] = None
     #: Max incomplete one-sided SHMEM ops per PE before put/get blocks.
     shmem_queue_depth: Optional[int] = None
-    #: Completion-queue depth for QueuePairs: more than this many
-    #: unpolled completions overflows the CQ (fatal, as on hardware).
-    cq_depth: Optional[int] = None
 
     # ----- thousand-rank scale-out (docs/PERFORMANCE.md "Scaling") -------
     # All default to None / False = byte-identical to the pre-scale-out
@@ -263,11 +260,6 @@ class ClusterSpec:
     #: capacity, so ``nodes_per_switch / spine_count`` is the tree's
     #: oversubscription ratio.
     spine_count: int = 1
-    #: How cross-leaf flows pick among the ``spine_count`` equal-cost
-    #: uplinks: ``"ecmp"`` (deterministic per-pair hash, the default),
-    #: ``"random"`` (seeded per-flow choice) or ``"least"`` (per-flow
-    #: least-loaded).  See ``repro.hw.topology.PATH_SELECTORS``.
-    path_selector: str = "ecmp"
     #: Fluid-flow hybrid mode (docs/PERFORMANCE.md): ``True`` routes
     #: bulk transfers above :attr:`fluid_threshold` into the rate-shared
     #: :class:`~repro.sim.flows.FlowEngine`; ``False`` forces the exact
@@ -298,11 +290,6 @@ class ClusterSpec:
             raise ValueError("more proxies than DPU cores")
         if self.spine_count < 1:
             raise ValueError("need at least one spine uplink")
-        if self.path_selector not in ("ecmp", "random", "least"):
-            raise ValueError(
-                f"unknown path_selector {self.path_selector!r}; "
-                f"expected 'ecmp', 'random' or 'least'"
-            )
         if self.fluid_threshold is not None and self.fluid_threshold < 1:
             raise ValueError("fluid_threshold must be at least one byte")
 

@@ -119,6 +119,7 @@ class OffloadFramework:
         #: there is a policy, so a clean run (no plan, no policy) is
         #: bit-identical to a build without the chaos machinery.
         self.fault_plan = cluster.fault_plan
+        cluster.offload_initialized = True
         if retry is None and self.fault_plan is not None:
             retry = RetryPolicy()
         self.retry = retry

@@ -24,7 +24,7 @@ from repro.sim.core import (
 )
 from repro.sim.flows import Flow, FlowEngine, fair_shares, fair_shares_links
 from repro.sim.process import Process
-from repro.sim.resources import PriorityStore, Resource, Store
+from repro.sim.resources import Resource, Store
 from repro.sim.rng import RngRegistry, spawn_seed
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "Flow",
     "FlowEngine",
     "Interrupt",
-    "PriorityStore",
     "Process",
     "Resource",
     "RngRegistry",

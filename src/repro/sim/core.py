@@ -149,14 +149,6 @@ class Event:
         self.sim._schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Mirror another event's outcome (used by condition plumbing)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event._defused = True
-            self.fail(event._value)
-
     def defuse(self) -> None:
         """Declare a failure as handled so the kernel does not crash."""
         self._defused = True
@@ -232,9 +224,6 @@ class _Condition(Event):
         if self._satisfied():
             self.succeed(self._results)
 
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
 
 class AllOf(_Condition):
     """Succeeds once every child event has succeeded."""
@@ -286,7 +275,7 @@ class Simulator:
         #: the kernel entirely observation-free.
         self.bus = None
         #: Free lists of processed, unreferenced Timeout / plain Event
-        #: instances (see :meth:`step` for the recycling condition).
+        #: instances (see :meth:`run` for the recycling condition).
         self._timeout_pool: list[Timeout] = []
         self._event_pool: list[Event] = []
         #: Number of events processed so far (diagnostics/determinism tests).
@@ -303,10 +292,10 @@ class Simulator:
     def attach_flow_engine(self, engine) -> None:
         """Interleave a fluid :class:`~repro.sim.flows.FlowEngine`.
 
-        The engine schedules its own wake events on this queue (via
-        :meth:`schedule_at`), so flow progress and event-exact control
-        traffic advance on one clock.  Its probe joins the deadlock
-        watchdog so a hung run names in-flight flows.
+        The engine schedules its own wake events on this queue, so flow
+        progress and event-exact control traffic advance on one clock.
+        Its probe joins the deadlock watchdog so a hung run names
+        in-flight flows.
         """
         self.flow_engine = engine
         self.watchdog_probes.append(engine.probe)
@@ -346,7 +335,7 @@ class Simulator:
         pool = self._event_pool
         if pool:
             # Recycled instances are fully reset to pending state at
-            # recycle time (see the pool branch in :meth:`step`).
+            # recycle time (see the pool branch in :meth:`run`).
             return pool.pop()
         return Event(self)
 
@@ -432,87 +421,23 @@ class Simulator:
         ev.callbacks.append(fn)
         self._schedule_at(ev, when)
 
-    def schedule_at(self, event: Event, when: float) -> None:
-        """Public absolute-time scheduling (see :meth:`_schedule_at`).
-
-        Used by the fluid :class:`~repro.sim.flows.FlowEngine`: predicted
-        flow drains and protocol tails are closed-form absolute floats,
-        and relative-delay re-rounding would drift off the event-exact
-        chain by an ulp.
-        """
-        self._schedule_at(event, when)
-
-    def step(self) -> None:
-        """Pop and process one event."""
-        cur = self._cur
-        if cur:
-            event = cur.popleft()
-        else:
-            if not self._times:
-                raise SimulationError("step() with no scheduled event")
-            # The instant is spent: move on to the next one and make
-            # what is due then the new ``_cur``.
-            self._now = when = heappop(self._times)
-            event = self._buckets.pop(when)
-            if type(event) is list:
-                cur.extend(event)
-                event = cur.popleft()
-        callbacks = event.callbacks
-        event.callbacks = None
-        if len(callbacks) == 1:
-            # Dominant case: exactly one waiter (a suspended process).
-            callbacks[0](event)
-        else:
-            for cb in callbacks:
-                cb(event)
-        self.processed_events += 1
-        if not event._ok and not event._defused:
-            # A failure that nothing consumed: crash loudly rather than
-            # silently losing the exception.
-            raise event._value
-        # Recycle fully-consumed timeouts and plain events.  getrefcount
-        # == 2 means the only references left are our local `event` and
-        # the getrefcount argument itself: popleft() already dropped the
-        # queue's, and no process, condition, or user code still holds
-        # the object (both classes use __slots__ with no weakref slot,
-        # so there is no hidden aliasing).  The emptied callbacks list
-        # is reused too, so a pooled instance costs zero allocations.
-        cls = type(event)
-        if cls is Timeout:
-            if getrefcount(event) == 2:
-                pool = self._timeout_pool
-                if len(pool) < self._TIMEOUT_POOL_MAX:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    event._value = None
-                    event._scheduled = False
-                    pool.append(event)
-        elif cls is Event:
-            if getrefcount(event) == 2:
-                pool = self._event_pool
-                if len(pool) < self._TIMEOUT_POOL_MAX:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    event._value = PENDING
-                    event._ok = True
-                    event._scheduled = False
-                    event._defused = False
-                    pool.append(event)
-
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the queue is empty, a deadline passes, or an event fires.
 
         ``until`` may be a time (run up to and including that instant) or
         an :class:`Event` (run until it is processed; returns its value).
         Stopping on an event may leave the rest of its instant in
-        ``_cur``; the next ``run``/``step`` carries on from there.
+        ``_cur``; the next ``run`` carries on from there.
 
-        The body of :meth:`step` is inlined into the loop below (with
-        the queue, pools and helpers bound to locals): the loop runs once
-        per simulated event, and the per-iteration call/attribute
-        overhead of delegating to ``step`` is the single largest fixed
-        cost of the engine.  Any change here must be mirrored in
-        :meth:`step`, which remains the single-event API.
+        This is the kernel's only loop.  The queue, pools and helpers
+        are bound to locals because the loop runs once per simulated
+        event.  A processed Timeout or plain Event goes back to its free
+        list when ``getrefcount`` says nothing else holds it (2: the
+        local ``event`` and the call's own argument); ``popleft()`` has
+        already dropped the queue's reference, and both classes use
+        ``__slots__`` without a weakref slot, so there is no hidden
+        alias.  The emptied callbacks list is reused too, so a pooled
+        instance costs no allocation.
         """
         if isinstance(until, Event):
             sentinel = until

@@ -420,18 +420,6 @@ class FlowEngine:
             return 1.0
         return self._ep_caps.get(eid, 1.0)
 
-    def link_load(self, key: Any) -> int:
-        """In-flight flows (active + pending) crossing a link.
-
-        Feeds the ``"least"`` path selector; a flow crossing the link
-        twice counts twice, mirroring the solver's incidence load.
-        """
-        eid = self._endpoints.get(key)
-        if eid is None:
-            return 0
-        return (int(np.count_nonzero(self._pad == eid))
-                + sum(f.path.count(eid) for f in self._pending))
-
     def link_utilization(self) -> dict:
         """Integrated busy port-seconds per link since construction.
 

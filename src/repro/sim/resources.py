@@ -2,14 +2,12 @@
 
 These are the synchronisation primitives the hardware models are built
 from: a NIC injection engine is a :class:`Resource` with capacity 1, a
-control-message channel is a :class:`Store`, a proxy's inbound packet
-queue is a :class:`PriorityStore`, and so on.
+control-message channel is a :class:`Store`, and so is a proxy's
+inbound queue.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
 from typing import Any, Callable, Optional
 
@@ -25,7 +23,7 @@ from repro.sim.core import PENDING, Event, SimulationError, Simulator
 # granted, a putter/getter leaves its list when served).  Any change
 # here must stay equivalent to Event.succeed.
 
-__all__ = ["Resource", "Store", "PriorityStore"]
+__all__ = ["Resource", "Store"]
 
 
 class Request(Event):
@@ -213,7 +211,7 @@ class Store:
     def _dispatch(self) -> None:
         # Serve getters in FIFO order; a blocked filter-getter does not
         # block later getters (needed for tag matching).  Event.succeed
-        # only schedules -- callbacks run at a later step() -- so no
+        # only schedules -- callbacks run when the loop pops it -- so no
         # reentrant mutation can happen mid-scan and the lists can be
         # indexed directly instead of snapshotted each round.
         while True:
@@ -228,69 +226,6 @@ class Store:
                         served = True
                         break
                 if served:
-                    break
-            if not served:
-                return
-
-
-class PriorityStore(Store):
-    """A store that always yields the smallest item first.
-
-    Items must be orderable; use ``(priority, seq, payload)`` tuples.
-    """
-
-    def __init__(self, sim: Simulator, capacity: float = float("inf")):
-        super().__init__(sim, capacity)
-        self._counter = itertools.count()
-
-    # Heap-ordered items: the FIFO fast paths in Store.put/get (plain
-    # append / items[0] pop) would corrupt the heap, so both fall back
-    # to the general putter/getter machinery here.
-    def put(self, item: Any) -> Event:
-        ev = self.sim.event()
-        self._putters.append((ev, item))
-        self._dispatch()
-        return ev
-
-    def get(self, filt: Optional[Callable[[Any], bool]] = None) -> Event:
-        ev = self.sim.event()
-        self._getters.append((ev, filt))
-        self._dispatch()
-        return ev
-
-    def _admit_putters(self) -> None:
-        while self._putters and len(self._items) < self.capacity:
-            ev, item = self._putters.popleft()
-            heapq.heappush(self._items, item)
-            ev.succeed(item)
-
-    def try_get(self, filt: Optional[Callable[[Any], bool]] = None) -> tuple[bool, Any]:
-        if filt is None:
-            if self._items:
-                item = heapq.heappop(self._items)
-                self._admit_putters()
-                return True, item
-            return False, None
-        # Filtered pop is O(n): rebuild the heap without the match.
-        for i, item in enumerate(self._items):
-            if filt(item):
-                self._items[i] = self._items[-1]
-                self._items.pop()
-                heapq.heapify(self._items)
-                self._admit_putters()
-                return True, item
-        return False, None
-
-    def _dispatch(self) -> None:
-        while True:
-            self._admit_putters()
-            served = False
-            for gi, (gev, filt) in enumerate(self._getters):
-                ok, item = self.try_get(filt)
-                if ok:
-                    del self._getters[gi]
-                    gev.succeed(item)
-                    served = True
                     break
             if not served:
                 return

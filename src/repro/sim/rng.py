@@ -10,7 +10,8 @@ engine derives one child seed per sweep point from the parent's root
 seed and the point's stable key (figure label + point index), so a
 point's randomness never depends on which worker runs it, on how many
 workers there are, or on wall clock.  ``spawn_seed`` is the pure
-derivation; ``RngRegistry.spawn`` packages it as a child registry.
+derivation; ``RngRegistry(spawn_seed(root, *key))`` is the point's
+registry.
 """
 
 from __future__ import annotations
@@ -56,16 +57,6 @@ class RngRegistry:
             gen = np.random.Generator(np.random.PCG64(seq))
             self._streams[name] = gen
         return gen
-
-    def spawn(self, *parts) -> "RngRegistry":
-        """A child registry keyed by ``parts`` (one per sweep point).
-
-        Children with different keys are statistically independent;
-        the same key always yields the same child, so a sweep point
-        sees identical streams whether it runs serially, in worker 0
-        of 2, or in worker 3 of 4.
-        """
-        return RngRegistry(spawn_seed(self.root_seed, *parts))
 
     def reset(self) -> None:
         """Drop all streams; subsequent calls re-derive from the root seed."""

@@ -16,7 +16,7 @@ import itertools
 import os
 from pathlib import Path
 
-__all__ = ["atomic_write", "write_if_changed"]
+__all__ = ["atomic_write"]
 
 #: Per-process counter so two atomic writes to the same target from one
 #: process (e.g. a retried journal record) never share a temp name.
@@ -65,19 +65,3 @@ def atomic_write(path: str | Path, data: str | bytes, fsync: bool = True) -> Pat
             os.close(dir_fd)
     return path
 
-
-def write_if_changed(path: str | Path, text: str, fsync: bool = False) -> bool:
-    """Atomically write ``text`` only when the current content differs.
-
-    Keeps unchanged regenerations (benchmark snapshots, golden traces)
-    from dirtying mtimes -- spurious diffs in build tooling.  Returns
-    True when the file was (re)written.
-    """
-    path = Path(path)
-    try:
-        if path.read_text() == text:
-            return False
-    except OSError:
-        pass
-    atomic_write(path, text, fsync=fsync)
-    return True

@@ -24,17 +24,14 @@ hardware would produce a protection fault.
 
 from repro.verbs.mr import KeyInfo, KeyTable, MemoryRegionHandle, ProtectionError, reg_mr, dereg_mr
 from repro.verbs.gvmi import GvmiError, cross_register, gvmi_id_of, host_gvmi_register
-from repro.verbs.qp import CqOverflowError, QueuePair
 from repro.verbs.rdma import post_control, rdma_read, rdma_write, verbs_state
 
 __all__ = [
-    "CqOverflowError",
     "GvmiError",
     "KeyInfo",
     "KeyTable",
     "MemoryRegionHandle",
     "ProtectionError",
-    "QueuePair",
     "cross_register",
     "dereg_mr",
     "gvmi_id_of",

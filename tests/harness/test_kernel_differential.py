@@ -3,10 +3,13 @@
 Small schedule programs -- processes that sleep, fire and fail shared
 events, contend for resources, trade items through stores, spawn
 children and wait on conditions, with delays chosen so that most events
-tie -- run once on :class:`repro.sim.Simulator` and once on
-``tests/harness/heap_kernel.HeapSimulator``, driven through the same
-random mix of ``run(until=t)``, ``run(until=event)`` and ``step()``
-calls.  Everything observable must be identical: the ``(now, label)``
+tie -- run on :class:`repro.sim.Simulator` (with the one-event
+``step()`` of ``tests/harness/step_kernel``), on
+``tests/harness/heap_kernel.HeapSimulator`` and on
+``step_kernel.StepLoopSimulator``, whose ``run()`` is the plain loop over
+``step()``, all driven through the same random mix of ``run(until=t)``,
+``run(until=event)`` and ``step()`` calls.  Everything observable must
+be identical: the ``(now, label)``
 firing sequence, ``peek()`` before every segment, how each segment ended
 (deadlock, unhandled failure, misuse error), the final clock and
 ``processed_events``.
@@ -22,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.harness.heap_kernel import HeapSimulator
+from tests.harness.step_kernel import StepLoopSimulator, SteppingSimulator
 from repro.sim import DeadlockError, Resource, SimulationError, Simulator, Store
 from repro.sim.core import Event, Timeout
 
@@ -103,7 +107,7 @@ def execute(kernel, program, segments):
                 ev._value = None
                 ev.callbacks.append(lambda _e, h=here: seen.append((sim.now, h + " at")))
                 # At t=0 the delay itself is the target, so -0.0 gets in.
-                sim.schedule_at(ev, op[1] if sim.now == 0.0 else sim.now + op[1])
+                sim._schedule_at(ev, op[1] if sim.now == 0.0 else sim.now + op[1])
             elif kind == "hold":
                 req = resources[op[1]].request()
                 yield req
@@ -166,8 +170,9 @@ def execute(kernel, program, segments):
           deadline=None)
 @given(PROGRAMS, SEGMENTS)
 def test_calendar_fires_what_the_heap_fired(program, segments):
-    assert execute(Simulator, program, segments) == \
-        execute(HeapSimulator, program, segments)
+    seen = execute(SteppingSimulator, program, segments)
+    assert seen == execute(HeapSimulator, program, segments)
+    assert seen == execute(StepLoopSimulator, program, segments)
 
 
 @pytest.mark.parametrize("name", ["ring_broadcast", "group_ialltoall"])
@@ -193,8 +198,9 @@ def test_the_harness_reports_ties_deadlocks_and_failures():
         [("spawn", [("sleep", 0.5), ("fail", 1)]), ("at", -0.0), ("any", [0.5, 0.5], 0)],
     ]
     segments = [("step", 3), ("proc", 0), ("time", 0.5), ("event", 2)]
-    seen = execute(Simulator, program, segments)
+    seen = execute(SteppingSimulator, program, segments)
     assert seen == execute(HeapSimulator, program, segments)
+    assert seen == execute(StepLoopSimulator, program, segments)
     assert "deadlock" in seen
     assert any(isinstance(s, tuple) and str(s[1]).endswith("caught") for s in seen)
     instants = [s[0] for s in seen if isinstance(s, tuple) and isinstance(s[0], float)]
@@ -236,7 +242,7 @@ class TestHazards:
             ev = sim.event()
             ev._value = None
             ev.callbacks.append(_logger(sim, log, name))
-            sim.schedule_at(ev, 2.0)
+            sim._schedule_at(ev, 2.0)
         Timeout(sim, 2.0).callbacks.append(_logger(sim, log, "f"))
         for name in "gh":  # lone, then promoted by the constructor path
             Timeout(sim, 3.0).callbacks.append(_logger(sim, log, name))
@@ -256,10 +262,10 @@ class TestHazards:
         ev = sim.event()
         ev._value = None
         ev.callbacks.append(_logger(sim, log, "c"))
-        sim.schedule_at(ev, 2.0)
+        sim._schedule_at(ev, 2.0)
         assert sim.peek() == 2.0
         with pytest.raises(SimulationError, match="past"):
-            sim.schedule_at(sim.event(), 1.0)
+            sim._schedule_at(sim.event(), 1.0)
         sim.run()
         assert log == [(2.0, "a"), (2.0, "b"), (2.0, "c"), (5.0, "later")]
 
@@ -272,7 +278,7 @@ class TestHazards:
         assert log == [(1.0, "a"), (1.0, "b")]
         assert (sim.now, sim.peek()) == (1.0, 1.0)
         sim.timeout(0.0).callbacks.append(_logger(sim, log, "d"))
-        sim.step()
+        sim.run(until=evs[2])
         assert log[-1] == (1.0, "c")
         sim.run(until=1.0)
         assert log[-1] == (1.0, "d") and sim.peek() == float("inf")

@@ -8,9 +8,11 @@ uses it to show that protocol *correctness* does not depend on tie order
 and to bound how far reported *times* move when it changes (ROADMAP
 item 1, step 1).
 
-The loop is deliberately the slow, obvious one: every event goes through
-``step()``, which first moves the chosen event of the current instant to
-the front of ``_cur`` and then lets the production ``step()`` fire it.
+The loop is deliberately the slow, obvious one
+(:class:`~tests.harness.step_kernel.StepLoopSimulator`): every event goes
+through ``step()``, which first moves the chosen event of the current
+instant to the front of ``_cur`` and then lets the one-event ``step()``
+fire it.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import random
 from contextlib import contextmanager
 from heapq import heappop
 
-from repro.sim.core import Event, Simulator
+from tests.harness.step_kernel import StepLoopSimulator
 
 
-class TieOrderSimulator(Simulator):
+class TieOrderSimulator(StepLoopSimulator):
     #: ``"fifo"`` (the production order), ``"lifo"``, or an int seed for
     #: a uniformly random pick; bound on a subclass by :func:`tie_order`.
     order: str | int = "fifo"
@@ -45,21 +47,6 @@ class TieOrderSimulator(Simulator):
             cur.appendleft(cur[i])
             del cur[i + 1]
         super().step()
-
-    def run(self, until=None):
-        if isinstance(until, Event):
-            if not until.processed:
-                while (self._cur or self._times) and not until.processed:
-                    self.step()
-                if until.processed and not until._ok:
-                    raise until._value
-        else:
-            deadline = float("inf") if until is None else float(until)
-            while (self._cur or self._times) and self.peek() <= deadline:
-                self.step()
-        # Nothing left to fire: the production run() returns the value or
-        # reports the deadlock / validates the deadline and sets the clock.
-        return super().run(until)
 
 
 @contextmanager

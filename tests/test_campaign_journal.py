@@ -23,7 +23,7 @@ from repro.experiments.campaign import (
     point_key,
 )
 from repro.experiments.parallel import sweep_map
-from repro.util import atomic_write, write_if_changed
+from repro.util import atomic_write
 
 
 class TestAtomicWrite:
@@ -48,15 +48,6 @@ class TestAtomicWrite:
         atomic_write(p, "old content")
         atomic_write(p, "new")
         assert p.read_text() == "new"
-
-    def test_write_if_changed_skips_identical(self, tmp_path):
-        p = tmp_path / "t.txt"
-        assert write_if_changed(p, "x") is True
-        mtime = p.stat().st_mtime_ns
-        assert write_if_changed(p, "x") is False
-        assert p.stat().st_mtime_ns == mtime
-        assert write_if_changed(p, "y") is True
-
 
 class TestPointKey:
     def test_stable_and_distinct(self):

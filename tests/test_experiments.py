@@ -154,12 +154,6 @@ class TestRunallRobustness:
         assert runall.main(["fig05"]) == 0
         assert "all shape checks passed" in capsys.readouterr().out
 
-    def test_run_figures_still_raises_for_library_use(self, monkeypatch):
-        from repro.experiments import runall
-
-        with pytest.raises(ModuleNotFoundError):
-            runall.run_figures(["fig99_missing"])
-
     def test_unknown_selector_exits_two(self, capsys):
         from repro.experiments import runall
 

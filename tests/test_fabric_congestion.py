@@ -345,73 +345,6 @@ class TestEcmp:
             outs.add(r.stdout.strip())
         assert len(outs) == 1
 
-    def test_random_selector_is_seeded(self):
-        """path_selector='random' draws from the cluster's seeded stream:
-        same seed -> same choices, different seed -> (generally) different."""
-        def paths(seed):
-            cl = Cluster(ClusterSpec(nodes=8, ppn=1, nodes_per_switch=2,
-                                     spine_count=4, path_selector="random",
-                                     seed=seed, fluid=True))
-            return [cl.topology.path(0, 7) for _ in range(16)]
-
-        assert paths(3) == paths(3)
-        # Per-flow randomness: one pair visits several spines.
-        assert len({p[1] for p in paths(3)}) > 1
-
-    def test_least_loaded_spreads_incast(self):
-        """'least' balances k concurrent cross-leaf flows over k spines."""
-        cl = Cluster(ClusterSpec(nodes=8, ppn=1, nodes_per_switch=4,
-                                 spine_count=4, path_selector="least",
-                                 fluid=True, fluid_threshold=1024))
-        used = []
-
-        def prog():
-            pending = []
-            for i in range(4):
-                t = cl.fabric.transfer(src_node=i, dst_node=4 + i,
-                                       size=1 << 20, initiator="host")
-                pending.append(t.delivered)
-            got = []
-            for p in pending:
-                dv = yield p
-                got.append(dv)
-            used.extend(dv.path[1][2] for dv in got)
-
-        cl.sim.process(prog())
-        cl.sim.run()
-        assert sorted(used) == [0, 1, 2, 3]
-
-    def test_least_loaded_choices_pinned_on_seeded_incast(self):
-        """63:1 incast on a 64-node tree, half the senders posting in one
-        instant (one pending batch) and half jittered (so earlier flows
-        are already in the incidence): the spines ``"least"`` picks are
-        the ones the per-flow Python walk of ``link_load`` picked."""
-        cl = Cluster(ClusterSpec(nodes=64, ppn=1, proxies_per_dpu=1,
-                                 nodes_per_switch=8, spine_count=4,
-                                 path_selector="least", fluid=True, seed=7))
-        cl.payloads = False
-        rng = random.Random(7)
-        spine = {}
-
-        def on_deliver(dv):
-            spine[dv.src_node] = dv.path[1][2] if len(dv.path) == 4 else -1
-
-        def prog(node, delay):
-            yield cl.sim.timeout(delay)
-            t = cl.fabric.transfer(src_node=node, dst_node=0, size=1 << 20,
-                                   initiator="host", on_deliver=on_deliver)
-            yield t.completed
-
-        for node in range(1, 64):
-            delay = 0.0 if node % 2 else rng.uniform(0.0, 200e-6)
-            cl.sim.process(prog(node, delay))
-        cl.sim.run()
-        assert [spine[n] for n in range(1, 64)] == [
-            -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 1, 3, 2, 2, 3, 2, 0, 0, 1,
-            1, 2, 3, 3, 1, 0, 2, 1, 0, 2, 3, 3, 2, 0, 1, 1, 0, 2, 3, 3, 0, 0,
-            3, 1, 1, 2, 2, 3, 3, 0, 0, 1, 2, 2, 1, 3, 3, 0, 1, 1, 0, 2, 2, 3,
-        ]
-
 
 # ---------------------------------------------------------------------------
 # link-level degradation composes with path routing

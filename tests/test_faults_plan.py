@@ -219,3 +219,16 @@ class TestKillScheduling:
 
         fw = OffloadFramework(tiny_cluster)
         assert not fw.resilient and fw.retry is None
+
+
+class TestInstallOrder:
+    def test_plan_installed_after_the_framework_is_refused(self):
+        """Init_Offload reads ``cluster.fault_plan`` once: a plan installed
+        later would drop messages with no recovery layer to resend them."""
+        from repro.offload import OffloadFramework
+
+        cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1))
+        OffloadFramework(cl)
+        with pytest.raises(ValueError, match="install the fault plan first"):
+            cl.install_faults(FaultPlan(FaultSpec(drop_prob=0.3)))
+        assert cl.fault_plan is None and cl.fabric.fault_plan is None

@@ -26,14 +26,6 @@ def test_contains():
     assert "x" in m and "y" not in m
 
 
-def test_with_prefix_strips_prefix():
-    m = Metrics()
-    m.add("nic.tx", 5)
-    m.add("nic.rx", 7)
-    m.add("other.z", 1)
-    assert m.with_prefix("nic") == {"tx": 5, "rx": 7}
-
-
 def test_iteration_is_sorted():
     m = Metrics()
     m.add("b")
@@ -47,26 +39,6 @@ def test_snapshot_and_reset():
     snap = m.snapshot()
     m.reset()
     assert snap == {"k": 4} and m.get("k") == 0
-
-
-def test_report_contains_keys():
-    m = Metrics()
-    m.add("some.counter", 2)
-    assert "some.counter" in m.report()
-
-
-def test_with_prefix_empty_prefix_returns_everything_unstripped():
-    m = Metrics()
-    m.add("nic.tx", 5)
-    m.add("flat", 1)
-    assert m.with_prefix("") == {"nic.tx": 5, "flat": 1}
-
-
-def test_with_prefix_does_not_match_partial_component():
-    m = Metrics()
-    m.add("nic.tx", 5)
-    m.add("nicolas.cage", 1)
-    assert m.with_prefix("nic") == {"tx": 5}
 
 
 def test_float_accumulation_is_exact_for_representable_values():
@@ -127,12 +99,6 @@ def test_reset_clears_histograms_too():
     m.observe("lat", 1.0)
     m.reset()
     assert m.hist("lat").count == 0
-
-
-def test_report_includes_histogram_lines():
-    m = Metrics()
-    m.observe("lat", 2e-6)
-    assert "p95" in m.report() and "lat" in m.report()
 
 
 class TestHistogram:

@@ -34,6 +34,13 @@ def _attach_inert_plan(cl):
     cl.install_faults(FaultPlan(FaultSpec(), seed=11))
 
 
+def _arm_inert_plan_on_fabric(cl):
+    # The same plan on a built stack.  install_faults refuses that order
+    # (Init_Offload has already read cluster.fault_plan), so hand it to
+    # the fabric, whose fate hooks the proxies consult too.
+    cl.fabric.fault_plan = FaultPlan(FaultSpec(), seed=11).bind(cl)
+
+
 #: name -> (hook, attach before the framework is built?).  The bus goes
 #: on first, as observe_cluster asks.  The plan goes on the
 #: built stack: every fabric and proxy fate hook consults it, while the
@@ -45,7 +52,7 @@ ATTACHMENTS = {
     "bus": (EventBus.attach, True),
     "spans-only bus": (_attach_filtered_bus, True),
     "observe_cluster": (observe_cluster, True),
-    "inert-plan": (_attach_inert_plan, False),
+    "inert-plan": (_arm_inert_plan_on_fabric, False),
 }
 
 

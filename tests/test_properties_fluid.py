@@ -259,7 +259,7 @@ def test_cap_change_mid_drain_stretches_completion():
     ev._value = None
     ev.callbacks.append(
         lambda _ev: eng.set_endpoint_capacity(("a"), 0.5))
-    sim.schedule_at(ev, 0.5)
+    sim._schedule_at(ev, 0.5)
     sim.run()
     assert done == [1.5]
 
@@ -274,7 +274,7 @@ def test_restore_mid_drain_speeds_completion():
     ev._ok = True
     ev._value = None
     ev.callbacks.append(lambda _ev: eng.set_endpoint_capacity("a", 1.0))
-    sim.schedule_at(ev, 1.0)
+    sim._schedule_at(ev, 1.0)
     sim.run()
     # 0.5 port-s done by t=1 at rate 0.5, the rest at rate 1.
     assert done == [1.5]
@@ -302,7 +302,7 @@ def test_flow_set_churn_in_one_instant():
     ev._ok = True
     ev._value = None
     ev.callbacks.append(churn)
-    sim.schedule_at(ev, 0.5)
+    sim._schedule_at(ev, 0.5)
     sim.run()
     assert "f1" not in finished  # the cancelled flow's finish never fired
     assert set(finished) == {"f1b", "f2", "f3"}
@@ -363,7 +363,7 @@ def test_cancel_requeue_conserves_work(works, cancel_at, cancel_idx):
             ev._ok = True
             ev._value = None
             ev.callbacks.append(poke)
-            sim.schedule_at(ev, cancel_at)
+            sim._schedule_at(ev, cancel_at)
         sim.run()
         assert len(done) == len(works)
         return max(done.values())

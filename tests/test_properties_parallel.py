@@ -125,10 +125,10 @@ def test_spawn_seed_is_pure_and_label_sensitive(root, label, parts):
 def test_registry_spawn_reproducible_streams(root, key):
     """Two independently spawned children with the same key draw the
     same stream -- what makes worker-side RNG identical to serial."""
-    a = RngRegistry(root).spawn("sweep", key).stream("jitter")
-    b = RngRegistry(root).spawn("sweep", key).stream("jitter")
+    a = RngRegistry(spawn_seed(root, "sweep", key)).stream("jitter")
+    b = RngRegistry(spawn_seed(root, "sweep", key)).stream("jitter")
     assert a.random(4).tolist() == b.random(4).tolist()
-    other = RngRegistry(root).spawn("sweep", key + 1).stream("jitter")
+    other = RngRegistry(spawn_seed(root, "sweep", key + 1)).stream("jitter")
     assert a.random(4).tolist() != other.random(4).tolist()
 
 

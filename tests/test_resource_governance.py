@@ -3,7 +3,7 @@
 Covers the bounded-memory machinery of docs/RESOURCES.md layer by
 layer: AddressSpace byte budgets and address reuse, the free ->
 revoke-covering-keys protocol, LRU eviction in every registration
-cache, CQ overflow, and the admission windows of the offload and SHMEM
+cache, and the admission windows of the offload and SHMEM
 front-ends.  Integration of the recovery paths (stale keys, OOM
 degradation) lives in test_free_reuse.py and test_soak_governance.py.
 """
@@ -20,7 +20,7 @@ from repro.offload.group_cache import DpuPlan, DpuPlanCache, HostGroupCache
 from repro.offload.requests import BARRIER
 from repro.offload.shmem import ShmemWorld
 from repro.offload.staging import StagingChannel
-from repro.verbs import CqOverflowError, QueuePair, rdma_write, reg_mr
+from repro.verbs import rdma_write, reg_mr
 from repro.verbs.gvmi import cross_register, gvmi_id_of, host_gvmi_register
 from repro.verbs.mr import ProtectionError
 from repro.verbs.rdma import verbs_state
@@ -313,64 +313,6 @@ class TestCacheEviction:
 
 
 # ---------------------------------------------------------------------------
-# CQ overflow
-# ---------------------------------------------------------------------------
-
-class TestCqOverflow:
-    def _setup(self, cluster, size=1024):
-        src, dst = cluster.rank_ctx(0), cluster.rank_ctx(1)
-        sa = src.space.alloc_like(pattern(size))
-        da = dst.space.alloc(size)
-        box = {}
-
-        def prog(sim):
-            box["s"] = yield from reg_mr(src, sa, size)
-            box["d"] = yield from reg_mr(dst, da, size)
-
-        run_proc(cluster, prog(cluster.sim))
-        return src, dst, sa, da, box["s"], box["d"]
-
-    def test_unpolled_completions_overflow(self, tiny_cluster):
-        src, dst, sa, da, hs, hd = self._setup(tiny_cluster)
-        qp = QueuePair(src, dst, cq_depth=1)
-
-        def prog(sim):
-            for _ in range(2):
-                yield from qp.post(rdma_write(
-                    src, lkey=hs.lkey, src_addr=sa, rkey=hd.rkey,
-                    dst_addr=da, size=256))
-            # Both completions fire while nobody polls: depth-1 CQ
-            # overflows on the second.
-            yield sim.timeout(1.0)
-            assert qp.overflowed
-            with pytest.raises(CqOverflowError):
-                yield from qp.drain()
-
-        run_proc(tiny_cluster, prog(tiny_cluster.sim))
-        assert tiny_cluster.metrics.get("verbs.cq_overflows") == 1
-
-    def test_polling_consumer_never_overflows(self, tiny_cluster):
-        src, dst, sa, da, hs, hd = self._setup(tiny_cluster)
-        qp = QueuePair(src, dst, cq_depth=1)
-
-        def prog(sim):
-            for _ in range(6):
-                yield from qp.post(rdma_write(
-                    src, lkey=hs.lkey, src_addr=sa, rkey=hd.rkey,
-                    dst_addr=da, size=256))
-                yield from qp.drain()
-            assert not qp.overflowed
-
-        run_proc(tiny_cluster, prog(tiny_cluster.sim))
-        assert tiny_cluster.metrics.get("verbs.cq_overflows") == 0
-
-    def test_default_cq_unbounded(self, tiny_cluster):
-        src, dst, sa, da, hs, hd = self._setup(tiny_cluster)
-        qp = QueuePair(src, dst)
-        assert qp.cq_depth is None
-
-
-# ---------------------------------------------------------------------------
 # admission control / backpressure windows
 # ---------------------------------------------------------------------------
 
@@ -487,7 +429,6 @@ class TestDormantByDefault:
         assert p.plan_cache_capacity is None
         assert p.max_outstanding_offloads is None
         assert p.shmem_queue_depth is None
-        assert p.cq_depth is None
         assert p.reuse_freed_addresses is False
 
     def test_clean_run_emits_no_governance_metrics(self, tiny_cluster):
@@ -511,6 +452,5 @@ class TestDormantByDefault:
         m = tiny_cluster.metrics
         for name in ("offload.admission_stalls", "proxy.stale_keys",
                      "proxy.oom_degrades", "gvmi_cache.host.evict",
-                     "staging.evictions", "verbs.cq_overflows",
-                     "mem.frees", "verbs.revoked_keys"):
+                     "staging.evictions", "mem.frees", "verbs.revoked_keys"):
             assert m.get(name) == 0, name

@@ -78,7 +78,7 @@ def test_lint_patterns_catch_known_offenders():
         "gen = registry.stream('compute-jitter')",
         "seed = spawn_seed(root, label, index)",
         "gen = np.random.default_rng(spawn_seed(root, 'faults', i))",
-        "child = cluster.rng.spawn('sweep', index)",
+        "child = RngRegistry(spawn_seed(root, 'sweep', index))",
     ]
     for line in good_lines:
         assert not any(p.search(line) for p, _ in FORBIDDEN), (

@@ -8,6 +8,7 @@ from repro.sim import (
     Simulator,
     Timeout,
 )
+from tests.harness.step_kernel import SteppingSimulator
 
 
 class TestClock:
@@ -67,7 +68,7 @@ class TestClock:
         with pytest.raises(ValueError):
             sim._schedule(sim.event(), nan)
         with pytest.raises(ValueError):
-            sim.schedule_at(sim.event(), nan)
+            sim._schedule_at(sim.event(), nan)
         assert sim.peek() == float("inf")
 
     def test_nan_delay_loses_no_other_timeout(self, sim):
@@ -89,7 +90,8 @@ class TestClock:
         sim.run(until=5.0)
         assert sim.now == 5.0 and sim.peek() == float("inf")
 
-    def test_step_on_empty_queue_is_a_simulation_error(self, sim):
+    def test_step_on_empty_queue_is_a_simulation_error(self):
+        sim = SteppingSimulator()
         with pytest.raises(SimulationError, match="no scheduled event"):
             sim.step()
         sim.timeout(1.0)

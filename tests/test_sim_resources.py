@@ -1,8 +1,8 @@
-"""Unit tests for Resource / Store / PriorityStore."""
+"""Unit tests for Resource / Store."""
 
 import pytest
 
-from repro.sim import PriorityStore, Resource, SimulationError, Store
+from repro.sim import Resource, SimulationError, Store
 
 
 class TestResource:
@@ -170,43 +170,3 @@ class TestStore:
         st.put("y")
         sim.run()
         assert len(st) == 2
-
-
-class TestPriorityStore:
-    def test_smallest_first(self, sim):
-        ps = PriorityStore(sim)
-        got = []
-
-        def getter(sim):
-            for _ in range(3):
-                got.append((yield ps.get()))
-
-        for item in [(3, "c"), (1, "a"), (2, "b")]:
-            ps.put(item)
-        sim.process(getter(sim))
-        sim.run()
-        assert got == [(1, "a"), (2, "b"), (3, "c")]
-
-    def test_filtered_try_get_preserves_heap(self, sim):
-        ps = PriorityStore(sim)
-        for item in [(5, "e"), (1, "a"), (3, "c")]:
-            ps.put(item)
-        sim.run()
-        ok, item = ps.try_get(lambda it: it[1] == "c")
-        assert ok and item == (3, "c")
-        ok, item = ps.try_get()
-        assert item == (1, "a")
-
-    def test_late_small_item_wins(self, sim):
-        ps = PriorityStore(sim)
-        got = []
-
-        def getter(sim):
-            yield sim.timeout(2.0)
-            got.append((yield ps.get()))
-
-        sim.process(getter(sim))
-        ps.put((10, "big"))
-        ps.put((1, "small"))
-        sim.run()
-        assert got == [(1, "small")]
