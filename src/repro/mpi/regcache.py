@@ -1,173 +1,316 @@
-"""The classic host-side IB registration cache.
+"""The registration cache (paper Sections II-C and VII-B), written once.
 
 Standard MPI libraries amortise ``ibv_reg_mr`` with a cache keyed by
-buffer address and size (paper Section II-C).  This is that cache: it
-serves the rendezvous path of the host runtime and the IB-side
-(receive-buffer) registrations of the offload framework.
+buffer address and size (Section II-C); the offload framework keeps the
+same structure on both sides of the wire for GVMI registrations: "an
+array of Binary Search Trees ... indexed by remote rank ... and by
+memory address" (Section VII-B).  All three are :class:`RegistrationCache`
+instances.  What differs between them is constructor data:
 
-The GVMI caches of the offload framework are a different structure (an
-array of BSTs, keyed additionally by remote rank) and live in
-:mod:`repro.offload.gvmi_cache`.
+* the slot function, mapping a request's peer to its array slot (the IB
+  cache has one slot; :mod:`repro.offload.gvmi_cache` indexes the host
+  side by mapped proxy and the DPU side by host source rank);
+* the match rule: *cover* -- a cached range covering the request is a
+  hit, as production caches pin whole regions (HPL's shrinking panels
+  keep hitting the first, largest panel) -- or, given a ``valid``
+  predicate, *exact* match of an entry that must still pass ``valid``
+  (a failure counts ``stale``);
+* the ``register`` / ``revoke`` callables;
+* the metric prefix and the bus ``cache=`` label.
+
+One dict keyed by ``(slot, base, length)`` is both the LRU order
+(insertion order, refreshed on every hit) and the exact-match index.  A
+cover cache also keeps, per touched slot, an AVL tree of the same keys
+whose nodes carry their subtree's largest end, so a covering query walks
+one root-to-leaf path.  An untouched slot holds
+nothing.  The winner is the exact match, else the cover with the lowest
+``(base, length)``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.hw.node import ProcessContext
-from repro.verbs.mr import MemoryRegionHandle, dereg_mr, reg_mr
+from repro.verbs.mr import dereg_mr, reg_mr
 
-__all__ = ["RegistrationCache"]
+__all__ = ["RegistrationCache", "lru_get", "lru_put"]
+
+
+def lru_get(entries: dict, key):
+    """``entries[key]`` refreshed to newest, or None."""
+    value = entries.pop(key, None)
+    if value is not None:
+        entries[key] = value
+    return value
+
+
+def lru_put(entries: dict, key, value, capacity: Optional[int],
+            on_evict: Callable) -> None:
+    """File ``key`` as newest; hand the oldest to ``on_evict(key, value)``
+    while over ``capacity`` (None: unbounded)."""
+    entries.pop(key, None)
+    entries[key] = value
+    if capacity is not None:
+        while len(entries) > capacity:
+            oldest = next(iter(entries))
+            on_evict(oldest, entries.pop(oldest))
+
+
+def _register_mr(ctx: ProcessContext, addr: int, size: int, _peer):
+    return reg_mr(ctx, addr, size)
 
 
 class RegistrationCache:
-    """Exact-match ``(addr, size)`` -> registration handle cache.
+    """``(peer, addr, size)`` -> registration, registering on a miss.
 
-    With a ``capacity`` (entry count; default
-    ``params.ib_cache_capacity``) the cache evicts least-recently-used
-    entries, deregistering the evicted handle so its KeyTable entries
-    are reclaimed.  Entries over freed memory are dropped (without
-    dereg -- the free protocol already revoked the keys) via a
-    ``free_listeners`` hook on the owning context.
+    With a ``capacity`` (entry count over all slots; default the
+    ``capacity_param`` field of the machine's params) the
+    least-recently-used entry is evicted and revoked on overflow.
+    A cover cache holds registrations of its own process's memory and
+    drops the entries over a freed range (without revoking: the free
+    protocol already has).  A ``valid`` cache holds registrations of a
+    peer's memory, cannot see those frees, and checks each hit instead.
+    ``enabled=False`` is an ablation: every get registers afresh.
     """
+
+    __slots__ = ("ctx", "metric", "label", "capacity", "enabled", "hits", "misses",
+                 "evictions", "stale", "_register", "_revoke", "_slot_of", "_valid",
+                 "_lru", "_trees")
 
     def __init__(
         self,
         ctx: ProcessContext,
         name: str = "ib",
         capacity: Optional[int] = None,
+        *,
+        metric: Optional[str] = None,
+        label: Optional[str] = None,
+        capacity_param: str = "ib_cache_capacity",
+        register: Callable = _register_mr,
+        revoke: Callable = dereg_mr,
+        slot_of: Optional[Callable] = None,
+        valid: Optional[Callable] = None,
+        enabled: bool = True,
     ):
         self.ctx = ctx
-        self.name = name
-        if capacity is None:
-            capacity = ctx.cluster.params.ib_cache_capacity
-        self.capacity = capacity
-        #: Insertion order is LRU order (refreshed on every hit).
-        self._entries: dict[tuple[int, int], MemoryRegionHandle] = {}
-        #: Covering-scan memo: request (addr, size) -> entry key, recorded
-        #: only when exactly ONE cached entry covers the request (with two
-        #: or more, the scan's winner depends on LRU order, so memoizing
-        #: it would change behaviour).  Cleared on any structural change
-        #: (insert/evict/invalidate); LRU refreshes keep it valid.
-        self._cover_memo: dict[tuple[int, int], tuple[int, int]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        ctx.free_listeners.append(self._on_free)
+        self.metric = metric or f"regcache.{name}"
+        self.label = label or self.metric
+        self.capacity = (getattr(ctx.cluster.params, capacity_param)
+                         if capacity is None else capacity)
+        self.enabled = enabled
+        self._register = register
+        self._revoke = revoke
+        self._slot_of = slot_of
+        self._valid = valid
+        #: ``(slot, base, length)`` -> entry, oldest first.
+        self._lru: dict[tuple, object] = {}
+        #: Cover caches only: slot -> root of its tree of ``_lru`` keys.
+        self._trees: dict = {}
+        self.hits = self.misses = self.evictions = self.stale = 0
+        if valid is None:
+            ctx.free_listeners.append(self._on_free)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._lru)
 
-    def peek(self, addr: int, size: int) -> Optional[MemoryRegionHandle]:
-        """Non-charging lookup (for tests/diagnostics)."""
-        return self._entries.get((addr, size))
+    def _slot(self, peer):
+        return peer if self._slot_of is None else self._slot_of(peer)
 
-    def get(self, addr: int, size: int):
-        """Return a registration handle, registering on miss.
+    def peek(self, addr: int, size: int, peer=None):
+        """The exact entry, without charging or refreshing it."""
+        return self._lru.get((self._slot(peer), addr, size))
 
-        A generator: ``handle = yield from cache.get(addr, size)``.
-        Charges the cache-lookup cost on a hit and the full
-        registration cost on a miss, mirroring how a real cache spends
-        time either way.
+    def get(self, addr: int, size: int, peer=None, *extra):
+        """A registration of [addr, addr+size) for ``peer``.
 
-        Like production registration caches (which pin whole memory
-        regions), a request is a hit when any cached registration
-        *covers* [addr, addr+size) -- e.g. HPL's shrinking panels keep
-        hitting the registration of the first, largest panel.
+        A generator: ``entry = yield from cache.get(addr, size, ...)``.
+        An enabled cache charges the lookup cost, and a miss the
+        registration cost; ``peer`` and ``extra`` go to ``register`` and
+        ``valid``.
         """
-        params = self.ctx.cluster.params
-        lookup = (
-            params.host_cache_lookup if self.ctx.kind == "host" else params.dpu_cache_lookup
-        )
-        yield self.ctx.consume(lookup)
-        metrics = self.ctx.cluster.metrics
-        key = (addr, size)
-        entry = self._entries.get(key)
-        if entry is None:
-            memo_key = self._cover_memo.get(key)
-            if memo_key is not None:
-                key, entry = memo_key, self._entries[memo_key]
-            else:
-                ckey, entry, unique = self._find_covering_unique(addr, size)
-                if entry is not None:
-                    if unique:
-                        self._cover_memo[key] = ckey
-                    key = ckey
-        bus = self.ctx.cluster.bus
-        if entry is not None:
-            self.hits += 1
-            metrics.add(f"regcache.{self.name}.hit")
-            # Refresh LRU position.
-            del self._entries[key]
-            self._entries[key] = entry
-            if bus is not None:
-                bus.emit("cache", "hit", self.ctx.trace_name,
-                         cache=f"regcache.{self.name}", size=size)
-            return entry
+        ctx = self.ctx
+        slot = self._slot(peer)
+        key = (slot, addr, size)
+        if self.enabled:
+            params = ctx.cluster.params
+            yield ctx.consume(params.host_cache_lookup if ctx.kind == "host"
+                              else params.dpu_cache_lookup)
+            entry = lru_get(self._lru, key)
+            if entry is None and self._valid is None:
+                node = _cover(self._trees.get(slot), addr, addr + size)
+                if node is not None:
+                    entry = lru_get(self._lru, node.key)
+            if entry is not None:
+                if self._valid is None or self._valid(entry, peer, *extra):
+                    self.hits += 1
+                    self._emit("hit", size)
+                    return entry
+                # Exact match only: ``key`` is the stale entry's.
+                self.stale += 1
+                self._emit("stale", size)
+                del self._lru[key]
         self.misses += 1
-        metrics.add(f"regcache.{self.name}.miss")
-        if bus is not None:
-            bus.emit("cache", "miss", self.ctx.trace_name,
-                     cache=f"regcache.{self.name}", size=size)
-        handle = yield from reg_mr(self.ctx, addr, size)
-        self._entries[(addr, size)] = handle
-        self._cover_memo.clear()
-        self._evict_over_capacity()
-        return handle
+        self._emit("miss", size)
+        entry = yield from self._register(ctx, addr, size, peer, *extra)
+        if self.enabled:
+            if self._valid is None:
+                self._trees[slot] = _insert(self._trees.get(slot), key)
+            lru_put(self._lru, key, entry, self.capacity, self._evict)
+        return entry
 
-    def _find_covering_unique(self, addr: int, size: int):
-        """First covering entry (LRU order) plus whether it is the only one."""
-        found_key = found = None
-        for (base, length), handle in self._entries.items():
-            if base <= addr and addr + size <= base + length:
-                if found is None:
-                    found_key, found = (base, length), handle
-                else:
-                    return found_key, found, False
-        return found_key, found, found is not None
+    def _emit(self, kind: str, size: int) -> None:
+        cluster = self.ctx.cluster
+        cluster.metrics.add(f"{self.metric}.{kind}")
+        if cluster.bus is not None:
+            cluster.bus.emit("cache", kind, self.ctx.trace_name,
+                             cache=self.label, size=size)
 
-    def _evict_over_capacity(self) -> None:
-        if self.capacity is None:
-            return
-        metrics = self.ctx.cluster.metrics
-        bus = self.ctx.cluster.bus
-        while len(self._entries) > self.capacity:
-            victim_key = next(iter(self._entries))
-            handle = self._entries.pop(victim_key)
-            self._cover_memo.clear()
-            dereg_mr(self.ctx, handle)
-            self.evictions += 1
-            metrics.add(f"regcache.{self.name}.evict")
-            if bus is not None:
-                bus.emit("cache", "evict", self.ctx.trace_name,
-                         cache=f"regcache.{self.name}", size=victim_key[1])
+    def _evict(self, key: tuple, entry) -> None:
+        self._untree(key)
+        self._revoke(self.ctx, entry)
+        self.evictions += 1
+        self._emit("evict", key[2])
 
-    def invalidate(self, addr: int, size: int) -> bool:
-        """Drop one entry (e.g. after a free); True if it existed."""
-        if self._entries.pop((addr, size), None) is not None:
-            self._cover_memo.clear()
-            return True
-        return False
+    def _untree(self, key: tuple) -> None:
+        root = self._trees.pop(key[0], None)
+        if root is not None:
+            root = _remove(root, key)
+            if root is not None:
+                self._trees[key[0]] = root
 
-    def invalidate_range(self, addr: int, size: int) -> int:
-        """Drop every entry overlapping [addr, addr+size).
-
-        No dereg: this runs from the free protocol, which has already
-        revoked the covering keys.
-        """
-        doomed = [
-            k for k in self._entries
-            if k[0] < addr + size and addr < k[0] + k[1]
-        ]
-        for k in doomed:
-            del self._entries[k]
-        if doomed:
-            self._cover_memo.clear()
-        return len(doomed)
+    def invalidate(self, addr: int, size: int, peer=None) -> bool:
+        """Drop one entry, without revoking it; True if it existed."""
+        key = (self._slot(peer), addr, size)
+        if self._lru.pop(key, None) is None:
+            return False
+        self._untree(key)
+        return True
 
     def _on_free(self, addr: int, size: int) -> None:
-        self.invalidate_range(addr, size)
+        end = addr + size
+        for key in [k for k in self._lru if k[1] < end and addr < k[1] + k[2]]:
+            del self._lru[key]
+            self._untree(key)
 
-    def clear(self) -> None:
-        self._entries.clear()
-        self._cover_memo.clear()
+
+# -- the per-slot interval tree ----------------------------------------------
+# An AVL tree of one slot's ``(slot, base, length)`` keys (the very tuples
+# the LRU dict holds); ``end`` is the largest base + length in a node's
+# subtree.  Module functions, not methods of a tree object: a slot is just
+# its root node.
+
+
+class _Node:
+    __slots__ = ("key", "end", "left", "right", "height")
+
+    def __init__(self, key: tuple):
+        self.key = key
+        self.end = key[1] + key[2]
+        self.left: Optional[_Node] = None
+        self.right: Optional[_Node] = None
+        self.height = 1
+
+
+def _fix(node: _Node) -> int:
+    """Recompute ``height`` and ``end`` from the children; returns the
+    left-minus-right height difference."""
+    left, right = node.left, node.right
+    end, lh, rh = node.key[1] + node.key[2], 0, 0
+    if left is not None:
+        lh = left.height
+        if left.end > end:
+            end = left.end
+    if right is not None:
+        rh = right.height
+        if right.end > end:
+            end = right.end
+    node.end, node.height = end, (lh if lh > rh else rh) + 1
+    return lh - rh
+
+
+def _tilt(node: _Node) -> int:
+    left, right = node.left, node.right
+    return ((left.height if left is not None else 0)
+            - (right.height if right is not None else 0))
+
+
+def _rotate_right(y: _Node) -> _Node:
+    x = y.left
+    y.left, x.right = x.right, y
+    _fix(y)
+    _fix(x)
+    return x
+
+
+def _rotate_left(x: _Node) -> _Node:
+    y = x.right
+    x.right, y.left = y.left, x
+    _fix(x)
+    _fix(y)
+    return y
+
+
+def _rebalance(node: _Node) -> _Node:
+    tilt = _fix(node)
+    if tilt > 1:
+        if _tilt(node.left) < 0:
+            node.left = _rotate_left(node.left)
+        return _rotate_right(node)
+    if tilt < -1:
+        if _tilt(node.right) > 0:
+            node.right = _rotate_right(node.right)
+        return _rotate_left(node)
+    return node
+
+
+def _insert(node: Optional[_Node], key: tuple) -> _Node:
+    """The subtree rooted at ``node`` with ``key`` added (once)."""
+    if node is None:
+        return _Node(key)
+    if key < node.key:
+        node.left = _insert(node.left, key)
+    elif node.key < key:
+        node.right = _insert(node.right, key)
+    else:
+        return node
+    return _rebalance(node)
+
+
+def _remove(node: Optional[_Node], key: tuple) -> Optional[_Node]:
+    """The subtree rooted at ``node`` without ``key``."""
+    if node is None:
+        return None
+    if key < node.key:
+        node.left = _remove(node.left, key)
+    elif node.key < key:
+        node.right = _remove(node.right, key)
+    elif node.left is None or node.right is None:
+        return node.right if node.left is None else node.left
+    else:
+        successor = node.right
+        while successor.left is not None:
+            successor = successor.left
+        node.key = successor.key
+        node.right = _remove(node.right, successor.key)
+    return _rebalance(node)
+
+
+def _cover(node: Optional[_Node], addr: int, end: int) -> Optional[_Node]:
+    """The lowest-keyed node whose range covers [addr, end), or None.
+
+    One root-to-leaf walk: a left subtree reaching ``end`` holds the
+    answer if any node does (every node after its far-reaching one starts
+    later), and keys only grow to the right.
+    """
+    while node is not None:
+        left = node.left
+        if left is not None and left.end >= end:
+            node = left
+        elif node.key[1] > addr:
+            return None
+        elif node.key[1] + node.key[2] >= end:
+            return node
+        else:
+            node = node.right
+    return None

@@ -25,7 +25,6 @@ Entry point: :class:`~repro.offload.api.OffloadFramework`
 """
 
 from repro.offload.api import OffloadEndpoint, OffloadFramework
-from repro.offload.bst import AvlTree
 from repro.offload.collectives import (
     allreduce_algorithm,
     build_iallgather,
@@ -33,7 +32,6 @@ from repro.offload.collectives import (
     build_ialltoall,
     build_ibcast,
 )
-from repro.offload.gvmi_cache import DpuGvmiCache, HostGvmiCache
 from repro.offload.requests import (
     GroupOp,
     OffloadError,
@@ -43,15 +41,12 @@ from repro.offload.requests import (
 from repro.offload.staging import StagingChannel
 
 __all__ = [
-    "AvlTree",
-    "DpuGvmiCache",
     "allreduce_algorithm",
     "build_iallgather",
     "build_iallreduce",
     "build_ialltoall",
     "build_ibcast",
     "GroupOp",
-    "HostGvmiCache",
     "OffloadEndpoint",
     "OffloadError",
     "OffloadFramework",

@@ -36,7 +36,7 @@ from repro.hw.faults import RetryPolicy
 from repro.hw.node import ProcessContext
 from repro.mpi.regcache import RegistrationCache
 from repro.offload.group_cache import HostGroupCache, SendEntry
-from repro.offload.gvmi_cache import HostGvmiCache
+from repro.offload.gvmi_cache import host_gvmi_cache
 from repro.offload.proxy import ProxyEngine
 from repro.offload.recovery import (
     EndpointRecovery,
@@ -227,7 +227,7 @@ class OffloadEndpoint:
         self.sim = ctx.sim
         self.rank = ctx.global_id
         self.params = ctx.cluster.params
-        self.gvmi_cache = HostGvmiCache(ctx, enabled=framework.gvmi_caching)
+        self.gvmi_cache = host_gvmi_cache(ctx, enabled=framework.gvmi_caching)
         #: IB registration cache for *receive* buffers (Fig 9: "receive
         #: buffers are registered using IB registration cache").
         self.ib_cache = RegistrationCache(ctx, name=f"offload_ib_{self.rank}")
@@ -351,7 +351,7 @@ class OffloadEndpoint:
             }
         else:
             gvmi = gvmi_id_of(proxy)
-            mkey = yield from self.gvmi_cache.get(proxy, gvmi, addr, size)
+            mkey = yield from self.gvmi_cache.get(addr, size, proxy)
             rts = {
                 "src": self.rank, "dst": dst, "tag": tag,
                 "addr": addr, "size": size,
@@ -564,7 +564,7 @@ class OffloadEndpoint:
                     handle = yield from self.ib_cache.get(op.addr, op.size)
                     entries.append(SendEntry(op, src_rkey=handle.rkey))
                 else:
-                    mkey = yield from self.gvmi_cache.get(proxy, gvmi, op.addr, op.size)
+                    mkey = yield from self.gvmi_cache.get(op.addr, op.size, proxy)
                     entries.append(SendEntry(op, mkey=mkey.key, reg_addr=mkey.addr,
                                              reg_size=mkey.size, gvmi_id=gvmi))
                 continue

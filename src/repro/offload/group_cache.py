@@ -30,6 +30,8 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from repro.mpi.regcache import lru_get, lru_put
+
 __all__ = ["SendEntry", "DpuPlan", "HostPlan", "HostGroupCache", "DpuPlanCache"]
 
 _plan_ids = itertools.count(1)
@@ -83,10 +85,11 @@ class HostGroupCache:
     """Per-endpoint cache of prepared group plans.
 
     With a ``capacity`` the least-recently-called plan is dropped on
-    overflow (plans hold no registrations of their own -- the keys live
-    in the GVMI/IB caches -- so dropping is free); a later call on its
-    pattern simply rebuilds.  Plans whose entries reference a freed
-    local buffer are dropped via the owning context's free listeners.
+    overflow (the registration caches' LRU, ``lru_put``; plans hold no
+    registrations of their own -- the keys live in the GVMI/IB caches --
+    so dropping is free); a later call on its pattern simply rebuilds.
+    Plans whose entries reference a freed local buffer are dropped via
+    the owning context's free listeners.
     """
 
     def __init__(self, ctx=None, capacity: Optional[int] = None) -> None:
@@ -103,11 +106,9 @@ class HostGroupCache:
             ctx.free_listeners.append(self._on_free)
 
     def lookup(self, signature: tuple) -> Optional[HostPlan]:
-        plan = self._by_sig.get(signature)
+        plan = lru_get(self._by_sig, signature)
         if plan is not None:
             self.hits += 1
-            del self._by_sig[signature]
-            self._by_sig[signature] = plan
         else:
             self.misses += 1
         return plan
@@ -121,25 +122,19 @@ class HostGroupCache:
         """
         plan = HostPlan(plan_id=next(_plan_ids), signature=signature, entries=entries)
         if keep:
-            self._by_sig[signature] = plan
-            self._evict_over_capacity()
+            lru_put(self._by_sig, signature, plan, self.capacity, self._evicted)
         return plan
 
-    def _evict_over_capacity(self) -> None:
-        if self.capacity is None:
-            return
-        while len(self._by_sig) > self.capacity:
-            sig = next(iter(self._by_sig))
-            victim = self._by_sig.pop(sig)
-            self.evictions += 1
-            if self.ctx is not None:
-                cluster = self.ctx.cluster
-                cluster.metrics.add("offload.group_cache_evictions")
-                if cluster.bus is not None:
-                    cluster.bus.emit(
-                        "cache", "evict", self.ctx.trace_name,
-                        cache="group.host", plan=victim.plan_id,
-                    )
+    def _evicted(self, _signature: tuple, victim: HostPlan) -> None:
+        self.evictions += 1
+        if self.ctx is not None:
+            cluster = self.ctx.cluster
+            cluster.metrics.add("offload.group_cache_evictions")
+            if cluster.bus is not None:
+                cluster.bus.emit(
+                    "cache", "evict", self.ctx.trace_name,
+                    cache="group.host", plan=victim.plan_id,
+                )
 
     def drop_plan(self, plan_id: int) -> bool:
         """Remove a plan entirely (stale-plan recovery); True if found."""
@@ -229,35 +224,26 @@ class DpuPlanCache:
         self.evictions = 0
 
     def store(self, plan_id: int, plan: DpuPlan) -> None:
-        self._plans.pop(plan_id, None)
-        self._plans[plan_id] = plan
-        self._evict_over_capacity()
+        lru_put(self._plans, plan_id, plan, self.capacity, self._evicted)
 
     def fetch(self, plan_id: int) -> Optional[DpuPlan]:
-        plan = self._plans.get(plan_id)
+        plan = lru_get(self._plans, plan_id)
         if plan is not None:
             self.hits += 1
-            del self._plans[plan_id]
-            self._plans[plan_id] = plan
         else:
             self.misses += 1
         return plan
 
-    def _evict_over_capacity(self) -> None:
-        if self.capacity is None:
-            return
-        while len(self._plans) > self.capacity:
-            victim_id = next(iter(self._plans))
-            del self._plans[victim_id]
-            self.evictions += 1
-            if self.ctx is not None:
-                cluster = self.ctx.cluster
-                cluster.metrics.add("proxy.plan_evictions")
-                if cluster.bus is not None:
-                    cluster.bus.emit(
-                        "cache", "evict", self.ctx.trace_name,
-                        cache="plan.dpu", plan=victim_id,
-                    )
+    def _evicted(self, plan_id: int, _plan: DpuPlan) -> None:
+        self.evictions += 1
+        if self.ctx is not None:
+            cluster = self.ctx.cluster
+            cluster.metrics.add("proxy.plan_evictions")
+            if cluster.bus is not None:
+                cluster.bus.emit(
+                    "cache", "evict", self.ctx.trace_name,
+                    cache="plan.dpu", plan=plan_id,
+                )
 
     def drop(self, plan_id: int) -> bool:
         """Remove one plan (stale-plan recovery); True if it existed."""

@@ -144,8 +144,8 @@ class GroupExecutor:
             mkey2_key = entry.mkey2
             if mkey2_key is None:
                 info = yield from engine.gvmi_cache.get(
-                    self.plan.host_rank, entry.gvmi_id, entry.mkey,
                     entry.reg_addr, entry.reg_size,
+                    self.plan.host_rank, entry.gvmi_id, entry.mkey,
                 )
                 mkey2_key = info.key
                 # Attach for future cached invocations (Section VII-D: "the

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Any
 from repro.hw.memory import OutOfMemoryError
 from repro.hw.node import ProcessContext
 from repro.offload.group_cache import DpuPlan, DpuPlanCache
-from repro.offload.gvmi_cache import DpuGvmiCache
+from repro.offload.gvmi_cache import dpu_gvmi_cache
 from repro.offload.requests import OffloadError
 from repro.offload.staging import StagingChannel
 from repro.sim import Event, Interrupt
@@ -123,7 +123,7 @@ class ProxyEngine:
         #: "gvmi" (proposed, direct cross-GVMI writes) or "staged"
         #: (state-of-the-art bounce through DPU DRAM).
         self.mode = framework.mode
-        self.gvmi_cache = DpuGvmiCache(ctx, enabled=framework.gvmi_caching)
+        self.gvmi_cache = dpu_gvmi_cache(ctx, enabled=framework.gvmi_caching)
         self.plan_cache = DpuPlanCache(ctx=ctx)
         self.staging = StagingChannel(ctx)
         self.counters = CounterBoard(self.sim)
@@ -295,8 +295,8 @@ class ProxyEngine:
                 )
             else:
                 mkey2 = yield from self.gvmi_cache.get(
-                    rts["src"], rts["gvmi_id"], rts["mkey"],
                     rts.get("reg_addr", rts["addr"]), rts.get("reg_size", rts["size"]),
+                    rts["src"], rts["gvmi_id"], rts["mkey"],
                 )
                 transfer = yield from rdma_write(
                     self.ctx,

@@ -346,7 +346,7 @@ class EndpointRecovery:
         _emit(ep.ctx, "req", "repost", rid=req.req_id, kind=req.kind)
         proxy, (kind, info) = req.resend
         if "mkey" in info:
-            mkey = yield from ep.gvmi_cache.get(proxy, info["gvmi_id"], req.addr, req.size)
+            mkey = yield from ep.gvmi_cache.get(req.addr, req.size, proxy)
             fresh = {"reg_addr": mkey.addr, "reg_size": mkey.size, "mkey": mkey.key}
         else:
             handle = yield from ep.ib_cache.get(req.addr, req.size)
@@ -657,9 +657,9 @@ class ProxyRecovery:
             # Drop the cached cross-registration so recovery registers
             # a fresh chain rather than rediscovering the stale one.
             engine.gvmi_cache.invalidate(
-                rts["src"],
                 rts.get("reg_addr", rts["addr"]),
                 rts.get("reg_size", rts["size"]),
+                rts["src"],
             )
         recv_live = keys.is_live(rtr["rkey"])
         if send_live and recv_live:

@@ -30,7 +30,7 @@ from typing import Optional
 from repro.hw.cluster import Cluster
 from repro.mpi.regcache import RegistrationCache
 from repro.offload.api import OffloadFramework
-from repro.offload.gvmi_cache import HostGvmiCache
+from repro.offload.gvmi_cache import host_gvmi_cache
 from repro.offload.requests import OffloadError
 from repro.sim import Event
 from repro.verbs.gvmi import gvmi_id_of
@@ -112,7 +112,7 @@ class ShmemEndpoint:
         self.ctx = world.cluster.rank_ctx(pe)
         self.sim = self.ctx.sim
         self.params = world.cluster.params
-        self.gvmi_cache = HostGvmiCache(self.ctx)
+        self.gvmi_cache = host_gvmi_cache(self.ctx)
         self.ib_cache = RegistrationCache(self.ctx, name=f"shmem_{pe}")
         #: Outstanding one-sided ops awaiting proxy completion writes.
         self._pending: dict[int, _ShmemOp] = {}
@@ -162,7 +162,7 @@ class ShmemEndpoint:
         yield from self._admit()
         proxy = self.world.cluster.proxy_for_rank(self.pe)
         gid = gvmi_id_of(proxy)
-        mkey = yield from self.gvmi_cache.get(proxy, gid, src_addr, size)
+        mkey = yield from self.gvmi_cache.get(src_addr, size, proxy)
         rkey = self.world.rkey_of(pe, dst_addr)
         op = _ShmemOp("put")
         op.event = Event(self.sim)
@@ -187,7 +187,7 @@ class ShmemEndpoint:
         proxy = self.world.cluster.proxy_for_rank(self.pe)
         gid = gvmi_id_of(proxy)
         # The proxy writes into *my* buffer: it needs an mkey2 over it.
-        mkey = yield from self.gvmi_cache.get(proxy, gid, dst_addr, size)
+        mkey = yield from self.gvmi_cache.get(dst_addr, size, proxy)
         rkey = self.world.rkey_of(pe, src_addr)
         op = _ShmemOp("get")
         op.event = Event(self.sim)
@@ -336,8 +336,8 @@ def handle_shmem_put(engine, info: dict):
     then completion-write the initiator and nudge the target's waiters."""
     world: ShmemWorld = engine.framework._shmem_world
     mkey2 = yield from engine.gvmi_cache.get(
-        info["src_pe"], info["gvmi_id"], info["mkey"],
         info["reg_addr"], info["reg_size"],
+        info["src_pe"], info["gvmi_id"], info["mkey"],
     )
     transfer = yield from rdma_write(
         engine.ctx,
@@ -367,8 +367,8 @@ def handle_shmem_get(engine, info: dict):
     """Proxy: cross-register the local PE's buffer, RDMA-read the remote."""
     world: ShmemWorld = engine.framework._shmem_world
     mkey2 = yield from engine.gvmi_cache.get(
-        info["dst_pe"], info["gvmi_id"], info["mkey"],
         info["reg_addr"], info["reg_size"],
+        info["dst_pe"], info["gvmi_id"], info["mkey"],
     )
     transfer = yield from rdma_read(
         engine.ctx,

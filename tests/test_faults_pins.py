@@ -440,7 +440,7 @@ class TestMkey2OnlyStale:
                 req = yield from ep.send_offload(sa, size, dst=1, tag=i)
                 yield from ep.wait(req)
                 if i == 0:
-                    info = engine.gvmi_cache.peek(0, sa, size)
+                    info = engine.gvmi_cache.peek(sa, size, 0)
                     verbs_state(cl).keys.revoke(info.key)
 
         def receiver(sim):

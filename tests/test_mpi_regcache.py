@@ -76,11 +76,3 @@ def test_peek_does_not_charge_or_register(tiny_cluster):
     _get(tiny_cluster, cache, addr, 64)
     assert cache.peek(addr, 64) is not None
 
-
-def test_clear(tiny_cluster):
-    ctx = tiny_cluster.rank_ctx(0)
-    cache = RegistrationCache(ctx)
-    addr = ctx.space.alloc(64)
-    _get(tiny_cluster, cache, addr, 64)
-    cache.clear()
-    assert len(cache) == 0

@@ -1,15 +1,19 @@
-"""Unit tests for the array-of-BST GVMI registration caches."""
+"""Unit tests for the two GVMI registration-cache instances."""
 
 import pytest
 
-from tests.helpers import run_proc
-from repro.offload import DpuGvmiCache, HostGvmiCache
+from tests.helpers import run_proc, run_procs
+from tests.test_offload_bst import check_invariants
+from repro.hw import Cluster, ClusterSpec
+from repro.obs import EventBus
+from repro.offload import OffloadFramework
+from repro.offload.gvmi_cache import dpu_gvmi_cache, host_gvmi_cache
 from repro.verbs import gvmi_id_of, host_gvmi_register
 
 
 def _host_cache_get(cluster, cache, proxy, addr, size):
     def prog(sim):
-        return (yield from cache.get(proxy, gvmi_id_of(proxy), addr, size))
+        return (yield from cache.get(addr, size, proxy))
 
     return run_proc(cluster, prog(cluster.sim))
 
@@ -17,12 +21,12 @@ def _host_cache_get(cluster, cache, proxy, addr, size):
 class TestHostCache:
     def test_must_live_on_host(self, tiny_cluster):
         with pytest.raises(ValueError):
-            HostGvmiCache(tiny_cluster.proxy_ctx(0, 0))
+            host_gvmi_cache(tiny_cluster.proxy_ctx(0, 0))
 
     def test_miss_then_hit(self, tiny_cluster):
         host = tiny_cluster.rank_ctx(0)
         proxy = tiny_cluster.proxy_ctx(0, 0)
-        cache = HostGvmiCache(host)
+        cache = host_gvmi_cache(host)
         addr = host.space.alloc(4096)
         a = _host_cache_get(tiny_cluster, cache, proxy, addr, 4096)
         b = _host_cache_get(tiny_cluster, cache, proxy, addr, 4096)
@@ -36,17 +40,17 @@ class TestHostCache:
         host = small_cluster.rank_ctx(0)
         pa = small_cluster.proxy_ctx(0, 0)
         pb = small_cluster.proxy_ctx(0, 1)
-        cache = HostGvmiCache(host)
+        cache = host_gvmi_cache(host)
         addr = host.space.alloc(1024)
         _host_cache_get(small_cluster, cache, pa, addr, 1024)
         _host_cache_get(small_cluster, cache, pb, addr, 1024)
         assert cache.misses == 2
-        assert cache.entries == 2
+        assert len(cache) == 2
 
     def test_covering_range_is_a_hit(self, tiny_cluster):
         host = tiny_cluster.rank_ctx(0)
         proxy = tiny_cluster.proxy_ctx(0, 0)
-        cache = HostGvmiCache(host)
+        cache = host_gvmi_cache(host)
         addr = host.space.alloc(1 << 16)
         big = _host_cache_get(tiny_cluster, cache, proxy, addr, 1 << 16)
         small = _host_cache_get(tiny_cluster, cache, proxy, addr + 128, 1024)
@@ -55,21 +59,22 @@ class TestHostCache:
     def test_invalidate(self, tiny_cluster):
         host = tiny_cluster.rank_ctx(0)
         proxy = tiny_cluster.proxy_ctx(0, 0)
-        cache = HostGvmiCache(host)
+        cache = host_gvmi_cache(host)
         addr = host.space.alloc(64)
         _host_cache_get(tiny_cluster, cache, proxy, addr, 64)
-        assert cache.invalidate(proxy.global_id, addr, 64)
+        assert cache.invalidate(addr, 64, proxy)
         _host_cache_get(tiny_cluster, cache, proxy, addr, 64)
         assert cache.misses == 2
 
     def test_check_invariants_clean(self, tiny_cluster):
         host = tiny_cluster.rank_ctx(0)
         proxy = tiny_cluster.proxy_ctx(0, 0)
-        cache = HostGvmiCache(host)
+        cache = host_gvmi_cache(host)
         for _ in range(20):
             addr = host.space.alloc(256)
             _host_cache_get(tiny_cluster, cache, proxy, addr, 256)
-        cache.check_invariants()
+        assert len(cache._trees) == 1
+        check_invariants(cache._trees[proxy.global_id])
 
 
 class TestDpuCache:
@@ -81,18 +86,18 @@ class TestDpuCache:
 
     def test_must_live_on_dpu(self, tiny_cluster):
         with pytest.raises(ValueError):
-            DpuGvmiCache(tiny_cluster.rank_ctx(0))
+            dpu_gvmi_cache(tiny_cluster.rank_ctx(0))
 
     def test_miss_then_hit(self, tiny_cluster):
         host = tiny_cluster.rank_ctx(0)
         proxy = tiny_cluster.proxy_ctx(0, 0)
         addr = host.space.alloc(4096)
         mkey = self._mkey(tiny_cluster, host, proxy, addr, 4096)
-        cache = DpuGvmiCache(proxy)
+        cache = dpu_gvmi_cache(proxy)
 
         def prog(sim):
-            a = yield from cache.get(0, gvmi_id_of(proxy), mkey.key, addr, 4096)
-            b = yield from cache.get(0, gvmi_id_of(proxy), mkey.key, addr, 4096)
+            a = yield from cache.get(addr, 4096, 0, gvmi_id_of(proxy), mkey.key)
+            b = yield from cache.get(addr, 4096, 0, gvmi_id_of(proxy), mkey.key)
             return a, b
 
         a, b = run_proc(tiny_cluster, prog(tiny_cluster.sim))
@@ -109,19 +114,19 @@ class TestDpuCache:
         addr = host.space.alloc(2048)
         mkey1 = self._mkey(tiny_cluster, host, proxy, addr, 2048)
         mkey2 = self._mkey(tiny_cluster, host, proxy, addr, 2048)
-        cache = DpuGvmiCache(proxy)
+        cache = dpu_gvmi_cache(proxy)
 
         def prog(sim):
-            yield from cache.get(0, gvmi_id_of(proxy), mkey1.key, addr, 2048)
-            yield from cache.get(0, gvmi_id_of(proxy), mkey2.key, addr, 2048)
+            yield from cache.get(addr, 2048, 0, gvmi_id_of(proxy), mkey1.key)
+            yield from cache.get(addr, 2048, 0, gvmi_id_of(proxy), mkey2.key)
 
         run_proc(tiny_cluster, prog(tiny_cluster.sim))
-        assert cache.stale_detected == 1
+        assert cache.stale == 1
         assert cache.misses == 2
 
     def test_keyed_by_host_rank(self, small_cluster):
         proxy = small_cluster.proxy_ctx(0, 0)
-        cache = DpuGvmiCache(proxy)
+        cache = dpu_gvmi_cache(proxy)
         entries = {}
         for rank in (0, 1):
             host = small_cluster.rank_ctx(rank)
@@ -131,8 +136,39 @@ class TestDpuCache:
 
         def prog(sim):
             for rank, (addr, mkey) in entries.items():
-                yield from cache.get(rank, gvmi_id_of(proxy), mkey.key, addr, 512)
+                yield from cache.get(addr, 512, rank, gvmi_id_of(proxy), mkey.key)
 
         run_proc(small_cluster, prog(small_cluster.sim))
-        assert cache.misses == 2 and cache.entries == 2
-        cache.check_invariants()
+        assert cache.misses == 2 and len(cache) == 2
+        assert cache._trees == {}  # exact match: no trees
+
+
+@pytest.mark.parametrize("caching", [True, False])
+def test_bus_cache_events_match_the_metrics(caching):
+    """An observed run's trace counts every hit and miss its metrics do,
+    also with ``gvmi_caching=False``, where every get is a miss."""
+    cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1))
+    bus = EventBus.attach(cl)
+    fw = OffloadFramework(cl, gvmi_caching=caching)
+    size = 4096
+
+    def sender(sim):
+        ep = fw.endpoint(0)
+        addr = ep.ctx.space.alloc(size)
+        for tag in range(3):
+            req = yield from ep.send_offload(addr, size, dst=1, tag=tag)
+            yield from ep.wait(req)
+
+    def receiver(sim):
+        ep = fw.endpoint(1)
+        addr = ep.ctx.space.alloc(size)
+        for tag in range(3):
+            req = yield from ep.recv_offload(addr, size, src=0, tag=tag)
+            yield from ep.wait(req)
+
+    run_procs(cl, [sender(cl.sim), receiver(cl.sim)])
+    for side in ("host", "dpu"):
+        for kind in ("hit", "miss"):
+            expected = cl.metrics.get(f"gvmi_cache.{side}.{kind}")
+            assert bus.count("cache", kind, cache=f"gvmi.{side}") == expected
+        assert cl.metrics.get(f"gvmi_cache.{side}.miss") == (1 if caching else 3)

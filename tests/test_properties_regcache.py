@@ -1,13 +1,22 @@
-"""Property-based tests: registration caches vs dict+interval models.
+"""Property-based tests: the registration cache vs models and its oracle.
 
-The paper's Section VII-B caches (the exact-match host IB cache and the
-array-of-BST GVMI caches) both promise production registration-cache
-semantics: a request is a **hit** iff some cached registration's
-``[base, base+length)`` interval covers the requested ``[addr,
-addr+size)``.  Hypothesis drives random op sequences through the real
-caches (running on a real simulated process, so lookup/registration
-costs are charged) and checks every hit/miss decision against a
-simulator-free dict+interval reference model.
+The paper's Section VII-B caches (and the host IB cache of Section
+II-C) are one class, :class:`repro.mpi.regcache.RegistrationCache`.
+Hypothesis drives random op sequences through it, running on a real
+simulated process so lookup and registration costs are charged, and
+checks every decision two ways:
+
+* against a simulator-free set-of-intervals model: a cover cache's get
+  is a **hit** iff some cached ``[base, base+length)`` covers the request;
+* against the three classes it replaced (``tests/harness/
+  regcache_reference.py``), through sequences with capacity evictions,
+  frees, invalidations and a host range registered twice (a second mkey
+  the DPU cache must find stale): the same hit / miss / evict / stale
+  decisions, and the same returned entry whenever at most one cached
+  entry covers the request.  The IB reference returns the least recently
+  used of several covers, the single class the lowest ``(base,
+  length)``; after such a lookup the two LRU orders may differ, so a
+  bounded run is compared up to it.
 """
 
 from __future__ import annotations
@@ -15,18 +24,21 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.harness import regcache_reference as ref
 from tests.helpers import run_proc
+from tests.test_offload_bst import check_invariants
 from repro.hw import Cluster, ClusterSpec
 from repro.mpi import MpiWorld
 from repro.mpi.regcache import RegistrationCache
-from repro.offload.gvmi_cache import HostGvmiCache
-from repro.verbs.gvmi import gvmi_id_of
+from repro.offload.gvmi_cache import dpu_gvmi_cache, host_gvmi_cache
+from repro.verbs.gvmi import gvmi_id_of, host_gvmi_register
 
 # Small offset universe (into one allocated arena) so random ops
 # actually collide and cover each other.
 _OFFS = st.integers(0, 7).map(lambda i: i * 256)
 _SIZES = st.sampled_from([64, 256, 512, 1024])
 _ARENA = 8 * 256 + 1024
+_CAPACITY = st.sampled_from([None, 1, 2, 3])
 
 
 def _covered(model: dict, addr: int, size: int) -> bool:
@@ -99,13 +111,13 @@ def test_host_regcache_matches_interval_model(ops):
     min_size=1, max_size=25,
 ))
 def test_host_gvmi_cache_matches_array_of_interval_models(ops):
-    """The array-of-BST cache behaves as one interval model *per proxy*
+    """The host GVMI cache behaves as one interval model *per proxy*
     (requests under different GVMIs never alias)."""
     cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=2))
     ctx = MpiWorld(cl).runtime(0).ctx
     arena = ctx.space.alloc(_ARENA)
     ops = [(which, arena + off, size) for which, off, size in ops]
-    cache = HostGvmiCache(ctx)
+    cache = host_gvmi_cache(ctx)
     proxies = [cl.proxies[0], cl.proxies[1]]
     models = [_IntervalModel(), _IntervalModel()]
 
@@ -114,7 +126,7 @@ def test_host_gvmi_cache_matches_array_of_interval_models(ops):
         for which, addr, size in ops:
             proxy = proxies[which]
             before = cache.hits
-            info = yield from cache.get(proxy, gvmi_id_of(proxy), addr, size)
+            info = yield from cache.get(addr, size, proxy)
             assert info.gvmi_id == gvmi_id_of(proxy)
             decisions.append(cache.hits > before)
         return decisions
@@ -122,8 +134,9 @@ def test_host_gvmi_cache_matches_array_of_interval_models(ops):
     decisions = run_proc(cl, prog())
     expected = [models[which].get(addr, size) for which, addr, size in ops]
     assert decisions == expected
-    assert cache.entries == sum(len(m.entries) for m in models)
-    cache.check_invariants()  # the underlying AVL trees stayed legal
+    assert len(cache) == sum(len(m.entries) for m in models)
+    for root in cache._trees.values():
+        check_invariants(root)
 
 
 @settings(max_examples=25, deadline=None)
@@ -158,3 +171,197 @@ def test_regcache_invalidate_then_reregister(ops, drop):
     model.invalidate(*victim)
     expected = [model.get(addr, size) for addr, size in ops]
     assert decisions == expected
+
+
+# -- the single class vs the three it replaced --------------------------------
+
+# A narrower universe than the model tests': repeats, covers and
+# evictions of a recently hit entry are all common.
+_FEW_OFFS = st.integers(0, 3).map(lambda i: i * 256)
+_FEW_SIZES = st.sampled_from([256, 1024])
+#: ``(op, peer, arena, offset, size)``: ``get`` / ``invalidate`` a range of
+#: one of two arenas for peer 0 or 1, or ``free`` an arena (it is
+#: allocated again at once, so later ops address live memory).
+_OPS = st.lists(
+    st.tuples(st.sampled_from(["get"] * 6 + ["invalidate", "free"]),
+              st.integers(0, 1), st.integers(0, 1), _FEW_OFFS, _FEW_SIZES),
+    min_size=1, max_size=40,
+)
+
+
+def _run(cache_of, get, invalidate, ops, ambiguous_of=None):
+    """Drive one fresh machine's cache through ``ops``; one record per op.
+
+    A get's record is ``(decision counts, returned range, ambiguous)``,
+    where ``ambiguous`` means two or more cached entries covered the
+    request and none matched it exactly.
+    """
+    cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=2))
+    ctx = MpiWorld(cl).runtime(0).ctx
+    cache = cache_of(ctx)
+    arenas = [ctx.space.alloc(_ARENA) for _ in range(2)]
+
+    def counts():
+        return (cache.hits, cache.misses, cache.evictions)
+
+    def prog():
+        records = []
+        for op, peer, which, off, size in ops:
+            addr = arenas[which] + off
+            if op == "free":
+                ctx.free(arenas[which])
+                arenas[which] = ctx.space.alloc(_ARENA)
+                records.append(("free", _entries(cache)))
+            elif op == "invalidate":
+                records.append(("invalidate", invalidate(cache, cl, peer, addr, size)))
+            else:
+                ambiguous = ambiguous_of(cache, cl, peer, addr, size) if ambiguous_of else False
+                before = counts()
+                entry = yield from get(cache, cl, peer, addr, size)
+                delta = tuple(b - a for a, b in zip(before, counts()))
+                records.append(("get", delta, (entry.addr - arenas[which], entry.size),
+                                ambiguous))
+        return records
+
+    return run_proc(cl, prog()), cache
+
+
+def _assert_same(new, old, bounded: bool) -> None:
+    assert len(new) == len(old)
+    for mine, theirs in zip(new, old):
+        if mine[0] != "get":
+            assert mine == theirs
+            continue
+        assert mine[1] == theirs[1]  # hit / miss / evict
+        if mine[3]:
+            if bounded:
+                return
+            continue
+        assert mine[2] == theirs[2]  # the returned entry
+
+
+def _new_ambiguous(cache, _cl, peer, addr, size):
+    slot = cache._slot(peer)
+    if (slot, addr, size) in cache._lru:
+        return False
+    covers = [k for k in cache._lru
+              if k[0] == slot and k[1] <= addr and addr + size <= k[1] + k[2]]
+    return len(covers) > 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_OPS, capacity=_CAPACITY)
+def test_ib_cache_matches_reference(ops, capacity):
+    ops = [(op, None, which, off, size) for op, _peer, which, off, size in ops]
+
+    def get(cache, _cl, _peer, addr, size):
+        return (yield from cache.get(addr, size))
+
+    def invalidate(cache, _cl, _peer, addr, size):
+        return cache.invalidate(addr, size)
+
+    new, _ = _run(lambda ctx: RegistrationCache(ctx, "fuzz", capacity), get,
+                  invalidate, ops, _new_ambiguous)
+    old, _ = _run(lambda ctx: ref.RegistrationCache(ctx, "fuzz", capacity), get,
+                  invalidate, ops)
+    _assert_same(new, old, capacity is not None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_OPS, capacity=_CAPACITY)
+def test_host_gvmi_cache_matches_reference(ops, capacity):
+    """Same rule on both sides (lowest covering key): every record agrees."""
+
+    def new_get(cache, cl, peer, addr, size):
+        return (yield from cache.get(addr, size, cl.proxies[peer]))
+
+    def old_get(cache, cl, peer, addr, size):
+        proxy = cl.proxies[peer]
+        return (yield from cache.get(proxy, gvmi_id_of(proxy), addr, size))
+
+    def new_invalidate(cache, cl, peer, addr, size):
+        return cache.invalidate(addr, size, cl.proxies[peer])
+
+    def old_invalidate(cache, cl, peer, addr, size):
+        return cache.invalidate(cl.proxies[peer].global_id, addr, size)
+
+    new, cache = _run(lambda ctx: host_gvmi_cache(ctx, capacity=capacity), new_get,
+                      new_invalidate, ops)
+    old, _ = _run(lambda ctx: ref.HostGvmiCache(ctx, capacity=capacity), old_get,
+                  old_invalidate, ops)
+    assert new == old
+    for root in cache._trees.values():
+        check_invariants(root)
+
+
+#: ``(op, host rank, offset, size, mkey variant)``: a DPU get of a range
+#: host ``rank`` registered, under its first or second mkey, or an
+#: invalidation of that range.
+_DPU_OPS = st.lists(
+    st.tuples(st.sampled_from(["get"] * 6 + ["invalidate"]),
+              st.integers(0, 1), _FEW_OFFS, _FEW_SIZES, st.integers(0, 1)),
+    min_size=1, max_size=40,
+)
+
+
+def _run_dpu(cache_of, get, invalidate, ops):
+    cl = Cluster(ClusterSpec(nodes=1, ppn=2, proxies_per_dpu=1))
+    proxy = cl.proxies[0]
+    gvmi = gvmi_id_of(proxy)
+    world = MpiWorld(cl)
+    hosts = [world.runtime(r).ctx for r in range(2)]
+    arenas = [host.space.alloc(_ARENA) for host in hosts]
+    cache = cache_of(proxy)
+    mkeys: dict = {}
+
+    def prog():
+        records = []
+        for op, rank, off, size, variant in ops:
+            addr = arenas[rank] + off
+            if op == "invalidate":
+                records.append(("invalidate", invalidate(cache, rank, addr, size)))
+                continue
+            key = (rank, off, size, variant)
+            if key not in mkeys:
+                info = yield from host_gvmi_register(hosts[rank], addr, size, gvmi)
+                mkeys[key] = info.key
+            before = (cache.hits, cache.misses, cache.evictions, _stale(cache))
+            entry = yield from get(cache, rank, gvmi, mkeys[key], addr, size)
+            after = (cache.hits, cache.misses, cache.evictions, _stale(cache))
+            assert entry.parent_mkey == mkeys[key]
+            records.append(("get", tuple(b - a for a, b in zip(before, after)),
+                            (entry.addr - arenas[rank], entry.size)))
+        return records
+
+    return run_proc(cl, prog())
+
+
+def _entries(cache) -> int:
+    if isinstance(cache, (ref.HostGvmiCache, ref.DpuGvmiCache)):
+        return cache.entries
+    return len(cache)
+
+
+def _stale(cache) -> int:
+    if isinstance(cache, RegistrationCache):
+        return cache.stale
+    return cache.stale_detected
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_DPU_OPS, capacity=_CAPACITY)
+def test_dpu_gvmi_cache_matches_reference(ops, capacity):
+    """Exact match plus the mkey check: hits, misses, evictions and stale
+    detections agree with the old DPU cache on every op."""
+
+    def new_get(cache, rank, gvmi, mkey, addr, size):
+        return (yield from cache.get(addr, size, rank, gvmi, mkey))
+
+    def old_get(cache, rank, gvmi, mkey, addr, size):
+        return (yield from cache.get(rank, gvmi, mkey, addr, size))
+
+    new = _run_dpu(lambda ctx: dpu_gvmi_cache(ctx, capacity=capacity), new_get,
+                   lambda cache, rank, addr, size: cache.invalidate(addr, size, rank), ops)
+    old = _run_dpu(lambda ctx: ref.DpuGvmiCache(ctx, capacity=capacity), old_get,
+                   lambda cache, rank, addr, size: cache.invalidate(rank, addr, size), ops)
+    assert new == old

@@ -15,7 +15,7 @@ from repro.hw import Cluster, ClusterSpec, MachineParams, RetryPolicy
 from repro.hw.memory import AddressSpace, OutOfMemoryError, peak_stats, reset_peak_stats
 from repro.mpi.regcache import RegistrationCache
 from repro.offload import OffloadFramework
-from repro.offload.gvmi_cache import HostGvmiCache
+from repro.offload.gvmi_cache import host_gvmi_cache
 from repro.offload.group_cache import DpuPlan, DpuPlanCache, HostGroupCache
 from repro.offload.requests import BARRIER
 from repro.offload.shmem import ShmemWorld
@@ -212,7 +212,7 @@ class TestCacheEviction:
         # Oldest (first) registration was deregistered on eviction.
         assert not keys.is_live(handles[0].lkey)
         assert keys.is_live(handles[1].lkey) and keys.is_live(handles[2].lkey)
-        assert len(cache._entries) == 2
+        assert len(cache) == 2
 
     def test_ib_regcache_hit_refreshes_lru(self, tiny_cluster):
         ctx = tiny_cluster.rank_ctx(0)
@@ -229,19 +229,18 @@ class TestCacheEviction:
         ha = run_proc(tiny_cluster, prog(tiny_cluster.sim))
         keys = verbs_state(tiny_cluster).keys
         assert keys.is_live(ha.lkey)
-        assert (a, 4096) in cache._entries and (b, 4096) not in cache._entries
+        assert cache.peek(a, 4096) is not None and cache.peek(b, 4096) is None
 
     def test_host_gvmi_cache_evicts_and_revokes(self, tiny_cluster):
         host = tiny_cluster.rank_ctx(0)
         proxy = tiny_cluster.proxies[0]
-        cache = HostGvmiCache(host, capacity=2)
-        gid = gvmi_id_of(proxy)
+        cache = host_gvmi_cache(host, capacity=2)
         addrs = [host.space.alloc(4096) for _ in range(3)]
 
         def prog(sim):
             infos = []
             for a in addrs:
-                infos.append((yield from cache.get(proxy, gid, a, 4096)))
+                infos.append((yield from cache.get(a, 4096, proxy)))
             return infos
 
         infos = run_proc(tiny_cluster, prog(tiny_cluster.sim))
@@ -249,13 +248,13 @@ class TestCacheEviction:
         assert cache.evictions == 1
         assert not keys.is_live(infos[0].key)
         assert keys.is_live(infos[1].key) and keys.is_live(infos[2].key)
-        assert cache.entries == 2
+        assert len(cache) == 2
         assert tiny_cluster.metrics.get("gvmi_cache.host.evict") == 1
 
     def test_capacity_param_flows_from_machine_params(self):
         cl = _cluster(gvmi_cache_capacity=5, ib_cache_capacity=7)
         host = cl.rank_ctx(0)
-        assert HostGvmiCache(host).capacity == 5
+        assert host_gvmi_cache(host).capacity == 5
         assert RegistrationCache(host).capacity == 7
 
     def test_host_group_cache_bounded(self, tiny_cluster):
