@@ -7,10 +7,15 @@ offload, then prints per-process busy lanes (``#`` = core-busy time)
 with each lane's busy time and utilisation.  You can literally *see*
 case 1's forwarding gap (host2 wakes again *after* its compute to serve
 the late ring) versus case 3's DPU lanes carrying the ring while the
-hosts sit in one solid compute block.
+hosts sit in one solid compute block.  Case 3 is also written as a
+Chrome ``trace_event`` file in the temp directory; open it in
+https://ui.perfetto.dev to zoom into the same run.
 
 Run:  python examples/timeline_trace.py
 """
+
+import tempfile
+from pathlib import Path
 
 from repro.experiments.common import SimBarrier
 from repro.hw import Cluster, ClusterSpec
@@ -57,7 +62,7 @@ def traced_mpi() -> str:
     return obs.timeline(width=68, entities=[f"host{r}" for r in range(RANKS)])
 
 
-def traced_offload() -> str:
+def traced_offload(trace_path: Path) -> str:
     cluster = Cluster(ClusterSpec(nodes=RANKS, ppn=1, proxies_per_dpu=1))
     obs = observe_cluster(cluster)
     framework = OffloadFramework(cluster)
@@ -91,6 +96,7 @@ def traced_offload() -> str:
     procs = [cluster.sim.process(make(r)(cluster.sim)) for r in range(RANKS)]
     cluster.sim.run(until=cluster.sim.all_of(procs))
     lanes = [f"host{r}" for r in range(RANKS)] + [f"dpu{r}" for r in range(RANKS)]
+    obs.write_chrome_trace(trace_path)
     return obs.timeline(width=68, entities=lanes)
 
 
@@ -100,7 +106,9 @@ def main() -> None:
     print(traced_mpi())
     print("\ncase 3 -- proposed group offload (Listing 5): the DPU lanes")
     print("carry the ring while the hosts sit in one solid compute block:\n")
-    print(traced_offload())
+    trace_path = Path(tempfile.gettempdir()) / "timeline_trace_offload.json"
+    print(traced_offload(trace_path))
+    print(f"\ncase 3 as a Perfetto trace: {trace_path}")
 
 
 if __name__ == "__main__":

@@ -57,9 +57,6 @@ class PencilGrid:
     def coords(self, rank: int) -> tuple[int, int]:
         return rank // self.cols, rank % self.cols
 
-    def rank_of(self, r: int, c: int) -> int:
-        return r * self.cols + c
-
     # -- communication volumes (per rank, bytes, complex128) ----------------
     @property
     def row_block_bytes(self) -> int:
@@ -167,10 +164,6 @@ class P3dfftProfile:
     compute_time: float
     mpi_time: float
     iters: int
-
-    @property
-    def per_iter(self) -> float:
-        return self.overall / max(1, self.iters)
 
 
 def p3dfft_phase(

@@ -120,18 +120,22 @@ class CommBackend:
         return self._timed(self._ibcast(comm, root, addr, size))
 
     def barrier(self, comm: Communicator):
-        return self._timed(coll._and_wait(self.rt, coll._ibarrier(self.rt, comm)))
+        def _go():
+            req = yield from coll.ibarrier(self.rt, comm)
+            yield from self.rt.wait(req)
+
+        return self._timed(_go())
 
     # -- host MPI underneath every runtime -------------------------------------
     def _isend(self, comm, dst, addr, size, tag):
-        return (yield from self.rt._isend(comm, dst, addr, size, tag))
+        return (yield from self.rt.isend(comm, dst, addr, size, tag))
 
     def _irecv(self, comm, src, addr, size, tag):
-        return (yield from self.rt._irecv(comm, src, addr, size, tag))
+        return (yield from self.rt.irecv(comm, src, addr, size, tag))
 
     def _wait(self, req):
         if isinstance(req, (MpiRequest, CollectiveRequest)):
-            yield from self.rt._wait(req)
+            yield from self.rt.wait(req)
         elif self.ep is not None and isinstance(req, (OffloadRequest, OffloadGroupRequest)):
             yield from self.ep.wait(req)
         else:
@@ -146,10 +150,10 @@ class CommBackend:
         return bool(req.complete)
 
     def _ialltoall(self, comm, send_addr, recv_addr, block):
-        return (yield from coll._ialltoall(self.rt, comm, send_addr, recv_addr, block))
+        return (yield from coll.ialltoall(self.rt, comm, send_addr, recv_addr, block))
 
     def _ibcast(self, comm, root, addr, size):
-        return (yield from coll._ibcast(self.rt, comm, root, addr, size, "binomial"))
+        return (yield from coll.ibcast(self.rt, comm, root, addr, size))
 
 
 class GroupBackend(CommBackend):

@@ -14,14 +14,9 @@ the 1-ring algorithm over plain p2p, as HPL itself does.
 from __future__ import annotations
 
 from repro.baselines.base import CommBackend
-from repro.mpi import collectives as coll
 
 __all__ = ["HostMpiBackend"]
 
 
 class HostMpiBackend(CommBackend):
     name = "intelmpi"
-
-    def ibcast_ring(self, comm, root, addr, size):
-        """HPL's 1-ring broadcast as a host-progressed collective."""
-        return self._timed(coll._ibcast(self.rt, comm, root, addr, size, "ring"))

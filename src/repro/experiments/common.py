@@ -73,9 +73,6 @@ class Series:
     #: Unit of y (for table rendering), e.g. "us", "ms", "%", "x".
     unit: str = ""
 
-    def value_at(self, xv) -> float:
-        return self.y[self.x.index(xv)]
-
 
 @dataclass
 class ShapeCheck:

@@ -26,8 +26,8 @@ Options:
     --fluid-threshold BYTES
                      bulk/control split for --fluid (default
                      repro.runconfig.DEFAULT_FLUID_THRESHOLD, 256 KiB)
-    --out DIR        also write each table to DIR/figNN.txt plus a JSON
-                     metrics snapshot (series + counters/histograms) to
+    --out DIR        also write each table to DIR/figNN.txt plus its JSON
+                     result (series, checks, counters/histograms) to
                      DIR/figNN.json
 
 Profile a figure with the standard library:

@@ -10,7 +10,7 @@ Besides flat counters (:meth:`Metrics.add`) the bag keeps one
 :class:`~repro.obs.hist.Histogram` per observed key
 (:meth:`Metrics.observe`) so latency distributions -- transfer flight
 times, request post-to-completion, control-message RTTs -- come out
-with p50/p95/p99 in the JSON snapshot instead of a single mean.
+with p50/p95/p99 in ``snapshot_full`` instead of a single mean.
 """
 
 from __future__ import annotations
@@ -38,12 +38,6 @@ class Metrics:
     def get(self, key: str) -> float:
         return self._counters.get(key, 0.0)
 
-    def __getitem__(self, key: str) -> float:
-        return self.get(key)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._counters
-
     def __iter__(self) -> Iterator[tuple[str, float]]:
         return iter(sorted(self._counters.items()))
 
@@ -70,10 +64,6 @@ class Metrics:
         return iter(sorted(self._hists.items()))
 
     # -- aggregation ------------------------------------------------------
-    def snapshot(self) -> dict[str, float]:
-        """Counters only (back-compat); see ``snapshot_full`` for both."""
-        return dict(self._counters)
-
     def snapshot_full(self) -> dict:
         """Counters plus histogram summaries, JSON-ready."""
         return {
@@ -93,7 +83,3 @@ class Metrics:
                 mine = self._hists[key] = Histogram()
             mine.merge(hist)
         return self
-
-    def reset(self) -> None:
-        self._counters.clear()
-        self._hists.clear()

@@ -1,4 +1,4 @@
-"""Blocking and non-blocking collectives for the host runtime.
+"""Non-blocking collectives for the host runtime.
 
 Every non-blocking collective is a :class:`~repro.mpi.datatypes.CollectiveRequest`
 -- a list of dependency-ordered *rounds* of point-to-point operations
@@ -7,14 +7,16 @@ host-progressed MPI implements them, and is what limits their overlap:
 moving from one round to the next requires the CPU to be inside an MPI
 call.  The rounds themselves are data from :mod:`repro.mpi.schedules`
 (shared with the offloaded runtimes); this module only binds a
-schedule to addresses, a tag and a runtime.
+schedule to addresses, a tag and a runtime.  Each function here is a
+generator that starts the collective and returns its request; wait on
+it with ``rt.wait``.  :func:`allreduce` is the one blocking form.
 
 Algorithms (each described at its schedule): scatter-destination
 ``ialltoall``; ``ibcast`` by binomial tree (IntelMPI-best-Ibcast
-stand-in), scatter + ring allgather above ``SCAG_THRESHOLD``, or HPL's
-1-ring; dissemination ``ibarrier``; ring ``iallgather``; binomial
-``ireduce``/``igather``/``iscatter``; ``allreduce`` = reduce + broadcast,
-with real float64 summation so numerics can be validated.
+stand-in) or scatter + ring allgather above ``SCAG_THRESHOLD``;
+dissemination ``ibarrier``; binomial ``ireduce``; ``allreduce`` =
+reduce + broadcast, with real float64 summation so numerics can be
+validated.
 
 Tags: collective traffic lives in a reserved tag space above
 ``COLL_TAG_BASE``; instances on the same communicator draw a per-rank
@@ -38,19 +40,10 @@ __all__ = [
     "COLL_TAG_BASE",
     "coll_tag",
     "ialltoall",
-    "alltoall",
     "ibcast",
-    "bcast",
     "ibarrier",
-    "barrier",
-    "iallgather",
-    "allgather",
     "ireduce",
     "allreduce",
-    "igather",
-    "gather",
-    "iscatter",
-    "scatter",
 ]
 
 COLL_TAG_BASE = 1 << 20
@@ -85,45 +78,18 @@ def _start(rt: MpiRuntime, comm: Communicator, op: str, schedule, sizes: tuple,
     return coll
 
 
-def _and_wait(rt: MpiRuntime, start):
-    """Blocking collective body without the runtime's timing wrapper
-    (for callers that do their own accounting, e.g. CommBackend)."""
-    coll = yield from start
-    yield from rt._wait(coll)
-
-
 # ---------------------------------------------------------------------------
 # alltoall
 # ---------------------------------------------------------------------------
 
 def ialltoall(rt: MpiRuntime, comm: Communicator, send_addr: int, recv_addr: int, block: int):
     """Personalized all-to-all, ``block`` bytes per peer (scatter-destination)."""
-    return rt._timed(_ialltoall(rt, comm, send_addr, recv_addr, block))
-
-
-def _ialltoall(rt: MpiRuntime, comm: Communicator, send_addr: int, recv_addr: int, block: int):
     return _start(rt, comm, "ialltoall", schedules.alltoall, (block,), send_addr, recv_addr)
-
-
-def alltoall(rt: MpiRuntime, comm: Communicator, send_addr: int, recv_addr: int, block: int):
-    return rt._timed(_and_wait(rt, _ialltoall(rt, comm, send_addr, recv_addr, block)))
 
 
 # ---------------------------------------------------------------------------
 # broadcast
 # ---------------------------------------------------------------------------
-
-def ibcast(
-    rt: MpiRuntime,
-    comm: Communicator,
-    root: int,
-    addr: int,
-    size: int,
-    algorithm: str = "binomial",
-):
-    """Non-blocking broadcast of [addr, +size) from ``root``."""
-    return rt._timed(_ibcast(rt, comm, root, addr, size, algorithm))
-
 
 #: Above this size a host Ibcast switches from the binomial tree to the
 #: bandwidth-optimal scatter + ring-allgather ("scag") algorithm, as
@@ -134,21 +100,13 @@ def ibcast(
 SCAG_THRESHOLD = 64 * 1024
 
 
-def _ibcast(rt, comm, root, addr, size, algorithm="binomial"):
-    if algorithm == "binomial":
-        if size > SCAG_THRESHOLD and comm.size > 2:
-            op, build = "ibcast_scag", schedules.bcast_scag
-        else:
-            op, build = "ibcast", schedules.bcast_binomial
-    elif algorithm == "ring":
-        op, build = "ibcast_ring", schedules.bcast_ring
+def ibcast(rt: MpiRuntime, comm: Communicator, root: int, addr: int, size: int):
+    """Non-blocking broadcast of [addr, +size) from ``root``."""
+    if size > SCAG_THRESHOLD and comm.size > 2:
+        op, build = "ibcast_scag", schedules.bcast_scag
     else:
-        raise MpiError(f"unknown broadcast algorithm {algorithm!r}")
+        op, build = "ibcast", schedules.bcast_binomial
     return _start(rt, comm, op, build, (root, size), recv_addr=addr)
-
-
-def bcast(rt, comm, root, addr, size, algorithm="binomial"):
-    return rt._timed(_and_wait(rt, _ibcast(rt, comm, root, addr, size, algorithm)))
 
 
 # ---------------------------------------------------------------------------
@@ -157,36 +115,11 @@ def bcast(rt, comm, root, addr, size, algorithm="binomial"):
 
 def ibarrier(rt: MpiRuntime, comm: Communicator):
     """Dissemination barrier (log2(p) dependent rounds)."""
-    return rt._timed(_ibarrier(rt, comm))
-
-
-def _ibarrier(rt, comm):
     # One pad per runtime serves every barrier: 1-byte eager messages,
     # 64 of them cover any communicator size.
     if rt._barrier_pad is None:
         rt._barrier_pad = rt.ctx.space.alloc(64)
     return _start(rt, comm, "ibarrier", schedules.barrier, (), scratch=rt._barrier_pad)
-
-
-def barrier(rt, comm):
-    return rt._timed(_and_wait(rt, _ibarrier(rt, comm)))
-
-
-# ---------------------------------------------------------------------------
-# allgather
-# ---------------------------------------------------------------------------
-
-def iallgather(rt: MpiRuntime, comm: Communicator, send_addr: int, recv_addr: int, block: int):
-    """Ring allgather: ``block`` bytes contributed per rank."""
-    return rt._timed(_iallgather(rt, comm, send_addr, recv_addr, block))
-
-
-def _iallgather(rt, comm, send_addr, recv_addr, block):
-    return _start(rt, comm, "iallgather", schedules.allgather, (block,), send_addr, recv_addr)
-
-
-def allgather(rt, comm, send_addr, recv_addr, block):
-    return rt._timed(_and_wait(rt, _iallgather(rt, comm, send_addr, recv_addr, block)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +133,6 @@ def ireduce(rt: MpiRuntime, comm: Communicator, root: int, addr: int, nbytes: in
     local contribution is consumed), matching MPI_Reduce with
     MPI_IN_PLACE at every level of the tree.
     """
-    return rt._timed(_ireduce(rt, comm, root, addr, nbytes))
-
-
-def _ireduce(rt, comm, root, addr, nbytes):
     if nbytes % 8:
         raise MpiError("reduce payload must be whole float64 words")
     return (yield from _start(
@@ -216,51 +145,5 @@ def allreduce(rt: MpiRuntime, comm: Communicator, addr: int, nbytes: int):
     (A fused non-blocking allreduce is not needed by any experiment;
     callers that want overlap use :func:`ireduce` + :func:`ibcast`.)
     """
-    def _go():
-        yield from _and_wait(rt, _ireduce(rt, comm, 0, addr, nbytes))
-        yield from _and_wait(rt, _ibcast(rt, comm, 0, addr, nbytes, "binomial"))
-
-    return rt._timed(_go())
-
-
-# ---------------------------------------------------------------------------
-# gather / scatter (binomial trees over the broadcast topology)
-# ---------------------------------------------------------------------------
-
-def igather(rt: MpiRuntime, comm: Communicator, root: int, send_addr: int,
-            recv_addr: int, block: int):
-    """Non-blocking gather: every rank's ``block`` bytes land at the root.
-
-    Binomial tree: a node first collects the blocks of its whole
-    subtree into a contiguous scratch area (ordered by virtual rank),
-    then forwards the aggregate to its parent in one message -- the
-    standard MPICH algorithm, log2(p) dependent message rounds.
-    """
-    return rt._timed(_igather(rt, comm, root, send_addr, recv_addr, block))
-
-
-def _igather(rt, comm, root, send_addr, recv_addr, block):
-    return _start(rt, comm, "igather", schedules.gather, (root, block), send_addr, recv_addr)
-
-
-def gather(rt, comm, root, send_addr, recv_addr, block):
-    return rt._timed(_and_wait(rt, _igather(rt, comm, root, send_addr, recv_addr, block)))
-
-
-def iscatter(rt: MpiRuntime, comm: Communicator, root: int, send_addr: int,
-             recv_addr: int, block: int):
-    """Non-blocking scatter: the root's i-th ``block`` goes to rank i.
-
-    The reverse of :func:`igather`: binomial tree, each node receives
-    its subtree's blocks from its parent and forwards sub-ranges to its
-    children (largest subtree first).
-    """
-    return rt._timed(_iscatter(rt, comm, root, send_addr, recv_addr, block))
-
-
-def _iscatter(rt, comm, root, send_addr, recv_addr, block):
-    return _start(rt, comm, "iscatter", schedules.scatter, (root, block), send_addr, recv_addr)
-
-
-def scatter(rt, comm, root, send_addr, recv_addr, block):
-    return rt._timed(_and_wait(rt, _iscatter(rt, comm, root, send_addr, recv_addr, block)))
+    yield from rt.wait((yield from ireduce(rt, comm, 0, addr, nbytes)))
+    yield from rt.wait((yield from ibcast(rt, comm, 0, addr, nbytes)))

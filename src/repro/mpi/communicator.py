@@ -58,9 +58,6 @@ class Communicator:
             raise MpiError(f"rank {local_rank} out of range for {self.name} (size {self.size})")
         return self.world_ranks[local_rank]
 
-    def contains(self, world_rank: int) -> bool:
-        return world_rank in self._index
-
     def split(self, colors: Sequence[int], keys: Optional[Sequence[int]] = None) -> dict[int, "Communicator"]:
         """Split into sub-communicators by color (one entry per color).
 

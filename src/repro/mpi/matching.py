@@ -52,13 +52,6 @@ class MatchingEngine:
         self._posted.append(req)
         return None
 
-    def cancel_recv(self, req: MpiRequest) -> bool:
-        try:
-            self._posted.remove(req)
-            return True
-        except ValueError:
-            return False
-
     # -- arrivals ----------------------------------------------------------
     def match_arrival(self, envelope: Envelope) -> Optional[MpiRequest]:
         """Find (and remove) the oldest posted receive accepting ``envelope``."""

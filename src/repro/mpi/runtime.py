@@ -32,7 +32,7 @@ Protocols:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -77,9 +77,6 @@ class MpiRuntime:
         self._coll_seq: dict[int, int] = {}
         #: The dissemination barrier's bytes (never read), allocated once.
         self._barrier_pad: Optional[int] = None
-        #: Total simulated time this rank spent inside MPI calls
-        #: (Fig 16c's "Time spent in MPI").
-        self.time_in_mpi = 0.0
         self.sim.watchdog_probes.append(self._watchdog_report)
 
     def _watchdog_report(self):
@@ -102,107 +99,10 @@ class MpiRuntime:
             )
 
     # ------------------------------------------------------------------
-    # public API (timed wrappers)
+    # point to point
     # ------------------------------------------------------------------
     def isend(self, comm: Communicator, dst: int, addr: int, size: int, tag: int = 0):
         """Non-blocking send; returns an :class:`MpiRequest`."""
-        return self._timed(self._isend(comm, dst, addr, size, tag))
-
-    def irecv(self, comm: Communicator, src: int, addr: int, size: int, tag: int = ANY_TAG):
-        """Non-blocking receive; ``src`` may be :data:`ANY_SOURCE`."""
-        return self._timed(self._irecv(comm, src, addr, size, tag))
-
-    def send(self, comm: Communicator, dst: int, addr: int, size: int, tag: int = 0):
-        def _go():
-            req = yield from self._isend(comm, dst, addr, size, tag)
-            yield from self._wait(req)
-
-        return self._timed(_go())
-
-    def recv(self, comm: Communicator, src: int, addr: int, size: int, tag: int = ANY_TAG):
-        def _go():
-            req = yield from self._irecv(comm, src, addr, size, tag)
-            yield from self._wait(req)
-            return req
-
-        return self._timed(_go())
-
-    def test(self, req):
-        """One progress pass; returns True if ``req`` is complete."""
-        def _go():
-            yield self.ctx.consume(self.params.mpi_call_overhead)
-            yield from self._drain()
-            return self._is_complete(req)
-
-        return self._timed(_go())
-
-    def wait(self, req):
-        """Block (progressing) until ``req`` completes."""
-        return self._timed(self._wait(req))
-
-    def waitall(self, reqs: Iterable):
-        def _go():
-            for r in list(reqs):
-                yield from self._wait(r)
-
-        return self._timed(_go())
-
-    def progress(self):
-        """An explicit progress poke (``MPI_Test`` on nothing)."""
-        def _go():
-            yield self.ctx.consume(self.params.mpi_call_overhead)
-            yield from self._drain()
-
-        return self._timed(_go())
-
-    def sendrecv(self, comm: Communicator, dst: int, send_addr: int,
-                 send_size: int, src: int, recv_addr: int, recv_size: int,
-                 sendtag: int = 0, recvtag: int = ANY_TAG):
-        """``MPI_Sendrecv``: simultaneous send + receive, both completed.
-
-        Deadlock-free by construction (both operations are posted
-        non-blocking before either is waited)."""
-        def _go():
-            rreq = yield from self._irecv(comm, src, recv_addr, recv_size, recvtag)
-            sreq = yield from self._isend(comm, dst, send_addr, send_size, sendtag)
-            yield from self._wait(sreq)
-            yield from self._wait(rreq)
-            return rreq
-
-        return self._timed(_go())
-
-    def iprobe(self, comm: Communicator, src: int = ANY_SOURCE,
-               tag: int = ANY_TAG):
-        """``MPI_Iprobe``: progress once, then report whether a matching
-        message is queued (without consuming it).
-
-        Returns ``(flag, envelope-or-None)``."""
-        def _go():
-            yield self.ctx.consume(self.params.mpi_call_overhead)
-            yield from self._drain()
-            src_world = ANY_SOURCE if src == ANY_SOURCE else comm.world_rank(src)
-            for um in self.matching._unexpected:
-                if um.envelope.matches_recv(src_world, tag, comm.comm_id):
-                    return True, um.envelope
-            return False, None
-
-        return self._timed(_go())
-
-    # ------------------------------------------------------------------
-    # timing
-    # ------------------------------------------------------------------
-    def _timed(self, gen):
-        t0 = self.sim.now
-        try:
-            result = yield from gen
-        finally:
-            self.time_in_mpi += self.sim.now - t0
-        return result
-
-    # ------------------------------------------------------------------
-    # p2p internals
-    # ------------------------------------------------------------------
-    def _isend(self, comm: Communicator, dst: int, addr: int, size: int, tag: int):
         if tag < 0:
             raise MpiError("send tag must be non-negative")
         if size < 0:
@@ -216,7 +116,7 @@ class MpiRuntime:
         )
         yield self.ctx.consume(self.params.mpi_call_overhead)
         if dst_world == src_world:
-            raise MpiError("self-sends must be copied locally (use sendrecv_self)")
+            raise MpiError("self-sends must be copied locally (copy_local)")
         cluster = self.ctx.cluster
         if cluster.same_node(src_world, dst_world):
             proto = "shm"
@@ -298,7 +198,8 @@ class MpiRuntime:
         self.sim.call_at(self.sim.now, _arm)
         self._complete(req)
 
-    def _irecv(self, comm: Communicator, src: int, addr: int, size: int, tag: int):
+    def irecv(self, comm: Communicator, src: int, addr: int, size: int, tag: int = ANY_TAG):
+        """Non-blocking receive; ``src`` may be :data:`ANY_SOURCE`."""
         src_world = ANY_SOURCE if src == ANY_SOURCE else comm.world_rank(src)
         req = MpiRequest(
             kind="recv", rank=self.rank, peer=src_world, tag=tag,
@@ -322,7 +223,14 @@ class MpiRuntime:
             yield from self._handle(item)
         yield from self._advance_collectives()
 
-    def _wait(self, req):
+    def test(self, req):
+        """One progress pass; returns True if ``req`` is complete."""
+        yield self.ctx.consume(self.params.mpi_call_overhead)
+        yield from self._drain()
+        return self._is_complete(req)
+
+    def wait(self, req):
+        """Block (progressing) until ``req`` completes."""
         yield self.ctx.consume(self.params.mpi_call_overhead)
         yield from self._drain()
         while not self._is_complete(req):
@@ -448,7 +356,7 @@ class MpiRuntime:
                 kind = op.kind
                 addr = bufs[op.buf] + op.off
                 if kind in ("send", "recv"):
-                    post = self._isend if kind == "send" else self._irecv
+                    post = self.isend if kind == "send" else self.irecv
                     active.append((yield from post(
                         comm, op.peer, addr, op.nbytes, tag + op.tag)))
                 elif kind == "copy":

@@ -39,7 +39,7 @@ __all__ = [
     "SEND", "RECV", "SCRATCH", "Op", "Schedule",
     "binomial_tree", "scatter_tree", "ring_neighbours", "chunks",
     "alltoall", "bcast_binomial", "bcast_ring", "bcast_scag", "barrier",
-    "allgather", "reduce", "gather", "scatter", "allreduce_rd", "allreduce_ring",
+    "reduce", "allreduce_rd", "allreduce_ring",
 ]
 
 SEND, RECV, SCRATCH = "send", "recv", "scratch"
@@ -165,23 +165,14 @@ def alltoall(me: int, p: int, block: int) -> Schedule:
     return Schedule([ops])
 
 
-def bcast_binomial(me: int, p: int, root: int, nbytes: int, *, levels: bool = False) -> Schedule:
-    """Binomial-tree broadcast of ``RECV[0:nbytes]``: one tree, two
-    lowerings, both pinned.  A host runtime (``levels=False``) receives,
-    then posts every child in one round under one tag.  The Group form
-    (``levels=True``) has one round per tree level on *every* rank, the
-    level being the tag offset."""
+def bcast_binomial(me: int, p: int, root: int, nbytes: int) -> Schedule:
+    """Binomial-tree broadcast of ``RECV[0:nbytes]``: receive from the
+    parent, then post every child in one round under one tag."""
     v = (me - root) % p
     parent, children = binomial_tree(v, p)
-    rounds = [[] for _ in range((p - 1).bit_length() if levels else 2)]
-    if parent is not None:
-        k = v.bit_length() - 1 if levels else 0
-        rounds[k].append(Op("recv", (parent + root) % p, RECV, 0, nbytes, k))
-    for child in children:
-        k = (child - v).bit_length() - 1 if levels else 0
-        rounds[k if levels else 1].append(
-            Op("send", (child + root) % p, RECV, 0, nbytes, k))
-    return Schedule(rounds)
+    recv = [] if parent is None else [Op("recv", (parent + root) % p, RECV, 0, nbytes)]
+    return Schedule([recv, [Op("send", (child + root) % p, RECV, 0, nbytes)
+                            for child in children]])
 
 
 def bcast_ring(me: int, p: int, root: int, nbytes: int) -> Schedule:
@@ -234,14 +225,6 @@ def barrier(me: int, p: int) -> Schedule:
     return Schedule(rounds, max(1, k))
 
 
-def allgather(me: int, p: int, block: int) -> Schedule:
-    """Ring allgather of ``block`` bytes per rank into ``RECV``: the own
-    block is a local copy from ``SEND``, the rest :func:`_ring_rounds`."""
-    rounds = _ring_rounds(me, p, me, [i * block for i in range(p + 1)], 0) or [[]]
-    rounds[0].insert(0, _local("copy", RECV, me * block, SEND, 0, block))
-    return Schedule(rounds)
-
-
 def reduce(me: int, p: int, root: int, nbytes: int) -> Schedule:
     """Binomial float64 sum-reduce of ``RECV`` into ``root``, in place:
     the broadcast tree run backwards.  A node drains its children
@@ -256,51 +239,6 @@ def reduce(me: int, p: int, root: int, nbytes: int) -> Schedule:
     if parent is not None:
         rounds[-1].append(Op("send", (parent + root) % p, RECV, 0, nbytes))
     return Schedule(rounds, nbytes if children else 0)
-
-
-def gather(me: int, p: int, root: int, block: int) -> Schedule:
-    """Binomial gather of ``SEND[0:block]`` into the root's ``RECV``:
-    subtree blocks are collected in virtual-rank order (children arrive
-    smallest-subtree-first: they finish soonest) and forwarded as one
-    message.  The root assembles straight into ``RECV`` when virtual
-    order is user order (``root == 0``), else rotates out of scratch in
-    a last copy round."""
-    v = (me - root) % p
-    parent, span, children = scatter_tree(v, p)
-    area = RECV if v == 0 and root == 0 else SCRATCH
-    rounds = [[_local("copy", area, 0, SEND, 0, block)]]
-    for child, child_span in reversed(children):
-        rounds[-1].append(Op("recv", (child + root) % p, area,
-                             (child - v) * block, child_span * block))
-        rounds.append([])
-    if parent is not None:
-        rounds[-1].append(Op("send", (parent + root) % p, area, 0, span * block))
-    elif root != 0:
-        rounds[-1] += [_local("copy", RECV, (u + root) % p * block, SCRATCH, u * block, block)
-                       for u in range(p)]
-    return Schedule(rounds, 0 if area == RECV else span * block)
-
-
-def scatter(me: int, p: int, root: int, block: int) -> Schedule:
-    """Binomial scatter of the root's ``SEND`` blocks, one per rank,
-    into ``RECV[0:block]`` -- :func:`gather` reversed: a node receives
-    its subtree's blocks from its parent and forwards sub-ranges to its
-    children, largest subtree first.  A non-zero root first packs
-    ``SEND`` into virtual order."""
-    v = (me - root) % p
-    parent, span, children = scatter_tree(v, p)
-    area = SEND if v == 0 and root == 0 else SCRATCH
-    if parent is not None:
-        first = [Op("recv", (parent + root) % p, area, 0, span * block)]
-    elif root != 0:
-        first = [_local("copy", SCRATCH, u * block, SEND, (u + root) % p * block, block)
-                 for u in range(p)]
-    else:
-        first = []
-    sends = [Op("send", (child + root) % p, area, (child - v) * block,
-                child_span * block) for child, child_span in children]
-    deliver = [_local("copy", RECV, 0, area, 0, block)]
-    return Schedule([first, sends, deliver], 0 if area == SEND else span * block)
 
 
 def allreduce_rd(me: int, p: int, nbytes: int) -> Schedule:

@@ -15,8 +15,7 @@ measurement substrate:
   p50/p95/p99, layered onto :class:`~repro.hw.metrics.Metrics` via
   ``Metrics.observe``.
 * :mod:`~repro.obs.export` -- exporters: Chrome ``trace_event`` JSON
-  (open in https://ui.perfetto.dev), per-rank text timelines, and JSON
-  metrics snapshots written next to ``results/`` by ``runall``.
+  (open in https://ui.perfetto.dev) and per-rank text timelines.
 * :mod:`~repro.obs.invariants` -- the trace invariant checker consumed
   by ``tests/harness``: every post completes, transfers respect
   causality, no host CPU span overlaps offloaded group execution, group
@@ -34,13 +33,7 @@ Typical wiring::
 
 from repro.obs.events import EventBus, ObsEvent
 from repro.obs.hist import Histogram
-from repro.obs.export import (
-    chrome_trace,
-    metrics_snapshot,
-    render_timeline,
-    write_chrome_trace,
-    write_metrics_snapshot,
-)
+from repro.obs.export import chrome_trace, render_timeline, write_chrome_trace
 from repro.obs.invariants import TraceInvariantError, check_trace, trace_violations
 
 __all__ = [
@@ -51,12 +44,10 @@ __all__ = [
     "TraceInvariantError",
     "check_trace",
     "chrome_trace",
-    "metrics_snapshot",
     "observe_cluster",
     "render_timeline",
     "trace_violations",
     "write_chrome_trace",
-    "write_metrics_snapshot",
 ]
 
 
@@ -78,9 +69,6 @@ class Observability:
     def timeline(self, width: int = 72, entities=None) -> str:
         return render_timeline(self.bus, width=width, entities=entities)
 
-    def metrics_snapshot(self, extra: dict | None = None) -> dict:
-        return metrics_snapshot(self.cluster, extra=extra)
-
     def check(self, **kw) -> None:
         if "keys" not in kw:
             state = getattr(self.cluster, "_verbs", None)
@@ -93,7 +81,7 @@ def observe_cluster(cluster, categories=None) -> Observability:
     """Attach full observability (events + spans) to ``cluster``.
 
     Must run before traffic flows; returns the :class:`Observability`
-    handle used to export traces and snapshots after the run.
+    handle used to export traces after the run.
     """
     bus = EventBus.attach(cluster, categories=categories)
     # Arm use/revoke logging on the cluster-wide key table so the

@@ -31,7 +31,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -89,12 +89,6 @@ class ObsEvent:
 
     def argdict(self) -> dict:
         return dict(zip(self.keys, self.vals))
-
-    def label(self) -> str:
-        """Compact one-line rendering (used by timelines and messages)."""
-        kv = " ".join(f"{k}={v}" for k, v in zip(self.keys, self.vals))
-        base = f"[{self.time * 1e6:10.3f}us] {self.entity:<8} {self.cat}.{self.name}"
-        return f"{base} {kv}".rstrip()
 
 
 _new_event = object.__new__
@@ -344,7 +338,6 @@ class EventBus:
         #: For :meth:`emit`: the clock value last stamped and its rounding.
         self._now, self._time = None, 0.0
         self._categories = frozenset(categories) if categories is not None else None
-        self._subscribers: list[Callable[[ObsEvent], None]] = []
         #: The current recording (:meth:`clear` replaces it).
         self.columns = Columns()
 
@@ -368,10 +361,6 @@ class EventBus:
             cluster.link_plan.bus = bus
         return bus
 
-    def subscribe(self, fn: Callable[[ObsEvent], None]) -> None:
-        """Call ``fn(event)`` on every accepted event (live consumers)."""
-        self._subscribers.append(fn)
-
     def emit(self, _cat: str, _name: str, _entity: str, **args) -> None:
         """Record one event (unless its category is filtered out).
 
@@ -392,18 +381,13 @@ class EventBus:
         ent = c._entity_code.get(_entity)
         if ent is None:
             ent = c._lane(_entity)
-        row = len(c.time)
-        rows.append(row)
+        rows.append(len(c.time))
         c.time.append(self._time)
         c.shape.append(code)
         c.entity.append(ent)
         stage.extend(args.values() if pick is None else pick(args))
         if len(stage) >= limit:
             c.shapes[code].pack()
-        if self._subscribers:
-            ev = c.event(row)
-            for fn in self._subscribers:
-                fn(ev)
 
     def span(self, entity: str, start: float, end: float) -> None:
         """Record that ``entity``'s core was busy over ``[start, end)``."""
@@ -462,15 +446,6 @@ class EventBus:
         out = [(names[e], s, t)
                for e, s, t in zip(c.span_entity, c.span_start, c.span_end)]
         return out if entity is None else [sp for sp in out if sp[0] == entity]
-
-    def render(self, limit: Optional[int] = None) -> str:
-        """Plain-text dump of the stream (debugging aid)."""
-        c = self.columns
-        n = len(c) if limit is None else min(limit, len(c))
-        lines = [c.event(r).label() for r in range(n)]
-        if n < len(c):
-            lines.append(f"... ({len(c) - n} more)")
-        return "\n".join(lines) if lines else "(no events)"
 
 
 _MISSING = object()

@@ -1,6 +1,6 @@
-"""Exporters: Chrome ``trace_event`` JSON, text timelines, metrics snapshots.
+"""Exporters: Chrome ``trace_event`` JSON and text timelines.
 
-Three output formats, all deterministic for a fixed seed:
+Two output formats, both deterministic for a fixed seed:
 
 * :func:`chrome_trace` -- the Chrome/Perfetto ``trace_event`` JSON
   object format (https://ui.perfetto.dev loads the file as-is).  Busy
@@ -11,11 +11,8 @@ Three output formats, all deterministic for a fixed seed:
 * :func:`render_timeline` -- the per-rank text timeline: busy lanes
   plus per-entity busy-time and utilisation columns, lanes ordered
   hosts -> DPUs -> fabric.
-* :func:`metrics_snapshot` -- a JSON-ready dict of every counter and
-  histogram summary, written next to ``results/`` by ``runall`` and the
-  benchmark harness so perf regressions diff as data, not prose.
 
-The first two read the bus's columns (:class:`~repro.obs.events.Columns`)
+Both read the bus's columns (:class:`~repro.obs.events.Columns`)
 directly; neither builds an :class:`~repro.obs.events.ObsEvent`.
 """
 
@@ -27,7 +24,6 @@ import re
 from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import asdict, is_dataclass
 from itertools import chain, repeat
 from operator import eq
 from pathlib import Path
@@ -41,11 +37,9 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "render_timeline",
-    "metrics_snapshot",
-    "write_metrics_snapshot",
 ]
 
-#: Version stamp written into every snapshot / trace we produce.
+#: Version stamp written into every trace we produce.
 SCHEMA_VERSION = "repro.obs/1"
 
 _ENT_RE = re.compile(r"^([a-z_]+?)(\d+)$")
@@ -251,13 +245,6 @@ def chrome_trace(cluster=None, bus=None, process_name: str = "repro-sim") -> dic
     }
 
 
-def _write_json(path, doc: dict, indent: int) -> dict:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
-    return doc
-
-
 def write_chrome_trace(path, cluster=None, bus=None) -> dict:
     """Stream :func:`chrome_trace` output to ``path`` (one compact JSON
     row per line, never the whole text; ``.tmp`` + rename, so no partial
@@ -335,43 +322,3 @@ def render_timeline(bus, width: int = 72,
                 marks[min(width - 1, int((delivered - t0) * scale))] = "v"
             lines.append(f"{'':{label_w}s}|{''.join(marks)}|")
     return "\n".join(lines)
-
-
-def _spec_dict(cluster) -> dict:
-    spec = getattr(cluster, "spec", None)
-    if spec is None:
-        return {}
-    if is_dataclass(spec):
-        return asdict(spec)
-    return {k: v for k, v in vars(spec).items() if not k.startswith("_")}
-
-
-def metrics_snapshot(cluster_or_metrics, extra: Optional[dict] = None) -> dict:
-    """JSON-ready snapshot of counters + histogram summaries.
-
-    Accepts a cluster (preferred: includes spec + sim time) or a bare
-    :class:`~repro.hw.metrics.Metrics`.
-    """
-    metrics = getattr(cluster_or_metrics, "metrics", cluster_or_metrics)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "counters": dict(metrics),
-        "histograms": {
-            key: hist.summary() for key, hist in metrics.hists()
-        },
-    }
-    sim = getattr(cluster_or_metrics, "sim", None)
-    if sim is not None:
-        doc["sim_time"] = sim.now
-    spec = _spec_dict(cluster_or_metrics)
-    if spec:
-        doc["spec"] = spec
-    if extra:
-        doc["extra"] = extra
-    return doc
-
-
-def write_metrics_snapshot(path, cluster_or_metrics,
-                           extra: Optional[dict] = None) -> dict:
-    """Write :func:`metrics_snapshot` output to ``path``; returns the dict."""
-    return _write_json(path, metrics_snapshot(cluster_or_metrics, extra=extra), 2)

@@ -27,10 +27,8 @@ Entry point: :class:`~repro.offload.api.OffloadFramework`
 from repro.offload.api import OffloadEndpoint, OffloadFramework
 from repro.offload.collectives import (
     allreduce_algorithm,
-    build_iallgather,
     build_iallreduce,
     build_ialltoall,
-    build_ibcast,
 )
 from repro.offload.requests import (
     GroupOp,
@@ -42,10 +40,8 @@ from repro.offload.staging import StagingChannel
 
 __all__ = [
     "allreduce_algorithm",
-    "build_iallgather",
     "build_iallreduce",
     "build_ialltoall",
-    "build_ibcast",
     "GroupOp",
     "OffloadEndpoint",
     "OffloadError",

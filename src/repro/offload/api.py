@@ -170,9 +170,6 @@ class OffloadFramework:
     def proxy_engine(self, proxy_ctx: ProcessContext) -> ProxyEngine:
         return self._proxy_engines[proxy_ctx.global_id]
 
-    def proxy_engine_for_rank(self, rank: int) -> ProxyEngine:
-        return self.proxy_engine(self.cluster.proxy_for_rank(rank))
-
     def finalize(self) -> None:
         """``Finalize_Offload``: stop every proxy loop (each stops when the
         simulation next runs; :meth:`close` is the variant for a job that

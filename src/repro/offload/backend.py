@@ -30,11 +30,11 @@ class ProposedBackend(GroupBackend):
     def _isend(self, comm, dst, addr, size, tag):
         dst_world = comm.world_rank(dst)
         if self.ctx.cluster.same_node(self.rank, dst_world):
-            return (yield from self.rt._isend(comm, dst, addr, size, tag))
+            return (yield from self.rt.isend(comm, dst, addr, size, tag))
         return (yield from self.ep.send_offload(addr, size, dst=dst_world, tag=tag))
 
     def _irecv(self, comm, src, addr, size, tag):
         src_world = comm.world_rank(src)
         if self.ctx.cluster.same_node(self.rank, src_world):
-            return (yield from self.rt._irecv(comm, src, addr, size, tag))
+            return (yield from self.rt.irecv(comm, src, addr, size, tag))
         return (yield from self.ep.recv_offload(addr, size, src=src_world, tag=tag))

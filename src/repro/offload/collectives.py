@@ -1,5 +1,4 @@
-"""Offloaded collectives: Ialltoall / Ibcast / Iallgather / Iallreduce
-as Group DAGs.
+"""Offloaded collectives: Ialltoall and Iallreduce as Group DAGs.
 
 Each builder hands one rank's :mod:`repro.mpi.schedules` schedule to
 :func:`record_schedule`, the Group interpreter, which records the whole
@@ -40,21 +39,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "build_ialltoall",
-    "build_ibcast",
-    "build_iallgather",
     "build_iallreduce",
     "allreduce_algorithm",
-    "TAG_BCAST",
-    "TAG_ALLGATHER",
     "TAG_ALLREDUCE",
 ]
 
-#: Default tag bases, one page per collective so per-round tags
-#: (``base + round``) never collide across concurrently-built patterns
-#: of different collectives.  Callers overlapping two instances of the
-#: *same* collective pass distinct bases.
-TAG_BCAST = 0x7A00
-TAG_ALLGATHER = 0x7B00
+#: Default tag base of an Iallreduce, a page of its own so per-round
+#: tags (``base + round``) never collide with other patterns.  Callers
+#: overlapping two instances pass distinct bases.
 TAG_ALLREDUCE = 0x7C00
 
 
@@ -92,34 +84,20 @@ def record_schedule(ep: "OffloadEndpoint", sched: Schedule, *, base_tag: int,
     return greq, scratch
 
 
-def _comm_rank(ep: "OffloadEndpoint", comm_size: int, root: int = 0) -> int:
+def _comm_rank(ep: "OffloadEndpoint", comm_size: int) -> int:
     """``ep.rank`` as a rank of the communicator the builders assume
-    (world ranks ``0 .. comm_size-1``).  An endpoint or root outside it
-    would record an aliased rank's pattern and deadlock later."""
-    if not (0 <= ep.rank < comm_size and 0 <= root < comm_size):
-        raise OffloadError(
-            f"rank {ep.rank} / root {root} outside a communicator of {comm_size}")
+    (world ranks ``0 .. comm_size-1``).  An endpoint outside it would
+    record an aliased rank's pattern and deadlock later."""
+    if not 0 <= ep.rank < comm_size:
+        raise OffloadError(f"rank {ep.rank} outside a communicator of {comm_size}")
     return ep.rank
 
 
-def allreduce_algorithm(comm_size: int, algorithm: str = "auto") -> str:
-    """Resolve the Iallreduce algorithm name for a communicator size.
-
-    ``auto`` prefers recursive doubling (log rounds) when the size is a
-    power of two and falls back to the ring otherwise; the ring's
-    ``2(p-1)`` rounds only win on very large payloads at small ``p``,
-    which callers can force with ``algorithm="ring"``.
-    """
-    pow2 = comm_size > 0 and comm_size & (comm_size - 1) == 0
-    if algorithm == "auto":
-        return "rd" if pow2 else "ring"
-    if algorithm not in ("rd", "ring"):
-        raise OffloadError(f"unknown Iallreduce algorithm {algorithm!r}")
-    if algorithm == "rd" and not pow2:
-        raise OffloadError(
-            f"recursive doubling needs a power-of-two communicator, got {comm_size}"
-        )
-    return algorithm
+def allreduce_algorithm(comm_size: int) -> str:
+    """The Iallreduce algorithm for a communicator size: recursive
+    doubling (log rounds) when the size is a power of two, else the
+    ring, the only one that handles any size."""
+    return "rd" if comm_size > 0 and comm_size & (comm_size - 1) == 0 else "ring"
 
 
 def build_ialltoall(ep: "OffloadEndpoint", send_addr: int, recv_addr: int,
@@ -133,39 +111,8 @@ def build_ialltoall(ep: "OffloadEndpoint", send_addr: int, recv_addr: int,
                            send_addr=send_addr, recv_addr=recv_addr)[0]
 
 
-def build_ibcast(ep: "OffloadEndpoint", addr: int, size: int, *,
-                 root: int = 0, comm_size: int,
-                 base_tag: int = TAG_BCAST) -> OffloadGroupRequest:
-    """Record a binomial-tree broadcast of ``[addr, addr+size)``.
-
-    Round ``k``: virtual ranks ``v < 2**k`` forward to ``v + 2**k``
-    (when that rank exists); ``v`` in ``[2**k, 2**(k+1))`` receive.
-    A rank's receive always precedes its forwards by at least one
-    barrier, so the tree pipelines without host involvement.  Returns
-    the sealed request (``Group_Offload_end`` already applied).
-    """
-    sched = schedules.bcast_binomial(
-        _comm_rank(ep, comm_size, root), comm_size, root, size, levels=True)
-    return record_schedule(ep, sched, base_tag=base_tag, recv_addr=addr)[0]
-
-
-def build_iallgather(ep: "OffloadEndpoint", recv_addr: int, block_size: int, *,
-                     comm_size: int,
-                     base_tag: int = TAG_ALLGATHER) -> OffloadGroupRequest:
-    """Record a ring allgather into ``comm_size`` contiguous blocks.
-
-    The caller places this rank's own contribution at
-    ``recv_addr + rank * block_size`` **before** ``Group_Offload_call``;
-    round ``r`` then forwards block ``(me - r) % p`` to the right
-    neighbour while block ``(me - r - 1) % p`` arrives from the left,
-    directly into its final slot (no scratch copies).
-    """
-    sched = schedules.allgather(_comm_rank(ep, comm_size), comm_size, block_size)
-    return record_schedule(ep, sched, base_tag=base_tag, recv_addr=recv_addr)[0]
-
-
 def build_iallreduce(ep: "OffloadEndpoint", addr: int, size: int, *,
-                     comm_size: int, algorithm: str = "auto",
+                     comm_size: int,
                      base_tag: int = TAG_ALLREDUCE,
                      ) -> tuple[OffloadGroupRequest, Optional[int]]:
     """Record an in-place sum-Iallreduce over ``size`` bytes of float64.
@@ -178,7 +125,7 @@ def build_iallreduce(ep: "OffloadEndpoint", addr: int, size: int, *,
     if size % 8:
         raise OffloadError("Iallreduce operates on float64 words "
                            f"(size must be a multiple of 8, got {size})")
-    algo = allreduce_algorithm(comm_size, algorithm)
-    build = schedules.allreduce_rd if algo == "rd" else schedules.allreduce_ring
+    rd = allreduce_algorithm(comm_size) == "rd"
+    build = schedules.allreduce_rd if rd else schedules.allreduce_ring
     sched = build(_comm_rank(ep, comm_size), comm_size, size)
     return record_schedule(ep, sched, base_tag=base_tag, recv_addr=addr)

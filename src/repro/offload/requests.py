@@ -119,17 +119,5 @@ class OffloadGroupRequest:
         rank and the ops themselves (no copy of either)."""
         return self.sealed or (self.rank, tuple(self.ops))
 
-    @property
-    def n_sends(self) -> int:
-        return sum(1 for op in self.ops if op.kind == "send")
-
-    @property
-    def n_recvs(self) -> int:
-        return sum(1 for op in self.ops if op.kind == "recv")
-
-    @property
-    def n_barriers(self) -> int:
-        return sum(1 for op in self.ops if op.kind == "barrier")
-
     def __hash__(self) -> int:
         return self.req_id

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.hw.cluster import Cluster
+from repro.mpi import schedules
 from repro.mpi.regcache import RegistrationCache
 from repro.offload.api import OffloadFramework
 from repro.offload.gvmi_cache import host_gvmi_cache
@@ -233,30 +234,30 @@ class ShmemEndpoint:
         yield ev
 
     def barrier_all(self):
-        """Put-based dissemination barrier over all PEs."""
-        n = self.world.n_pes
-        if n == 1:
+        """Put-based dissemination barrier over all PEs: the rounds of
+        :func:`repro.mpi.schedules.barrier`, each a one-byte put of this
+        barrier's value into the round peer's flag, then a wait for the
+        same value in this PE's own flag of that round."""
+        rounds = schedules.barrier(self.pe, self.world.n_pes).rounds
+        if not rounds:
             return
         if self._barrier_flags is None:
             raise OffloadError("call ShmemWorld-wide barrier_init first")
-        rounds = max(1, (n - 1).bit_length())
         self._barrier_round_values += 1
-        epoch = self._barrier_round_values
-        for k in range(rounds):
-            peer = (self.pe + (1 << k)) % n
-            flag = self._barrier_flags + k
-            src = self._barrier_scratch + k
-            self.ctx.space.view(src, 1)[0] = epoch % 250 + 1
-            yield from self.put(flag, src, 1, peer)
+        value = self._barrier_round_values % 250 + 1
+        for send, _recv in rounds:
+            flag = self._barrier_flags + send.off
+            src = self._barrier_scratch + send.off
+            self.ctx.space.view(src, 1)[0] = value
+            yield from self.put(flag, src, 1, send.peer)
             yield from self.quiet()
-            yield from self.wait_until(flag, lambda v, e=epoch: v == e % 250 + 1)
+            yield from self.wait_until(flag, lambda v: v == value)
 
     def barrier_init(self):
         """Collective: allocate the barrier's symmetric flag arrays."""
-        n = self.world.n_pes
-        rounds = max(1, (n - 1).bit_length())
-        self._barrier_flags = yield from self.symmetric_alloc(rounds, fill=0)
-        self._barrier_scratch = yield from self.symmetric_alloc(rounds, fill=0)
+        slots = schedules.barrier(self.pe, self.world.n_pes).scratch_bytes
+        self._barrier_flags = yield from self.symmetric_alloc(slots, fill=0)
+        self._barrier_scratch = yield from self.symmetric_alloc(slots, fill=0)
         self._barrier_round_values = 0
 
     # ------------------------------------------------------------------
@@ -299,22 +300,21 @@ class ShmemEndpoint:
         if op.event is not None and not op.event.triggered:
             op.event.succeed(None)
 
-    def _notify_write(self, addr: int) -> None:
-        """A remote put landed at ``addr``: wake matching waiters."""
-        watchers = self._watchers.get(addr)
-        if not watchers:
-            return
-        value = int(self.ctx.space.view(addr, 1)[0])
-        still = []
-        for predicate, ev in watchers:
-            if predicate(value):
-                ev.succeed(value)
+    def _notify_write(self, addr: int, size: int) -> None:
+        """A remote put landed on ``[addr, addr + size)``: wake the
+        waiters on any byte of it whose predicate now holds."""
+        for watched in [a for a in self._watchers if addr <= a < addr + size]:
+            value = int(self.ctx.space.view(watched, 1)[0])
+            still = []
+            for predicate, ev in self._watchers[watched]:
+                if predicate(value):
+                    ev.succeed(value)
+                else:
+                    still.append((predicate, ev))
+            if still:
+                self._watchers[watched] = still
             else:
-                still.append((predicate, ev))
-        if still:
-            self._watchers[addr] = still
-        else:
-            del self._watchers[addr]
+                del self._watchers[watched]
 
 
 class _OpCompletionSink:
@@ -358,7 +358,7 @@ def handle_shmem_put(engine, info: dict):
             msg=info["op_id"], size=8, src_mem="dpu", dst_mem="host",
         )
         # Memory-polling wakeup at the target (no CPU protocol work).
-        dst_ep._notify_write(info["dst_addr"])
+        dst_ep._notify_write(info["dst_addr"], info["size"])
 
     engine.sim.process(_after())
 

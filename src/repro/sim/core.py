@@ -324,12 +324,6 @@ class Simulator:
         """Current simulated time, in seconds."""
         return self._now
 
-    def peek(self) -> float:
-        """Time of the next scheduled event (``inf`` if none)."""
-        if self._cur:
-            return self._now
-        return self._times[0] if self._times else float("inf")
-
     # -- event factories ------------------------------------------------
     def event(self) -> Event:
         pool = self._event_pool

@@ -57,7 +57,3 @@ class RngRegistry:
             gen = np.random.Generator(np.random.PCG64(seq))
             self._streams[name] = gen
         return gen
-
-    def reset(self) -> None:
-        """Drop all streams; subsequent calls re-derive from the root seed."""
-        self._streams.clear()

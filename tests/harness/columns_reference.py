@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from array import array
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -161,13 +161,8 @@ class EventBus:
         #: For :meth:`emit`: the clock value last stamped and its rounding.
         self._now, self._time = None, 0.0
         self._categories = frozenset(categories) if categories is not None else None
-        self._subscribers: list[Callable[[ObsEvent], None]] = []
         #: The current recording (:meth:`clear` replaces it).
         self.columns = Columns()
-
-    def subscribe(self, fn: Callable[[ObsEvent], None]) -> None:
-        """Call ``fn(event)`` on every accepted event (live consumers)."""
-        self._subscribers.append(fn)
 
     def emit(self, _cat: str, _name: str, _entity: str, **args) -> None:
         """Record one event (unless its category is filtered out).
@@ -197,10 +192,6 @@ class EventBus:
         values = c.values
         c.offset.append(len(values))
         values.extend(args.values() if pick is None else pick(args))
-        if self._subscribers:
-            ev = c.event(row)
-            for fn in self._subscribers:
-                fn(ev)
 
     def span(self, entity: str, start: float, end: float) -> None:
         """Record that ``entity``'s core was busy over ``[start, end)``."""
@@ -259,15 +250,6 @@ class EventBus:
         out = [(names[e], s, t)
                for e, s, t in zip(c.span_entity, c.span_start, c.span_end)]
         return out if entity is None else [sp for sp in out if sp[0] == entity]
-
-    def render(self, limit: Optional[int] = None) -> str:
-        """Plain-text dump of the stream (debugging aid)."""
-        c = self.columns
-        n = len(c) if limit is None else min(limit, len(c))
-        lines = [c.event(r).label() for r in range(n)]
-        if n < len(c):
-            lines.append(f"... ({len(c) - n} more)")
-        return "\n".join(lines) if lines else "(no events)"
 
 
 _MISSING = object()

@@ -26,6 +26,7 @@ import numpy as np
 from repro.hw import Cluster, ClusterSpec
 from repro.mpi import MpiWorld
 from repro.offload import OffloadFramework
+from tests.helpers import waitall
 
 __all__ = [
     "BACKENDS",
@@ -166,7 +167,7 @@ def run_hostmpi(spec: ClusterSpec, pattern: str, size: int, *, repeats: int = 1,
                 else:
                     r = yield from rt.irecv(comm, src, rbuf, size, tag=_TAG)
                     s = yield from rt.isend(comm, dst, sbuf, size, tag=_TAG)
-                    yield from rt.waitall([s, r])
+                    yield from waitall(rt, [s, r])
             received[rank] = bytes(space.read(rbuf, size))
             return True
 

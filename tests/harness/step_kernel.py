@@ -22,10 +22,21 @@ from sys import getrefcount
 
 from repro.sim.core import PENDING, Event, SimulationError, Simulator, Timeout
 
-__all__ = ["SteppingSimulator", "StepLoopSimulator"]
+__all__ = ["SteppingSimulator", "StepLoopSimulator", "next_time"]
+
+
+def next_time(sim: Simulator) -> float:
+    """Time of the next scheduled event on the production calendar
+    (``inf`` if none): the rest of the current instant, else the
+    earliest future instant."""
+    if sim._cur:
+        return sim._now
+    return sim._times[0] if sim._times else float("inf")
 
 
 class SteppingSimulator(Simulator):
+    peek = next_time
+
     def step(self) -> None:
         """Pop and process one event."""
         cur = self._cur

@@ -137,7 +137,7 @@ class TestTraceEventSchema:
         assert json.loads(path.read_text()) == doc
 
 
-class TestTimelineAndSnapshot:
+class TestTimeline:
     def test_timeline_replaces_render_ascii(self, fig15_obs):
         text = fig15_obs.timeline(width=60)
         lines = text.splitlines()
@@ -147,17 +147,3 @@ class TestTimelineAndSnapshot:
         assert any(line.startswith("dpu0") for line in lines)
         assert any("v" in line for line in lines)  # delivery marks
         assert all("%" in line for line in lines if "busy" in line)
-
-    def test_metrics_snapshot_structure(self, fig15_obs):
-        snap = fig15_obs.metrics_snapshot(extra={"figure": "fig15"})
-        assert snap["schema"] == "repro.obs/1"
-        assert snap["extra"] == {"figure": "fig15"}
-        assert snap["sim_time"] > 0
-        assert snap["counters"]["offload.group_call_cached"] > 0
-        hists = snap["histograms"]
-        assert "fabric.ctrl_latency" in hists
-        lat = hists["fabric.ctrl_latency"]
-        assert lat["count"] > 0
-        assert lat["min"] <= lat["p50"] <= lat["p95"] <= lat["p99"] <= lat["max"]
-        # must be JSON-serialisable as-is
-        json.dumps(snap)

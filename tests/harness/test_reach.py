@@ -92,3 +92,27 @@ def test_every_residue_row_names_a_function_that_exists():
         if qualname:
             assert any(reach.named_by(d, (path, qualname, category)) for d in defs), \
                 f"{label}: no such function or class"
+
+
+def test_every_category_has_a_ceiling_and_public_api_is_at_most_250_lines():
+    assert set(reach.CEILINGS) == set(reach.CATEGORIES)
+    assert reach.CEILINGS["public API"] <= 250
+
+
+def test_check_fails_a_category_above_its_ceiling_only():
+    ceiling = reach.CEILINGS["public API"]
+    rows = [("repro/x.py", None, "public API"), ("repro/y.py", None, "oracle")]
+
+    def fn(path, lines):
+        return reach.Definition(path, "f", "f", 1, lines, None)
+
+    at = [fn("repro/x.py", ceiling)]
+    _, orphans, over = reach.report(at, at, rows)
+    assert orphans == [] and over == []
+    above = [fn("repro/x.py", ceiling + 1)]
+    text, orphans, over = reach.report(above, above, rows)
+    assert orphans == [] and over == ["public API"]
+    assert f"public API             {ceiling + 1} lines (ceiling {ceiling})" in text
+    unnamed = [fn("repro/z.py", 1)]
+    _, orphans, over = reach.report(unnamed, unnamed, rows)
+    assert orphans == unnamed and over == []

@@ -23,3 +23,22 @@ def pattern(n: int, seed: int = 0) -> np.ndarray:
     """Deterministic uint8 payload."""
     rng = np.random.default_rng(seed)
     return rng.integers(0, 255, size=n, dtype=np.uint8)
+
+
+def blocking(rt, start):
+    """Run a host-MPI start (``rt.isend(...)``, ``coll.ibcast(...)``, ...)
+    and wait on its request: the blocking form of the call."""
+    req = yield from start
+    yield from rt.wait(req)
+    return req
+
+
+def waitall(rt, reqs):
+    """``MPI_Waitall`` on a host runtime: wait on each request in order."""
+    for req in list(reqs):
+        yield from rt.wait(req)
+
+
+def proxy_engine_of(fw, rank: int):
+    """The proxy engine serving ``rank`` in framework ``fw``."""
+    return fw.proxy_engine(fw.cluster.proxy_for_rank(rank))

@@ -20,6 +20,7 @@ import pytest
 from repro.hw import Cluster, ClusterSpec
 from repro.mpi import MpiWorld
 from repro.mpi import collectives as coll
+from tests.helpers import blocking
 
 #: (nodes, ppn) per communicator size: 1 rank, and the non-powers-of-two
 #: 3, 5, and 6 (6 split across multi-rank nodes so intra-node paths run).
@@ -41,7 +42,7 @@ def _values(p: int, count: int) -> list[np.ndarray]:
 
 
 class TestBcast:
-    def _check(self, p, algorithm, words):
+    def _check(self, p, words):
         world = _world(p)
         root = p // 2
         data = np.arange(words, dtype=np.float64) * 3 + 1
@@ -52,8 +53,8 @@ class TestBcast:
                 addr = rt.ctx.space.alloc_like(data)
             else:
                 addr = rt.ctx.space.alloc(data.nbytes)
-            yield from coll.bcast(rt, world.comm_world, root, addr,
-                                  data.nbytes, algorithm=algorithm)
+            yield from blocking(rt, coll.ibcast(rt, world.comm_world, root, addr,
+                                                data.nbytes))
             out[rt.rank] = rt.ctx.space.read_as(
                 addr, np.float64, words).copy()
 
@@ -62,17 +63,16 @@ class TestBcast:
             assert out[r].tobytes() == data.tobytes(), f"rank {r}"
 
     @pytest.mark.parametrize("p", ALL_SIZES)
-    @pytest.mark.parametrize("algorithm", ["binomial", "ring"])
-    def test_matches_source(self, p, algorithm):
-        self._check(p, algorithm, words=512)
+    def test_matches_source(self, p):
+        self._check(p, words=512)
 
     @pytest.mark.parametrize("p", NON_POW2)
     def test_scag_above_threshold(self, p):
-        # "binomial" auto-switches to scatter+allgather past
-        # SCAG_THRESHOLD when the communicator has more than 2 ranks;
-        # non-pow2 sizes exercise its uneven segment bounds.
+        # Ibcast switches to scatter+allgather past SCAG_THRESHOLD when
+        # the communicator has more than 2 ranks; non-pow2 sizes
+        # exercise its uneven segment bounds.
         words = (coll.SCAG_THRESHOLD + 32 * 1024) // 8
-        self._check(p, "binomial", words=words)
+        self._check(p, words=words)
 
 
 class TestBarrier:
@@ -82,33 +82,11 @@ class TestBarrier:
         done = []
 
         def prog(rt):
-            yield from coll.barrier(rt, world.comm_world)
+            yield from blocking(rt, coll.ibarrier(rt, world.comm_world))
             done.append(rt.rank)
 
         world.run(prog)
         assert sorted(done) == list(range(p))
-
-
-class TestAllgather:
-    @pytest.mark.parametrize("p", ALL_SIZES)
-    def test_matches_concatenate(self, p):
-        world = _world(p)
-        blk_words = 64
-        blocks = _values(p, blk_words)
-        ref = np.concatenate(blocks)
-        out = {}
-
-        def prog(rt):
-            sa = rt.ctx.space.alloc_like(blocks[rt.rank])
-            ra = rt.ctx.space.alloc(p * blk_words * 8)
-            yield from coll.allgather(rt, world.comm_world, sa, ra,
-                                      blk_words * 8)
-            out[rt.rank] = rt.ctx.space.read_as(
-                ra, np.float64, p * blk_words).copy()
-
-        world.run(prog)
-        for r in range(p):
-            assert out[r].tobytes() == ref.tobytes(), f"rank {r}"
 
 
 class TestReduce:
@@ -151,47 +129,3 @@ class TestAllreduce:
         world.run(prog)
         for r in range(p):
             assert out[r].tobytes() == ref.tobytes(), f"rank {r}"
-
-
-class TestGatherScatter:
-    @pytest.mark.parametrize("p", NON_POW2)
-    def test_gather_matches(self, p):
-        world = _world(p)
-        blk_words = 32
-        blocks = _values(p, blk_words)
-        ref = np.concatenate(blocks)
-        out = {}
-
-        def prog(rt):
-            sa = rt.ctx.space.alloc_like(blocks[rt.rank])
-            ra = rt.ctx.space.alloc(p * blk_words * 8)
-            yield from coll.gather(rt, world.comm_world, 0, sa, ra,
-                                   blk_words * 8)
-            out[rt.rank] = rt.ctx.space.read_as(
-                ra, np.float64, p * blk_words).copy()
-
-        world.run(prog)
-        assert out[0].tobytes() == ref.tobytes()
-
-    @pytest.mark.parametrize("p", NON_POW2)
-    def test_scatter_matches(self, p):
-        world = _world(p)
-        blk_words = 32
-        blocks = _values(p, blk_words)
-        packed = np.concatenate(blocks)
-        out = {}
-
-        def prog(rt):
-            if rt.rank == 0:
-                sa = rt.ctx.space.alloc_like(packed)
-            else:
-                sa = rt.ctx.space.alloc(p * blk_words * 8)
-            ra = rt.ctx.space.alloc(blk_words * 8)
-            yield from coll.scatter(rt, world.comm_world, 0, sa, ra,
-                                    blk_words * 8)
-            out[rt.rank] = rt.ctx.space.read_as(
-                ra, np.float64, blk_words).copy()
-
-        world.run(prog)
-        for r in range(p):
-            assert out[r].tobytes() == blocks[r].tobytes(), f"rank {r}"

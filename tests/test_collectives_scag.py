@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.helpers import pattern
+from tests.helpers import blocking, pattern
 from repro.hw import Cluster, ClusterSpec
 from repro.mpi import MpiWorld
 from repro.mpi import collectives as coll
@@ -80,7 +80,7 @@ class TestScagCorrectness:
                     cw = world.comm_world
                     addr = rt.ctx.space.alloc(size, fill=1)
                     t0 = rt.sim.now
-                    yield from coll.bcast(rt, cw, 0, addr, size)
+                    yield from blocking(rt, coll.ibcast(rt, cw, 0, addr, size))
                     t[rt.rank] = rt.sim.now - t0
                     return True
 

@@ -1,8 +1,8 @@
-"""Remaining small surfaces: render edges, ring collective, misc APIs."""
+"""Remaining small surfaces: render edges, single-rank collectives, misc APIs."""
 
 import pytest
 
-from tests.helpers import pattern
+from tests.helpers import blocking
 from repro.apps.harness import mean
 from repro.baselines import make_stack
 from repro.experiments.common import FigureResult, Series
@@ -39,38 +39,6 @@ class TestFigureRender:
         assert "something important" in fig.render()
 
 
-class TestHostMpiRingIbcast:
-    def test_backend_method_delivers(self):
-        spec = ClusterSpec(nodes=3, ppn=1)
-        stack = make_stack("intelmpi", spec)
-        data = pattern(4096, seed=21)
-
-        def program(be):
-            comm = be.stack.comm_world
-            if be.rank == 0:
-                addr = be.ctx.space.alloc_like(data)
-            else:
-                addr = be.ctx.space.alloc(4096)
-            req = yield from be.ibcast_ring(comm, 0, addr, 4096)
-            yield from be.wait(req)
-            assert (be.ctx.space.read(addr, 4096) == data).all()
-            return True
-
-        assert all(stack.run(program))
-
-    def test_ring_collective_op_name(self):
-        world = MpiWorld(Cluster(ClusterSpec(nodes=3, ppn=1)))
-
-        def program(rt):
-            cw = world.comm_world
-            addr = rt.ctx.space.alloc(256, fill=1)
-            req = yield from coll.ibcast(rt, cw, 0, addr, 256, algorithm="ring")
-            yield from rt.wait(req)
-            return req.op
-
-        assert set(world.run(program)) == {"ibcast_ring"}
-
-
 class TestSingleRankDegenerates:
     def test_bcast_alone(self):
         world = MpiWorld(Cluster(ClusterSpec(nodes=1, ppn=1)))
@@ -78,8 +46,8 @@ class TestSingleRankDegenerates:
         def program(rt):
             cw = world.comm_world
             addr = rt.ctx.space.alloc(64, fill=5)
-            yield from coll.bcast(rt, cw, 0, addr, 64)
-            yield from coll.barrier(rt, cw)
+            yield from blocking(rt, coll.ibcast(rt, cw, 0, addr, 64))
+            yield from blocking(rt, coll.ibarrier(rt, cw))
             return True
 
         assert world.run(program) == [True]
@@ -91,7 +59,7 @@ class TestSingleRankDegenerates:
             cw = world.comm_world
             sa = rt.ctx.space.alloc(128, fill=9)
             ra = rt.ctx.space.alloc(128)
-            yield from coll.alltoall(rt, cw, sa, ra, 128)
+            yield from blocking(rt, coll.ialltoall(rt, cw, sa, ra, 128))
             assert (rt.ctx.space.read(ra, 128) == 9).all()
             return True
 
@@ -108,18 +76,3 @@ class TestBackendBarrierTiming:
 
         times = stack.run(program)
         assert all(t > 0 for t in times)
-
-
-class TestUnknownBcastAlgorithm:
-    def test_rejected(self):
-        from repro.mpi import MpiError
-
-        world = MpiWorld(Cluster(ClusterSpec(nodes=2, ppn=1)))
-
-        def program(rt):
-            addr = rt.ctx.space.alloc(64)
-            yield from coll.ibcast(rt, world.comm_world, 0, addr, 64,
-                                   algorithm="telepathy")
-
-        with pytest.raises(MpiError, match="unknown broadcast"):
-            world.run(program, ranks=[0])

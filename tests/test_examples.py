@@ -1,7 +1,9 @@
 """Smoke tests: every shipped example runs end to end and says so."""
 
 import importlib.util
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -43,11 +45,16 @@ def test_fft_transpose(capsys):
 def test_shmem_pgas(capsys):
     out = _run_example("shmem_pgas", capsys)
     assert "bit-exact" in out
+    assert "get of PE 1's heap verified" in out
+    assert out.count("left barrier_all") == 2
 
 
 def test_timeline_trace(capsys):
     out = _run_example("timeline_trace", capsys)
     assert "dpu0" in out and "#" in out
+    path = Path(out.rsplit("Perfetto trace: ", 1)[1].strip())
+    assert path.parent == Path(tempfile.gettempdir())
+    assert json.loads(path.read_text())["traceEvents"]
 
 
 @pytest.mark.slow

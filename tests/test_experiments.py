@@ -25,10 +25,6 @@ class TestHelpers:
         assert improvement_pct(100, 120) == pytest.approx(-20.0)
         assert improvement_pct(0, 10) == 0.0
 
-    def test_series_value_at(self):
-        s = Series("x", ["a", "b"], [1.0, 2.0])
-        assert s.value_at("b") == 2.0
-
 
 class TestFigureResult:
     def _fig(self):

@@ -25,7 +25,7 @@ def _run_chaos_pingpong(seed):
     return {
         "trace": plan.trace(),
         "stats": dict(plan.stats),
-        "metrics": cl.metrics.snapshot(),
+        "metrics": dict(cl.metrics),
         "finish": tuple(finish),
         "fallback_log": tuple(fw.fallback_log),
     }
@@ -41,7 +41,7 @@ def _run_chaos_group(seed):
     return {
         "trace": plan.trace(),
         "stats": dict(plan.stats),
-        "metrics": cl.metrics.snapshot(),
+        "metrics": dict(cl.metrics),
         "finish": tuple(finish),
     }
 
@@ -77,7 +77,7 @@ class TestCleanRunUnaffected:
             cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1))
             fw = OffloadFramework(cl)
             finish = _pingpong(cl, fw, iters=3, size=4096)
-            return tuple(finish), cl.metrics.snapshot()
+            return tuple(finish), dict(cl.metrics)
 
         assert clean() == clean()
 

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from tests.helpers import pattern, run_procs
+from tests.helpers import pattern, proxy_engine_of, run_procs
 from tests.test_faults_recovery import (
     _chaos_cluster,
     _group_exchange,
@@ -211,7 +211,7 @@ class TestKillMidStagedTransfer:
         _stream(cl, fw, n=1, size=1 << 20)
         cl.sim.run()  # the dead incarnation's stragglers land
         fw.assert_quiescent()
-        staging = fw.proxy_engine_for_rank(0).staging
+        staging = proxy_engine_of(fw, 0).staging
         assert cl.metrics.get("staging.transfers") == 2  # one per life
         assert staging.outstanding == 0
         assert staging.pooled == staging.created == 2
@@ -226,7 +226,7 @@ class TestKillMidStagedTransfer:
         cl, plan = _chaos_cluster(kills=[ProxyKillPlan(
             proxy_gid=_proxy_gid(), at=80e-6, restart_after=30e-6)], seed=3)
         fw = OffloadFramework(cl, mode="staged")
-        engine = fw.proxy_engine_for_rank(0)
+        engine = proxy_engine_of(fw, 0)
         dram = engine.ctx.space.allocated_bytes
         _stream(cl, fw, n=1, size=1 << 20)
         cl.sim.run()
@@ -252,7 +252,7 @@ class TestKillMidStagedTransfer:
         _stream(cl, fw, n=1, size=256 * 1024)
         cl.sim.run()
         fw.assert_quiescent()
-        staging = fw.proxy_engine_for_rank(0).staging
+        staging = proxy_engine_of(fw, 0).staging
         assert cl.metrics.get("staging.transfers") == 2
         # Handed back, then re-used by the next life: nothing leaked.
         assert staging.outstanding == 0
@@ -273,7 +273,7 @@ class TestKillMidStagedTransfer:
         assert plan.stats["kills"] == 2 and plan.stats["restarts"] == 2
         assert cl.metrics.get("proxy.kills") == 1
         assert cl.metrics.get("proxy.restarts") == 1
-        engine = fw.proxy_engine_for_rank(0)
+        engine = proxy_engine_of(fw, 0)
         assert engine.alive and engine.incarnation == 1
 
 
@@ -399,7 +399,7 @@ class TestStaleDestinationBetweenStagedLegs:
         assert m.get("proxy.stale_keys") == 1 and m.get("proxy.stale_nacks") == 1
         assert m.get("offload.stale_reposts") == 1
         assert m.get("staging.transfers") == 2 and m.get("staging.reuse") == 1
-        staging = fw.proxy_engine_for_rank(0).staging
+        staging = proxy_engine_of(fw, 0).staging
         assert staging.outstanding == 0 and staging.pooled == staging.created == 1
 
 
@@ -430,7 +430,7 @@ class TestMkey2OnlyStale:
         fw = OffloadFramework(cl, retry=RETRY)
         size = 4096
         data = [pattern(size, seed=70 + i) for i in range(2)]
-        engine = fw.proxy_engine_for_rank(0)
+        engine = proxy_engine_of(fw, 0)
 
         def sender(sim):
             ep = fw.endpoint(0)
@@ -509,7 +509,7 @@ class TestGiveUpLimits:
 # ---------------------------------------------------------------------------
 
 def _pin(cl, finish, plan=None, fw=None):
-    counters = {k: v for k, v in sorted(cl.metrics.snapshot().items())
+    counters = {k: v for k, v in sorted(dict(cl.metrics).items())
                 if k.startswith(("offload.", "proxy.", "ctrl."))}
     out = {"finish": list(finish), "end": cl.sim.now,
            "kernel_events": cl.sim.processed_events, "counters": counters}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.helpers import pattern, run_proc
+from tests.helpers import pattern, proxy_engine_of, run_proc
 from repro.hw import (
     OFFLOAD_CONTROL_KINDS,
     Cluster,
@@ -197,7 +197,7 @@ class TestKillScheduling:
                                               restart_after=10e-6)])
         tiny_cluster.install_faults(plan)
         fw = OffloadFramework(tiny_cluster)
-        engine = fw.proxy_engine_for_rank(0)
+        engine = proxy_engine_of(fw, 0)
         tiny_cluster.sim.run(until=tiny_cluster.sim.timeout(8e-6))
         assert engine.alive is False
         tiny_cluster.sim.run(until=tiny_cluster.sim.timeout(20e-6))

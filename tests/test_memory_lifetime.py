@@ -33,6 +33,7 @@ from tests.harness.gc_census import (
     live_objects,
     unclosed_stacks,
 )
+from tests.harness.step_kernel import next_time
 
 FLAVORS = ("intelmpi", "bluesmpi", "proposed")
 
@@ -248,16 +249,16 @@ def test_end_of_life_keeps_the_ledger_readable(flavor):
     before = (sim.processed_events, sim.now,
               [ctx.busy_time for ctx in cluster.ranks.materialized()],
               [stack.backend(r).time_in_comm for r in range(4)],
-              cluster.metrics.snapshot())
+              dict(cluster.metrics))
     stack.close()
     after = (sim.processed_events, sim.now,
              [ctx.busy_time for ctx in cluster.ranks.materialized()],
              [stack.backend(r).time_in_comm for r in range(stack.world.size)],
-             cluster.metrics.snapshot())
+             dict(cluster.metrics))
     assert after == before
     assert before[0] > 0 and all(t > 0 for t in before[3])
     assert (len(cluster.ranks), len(cluster.proxies)) == (4, 2)
-    assert sim.flow_engine is None and sim.peek() == float("inf")
+    assert sim.flow_engine is None and next_time(sim) == float("inf")
     sim.run()  # nothing left to process
     assert sim.processed_events == before[0]
     stack.close()  # idempotent
@@ -273,7 +274,7 @@ def test_run_once_closes_even_when_the_job_fails():
     with pytest.raises(RuntimeError, match="rank program failed"):
         stack.run_once(program)
     assert stack.framework.finalized
-    assert stack.cluster.sim.peek() == float("inf")
+    assert next_time(stack.cluster.sim) == float("inf")
 
 
 # -- the pieces ------------------------------------------------------------------

@@ -18,10 +18,6 @@ class TestBasics:
         assert c.world_rank(0) == 4
         assert c.rank_of(7) == 2
 
-    def test_contains(self):
-        c = Communicator([1, 3])
-        assert c.contains(3) and not c.contains(2)
-
     def test_duplicate_ranks_rejected(self):
         with pytest.raises(MpiError):
             Communicator([1, 1, 2])

@@ -1,112 +1,13 @@
-"""Tests for the extended MPI surface: gather/scatter, sendrecv, probe."""
+"""A ring shift over the non-blocking point-to-point calls."""
 
-import numpy as np
-import pytest
-
-from repro.hw import Cluster, ClusterSpec
-from repro.mpi import ANY_SOURCE, ANY_TAG, MpiWorld
-from repro.mpi import collectives as coll
-
-
-@pytest.fixture(params=[(2, 2), (3, 2), (2, 3), (7, 1)])
-def gworld(request):
-    nodes, ppn = request.param
-    return MpiWorld(Cluster(ClusterSpec(nodes=nodes, ppn=ppn)))
-
-
-class TestGather:
-    @pytest.mark.parametrize("root", [0, 1])
-    def test_all_blocks_reach_root(self, gworld, root):
-        world = gworld
-        P = world.size
-        blk = 128
-
-        def program(rt):
-            cw = world.comm_world
-            sa = rt.ctx.space.alloc(blk, fill=(rt.rank % 200) + 1)
-            ra = rt.ctx.space.alloc(P * blk) if rt.rank == root else 0
-            yield from coll.gather(rt, cw, root, sa, ra, blk)
-            if rt.rank == root:
-                out = rt.ctx.space.read(ra, P * blk)
-                for j in range(P):
-                    assert (out[j * blk:(j + 1) * blk] == (j % 200) + 1).all(), j
-            return True
-
-        assert all(world.run(program))
-        world.assert_quiescent()
-
-    def test_gather_message_count_is_logarithmic(self):
-        """Binomial gather: each non-root sends exactly once."""
-        world = MpiWorld(Cluster(ClusterSpec(nodes=4, ppn=2)))
-        P = world.size
-        blk = 64
-
-        def program(rt):
-            cw = world.comm_world
-            sa = rt.ctx.space.alloc(blk, fill=1)
-            ra = rt.ctx.space.alloc(P * blk) if rt.rank == 0 else 0
-            yield from coll.gather(rt, cw, 0, sa, ra, blk)
-            return True
-
-        world.run(program)
-        m = world.cluster.metrics
-        total_msgs = (m.get("mpi.eager_sends") + m.get("mpi.rndv_sends")
-                      + m.get("mpi.shm_sends"))
-        assert total_msgs == P - 1  # one aggregated send per non-root
-
-
-class TestScatter:
-    @pytest.mark.parametrize("root", [0, 2])
-    def test_each_rank_gets_its_block(self, gworld, root):
-        world = gworld
-        P = world.size
-        if root >= P:
-            pytest.skip("root outside this world")
-        blk = 96
-
-        def program(rt):
-            cw = world.comm_world
-            if rt.rank == root:
-                sbuf = np.concatenate(
-                    [np.full(blk, (j % 200) + 1, np.uint8) for j in range(P)])
-                sa = rt.ctx.space.alloc_like(sbuf)
-            else:
-                sa = 0
-            ra = rt.ctx.space.alloc(blk)
-            yield from coll.scatter(rt, cw, root, sa, ra, blk)
-            assert (rt.ctx.space.read(ra, blk) == (rt.rank % 200) + 1).all()
-            return True
-
-        assert all(world.run(program))
-        world.assert_quiescent()
-
-    def test_scatter_then_gather_roundtrip(self, world):
-        P = world.size
-        blk = 64
-
-        def program(rt):
-            cw = world.comm_world
-            if rt.rank == 0:
-                sbuf = np.arange(P * blk, dtype=np.uint8)
-                sa = rt.ctx.space.alloc_like(sbuf)
-                ga = rt.ctx.space.alloc(P * blk)
-            else:
-                sa = ga = 0
-            ra = rt.ctx.space.alloc(blk)
-            yield from coll.scatter(rt, cw, 0, sa, ra, blk)
-            yield from coll.gather(rt, cw, 0, ra, ga, blk)
-            if rt.rank == 0:
-                assert (rt.ctx.space.read(ga, P * blk)
-                        == np.arange(P * blk, dtype=np.uint8)).all()
-            return True
-
-        assert all(world.run(program))
+from tests.helpers import waitall
 
 
 class TestSendrecv:
     def test_ring_shift_without_deadlock(self, world):
         """Every rank simultaneously sends right and receives left --
-        the classic pattern blocking send/recv would deadlock on."""
+        the classic pattern blocking send/recv would deadlock on; both
+        posted non-blocking before either is waited, it cannot."""
         P = world.size
         size = 64 * 1024  # rendezvous: a blocking implementation hangs
 
@@ -116,62 +17,11 @@ class TestSendrecv:
             left = (rt.rank - 1) % P
             sa = rt.ctx.space.alloc(size, fill=(rt.rank % 200) + 1)
             ra = rt.ctx.space.alloc(size)
-            yield from rt.sendrecv(cw, right, sa, size, left, ra, size,
-                                   sendtag=3, recvtag=3)
+            rreq = yield from rt.irecv(cw, left, ra, size, tag=3)
+            sreq = yield from rt.isend(cw, right, sa, size, tag=3)
+            yield from waitall(rt, [sreq, rreq])
             assert (rt.ctx.space.read(ra, size) == (left % 200) + 1).all()
             return True
 
         assert all(world.run(program))
         world.assert_quiescent()
-
-
-class TestProbe:
-    def test_iprobe_sees_unexpected_message(self, world):
-        out = {}
-
-        def program(rt):
-            cw = world.comm_world
-            if rt.rank == 0:
-                addr = rt.ctx.space.alloc(256, fill=7)
-                req = yield from rt.isend(cw, 2, addr, 256, tag=11)
-                yield from rt.wait(req)
-            elif rt.rank == 2:
-                yield rt.ctx.consume(50e-6)  # message already arrived
-                flag, env = yield from rt.iprobe(cw, src=0, tag=11)
-                out["flag"] = flag
-                out["src"] = env.src if env else None
-                # the message was not consumed: a recv still finds it
-                addr = rt.ctx.space.alloc(256)
-                req = yield from rt.irecv(cw, 0, addr, 256, tag=11)
-                yield from rt.wait(req)
-                assert (rt.ctx.space.read(addr, 256) == 7).all()
-            return True
-
-        assert all(world.run(program))
-        assert out == {"flag": True, "src": 0}
-
-    def test_iprobe_no_message(self, world):
-        def program(rt):
-            flag, env = yield from rt.iprobe(world.comm_world)
-            return flag, env
-
-        results = world.run(program, ranks=[0])
-        assert results == [(False, None)]
-
-    def test_iprobe_wildcards(self, world):
-        def program(rt):
-            cw = world.comm_world
-            if rt.rank == 0:
-                addr = rt.ctx.space.alloc(64, fill=1)
-                req = yield from rt.isend(cw, 2, addr, 64, tag=99)
-                yield from rt.wait(req)
-            elif rt.rank == 2:
-                yield rt.ctx.consume(50e-6)
-                flag, env = yield from rt.iprobe(cw, src=ANY_SOURCE, tag=ANY_TAG)
-                assert flag and env.tag == 99
-                addr = rt.ctx.space.alloc(64)
-                req = yield from rt.irecv(cw, ANY_SOURCE, addr, 64, tag=ANY_TAG)
-                yield from rt.wait(req)
-            return True
-
-        assert all(world.run(program))

@@ -88,10 +88,3 @@ class TestMatchingEngine:
         assert m.post_recv(r) is None
         assert m.posted_count == 1 and m.unexpected_count == 1
 
-    def test_cancel_recv(self):
-        m = MatchingEngine()
-        r = recv()
-        m.post_recv(r)
-        assert m.cancel_recv(r)
-        assert not m.cancel_recv(r)
-        assert m.match_arrival(env()) is None

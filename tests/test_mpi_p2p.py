@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.helpers import pattern
+from tests.helpers import pattern, waitall
 from repro.hw import Cluster, ClusterSpec
 from repro.mpi import ANY_SOURCE, ANY_TAG, MpiError, MpiWorld
 
@@ -85,13 +85,13 @@ class TestSemantics:
                 a2 = rt.ctx.space.alloc(8, fill=2)
                 r1 = yield from rt.isend(comm, 2, a1, 8, tag=5)
                 r2 = yield from rt.isend(comm, 2, a2, 8, tag=5)
-                yield from rt.waitall([r1, r2])
+                yield from waitall(rt, [r1, r2])
             elif rt.rank == 2:
                 b1 = rt.ctx.space.alloc(8)
                 b2 = rt.ctx.space.alloc(8)
                 r1 = yield from rt.irecv(comm, 0, b1, 8, tag=5)
                 r2 = yield from rt.irecv(comm, 0, b2, 8, tag=5)
-                yield from rt.waitall([r1, r2])
+                yield from waitall(rt, [r1, r2])
                 assert (rt.ctx.space.read(b1, 8) == 1).all()
                 assert (rt.ctx.space.read(b2, 8) == 2).all()
             return True
@@ -224,21 +224,3 @@ class TestProgressSemantics:
         # Data was already in the bounce buffer: the wait costs only the
         # match + copy-out, microseconds not the full transfer restart.
         assert finish["wait"] < 5e-6
-
-    def test_time_in_mpi_accounting(self, world):
-        def program(rt):
-            comm = world.comm_world
-            if rt.rank == 0:
-                addr = rt.ctx.space.alloc(EAGER)
-                req = yield from rt.isend(comm, 2, addr, EAGER, tag=9)
-                yield from rt.wait(req)
-                assert rt.time_in_mpi > 0
-                total = rt.sim.now
-                assert rt.time_in_mpi <= total
-            elif rt.rank == 2:
-                addr = rt.ctx.space.alloc(EAGER)
-                req = yield from rt.irecv(comm, 0, addr, EAGER, tag=9)
-                yield from rt.wait(req)
-            return True
-
-        assert all(world.run(program))

@@ -6,6 +6,7 @@ from repro.hw import Cluster, ClusterSpec
 from repro.mpi import MpiError, MpiWorld, runtime
 from repro.mpi import collectives as coll
 from repro.obs import EventBus
+from tests.helpers import waitall
 
 
 class TestWaitEdges:
@@ -33,14 +34,14 @@ class TestWaitEdges:
                 a2 = rt.ctx.space.alloc(256 * 1024)
                 r1 = yield from rt.isend(comm, 2, a1, 64, tag=1)       # eager
                 r2 = yield from rt.isend(comm, 2, a2, 256 * 1024, tag=2)  # rndv
-                yield from rt.waitall([r2, r1])  # reverse order
+                yield from waitall(rt, [r2, r1])  # reverse order
                 assert r1.complete and r2.complete
             elif rt.rank == 2:
                 a1 = rt.ctx.space.alloc(64)
                 a2 = rt.ctx.space.alloc(256 * 1024)
                 r1 = yield from rt.irecv(comm, 0, a1, 64, tag=1)
                 r2 = yield from rt.irecv(comm, 0, a2, 256 * 1024, tag=2)
-                yield from rt.waitall([r1, r2])
+                yield from waitall(rt, [r1, r2])
             return True
 
         assert all(world.run(program))
@@ -63,7 +64,7 @@ class TestWaitEdges:
                 # explicit progress pokes instead of wait
                 while not req.complete:
                     yield rt.ctx.consume(2e-6)
-                    yield from rt.progress()
+                    yield from rt.test(req)
                 out["done"] = rt.sim.now
             return True
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.helpers import pattern, run_procs
+from tests.helpers import pattern, proxy_engine_of, run_procs
 from repro.hw import Cluster, ClusterSpec
 from repro.offload import OffloadError, OffloadFramework
 from repro.offload.requests import GroupOp, OffloadGroupRequest
@@ -146,7 +146,7 @@ class TestProxyMapping:
         workers, so one slow pattern cannot serialise a whole node."""
         cl = Cluster(ClusterSpec(nodes=1, ppn=4, proxies_per_dpu=2))
         fw = OffloadFramework(cl)
-        engines = {r: fw.proxy_engine_for_rank(r) for r in range(4)}
+        engines = {r: proxy_engine_of(fw, r) for r in range(4)}
         assert engines[0] is engines[2]
         assert engines[1] is engines[3]
         assert engines[0] is not engines[1]
@@ -296,7 +296,7 @@ class TestLoudFailuresWithoutAPolicy:
 
     def test_group_call_for_a_plan_the_proxy_does_not_hold(self, tiny_cluster):
         fw = OffloadFramework(tiny_cluster)
-        engine = fw.proxy_engine_for_rank(0)
+        engine = proxy_engine_of(fw, 0)
         engine.ctx.inbox.put(("group_call", {
             "plan_id": 424242, "host_rank": 0, "req_id": 1, "call_no": 1}))
         with pytest.raises(OffloadError, match="unknown plan 424242"):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.helpers import pattern, run_procs
+from tests.helpers import pattern, proxy_engine_of, run_procs
 from repro.hw import Cluster, ClusterSpec
 from repro.offload import OffloadError, OffloadFramework
 
@@ -180,7 +180,7 @@ class TestStagedMode:
         fw = OffloadFramework(tiny_cluster, mode="staged")
         for i in range(3):
             _exchange(tiny_cluster, fw, 8192, src=0, dst=1, tag=10 + i)
-        engine = fw.proxy_engine_for_rank(0)
+        engine = proxy_engine_of(fw, 0)
         assert engine.staging.created == 1
         assert engine.staging.reused == 2
 

@@ -1,10 +1,11 @@
 """Offloaded collectives: differential correctness and the CPU invariant.
 
-Three guarantees for the ``repro.offload.collectives`` builders:
+Three guarantees for the ``repro.offload.collectives`` builders and the
+ring broadcast the offloading backends record:
 
 1. **Byte-identity against host MPI.**  An offloaded Ibcast /
-   Iallgather / Iallreduce must deposit exactly the bytes the host-MPI
-   collective deposits, in both gvmi and staged transport modes and at
+   Iallreduce must deposit exactly the bytes the host-MPI collective
+   deposits, in both gvmi and staged transport modes and at
    non-power-of-two communicator sizes.  Reductions use integer-valued
    float64 payloads, so the sum is exact in any association order and
    "same result" genuinely means byte-identical.
@@ -24,19 +25,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tests.helpers import run_procs
+from tests.helpers import blocking, run_procs
 from repro.hw import Cluster, ClusterSpec
-from repro.mpi import MpiWorld
+from repro.mpi import MpiWorld, schedules
 from repro.mpi import collectives as host_coll
 from repro.obs import EventBus, trace_violations
 from repro.offload import (
     OffloadError,
     OffloadFramework,
     allreduce_algorithm,
-    build_iallgather,
     build_iallreduce,
-    build_ibcast,
+    build_ialltoall,
 )
+from repro.offload.collectives import TAG_ALLREDUCE, record_schedule
 
 #: Matches tests/test_fluid_differential.py: six orders of magnitude of
 #: margin over the worst measured fluid deviation.
@@ -44,6 +45,10 @@ FLUID_RTOL = 1e-9
 
 MODES = ["gvmi", "staged"]
 SIZES = [3, 4, 5]
+
+
+#: Tag base of the recorded ring broadcast.
+TAG_BCAST = 0x7A00
 
 
 def _cluster(p: int, **spec_kw) -> Cluster:
@@ -70,7 +75,8 @@ def _offload_bcast(p, data, root=0, mode="gvmi", **spec_kw):
             addr = ep.ctx.space.alloc_like(data)
         else:
             addr = ep.ctx.space.alloc(data.nbytes)
-        greq = build_ibcast(ep, addr, data.nbytes, root=root, comm_size=p)
+        greq, _ = record_schedule(ep, schedules.bcast_ring(rank, p, root, data.nbytes),
+                                  base_tag=TAG_BCAST, recv_addr=addr)
         yield from ep.group_call(greq)
         yield from ep.group_wait(greq)
         out[rank] = ep.ctx.space.read_as(addr, np.float64, len(data)).copy()
@@ -80,28 +86,9 @@ def _offload_bcast(p, data, root=0, mode="gvmi", **spec_kw):
     return out, max(t)
 
 
-def _offload_allgather(p, blocks, mode="gvmi", **spec_kw):
-    cl = _cluster(p, **spec_kw)
-    fw = OffloadFramework(cl, mode=mode)
-    blk = blocks[0].nbytes
-    words = p * len(blocks[0])
-    out = {}
-
-    def prog(rank):
-        ep = fw.endpoint(rank)
-        addr = ep.ctx.space.alloc(p * blk)
-        ep.ctx.space.write(addr + rank * blk, blocks[rank])
-        greq = build_iallgather(ep, addr, blk, comm_size=p)
-        yield from ep.group_call(greq)
-        yield from ep.group_wait(greq)
-        out[rank] = ep.ctx.space.read_as(addr, np.float64, words).copy()
-        return cl.sim.now
-
-    t = run_procs(cl, [prog(r) for r in range(p)])
-    return out, max(t)
-
-
-def _offload_allreduce(p, vals, algorithm="auto", mode="gvmi", **spec_kw):
+def _offload_allreduce(p, vals, algorithm=None, mode="gvmi", **spec_kw):
+    """``build_iallreduce``, or with ``algorithm`` that schedule
+    (``schedules.allreduce_<algorithm>``) recorded directly."""
     cl = _cluster(p, **spec_kw)
     fw = OffloadFramework(cl, mode=mode)
     count = len(vals[0])
@@ -110,8 +97,12 @@ def _offload_allreduce(p, vals, algorithm="auto", mode="gvmi", **spec_kw):
     def prog(rank):
         ep = fw.endpoint(rank)
         addr = ep.ctx.space.alloc_like(vals[rank])
-        greq, _scratch = build_iallreduce(
-            ep, addr, count * 8, comm_size=p, algorithm=algorithm)
+        if algorithm is None:
+            greq, _scratch = build_iallreduce(ep, addr, count * 8, comm_size=p)
+        else:
+            build = getattr(schedules, f"allreduce_{algorithm}")
+            greq, _scratch = record_schedule(ep, build(rank, p, count * 8),
+                                             base_tag=TAG_ALLREDUCE, recv_addr=addr)
         yield from ep.group_call(greq)
         yield from ep.group_wait(greq)
         out[rank] = ep.ctx.space.read_as(addr, np.float64, count).copy()
@@ -133,26 +124,10 @@ def _host_bcast(p, data, root=0):
             addr = rt.ctx.space.alloc_like(data)
         else:
             addr = rt.ctx.space.alloc(data.nbytes)
-        yield from host_coll.bcast(rt, world.comm_world, root, addr,
-                                   data.nbytes)
+        yield from blocking(rt, host_coll.ibcast(rt, world.comm_world, root, addr,
+                                                 data.nbytes))
         out[rt.rank] = rt.ctx.space.read_as(
             addr, np.float64, len(data)).copy()
-
-    world.run(prog)
-    return out
-
-
-def _host_allgather(p, blocks):
-    world = MpiWorld(_cluster(p))
-    blk = blocks[0].nbytes
-    words = p * len(blocks[0])
-    out = {}
-
-    def prog(rt):
-        sa = rt.ctx.space.alloc_like(blocks[rt.rank])
-        ra = rt.ctx.space.alloc(p * blk)
-        yield from host_coll.allgather(rt, world.comm_world, sa, ra, blk)
-        out[rt.rank] = rt.ctx.space.read_as(ra, np.float64, words).copy()
 
     world.run(prog)
     return out
@@ -187,15 +162,6 @@ class TestByteIdenticalToHostMpi:
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("p", SIZES)
-    def test_iallgather(self, p, mode):
-        blocks = _contrib(p, 48)
-        off, _ = _offload_allgather(p, blocks, mode=mode)
-        host = _host_allgather(p, blocks)
-        for r in range(p):
-            assert off[r].tobytes() == host[r].tobytes(), f"rank {r}"
-
-    @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("p", SIZES)
     def test_iallreduce(self, p, mode):
         vals = _contrib(p, 64)
         off, _ = _offload_allreduce(p, vals, mode=mode)
@@ -206,8 +172,8 @@ class TestByteIdenticalToHostMpi:
 
 class TestAlgorithmsAndEdges:
     def test_auto_picks_rd_on_pow2_ring_otherwise(self):
-        assert allreduce_algorithm(8, "auto") == "rd"
-        assert allreduce_algorithm(6, "auto") == "ring"
+        assert allreduce_algorithm(8) == "rd"
+        assert allreduce_algorithm(6) == "ring"
 
     @pytest.mark.parametrize("p", [3, 5, 6])
     def test_ring_allreduce_non_pow2(self, p):
@@ -227,24 +193,20 @@ class TestAlgorithmsAndEdges:
         for r in range(p):
             assert off[r].tobytes() == ref.tobytes(), f"rank {r}"
 
-    @pytest.mark.parametrize("rank,root", [(3, 0), (0, 2), (1, -1)])
-    def test_rank_or_root_outside_the_communicator_is_refused(self, rank, root):
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_rank_outside_the_communicator_is_refused(self, rank):
         """``comm_size`` names world ranks 0..comm_size-1; anything else
         used to record a pattern for the aliased rank and deadlock."""
         ep = OffloadFramework(_cluster(4)).endpoint(rank)
         addr = ep.ctx.space.alloc(64)
         with pytest.raises(OffloadError, match="outside a communicator of 2"):
-            build_ibcast(ep, addr, 64, root=root, comm_size=2)
-        if rank >= 2:
-            for build in (build_iallgather, build_iallreduce):
-                with pytest.raises(OffloadError, match="outside"):
-                    build(ep, addr, 16, comm_size=2)
+            build_iallreduce(ep, addr, 16, comm_size=2)
+        with pytest.raises(OffloadError, match="outside a communicator of 2"):
+            build_ialltoall(ep, addr, addr, 16, comm_size=2, base_tag=0)
 
     def test_single_rank_collectives(self):
         data = np.arange(32, dtype=np.float64)
         off, _ = _offload_bcast(1, data)
-        assert off[0].tobytes() == data.tobytes()
-        off, _ = _offload_allgather(1, [data])
         assert off[0].tobytes() == data.tobytes()
         off, _ = _offload_allreduce(1, [data])
         assert off[0].tobytes() == data.tobytes()
@@ -270,7 +232,7 @@ class TestFluidVsExact:
 
 
 class TestZeroHostCpuWindow:
-    @pytest.mark.parametrize("builder", ["bcast", "allgather", "allreduce"])
+    @pytest.mark.parametrize("builder", ["bcast", "allreduce"])
     def test_no_host_spans_inside_offloaded_window(self, builder):
         p = 4
         cl = _cluster(p)
@@ -282,12 +244,9 @@ class TestZeroHostCpuWindow:
             ep = fw.endpoint(rank)
             if builder == "bcast":
                 addr = ep.ctx.space.alloc_like(vals[0])
-                greq = build_ibcast(ep, addr, vals[0].nbytes, comm_size=p)
-            elif builder == "allgather":
-                blk = vals[rank].nbytes
-                addr = ep.ctx.space.alloc(p * blk)
-                ep.ctx.space.write(addr + rank * blk, vals[rank])
-                greq = build_iallgather(ep, addr, blk, comm_size=p)
+                greq, _ = record_schedule(
+                    ep, schedules.bcast_ring(rank, p, 0, vals[0].nbytes),
+                    base_tag=TAG_BCAST, recv_addr=addr)
             else:
                 addr = ep.ctx.space.alloc_like(vals[rank])
                 greq, _ = build_iallreduce(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.helpers import pattern, run_procs
+from tests.helpers import pattern, proxy_engine_of, run_procs
 from repro.hw import Cluster, ClusterSpec
 from repro.offload import OffloadError, OffloadFramework
 from repro.offload.proxy import PARK, CounterBoard
@@ -171,21 +171,21 @@ class TestProxyDiagnostics:
 
         proc = tiny_cluster.sim.process(sender(tiny_cluster.sim))
         tiny_cluster.sim.run(until=proc)
-        engine = fw.proxy_engine_for_rank(0)
+        engine = proxy_engine_of(fw, 0)
         assert engine.queued_rts == 1
         with pytest.raises(OffloadError, match="unmatched RTS"):
             fw.assert_quiescent()
 
     def test_unknown_inbox_item_raises(self, tiny_cluster):
         fw = OffloadFramework(tiny_cluster)
-        engine = fw.proxy_engine_for_rank(0)
+        engine = proxy_engine_of(fw, 0)
         engine.ctx.inbox.put(("who_knows", {}))
         with pytest.raises(OffloadError, match="unknown inbox item"):
             tiny_cluster.sim.run()
 
     def test_extra_handler_dispatch(self, tiny_cluster):
         fw = OffloadFramework(tiny_cluster)
-        engine = fw.proxy_engine_for_rank(0)
+        engine = proxy_engine_of(fw, 0)
         seen = []
 
         def handler(eng, payload):

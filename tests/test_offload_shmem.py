@@ -157,6 +157,32 @@ class TestSynchronisation:
         assert times["woke"] >= 100e-6
         assert times["woke"] <= times["put_done"]  # wake at data landing
 
+    def test_wait_until_wakes_on_a_put_covering_its_byte(self):
+        """A watcher inside a put's range wakes, not only one at its base
+        address: waiting on the last of 64 bytes used to end in a
+        'simulation ran dry' deadlock with the byte already written."""
+        cl, world = _world()
+        woke = {}
+
+        def pe0(sim):
+            ep = world.endpoint(0)
+            dst = yield from ep.symmetric_alloc(64, fill=0)
+            src = ep.ctx.space.alloc(64, fill=7)
+            yield sim.timeout(50e-6)
+            yield from ep.put(dst, src, 64, pe=1)
+            yield from ep.quiet()
+            return True
+
+        def pe1(sim):
+            ep = world.endpoint(1)
+            dst = yield from ep.symmetric_alloc(64, fill=0)
+            yield from ep.wait_until(dst + 63, lambda v: v == 7)
+            woke["at"] = sim.now
+            return int(ep.ctx.space.view(dst + 63, 1)[0])
+
+        assert run_procs(cl, [pe0(cl.sim), pe1(cl.sim)]) == [True, 7]
+        assert woke["at"] >= 50e-6
+
     def test_wait_until_already_satisfied(self):
         cl, world = _world()
 

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.helpers import run_procs
+from tests.helpers import blocking, run_procs, waitall
 from repro.apps.harness import dims_create
 from repro.hw import Cluster, ClusterSpec
 from repro.mpi import MpiWorld
@@ -116,7 +116,7 @@ def test_random_traffic_delivers_every_byte(msgs, seed):
                 addr = rt.ctx.space.alloc_like(payloads[i])
                 req = yield from rt.isend(comm, dst, addr, size, tag=100 + i)
                 reqs.append(("send", i, addr, req))
-        yield from rt.waitall([r for *_xs, r in reqs])
+        yield from waitall(rt, [r for *_xs, r in reqs])
         for kind, i, addr, _req in reqs:
             if kind == "recv":
                 got = rt.ctx.space.read(addr, len(payloads[i]))
@@ -214,7 +214,7 @@ def test_simulation_is_deterministic(seed):
             P = world.size
             sa = rt.ctx.space.alloc(P * 512, fill=rt.rank + 1)
             ra = rt.ctx.space.alloc(P * 512)
-            yield from coll.alltoall(rt, cw, sa, ra, 512)
+            yield from blocking(rt, coll.ialltoall(rt, cw, sa, ra, 512))
             return rt.sim.now
 
         world.run(program)

@@ -29,7 +29,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tests.helpers import pattern, run_procs
+from tests.helpers import blocking, pattern, run_procs
 from repro.hw import Cluster, ClusterSpec
 from repro.mpi import MpiWorld
 from repro.mpi.collectives import allreduce as host_allreduce
@@ -181,11 +181,11 @@ class TestLaziness:
             if me == a:
                 req = yield from ep.send_offload(buf, 256, dst=peer, tag=3)
                 yield from ep.wait(req)
-                yield from rt.send(world.comm_world, peer, buf, 256, tag=4)
+                yield from blocking(rt, rt.isend(world.comm_world, peer, buf, 256, tag=4))
             else:
                 req = yield from ep.recv_offload(buf, 256, src=peer, tag=3)
                 yield from ep.wait(req)
-                yield from rt.recv(world.comm_world, peer, buf, 256, tag=4)
+                yield from blocking(rt, rt.irecv(world.comm_world, peer, buf, 256, tag=4))
                 assert (ep.ctx.space.read(buf, 256) == peer % 251).all()
 
         run_procs(cl, [prog(a, b), prog(b, a)])

@@ -30,19 +30,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.harness.schedule_reference import run_reference
-from tests.helpers import run_procs
+from tests.helpers import blocking, run_procs
 from repro.hw import Cluster, ClusterSpec
 from repro.mpi import MpiWorld, schedules
 from repro.mpi import collectives as coll
 from repro.mpi.schedules import RECV, SEND
-from repro.offload import (
-    OffloadFramework,
-    build_iallgather,
-    build_iallreduce,
-    build_ialltoall,
-    build_ibcast,
-)
-from repro.offload.collectives import record_schedule
+from repro.offload import OffloadFramework, build_ialltoall
+from repro.offload.collectives import TAG_ALLREDUCE, record_schedule
 
 MAX_P = 9
 
@@ -81,26 +75,18 @@ ALGORITHMS = {
         schedule=lambda me, p, root, n: schedules.alltoall(me, p, n),
         expect=lambda p, root, n, send, recv: {
             r: _blocks([s[r * n:] for s in send], n) for r in range(p)},
-        host=lambda rt, c, root, s, r, n: coll.alltoall(rt, c, s, r, n),
+        host=lambda rt, c, root, s, r, n: blocking(rt, coll.ialltoall(rt, c, s, r, n)),
         group=lambda ep, p, root, s, r, n: build_ialltoall(
             ep, s, r, n, comm_size=p, base_tag=77),
     ),
     "bcast_binomial": Algorithm(
         schedule=schedules.bcast_binomial,
         expect=lambda p, root, n, send, recv: _everyone(p, recv[root][:n]),
-        host=lambda rt, c, root, s, r, n: coll.bcast(rt, c, root, r, n),
-    ),
-    "bcast_binomial_levels": Algorithm(
-        schedule=lambda me, p, root, n: schedules.bcast_binomial(
-            me, p, root, n, levels=True),
-        expect=lambda p, root, n, send, recv: _everyone(p, recv[root][:n]),
-        group=lambda ep, p, root, s, r, n: build_ibcast(
-            ep, r, n, root=root, comm_size=p),
+        host=lambda rt, c, root, s, r, n: blocking(rt, coll.ibcast(rt, c, root, r, n)),
     ),
     "bcast_ring": Algorithm(
         schedule=schedules.bcast_ring,
         expect=lambda p, root, n, send, recv: _everyone(p, recv[root][:n]),
-        host=lambda rt, c, root, s, r, n: coll.bcast(rt, c, root, r, n, "ring"),
         group=lambda ep, p, root, s, r, n: record_schedule(
             ep, schedules.bcast_ring(ep.rank, p, root, n),
             base_tag=29, recv_addr=r)[0],
@@ -108,60 +94,40 @@ ALGORITHMS = {
     "bcast_scag": Algorithm(
         schedule=schedules.bcast_scag,
         expect=lambda p, root, n, send, recv: _everyone(p, recv[root][:n]),
-        # With SCAG_THRESHOLD patched to 0 (below) "binomial" means scag
-        # wherever the host ever picks it: on more than two ranks.
-        host=lambda rt, c, root, s, r, n: coll.bcast(rt, c, root, r, n),
+        # With SCAG_THRESHOLD patched to 0 (below) the host Ibcast is scag
+        # wherever it ever picks it: on more than two ranks.
+        host=lambda rt, c, root, s, r, n: blocking(rt, coll.ibcast(rt, c, root, r, n)),
         sizes=tuple(range(3, MAX_P + 1)),
     ),
     "barrier": Algorithm(
         schedule=lambda me, p, root, n: schedules.barrier(me, p),
         expect=lambda p, root, n, send, recv: {},
-        host=lambda rt, c, root, s, r, n: coll.barrier(rt, c),
-    ),
-    "allgather": Algorithm(
-        schedule=lambda me, p, root, n: schedules.allgather(me, p, n),
-        expect=lambda p, root, n, send, recv: _everyone(p, _blocks(send, n)),
-        host=lambda rt, c, root, s, r, n: coll.allgather(rt, c, s, r, n),
-        group=lambda ep, p, root, s, r, n: build_iallgather(ep, r, n, comm_size=p),
+        host=lambda rt, c, root, s, r, n: blocking(rt, coll.ibarrier(rt, c)),
     ),
     "reduce": Algorithm(
         schedule=lambda me, p, root, n: schedules.reduce(me, p, root, 8 * n),
         expect=lambda p, root, n, send, recv: {root: _total(recv, n)},
-        host=lambda rt, c, root, s, r, n: _wait(rt, coll.ireduce(rt, c, root, r, 8 * n)),
+        host=lambda rt, c, root, s, r, n: blocking(rt, coll.ireduce(rt, c, root, r, 8 * n)),
         words=True,
-    ),
-    "gather": Algorithm(
-        schedule=schedules.gather,
-        expect=lambda p, root, n, send, recv: {root: _blocks(send, n)},
-        host=lambda rt, c, root, s, r, n: coll.gather(rt, c, root, s, r, n),
-    ),
-    "scatter": Algorithm(
-        schedule=schedules.scatter,
-        expect=lambda p, root, n, send, recv: {
-            r: send[root][r * n:(r + 1) * n] for r in range(p)},
-        host=lambda rt, c, root, s, r, n: coll.scatter(rt, c, root, s, r, n),
     ),
     "allreduce_rd": Algorithm(
         schedule=lambda me, p, root, n: schedules.allreduce_rd(me, p, 8 * n),
         expect=lambda p, root, n, send, recv: _everyone(p, _total(recv, n)),
-        group=lambda ep, p, root, s, r, n: build_iallreduce(
-            ep, r, 8 * n, comm_size=p, algorithm="rd")[0],
+        group=lambda ep, p, root, s, r, n: record_schedule(
+            ep, schedules.allreduce_rd(ep.rank, p, 8 * n),
+            base_tag=TAG_ALLREDUCE, recv_addr=r)[0],
         words=True,
         sizes=(1, 2, 4, 8),
     ),
     "allreduce_ring": Algorithm(
         schedule=lambda me, p, root, n: schedules.allreduce_ring(me, p, 8 * n),
         expect=lambda p, root, n, send, recv: _everyone(p, _total(recv, n)),
-        group=lambda ep, p, root, s, r, n: build_iallreduce(
-            ep, r, 8 * n, comm_size=p, algorithm="ring")[0],
+        group=lambda ep, p, root, s, r, n: record_schedule(
+            ep, schedules.allreduce_ring(ep.rank, p, 8 * n),
+            base_tag=TAG_ALLREDUCE, recv_addr=r)[0],
         words=True,
     ),
 }
-
-
-def _wait(rt, start):
-    req = yield from start
-    yield from rt.wait(req)
 
 
 def _spec(p: int) -> ClusterSpec:

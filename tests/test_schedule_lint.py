@@ -24,6 +24,7 @@ FORMER_OWNERS = [
     "mpi/collectives.py",
     "offload/collectives.py",
     "offload/backend.py",
+    "offload/shmem.py",
     *sorted(f"baselines/{p.name}" for p in (SRC / "baselines").glob("*.py")),
     "apps/hpl.py",
     "experiments/fig15_group_vs_simple.py",

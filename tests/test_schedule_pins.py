@@ -14,7 +14,7 @@ For each algorithm x p in {1, 2, 3, 4, 5, 7, 8, 13, 16} x root in
 {0, 1, p-1} x each runtime that implements it, every rank's sequence of
 posts is captured by wrapping the entry points the interpreters call:
 
-* host MPI -- ``rt._isend`` / ``rt._irecv`` / ``rt.copy_local``; the
+* host MPI -- ``rt.isend`` / ``rt.irecv`` / ``rt.copy_local``; the
   round index is the number of times the progress engine came back to
   the collective after waiting (``rt._start_round`` invocations), i.e.
   which posts go out together and which need a completed round first;
@@ -44,15 +44,12 @@ import pytest
 from repro.apps.hpl import _ring_bcast_p2p
 from repro.baselines import make_stack
 from repro.hw import Cluster, ClusterSpec
-from repro.mpi import MpiWorld
+from repro.mpi import MpiWorld, schedules
 from repro.mpi import collectives as coll
-from repro.offload import (
-    OffloadFramework,
-    build_iallgather,
-    build_iallreduce,
-    build_ibcast,
-)
+from repro.offload import OffloadFramework
+from repro.offload.collectives import record_schedule
 from repro.util import atomic_write
+from tests.helpers import blocking
 
 PIN_FILE = Path(__file__).resolve().parent / "golden" / "schedule_pins.json"
 
@@ -105,7 +102,7 @@ class _Log:
 def _tap_runtime(rt, log: _Log) -> None:
     """Route ``rt``'s collective-facing entry points through ``log``."""
     isend, irecv, copy_local, start_round = (
-        rt._isend, rt._irecv, rt.copy_local, rt._start_round)
+        rt.isend, rt.irecv, rt.copy_local, rt._start_round)
 
     def rel(tag):  # collective tags relative to their reserved space
         return tag - coll.COLL_TAG_BASE if tag >= coll.COLL_TAG_BASE else tag
@@ -127,7 +124,7 @@ def _tap_runtime(rt, log: _Log) -> None:
         yield from start_round(c)
         log.round += 1
 
-    rt._isend, rt._irecv, rt.copy_local, rt._start_round = (
+    rt.isend, rt.irecv, rt.copy_local, rt._start_round = (
         _isend, _irecv, _copy_local, _start_round)
 
 
@@ -248,41 +245,33 @@ def _hpl_ring(p: int, root: int) -> list[list[str]]:
     return [log.posts for _, log in sorted(logs, key=lambda e: e[0])]
 
 
-def _reduce(rt, comm, root, addr):
-    req = yield from coll.ireduce(rt, comm, root, addr, REDUCE_BYTES)
-    yield from rt.wait(req)
-
-
 #: Host collectives: name -> call(rt, comm, root, send, recv); the first
 #: group ignores the root.
 HOST_UNROOTED = {
-    "alltoall": lambda rt, c, root, s, r: coll.alltoall(rt, c, s, r, BLOCK),
-    "allgather": lambda rt, c, root, s, r: coll.allgather(rt, c, s, r, BLOCK),
-    "barrier": lambda rt, c, root, s, r: coll.barrier(rt, c),
+    "alltoall": lambda rt, c, root, s, r: blocking(rt, coll.ialltoall(rt, c, s, r, BLOCK)),
+    "barrier": lambda rt, c, root, s, r: blocking(rt, coll.ibarrier(rt, c)),
     "allreduce": lambda rt, c, root, s, r: coll.allreduce(rt, c, r, REDUCE_BYTES),
 }
 HOST_ROOTED = {
-    "bcast_binomial": lambda rt, c, root, s, r: coll.bcast(rt, c, root, r, SMALL),
-    "bcast_large": lambda rt, c, root, s, r: coll.bcast(rt, c, root, r, LARGE),
-    "bcast_ring": lambda rt, c, root, s, r: coll.bcast(rt, c, root, r, SMALL, "ring"),
-    "reduce": lambda rt, c, root, s, r: _reduce(rt, c, root, r),
-    "gather": lambda rt, c, root, s, r: coll.gather(rt, c, root, s, r, BLOCK),
-    "scatter": lambda rt, c, root, s, r: coll.scatter(rt, c, root, s, r, BLOCK),
+    "bcast_binomial": lambda rt, c, root, s, r: blocking(rt, coll.ibcast(rt, c, root, r, SMALL)),
+    "bcast_large": lambda rt, c, root, s, r: blocking(rt, coll.ibcast(rt, c, root, r, LARGE)),
+    "reduce": lambda rt, c, root, s, r: blocking(
+        rt, coll.ireduce(rt, c, root, r, REDUCE_BYTES)),
 }
-#: Group builders: name -> (base tag, build(ep, addr, p, root)).
+
+
+def _record(schedule, nbytes):
+    """A Group recording of ``schedule(me, p, nbytes)`` at the
+    Iallreduce tag base, as ``build_iallreduce`` records it."""
+    return lambda ep, a, p, root: record_schedule(
+        ep, schedule(ep.rank, p, nbytes), base_tag=0x7C00, recv_addr=a)
+
+
+#: Group recordings: name -> (base tag, build(ep, addr, p, root)).
 GROUP_UNROOTED = {
-    "allgather": (0x7B00, lambda ep, a, p, root: build_iallgather(
-        ep, a, BLOCK, comm_size=p)),
-    "allreduce_ring": (0x7C00, lambda ep, a, p, root: build_iallreduce(
-        ep, a, 8 * RING_WORDS, comm_size=p, algorithm="ring")),
-    "allreduce_ring_few": (0x7C00, lambda ep, a, p, root: build_iallreduce(
-        ep, a, 8 * RING_FEW_WORDS, comm_size=p, algorithm="ring")),
-    "allreduce_rd": (0x7C00, lambda ep, a, p, root: build_iallreduce(
-        ep, a, 8 * RING_WORDS, comm_size=p, algorithm="rd")),
-}
-GROUP_ROOTED = {
-    "bcast": (0x7A00, lambda ep, a, p, root: build_ibcast(
-        ep, a, SMALL, root=root, comm_size=p)),
+    "allreduce_ring": (0x7C00, _record(schedules.allreduce_ring, 8 * RING_WORDS)),
+    "allreduce_ring_few": (0x7C00, _record(schedules.allreduce_ring, 8 * RING_FEW_WORDS)),
+    "allreduce_rd": (0x7C00, _record(schedules.allreduce_rd, 8 * RING_WORDS)),
 }
 
 
@@ -309,8 +298,6 @@ def _cases():
             at = f"p{p}/root{root}"
             for name, call in HOST_ROOTED.items():
                 yield add(f"host.{name}/{at}", _host, p, host(call, root))
-            for name, (tag, build) in GROUP_ROOTED.items():
-                yield add(f"group.{name}/{at}", _group, p, tag, group(build, p, root))
             for flavor in ("bluesmpi", "proposed"):
                 yield add(f"{flavor}.bcast_ring/{at}", _backend, flavor, p, "bcast", root)
             yield add(f"hpl.ring_p2p/{at}", _hpl_ring, p, root)

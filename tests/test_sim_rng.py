@@ -29,14 +29,6 @@ def test_root_seed_changes_draws():
     assert not np.allclose(a, b)
 
 
-def test_reset_rederives_from_root():
-    reg = RngRegistry(3)
-    first = reg.stream("s").standard_normal(4)
-    reg.reset()
-    again = reg.stream("s").standard_normal(4)
-    assert np.allclose(first, again)
-
-
 def test_consumer_order_does_not_perturb_other_streams():
     r1 = RngRegistry(5)
     _ = r1.stream("early").standard_normal(100)

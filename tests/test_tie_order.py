@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from tests.harness.tie_order import tie_order
-from tests.helpers import pattern
+from tests.helpers import blocking, pattern
 from repro.baselines.base import make_stack
 from repro.hw import Cluster, ClusterSpec
 from repro.mpi import MpiWorld
@@ -126,9 +126,9 @@ def hostmpi_ring_broadcast():
             buf = rt.ctx.space.alloc_like(data)
         else:
             buf = rt.ctx.space.alloc(size)
-            yield from rt.recv(comm, rt.rank - 1, buf, size, tag=3)
+            yield from blocking(rt, rt.irecv(comm, rt.rank - 1, buf, size, tag=3))
         if rt.rank != P - 1:
-            yield from rt.send(comm, rt.rank + 1, buf, size, tag=3)
+            yield from blocking(rt, rt.isend(comm, rt.rank + 1, buf, size, tag=3))
         assert bytes(rt.ctx.space.read(buf, size)) == data.tobytes()
         return rt.sim.now
 
