@@ -34,11 +34,13 @@ __all__ = ["CommBackend", "GroupBackend", "BackendStack", "make_stack"]
 class CommBackend:
     """Rank-local communication API shared by all three runtimes.
 
-    The private ``_isend``/``_irecv``/``_wait``/``_test``/``_ialltoall``
-    /``_ibcast`` are host MPI here; offloading runtimes override what
-    they offload.  The public methods add uniform time accounting.
-    Requests returned by the ``i*`` methods are opaque -- pass them back
-    to :meth:`wait`/:meth:`test` of the same backend only.
+    The private ``_isend``/``_irecv``/``_ialltoall``/``_ibcast`` are host
+    MPI here; offloading runtimes override what they offload.  The public
+    methods are the calls a rank program makes: each is one generator
+    that adds its own simulated time to :attr:`time_in_comm`, so a host
+    call costs one frame above the runtime's.  Requests returned by the
+    ``i*`` methods are opaque -- pass them back to :meth:`wait` /
+    :meth:`waitall` / :meth:`test` of the same backend only.
     """
 
     #: Short name used in reports ("intelmpi", "bluesmpi", "proposed").
@@ -55,47 +57,76 @@ class CommBackend:
         #: Simulated time spent inside communication calls (incl. waits).
         self.time_in_comm = 0.0
 
-    # -- timing ------------------------------------------------------------
-    def _timed(self, gen):
-        t0 = self.sim.now
-        try:
-            result = yield from gen
-        finally:
-            self.time_in_comm += self.sim.now - t0
-        return result
-
     # -- public API ----------------------------------------------------------
     def isend(self, comm: Communicator, dst: int, addr: int, size: int, tag: int = 0):
-        return self._timed(self._isend(comm, dst, addr, size, tag))
+        t0 = self.sim.now
+        try:
+            return (yield from self._isend(comm, dst, addr, size, tag))
+        finally:
+            self.time_in_comm += self.sim.now - t0
 
     def irecv(self, comm: Communicator, src: int, addr: int, size: int, tag: int = 0):
-        return self._timed(self._irecv(comm, src, addr, size, tag))
+        t0 = self.sim.now
+        try:
+            return (yield from self._irecv(comm, src, addr, size, tag))
+        finally:
+            self.time_in_comm += self.sim.now - t0
 
     def wait(self, req):
-        return self._timed(self._wait_any(req))
+        return self.waitall((req,))
 
     def waitall(self, reqs: Iterable):
-        def _go():
-            for r in list(reqs):
-                yield from self._wait_any(r)
-
-        return self._timed(_go())
+        t0 = self.sim.now
+        try:
+            for req in list(reqs):
+                if hasattr(req, "advance"):
+                    yield from self._wait_shim(req)
+                elif isinstance(req, (MpiRequest, CollectiveRequest)):
+                    yield from self.rt.wait(req)
+                elif self.ep is not None and isinstance(
+                        req, (OffloadRequest, OffloadGroupRequest)):
+                    yield from self.ep.wait(req)
+                else:
+                    raise TypeError(f"{self.name} cannot wait on {type(req).__name__}")
+        finally:
+            self.time_in_comm += self.sim.now - t0
 
     def test(self, req):
-        return self._timed(self._test_any(req))
+        t0 = self.sim.now
+        try:
+            if hasattr(req, "advance"):
+                return (yield from self._test_shim(req))
+            if isinstance(req, (MpiRequest, CollectiveRequest)):
+                yield self.ctx.consume(self.rt.params.mpi_call_overhead)
+                yield from self.rt._drain()
+            # Offload requests complete via the completion counter; testing
+            # them is a host-memory load, no protocol work.
+            return bool(req.complete)
+        finally:
+            self.time_in_comm += self.sim.now - t0
+
+    def ialltoall(self, comm: Communicator, send_addr: int, recv_addr: int, block: int):
+        t0 = self.sim.now
+        try:
+            return (yield from self._ialltoall(comm, send_addr, recv_addr, block))
+        finally:
+            self.time_in_comm += self.sim.now - t0
+
+    def ibcast(self, comm: Communicator, root: int, addr: int, size: int):
+        t0 = self.sim.now
+        try:
+            return (yield from self._ibcast(comm, root, addr, size))
+        finally:
+            self.time_in_comm += self.sim.now - t0
+
+    def barrier(self, comm: Communicator):
+        t0 = self.sim.now
+        try:
+            yield from self.rt.wait((yield from coll.ibarrier(self.rt, comm)))
+        finally:
+            self.time_in_comm += self.sim.now - t0
 
     # -- dependent-request shims (e.g. HPL's recv-then-forward ring hop) ------
-    def _wait_any(self, req):
-        if hasattr(req, "advance"):
-            yield from self._wait_shim(req)
-        else:
-            yield from self._wait(req)
-
-    def _test_any(self, req):
-        if hasattr(req, "advance"):
-            return (yield from self._test_shim(req))
-        return (yield from self._test(req))
-
     def _test_shim(self, req):
         """One progress pass over a shim: drain the host engine, then let
         the shim post whatever its dependency now allows."""
@@ -113,41 +144,12 @@ class CommBackend:
                 item = yield self.rt.incoming.get()
                 yield from self.rt._handle(item)
 
-    def ialltoall(self, comm: Communicator, send_addr: int, recv_addr: int, block: int):
-        return self._timed(self._ialltoall(comm, send_addr, recv_addr, block))
-
-    def ibcast(self, comm: Communicator, root: int, addr: int, size: int):
-        return self._timed(self._ibcast(comm, root, addr, size))
-
-    def barrier(self, comm: Communicator):
-        def _go():
-            req = yield from coll.ibarrier(self.rt, comm)
-            yield from self.rt.wait(req)
-
-        return self._timed(_go())
-
     # -- host MPI underneath every runtime -------------------------------------
     def _isend(self, comm, dst, addr, size, tag):
         return (yield from self.rt.isend(comm, dst, addr, size, tag))
 
     def _irecv(self, comm, src, addr, size, tag):
         return (yield from self.rt.irecv(comm, src, addr, size, tag))
-
-    def _wait(self, req):
-        if isinstance(req, (MpiRequest, CollectiveRequest)):
-            yield from self.rt.wait(req)
-        elif self.ep is not None and isinstance(req, (OffloadRequest, OffloadGroupRequest)):
-            yield from self.ep.wait(req)
-        else:
-            raise TypeError(f"{self.name} cannot wait on {type(req).__name__}")
-
-    def _test(self, req):
-        if isinstance(req, (MpiRequest, CollectiveRequest)):
-            yield self.ctx.consume(self.rt.params.mpi_call_overhead)
-            yield from self.rt._drain()
-        # Offload requests complete via the completion counter; testing
-        # them is a host-memory load, no protocol work.
-        return bool(req.complete)
 
     def _ialltoall(self, comm, send_addr, recv_addr, block):
         return (yield from coll.ialltoall(self.rt, comm, send_addr, recv_addr, block))

@@ -117,7 +117,7 @@ class _Message:
     )
 
     def __init__(self, fabric, src_hca, src_node, dst_node, size, kind,
-                 t_posted, xid, latency, delivered):
+                 t_posted, xid, latency):
         self.fabric = fabric
         self.sim = fabric.sim
         self.src_hca = src_hca
@@ -128,7 +128,6 @@ class _Message:
         self.t_posted = t_posted
         self.xid = xid
         self.latency = latency
-        self.delivered = delivered
         self.status = "ok"
         self.extra_delay = 0.0
         self.inbox = None
@@ -233,7 +232,6 @@ class _Message:
                      kind=self.kind)
         src_hca.metrics.observe("fabric.ctrl_latency",
                                 self.sim.now - self.t_posted)
-        self.delivered.succeed(self.msg)
 
 
 class Fabric:
@@ -338,7 +336,8 @@ class Fabric:
                      size=size, initiator=initiator, dst=dst_node)
 
         m = _Message(self, src_hca, src_node, dst_node, size, kind, t_posted,
-                     xid, self.one_way_latency(src_node, dst_node), delivered)
+                     xid, self.one_way_latency(src_node, dst_node))
+        m.delivered = delivered
         m.meta = meta
         m.on_deliver = on_deliver
         m.completed = completed
@@ -534,26 +533,26 @@ class Fabric:
         src_mem: str = "host",
         dst_mem: str = "host",
         kind: str = "ctrl",
-    ) -> Event:
+    ) -> None:
         """Send a small control message into ``inbox`` (a Store).
 
         Control messages ride the same engines as data (they *are* small
-        RDMA sends) but skip the completion plumbing; the returned event
-        fires at delivery.  Same-node host<->DPU control costs
+        RDMA sends) but skip the completion plumbing: nothing fires on
+        the sender's side, and the receiver learns of the message by
+        getting it from ``inbox``.  Same-node host<->DPU control costs
         ``ctrl_latency`` one way, matching the paper's observation that
         the loopback path is latency-comparable to the wire.
 
         ``kind`` names the protocol message ("rts", "fin", "counter",
         ...) for tracing and for :class:`~repro.hw.faults.FaultPlan`
         targeting.  A dropped or corrupted-and-discarded message never
-        reaches ``inbox`` and the returned event never fires (senders
-        treat control traffic as fire-and-forget; recovery is the
-        receiver's retransmit/timeout protocol).
+        reaches ``inbox`` (senders treat control traffic as
+        fire-and-forget; recovery is the receiver's retransmit/timeout
+        protocol).
         """
         nbytes = self.params.ctrl_bytes if size is None else size
         src_hca = self.hcas[src_node]
         dst_hca = self.hcas[dst_node]
-        delivered = self.sim.event()
         src_hca.count_post(initiator, nbytes)
         src_hca.metrics.add("fabric.control_msgs")
         cid = self._ctrl_seq
@@ -569,7 +568,7 @@ class Fabric:
             else self.one_way_latency(src_node, dst_node)
         )
         m = _Message(self, src_hca, src_node, dst_node, nbytes, kind, t_posted,
-                     cid, latency, delivered)
+                     cid, latency)
         m.inbox = inbox
         m.msg = msg
         m.action = "deliver"
@@ -578,4 +577,3 @@ class Fabric:
             m.action, m.extra_delay = plan.control_fate(kind, src_node, dst_node)
         m.walk(dst_hca, src_hca.serialization_time(nbytes, initiator,
                                                    src_mem, dst_mem))
-        return delivered

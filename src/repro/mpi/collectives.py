@@ -21,7 +21,15 @@ validated.
 Tags: collective traffic lives in a reserved tag space above
 ``COLL_TAG_BASE``; instances on the same communicator draw a per-rank
 sequence number, which stays coherent because MPI requires all ranks to
-call collectives on a communicator in the same order.
+call collectives on a communicator in the same order.  Each instance
+owns ``COLL_TAG_STRIDE`` tags; a schedule whose sub-tags would reach
+into the next instance's is refused with :class:`MpiError`.
+
+Schedules are immutable, and the last ``SCHEDULE_CACHE`` distinct
+``(algorithm, me, p, sizes)`` builds are kept: ranks at the same
+position of same-shaped communicators (HPL's process rows, say) start
+the same schedule without rebuilding it.  The cache is bounded on
+purpose, so a long sweep does not hold every schedule it ever built.
 
 Scratch: a schedule's ``scratch_bytes`` are allocated here and freed by
 the engine when the collective finishes locally (the bump allocator
@@ -29,6 +37,8 @@ never reuses an address, so the next call still registers afresh).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from repro.mpi import schedules
 from repro.mpi.communicator import Communicator
@@ -52,6 +62,9 @@ COLL_TAG_BASE = 1 << 20
 #: ``tag + r`` sub-tags, so instances are spaced widely apart.
 COLL_TAG_STRIDE = 4096
 
+#: How many built schedules :func:`_schedule` keeps.
+SCHEDULE_CACHE = 32
+
 
 def coll_tag(comm: Communicator, rt: MpiRuntime) -> int:
     """Next collective tag for this (comm, rank); coherent across ranks.
@@ -62,18 +75,30 @@ def coll_tag(comm: Communicator, rt: MpiRuntime) -> int:
     return COLL_TAG_BASE + n * COLL_TAG_STRIDE
 
 
-def _start(rt: MpiRuntime, comm: Communicator, op: str, schedule, sizes: tuple,
+@lru_cache(maxsize=SCHEDULE_CACHE)
+def _schedule(build, me: int, p: int, sizes: tuple) -> schedules.Schedule:
+    """``build(me, p, *sizes)``, checked once: every sub-tag must stay
+    inside this instance's ``COLL_TAG_STRIDE``."""
+    sched = build(me, p, *sizes)
+    for ops in sched.rounds:
+        for op in ops:
+            if op.tag >= COLL_TAG_STRIDE:
+                raise MpiError(
+                    f"{build.__name__} on {p} ranks uses sub-tag {op.tag}, "
+                    f"past the {COLL_TAG_STRIDE} tags of one collective instance")
+    return sched
+
+
+def _start(rt: MpiRuntime, comm: Communicator, op: str, build, sizes: tuple,
            send_addr=None, recv_addr=None, scratch=None):
-    """Start this rank's ``schedule(me, p, *sizes)``, bound to its addresses."""
-    sched = schedule(comm.rank_of(rt.rank), comm.size, *sizes)
+    """Start this rank's ``build(me, p, *sizes)``, bound to its addresses."""
+    sched = _schedule(build, comm.rank_of(rt.rank), comm.size, sizes)
     owned = None
     if scratch is None and sched.scratch_bytes:
         scratch = owned = rt.ctx.space.alloc(sched.scratch_bytes)
     coll = CollectiveRequest(
-        rank=rt.rank, comm_id=comm.comm_id, op=op, rounds=sched.rounds,
-        comm=comm, tag=coll_tag(comm, rt), owned_scratch=owned,
-        bufs={SEND: send_addr, RECV: recv_addr, SCRATCH: scratch},
-    )
+        rt.rank, comm.comm_id, op, sched.rounds, comm, coll_tag(comm, rt),
+        {SEND: send_addr, RECV: recv_addr, SCRATCH: scratch}, owned)
     yield from rt.start_collective(coll)
     return coll
 

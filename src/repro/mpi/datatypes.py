@@ -1,9 +1,16 @@
-"""Envelopes, requests and constants for the MPI runtime."""
+"""Envelopes, requests and constants for the MPI runtime.
+
+The three records here are built once per message (an envelope and a
+request on each side), so they are plain slotted classes with
+positional constructors: no dataclass machinery, no per-record id
+factory.  None of them refers back to its runtime, and a request's link
+to its collective is cleared when the request completes, so finished
+traffic leaves nothing for the cyclic collector.
+"""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 __all__ = [
@@ -27,14 +34,16 @@ class MpiError(RuntimeError):
     """Semantic misuse of the MPI layer."""
 
 
-@dataclass(frozen=True)
 class Envelope:
     """The matching triple (plus communicator) of one message."""
 
-    src: int  # world rank of the sender
-    dst: int  # world rank of the receiver
-    tag: int
-    comm_id: int
+    __slots__ = ("src", "dst", "tag", "comm_id")
+
+    def __init__(self, src: int, dst: int, tag: int, comm_id: int):
+        self.src = src  # world rank of the sender
+        self.dst = dst  # world rank of the receiver
+        self.tag = tag
+        self.comm_id = comm_id
 
     def matches_recv(self, recv_src: int, recv_tag: int, comm_id: int) -> bool:
         """Would a posted receive with these selectors match this message?"""
@@ -47,69 +56,79 @@ class Envelope:
         return True
 
 
-@dataclass
 class MpiRequest:
     """One non-blocking point-to-point operation."""
 
-    kind: str  # "send" | "recv"
-    rank: int  # world rank owning this request
-    peer: int  # destination (send) / selector source (recv); may be ANY_SOURCE
-    tag: int
-    comm_id: int
-    addr: int
-    size: int
-    req_id: int = field(default_factory=lambda: next(_req_ids))
-    complete: bool = False
-    #: Simulated time at which the operation semantically completed.
-    complete_time: Optional[float] = None
-    #: For receives: the actual source/tag after matching (wildcards resolved).
-    matched_src: Optional[int] = None
-    matched_tag: Optional[int] = None
-    #: Protocol scratch space (protocol state machine tag).
-    state: str = "new"
-    #: Optional payload bytes riding along (eager path holds them here
-    #: between arrival and match).
-    payload: Any = None
+    __slots__ = (
+        "kind", "rank", "peer", "tag", "comm_id", "addr", "size", "req_id",
+        "complete", "complete_time", "matched_src", "matched_tag", "state",
+        "coll",
+    )
+
+    def __init__(self, kind: str, rank: int, peer: int, tag: int, comm_id: int,
+                 addr: int, size: int):
+        self.kind = kind  # "send" | "recv"
+        self.rank = rank  # world rank owning this request
+        #: Destination (send) / selector source (recv); may be ANY_SOURCE.
+        self.peer = peer
+        self.tag = tag
+        self.comm_id = comm_id
+        self.addr = addr
+        self.size = size
+        self.req_id = next(_req_ids)
+        self.complete = False
+        #: Simulated time at which the operation semantically completed.
+        self.complete_time: Optional[float] = None
+        #: For receives: the actual source/tag after matching (wildcards
+        #: resolved).
+        self.matched_src: Optional[int] = None
+        self.matched_tag: Optional[int] = None
+        #: Protocol scratch space (protocol state machine tag).
+        self.state = "new"
+        #: The collective whose current round posted this request, until
+        #: the request completes (then None again).
+        self.coll: Optional[CollectiveRequest] = None
 
     def __hash__(self) -> int:
         return self.req_id
 
-    def __eq__(self, other) -> bool:
-        return self is other
 
-
-@dataclass
 class CollectiveRequest:
     """A non-blocking collective: a dependency-ordered schedule of rounds.
 
-    ``rounds`` is the rank's :class:`repro.mpi.schedules.Schedule` --
-    a list of op lists over the symbolic buffers ``bufs`` resolves and
-    the base ``tag`` offsets.  The progress engine starts round *k+1*
-    only once every request of round *k* has completed -- which is how
-    a host-progressed library really chains e.g. a binomial-tree
-    Ibcast, and why its overlap suffers: advancing to the next round
-    needs the CPU.
+    ``rounds`` is the rank's :class:`repro.mpi.schedules.Schedule` rounds
+    -- a tuple of op tuples over the symbolic buffers ``bufs`` resolves
+    and the base ``tag`` offsets.  The progress engine starts round
+    *k+1* only once every request of round *k* has completed
+    (``pending``, the round's requests still incomplete, reaches 0) --
+    which is how a host-progressed library really chains e.g. a
+    binomial-tree Ibcast, and why its overlap suffers: advancing to the
+    next round needs the CPU.
     """
 
-    rank: int
-    comm_id: int
-    op: str
-    rounds: list = field(default_factory=list)
-    round_idx: int = 0
-    active: list[MpiRequest] = field(default_factory=list)
-    complete: bool = False
-    complete_time: Optional[float] = None
-    req_id: int = field(default_factory=lambda: next(_req_ids))
-    comm: Any = None
-    tag: int = 0
-    #: Symbolic buffer name -> base address.
-    bufs: dict = field(default_factory=dict)
-    #: Scratch the engine allocated for this collective and frees when
-    #: it finishes locally (None: no scratch, or the caller's).
-    owned_scratch: Optional[int] = None
+    __slots__ = (
+        "rank", "comm_id", "op", "rounds", "round_idx", "pending", "complete",
+        "complete_time", "req_id", "comm", "tag", "bufs", "owned_scratch",
+    )
+
+    def __init__(self, rank: int, comm_id: int, op: str, rounds: tuple, comm: Any,
+                 tag: int, bufs: dict, owned_scratch: Optional[int] = None):
+        self.rank = rank
+        self.comm_id = comm_id
+        self.op = op
+        self.rounds = rounds
+        self.round_idx = 0
+        self.pending = 0
+        self.complete = False
+        self.complete_time: Optional[float] = None
+        self.req_id = next(_req_ids)
+        self.comm = comm
+        self.tag = tag
+        #: Symbolic buffer name -> base address.
+        self.bufs = bufs
+        #: Scratch the engine allocated for this collective and frees when
+        #: it finishes locally (None: no scratch, or the caller's).
+        self.owned_scratch = owned_scratch
 
     def __hash__(self) -> int:
         return self.req_id
-
-    def __eq__(self, other) -> bool:
-        return self is other

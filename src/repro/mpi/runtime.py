@@ -71,8 +71,14 @@ class MpiRuntime:
         self.regcache = RegistrationCache(ctx, name="ib")
         #: Rendezvous sends waiting for their FIN, by request id.
         self._awaiting_fin: dict[int, MpiRequest] = {}
-        #: Active non-blocking collectives.
+        #: Active non-blocking collectives, in the order they started.
         self._collectives: list[CollectiveRequest] = []
+        #: How many of them have a finished round whose successor is not
+        #: started yet (``pending`` at 0).
+        self._ready = 0
+        #: ``(comm_id, dst) -> (dst world rank, same node?, peer runtime)``
+        #: for every destination this rank has sent to.
+        self._routes: dict[tuple[int, int], tuple] = {}
         #: Collectives started so far per communicator id (their tags).
         self._coll_seq: dict[int, int] = {}
         #: The dissemination barrier's bytes (never read), allocated once.
@@ -101,6 +107,16 @@ class MpiRuntime:
     # ------------------------------------------------------------------
     # point to point
     # ------------------------------------------------------------------
+    def _route(self, comm: Communicator, dst: int) -> tuple:
+        """Resolve and remember where ``comm``'s rank ``dst`` lives."""
+        dst_world = comm.world_rank(dst)
+        if dst_world == self.rank:
+            raise MpiError("self-sends must be copied locally (copy_local)")
+        route = self._routes[comm.comm_id, dst] = (
+            dst_world, self.ctx.cluster.same_node(self.rank, dst_world),
+            self.world.runtime(dst_world))
+        return route
+
     def isend(self, comm: Communicator, dst: int, addr: int, size: int, tag: int = 0):
         """Non-blocking send; returns an :class:`MpiRequest`."""
         if tag < 0:
@@ -108,34 +124,30 @@ class MpiRuntime:
         if size < 0:
             raise MpiError("negative message size")
         src_world = self.rank
-        dst_world = comm.world_rank(dst)
-        env = Envelope(src=src_world, dst=dst_world, tag=tag, comm_id=comm.comm_id)
-        req = MpiRequest(
-            kind="send", rank=src_world, peer=dst_world, tag=tag,
-            comm_id=comm.comm_id, addr=addr, size=size,
-        )
+        dst_world, same_node, peer_rt = (
+            self._routes.get((comm.comm_id, dst)) or self._route(comm, dst))
+        env = Envelope(src_world, dst_world, tag, comm.comm_id)
+        req = MpiRequest("send", src_world, dst_world, tag, comm.comm_id, addr, size)
         yield self.ctx.consume(self.params.mpi_call_overhead)
-        if dst_world == src_world:
-            raise MpiError("self-sends must be copied locally (copy_local)")
-        cluster = self.ctx.cluster
-        if cluster.same_node(src_world, dst_world):
+        if same_node:
             proto = "shm"
         elif size <= self.params.eager_threshold:
             proto = "eager"
         else:
             proto = "rndv"
-        if cluster.bus is not None:
-            cluster.bus.emit("mpi", "isend", self.ctx.trace_name,
-                             peer=dst_world, tag=tag, size=size, proto=proto)
+        bus = self.ctx.cluster.bus
+        if bus is not None:
+            bus.emit("mpi", "isend", self.ctx.trace_name,
+                     peer=dst_world, tag=tag, size=size, proto=proto)
         if proto == "shm":
-            yield from self._shm_send(env, req)
+            yield from self._shm_send(env, req, peer_rt)
         elif proto == "eager":
-            yield from self._eager_send(env, req)
+            yield from self._eager_send(env, req, peer_rt)
         else:
-            yield from self._rndv_send(env, req)
+            yield from self._rndv_send(env, req, peer_rt)
         return req
 
-    def _eager_send(self, env: Envelope, req: MpiRequest) -> None:
+    def _eager_send(self, env: Envelope, req: MpiRequest, peer_rt: "MpiRuntime") -> None:
         ctx = self.ctx
         # Copy into the bounce buffer: the snapshot is what eager means,
         # so this must be read_copy -- the app may overwrite the send
@@ -146,7 +158,6 @@ class MpiRuntime:
             if req.size and ctx.cluster.payloads
             else None
         )
-        peer_rt = self.world.runtime(env.dst)
         yield ctx.consume(ctx.hca.post_overhead("host"))
         ctx.cluster.metrics.add("mpi.eager_sends")
         ctx.cluster.fabric.transfer(
@@ -162,9 +173,8 @@ class MpiRuntime:
         # Locally complete: the buffer is reusable once the NIC has it.
         self._complete(req)
 
-    def _rndv_send(self, env: Envelope, req: MpiRequest) -> None:
+    def _rndv_send(self, env: Envelope, req: MpiRequest, peer_rt: "MpiRuntime") -> None:
         handle = yield from self.regcache.get(req.addr, req.size)
-        peer_rt = self.world.runtime(env.dst)
         req.state = "rts_sent"
         self._awaiting_fin[req.req_id] = req
         self.ctx.cluster.metrics.add("mpi.rndv_sends")
@@ -175,7 +185,7 @@ class MpiRuntime:
             inbox=peer_rt.incoming,
         )
 
-    def _shm_send(self, env: Envelope, req: MpiRequest) -> None:
+    def _shm_send(self, env: Envelope, req: MpiRequest, peer_rt: "MpiRuntime") -> None:
         ctx = self.ctx
         p = self.params
         # Snapshot semantics, as in _eager_send: the sender reuses the
@@ -186,7 +196,7 @@ class MpiRuntime:
             if req.size and ctx.cluster.payloads
             else None
         )
-        incoming = self.world.runtime(env.dst).incoming
+        incoming = peer_rt.incoming
         item = ("shm", env, payload, req.size)
         delay = p.shm_latency + req.size / p.shm_bandwidth
         ctx.cluster.metrics.add("mpi.shm_sends")
@@ -201,10 +211,7 @@ class MpiRuntime:
     def irecv(self, comm: Communicator, src: int, addr: int, size: int, tag: int = ANY_TAG):
         """Non-blocking receive; ``src`` may be :data:`ANY_SOURCE`."""
         src_world = ANY_SOURCE if src == ANY_SOURCE else comm.world_rank(src)
-        req = MpiRequest(
-            kind="recv", rank=self.rank, peer=src_world, tag=tag,
-            comm_id=comm.comm_id, addr=addr, size=size,
-        )
+        req = MpiRequest("recv", self.rank, src_world, tag, comm.comm_id, addr, size)
         yield self.ctx.consume(self.params.mpi_call_overhead)
         um = self.matching.post_recv(req)
         if um is not None:
@@ -221,29 +228,36 @@ class MpiRuntime:
             if not ok:
                 break
             yield from self._handle(item)
-        yield from self._advance_collectives()
+        if self._ready:
+            yield from self._advance_collectives()
 
     def test(self, req):
         """One progress pass; returns True if ``req`` is complete."""
         yield self.ctx.consume(self.params.mpi_call_overhead)
         yield from self._drain()
-        return self._is_complete(req)
+        return bool(req.complete)
 
     def wait(self, req):
         """Block (progressing) until ``req`` completes."""
         yield self.ctx.consume(self.params.mpi_call_overhead)
         yield from self._drain()
-        while not self._is_complete(req):
+        while not req.complete:
             item = yield self.incoming.get()
             yield from self._handle(item)
             yield from self._drain()
 
-    def _is_complete(self, req) -> bool:
-        return bool(req.complete)
-
     def _complete(self, req) -> None:
         req.complete = True
         req.complete_time = self.sim.now
+        coll = req.coll
+        if coll is not None:
+            # One fewer request holds up the collective's round; the
+            # link goes with it, so a request never outlives its round
+            # pointing at the collective.
+            req.coll = None
+            coll.pending -= 1
+            if not coll.pending:
+                self._ready += 1
         bus = self.ctx.cluster.bus
         if bus is not None:
             bus.emit("mpi", "complete", self.ctx.trace_name,
@@ -348,39 +362,44 @@ class MpiRuntime:
     def _start_round(self, coll: CollectiveRequest):
         """The host interpreter of :mod:`repro.mpi.schedules`: post the
         next round's ops; a round that posts no request (nothing for
-        this rank to do, or only local work) falls through."""
+        this rank to do, or only local work) falls through.
+
+        Posting completes no request but the one being posted, so the
+        round's still-incomplete requests are counted into ``pending``
+        as they are posted and each one's completion counts down."""
         rounds, comm, tag, bufs = coll.rounds, coll.comm, coll.tag, coll.bufs
         while coll.round_idx < len(rounds):
-            active = []
+            posted = pending = 0
             for op in rounds[coll.round_idx]:
                 kind = op.kind
                 addr = bufs[op.buf] + op.off
-                if kind in ("send", "recv"):
+                if kind == "send" or kind == "recv":
                     post = self.isend if kind == "send" else self.irecv
-                    active.append((yield from post(
-                        comm, op.peer, addr, op.nbytes, tag + op.tag)))
+                    req = yield from post(comm, op.peer, addr, op.nbytes, tag + op.tag)
+                    posted += 1
+                    if not req.complete:
+                        req.coll = coll
+                        pending += 1
                 elif kind == "copy":
                     yield from self.copy_local(bufs[op.src] + op.src_off, addr, op.nbytes)
                 else:
                     yield from self._accumulate(bufs[op.src] + op.src_off, addr, op.nbytes)
-            coll.active = active
             coll.round_idx += 1
-            if active:
+            if posted:
+                coll.pending = pending
+                if not pending:
+                    self._ready += 1
                 return
         self._finish_collective(coll)
 
     def _advance_collectives(self):
-        progressed = True
-        while progressed:
-            progressed = False
+        """Start the next round of every collective whose round has
+        finished, in the order the collectives started, until none has."""
+        while self._ready:
             for coll in list(self._collectives):
-                if coll.complete:
-                    continue
-                if coll.active and not all(r.complete for r in coll.active):
-                    continue
-                # Round finished -> start the next one.
-                yield from self._start_round(coll)
-                progressed = True
+                if not coll.pending:
+                    self._ready -= 1
+                    yield from self._start_round(coll)
 
     def _finish_collective(self, coll: CollectiveRequest) -> None:
         coll.complete = True

@@ -15,14 +15,16 @@ no simulator, runtime or address in sight -- and interpreted by
 * the reference (``tests/harness/schedule_reference.py``): all ranks on
   a dict of NumPy buffers.
 
-A :class:`Schedule` is a list of *rounds*, a round a list of :class:`Op`;
-round *k+1* may start only once everything round *k* posted has
-completed.  Ops address three symbolic buffers -- ``SEND`` and ``RECV``
-are the caller's (in-place collectives use ``RECV``), ``SCRATCH`` is
-``scratch_bytes`` the interpreter provides -- name peers by
-*communicator* rank, and carry tag *offsets*.  An empty round stays in
-the list: the Group executor matches barriers by count, so all ranks
-of a Group pattern need the same number of rounds.
+A :class:`Schedule` is a tuple of *rounds*, a round a tuple of
+:class:`Op`; round *k+1* may start only once everything round *k*
+posted has completed.  Schedules are immutable, so one build can serve
+every caller with the same arguments (``repro.mpi.collectives`` keeps a
+small cache of them).  Ops address three symbolic buffers -- ``SEND``
+and ``RECV`` are the caller's (in-place collectives use ``RECV``),
+``SCRATCH`` is ``scratch_bytes`` the interpreter provides -- name peers
+by *communicator* rank, and carry tag *offsets*.  An empty round stays
+in the schedule: the Group executor matches barriers by count, so all
+ranks of a Group pattern need the same number of rounds.
 
 To add an algorithm: one function here, built from :func:`binomial_tree`
 / :func:`scatter_tree` / :func:`ring_neighbours` / :func:`chunks`; a
@@ -69,8 +71,13 @@ def _local(kind: str, dst: str, dst_off: int, src: str, src_off: int, nbytes: in
 
 
 class Schedule(NamedTuple):
-    rounds: list  # of lists of Op
+    rounds: tuple  # of tuples of Op
     scratch_bytes: int = 0
+
+
+def _frozen(rounds: list[list[Op]], scratch_bytes: int = 0) -> Schedule:
+    """Freeze a builder's rounds into an immutable :class:`Schedule`."""
+    return Schedule(tuple(map(tuple, rounds)), scratch_bytes)
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +169,7 @@ def alltoall(me: int, p: int, block: int) -> Schedule:
         dst, src = (me + dist) % p, (me - dist) % p
         ops.append(Op("send", dst, SEND, dst * block, block))
         ops.append(Op("recv", src, RECV, src * block, block))
-    return Schedule([ops])
+    return _frozen([ops])
 
 
 def bcast_binomial(me: int, p: int, root: int, nbytes: int) -> Schedule:
@@ -171,8 +178,8 @@ def bcast_binomial(me: int, p: int, root: int, nbytes: int) -> Schedule:
     v = (me - root) % p
     parent, children = binomial_tree(v, p)
     recv = [] if parent is None else [Op("recv", (parent + root) % p, RECV, 0, nbytes)]
-    return Schedule([recv, [Op("send", (child + root) % p, RECV, 0, nbytes)
-                            for child in children]])
+    return _frozen([recv, [Op("send", (child + root) % p, RECV, 0, nbytes)
+                           for child in children]])
 
 
 def bcast_ring(me: int, p: int, root: int, nbytes: int) -> Schedule:
@@ -182,13 +189,13 @@ def bcast_ring(me: int, p: int, root: int, nbytes: int) -> Schedule:
     host MPI (paper Listing 1) and that Group primitives offload
     wholesale (Listing 5)."""
     if p == 1:
-        return Schedule([])
+        return _frozen([])
     right, left = ring_neighbours(me, p)
     forward = Op("send", right, RECV, 0, nbytes)
     if me == root:
-        return Schedule([[forward], []])
-    return Schedule([[Op("recv", left, RECV, 0, nbytes)],
-                     [forward] if right != root else []])
+        return _frozen([[forward], []])
+    return _frozen([[Op("recv", left, RECV, 0, nbytes)],
+                    [forward] if right != root else []])
 
 
 def bcast_scag(me: int, p: int, root: int, nbytes: int) -> Schedule:
@@ -210,7 +217,7 @@ def bcast_scag(me: int, p: int, root: int, nbytes: int) -> Schedule:
         n = offs[child + child_span] - offs[child]
         if n:
             send_round.append(Op("send", (child + root) % p, RECV, offs[child], n))
-    return Schedule([recv_round, send_round] + _ring_rounds(me, p, v, offs, 1))
+    return _frozen([recv_round, send_round] + _ring_rounds(me, p, v, offs, 1))
 
 
 def barrier(me: int, p: int) -> Schedule:
@@ -222,7 +229,7 @@ def barrier(me: int, p: int) -> Schedule:
         rounds.append([Op("send", (me + (1 << k)) % p, SCRATCH, k, 1, k),
                        Op("recv", (me - (1 << k)) % p, SCRATCH, k, 1, k)])
         k += 1
-    return Schedule(rounds, max(1, k))
+    return _frozen(rounds, max(1, k))
 
 
 def reduce(me: int, p: int, root: int, nbytes: int) -> Schedule:
@@ -238,7 +245,7 @@ def reduce(me: int, p: int, root: int, nbytes: int) -> Schedule:
         rounds.append([_local("reduce", RECV, 0, SCRATCH, 0, nbytes)])
     if parent is not None:
         rounds[-1].append(Op("send", (parent + root) % p, RECV, 0, nbytes))
-    return Schedule(rounds, nbytes if children else 0)
+    return _frozen(rounds, nbytes if children else 0)
 
 
 def allreduce_rd(me: int, p: int, nbytes: int) -> Schedule:
@@ -257,7 +264,7 @@ def allreduce_rd(me: int, p: int, nbytes: int) -> Schedule:
                        Op("recv", partner, SCRATCH, k * nbytes, nbytes, k)]
         rounds.append([_local("reduce", RECV, 0, SCRATCH, k * nbytes, nbytes)])
         k += 1
-    return Schedule(rounds, k * nbytes)
+    return _frozen(rounds, k * nbytes)
 
 
 def allreduce_ring(me: int, p: int, nbytes: int) -> Schedule:
@@ -285,4 +292,4 @@ def allreduce_ring(me: int, p: int, nbytes: int) -> Schedule:
     if gather_rounds:
         rounds[-1] += gather_rounds[0]
         rounds += gather_rounds[1:]
-    return Schedule(rounds, slot)
+    return _frozen(rounds, slot)

@@ -43,11 +43,13 @@ class MpiWorld:
         return rt
 
     def close(self) -> None:
-        """End of life: every built runtime stops pointing back here and
-        comes off its context; ``size`` and the runtimes' counters stay."""
+        """End of life: every built runtime stops pointing back here, at
+        its peers and off its context; ``size`` and the runtimes'
+        counters stay."""
         self.runtimes.close()
         for rt in self.runtimes.materialized():
             rt.world = rt.ctx.mpi = None
+            rt._routes.clear()
 
     @property
     def size(self) -> int:

@@ -179,7 +179,7 @@ class Timeout(Event):
         self._scheduled = False
         self._defused = False
         self.delay = delay
-        sim._schedule_at(self, sim._now + delay)
+        sim._schedule_at(self, sim.now + delay)
 
 
 class _Condition(Event):
@@ -253,12 +253,12 @@ class Simulator:
         sim.run()
 
     The queue is an instant calendar.  ``_cur`` holds the events still
-    due at ``_now``, in scheduling order; ``_buckets`` maps each future
+    due at ``now``, in scheduling order; ``_buckets`` maps each future
     instant to what is due then, also in scheduling order -- the event
     itself while it is alone (a lone event costs no container), a list
     from the second on; ``_times`` is a heap of those distinct instants.
     ``_cur`` is never in ``_buckets`` and its instant never in
-    ``_times``, so anything scheduled for ``_now`` -- however it got
+    ``_times``, so anything scheduled for ``now`` -- however it got
     there -- queues behind what that instant already holds.
     """
 
@@ -267,7 +267,9 @@ class Simulator:
     _TIMEOUT_POOL_MAX = 256
 
     def __init__(self) -> None:
-        self._now: float = 0.0
+        #: Current simulated time, in seconds; only the kernel's loop
+        #: (and a ``run`` to a deadline) writes it.
+        self.now: float = 0.0
         self._cur: deque[Event] = deque()
         self._buckets: dict[float, Event | list[Event]] = {}
         self._times: list[float] = []
@@ -318,12 +320,6 @@ class Simulator:
                 reports.append(f"<probe {probe!r} failed: {exc!r}>")
         return reports
 
-    # -- clock ---------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time, in seconds."""
-        return self._now
-
     # -- event factories ------------------------------------------------
     def event(self) -> Event:
         pool = self._event_pool
@@ -346,7 +342,7 @@ class Simulator:
         t._scheduled = True
         t._defused = False
         # _schedule_at's filing step, inlined: the hottest scheduling site.
-        now = self._now
+        now = self.now
         when = now + delay
         if when == now:
             self._cur.append(t)
@@ -376,7 +372,7 @@ class Simulator:
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         if not delay >= 0:
             raise ValueError(f"negative or NaN delay {delay!r}")
-        self._schedule_at(event, self._now + delay)
+        self._schedule_at(event, self.now + delay)
 
     def _schedule_at(self, event: Event, when: float) -> None:
         """Schedule at an *absolute* time (fast-path use).
@@ -388,12 +384,12 @@ class Simulator:
         """
         if event._scheduled:
             raise SimulationError(f"{event!r} already scheduled")
-        if not when >= self._now:
+        if not when >= self.now:
             if when != when:
                 raise ValueError("cannot schedule at NaN")
             raise SimulationError("cannot schedule into the past")
         event._scheduled = True
-        if when == self._now:
+        if when == self.now:
             self._cur.append(event)
             return
         buckets = self._buckets
@@ -441,7 +437,7 @@ class Simulator:
         else:
             sentinel = None
             deadline = float("inf") if until is None else float(until)
-            if not deadline >= self._now:
+            if not deadline >= self.now:
                 raise ValueError("cannot run into the past")
         cur = self._cur
         times = self._times
@@ -460,7 +456,7 @@ class Simulator:
                 else:
                     if not times or times[0] > deadline:
                         break
-                    self._now = when = heappop(times)
+                    self.now = when = heappop(times)
                     event = buckets.pop(when)
                     if type(event) is list:
                         cur.extend(event)
@@ -498,7 +494,7 @@ class Simulator:
             self.processed_events = processed
         if sentinel is None:
             if until is not None:
-                self._now = deadline
+                self.now = deadline
             return None
         if sentinel.callbacks is not None:
             reports = self._deadlock_reports()

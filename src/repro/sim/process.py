@@ -45,7 +45,7 @@ class Process(Event):
             sim.bus.emit("proc", "start", "sim", name=self.name)
         # Kick off at the current instant via an initialisation event
         # (pool-recycled: nothing holds it after the kick-off pop).
-        sim.call_at(sim._now, self._start)
+        sim.call_at(sim.now, self._start)
 
     # -- public --------------------------------------------------------
     @property

@@ -13,14 +13,14 @@ from typing import Any, Callable, Optional
 
 from repro.sim.core import PENDING, Event, SimulationError, Simulator
 
-# NOTE on the inlined triggers below: granting a request / admitting an
-# item calls Event.succeed once per port acquisition or store message,
+# NOTE on the inlined triggers below: granting a request / serving a
+# getter calls Event.succeed once per port acquisition or store message,
 # which makes the trigger itself a hot path.  The succeed body (value +
 # schedule + append to the current instant's bucket) is therefore
 # inlined at the internal call sites in this module; the guard checks
 # are skipped because the surrounding data structures guarantee each
 # event is granted exactly once (a Request leaves the queue when
-# granted, a putter/getter leaves its list when served).  Any change
+# granted, a getter leaves its list when served).  Any change
 # here must stay equivalent to Event.succeed.
 
 __all__ = ["Resource", "Store"]
@@ -121,16 +121,16 @@ class Resource:
 
 
 class Store:
-    """Unbounded (or bounded) FIFO of items with event-based get/put."""
+    """Unbounded FIFO of items with event-based get.
 
-    def __init__(self, sim: Simulator, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    A put never waits, so it schedules nothing: the only events a store
+    makes are its getters'.
+    """
+
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.capacity = capacity
         self._items: list[Any] = []
         self._getters: list[tuple[Event, Optional[Callable[[Any], bool]]]] = []
-        self._putters: deque[tuple[Event, Any]] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -140,39 +140,22 @@ class Store:
         """Read-only view of the queued items (do not mutate)."""
         return self._items
 
-    def put(self, item: Any) -> Event:
-        """Insert ``item``; the returned event fires when it is accepted."""
-        ev = self.sim.event()
-        if not self._putters and len(self._items) < self.capacity:
-            # Fast path: admit directly.  Same succeed order as the
-            # general loop (_dispatch admits putters before it serves
-            # getters, so the put event always fires first).
-            self._items.append(item)
-            ev._value = item
-            ev._scheduled = True
-            self.sim._cur.append(ev)
-            if self._getters:
-                self._dispatch()
-        else:
-            self._putters.append((ev, item))
+    def put(self, item: Any) -> None:
+        """Append ``item`` and serve any getter waiting for it."""
+        self._items.append(item)
+        if self._getters:
             self._dispatch()
-        return ev
 
     def get(self, filt: Optional[Callable[[Any], bool]] = None) -> Event:
         """Pop the first item (optionally the first matching ``filt``)."""
         ev = self.sim.event()
         if filt is None and not self._getters and self._items:
-            # Fast path: nobody queued ahead and an item is ready.  A
-            # pending putter implies the store is at capacity, so the
-            # general loop would likewise serve this getter first and
-            # only then admit the freed slot.
+            # Fast path: nobody queued ahead and an item is ready.
             item = self._items[0]
             del self._items[0]
             ev._value = item
             ev._scheduled = True
             self.sim._cur.append(ev)
-            if self._putters:
-                self._admit_putters()
         else:
             self._getters.append((ev, filt))
             self._dispatch()
@@ -196,17 +179,8 @@ class Store:
         for i, item in enumerate(self._items):
             if filt is None or filt(item):
                 del self._items[i]
-                self._admit_putters()
                 return True, item
         return False, None
-
-    def _admit_putters(self) -> None:
-        while self._putters and len(self._items) < self.capacity:
-            ev, item = self._putters.popleft()
-            self._items.append(item)
-            ev._value = item
-            ev._scheduled = True
-            self.sim._cur.append(ev)
 
     def _dispatch(self) -> None:
         # Serve getters in FIFO order; a blocked filter-getter does not
@@ -215,7 +189,6 @@ class Store:
         # reentrant mutation can happen mid-scan and the lists can be
         # indexed directly instead of snapshotted each round.
         while True:
-            self._admit_putters()
             served = False
             for gi, (gev, filt) in enumerate(self._getters):
                 for ii, item in enumerate(self._items):

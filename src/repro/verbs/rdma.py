@@ -217,16 +217,15 @@ def post_control(
 
     ``inbox`` defaults to the target context's raw inbox; protocol
     engines that keep their own queue (the MPI runtime, the offload
-    endpoints) pass it explicitly.  Use as
-    ``delivered = yield from post_control(...)``; the returned event
-    fires at delivery (often ignored by the sender -- RTS/RTR/FIN are
-    fire-and-forget, and a fault-injected drop means it may never fire).
-    ``kind`` names the protocol message for fault-plan targeting.
+    endpoints) pass it explicitly.  Use as ``yield from post_control(...)``:
+    the sender pays the post and learns nothing more -- RTS/RTR/FIN are
+    fire-and-forget, and a fault-injected drop means the message never
+    lands.  ``kind`` names the protocol message for fault-plan targeting.
     """
     cluster = initiator.cluster
     yield initiator.consume(initiator.hca.post_overhead(initiator.kind))
     cluster.metrics.add(f"ctrl.{initiator.kind}_to_{target.kind}")
-    return cluster.fabric.control(
+    cluster.fabric.control(
         src_node=initiator.node_id,
         dst_node=target.node_id,
         initiator=initiator.kind,

@@ -50,7 +50,7 @@ class _DueNow:
         self.sim = sim
 
     def append(self, event):
-        self.sim.queue.push(self.sim._now, event)
+        self.sim.queue.push(self.sim.now, event)
 
 
 class HeapSimulator(Simulator):
@@ -70,7 +70,7 @@ class HeapSimulator(Simulator):
             raise SimulationError(f"{event!r} already scheduled")
         if when != when:
             raise ValueError("cannot schedule at NaN")
-        if when < self._now:
+        if when < self.now:
             raise SimulationError("cannot schedule into the past")
         event._scheduled = True
         self.queue.push(when, event)
@@ -78,7 +78,7 @@ class HeapSimulator(Simulator):
     def step(self):
         if not self.queue:
             raise SimulationError("step() with no scheduled event")
-        self._now, event = self.queue.pop()
+        self.now, event = self.queue.pop()
         callbacks, event.callbacks = event.callbacks, None
         for cb in callbacks:
             cb(event)
@@ -99,10 +99,10 @@ class HeapSimulator(Simulator):
                 raise until._value
             return until._value
         deadline = float("inf") if until is None else float(until)
-        if not deadline >= self._now:
+        if not deadline >= self.now:
             raise ValueError("cannot run into the past")
         while self.queue and self.queue.peek() <= deadline:
             self.step()
         if until is not None:
-            self._now = deadline
+            self.now = deadline
         return None

@@ -30,7 +30,7 @@ def next_time(sim: Simulator) -> float:
     (``inf`` if none): the rest of the current instant, else the
     earliest future instant."""
     if sim._cur:
-        return sim._now
+        return sim.now
     return sim._times[0] if sim._times else float("inf")
 
 
@@ -47,7 +47,7 @@ class SteppingSimulator(Simulator):
                 raise SimulationError("step() with no scheduled event")
             # The instant is spent: move on to the next one and make
             # what is due then the new ``_cur``.
-            self._now = when = heappop(self._times)
+            self.now = when = heappop(self._times)
             event = self._buckets.pop(when)
             if type(event) is list:
                 cur.extend(event)

@@ -82,7 +82,7 @@ def execute(kernel, program, segments):
     for k, ev in enumerate(events):
         ev.callbacks.append(lambda _e, k=k: seen.append((sim.now, f"event{k}")))
     resources = [Resource(sim, 1), Resource(sim, 2)]
-    stores = [Store(sim), Store(sim, capacity=1)]
+    stores = [Store(sim), Store(sim)]
 
     def body(label, ops):
         for i, op in enumerate(ops):
@@ -115,7 +115,7 @@ def execute(kernel, program, segments):
                 yield sim.timeout(op[2])
                 resources[op[1]].release(req)
             elif kind == "put":
-                yield stores[op[1]].put(here)
+                stores[op[1]].put(here)
             elif kind == "get":
                 got = yield stores[op[1]].get()
                 seen.append((sim.now, f"{here} got {got}"))

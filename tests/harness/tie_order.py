@@ -39,7 +39,7 @@ class TieOrderSimulator(StepLoopSimulator):
         if not cur and self._times:
             # Adopt the next instant whole, so that its first event is
             # subject to the choice like any other.
-            self._now = when = heappop(self._times)
+            self.now = when = heappop(self._times)
             due = self._buckets.pop(when)
             cur.extend(due if type(due) is list else (due,))
         if len(cur) > 1 and self.order != "fifo":

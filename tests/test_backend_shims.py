@@ -72,7 +72,7 @@ class TestRingForwardShim:
                 shim = _RingForward(be, comm, recv, 2, addr, size)
                 # even once the recv lands, the shim is not complete
                 # until advance() posts (and completes) the forward
-                yield from be._wait(recv)
+                yield from be.wait(recv)
                 state["before_advance"] = shim.complete
                 yield from be.wait(shim)
                 state["after_wait"] = shim.complete

@@ -2,11 +2,12 @@
 
 import pytest
 
+from tests.harness.step_kernel import next_time
 from tests.helpers import blocking, pattern
 from repro.hw import Cluster, ClusterSpec
-from repro.mpi import MpiWorld
+from repro.mpi import Communicator, MpiError, MpiWorld, schedules
 from repro.mpi import collectives as coll
-from repro.mpi.collectives import SCAG_THRESHOLD
+from repro.mpi.collectives import COLL_TAG_STRIDE, SCAG_THRESHOLD
 
 
 def _bcast_world(nodes, ppn):
@@ -109,3 +110,26 @@ class TestScagRoundStructure:
 
             world.run(program)
             assert all(n == 2 + (p - 1) for n in reqs.values()), (p, reqs)
+
+
+class TestTagSpace:
+    def test_a_sub_tag_that_reaches_the_next_instance_is_refused(self):
+        """On ``COLL_TAG_STRIDE + 1`` ranks the scag ring's last round
+        would use sub-tag ``COLL_TAG_STRIDE``: the next instance's base
+        tag, which its scatter round uses.  The start refuses it before
+        anything is posted, so the communicator needs no such cluster."""
+        world = _bcast_world(2, 1)
+        rt = world.runtime(0)
+        wide = Communicator(range(COLL_TAG_STRIDE + 1))
+        addr = rt.ctx.space.alloc(2 * SCAG_THRESHOLD)
+        start = coll.ibcast(rt, wide, 0, addr, 2 * SCAG_THRESHOLD)
+        with pytest.raises(MpiError, match=f"sub-tag {COLL_TAG_STRIDE}"):
+            next(start)
+        assert rt._coll_seq == {} and rt._collectives == []
+        assert next_time(rt.sim) == float("inf")
+        assert rt.ctx.cluster.metrics.get("fabric.control_msgs") == 0
+
+    def test_the_widest_communicator_that_fits(self):
+        sched = coll._schedule(schedules.bcast_scag, 0, COLL_TAG_STRIDE,
+                               (0, 2 * SCAG_THRESHOLD))
+        assert max(op.tag for ops in sched.rounds for op in ops) == COLL_TAG_STRIDE - 1

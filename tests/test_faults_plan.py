@@ -151,8 +151,8 @@ class TestFabricControlHooks:
             times = {}
 
             def prog(sim):
-                ev = yield from post_control(a, b, "x", kind="rts")
-                yield ev
+                yield from post_control(a, b, "x", kind="rts")
+                yield b.inbox.get()
                 times["t"] = sim.now
 
             run_proc(cl, prog(cl.sim))

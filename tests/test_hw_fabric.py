@@ -148,14 +148,15 @@ class TestControl:
         inbox = Store(cl.sim)
 
         def prog(sim):
-            ev = cl.fabric.control(
+            posted = cl.fabric.control(
                 src_node=0, dst_node=1, initiator="host", inbox=inbox, msg={"hello": 1}
             )
-            yield ev
-            return sim.now
+            assert posted is None  # fire-and-forget: nothing to wait on
+            msg = yield inbox.get()
+            return sim.now, msg
 
-        t = run_proc(cl, prog(cl.sim))
-        assert len(inbox) == 1 and inbox.items[0] == {"hello": 1}
+        t, msg = run_proc(cl, prog(cl.sim))
+        assert msg == {"hello": 1} and len(inbox) == 0
         assert 0 < t < 10e-6
 
     def test_same_node_control_uses_ctrl_latency(self, tiny_cluster):
@@ -164,9 +165,10 @@ class TestControl:
         inbox = Store(cl.sim)
 
         def prog(sim):
-            yield cl.fabric.control(
+            cl.fabric.control(
                 src_node=0, dst_node=0, initiator="host", inbox=inbox, msg="m"
             )
+            yield inbox.get()
             return sim.now
 
         t = run_proc(cl, prog(cl.sim))

@@ -17,6 +17,8 @@ true (docs/PERFORMANCE.md, "Memory lifetime"):
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.apps.hpl import hpl_run
@@ -185,6 +187,38 @@ def test_a_dropped_unclosed_job_holds_no_request_back():
     for name in ("Request", "OffloadRequest", "_Message", "Delivery"):
         assert hist[name] <= 8, (name, hist[name])
     assert hist["GroupOp"] == 0
+
+
+def _host_traffic(be):
+    """Rank program for a 2 x 2 host-MPI stack: eager and rendezvous
+    p2p with the other node, then a scag Ibcast and an Ireduce."""
+    comm = be.stack.comm_world
+    peer = (be.rank + 2) % be.stack.world.size
+    small, large = 1024, 4 * be.rt.params.eager_threshold
+    reqs = []
+    for tag, size in ((1, small), (2, large)):
+        sbuf = be.ctx.space.alloc(size, fill=tag)
+        rbuf = be.ctx.space.alloc(size)
+        reqs.append((yield from be.isend(comm, peer, sbuf, size, tag=tag)))
+        reqs.append((yield from be.irecv(comm, peer, rbuf, size, tag=tag)))
+    yield from be.waitall(reqs)
+    size = 2 * collectives.SCAG_THRESHOLD
+    buf = be.ctx.space.alloc(size, fill=3)
+    yield from be.wait((yield from be.ibcast(comm, 0, buf, size)))
+    yield from be.wait((yield from collectives.ireduce(be.rt, comm, 0, buf, 8 * 64)))
+
+
+def test_finished_host_traffic_leaves_no_cyclic_garbage():
+    """Host MPI's per-message records hold no cycle: nothing links a
+    request back to itself through its collective, so once the job is
+    dropped reference counting has freed every one of them."""
+    records = ("MpiRequest", "CollectiveRequest", "Envelope")
+    spec = ClusterSpec(nodes=2, ppn=2, proxies_per_dpu=1, fluid=False)
+    with collector_paused():
+        make_stack("intelmpi", spec).run_once(_host_traffic)
+        left = [type(obj).__name__ for obj in gc.get_objects()
+                if type(obj).__name__ in records]
+    assert not left, left
 
 
 # -- (c): a closed, dropped job is gone ---------------------------------------

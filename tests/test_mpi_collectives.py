@@ -1,5 +1,7 @@
 """Integration tests for collectives: data correctness on real payloads."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from tests.helpers import blocking, pattern
 from repro.hw import Cluster, ClusterSpec
 from repro.mpi import MpiWorld
 from repro.mpi import collectives as coll
+from repro.mpi import schedules
 from repro.mpi.schedules import binomial_tree as _binomial_parent_children
 
 
@@ -251,3 +254,29 @@ class TestScratchAndTagLifetime:
         assert not [name for name, value in vars(coll).items()
                     if isinstance(value, (dict, list, set))
                     and name not in ("__all__", "__builtins__")]
+
+
+def _builders():
+    """Every function in ``schedules.__all__`` that returns a Schedule."""
+    return [name for name in schedules.__all__
+            if inspect.isfunction(getattr(schedules, name))
+            and inspect.signature(getattr(schedules, name)).return_annotation
+            == "Schedule"]
+
+
+class TestSchedulesAreImmutable:
+    """A built schedule is shared (``collectives._schedule`` keeps the
+    last few builds), so no caller may be able to change it."""
+
+    ARGS = {"me": 1, "p": 4, "root": 2, "nbytes": 8 * 37, "block": 64}
+
+    def test_the_builders_are_found(self):
+        assert len(_builders()) == 8
+
+    @pytest.mark.parametrize("name", _builders())
+    def test_every_builder_returns_tuples(self, name):
+        build = getattr(schedules, name)
+        sched = build(**{k: self.ARGS[k] for k in inspect.signature(build).parameters})
+        assert isinstance(sched, schedules.Schedule)
+        assert type(sched.rounds) is tuple and sched.rounds
+        assert all(type(ops) is tuple for ops in sched.rounds)

@@ -1,12 +1,14 @@
 """Edge cases of the MPI runtime and world plumbing."""
 
+import numpy as np
 import pytest
 
 from repro.hw import Cluster, ClusterSpec
 from repro.mpi import MpiError, MpiWorld, runtime
 from repro.mpi import collectives as coll
 from repro.obs import EventBus
-from tests.helpers import waitall
+from tests.helpers import pattern, waitall
+from tests.test_schedule_pins import _Log, _tap_runtime
 
 
 class TestWaitEdges:
@@ -122,6 +124,78 @@ class TestCollectiveEdges:
 
         assert all(world.run(program))
         world.assert_quiescent()
+
+
+#: Each rank's posts (``tests/test_schedule_pins.py``'s notation; ``w`` is
+#: the rank's count of round starts over *both* collectives) and finish
+#: time, recorded before completion counting replaced the per-pass scan.
+OVERLAP_POSTS = {
+    0: ["irecv 1 bcast+43762 21883 t0 w0", "irecv 4 scratch+0 2400 t0 w1",
+        "irecv 2 scratch+0 2400 t0 w2", "irecv 1 scratch+0 2400 t0 w3",
+        "isend 1 bcast+43762 21883 t1 w5", "irecv 2 bcast+21881 21881 t1 w5",
+        "isend 1 bcast+21881 21881 t2 w6", "irecv 2 bcast+0 21881 t2 w6"],
+    1: ["irecv 1 bcast+43762 21883 t0 w0", "irecv 5 scratch+0 2400 t0 w1",
+        "irecv 3 scratch+0 2400 t0 w2", "isend 0 reduce+0 2400 t0 w3",
+        "isend 1 bcast+43762 21883 t1 w5", "irecv 2 bcast+21881 21881 t1 w5",
+        "isend 1 bcast+21881 21881 t2 w6", "irecv 2 bcast+0 21881 t2 w6"],
+    2: ["isend 0 bcast+43762 21883 t0 w0", "isend 2 bcast+21881 21881 t0 w0",
+        "isend 0 reduce+0 2400 t0 w1", "isend 2 bcast+0 21881 t1 w3",
+        "irecv 0 bcast+43762 21883 t1 w3", "isend 2 bcast+43762 21883 t2 w4",
+        "irecv 0 bcast+21881 21881 t2 w4"],
+    3: ["isend 0 bcast+43762 21883 t0 w0", "isend 2 bcast+21881 21881 t0 w0",
+        "isend 1 reduce+0 2400 t0 w1", "isend 2 bcast+0 21881 t1 w3",
+        "irecv 0 bcast+43762 21883 t1 w3", "isend 2 bcast+43762 21883 t2 w4",
+        "irecv 0 bcast+21881 21881 t2 w4"],
+    4: ["irecv 1 bcast+21881 21881 t0 w0", "isend 0 reduce+0 2400 t0 w1",
+        "isend 0 bcast+21881 21881 t1 w3", "irecv 1 bcast+0 21881 t1 w3",
+        "isend 0 bcast+0 21881 t2 w4", "irecv 1 bcast+43762 21883 t2 w4"],
+    5: ["irecv 1 bcast+21881 21881 t0 w0", "isend 1 reduce+0 2400 t0 w1",
+        "isend 0 bcast+21881 21881 t1 w3", "irecv 1 bcast+0 21881 t1 w3",
+        "isend 0 bcast+0 21881 t2 w4", "irecv 1 bcast+43762 21883 t2 w4"],
+}
+OVERLAP_FINISH = {
+    0: 3.33519583333333e-05, 1: 3.42819583333333e-05,
+    2: 3.573041666666664e-05, 3: 3.672220833333331e-05,
+    4: 3.4972208333333315e-05, 5: 3.559220833333331e-05,
+}
+
+
+class TestOverlappingCollectives:
+    def test_two_multi_round_collectives_in_flight_on_one_rank(self):
+        """A scag Ibcast on a row communicator and an Ireduce on
+        COMM_WORLD, started back to back and waited in reverse order:
+        every rank's progress engine advances two round chains at once,
+        over shm, eager and rendezvous traffic."""
+        size, words = coll.SCAG_THRESHOLD + 8 * 13 + 5, 300
+        world = MpiWorld(Cluster(ClusterSpec(nodes=3, ppn=2)))
+        cw = world.comm_world
+        rows = cw.split([w % 2 for w in range(world.size)])
+        data = pattern(size, seed=21)
+        logs, finish = {}, {}
+
+        def program(rt):
+            row = rows[rt.rank % 2]
+            if row.rank_of(rt.rank) == 1:
+                baddr = rt.ctx.space.alloc_like(data)
+            else:
+                baddr = rt.ctx.space.alloc(size)
+            raddr = rt.ctx.space.alloc_like(np.full(words, rt.rank + 1.0))
+            logs[rt.rank] = _Log(rt.ctx.space, {"bcast": baddr, "reduce": raddr})
+            _tap_runtime(rt, logs[rt.rank])
+            b = yield from coll.ibcast(rt, row, 1, baddr, size)
+            r = yield from coll.ireduce(rt, cw, 0, raddr, words * 8)
+            yield from rt.wait(r)
+            yield from rt.wait(b)
+            finish[rt.rank] = rt.sim.now
+            assert (rt.ctx.space.read(baddr, size) == data).all()
+            if rt.rank == 0:
+                got = rt.ctx.space.read_as(raddr, np.float64, words)
+                assert (got == sum(range(1, world.size + 1))).all()
+
+        world.run(program)
+        world.assert_quiescent()
+        assert {r: log.posts for r, log in logs.items()} == OVERLAP_POSTS
+        assert finish == OVERLAP_FINISH
 
 
 class TestQuiescence:

@@ -149,7 +149,7 @@ class TestProcessedEventsDeterminism:
         def producer(sim, i):
             for _ in range(10):
                 yield sim.timeout(float(rng.integers(1, 5)))
-                yield queue.put(i)
+                queue.put(i)
 
         def consumer(sim):
             for _ in range(20):

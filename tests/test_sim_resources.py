@@ -139,30 +139,26 @@ class TestStore:
         sim.run()
         assert st.try_get() == (True, "a")
 
-    def test_bounded_capacity_blocks_put(self, sim):
-        st = Store(sim, capacity=1)
-        accepted = []
-
-        def producer(sim):
-            for i in range(3):
-                yield st.put(i)
-                accepted.append((i, sim.now))
-
-        def consumer(sim):
-            for _ in range(3):
-                yield sim.timeout(1.0)
-                yield st.get()
-
-        sim.process(producer(sim))
-        sim.process(consumer(sim))
+    def test_put_schedules_no_event(self, sim):
+        """A put never waits, so it returns nothing and leaves the
+        calendar as it was; only the getter it serves fires."""
+        st = Store(sim)
+        assert st.put("x") is None
         sim.run()
-        assert [i for i, _ in accepted] == [0, 1, 2]
-        # third put only after a slot freed
-        assert accepted[2][1] >= 1.0
+        assert sim.processed_events == 0
+        got = []
 
-    def test_invalid_capacity(self, sim):
-        with pytest.raises(ValueError):
-            Store(sim, capacity=0)
+        def getter(sim):
+            got.append((yield st.get()))
+            got.append((yield st.get()))
+
+        sim.process(getter(sim))
+        sim.run()
+        before = sim.processed_events
+        assert st.put("y") is None
+        sim.run()
+        assert got == ["x", "y"]
+        assert sim.processed_events == before + 2  # the getter, then the process end
 
     def test_len(self, sim):
         st = Store(sim)

@@ -149,10 +149,14 @@ JOBS = {
 #: is one serial chain), rounded up.  The sizing run for the instant
 #: calendar saw up to 2.5 % on the 8-node fig13 grid.  Lower these when a
 #: source of order-dependence is removed; never raise them without
-#: saying why.
+#: saying why.  group_scatter's went from 1.00 % to 1.32 % when store puts
+#: and control deliveries stopped scheduling events: a random pick draws
+#: from fewer events per instant, so each seed samples another order.
+#: Over "lifo" and seeds 1-20 the largest shift is 1.315 % both before
+#: and after that change (seed 9 before, seed 2 after).
 ENVELOPE = {
     "ialltoall_proposed": 0.0225,
-    "group_scatter": 0.0100,
+    "group_scatter": 0.0132,
     "hostmpi_ring_broadcast": 0.0,
 }
 

@@ -174,11 +174,11 @@ class TestControl:
         b = tiny_cluster.rank_ctx(1)
 
         def prog(sim):
-            ev = yield from post_control(a, b, ("ping", 1))
-            yield ev
+            posted = yield from post_control(a, b, ("ping", 1))
+            assert posted is None  # fire-and-forget: nothing to wait on
+            return (yield b.inbox.get())
 
-        run_proc(tiny_cluster, prog(tiny_cluster.sim))
-        assert b.inbox.items == [("ping", 1)]
+        assert run_proc(tiny_cluster, prog(tiny_cluster.sim)) == ("ping", 1)
 
     def test_explicit_inbox(self, tiny_cluster):
         a = tiny_cluster.rank_ctx(0)
@@ -186,8 +186,8 @@ class TestControl:
         side = Store(tiny_cluster.sim)
 
         def prog(sim):
-            ev = yield from post_control(a, b, "x", inbox=side)
-            yield ev
+            yield from post_control(a, b, "x", inbox=side)
+            return (yield side.get())
 
-        run_proc(tiny_cluster, prog(tiny_cluster.sim))
-        assert side.items == ["x"] and len(b.inbox) == 0
+        assert run_proc(tiny_cluster, prog(tiny_cluster.sim)) == "x"
+        assert len(side) == 0 and len(b.inbox) == 0
