@@ -130,6 +130,9 @@ def soak_iteration(iteration: int, scale: str, drop: float,
     procs = [sim.process(player(r)(sim)) for r in range(world)]
     sim.run(until=sim.all_of(procs))
     fw.assert_quiescent()
+    # End of life: the counters, histograms and clock stay readable.
+    fw.close()
+    cl.close()
 
     m = cl.metrics
     req_hist = m.hist("offload.req_latency")

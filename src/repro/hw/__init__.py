@@ -18,8 +18,6 @@ from repro.hw.faults import (
     OFFLOAD_CONTROL_KINDS,
     FaultPlan,
     FaultSpec,
-    LinkDegradePlan,
-    LinkWindow,
     ProxyKillPlan,
     RetryPolicy,
 )
@@ -39,8 +37,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "Hca",
-    "LinkDegradePlan",
-    "LinkWindow",
     "MachineParams",
     "Metrics",
     "Node",

@@ -79,9 +79,6 @@ class Cluster:
         #: Set by ``OffloadFramework`` at Init_Offload, which reads
         #: :attr:`fault_plan` once: a plan installed later is refused.
         self.offload_initialized = False
-        #: Optional :class:`~repro.hw.faults.LinkDegradePlan` (fluid
-        #: mode only); installed via :meth:`install_link_degrade`.
-        self.link_plan = None
         #: Optional :class:`~repro.obs.events.EventBus`; set by
         #: ``EventBus.attach`` (or ``repro.obs.observe_cluster``).
         #: Declared here so the hot consume path can test it with a
@@ -152,20 +149,6 @@ class Cluster:
         self.fabric.fault_plan = self.fault_plan
         if self.bus is not None:
             self.fault_plan.bus = self.bus
-        return self
-
-    def install_link_degrade(self, plan) -> "Cluster":
-        """Attach a :class:`~repro.hw.faults.LinkDegradePlan`.
-
-        Requires fluid mode (the plan drives the FlowEngine's endpoint
-        capacities); binding samples any seeded windows and schedules
-        every degrade/restore edge on the simulator heap.  Install
-        before traffic flows, and after ``EventBus.attach`` if the
-        ``link.*`` events should be observed.
-        """
-        if self.bus is not None:
-            plan.bus = self.bus
-        self.link_plan = plan.bind(self)
         return self
 
     def close(self) -> None:

@@ -99,7 +99,7 @@ class _Message:
         "fabric", "sim", "src_hca", "src_node", "dst_node", "size", "kind",
         "t_posted", "xid", "latency",
         # post-time fate (fault injection): CQE status and extra
-        # in-flight delay; for control, deliver / drop / corrupt / dup
+        # in-flight delay; for control, deliver / drop / dup
         "status", "extra_delay", "action",
         # port walk
         "dst_hca", "serialization", "_req",
@@ -215,13 +215,13 @@ class _Message:
         src_hca = self.src_hca
         action = self.action
         bus = self.fabric.bus
-        if action == "drop" or action == "corrupt":
-            # Lost in flight (drop) or discarded by the receiver's ICRC
-            # check (corrupt): it never reaches the inbox.
-            src_hca.metrics.add(f"fabric.faults.{action}")
+        if action == "drop":
+            # Lost in flight or discarded by the receiver's ICRC check:
+            # it never reaches the inbox.
+            src_hca.metrics.add("fabric.faults.drop")
             if bus is not None:
                 bus.emit("ctrl", "drop", self.dst_hca.lane, cid=self.xid,
-                         kind=self.kind, action=action)
+                         kind=self.kind)
             return
         self.inbox.put(self.msg)
         if action == "dup":
@@ -545,10 +545,9 @@ class Fabric:
 
         ``kind`` names the protocol message ("rts", "fin", "counter",
         ...) for tracing and for :class:`~repro.hw.faults.FaultPlan`
-        targeting.  A dropped or corrupted-and-discarded message never
-        reaches ``inbox`` (senders treat control traffic as
-        fire-and-forget; recovery is the receiver's retransmit/timeout
-        protocol).
+        targeting.  A dropped message never reaches ``inbox`` (senders
+        treat control traffic as fire-and-forget; recovery is the
+        receiver's retransmit/timeout protocol).
         """
         nbytes = self.params.ctrl_bytes if size is None else size
         src_hca = self.hcas[src_node]

@@ -6,9 +6,9 @@ et al., Chen et al.) flag the off-path proxy as a fragile single point
 of failure.  This module supplies the *chaos* side of that story:
 
 * :class:`FaultSpec` -- the knobs: per-message drop / duplicate /
-  corrupt / delay probabilities for control messages, an error-CQE
-  probability for RDMA data operations, and filters restricting which
-  message kinds / initiators are eligible.
+  delay probabilities for control messages, an error-CQE probability
+  for RDMA data operations, a drop probability for fluid flows, and
+  filters restricting which message kinds / initiators are eligible.
 * :class:`ProxyKillPlan` -- a scheduled kill (and optional restart) of
   one DPU proxy process.
 * :class:`FaultPlan` -- the seeded decision engine the
@@ -23,10 +23,10 @@ of failure.  This module supplies the *chaos* side of that story:
 Fault semantics, mirroring real RC-transport behaviour:
 
 * **Control messages** (RTS/RTR/FIN/counter writes/group packets) model
-  writes into remote inboxes; a *drop* silently loses one, a *corrupt*
-  is detected by the receiver's ICRC check and discarded (same visible
-  effect, logged separately), a *dup* delivers it twice, a *delay* adds
-  an arbitrary extra in-flight latency.
+  writes into remote inboxes; a *drop* loses one (in flight, or
+  discarded by the receiver's ICRC check: the receiver sees the same
+  thing), a *dup* delivers it twice, a *delay* adds an arbitrary extra
+  in-flight latency.
 * **Data transfers** never lose bytes silently -- the reliable
   transport retransmits at packet level -- but can complete with an
   **error CQE** (``Delivery.status == "error"``): no data lands and the
@@ -53,8 +53,6 @@ __all__ = [
     "ProxyKillPlan",
     "RetryPolicy",
     "FaultPlan",
-    "LinkWindow",
-    "LinkDegradePlan",
 ]
 
 #: The offload framework's control-message kinds; a FaultSpec targeting
@@ -69,15 +67,16 @@ OFFLOAD_CONTROL_KINDS = frozenset({
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """Probability knobs of one fault campaign (all independent draws)."""
+    """Probability knobs of one fault campaign.
 
-    #: Probability one eligible control message is silently lost.
+    A control message's drop and dup are one draw (exclusive fates, so
+    ``drop_prob + dup_prob <= 1``); every other knob is its own draw.
+    """
+
+    #: Probability one eligible control message is lost.
     drop_prob: float = 0.0
     #: Probability one eligible control message arrives twice.
     dup_prob: float = 0.0
-    #: Probability one eligible control message is corrupted in flight
-    #: (detected by the receiver's ICRC and discarded -- a logged drop).
-    corrupt_prob: float = 0.0
     #: Probability an extra in-flight delay is added (control and data).
     delay_prob: float = 0.0
     #: Extra delay is uniform in (0, delay_max] seconds.
@@ -96,11 +95,15 @@ class FaultSpec:
     error_initiators: tuple = ("dpu", "host")
 
     def __post_init__(self):
-        for name in ("drop_prob", "dup_prob", "corrupt_prob", "delay_prob",
+        for name in ("drop_prob", "dup_prob", "delay_prob",
                      "error_cqe_prob", "flow_drop_prob"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name}={p!r} is not a probability")
+        if self.drop_prob + self.dup_prob > 1.0:
+            raise ValueError(
+                f"drop_prob + dup_prob = {self.drop_prob + self.dup_prob!r} "
+                f"> 1: one draw decides both fates")
         if self.delay_max < 0:
             raise ValueError("delay_max must be >= 0")
 
@@ -183,7 +186,7 @@ class FaultPlan:
         #: (time, category, detail) audit records, in decision order.
         self.events: list[tuple] = []
         self.stats: dict[str, int] = {
-            "drops": 0, "dups": 0, "corruptions": 0, "delays": 0,
+            "drops": 0, "dups": 0, "delays": 0,
             "error_cqes": 0, "kills": 0, "restarts": 0,
             "flow_drops": 0, "flow_retries": 0,
         }
@@ -221,7 +224,7 @@ class FaultPlan:
     def control_fate(self, kind: str, src_node: int, dst_node: int):
         """Fate of one control message: ``(action, extra_delay)``.
 
-        ``action`` is one of ``"deliver" | "drop" | "corrupt" | "dup"``;
+        ``action`` is one of ``"deliver" | "drop" | "dup"``;
         ``extra_delay`` is added to the in-flight latency (0.0 normally).
         """
         self._require_bound()
@@ -235,11 +238,7 @@ class FaultPlan:
             action = "drop"
             self.stats["drops"] += 1
             self.record("drop", where)
-        elif r < spec.drop_prob + spec.corrupt_prob:
-            action = "corrupt"
-            self.stats["corruptions"] += 1
-            self.record("corrupt", where)
-        elif r < spec.drop_prob + spec.corrupt_prob + spec.dup_prob:
+        elif r < spec.drop_prob + spec.dup_prob:
             action = "dup"
             self.stats["dups"] += 1
             self.record("dup", where)
@@ -312,218 +311,3 @@ class FaultPlan:
             f"{kind} n{src_node}->n{dst_node} attempt={attempt} "
             f"backoff={backoff:.3e}s",
         )
-
-
-@dataclass(frozen=True)
-class LinkWindow:
-    """One link-degradation window on a fabric link.
-
-    Target either a node endpoint (``node`` + ``direction``, the
-    original form) or -- with a fat-tree topology attached -- any
-    explicit link by its key (``link=("up", leaf, spine)`` etc.; see
-    ``repro.hw.topology``).  ``factor`` scales the link's *base*
-    capacity for the window's duration: 0.5 halves the achievable rate
-    of every flow crossing the link, 0.0 is a *flap* (the link is down;
-    flows stall and resume at restore).  Windows on the same link may
-    overlap -- the effective capacity is ``base * min(open factors)``.
-    """
-
-    node: int = -1
-    direction: str = "tx"  # "tx" or "rx"
-    start: float = 0.0
-    duration: float = 0.0
-    factor: float = 0.0
-    #: Explicit link key; when set, ``node``/``direction`` are ignored.
-    link: Optional[tuple] = None
-
-    def __post_init__(self):
-        if self.link is not None:
-            if not isinstance(self.link, tuple) or len(self.link) < 2:
-                raise ValueError(
-                    f"link must be a link-key tuple like ('up', leaf, "
-                    f"spine), got {self.link!r}"
-                )
-        else:
-            if self.node < 0:
-                raise ValueError("window needs a node (or an explicit link)")
-            if self.direction not in ("tx", "rx"):
-                raise ValueError(f"direction must be 'tx' or 'rx', "
-                                 f"got {self.direction!r}")
-        if self.start < 0.0 or self.duration <= 0.0:
-            raise ValueError("window start must be >= 0 and duration > 0")
-        if not 0.0 <= self.factor < 1.0:
-            raise ValueError(f"degrade factor must be in [0, 1), "
-                             f"got {self.factor!r}")
-
-    @property
-    def key(self) -> tuple:
-        """The engine link key this window degrades."""
-        if self.link is not None:
-            return self.link
-        return (self.direction, self.node)
-
-
-class LinkDegradePlan:
-    """Seeded schedule of link degradations on the fluid flow path.
-
-    Either pass explicit :class:`LinkWindow` tuples, or sampling knobs
-    (``count`` windows uniform over ``[0, horizon)``); sampled windows
-    are drawn at install time from the cluster registry's dedicated
-    ``link-degrade`` stream (or a private registry when ``seed`` is
-    given), so a (cluster seed, plan) pair always degrades the same
-    links at the same instants.
-
-    The plan drives :meth:`FlowEngine.set_endpoint_capacity` at each
-    window edge -- the engine settles in-flight progress and re-solves
-    the fair shares there -- and emits ``link.degrade``/``link.restore``
-    obs events.  Install via
-    :meth:`repro.hw.cluster.Cluster.install_link_degrade`; the cluster
-    must be in fluid mode (link capacity is a flow-path concept; the
-    event-exact engine models ports as busy/idle only).
-    """
-
-    def __init__(self, windows: tuple = (), *, count: int = 0,
-                 horizon: float = 0.0,
-                 duration_range: tuple = (20e-6, 200e-6),
-                 factor_range: tuple = (0.25, 0.75),
-                 flap_prob: float = 0.25,
-                 seed: Optional[int] = None):
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        if count and horizon <= 0.0:
-            raise ValueError("sampling windows requires a horizon > 0")
-        self.windows = tuple(windows)
-        self.count = count
-        self.horizon = horizon
-        self.duration_range = duration_range
-        self.factor_range = factor_range
-        self.flap_prob = flap_prob
-        self.seed = seed
-        self.sim = None
-        self.bus = None
-        self.stats: dict[str, int] = {"degrades": 0, "restores": 0}
-        #: (time, category, detail) audit records, in schedule order.
-        self.events: list[tuple] = []
-        self._engine = None
-        self._metrics = None
-        # Effective capacity bookkeeping: open window factors per
-        # endpoint key (overlaps take the min).
-        self._open: dict[tuple, list] = {}
-
-    # -- wiring ---------------------------------------------------------
-    def bind(self, cluster: "Cluster") -> "LinkDegradePlan":
-        engine = cluster.fabric.flow_engine
-        if engine is None:
-            raise ValueError(
-                "LinkDegradePlan needs a fluid cluster (flow engine "
-                "attached); link capacity does not exist on the "
-                "event-exact path"
-            )
-        self.sim = cluster.sim
-        self._engine = engine
-        self._metrics = cluster.metrics
-        if self.bus is None:
-            self.bus = cluster.bus
-        registry = RngRegistry(self.seed) if self.seed is not None else cluster.rng
-        rng = registry.stream("link-degrade")
-        # With a multi-leaf fat-tree attached, sampled windows also land
-        # on spine up/down links (uniform over every link in the graph);
-        # endpoint-only clusters keep the original draw sequence, so
-        # existing seeded schedules replay byte-identically.
-        topo = getattr(cluster, "topology", None)
-        spine_links: list[tuple] = []
-        if topo is not None and topo.n_leaves > 1:
-            for leaf in range(topo.n_leaves):
-                for s in range(topo.spine_count):
-                    spine_links.append(("up", leaf, s))
-                    spine_links.append(("down", s, leaf))
-        windows = list(self.windows)
-        for _ in range(self.count):
-            if spine_links:
-                n_ep = 2 * cluster.spec.nodes
-                idx = int(rng.integers(0, n_ep + len(spine_links)))
-                link = None if idx < n_ep else spine_links[idx - n_ep]
-                node = idx // 2 if idx < n_ep else -1
-                direction = ("tx" if idx % 2 == 0 else "rx") \
-                    if idx < n_ep else "tx"
-            else:
-                link = None
-                node = int(rng.integers(0, cluster.spec.nodes))
-                direction = "tx" if float(rng.random()) < 0.5 else "rx"
-            start = float(rng.random()) * self.horizon
-            lo, hi = self.duration_range
-            duration = lo + float(rng.random()) * max(0.0, hi - lo)
-            if float(rng.random()) < self.flap_prob:
-                factor = 0.0
-            else:
-                flo, fhi = self.factor_range
-                factor = flo + float(rng.random()) * max(0.0, fhi - flo)
-            windows.append(LinkWindow(node, direction, start, duration,
-                                      factor, link=link))
-        windows.sort(key=lambda w: (w.start, w.node, w.direction,
-                                    () if w.link is None else w.link))
-        self.windows = tuple(windows)
-        for wid, w in enumerate(self.windows):
-            self._arm_window(wid, w)
-        return self
-
-    def _arm_window(self, wid: int, w: LinkWindow) -> None:
-        self.sim.call_at(w.start, lambda _ev: self._degrade(wid, w))
-        self.sim.call_at(w.start + w.duration, lambda _ev: self._restore(wid, w))
-
-    def _effective(self, key: tuple) -> float:
-        factors = self._open.get(key)
-        return min(factors) if factors else 1.0
-
-    def _apply(self, key: tuple) -> None:
-        # Every link's healthy capacity is one port-share, so the
-        # effective factor is the capacity; with no open window this
-        # restores 1.0 exactly, clearing the override.
-        self._engine.set_endpoint_capacity(key, self._effective(key))
-
-    @staticmethod
-    def _describe(w: LinkWindow) -> str:
-        if w.link is not None:
-            return " ".join(str(part) for part in w.link)
-        return f"{w.direction} n{w.node}"
-
-    def _degrade(self, wid: int, w: LinkWindow) -> None:
-        key = w.key
-        self._open.setdefault(key, []).append(w.factor)
-        self._apply(key)
-        self.stats["degrades"] += 1
-        self._metrics.add("fabric.link_degrades")
-        now = self.sim.now
-        self.events.append((round(now, 12), "degrade",
-                            f"{self._describe(w)} factor={w.factor:.3f}"))
-        if self.bus is not None:
-            if w.link is not None:
-                self.bus.emit("link", "degrade", "fabric", wid=wid,
-                              link=str(key), factor=w.factor)
-            else:
-                self.bus.emit("link", "degrade", f"node{w.node}", wid=wid,
-                              node=w.node, direction=w.direction,
-                              factor=w.factor)
-
-    def _restore(self, wid: int, w: LinkWindow) -> None:
-        key = w.key
-        factors = self._open.get(key)
-        if factors is not None:
-            factors.remove(w.factor)
-            if not factors:
-                del self._open[key]
-        self._apply(key)
-        self.stats["restores"] += 1
-        now = self.sim.now
-        self.events.append((round(now, 12), "restore", self._describe(w)))
-        if self.bus is not None:
-            if w.link is not None:
-                self.bus.emit("link", "restore", "fabric", wid=wid,
-                              link=str(key))
-            else:
-                self.bus.emit("link", "restore", f"node{w.node}", wid=wid,
-                              node=w.node, direction=w.direction)
-
-    def trace(self) -> tuple:
-        """Immutable audit trail; byte-identical across reruns of one seed."""
-        return tuple(self.events)

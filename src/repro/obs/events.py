@@ -357,8 +357,6 @@ class EventBus:
             node.hca.bus = bus
         if getattr(cluster, "fault_plan", None) is not None:
             cluster.fault_plan.bus = bus
-        if getattr(cluster, "link_plan", None) is not None:
-            cluster.link_plan.bus = bus
         return bus
 
     def emit(self, _cat: str, _name: str, _entity: str, **args) -> None:

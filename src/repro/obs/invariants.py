@@ -24,8 +24,6 @@ full:
    no host-CPU or control event rides the flow's lane or ``fid`` inside.
 7. **Flow faults recover** -- a dropped attempt *n* is retried as
    *n+1*; an aborted flow's delivery carries ``status="error"``.
-8. **Link windows are paired** -- every ``link.degrade`` has a later
-   ``link.restore`` of its ``wid``.
 
 :func:`trace_violations` returns the violations as pointed human
 messages; :func:`check_trace` raises :class:`TraceInvariantError`
@@ -302,28 +300,6 @@ def _check_flow_faults(c: Columns, out: list[str]) -> None:
                 )
 
 
-def _check_link_windows(c: Columns, out: list[str]) -> None:
-    """Every link degrade must be matched by a later restore (same wid)."""
-    restores = _keyed(c, "link", "restore", "wid")
-    time = c.time
-    degrades = c.rows("link", "degrade")
-    for wid, row in zip(c.column(degrades, "wid"), degrades):
-        rst = restores.get(wid)
-        if rst is None:
-            deg = c.event(row)
-            out.append(
-                f"link window wid={wid} degraded node{deg.arg('node')} "
-                f"{deg.arg('direction')} to factor {deg.arg('factor')} at "
-                f"{_fmt_t(deg.time)} and never restored -- the run ended "
-                f"with a permanently crippled endpoint"
-            )
-        elif (time[rst], rst) < (time[row], row):
-            out.append(
-                f"link window wid={wid} restored at {_fmt_t(time[rst])} "
-                f"before its degrade at {_fmt_t(time[row])}"
-            )
-
-
 def _check_plan_cache(c: Columns, out: list[str], allow_replay_after_fault: bool) -> None:
     time = c.time
     fault_times = sorted(time[r] for r in chain(c.rows("fault"), c.rows("proxy", "kill")))
@@ -385,7 +361,6 @@ def trace_violations(bus, *, keys=None, check_overlap: bool = True,
     _check_control(c, out)
     _check_flow_windows(c, out)
     _check_flow_faults(c, out)
-    _check_link_windows(c, out)
     _check_plan_cache(c, out, allow_replay_after_fault)
     if keys is not None:
         _check_keytable(keys, out)

@@ -29,6 +29,7 @@ repeat calls.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional
 
 from repro.hw.cluster import Cluster
@@ -184,15 +185,19 @@ class OffloadFramework:
 
     def close(self) -> None:
         """``Finalize_Offload`` for a framework that will never run again:
-        every proxy loop is closed where it is parked and the endpoints
-        and engines (each points back here) are let go, processing no
-        event."""
+        every proxy loop and recovery process is closed where it is
+        parked, and the endpoints, engines and their inbox handlers (each
+        points back here) are let go, processing no event."""
         self.finalized = True
+        for owner in chain(self._proxy_engines.values(), self._endpoints.values()):
+            if owner.recovery is not None:
+                owner.recovery.close()
+            owner.framework = owner.recovery = None
+            owner.extra_handlers.clear()
         for engine in self._proxy_engines.values():
             engine.process.close()
-            engine.framework = engine.recovery = None
         for ep in self._endpoints.values():
-            ep.framework = ep.recovery = ep.completion_sink = None
+            ep.completion_sink = None
             ep._ready_seen = False
 
     # -- diagnostics --------------------------------------------------------

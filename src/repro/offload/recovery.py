@@ -47,6 +47,22 @@ def _emit(ctx, cat: str, name: str, **args) -> None:
         bus.emit(cat, name, ctx.trace_name, **args)
 
 
+class _ProcessOwner:
+    """A recovery policy's own processes (``self.live``), held until each
+    ends so an end of life can close them where they are parked."""
+
+    def spawn(self, generator) -> None:
+        proc = self.sim.process(generator)
+        self.live.add(proc)
+        proc.callbacks.append(self.live.discard)
+
+    def close(self) -> None:
+        """End of life: close every process still running."""
+        for proc in self.live:
+            proc.close()
+        self.live.clear()
+
+
 # ---------------------------------------------------------------------------
 # scheduled proxy kills
 # ---------------------------------------------------------------------------
@@ -64,15 +80,15 @@ def check_kills(plan, n_proxies: int) -> None:
 
 
 def arm_kills(framework: "OffloadFramework") -> None:
-    """One simulation process per scheduled ProxyKillPlan."""
+    """One simulation process per scheduled ProxyKillPlan, held by the
+    recovery of the proxy it kills."""
     for kill in framework.fault_plan.kills:
-        framework.sim.process(_execute_kill(framework, kill))
+        recovery = framework.proxy_engine(framework.cluster.proxies[kill.proxy_gid]).recovery
+        recovery.spawn(_execute_kill(framework.fault_plan, recovery, kill))
 
 
-def _execute_kill(framework: "OffloadFramework", kill):
-    plan = framework.fault_plan
-    sim = framework.sim
-    recovery = framework.proxy_engine(framework.cluster.proxies[kill.proxy_gid]).recovery
+def _execute_kill(plan, recovery: "ProxyRecovery", kill):
+    sim = recovery.sim
     yield sim.timeout(max(0.0, kill.at - sim.now))
     plan.stats["kills"] += 1
     plan.record("kill", f"proxy{kill.proxy_gid}")
@@ -88,7 +104,7 @@ def _execute_kill(framework: "OffloadFramework", kill):
 # host side
 # ---------------------------------------------------------------------------
 
-class EndpointRecovery:
+class EndpointRecovery(_ProcessOwner):
     """The recovery policy of one :class:`OffloadEndpoint`: bounded
     waits that retransmit, the host-driven fallback rendezvous, and the
     answers to proxy NACKs (re-register, rebuild, fall back)."""
@@ -108,6 +124,8 @@ class EndpointRecovery:
         #: Descriptors I sent, keyed (sender rank, tag), replayed on a
         #: gdesc_req when the original was lost.
         self._gdesc_sent: dict[tuple[int, int], list[dict]] = {}
+        #: NACK handler processes still running.
+        self.live: set = set()
         endpoint.recovery = self
         endpoint.extra_handlers.update(
             gdesc_req=self._on_gdesc_req, plan_nack=self._on_plan_nack, fb_rts=self._on_fb_rts)
@@ -122,7 +140,7 @@ class EndpointRecovery:
         traces forbid.
         """
         kind, info = item
-        self.sim.process(self._on_nack(kind, info))
+        self.spawn(self._on_nack(kind, info))
 
     def _post_peer(self, rank: int, kind: str, payload: dict):
         """A host-to-host control message into ``rank``'s endpoint inbox."""
@@ -472,7 +490,7 @@ class EndpointRecovery:
 # proxy side
 # ---------------------------------------------------------------------------
 
-class ProxyRecovery:
+class ProxyRecovery(_ProcessOwner):
     """The recovery policy of one :class:`ProxyEngine`.
 
     The tables are DPU-DRAM durable records (they survive a kill) except
@@ -495,6 +513,8 @@ class ProxyRecovery:
         #: Last counter epoch written per key, re-written when a peer
         #: probes for a loss.
         self._counters_sent: dict[tuple, int] = {}
+        #: Scheduled kills and counter probers still running.
+        self.live: set = set()
         engine.recovery = self
         engine.extra_handlers.update(
             retry_xfer=self._on_retry_xfer, counter_probe=self._on_counter_probe)
@@ -814,7 +834,7 @@ class ProxyRecovery:
                     "counter_probe", "proxy.counter_probes", size=16)
                 delay = pol.next_timeout(delay, 4 * pol.max_timeout)
 
-        self.sim.process(_prober())
+        self.spawn(_prober())
 
     def _on_counter_probe(self, engine, info: dict):
         """A peer suspects it lost one of my counter writes: re-write it."""

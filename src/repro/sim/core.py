@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from itertools import chain
 from sys import getrefcount
 from typing import Any, Callable, Iterable, Optional
 
@@ -305,7 +306,12 @@ class Simulator:
     def close(self) -> None:
         """End of life: forget what is scheduled, pooled, registered or
         observing without processing an event -- each of those refers back
-        here.  ``now`` and ``processed_events`` stay readable."""
+        here.  A scheduled event also lets go of its waiters (a timeout
+        an ``any_of`` outlived would otherwise keep a cycle with it).
+        ``now`` and ``processed_events`` stay readable."""
+        for due in chain(self._cur, self._buckets.values()):
+            for ev in due if type(due) is list else (due,):
+                ev.callbacks = None
         for held in (self._cur, self._buckets, self._times, self._timeout_pool,
                      self._event_pool, self.watchdog_probes):
             held.clear()

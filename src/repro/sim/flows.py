@@ -56,18 +56,16 @@ __all__ = ["Flow", "FlowEngine", "fair_shares", "fair_shares_links"]
 _TINY = 1e-12
 
 
-def fair_shares(tx, rx, caps, n_endpoints: int,
-                endpoint_caps=None) -> np.ndarray:
+def fair_shares(tx, rx, caps, n_endpoints: int) -> np.ndarray:
     """Max-min fair time-shares for flows over (tx, rx) endpoint pairs.
 
     The two-link special case of :func:`fair_shares_links`, kept as the
     flat port model's entry point: ``tx``/``rx`` are dense endpoint ids
-    per flow (a flow loads both), ``endpoint_caps`` the optional
-    per-endpoint capacities.
+    per flow (a flow loads both).
     """
     pairs = np.stack([np.asarray(tx, dtype=np.intp),
                       np.asarray(rx, dtype=np.intp)], axis=1)
-    return fair_shares_links(pairs, caps, n_endpoints, endpoint_caps)
+    return fair_shares_links(pairs, caps, n_endpoints)
 
 
 def _pad_paths(paths, n_links: int) -> np.ndarray:
@@ -84,17 +82,14 @@ def _pad_paths(paths, n_links: int) -> np.ndarray:
     return out
 
 
-def fair_shares_links(paths, caps, n_links: int,
-                      link_caps=None) -> np.ndarray:
+def fair_shares_links(paths, caps, n_links: int) -> np.ndarray:
     """Max-min fair time-shares for flows over arbitrary link paths.
 
     ``paths`` is either a sequence of per-flow link-id sequences, or an
     already-padded 2-D ``intp`` array where entries ``>= n_links`` *or
-    negative* are padding; ``caps`` is the per-flow rate ceiling.
-    ``link_caps`` is the per-link capacity vector (unit capacity
-    everywhere by default; link degradation lowers individual entries,
-    a flapped link is capacity 0.0, negatives clamp to 0.0).  A flow
-    crossing a link twice loads it twice.
+    negative* are padding; ``caps`` is the per-flow rate ceiling.  Every
+    link has unit capacity (one port time-share).  A flow crossing a
+    link twice loads it twice.
 
     Parallel-bottleneck water-filling.  Every round gives each loaded
     link its fair *level* ``cap_left / unfrozen_load`` and each unfrozen
@@ -113,10 +108,10 @@ def fair_shares_links(paths, caps, n_links: int,
     Pure, deterministic and permutation-invariant bit for bit --
     exposed for the Hypothesis property tests.
     """
-    return _solve(paths, caps, n_links, link_caps)[0]
+    return _solve(paths, caps, n_links)[0]
 
 
-def _solve(paths, caps, n_links: int, link_caps) -> tuple[np.ndarray, int]:
+def _solve(paths, caps, n_links: int) -> tuple[np.ndarray, int]:
     """:func:`fair_shares_links` plus the number of rounds it ran."""
     caps = np.asarray(caps, dtype=np.float64)
     if isinstance(paths, np.ndarray) and paths.ndim == 2:
@@ -129,17 +124,7 @@ def _solve(paths, caps, n_links: int, link_caps) -> tuple[np.ndarray, int]:
     # One sentinel slot past the real links holds the padding: infinite
     # capacity, so its level never binds, and every finite candidate is
     # held below it, so it is never minimal.
-    cap_left = np.empty(n_links + 1, dtype=np.float64)
-    if link_caps is None:
-        cap_left[:n_links] = 1.0
-    else:
-        lc = np.asarray(link_caps, dtype=np.float64)
-        if lc.shape != (n_links,):
-            raise ValueError(
-                f"link_caps / endpoint_caps must have shape ({n_links},), "
-                f"got {lc.shape}"
-            )
-        np.maximum(lc, 0.0, out=cap_left[:n_links])
+    cap_left = np.ones(n_links + 1, dtype=np.float64)
     cap_left[n_links] = np.inf
     # ``idx`` maps the surviving rows of ``P``/``caps`` back to flow ids.
     idx = np.arange(n, dtype=np.intp)
@@ -242,10 +227,6 @@ class FlowEngine:
         #: Reverse of ``_endpoints``: dense id -> key, appended in
         #: intern order (congestion events and utilization reports).
         self._eid_keys: list[Any] = []
-        # Non-default endpoint capacities (dense id -> absolute
-        # capacity); empty on a healthy fabric.  Populated by link
-        # degradation (see repro.hw.faults.LinkDegradePlan).
-        self._ep_caps: dict[int, float] = {}
         #: Optional congestion hook: ``fn(key, congested, nflows)``
         #: fires on every link's congested/clear transition (>= 2 flows
         #: sharing a saturated link).  Computed only when set.
@@ -260,10 +241,6 @@ class FlowEngine:
         # the congestion hook or utilization asks for them.
         self._link_counts = np.empty(0, dtype=np.intp)
         self._link_used = np.empty(0, dtype=np.float64)
-        #: Set when endpoint capacities changed since the last solve;
-        #: forces a fair-share recompute at the next sync even if the
-        #: flow set itself is unchanged.
-        self._dirty = False
         self._next_fid = 0
         self._last_t = 0.0
         self._wake_gen = 0
@@ -307,6 +284,8 @@ class FlowEngine:
         """
         if work <= 0.0:
             raise ValueError(f"flow work must be positive, got {work!r}")
+        if not cap > 0.0:
+            raise ValueError(f"flow cap must be positive, got {cap!r}")
         if path is None:
             if tx is None or rx is None:
                 raise ValueError("add_flow needs tx and rx, or a path")
@@ -384,42 +363,6 @@ class FlowEngine:
         """Snapshot of every in-flight flow (active + this instant's batch)."""
         return self._active + self._pending
 
-    def set_endpoint_capacity(self, key: Any, capacity: float) -> None:
-        """Set a link's current capacity (1.0 when healthy, 0.0 flapped).
-
-        Takes effect at the current instant: in-flight progress is
-        settled under the old shares, then the fair shares are re-solved
-        against the new capacity (the degrade/restore edge).  Values at
-        or above 1.0 clear the override -- a link cannot run faster than
-        one port, so "restore" is just ``set_endpoint_capacity(key, 1.0)``.
-
-        The setting is symmetric with :meth:`endpoint_capacity` at any
-        point in a flow's life: it applies to links referenced only by
-        *pending* (not-yet-admitted) flows, or by no flow at all, and
-        the queried value does not change when flows are later admitted.
-        """
-        if capacity < 0.0:
-            raise ValueError(f"endpoint capacity must be >= 0, got {capacity!r}")
-        eid = self.endpoint(key)
-        if capacity >= 1.0:
-            self._ep_caps.pop(eid, None)
-        else:
-            self._ep_caps[eid] = float(capacity)
-        self._dirty = True
-        self._schedule_kick()
-
-    def endpoint_capacity(self, key: Any) -> float:
-        """Current capacity of a link (1.0 unless degraded).
-
-        The exact inverse of :meth:`set_endpoint_capacity`, including
-        for links that only pending flows reference and links no flow
-        has ever crossed (those report 1.0).
-        """
-        eid = self._endpoints.get(key)
-        if eid is None:
-            return 1.0
-        return self._ep_caps.get(eid, 1.0)
-
     def link_utilization(self) -> dict:
         """Integrated busy port-seconds per link since construction.
 
@@ -440,17 +383,10 @@ class FlowEngine:
             return []
         self._sync_flows()
         oldest = min(self._active + self._pending, key=lambda f: f.fid)
-        lines = [
+        return [
             f"flow engine: {n} active flow(s); oldest fid={oldest.fid} "
             f"remaining={oldest.remaining:.3e} port-s rate={oldest.rate:.3f}"
         ]
-        if self._ep_caps:
-            detail = ", ".join(
-                f"{self._eid_keys[eid]}={cap:.2f}"
-                for eid, cap in sorted(self._ep_caps.items())
-            )
-            lines.append(f"flow engine: degraded endpoint(s): {detail}")
-        return lines
 
     # -- internals -------------------------------------------------------
     def _schedule_kick(self) -> None:
@@ -482,11 +418,6 @@ class FlowEngine:
         if self._pending:
             self._admit_pending()
             self._recompute()
-        elif self._dirty and self._active:
-            # Endpoint capacity changed under an unchanged flow set
-            # (link degrade/restore edge): re-solve the shares.
-            self._recompute()
-        self._dirty = False
         self._arm_wake(now)
 
     def _finish_due(self, now: float) -> None:
@@ -560,27 +491,17 @@ class FlowEngine:
             pad = grown
         self._pad = np.concatenate([pad, block])
 
-    def _caps_array(self) -> Optional[np.ndarray]:
-        """Effective per-link capacities, or ``None`` for all-ones."""
-        if not self._ep_caps:
-            return None
-        caps = np.ones(len(self._endpoints), dtype=np.float64)
-        for eid, c in self._ep_caps.items():
-            caps[eid] = c
-        return caps
-
     def _recompute(self) -> None:
         self.recomputes += 1
-        link_caps = self._caps_array()
         # Looked up on the module at call time, so a wrapper installed
         # over the public name (bench tracing, the tests' reference
         # oracle) sees every solve.
         self._share = fair_shares_links(
-            self._pad, self._caps, len(self._endpoints), link_caps)
+            self._pad, self._caps, len(self._endpoints))
         if self.util_enabled or self.on_congestion is not None:
             self._tally_links()
             if self.on_congestion is not None:
-                self._watch_congestion(link_caps)
+                self._watch_congestion()
 
     def _tally_links(self) -> None:
         """Per-link flow counts and occupied shares of this allocation."""
@@ -593,17 +514,16 @@ class FlowEngine:
             minlength=n_bins,
         )[1:]
 
-    def _watch_congestion(self, link_caps: Optional[np.ndarray]) -> None:
+    def _watch_congestion(self) -> None:
         """Fire the congestion hook on links' congested/clear edges.
 
         A link is *congested* while >= 2 in-flight flows share it and
         their allocated shares sum to (within float slack of) its full
-        capacity -- a lone flow saturating its own port is just a busy
-        sender, not contention.
+        unit capacity -- a lone flow saturating its own port is just a
+        busy sender, not contention.
         """
         counts = self._link_counts
-        caps = 1.0 if link_caps is None else link_caps
-        hot = np.nonzero((counts >= 2) & (self._link_used >= caps - 1e-9))[0]
+        hot = np.nonzero((counts >= 2) & (self._link_used >= 1.0 - 1e-9))[0]
         now_hot = set(hot.tolist())
         hook = self.on_congestion
         for eid in sorted(now_hot - self._congested):
@@ -636,9 +556,9 @@ class FlowEngine:
         with np.errstate(divide="ignore", invalid="ignore"):
             horizon = np.where(share > 0.0, self._rem / np.maximum(share, _TINY),
                                np.inf)
+        # Every link has unit capacity and every flow a positive cap, so
+        # the tightest link's flows always get a positive share.
         t_next = now + float(horizon.min())
-        if not np.isfinite(t_next):
-            return  # all shares zero (degenerate caps): nothing will drain
         if t_next <= now:
             # Float residue predicted a drain "now" that _finish_due did
             # not take; nudge forward one representable instant so the

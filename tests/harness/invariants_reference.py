@@ -256,26 +256,6 @@ def _check_flow_faults(bus, out: list[str]) -> None:
                 )
 
 
-def _check_link_windows(bus, out: list[str]) -> None:
-    """Every link degrade must be matched by a later restore (same wid)."""
-    restores = {ev.arg("wid"): ev for ev in bus.select(cat="link", name="restore")}
-    for deg in bus.select(cat="link", name="degrade"):
-        wid = deg.arg("wid")
-        rst = restores.get(wid)
-        if rst is None:
-            out.append(
-                f"link window wid={wid} degraded node{deg.arg('node')} "
-                f"{deg.arg('direction')} to factor {deg.arg('factor')} at "
-                f"{_fmt_t(deg.time)} and never restored -- the run ended "
-                f"with a permanently crippled endpoint"
-            )
-        elif (rst.time, rst.seq) < (deg.time, deg.seq):
-            out.append(
-                f"link window wid={wid} restored at {_fmt_t(rst.time)} "
-                f"before its degrade at {_fmt_t(deg.time)}"
-            )
-
-
 def _check_plan_cache(bus, out: list[str], allow_replay_after_fault: bool) -> None:
     fault_times = [ev.time for ev in bus.select(cat="fault")]
     fault_times += [ev.time for ev in bus.select(cat="proxy", name="kill")]
@@ -334,7 +314,6 @@ def trace_violations(bus, tracer=None, *, keys=None, check_overlap: bool = True,
     _check_control(bus, out)
     _check_flow_windows(bus, out)
     _check_flow_faults(bus, out)
-    _check_link_windows(bus, out)
     _check_plan_cache(bus, out, allow_replay_after_fault)
     if keys is not None:
         _check_keytable(keys, out)

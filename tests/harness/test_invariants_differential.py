@@ -76,7 +76,7 @@ def _recorded(bus):
 
 
 #: Categories some invariant reads; mutations land here four times in five.
-_CHECKED_CATS = ("req", "xfer", "ctrl", "group", "flow", "link", "fault", "proxy")
+_CHECKED_CATS = ("req", "xfer", "ctrl", "group", "flow", "fault", "proxy")
 
 
 def _pick(rng, events, cat=None, name=None):

@@ -29,8 +29,7 @@ def _pad_paths(paths, n_links: int) -> np.ndarray:
     return out
 
 
-def waterfill_reference(paths, caps, n_links: int,
-                        link_caps=None) -> np.ndarray:
+def waterfill_reference(paths, caps, n_links: int) -> np.ndarray:
     """Max-min shares by global water-filling (same signature as
     ``fair_shares_links``: ragged paths or a padded 2-D ``intp`` array
     whose negative / ``>= n_links`` entries are padding)."""
@@ -44,12 +43,7 @@ def waterfill_reference(paths, caps, n_links: int,
     share = np.zeros(n, dtype=np.float64)
     if n == 0:
         return share
-    cap_left = np.empty(n_links + 1, dtype=np.float64)
-    if link_caps is None:
-        cap_left[:n_links] = 1.0
-    else:
-        lc = np.asarray(link_caps, dtype=np.float64)
-        np.maximum(lc, 0.0, out=cap_left[:n_links])
+    cap_left = np.ones(n_links + 1, dtype=np.float64)
     cap_left[n_links] = np.inf
     idx = np.arange(n, dtype=np.intp)
     PA = P

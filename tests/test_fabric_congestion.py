@@ -14,13 +14,7 @@ canonical patterns, and this file pins them down --
 * **ECMP** -- the deterministic hash spreads cross-leaf pairs over all
   spines, is bit-stable across cluster seeds and interpreter respawns
   (it never touches Python's ``hash()``), and flows hashed to distinct
-  spines do not contend at all;
-* **link-level degradation** -- ``LinkWindow(link=...)`` composes with
-  path-routed flows: halving a spine uplink exactly doubles the drain
-  window of the flow crossing it.
-
-Plus the ``endpoint_capacity`` query symmetry: capacities read back
-identically before and after flows are admitted on the link.
+  spines do not contend at all.
 """
 
 from __future__ import annotations
@@ -36,8 +30,6 @@ from repro.hw import (
     Cluster,
     ClusterSpec,
     FatTreeTopology,
-    LinkDegradePlan,
-    LinkWindow,
     ecmp_hash,
 )
 from repro.sim import FlowEngine, Simulator, flows as flows_mod
@@ -344,93 +336,3 @@ class TestEcmp:
             assert r.returncode == 0, r.stderr
             outs.add(r.stdout.strip())
         assert len(outs) == 1
-
-
-# ---------------------------------------------------------------------------
-# link-level degradation composes with path routing
-# ---------------------------------------------------------------------------
-
-class TestLinkDegrade:
-    def _cross_leaf_time(self, plan=None, size=1 << 20):
-        cl = Cluster(ClusterSpec(nodes=4, ppn=1, proxies_per_dpu=1,
-                                 nodes_per_switch=2, spine_count=1,
-                                 fluid=True, fluid_threshold=1024))
-        if plan is not None:
-            cl.install_link_degrade(plan)
-        out = []
-
-        def prog():
-            dv = yield cl.fabric.transfer(src_node=0, dst_node=2, size=size,
-                                          initiator="host").delivered
-            out.append(dv.time)
-
-        cl.sim.process(prog())
-        cl.sim.run()
-        return out[0]
-
-    def test_degraded_uplink_halves_flow_rate(self):
-        """factor=0.5 on the spine uplink exactly doubles the drain
-        window of the flow crossing it (the tail is rate-independent)."""
-        base = self._cross_leaf_time()
-        plan = LinkDegradePlan(windows=(
-            LinkWindow(link=("up", 0, 0), start=0.0, duration=1.0,
-                       factor=0.5),
-        ))
-        degraded = self._cross_leaf_time(plan)
-        # Solo flow on a unit path: drain window == one serialization
-        # window == extra time at half rate.
-        t1, t2 = (_fabric_incast_time(n) for n in (1, 2))
-        ser = t2 - t1
-        assert degraded - base == pytest.approx(ser, rel=1e-6)
-        assert plan.stats["degrades"] == 1
-
-    def test_unrelated_link_degrade_is_free(self):
-        """Degrading a link the flow does not cross changes nothing."""
-        base = self._cross_leaf_time()
-        plan = LinkDegradePlan(windows=(
-            LinkWindow(link=("down", 0, 0), start=0.0, duration=1.0,
-                       factor=0.25),
-        ))
-        # The flow runs 0 -> 2: leaf0 -> spine0 -> leaf1, crossing
-        # ("down", 0, 1) -- not ("down", 0, 0).
-        assert self._cross_leaf_time(plan) == base
-
-    def test_endpoint_window_still_composes(self):
-        """Node-level (tx/rx) windows keep their pre-topology semantics."""
-        base = self._cross_leaf_time()
-        plan = LinkDegradePlan(windows=(
-            LinkWindow(node=0, direction="tx", start=0.0, duration=1.0,
-                       factor=0.5),
-        ))
-        assert self._cross_leaf_time(plan) > base
-
-
-# ---------------------------------------------------------------------------
-# endpoint_capacity: the query is symmetric around admission
-# ---------------------------------------------------------------------------
-
-class TestEndpointCapacityQuery:
-    def test_unknown_key_is_unit(self):
-        _sim, eng = _engine()
-        assert eng.endpoint_capacity(("tx", 99)) == 1.0
-
-    def test_pre_admission_set_then_query(self):
-        """A capacity set before any flow exists reads back identically
-        after flows are admitted on the link (the PR's latent-asymmetry
-        fix: set_endpoint_capacity used to be write-only for keys with
-        no active flows)."""
-        sim, eng = _engine()
-        eng.set_endpoint_capacity(("rx", 0), 0.25)
-        assert eng.endpoint_capacity(("rx", 0)) == 0.25
-
-        drained = []
-        eng.add_flow(tx=("tx", 1), rx=("rx", 0), work=1e-4,
-                     finish=lambda f, now: drained.append(now), tag=None)
-        # Query is unchanged by admission...
-        assert eng.endpoint_capacity(("rx", 0)) == 0.25
-        sim.run()
-        # ...and the capacity actually governed the flow: 4x the work.
-        assert drained[0] == pytest.approx(4e-4, rel=REL)
-        # Restoring to (>=) base pops the override.
-        eng.set_endpoint_capacity(("rx", 0), 1.0)
-        assert eng.endpoint_capacity(("rx", 0)) == 1.0

@@ -22,12 +22,19 @@ def _drain(cluster):
 
 class TestSpecValidation:
     @pytest.mark.parametrize("knob", [
-        "drop_prob", "dup_prob", "corrupt_prob", "delay_prob", "error_cqe_prob",
+        "drop_prob", "dup_prob", "delay_prob", "error_cqe_prob",
     ])
     @pytest.mark.parametrize("value", [-0.1, 1.5])
     def test_probabilities_bounded(self, knob, value):
         with pytest.raises(ValueError, match="not a probability"):
             FaultSpec(**{knob: value})
+
+    def test_control_fates_cannot_sum_above_one(self):
+        """One draw picks drop, then dup: their thresholds must fit in
+        [0, 1], or the dup share silently shrinks to 1 - drop_prob."""
+        with pytest.raises(ValueError, match="drop_prob \\+ dup_prob"):
+            FaultSpec(drop_prob=0.8, dup_prob=0.5)
+        FaultSpec(drop_prob=0.5, dup_prob=0.5)
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError, match="delay_max"):
@@ -121,12 +128,6 @@ class TestFabricControlHooks:
         inbox = self._send(tiny_cluster)
         assert len(inbox) == 0
         assert tiny_cluster.metrics.get("fabric.faults.drop") == 1
-
-    def test_corrupt_discarded_by_receiver(self, tiny_cluster):
-        tiny_cluster.install_faults(FaultPlan(FaultSpec(corrupt_prob=1.0)))
-        inbox = self._send(tiny_cluster)
-        assert len(inbox) == 0
-        assert tiny_cluster.metrics.get("fabric.faults.corrupt") == 1
 
     def test_duplicate_delivered_twice(self, tiny_cluster):
         tiny_cluster.install_faults(FaultPlan(FaultSpec(dup_prob=1.0)))

@@ -70,10 +70,10 @@ class TestControlDrops:
         assert m.get("offload.retransmits") > 0  # ...and recovery ran
         assert m.get("proxy.basic_pairs") == 16
 
-    def test_corruption_and_dup_storm(self):
-        """Corrupt (= detected drop) plus duplicates: dedupe must hold."""
+    def test_drop_and_dup_storm(self):
+        """Drops plus duplicates: dedupe must hold."""
         cl, plan = _chaos_cluster(FaultSpec(
-            corrupt_prob=0.05, dup_prob=0.15,
+            drop_prob=0.05, dup_prob=0.15,
             control_kinds=OFFLOAD_CONTROL_KINDS))
         fw = OffloadFramework(cl)
         _pingpong(cl, fw, iters=8)

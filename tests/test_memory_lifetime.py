@@ -24,7 +24,14 @@ import pytest
 from repro.apps.hpl import hpl_run
 from repro.apps.omb import ialltoall_overlap
 from repro.baselines.base import make_stack
-from repro.hw import Cluster, ClusterSpec
+from repro.hw import (
+    OFFLOAD_CONTROL_KINDS,
+    Cluster,
+    ClusterSpec,
+    FaultPlan,
+    FaultSpec,
+    ProxyKillPlan,
+)
 from repro.mpi import collectives
 from repro.offload import OffloadFramework
 from repro.offload.requests import OffloadError
@@ -102,6 +109,35 @@ def scatter(variant: str, iters: int, close: bool = True):
     return None
 
 
+def faulted_ring(killed: bool):
+    """Six rounds of a 2 x 2 offloaded ring under 5 % control drops, proxy 1
+    killed and restarted mid-run if ``killed``; closed at the end."""
+    spec = ClusterSpec(nodes=2, ppn=2, proxies_per_dpu=1, fluid=False)
+    cluster = Cluster(spec)
+    kills = [ProxyKillPlan(proxy_gid=1, at=20e-6, restart_after=30e-6)] if killed else []
+    plan = FaultPlan(FaultSpec(drop_prob=0.05, control_kinds=OFFLOAD_CONTROL_KINDS),
+                     kills=kills, seed=31)
+    cluster.install_faults(plan)
+    fw = OffloadFramework(cluster)
+    P = spec.world_size
+
+    def prog(rank):
+        ep = fw.endpoint(rank)
+        sbuf = ep.ctx.space.alloc(4096, fill=rank)
+        rbuf = ep.ctx.space.alloc(4096)
+        for _ in range(6):
+            reqs = [(yield from ep.send_offload(sbuf, 4096, dst=(rank + 1) % P, tag=3)),
+                    (yield from ep.recv_offload(rbuf, 4096, src=(rank - 1) % P, tag=3))]
+            yield from ep.waitall(reqs)
+
+    procs = [cluster.sim.process(prog(r)) for r in range(P)]
+    cluster.sim.run(until=cluster.sim.all_of(procs))
+    fw.assert_quiescent()
+    assert plan.stats["drops"] > 0 and plan.stats["kills"] == int(killed)
+    fw.close()
+    cluster.close()
+
+
 def _one_alltoall(be):
     """Rank program for a 2 x 2 stack: one 4 KiB-block Ialltoall."""
     comm = be.stack.comm_world
@@ -132,6 +168,7 @@ def _warm():
         job(flavor, 1)
     for variant in ("simple", "group"):
         scatter(variant, 1)
+    faulted_ring(True)
 
 
 # -- (a) + (b): nothing per message is cyclic --------------------------------
@@ -231,6 +268,14 @@ def test_a_closed_job_is_freed_by_refcount(job, flavor):
 @pytest.mark.parametrize("variant", ["simple", "group"])
 def test_a_closed_bare_framework_is_freed_by_refcount(variant):
     hist = census(lambda: scatter(variant, 2))
+    assert sum(hist.values()) <= RATCHET, hist.most_common(10)
+
+
+@pytest.mark.parametrize("killed", [False, True], ids=["faulted", "faulted-killed"])
+def test_a_closed_faulted_job_is_freed_by_refcount(killed):
+    """The recovery layer's handlers, processes and the timeouts its
+    waits outlived go with the job."""
+    hist = census(lambda: faulted_ring(killed))
     assert sum(hist.values()) <= RATCHET, hist.most_common(10)
 
 

@@ -5,8 +5,8 @@ mode"):
 
 * **conservation** -- ``fair_shares_links`` never oversubscribes a
   link: for every link the shares of the flows crossing it sum to at
-  most its capacity (counted with multiplicity for flows that cross a
-  link twice);
+  most its unit capacity (counted with multiplicity for flows that
+  cross a link twice);
 * **max-min fixed point** -- every flow is bottlenecked: it either
   sits at its own cap or crosses at least one saturated link, so no
   allocation can raise any flow without lowering a poorer one;
@@ -44,45 +44,35 @@ path_flows = st.lists(
     max_size=30,
 )
 
-link_cap_arrays = st.one_of(
-    st.none(),
-    st.lists(st.floats(0.1, 2.0, allow_nan=False),
-             min_size=10, max_size=10),
-)
-
-
-def _solve(flows, link_caps):
+def _solve(flows):
     paths = [f[0] for f in flows]
     caps = np.array([f[1] for f in flows], dtype=np.float64)
-    lc = None if link_caps is None else np.array(link_caps)
-    return paths, caps, lc, fair_shares_links(paths, caps, 10, link_caps=lc)
+    return paths, caps, fair_shares_links(paths, caps, 10)
 
 
 @settings(max_examples=200, deadline=None)
-@given(flows=path_flows, link_caps=link_cap_arrays)
-def test_links_conservation(flows, link_caps):
-    paths, caps, lc, shares = _solve(flows, link_caps)
+@given(flows=path_flows)
+def test_links_conservation(flows):
+    paths, caps, shares = _solve(flows)
     assert np.all(shares >= 0.0)
     assert np.all(shares <= caps + _EPS)
     for link in range(10):
         # A flow crossing a link twice loads it twice.
         load = sum(s * p.count(link) for p, s in zip(paths, shares))
-        cap = 1.0 if lc is None else lc[link]
-        assert load <= cap + _EPS, f"link {link} oversubscribed: {load}"
+        assert load <= 1.0 + _EPS, f"link {link} oversubscribed: {load}"
 
 
 @settings(max_examples=200, deadline=None)
-@given(flows=path_flows, link_caps=link_cap_arrays)
-def test_links_maxmin_fixed_point(flows, link_caps):
-    paths, caps, lc, shares = _solve(flows, link_caps)
+@given(flows=path_flows)
+def test_links_maxmin_fixed_point(flows):
+    paths, caps, shares = _solve(flows)
     link_load = np.zeros(10)
     for p, s in zip(paths, shares):
         for link in p:
             link_load[link] += s
-    link_cap = np.ones(10) if lc is None else lc
     for i, (p, s) in enumerate(zip(paths, shares)):
         at_cap = s >= caps[i] - _EPS
-        on_saturated = any(link_load[l] >= link_cap[l] - _EPS for l in p)
+        on_saturated = any(link_load[l] >= 1.0 - _EPS for l in p)
         assert at_cap or on_saturated, (
             f"flow {i} ({s}) below cap {caps[i]} with headroom on "
             f"every link of {p}"
@@ -90,12 +80,11 @@ def test_links_maxmin_fixed_point(flows, link_caps):
 
 
 @settings(max_examples=150, deadline=None)
-@given(flows=path_flows, link_caps=link_cap_arrays, seed=st.integers(0, 2**31))
-def test_links_permutation_invariance(flows, link_caps, seed):
-    paths, caps, lc, shares = _solve(flows, link_caps)
+@given(flows=path_flows, seed=st.integers(0, 2**31))
+def test_links_permutation_invariance(flows, seed):
+    paths, caps, shares = _solve(flows)
     perm = np.random.default_rng(seed).permutation(len(flows))
-    permuted = fair_shares_links(
-        [paths[i] for i in perm], caps[perm], 10, link_caps=lc)
+    permuted = fair_shares_links([paths[i] for i in perm], caps[perm], 10)
     assert np.array_equal(shares[perm], permuted)
 
 
@@ -111,16 +100,14 @@ two_link_flows = st.lists(
 
 
 @settings(max_examples=200, deadline=None)
-@given(flows=two_link_flows, link_caps=link_cap_arrays)
-def test_endpoint_adapter_is_the_links_solver(flows, link_caps):
+@given(flows=two_link_flows)
+def test_endpoint_adapter_is_the_links_solver(flows):
     """``fair_shares`` only stacks its two columns and delegates."""
     tx = np.array([f[0] for f in flows], dtype=np.intp)
     rx = np.array([f[1] for f in flows], dtype=np.intp)
     caps = np.array([f[2] for f in flows], dtype=np.float64)
-    lc = None if link_caps is None else np.array(link_caps)
-    via_endpoints = fair_shares(tx, rx, caps, 10, endpoint_caps=lc)
-    via_links = fair_shares_links(np.stack([tx, rx], axis=1), caps, 10,
-                                  link_caps=lc)
+    via_endpoints = fair_shares(tx, rx, caps, 10)
+    via_links = fair_shares_links(np.stack([tx, rx], axis=1), caps, 10)
     assert np.array_equal(via_endpoints, via_links)
 
 
@@ -144,11 +131,9 @@ def test_links_padded_matrix_matches_ragged(flows):
 
 _N_LINKS = 12
 
-# Ragged paths that may cross a link more than once; capacities drawn
+# Ragged paths that may cross a link more than once; flow caps drawn
 # from round decimals as well as arbitrary floats, because levels that
-# tie up to float residue are where a freeze rule goes wrong.  A link
-# is flapped (0.0) or has a capacity far above the solvers' 1e-12 level
-# slack: inside the slack both are free to call two levels one.
+# tie up to float residue are where a freeze rule goes wrong.
 diff_flows = st.lists(
     st.tuples(
         st.lists(st.integers(0, _N_LINKS - 1), min_size=1, max_size=5),
@@ -159,21 +144,13 @@ diff_flows = st.lists(
     max_size=200,
 )
 
-diff_link_caps = st.lists(
-    st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 0.9, 1.0, 2.0]),
-              st.floats(0.05, 2.0, allow_nan=False)),
-    min_size=_N_LINKS, max_size=_N_LINKS,
-)
-
-
 @settings(max_examples=300, deadline=None)
-@given(flows=diff_flows, link_caps=diff_link_caps)
-def test_links_match_reference_waterfill(flows, link_caps):
+@given(flows=diff_flows)
+def test_links_match_reference_waterfill(flows):
     paths = [f[0] for f in flows]
     caps = np.array([f[1] for f in flows], dtype=np.float64)
-    lc = np.array(link_caps)
-    shares, rounds = flows_mod._solve(paths, caps, _N_LINKS, lc)
-    reference = waterfill_reference(paths, caps, _N_LINKS, lc)
+    shares, rounds = flows_mod._solve(paths, caps, _N_LINKS)
+    reference = waterfill_reference(paths, caps, _N_LINKS)
     assert np.abs(shares - reference).max() <= 1e-12
     # The reference freezes one share level per round, so its distinct
     # levels are a floor on *its* round count; the solver under test

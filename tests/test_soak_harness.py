@@ -9,13 +9,15 @@ journal and reproduces the report byte-for-byte (modulo wall clock).
 
 import json
 
+import pytest
+
 from repro.experiments import soak
 from repro.experiments.campaign import Journal
 
 
-def _run(tmp_path, *extra):
+def _run(tmp_path, *extra, iters=3):
     out = tmp_path / "soak"
-    rc = soak.main(["--iters", "3", "--out", str(out), *extra])
+    rc = soak.main(["--iters", str(iters), "--out", str(out), *extra])
     report = json.loads((out / "SLO.json").read_text())
     return rc, out, report
 
@@ -27,12 +29,18 @@ def _strip_wall(report: dict) -> dict:
 
 
 class TestSoakHarness:
-    def test_soak_emits_schema_stamped_slo_report(self, tmp_path):
-        rc, out, report = _run(tmp_path)
+    # The pool case runs the two-worker pipe pool and its hang-watchdog
+    # deadline path end to end, not only in the sweep's unit tests.
+    @pytest.mark.parametrize("iters,pool", [
+        (3, ()),
+        (5, ("--jobs", "2", "--timeout", "300")),
+    ], ids=["serial", "pool"])
+    def test_soak_emits_schema_stamped_slo_report(self, tmp_path, iters, pool):
+        rc, out, report = _run(tmp_path, *pool, iters=iters)
         assert rc == 0
         assert report["schema"] == soak.SOAK_SCHEMA
         assert report["iterations"] == {
-            "requested": 3, "completed": 3, "quarantined": 0}
+            "requested": iters, "completed": iters, "quarantined": 0}
         # The default fault plan injects control drops: recovery ran,
         # and its latency histogram has real percentiles.
         rl = report["slo"]["recovery_latency"]
