@@ -158,6 +158,9 @@ class Cluster:
         ``metrics``, ``sim.now`` / ``processed_events`` / ``flow_engine``
         counters and each built context's ``busy_time`` stay readable."""
         self.sim.close()
+        for node in self.nodes:
+            node.hca.tx.clear()
+            node.hca.rx.clear()
         engine = self.sim.flow_engine
         if engine is not None:
             engine.sim = engine.on_congestion = None

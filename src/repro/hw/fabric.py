@@ -6,25 +6,25 @@ hop; host<->DPU traffic on the *same* node loops back through the HCA
 and pays the wire latency only (the paper notes local host-DPU
 transfers cost the same as remote ones).
 
-Contention is modelled with two unit resources per node -- a tx and an
-rx port -- each held for the message's serialization window in a
-store-and-forward discipline: serialize out of the source (tx), fly the
-wire, serialize into the destination (rx), deliver.  Dense patterns
-(alltoall incast) therefore queue exactly where the real fabric queues,
-and -- crucially -- a sender blocked by a busy receiver never parks its
-own tx port (no artificial head-of-line blocking; real NICs interleave
-packets of concurrent flows).
+Contention is modelled with two FIFO ports per node -- a tx and an rx
+port (:class:`~repro.hw.nic.Port`) -- each held for the message's
+serialization window in a store-and-forward discipline: serialize out
+of the source (tx), fly the wire, serialize into the destination (rx),
+deliver.  Dense patterns (alltoall incast) therefore queue exactly
+where the real fabric queues, and -- crucially -- a sender blocked by a
+busy receiver never parks its own tx port (no artificial head-of-line
+blocking; real NICs interleave packets of concurrent flows).
 
 Every message -- data or control, observed or not, fault plan armed or
-not -- is one :class:`_Message` walked through that schedule as a flat
-callback chain: no generator, no Process wrapper, no end-of-process
-event.  The post-time fault fate rides in the message's slots and is
-applied where it bites (extra wire delay, error CQE, control
-drop/dup); the EventBus is an ``is not None`` emission guard inside
-the landing step.  The run you observe, or inject faults
-into, therefore executes the same functions and schedules the same
-events as the bare run you time (tests/test_obs_nonperturbation.py pins
-it).  In fluid hybrid mode a bulk transfer swaps the port walk for a
+not -- is one :class:`_Message` that walks that schedule as its own
+calendar entry, one processed event per hop: no generator, no Process
+wrapper, no port request or timeout object.  The post-time fault fate
+rides in the message's slots and is applied where it bites (extra wire
+delay, error CQE, control drop/dup); the EventBus is an ``is not None``
+emission guard inside the landing step.  The run you observe, or
+inject faults into, therefore executes the same functions and schedules
+the same events as the bare run you time
+(tests/test_obs_nonperturbation.py pins it).  In fluid hybrid mode a bulk transfer swaps the port walk for a
 rate-shared flow and lands through the very same code.
 """
 
@@ -40,7 +40,7 @@ from repro.sim import Event, Simulator
 __all__ = ["Delivery", "Transfer", "Fabric"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Delivery:
     """What arrives at the destination when a message lands."""
 
@@ -67,11 +67,12 @@ class Delivery:
     path: Any = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Transfer:
     """Handle returned by :meth:`Fabric.transfer`."""
 
-    delivered: Event
+    #: Fires when the initiator would see the CQE; its value is the
+    #: :class:`Delivery`, whose ``time`` is when the last byte landed.
     completed: Event
     size: int
     #: Set by ``rdma_read(lazy_payload=True)``: ``(space, addr)`` where
@@ -79,32 +80,36 @@ class Transfer:
     payload_src: Any = None
 
 
-class _Message:
+class _Message(Event):
     """One message in flight: identity, post-time fate, port walk, landing.
 
-    :meth:`walk` drives the store-and-forward chain -- init, tx grant,
-    tx serialise, wire, rx grant, rx serialise -- one callback per
-    event, creating every event at the moment the schedule reaches it
-    (heap ``(time, seq)`` order is what breaks incast ties).  It ends
-    in :meth:`land` for data (Delivery, payload callback, CQE after the
+    The message is its own calendar entry.  Each hop of the
+    store-and-forward walk -- start, tx grant, tx serialise, wire, rx
+    grant, rx serialise, ack -- sets ``callbacks`` to the next step and
+    files the message again: at ``now`` through a port's grant, or
+    through :meth:`Simulator._schedule_at` at ``now + delay``, the float
+    a ``Timeout`` of that delay would get.  A step is an *unbound*
+    function (the kernel passes the message itself as the event), so a
+    message never holds a bound method of itself.  The walk ends in
+    :meth:`land` for data (Delivery, payload callback, CQE after the
     hardware ack) or :meth:`_land_control` (into the inbox).  A fluid
-    transfer never walks: the FlowEngine drains it and the fabric
-    schedules :meth:`land` after the unshared protocol tail, so both
-    engines share one landing.
+    transfer never walks: the FlowEngine drains it and the fabric files
+    :meth:`land` after the unshared protocol tail, so both engines
+    share one landing.
     """
 
     __slots__ = (
         # identity; xid is the control message's cid, and latency is
         # one-way (without the fate's extra_delay)
-        "fabric", "sim", "src_hca", "src_node", "dst_node", "size", "kind",
+        "fabric", "src_hca", "src_node", "dst_node", "size", "kind",
         "t_posted", "xid", "latency",
         # post-time fate (fault injection): CQE status and extra
         # in-flight delay; for control, deliver / drop / dup
         "status", "extra_delay", "action",
         # port walk
-        "dst_hca", "serialization", "_req",
+        "dst_hca", "serialization",
         # data landing
-        "meta", "on_deliver", "delivered", "completed", "via", "path", "_dv",
+        "meta", "on_deliver", "completed", "via", "path", "_dv",
         # control landing (inbox stays None on data messages)
         "inbox", "msg",
         # fluid mode: the unshared rx re-serialization tail, the engine's
@@ -118,8 +123,13 @@ class _Message:
 
     def __init__(self, fabric, src_hca, src_node, dst_node, size, kind,
                  t_posted, xid, latency):
-        self.fabric = fabric
         self.sim = fabric.sim
+        self.callbacks = None
+        self._value = None
+        self._ok = True
+        self._scheduled = False
+        self._defused = False
+        self.fabric = fabric
         self.src_hca = src_hca
         self.src_node = src_node
         self.dst_node = dst_node
@@ -135,58 +145,68 @@ class _Message:
         #: Link keys the flow crosses (topology mode); None otherwise.
         self.path = None
 
+    def _file_at(self, steps, when: float) -> None:
+        """File the message at absolute time ``when`` to run ``steps``."""
+        self.callbacks = steps
+        self._scheduled = False
+        self.sim._schedule_at(self, when)
+
     # -- the port walk ---------------------------------------------------
+    # The timed hops inline _file_at: they run once per hop per message.
     def walk(self, dst_hca, serialization) -> None:
         self.dst_hca = dst_hca
         self.serialization = serialization
-        # Same kick-off shape as Process.__init__: an init event at the
-        # current instant, so the tx request happens at the init pop.
+        # The first hop queues behind what the current instant already
+        # holds: the tx port is asked for when it pops, not at post time.
+        self.callbacks = _START
+        self.sim._cur.append(self)
+
+    def _start(self):
+        self.callbacks = _TX_GRANTED
+        self.src_hca.tx.acquire(self)
+
+    def _tx_granted(self):
+        self.callbacks = _TX_DONE
+        self._scheduled = False
         sim = self.sim
-        init = Event(sim)
-        init._ok = True
-        init._value = None
-        init.callbacks.append(self._start)
-        sim._schedule(init)
+        sim._schedule_at(self, sim.now + self.serialization)
 
-    def _start(self, _ev):
-        req = self._req = self.src_hca.tx.request()
-        req.callbacks.append(self._tx_granted)
+    def _tx_done(self):
+        self.src_hca.tx.release(self)
+        self.callbacks = _ARRIVED
+        self._scheduled = False
+        sim = self.sim
+        sim._schedule_at(self, sim.now + (self.latency + self.extra_delay))
 
-    def _tx_granted(self, _ev):
-        self.sim.timeout(self.serialization).callbacks.append(self._tx_done)
+    def _arrived(self):
+        self.callbacks = _RX_GRANTED
+        self.dst_hca.rx.acquire(self)
 
-    def _tx_done(self, _ev):
-        self.src_hca.tx.release(self._req)
-        self.sim.timeout(self.latency + self.extra_delay).callbacks.append(
-            self._arrived)
-
-    def _arrived(self, _ev):
-        req = self._req = self.dst_hca.rx.request()
-        req.callbacks.append(self._rx_granted)
-
-    def _rx_granted(self, _ev):
+    def _rx_granted(self):
         # Control messages are gap-bound; their rx dwell is the same
         # single-packet window as their tx dwell.
-        self.sim.timeout(self.serialization).callbacks.append(self._rx_done)
+        self.callbacks = _RX_DONE
+        self._scheduled = False
+        sim = self.sim
+        sim._schedule_at(self, sim.now + self.serialization)
 
-    def _rx_done(self, ev):
-        self.dst_hca.rx.release(self._req)
+    def _rx_done(self):
+        self.dst_hca.rx.release(self)
         if self.inbox is None:
-            self.land(ev)
+            self.land()
         else:
             self._land_control()
 
     # -- landing -----------------------------------------------------------
-    def land(self, _ev) -> None:
+    def land(self) -> None:
         """Last byte at the destination: deliver now, CQE after the ack."""
         sim = self.sim
         fabric = self.fabric
         status = self.status
-        dv = self._dv = Delivery(
-            src_node=self.src_node, dst_node=self.dst_node, size=self.size,
-            kind=self.kind, meta=self.meta, time=sim.now, status=status,
-            via=self.via, path=self.path,
-        )
+        now = sim.now
+        dv = self._dv = Delivery(self.src_node, self.dst_node, self.size,
+                                 self.kind, self.meta, now, status, self.via,
+                                 self.path)
         # An error CQE moves no bytes: skip the payload callback.
         if self.on_deliver is not None and status == "ok":
             self.on_deliver(dv)
@@ -195,12 +215,13 @@ class _Message:
             bus.emit("xfer", "deliver", fabric.hcas[self.dst_node].lane, xid=self.xid,
                      status=status, **self._via_tag())
         self.src_hca.metrics.observe(
-            "fabric.xfer_latency." + self.kind, sim.now - self.t_posted
+            "fabric.xfer_latency." + self.kind, now - self.t_posted
         )
-        self.delivered.succeed(dv)
-        sim.timeout(fabric.params.ack_latency).callbacks.append(self._acked)
+        self.callbacks = _ACKED
+        self._scheduled = False
+        sim._schedule_at(self, now + fabric.params.ack_latency)
 
-    def _acked(self, _ev):
+    def _acked(self):
         bus = self.fabric.bus
         if bus is not None:
             bus.emit("xfer", "complete", self.src_hca.lane, xid=self.xid,
@@ -232,6 +253,18 @@ class _Message:
                      kind=self.kind)
         src_hca.metrics.observe("fabric.ctrl_latency",
                                 self.sim.now - self.t_posted)
+
+
+# One step per hop, as the ``callbacks`` a message files itself with
+# (a shared tuple: the kernel only reads it).
+_START = (_Message._start,)
+_TX_GRANTED = (_Message._tx_granted,)
+_TX_DONE = (_Message._tx_done,)
+_ARRIVED = (_Message._arrived,)
+_RX_GRANTED = (_Message._rx_granted,)
+_RX_DONE = (_Message._rx_done,)
+_LAND = (_Message.land,)
+_ACKED = (_Message._acked,)
 
 
 class Fabric:
@@ -315,16 +348,20 @@ class Fabric:
     ) -> Transfer:
         """Start a one-sided data movement; post overhead is the caller's.
 
-        Returns immediately with a handle whose ``delivered`` event fires
-        when the last byte lands at the destination and whose
-        ``completed`` event fires when the initiator would see the CQE
-        (delivery + hardware ack).
+        Returns immediately with a handle whose ``completed`` event fires
+        when the initiator would see the CQE (delivery + hardware ack);
+        its value is the :class:`Delivery`.  The destination learns of
+        the bytes through ``on_deliver`` at the landing instant.  A post
+        the fabric rejects (negative size, unknown initiator or memory
+        kind) raises before anything is counted, emitted or drawn.
         """
         if size < 0:
             raise ValueError("negative message size")
         src_hca = self.hcas[src_node]
         dst_hca = self.hcas[dst_node]
-        delivered = self.sim.event()
+        serialization = src_hca.serialization_time(
+            size, initiator, src_mem, dst_mem
+        ) / max(1e-9, bw_scale)
         completed = self.sim.event()
         src_hca.count_post(initiator, size)
         t_posted = self.sim.now
@@ -337,7 +374,6 @@ class Fabric:
 
         m = _Message(self, src_hca, src_node, dst_node, size, kind, t_posted,
                      xid, self.one_way_latency(src_node, dst_node))
-        m.delivered = delivered
         m.meta = meta
         m.on_deliver = on_deliver
         m.completed = completed
@@ -345,9 +381,6 @@ class Fabric:
         if plan is not None:
             m.status, m.extra_delay = plan.transfer_fate(
                 kind, initiator, src_node, dst_node)
-        serialization = src_hca.serialization_time(
-            size, initiator, src_mem, dst_mem
-        ) / max(1e-9, bw_scale)
 
         # Fluid hybrid mode: bulk data rides the rate-shared FlowEngine;
         # control messages (Fabric.control) and sub-threshold transfers
@@ -361,7 +394,7 @@ class Fabric:
             self._flow_transfer(engine, m, serialization, owner)
         else:
             m.walk(dst_hca, serialization)
-        return Transfer(delivered=delivered, completed=completed, size=size)
+        return Transfer(completed, size)
 
     # -- fluid hybrid mode (docs/PERFORMANCE.md) -------------------------
     def _flow_transfer(self, engine, st: _Message, work: float,
@@ -470,8 +503,7 @@ class Fabric:
         if bus is not None:
             bus.emit("flow", "end", f"flow{flow.fid}", fid=flow.fid,
                      xid=st.xid)
-        self.sim.call_at(t_drain + st.latency + st.tail + st.extra_delay,
-                         st.land)
+        st._file_at(_LAND, t_drain + st.latency + st.tail + st.extra_delay)
 
     def _flow_retry(self, st: _Message, remaining: float) -> None:
         """Retransmit a dropped flow's residual work as a fresh flow."""
@@ -518,7 +550,7 @@ class Fabric:
             # in-flight bytes still have to land somewhere); delivery
             # carries status="error" so nothing moves and consumers see
             # the failed CQE.
-            self.sim.call_at(self.sim.now + st.latency + st.tail, st.land)
+            st._file_at(_LAND, self.sim.now + st.latency + st.tail)
         return aborted
 
     def control(
@@ -552,6 +584,8 @@ class Fabric:
         nbytes = self.params.ctrl_bytes if size is None else size
         src_hca = self.hcas[src_node]
         dst_hca = self.hcas[dst_node]
+        serialization = src_hca.serialization_time(nbytes, initiator,
+                                                   src_mem, dst_mem)
         src_hca.count_post(initiator, nbytes)
         src_hca.metrics.add("fabric.control_msgs")
         cid = self._ctrl_seq
@@ -574,5 +608,4 @@ class Fabric:
         plan = self.fault_plan
         if plan is not None:
             m.action, m.extra_delay = plan.control_fate(kind, src_node, dst_node)
-        m.walk(dst_hca, src_hca.serialization_time(nbytes, initiator,
-                                                   src_mem, dst_mem))
+        m.walk(dst_hca, serialization)

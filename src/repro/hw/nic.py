@@ -11,7 +11,7 @@ Cost model per message (LogGP-flavoured):
 
 * the **initiator** pays a post overhead on its own core
   (charged by the caller, since it consumes that core's time);
-* the message occupies the node's **tx port** for
+* the message occupies the node's **tx port** (a FIFO :class:`Port`) for
   ``max(injection_gap(initiator), size / path_bandwidth)``;
 * the destination's **rx port** is held for the same serialization
   window (this is what produces incast contention in dense patterns);
@@ -21,11 +21,13 @@ Cost model per message (LogGP-flavoured):
 
 from __future__ import annotations
 
+from collections import deque
+
 from repro.hw.metrics import Metrics
 from repro.hw.params import MachineParams
-from repro.sim import Resource, Simulator
+from repro.sim import SimulationError, Simulator
 
-__all__ = ["Hca"]
+__all__ = ["Hca", "Port"]
 
 #: Memory locations a DMA can touch.
 MEM_KINDS = ("host", "dpu")
@@ -33,8 +35,49 @@ MEM_KINDS = ("host", "dpu")
 INITIATOR_KINDS = ("host", "dpu")
 
 
+class Port:
+    """One HCA port: a FIFO slot that one message holds at a time.
+
+    A message sets its next step as its ``callbacks`` before it asks.
+    A free port files it at the current instant; a busy one queues it,
+    and the release that frees the port files the head of the queue at
+    the releasing instant.  No request object is made and no event is
+    processed for the port itself.
+    """
+
+    __slots__ = ("sim", "holder", "waiting")
+
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        self.holder = None
+        self.waiting: deque = deque()
+
+    def acquire(self, msg) -> None:
+        # The port is free only with nobody queued: release hands it on.
+        if self.holder is None:
+            self.holder = msg
+            self.sim._cur.append(msg)
+        else:
+            self.waiting.append(msg)
+
+    def release(self, msg) -> None:
+        if self.holder is not msg:
+            raise SimulationError("releasing a port this message does not hold")
+        waiting = self.waiting
+        if waiting:
+            self.holder = nxt = waiting.popleft()
+            self.sim._cur.append(nxt)
+        else:
+            self.holder = None
+
+    def clear(self) -> None:
+        """Forget the holder and the queue (end of life)."""
+        self.holder = None
+        self.waiting.clear()
+
+
 class Hca:
-    """Per-node HCA: tx/rx port resources plus cost helpers."""
+    """Per-node HCA: tx/rx ports plus cost helpers."""
 
     def __init__(
         self,
@@ -50,14 +93,17 @@ class Hca:
         self.params = params
         self.metrics = metrics
         #: Outbound serialization engine (one QP scheduler's worth).
-        self.tx = Resource(sim, capacity=1)
+        self.tx = Port(sim)
         #: Inbound delivery engine.
-        self.rx = Resource(sim, capacity=1)
+        self.rx = Port(sim)
         #: Optional :class:`~repro.obs.events.EventBus`.
         self.bus = None
-        # Hot-path lookup tables (params are immutable for a run): the
-        # cost helpers below stay the validating API; these serve
-        # serialization_time/count_post without per-message branching.
+        # Hot-path lookup tables (params are immutable for a run): they
+        # serve the cost helpers below without per-message branching.
+        self._post_overhead = {
+            "host": params.host_post_overhead,
+            "dpu": params.dpu_post_overhead,
+        }
         self._gap = {
             "host": params.host_injection_gap,
             "dpu": params.dpu_injection_gap,
@@ -78,11 +124,10 @@ class Hca:
 
     # -- cost helpers -----------------------------------------------------
     def post_overhead(self, initiator: str) -> float:
-        if initiator == "host":
-            return self.params.host_post_overhead
-        if initiator == "dpu":
-            return self.params.dpu_post_overhead
-        raise ValueError(f"unknown initiator kind {initiator!r}")
+        try:
+            return self._post_overhead[initiator]
+        except KeyError:
+            raise ValueError(f"unknown initiator kind {initiator!r}") from None
 
     def memory_bandwidth(self, mem: str) -> float:
         if mem == "host":
@@ -107,11 +152,9 @@ class Hca:
         return max(gap, size / bw)
 
     def count_post(self, initiator: str, size: int) -> None:
-        try:
-            msgs_label, bytes_label = self._post_labels[initiator]
-        except KeyError:
-            msgs_label = f"nic.{initiator}_posted_msgs"
-            bytes_label = f"nic.{initiator}_posted_bytes"
+        """Count one post; the fabric has already validated ``initiator``
+        (:meth:`serialization_time` runs first)."""
+        msgs_label, bytes_label = self._post_labels[initiator]
         metrics = self.metrics
         metrics.add(msgs_label)
         metrics.add(bytes_label, size)

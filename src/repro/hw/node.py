@@ -45,6 +45,10 @@ class ProcessContext:
         #: Lane name on the bus (built once: ``consume`` and every emit
         #: read it).
         self.trace_name = f"{kind}{global_id}"
+        #: The node's HCA, which every post of this process goes through.
+        self.hca: Hca = cluster.nodes[node_id].hca
+        #: Which DRAM this process's buffers live in.
+        self.mem_kind = kind
         # Address space and inbox are built on first touch: neither
         # constructor has simulator side effects, and at thousand-rank
         # scale most of a figure's resident bytes would otherwise be
@@ -87,19 +91,6 @@ class ProcessContext:
         return ib
 
     # -- convenience ------------------------------------------------------
-    @property
-    def node(self) -> "Node":
-        return self.cluster.nodes[self.node_id]
-
-    @property
-    def hca(self) -> Hca:
-        return self.node.hca
-
-    @property
-    def mem_kind(self) -> str:
-        """Which DRAM this process's buffers live in."""
-        return self.kind
-
     def consume(self, seconds: float):
         """Occupy this process's core for ``seconds`` (a timeout event);
         an observed cluster's bus records the busy span."""

@@ -456,7 +456,7 @@ class ProxyEngine:
             msg=msg,
             size=size,
             src_mem="dpu",
-            dst_mem=target.kind,  # ProcessContext.mem_kind, minus the property call
+            dst_mem=target.mem_kind,
             kind=kind,
         )
 

@@ -24,7 +24,7 @@ from repro.sim.core import (
 )
 from repro.sim.flows import Flow, FlowEngine, fair_shares, fair_shares_links
 from repro.sim.process import Process
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Store
 from repro.sim.rng import RngRegistry, spawn_seed
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "FlowEngine",
     "Interrupt",
     "Process",
-    "Resource",
     "RngRegistry",
     "spawn_seed",
     "SimulationError",

@@ -126,8 +126,8 @@ class Event:
         """Mark the event successful and schedule it at the current time.
 
         The schedule step is inlined (this is the hottest trigger path);
-        it must stay equivalent to :meth:`Simulator._schedule` with zero
-        delay.
+        it must stay equivalent to :meth:`Simulator._schedule_at` at
+        ``now``.
         """
         if self._value is not PENDING:
             raise SimulationError(f"{self!r} already triggered")
@@ -147,7 +147,7 @@ class Event:
             raise TypeError("fail() expects an exception instance")
         self._ok = False
         self._value = exception
-        self.sim._schedule(self)
+        self.sim._schedule_at(self, self.sim.now)
         return self
 
     def defuse(self) -> None:
@@ -375,11 +375,6 @@ class Simulator:
         return cls(self, generator)
 
     # -- scheduling ------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        if not delay >= 0:
-            raise ValueError(f"negative or NaN delay {delay!r}")
-        self._schedule_at(event, self.now + delay)
-
     def _schedule_at(self, event: Event, when: float) -> None:
         """Schedule at an *absolute* time (fast-path use).
 

@@ -75,7 +75,7 @@ class Process(Event):
         carrier._value = Interrupt(cause)
         carrier._defused = True
         carrier.callbacks.append(self._resume)
-        self.sim._schedule(carrier)
+        self.sim._schedule_at(carrier, self.sim.now)
 
     def close(self) -> None:
         """End of life without simulating: stop waiting and close the

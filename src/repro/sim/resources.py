@@ -1,123 +1,24 @@
-"""Shared resources: counted resources and FIFO stores.
+"""FIFO stores: the queue primitive the hardware models are built from.
 
-These are the synchronisation primitives the hardware models are built
-from: a NIC injection engine is a :class:`Resource` with capacity 1, a
-control-message channel is a :class:`Store`, and so is a proxy's
-inbound queue.
+A control-message channel is a :class:`Store`, and so is a proxy's
+inbound queue.  (An HCA port is not a store: it is a FIFO slot,
+:class:`repro.hw.nic.Port`, that the fabric's messages hold.)
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable, Optional
 
-from repro.sim.core import PENDING, Event, SimulationError, Simulator
+from repro.sim.core import Event, Simulator
 
-# NOTE on the inlined triggers below: granting a request / serving a
-# getter calls Event.succeed once per port acquisition or store message,
-# which makes the trigger itself a hot path.  The succeed body (value +
-# schedule + append to the current instant's bucket) is therefore
-# inlined at the internal call sites in this module; the guard checks
-# are skipped because the surrounding data structures guarantee each
-# event is granted exactly once (a Request leaves the queue when
-# granted, a getter leaves its list when served).  Any change
-# here must stay equivalent to Event.succeed.
+# NOTE on the inlined trigger below: serving a getter calls
+# Event.succeed once per store message, which makes the trigger itself
+# a hot path.  Its body (value + schedule + append to the current
+# instant's bucket) is therefore inlined in get's fast path; the guard
+# checks are skipped because a fresh getter is served exactly once.
+# Any change there must stay equivalent to Event.succeed.
 
-__all__ = ["Resource", "Store"]
-
-
-class Request(Event):
-    """Pending claim on a :class:`Resource`.
-
-    Construction is flattened (no ``super().__init__`` chain): one
-    Request is minted per port acquisition, which puts this on the
-    per-message hot path.
-    """
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource"):
-        self.sim = resource.sim
-        self.callbacks = []
-        self._value = PENDING
-        self._ok = True
-        self._scheduled = False
-        self._defused = False
-        self.resource = resource
-
-
-class Resource:
-    """A counted resource with FIFO admission.
-
-    Usage::
-
-        req = engine.request()
-        yield req
-        try:
-            yield sim.timeout(service_time)
-        finally:
-            engine.release(req)
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self._queue: deque[Request] = deque()
-        self._users: set[Request] = set()
-
-    @property
-    def count(self) -> int:
-        """Number of current holders."""
-        return len(self._users)
-
-    @property
-    def queued(self) -> int:
-        """Number of waiting requests."""
-        return len(self._queue)
-
-    def request(self) -> Request:
-        req = Request(self)
-        users = self._users
-        if not self._queue and len(users) < self.capacity:
-            # Uncontended fast path: grant immediately.  Identical event
-            # order to append + _grant (which would pop this same request
-            # and succeed it in the same moment).
-            users.add(req)
-            req._value = None
-            req._scheduled = True
-            self.sim._cur.append(req)
-        else:
-            self._queue.append(req)
-            self._grant()
-        return req
-
-    def release(self, request: Request) -> None:
-        try:
-            self._users.remove(request)
-        except KeyError:
-            if request in self._queue:
-                # Cancelled before it was granted.
-                self._queue.remove(request)
-            else:
-                raise SimulationError(
-                    "releasing a request this resource never granted") from None
-        self._grant()
-
-    def _grant(self) -> None:
-        queue = self._queue
-        if not queue:
-            return
-        users = self._users
-        capacity = self.capacity
-        cur = self.sim._cur
-        while queue and len(users) < capacity:
-            req = queue.popleft()
-            users.add(req)
-            req._value = None
-            req._scheduled = True
-            cur.append(req)
+__all__ = ["Store"]
 
 
 class Store:

@@ -31,6 +31,8 @@ __all__ = ["VerbsState", "verbs_state", "rdma_write", "rdma_read", "post_control
 # Hot-path metric labels (initiator.kind is "host" or "dpu").
 _WRITE_LABELS = {k: f"rdma.write.{k}" for k in ("host", "dpu")}
 _READ_LABELS = {k: f"rdma.read.{k}" for k in ("host", "dpu")}
+_CTRL_LABELS = {(a, b): f"ctrl.{a}_to_{b}"
+                for a in ("host", "dpu") for b in ("host", "dpu")}
 
 
 @dataclass
@@ -224,7 +226,7 @@ def post_control(
     """
     cluster = initiator.cluster
     yield initiator.consume(initiator.hca.post_overhead(initiator.kind))
-    cluster.metrics.add(f"ctrl.{initiator.kind}_to_{target.kind}")
+    cluster.metrics.add(_CTRL_LABELS[initiator.kind, target.kind])
     cluster.fabric.control(
         src_node=initiator.node_id,
         dst_node=target.node_id,

@@ -137,6 +137,18 @@ class TestTraceEventSchema:
         assert json.loads(path.read_text()) == doc
 
 
+class TestFig15Smoke:
+    def test_checks_pass_and_the_written_trace_reloads(self, fig15_obs, tmp_path):
+        """The fig15 smoke run: every trace invariant holds (the
+        ``xfer`` arrows ``land()`` emits among them), and the trace
+        written to disk reloads with as many rows as were exported."""
+        fig15_obs.check()
+        path = tmp_path / "fig15.trace.json"
+        doc = fig15_obs.write_chrome_trace(path)
+        with open(path) as f:
+            assert len(json.load(f)["traceEvents"]) == len(doc["traceEvents"])
+
+
 class TestTimeline:
     def test_timeline_replaces_render_ascii(self, fig15_obs):
         text = fig15_obs.timeline(width=60)

@@ -25,8 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.harness.heap_kernel import HeapSimulator
+from tests.harness.semaphore import Semaphore
 from tests.harness.step_kernel import StepLoopSimulator, SteppingSimulator, next_time
-from repro.sim import DeadlockError, Resource, SimulationError, Simulator, Store
+from repro.sim import DeadlockError, SimulationError, Simulator, Store
 from repro.sim.core import Event, Timeout
 
 KERNELS = [Simulator, HeapSimulator]
@@ -81,7 +82,7 @@ def execute(kernel, program, segments):
     events = [Event(sim) for _ in range(N_EVENTS)]
     for k, ev in enumerate(events):
         ev.callbacks.append(lambda _e, k=k: seen.append((sim.now, f"event{k}")))
-    resources = [Resource(sim, 1), Resource(sim, 2)]
+    resources = [Semaphore(sim, 1), Semaphore(sim, 2)]
     stores = [Store(sim), Store(sim)]
 
     def body(label, ops):
@@ -113,7 +114,7 @@ def execute(kernel, program, segments):
                 yield req
                 seen.append((sim.now, here + " granted"))
                 yield sim.timeout(op[2])
-                resources[op[1]].release(req)
+                resources[op[1]].release()
             elif kind == "put":
                 stores[op[1]].put(here)
             elif kind == "get":

@@ -180,7 +180,7 @@ def _fabric_incast_time(n, size=1 << 20):
     def prog():
         pending = [
             cl.fabric.transfer(src_node=i, dst_node=0, size=size,
-                               initiator="host").delivered
+                               initiator="host").completed
             for i in range(1, n + 1)
         ]
         got = yield cl.sim.all_of(pending)
@@ -232,11 +232,11 @@ class TestFabricSpine:
 
         def prog():
             pending = [cl.fabric.transfer(src_node=0, dst_node=4, size=size,
-                                          initiator="host").delivered]
+                                          initiator="host").completed]
             for i in range(k):
                 pending.append(cl.fabric.transfer(
                     src_node=1 + i, dst_node=5 + i, size=4 * size,
-                    initiator="host").delivered)
+                    initiator="host").completed)
             dv = yield pending[0]
             t_victim.append(dv.time)
             yield cl.sim.all_of(pending[1:])
@@ -262,7 +262,7 @@ class TestFabricSpine:
         def prog():
             dv = yield cl.fabric.transfer(src_node=0, dst_node=4,
                                           size=1 << 20,
-                                          initiator="host").delivered
+                                          initiator="host").completed
             got.append(dv)
 
         cl.sim.process(prog())

@@ -48,8 +48,8 @@ def _faulty_plan() -> FaultPlan:
 
 
 @pytest.mark.parametrize("spec, expected", [
-    ({}, (4101, 1024, 2)),
-    ({"nodes_per_switch": 16, "spine_count": 4}, (4126, 1024, 27)),
+    ({}, (3077, 1024, 2)),
+    ({"nodes_per_switch": 16, "spine_count": 4}, (3102, 1024, 27)),
 ], ids=["single_switch", "fat_tree"])
 def test_fault_free_sweep_work(spec, expected):
     assert _work(_sweep(**spec)) == expected
@@ -58,7 +58,7 @@ def test_fault_free_sweep_work(spec, expected):
 def test_faulted_sweep_work():
     plan = _faulty_plan()
     cl = _sweep(plan)
-    assert _work(cl) == (4169, 1038, 43)
+    assert _work(cl) == (3145, 1038, 43)
     assert plan.stats["flow_drops"] == plan.stats["flow_retries"] == 14
     assert plan.stats["error_cqes"] == 9
     # Every dropped flow was retransmitted once, and the fabric saw each.

@@ -274,7 +274,7 @@ class TestFlowWindowInvariant:
 
         def early_deliver(self, flow, t_drain):
             st = flow.tag
-            st.land(None)            # delivery leaks into the open window
+            st.land()                # delivery leaks into the open window
             self.bus.emit("flow", "end", f"flow{flow.fid}", fid=flow.fid,
                           xid=st.xid)
 

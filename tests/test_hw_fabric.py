@@ -3,8 +3,10 @@
 import pytest
 
 from tests.helpers import run_proc
-from repro.hw import Cluster, ClusterSpec
-from repro.sim import Store
+from repro.hw import Cluster, ClusterSpec, FaultPlan, FaultSpec
+from repro.hw.nic import Port
+from repro.obs import EventBus
+from repro.sim import Event, SimulationError, Store
 
 
 def _measure_transfer(cluster, **kw):
@@ -14,9 +16,8 @@ def _measure_transfer(cluster, **kw):
     def prog(sim):
         t0 = sim.now
         t = cluster.fabric.transfer(**kw)
-        yield t.delivered
-        out["delivered"] = sim.now - t0
-        yield t.completed
+        dv = yield t.completed
+        out["delivered"] = dv.time - t0
         out["completed"] = sim.now - t0
 
     run_proc(cluster, prog(cluster.sim))
@@ -100,8 +101,8 @@ class TestContention:
                 cl.fabric.transfer(src_node=0, dst_node=1, size=size, initiator="host")
                 for _ in range(n_msgs)
             ]
-            yield sim.all_of([t.delivered for t in transfers])
-            return sim.now
+            got = yield sim.all_of([t.completed for t in transfers])
+            return max(dv.time for dv in got.values())
 
         t_end = run_proc(cl, sender(cl.sim))
         ser = size / p.wire_bandwidth
@@ -119,13 +120,13 @@ class TestContention:
                 cl.fabric.transfer(src_node=0, dst_node=1, size=size, initiator="host")
                 for _ in range(16)
             ]
-            yield sim.all_of([t.delivered for t in ts])
-            done["blast"] = sim.now
+            got = yield sim.all_of([t.completed for t in ts])
+            done["blast"] = max(dv.time for dv in got.values())
 
         def bystander(sim):
             t = cl.fabric.transfer(src_node=2, dst_node=3, size=size, initiator="host")
-            yield t.delivered
-            done["side"] = sim.now
+            dv = yield t.completed
+            done["side"] = dv.time
 
         run_proc(cl, _both(cl.sim, blaster, bystander))
         assert done["side"] < done["blast"] / 4
@@ -174,3 +175,72 @@ class TestControl:
         t = run_proc(cl, prog(cl.sim))
         ser = max(p.host_injection_gap, p.ctrl_bytes / p.wire_bandwidth)
         assert t == pytest.approx(p.ctrl_latency + 2 * ser, rel=1e-9)
+
+
+class TestPort:
+    def test_grants_in_request_order(self, sim):
+        port = Port(sim)
+        order = []
+        msgs = [Event(sim) for _ in range(3)]
+        for k, msg in enumerate(msgs):
+            msg.callbacks = (lambda m, k=k: order.append((k, sim.now)),)
+            port.acquire(msg)
+        assert port.holder is msgs[0] and list(port.waiting) == msgs[1:]
+        sim.run()
+        assert order == [(0, 0.0)]
+        port.release(msgs[0])
+        port.release(msgs[1])  # granted, still due: a release may come first
+        sim.run()
+        assert order == [(0, 0.0), (1, 0.0), (2, 0.0)]
+        assert port.holder is msgs[2]
+
+    def test_release_by_a_non_holder_raises(self, sim):
+        port = Port(sim)
+        holder, waiter = Event(sim), Event(sim)
+        port.acquire(holder)
+        port.acquire(waiter)
+        with pytest.raises(SimulationError):
+            port.release(waiter)
+
+
+class TestRejectedPost:
+    """A post the fabric refuses leaves no trace: no counter, no id, no
+    bus row, no draw from the fault stream."""
+
+    BAD = [{"initiator": "gpu"}, {"initiator": "host", "src_mem": "hbm"},
+           {"initiator": "dpu", "dst_mem": "hbm"}]
+
+    def test_rejected_posts_have_no_side_effects(self):
+        cl = Cluster(ClusterSpec(nodes=2, ppn=1))
+        bus = EventBus.attach(cl)
+        fabric = cl.fabric
+        for bad in self.BAD:
+            with pytest.raises(ValueError):
+                fabric.transfer(src_node=0, dst_node=1, size=64, **bad)
+            with pytest.raises(ValueError):
+                fabric.control(src_node=0, dst_node=1, inbox=Store(cl.sim),
+                               msg="m", **bad)
+        assert (fabric._xfer_seq, fabric._ctrl_seq) == (0, 0)
+        assert len(bus) == 0
+        assert not [k for k in dict(cl.metrics) if k.startswith(("nic.", "fabric."))]
+        cl.sim.run()
+        assert cl.sim.processed_events == 0
+
+    @staticmethod
+    def _statuses(reject_first: bool) -> str:
+        cl = Cluster(ClusterSpec(nodes=2, ppn=1))
+        cl.install_faults(FaultPlan(FaultSpec(error_cqe_prob=0.5), seed=3))
+        if reject_first:
+            with pytest.raises(ValueError):
+                cl.fabric.transfer(src_node=0, dst_node=1, size=64,
+                                   initiator="host", dst_mem="hbm")
+        handles = [cl.fabric.transfer(src_node=0, dst_node=1, size=64,
+                                      initiator="host") for _ in range(10)]
+        cl.sim.run()
+        return "".join("E" if t.completed.value.status == "error" else "."
+                       for t in handles)
+
+    def test_a_rejected_post_draws_no_fate(self):
+        clean = self._statuses(reject_first=False)
+        assert "E" in clean and "." in clean
+        assert self._statuses(reject_first=True) == clean

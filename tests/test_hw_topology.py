@@ -34,8 +34,8 @@ class TestFabricTopology:
             t0 = sim.now
             t = cl.fabric.transfer(src_node=src, dst_node=dst, size=1,
                                    initiator="host")
-            yield t.delivered
-            out["t"] = sim.now - t0
+            dv = yield t.completed
+            out["t"] = dv.time - t0
 
         run_proc(cl, prog(cl.sim))
         return out["t"]

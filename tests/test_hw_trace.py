@@ -39,7 +39,7 @@ def test_arrows_record_transfers():
 
     def prog(sim):
         t = cl.fabric.transfer(src_node=0, dst_node=1, size=1024, initiator="host")
-        yield t.delivered
+        yield t.completed
 
     proc = cl.sim.process(prog(cl.sim))
     cl.sim.run(until=proc)

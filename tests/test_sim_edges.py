@@ -139,11 +139,12 @@ class TestProcessedEventsDeterminism:
     @staticmethod
     def _workload(seed: int) -> tuple[int, float]:
         """A contention-heavy seeded run; returns (processed_events, end time)."""
-        from repro.sim.resources import Resource, Store
+        from repro.sim.resources import Store
+        from tests.harness.semaphore import Semaphore
 
         sim = Simulator()
         rng = RngRegistry(root_seed=seed).stream("edges")
-        port = Resource(sim, capacity=2)
+        port = Semaphore(sim, capacity=2)
         queue = Store(sim)
 
         def producer(sim, i):
@@ -157,7 +158,7 @@ class TestProcessedEventsDeterminism:
                 req = port.request()
                 yield req
                 yield sim.timeout(0.5)
-                port.release(req)
+                port.release()
 
         for i in range(4):
             sim.process(producer(sim, i))

@@ -1,72 +1,6 @@
-"""Unit tests for Resource / Store."""
+"""Unit tests for Store."""
 
-import pytest
-
-from repro.sim import Resource, SimulationError, Store
-
-
-class TestResource:
-    def test_capacity_enforced(self, sim):
-        res = Resource(sim, capacity=2)
-        log = []
-
-        def worker(sim, name):
-            req = res.request()
-            yield req
-            log.append((name, "in", sim.now))
-            yield sim.timeout(1.0)
-            res.release(req)
-
-        for n in "abcd":
-            sim.process(worker(sim, n))
-        sim.run()
-        starts = [t for _, _, t in log]
-        assert starts == [0.0, 0.0, 1.0, 1.0]
-
-    def test_fifo_admission(self, sim):
-        res = Resource(sim, capacity=1)
-        order = []
-
-        def worker(sim, name):
-            req = res.request()
-            yield req
-            order.append(name)
-            yield sim.timeout(1.0)
-            res.release(req)
-
-        for n in "xyz":
-            sim.process(worker(sim, n))
-        sim.run()
-        assert order == ["x", "y", "z"]
-
-    def test_release_unqueued_request_rejected(self, sim):
-        res = Resource(sim, capacity=1)
-        other = Resource(sim, capacity=1)
-        req = other.request()
-        with pytest.raises(SimulationError):
-            res.release(req)
-
-    def test_cancel_queued_request(self, sim):
-        res = Resource(sim, capacity=1)
-        holder = res.request()  # granted
-        waiting = res.request()  # queued
-        assert res.queued == 1
-        res.release(waiting)  # cancel before grant
-        assert res.queued == 0
-        res.release(holder)
-        assert res.count == 0
-
-    def test_invalid_capacity(self, sim):
-        with pytest.raises(ValueError):
-            Resource(sim, capacity=0)
-
-    def test_count_property(self, sim):
-        res = Resource(sim, capacity=3)
-        reqs = [res.request() for _ in range(2)]
-        assert res.count == 2
-        for r in reqs:
-            res.release(r)
-        assert res.count == 0
+from repro.sim import Store
 
 
 class TestStore:

@@ -94,9 +94,8 @@ class TestWrite:
         def prog(sim):
             t = yield from rdma_write(
                 src, lkey=hs.lkey, src_addr=sa, rkey=hd.rkey, dst_addr=da, size=1024)
-            yield t.delivered
-            times["d"] = sim.now
-            yield t.completed
+            dv = yield t.completed
+            times["d"] = dv.time
             times["c"] = sim.now
 
         run_proc(tiny_cluster, prog(tiny_cluster.sim))
