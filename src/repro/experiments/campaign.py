@@ -34,6 +34,8 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
+import os
 import pickle
 from pathlib import Path
 from typing import Any, Optional
@@ -48,6 +50,7 @@ __all__ = [
     "EXIT_FAILED",
     "EXIT_USAGE",
     "EXIT_PARTIAL",
+    "campaign_jobs",
     "classify_campaign",
 ]
 
@@ -74,6 +77,25 @@ def classify_campaign(passed: int, quarantined: int, failed: int) -> int:
     if quarantined:
         return EXIT_PARTIAL
     return EXIT_CLEAN
+
+
+def campaign_jobs(parser, args) -> int:
+    """The worker count a campaign command line asks for: ``--jobs``,
+    else ``$REPRO_JOBS`` (1 when unset or not an integer).  A ``--jobs``
+    below 1, or a ``--timeout`` that is not a positive number of seconds
+    (a deadline at dispatch would kill every unit), exits with
+    :data:`EXIT_USAGE` through ``parser.error``."""
+    if args.jobs is not None and args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, not {args.jobs}")
+    if args.timeout is not None and not 0 < args.timeout < math.inf:
+        parser.error(f"--timeout must be a positive number of seconds, "
+                     f"not {args.timeout}")
+    if args.jobs is not None:
+        return args.jobs
+    try:
+        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
+    except ValueError:
+        return 1
 
 
 def point_key(label: str, seed: Any, point: Any, extra: Any = None) -> str:

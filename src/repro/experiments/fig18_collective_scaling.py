@@ -19,8 +19,7 @@ batched proxy queues, offloaded collectives) exists to answer:
 
 Both halves run with proxy batching enabled -- this figure doubles as
 the end-to-end exercise of the scale-out path (quick scale tops out at
-64 ranks; paper scale sweeps to 4096, which wants ``--fluid`` for the
-large-payload points).
+64 ranks; paper scale sweeps to 4096, all on the exact engine).
 """
 
 from __future__ import annotations

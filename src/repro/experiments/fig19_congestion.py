@@ -20,9 +20,8 @@ probe them directly:
   offload moves *who does the work*, not *whose bytes win the wire* --
   a congested fabric erodes everyone equally.
 
-Both sweeps pin the fluid engine on explicitly (``fluid=True`` in the
-spec), so the committed tables are identical under ``runall`` and
-``runall --fluid`` alike.
+Both sweeps run on the fluid engine: their specs set ``fluid=True``,
+the only switch that selects it.
 """
 
 from __future__ import annotations

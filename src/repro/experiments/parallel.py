@@ -45,25 +45,24 @@ one :class:`_Sweep`, so retry classification, backoff, quarantine,
 journal records and ``progress`` events are written once.
 
 Job-count resolution: an explicit ``jobs=`` argument wins; otherwise
-the installed :class:`~repro.runconfig.RunConfig`'s ``jobs`` applies
-(``runall --jobs`` / ``$REPRO_JOBS``).  Workers receive the parent's
-config as an argument and install it with ``jobs=1``, so nested sweeps
-always run serially (no pool-in-pool) on the parent's engine.
+:data:`default_jobs` applies (``runall --jobs`` / ``$REPRO_JOBS`` set
+it for a campaign).  Nested sweeps inside a worker always run serially
+(no pool-in-pool).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import multiprocessing as mp
 import pickle
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing.connection import wait
 from typing import Any, Callable, Iterable, Sequence
 
-from repro import runconfig
 from repro.experiments.campaign import point_key
 from repro.hw import memory as hw_memory
 from repro.sim.rng import spawn_seed
@@ -79,6 +78,9 @@ __all__ = [
 
 #: Set in worker processes: nested sweeps must not spawn pools.
 _IN_WORKER = False
+
+#: Worker processes for a sweep called without ``jobs=``.
+default_jobs = 1
 
 #: Error types treated as *transient* by the retry machinery: the point
 #: itself may be fine, the execution environment failed around it.
@@ -103,7 +105,7 @@ RETRY_BACKOFF = 0.05
 def _resolve_jobs(jobs: int | None, n_points: int) -> int:
     if _IN_WORKER:
         return 1
-    j = runconfig.current().jobs if jobs is None else max(1, int(jobs))
+    j = default_jobs if jobs is None else max(1, int(jobs))
     return min(j, max(1, n_points))
 
 
@@ -247,9 +249,6 @@ class _Sweep:
         self.retries = retries
         self.journal = journal
         self.journal_if = journal_if
-        #: The parent's run config: journal engine key, and what every
-        #: worker installs.
-        self.run = runconfig.current()
         self.attempts = [0] * len(points)
         self.messages: list[tuple] = []
 
@@ -272,8 +271,7 @@ class _Sweep:
         different figure subset).
         """
         seed = self.seeds[index] if self.seed_kwarg else None
-        return point_key(self.label, seed, self.points[index],
-                         extra=self.run.journal_extra)
+        return point_key(self.label, seed, self.points[index])
 
     def serve_journaled(self) -> list[int]:
         """Resolve every journaled point; return the indices left to run."""
@@ -383,9 +381,9 @@ def sweep_map(
     filters which successful results are worth journaling.
 
     ``point_timeout`` kills any single point exceeding that many
-    wall-clock seconds (a retryable ``PointTimeout`` failure); it
-    forces pool execution even at jobs=1, since hang conversion needs
-    a killable process boundary.
+    wall-clock seconds (a retryable ``PointTimeout`` failure); it must
+    be positive and finite, and it forces pool execution even at
+    jobs=1, since hang conversion needs a killable process boundary.
 
     ``seed_kwarg`` names a keyword argument of ``fn`` that receives the
     point's derived seed (``spawn_seed(seed_root, label, index)``);
@@ -398,6 +396,9 @@ def sweep_map(
     """
     if on_error not in ("raise", "keep"):
         raise ValueError(f"on_error must be 'raise' or 'keep', not {on_error!r}")
+    if point_timeout is not None and not 0 < point_timeout < math.inf:
+        raise ValueError("point_timeout must be a positive, finite number "
+                         f"of seconds, not {point_timeout!r}")
     points = list(points)
     label = label or getattr(fn, "__name__", "sweep")
     sweep = _Sweep(fn, points, label, seed_root, seed_kwarg, on_error,
@@ -406,7 +407,7 @@ def sweep_map(
     n_jobs = _resolve_jobs(jobs, len(todo))
     # Hang conversion needs a killable process boundary; route a
     # timed sweep through a pool even when it is otherwise serial.
-    if n_jobs > 1 or (point_timeout and not _IN_WORKER):
+    if n_jobs > 1 or (point_timeout is not None and not _IN_WORKER):
         _Pool(sweep, n_jobs, point_timeout).run(todo)
     else:
         _run_serial(sweep, todo)
@@ -451,18 +452,16 @@ def _run_serial(sweep: _Sweep, todo: list[int]) -> None:
 # pool execution
 # ---------------------------------------------------------------------------
 
-def _worker_main(fn, seed_kwarg, run: runconfig.RunConfig, conn) -> None:
+def _worker_main(fn, seed_kwarg, conn) -> None:
     """Serve points from ``conn`` until the parent closes it.
 
     The parent sends one ``(index, point, seed)`` task at a time and
     reads one reply per task: ``(True, pickle of (value, peak), wall)``
     or ``(False, PointFailure, wall)``.  A worker that failed a point
     exits, so no attempt ever runs in a process another attempt broke.
-    ``run`` is the parent's config, installed with ``jobs=1``.
     """
     global _IN_WORKER
     _IN_WORKER = True
-    runconfig.install(replace(run, jobs=1))
     while True:
         try:
             index, point, seed = conn.recv()
@@ -508,7 +507,7 @@ class _Pool:
                  point_timeout: float | None):
         self.sweep = sweep
         self.n_jobs = n_jobs
-        self.point_timeout = point_timeout or None
+        self.point_timeout = point_timeout
         self.ctx = mp.get_context("spawn")
         self.pending: deque[int] = deque()
         self.retry_at: list[tuple[float, int]] = []  # (monotonic, index) heap
@@ -541,7 +540,7 @@ class _Pool:
         conn, child = self.ctx.Pipe()
         proc = self.ctx.Process(
             target=_worker_main,
-            args=(self.sweep.fn, self.sweep.seed_kwarg, self.sweep.run, child),
+            args=(self.sweep.fn, self.sweep.seed_kwarg, child),
             daemon=True,
         )
         proc.start()

@@ -14,24 +14,19 @@ Options:
     --retries N      re-run a figure group that failed transiently
                      (worker death, deadlock, timeout) up to N extra
                      times on a fresh worker before quarantining it
-    --timeout SECS   per-figure-group hang watchdog: a group exceeding
-                     this wall clock is killed and recorded as a
-                     structured PointTimeout crash instead of wedging
+    --timeout SECS   per-figure-group hang watchdog (SECS > 0): a group
+                     exceeding this wall clock is killed and recorded as
+                     a structured PointTimeout crash instead of wedging
                      the campaign (forces pool execution)
-    --fluid          run every figure on the fluid-flow hybrid engine:
-                     bulk transfers above the byte threshold advance as
-                     rate-shared flows, control stays event-exact
-                     (docs/PERFORMANCE.md; tables approximate the exact
-                     engine within the documented tolerance)
-    --fluid-threshold BYTES
-                     bulk/control split for --fluid (default
-                     repro.runconfig.DEFAULT_FLUID_THRESHOLD, 256 KiB)
     --out DIR        also write each table to DIR/figNN.txt plus its JSON
                      result (series, checks, counters/histograms) to
                      DIR/figNN.json
 
 Profile a figure with the standard library:
 ``python -m cProfile -s cumulative -m repro.experiments.runall figNN``.
+
+Each figure's engine is part of its machine: a figure that wants the
+fluid-flow hybrid sets ``ClusterSpec(fluid=True)`` itself (fig19).
 
 Campaign exit codes (docs/RESILIENCE.md): 0 = clean (every figure
 passed), 1 = failed (shape checks failed, or nothing survived),
@@ -55,23 +50,21 @@ import json
 import sys
 import time
 import traceback
-from dataclasses import replace
 from pathlib import Path
 
-from repro import runconfig
-from repro.experiments import ALL_FIGURES
+from repro.experiments import ALL_FIGURES, parallel
 from repro.experiments.campaign import (
     EXIT_CLEAN,
     EXIT_FAILED,
     EXIT_PARTIAL,
     EXIT_USAGE,
     Journal,
+    campaign_jobs,
     classify_campaign,
     point_key,
 )
 from repro.experiments.parallel import PointFailure, sweep_map
 from repro.hw import memory as hw_memory
-from repro.runconfig import DEFAULT_FLUID_THRESHOLD, RunConfig
 from repro.util import atomic_write
 
 __all__ = ["main", "run_one", "run_selected", "FIGURE_GROUPS"]
@@ -162,13 +155,9 @@ def _group_key(group: list[str], scale: str) -> str:
     Matches the key ``sweep_map(label="figures", journal=...)`` derives
     for the point ``(tuple(group), scale)`` -- one keying scheme no
     matter which execution path (serial, inline, pool) produced the
-    record, so any path can resume any other's journal.  The engine
-    mode rides in the ``extra`` slot: fluid and exact records of the
-    same group never collide, so resuming after flipping ``--fluid``
-    recomputes instead of serving the other engine's tables.
+    record, so any path can resume any other's journal.
     """
-    return point_key("figures", None, (tuple(group), scale),
-                     extra=runconfig.current().journal_extra)
+    return point_key("figures", None, (tuple(group), scale))
 
 
 def run_selected(
@@ -222,8 +211,8 @@ def run_selected(
     # sweeps included -- the reference execution every parallel mode
     # must reproduce bit for bit.  A hang watchdog needs workers.
     inline = point_timeout is None and (jobs == 1 or len(todo) == 1)
-    outer = runconfig.current()
-    runconfig.install(replace(outer, jobs=jobs))
+    outer = parallel.default_jobs
+    parallel.default_jobs = jobs
     try:
         outcomes = sweep_map(
             _run_group, [(tuple(groups[gi]), scale) for gi in todo],
@@ -235,7 +224,7 @@ def run_selected(
             journal=journal, journal_if=_group_clean,
         )
     finally:
-        runconfig.install(outer)
+        parallel.default_jobs = outer
     for gi, outcome in zip(todo, outcomes):
         if isinstance(outcome, PointFailure):
             by_group[gi] = [
@@ -291,15 +280,9 @@ def main(argv: list[str] | None = None) -> int:
                              "groups before quarantining them")
     parser.add_argument("--timeout", type=float, default=None,
                         help="per-figure-group hang watchdog in seconds")
-    parser.add_argument("--fluid", action="store_true",
-                        help="run on the fluid-flow hybrid engine (bulk "
-                             "transfers as rate-shared flows; approximate)")
-    parser.add_argument("--fluid-threshold", type=int, default=None,
-                        metavar="BYTES",
-                        help="bulk/control byte split for --fluid (default "
-                             f"DEFAULT_FLUID_THRESHOLD = {DEFAULT_FLUID_THRESHOLD})")
     parser.add_argument("--out", default=None, help="directory for per-figure text tables")
     args = parser.parse_args(argv)
+    jobs = campaign_jobs(parser, args)
 
     if args.figures and not args.all:
         selected = [
@@ -312,13 +295,6 @@ def main(argv: list[str] | None = None) -> int:
     else:
         selected = list(ALL_FIGURES)
 
-    run = RunConfig.resolve(jobs=args.jobs, fluid=args.fluid,
-                            fluid_threshold=args.fluid_threshold)
-    runconfig.install(run)
-    if run.fluid:
-        print("engine: fluid-flow hybrid "
-              f"(threshold {run.fluid_threshold} bytes)", file=sys.stderr)
-
     journal = Journal(args.resume, label="runall") if args.resume else None
 
     out_dir = Path(args.out) if args.out else None
@@ -326,8 +302,8 @@ def main(argv: list[str] | None = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     records = run_selected(
-        selected, scale=args.scale, jobs=run.jobs,
-        progress=_print_progress if (run.jobs > 1 or args.timeout) else None,
+        selected, scale=args.scale, jobs=jobs,
+        progress=_print_progress if (jobs > 1 or args.timeout) else None,
         journal=journal, retries=args.retries, point_timeout=args.timeout,
     )
 

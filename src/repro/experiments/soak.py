@@ -41,8 +41,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro import runconfig
-from repro.experiments.campaign import Journal, classify_campaign
+from repro.experiments.campaign import Journal, campaign_jobs, classify_campaign
 from repro.experiments.parallel import PointFailure, sweep_map
 from repro.hw import (
     OFFLOAD_CONTROL_KINDS,
@@ -54,7 +53,6 @@ from repro.hw import (
 )
 from repro.mpi.schedules import ring_neighbours
 from repro.obs.hist import Histogram
-from repro.runconfig import RunConfig
 from repro.util import atomic_write
 
 __all__ = ["main", "soak_iteration", "SOAK_SCHEMA"]
@@ -94,7 +92,7 @@ def soak_iteration(iteration: int, scale: str, drop: float,
     params = MachineParams().with_overrides(dpu_mem_budget=_DPU_BUDGET)
     spec = ClusterSpec(nodes=nodes, ppn=ppn, proxies_per_dpu=proxies,
                        seed=seed, params=params, fluid=fluid,
-                       fluid_threshold=size if fluid else None)
+                       fluid_threshold=size)
     cl = Cluster(spec)
     # The SLO metrics are latencies and counters; skip moving payload
     # bytes (correctness-under-faults is the fault test suite's job).
@@ -255,9 +253,8 @@ def main(argv: list[str] | None = None) -> int:
                              "(default results/soak); rerunning with the "
                              "same DIR resumes completed iterations")
     args = parser.parse_args(argv)
+    jobs = campaign_jobs(parser, args)
 
-    run = RunConfig.resolve(jobs=args.jobs)
-    runconfig.install(run)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     journal = Journal(out, label="soak")
@@ -268,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
               for i in range(args.iters)]
     t0 = time.time()
     outcomes = sweep_map(
-        soak_iteration, points, jobs=run.jobs, on_error="keep",
+        soak_iteration, points, jobs=jobs, on_error="keep",
         label="soak", seed_root=args.seed, seed_kwarg="seed",
         retries=args.retries, point_timeout=args.timeout, journal=journal,
     )

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro import runconfig
 from repro.hw.fabric import Fabric
 from repro.hw.topology import FatTreeTopology
 from repro.hw.metrics import Metrics
@@ -95,25 +94,18 @@ class Cluster:
         self.fabric = Fabric(self.sim, [n.hca for n in self.nodes], self.params,
                              spec=spec)
 
-        #: Hybrid engine selection (docs/PERFORMANCE.md): explicit spec
-        #: fields win, ``None`` ones come from the installed
-        #: :class:`~repro.runconfig.RunConfig` (``runall --fluid``).
-        #: Exact mode leaves ``fabric.flow_engine`` as None, so every
-        #: existing code path is untouched byte for byte.
-        run = runconfig.current()
-        self.fluid = run.fluid if spec.fluid is None else spec.fluid
-        self.fluid_threshold = (run.fluid_threshold
-                                if spec.fluid_threshold is None
-                                else spec.fluid_threshold)
         #: Explicit leaf/spine link graph (fluid mode with
         #: ``nodes_per_switch > 0``); None keeps flows endpoint-only.
         self.topology = None
-        if self.fluid:
-            engine = FlowEngine(self.sim, threshold=self.fluid_threshold)
+        # Exact mode leaves ``fabric.flow_engine`` as None, so the hybrid
+        # engine (docs/PERFORMANCE.md) touches nothing unless the spec
+        # asks for it.
+        if spec.fluid:
+            engine = FlowEngine(self.sim, threshold=spec.fluid_threshold)
             self.sim.attach_flow_engine(engine)
             if spec.nodes_per_switch > 0:
                 self.topology = FatTreeTopology(spec)
-            self.fabric.attach_flow_engine(engine, self.fluid_threshold,
+            self.fabric.attach_flow_engine(engine, spec.fluid_threshold,
                                            topology=self.topology)
 
         ppd = spec.proxies_per_dpu

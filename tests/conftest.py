@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import runconfig
+from repro.experiments import parallel
 from repro.hw import Cluster, ClusterSpec
 from repro.mpi import MpiWorld
-from repro.runconfig import RunConfig
 
 try:
     from hypothesis import settings
@@ -36,18 +35,16 @@ def regen_golden(request) -> bool:
 
 @pytest.fixture(autouse=True)
 def run_config(monkeypatch):
-    """Every test starts on the default :class:`RunConfig` and gets it
-    back afterwards, whatever the test (or a CLI ``main`` it calls)
-    installs.  ``run_config(fluid=True, ...)`` installs a config for
-    the rest of the test and returns it."""
-    monkeypatch.setattr(runconfig, "_current", RunConfig())
+    """Every test starts with serial sweeps and gets them back
+    afterwards, whatever the test (or a CLI ``main`` it calls) sets.
+    ``run_config(jobs=N)`` sets the default job count for the rest of
+    the test."""
+    monkeypatch.setattr(parallel, "default_jobs", 1)
 
-    def install(**fields) -> RunConfig:
-        config = RunConfig(**fields)
-        runconfig.install(config)
-        return config
+    def set_jobs(*, jobs: int) -> None:
+        monkeypatch.setattr(parallel, "default_jobs", jobs)
 
-    return install
+    return set_jobs
 
 
 @pytest.fixture

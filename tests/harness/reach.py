@@ -69,7 +69,6 @@ USER_PATHS = (
     ("run-jobs2", ["-m", "repro", "run", "--all", "--jobs", "2",
                    "--resume", "{tmp}/campaign", "--out", "{tmp}/run2"]),
     ("run-resumed", ["-m", "repro", "figures", "fig05", "--resume", "{tmp}/campaign"]),
-    ("run-fluid", ["-m", "repro", "run", "--fluid", "fig15", "--out", "{tmp}/fluid"]),
     ("ablations", ["-m", "repro", "ablations"]),
     ("soak", ["-m", "repro", "soak", "--iters", "3", "--out", "{tmp}/soak"]),
     ("soak-fluid", ["-m", "repro", "soak", "--fluid", "--nodes", "16", "--iters", "2",

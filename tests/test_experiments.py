@@ -156,12 +156,41 @@ class TestRunallRobustness:
         assert runall.main(["nope"]) == 2
         assert "no figures match" in capsys.readouterr().out
 
-    def test_fluid_banner_prints_the_resolved_threshold(self, capsys):
-        from repro.experiments import runall
-        from repro.runconfig import DEFAULT_FLUID_THRESHOLD
+    @pytest.mark.parametrize("cli", ["run", "soak"])
+    @pytest.mark.parametrize("flag", [
+        ("--timeout", "-1"), ("--timeout", "0"), ("--timeout", "inf"),
+        ("--jobs", "0"), ("--jobs", "-2"),
+    ], ids=lambda f: " ".join(f))
+    def test_unusable_pool_option_is_a_usage_error(self, cli, flag, tmp_path,
+                                                   capsys):
+        """A deadline at or before dispatch would quarantine every unit,
+        and a job count below 1 has no meaning: both exit with the usage
+        code before anything runs."""
+        from repro.__main__ import main
+        from repro.experiments.campaign import EXIT_USAGE
 
-        assert runall.main(["fig05", "--fluid"]) == 0
-        assert (f"(threshold {DEFAULT_FLUID_THRESHOLD} bytes)"
-                in capsys.readouterr().err)
-        assert runall.main(["fig05", "--fluid", "--fluid-threshold", "4096"]) == 0
-        assert "(threshold 4096 bytes)" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as stop:
+            main([cli, *flag, "--out", str(tmp_path / "out")])
+        assert stop.value.code == EXIT_USAGE
+        assert f"{flag[0]} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_engine_flags_are_gone(self, capsys):
+        from repro.experiments import runall
+
+        with pytest.raises(SystemExit) as stop:
+            runall.main(["--fluid", "fig05"])
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --fluid" in capsys.readouterr().err
+
+
+def test_fig04_records_dpu_residency():
+    """The staging figure bounces every message through DPU DRAM, so its
+    snapshot's peak-residency row must show DPU bytes (524 288 at quick
+    scale)."""
+    from repro.experiments.runall import run_one
+
+    fig, exc = run_one("fig04_pingpong_staging")
+    assert exc is None, repr(exc)
+    peak = fig.metrics["peak_resident_bytes"]
+    assert peak.get("dpu", 0) > 0, peak

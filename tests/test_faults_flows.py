@@ -146,8 +146,7 @@ class TestErrorCqesOnFlows:
 class TestDeterminism:
     def _trace(self, seed, flow_drop, fluid):
         spec = ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1, seed=seed,
-                           fluid=True if fluid else None,
-                           fluid_threshold=4096 if fluid else None)
+                           fluid=fluid, fluid_threshold=4096)
         cl = Cluster(spec)
         bus = EventBus.attach(cl)
         cl.install_faults(FaultPlan(

@@ -61,6 +61,27 @@ def _run(name: str):
     return fig
 
 
+def _build_on_fluid(monkeypatch, single_switch_tree: bool = False) -> None:
+    """Every cluster built for the rest of the test gets its spec with
+    ``fluid=True`` (the only engine switch); with ``single_switch_tree``
+    a single-switch spec also gets the identity fat-tree: one leaf
+    holding every node, so the per-link machinery is attached."""
+    build = Cluster.__init__
+
+    def init(self, spec):
+        spec = replace(spec, fluid=True)
+        if single_switch_tree and spec.nodes_per_switch == 0:
+            spec = replace(spec, nodes_per_switch=1 << 20)
+        build(self, spec)
+
+    monkeypatch.setattr(Cluster, "__init__", init)
+
+
+@pytest.fixture
+def fluid_engine(monkeypatch):
+    _build_on_fluid(monkeypatch)
+
+
 class TestExactModeBitIdentity:
     """Fluid off => committed tables regenerate byte-for-byte."""
 
@@ -77,13 +98,12 @@ class TestExactModeBitIdentity:
         assert cl.fabric.flow_engine is None
         assert cl.sim.flow_engine is None
 
-    def test_golden_traces_unchanged_even_in_fluid_mode(self, run_config):
+    def test_golden_traces_unchanged_even_in_fluid_mode(self, fluid_engine):
         """Control-plane scenarios carry no bulk: their event streams
         must match the golden files byte-for-byte in *both* modes (the
         hybrid split leaves everything below the threshold exact)."""
         from tests.test_golden_traces import GOLDEN_DIR, SCENARIOS, serialize_events
 
-        run_config(fluid=True)
         obs = SCENARIOS["ring_broadcast"]()
         got = serialize_events(obs.bus)
         assert got == (GOLDEN_DIR / "ring_broadcast.events").read_text()
@@ -93,8 +113,7 @@ class TestFluidWithinTolerance:
     """Fluid on => every micro-figure point within FLUID_RTOL."""
 
     @pytest.mark.parametrize("name", DIFF_FIGURES)
-    def test_tables_match_within_tolerance(self, name, run_config):
-        run_config(fluid=True)
+    def test_tables_match_within_tolerance(self, name, fluid_engine):
         fig = _run(name)
         assert fig.all_passed, (
             f"{name}: paper-shape checks failed in fluid mode: "
@@ -148,19 +167,8 @@ class TestFluidWithinTolerance:
 
 
 @pytest.fixture
-def single_switch_fat_tree(monkeypatch, run_config):
-    """Fluid engine, and every cluster the test builds from a
-    single-switch spec gets the identity fat-tree instead: one leaf
-    holding every node, so the per-link machinery is attached."""
-    run_config(fluid=True)
-    build = Cluster.__init__
-
-    def init(self, spec):
-        if spec.nodes_per_switch == 0:
-            spec = replace(spec, nodes_per_switch=1 << 20)
-        build(self, spec)
-
-    monkeypatch.setattr(Cluster, "__init__", init)
+def single_switch_fat_tree(monkeypatch):
+    _build_on_fluid(monkeypatch, single_switch_tree=True)
 
 
 @pytest.mark.usefixtures("single_switch_fat_tree")

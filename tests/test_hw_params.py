@@ -99,10 +99,23 @@ class TestClusterAssembly:
         assert not b.contains(addr)
 
 
-def test_flag_surface_may_only_shrink():
-    """The three counts ROADMAP tracks (aim 2), as a ratchet: lower a
-    bound when a flag goes, never raise one -- a new independently
-    settable value needs a reader that an existing one cannot serve."""
+def _cli_options(capsys, command: str) -> set[str]:
+    """The ``--options`` that ``python -m repro <command> --help`` lists
+    in its usage block."""
+    import re
+
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    return set(re.findall(r"\[(--[\w-]+)", usage))
+
+
+def test_flag_surface_may_only_shrink(capsys):
+    """The counts ROADMAP tracks (aim 2), as a ratchet: lower a bound
+    when a flag goes, never raise one -- a new independently settable
+    value needs a reader that an existing one cannot serve."""
     import re
     from dataclasses import fields
     from pathlib import Path
@@ -112,3 +125,7 @@ def test_flag_surface_may_only_shrink():
     assert len(fields(MachineParams)) + len(fields(ClusterSpec)) <= 55
     assert len(set(re.findall(r"\bREPRO_[A-Z_]+", text))) <= 1
     assert len(re.findall(r"^\s*def using_", text, flags=re.M)) == 0
+    run = _cli_options(capsys, "run")
+    assert "--jobs" in run and len(run) <= 7, sorted(run)
+    soak = _cli_options(capsys, "soak")
+    assert "--jobs" in soak and len(soak) <= 14, sorted(soak)

@@ -13,6 +13,8 @@ from __future__ import annotations
 import os
 import time
 
+import pytest
+
 from repro.experiments.parallel import PointFailure, sweep_map
 
 
@@ -79,6 +81,16 @@ class TestHangWatchdog:
         assert failure.error_type == "PointTimeout"
         assert failure.attempts == 1
         assert failure.quarantined
+
+
+@pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf")])
+def test_a_deadline_that_is_not_positive_is_refused(timeout):
+    """A deadline at or before dispatch would quarantine every point, 0
+    used to mean "no watchdog", and an infinite one crashed the pool's
+    wait: all refused before any worker starts."""
+    with pytest.raises(ValueError, match="point_timeout"):
+        sweep_map(abs, [1, 2], jobs=1, on_error="keep",
+                  point_timeout=timeout)
 
 
 def test_serial_and_pool_share_failure_semantics(tmp_path):
