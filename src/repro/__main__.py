@@ -4,7 +4,6 @@ Commands:
     run [--all | figNN ...] [--jobs N]
                           regenerate paper figures, optionally sharded
                           across N worker processes (see experiments.runall)
-    figures [figNN ...]   alias of ``run``
     ablations             run the ablation studies
     soak [--iters N ...]  chaos-soak SLO harness: exchange workloads under
                           seeded fault plans with checkpointed iterations
@@ -59,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if not args or args[0] in ("info", "--help", "-h"):
         return _info()
-    if args[0] in ("run", "figures"):
+    if args[0] == "run":
         from repro.experiments.runall import main as runall_main
 
         return runall_main(args[1:])

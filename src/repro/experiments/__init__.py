@@ -1,7 +1,9 @@
 """Experiment harness: one module per data figure in the paper.
 
-Each ``figXX_*`` module exposes ``run(scale="quick") -> FigureResult``.
-Two scales:
+Each ``figXX_*`` module declares its sweeps, ``sweeps(scale) ->
+list[Sweep]``, and a pure ``build(scale, *results) -> FigureResult``
+over one point-ordered result list per sweep; ``run(scale="quick")``
+does both, serially.  Two scales:
 
 * ``"quick"`` -- shrunk node/PPN counts and message sweeps that run in
   seconds; the qualitative *shape* (who wins, roughly by how much,

@@ -1,13 +1,13 @@
-"""Shared, memoised application sweeps used by Figs 11-17.
+"""The application sweeps of Figs 11-17, declared as data.
 
-Figures 11/12 (and 13/14) are two views of the same runs; this module
-runs each sweep once per scale and caches the results.
-
-Every sweep is an ordered list of independent points -- each point
-builds its own cluster and simulator -- executed through
-:func:`repro.experiments.parallel.sweep_map`, so ``runall --jobs N``
-(or ``REPRO_JOBS``) shards the points across worker processes while the
-merged dict stays bit-identical to a serial run.
+Each ``*_sweeps(scale)`` is the ``sweeps`` its figures declare: one
+:class:`~repro.experiments.parallel.Sweep`, an ordered list of
+independent points -- each point builds its own cluster and simulator
+-- and the module-level function that runs one.  Figures 11/12 (and
+13/14) are two views of the same runs and declare the same sweep; a
+``runall`` campaign runs each declared sweep once, its points spread
+over ``--jobs`` workers, and hands the point-ordered results to every
+figure that declared it.
 
 Scales:
 
@@ -18,28 +18,26 @@ Scales:
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from repro.apps.omb import ialltoall_overlap
 from repro.apps.p3dfft import p3dfft_phase
 from repro.apps.hpl import hpl_run, n_for_memory_fraction
 from repro.apps.stencil3d import stencil_overlap
-from repro.experiments.parallel import sweep_map
+from repro.experiments.common import Sweep
 from repro.hw.params import ClusterSpec
 
 __all__ = [
     "FLAVORS",
     "stencil_spec",
     "stencil_sizes",
-    "stencil_sweep",
+    "stencil_sweeps",
     "ialltoall_spec",
     "ialltoall_blocks",
     "ialltoall_nodes",
-    "ialltoall_sweep",
+    "ialltoall_sweeps",
     "p3dfft_configs",
-    "p3dfft_sweep",
+    "p3dfft_sweeps",
     "hpl_fractions",
-    "hpl_sweep",
+    "hpl_sweeps",
 ]
 
 FLAVORS = ("intelmpi", "bluesmpi", "proposed")
@@ -74,16 +72,13 @@ def _stencil_point(scale: str, flavor: str, n: int):
     )
 
 
-@lru_cache(maxsize=None)
-def stencil_sweep(scale: str) -> dict:
-    """{(flavor, n): OverlapResult} for the Proposed-vs-IntelMPI figure."""
-    points = [
+def stencil_sweeps(scale: str) -> list[Sweep]:
+    """Points ``(scale, flavor, n)`` -> OverlapResult, Proposed vs IntelMPI."""
+    return [Sweep("stencil", _stencil_point, [
         (scale, flavor, n)
         for flavor in ("intelmpi", "proposed")
         for n in stencil_sizes(scale)
-    ]
-    results = sweep_map(_stencil_point, points, label="stencil")
-    return {(f, n): r for (_, f, n), r in zip(points, results)}
+    ])]
 
 
 # ---------------------------------------------------------------------------
@@ -114,17 +109,14 @@ def _ialltoall_point(scale: str, nodes: int, flavor: str, block: int):
     )
 
 
-@lru_cache(maxsize=None)
-def ialltoall_sweep(scale: str) -> dict:
-    """{(flavor, nodes, block): OverlapResult}."""
-    points = [
+def ialltoall_sweeps(scale: str) -> list[Sweep]:
+    """Points ``(scale, nodes, flavor, block)`` -> OverlapResult."""
+    return [Sweep("ialltoall", _ialltoall_point, [
         (scale, nodes, flavor, block)
         for nodes in ialltoall_nodes(scale)
         for flavor in FLAVORS
         for block in ialltoall_blocks(scale)
-    ]
-    results = sweep_map(_ialltoall_point, points, label="ialltoall")
-    return {(f, n, b): r for (_, n, f, b), r in zip(points, results)}
+    ])]
 
 
 # ---------------------------------------------------------------------------
@@ -155,21 +147,14 @@ def _p3dfft_point(scale: str, cfg_index: int, flavor: str, z: int):
     return p3dfft_phase(flavor, cfg["spec"], cfg["x"], cfg["y"], z, iters=6)
 
 
-@lru_cache(maxsize=None)
-def p3dfft_sweep(scale: str) -> dict:
-    """{(flavor, config_label, z): P3dfftProfile}."""
-    cfgs = p3dfft_configs(scale)
-    points = [
+def p3dfft_sweeps(scale: str) -> list[Sweep]:
+    """Points ``(scale, config_index, flavor, z)`` -> P3dfftProfile."""
+    return [Sweep("p3dfft", _p3dfft_point, [
         (scale, i, flavor, z)
-        for i, cfg in enumerate(cfgs)
+        for i, cfg in enumerate(p3dfft_configs(scale))
         for flavor in FLAVORS
         for z in cfg["zs"]
-    ]
-    results = sweep_map(_p3dfft_point, points, label="p3dfft")
-    return {
-        (f, cfgs[i]["label"], z): r
-        for (_, i, f, z), r in zip(points, results)
-    }
+    ])]
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +204,10 @@ def _hpl_point(scale: str, fraction: float, label: str):
     )
 
 
-@lru_cache(maxsize=None)
-def hpl_sweep(scale: str) -> dict:
-    """{(label, fraction): HplResult}."""
-    points = [
+def hpl_sweeps(scale: str) -> list[Sweep]:
+    """Points ``(scale, fraction, variant label)`` -> HplResult."""
+    return [Sweep("hpl", _hpl_point, [
         (scale, fraction, label)
         for fraction in hpl_fractions()
         for label, _flavor, _bc in hpl_variants()
-    ]
-    results = sweep_map(_hpl_point, points, label="hpl")
-    return {(lab, f): r for (_, f, lab), r in zip(points, results)}
+    ])]

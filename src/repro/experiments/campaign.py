@@ -1,13 +1,13 @@
 """Crash-safe campaign journal: durable partial progress for long sweeps.
 
 A *campaign* is any long-running batch of independent work units -- the
-sweep points of one figure, or the figure groups of a whole ``runall
---all`` -- where a SIGKILL, OOM or box reboot halfway through used to
-throw away every completed unit.  The :class:`Journal` fixes that with
+sweep points of a whole ``runall --all``, or a soak's iterations --
+where a SIGKILL, OOM or box reboot halfway through used to throw away
+every completed unit.  The :class:`Journal` fixes that with
 a write-ahead record per completed unit:
 
 * **One file per record**, named by the unit's content key (a SHA-256
-  over figure/label + scale + seed + the point itself), written via
+  over sweep label + seed + the point itself), written via
   :func:`repro.util.atomic_write` (tmp + fsync + rename).  A crash at
   any instant leaves each record either fully present or fully absent
   -- there is no partially-written state to repair on restart.
@@ -19,7 +19,7 @@ a write-ahead record per completed unit:
   damaged journal degrades to recomputing the damaged units -- never to
   wrong results.
 * **Pickle payloads.**  Sweep-point results are arbitrary picklable
-  values (tuples, metric snapshots, :class:`FigureResult` objects); the
+  values (floats, tuples, application results, metric snapshots); the
   pickle round-trip preserves them byte-exactly, which is what lets a
   resumed campaign merge journaled and freshly-computed points into
   tables identical to an uninterrupted run.
@@ -98,16 +98,16 @@ def campaign_jobs(parser, args) -> int:
         return 1
 
 
-def point_key(label: str, seed: Any, point: Any, extra: Any = None) -> str:
+def point_key(label: str, seed: Any, point: Any) -> str:
     """Stable content key of one work unit.
 
-    Hashes the unit's full identity -- sweep label (figure), seed,
-    the point tuple, and any extra discriminator (scale, config) -- so
-    a journal can never serve a record to a run with different
+    Hashes the unit's full identity -- sweep label, seed and the point's
+    arguments, which carry the scale wherever the value depends on it
+    -- so a journal can never serve a record to a run with different
     parameters.  Uses ``repr`` of the parts, which is stable for the
     ints/strs/tuples sweep points are made of.
     """
-    text = "\x1f".join(repr(p) for p in (label, seed, point, extra))
+    text = "\x1f".join(repr(p) for p in (label, seed, point))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -1,15 +1,20 @@
-"""Series containers, table rendering and shape checks for experiments."""
+"""Series containers, table rendering and shape checks for experiments,
+and the figure protocol: declared sweeps plus a pure build."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
+
+from repro.experiments.parallel import Sweep, run_sweeps
 
 __all__ = [
     "Series",
     "ShapeCheck",
     "FigureResult",
+    "Sweep",
+    "figure_runner",
     "SimBarrier",
     "fmt_size",
     "improvement_pct",
@@ -146,10 +151,6 @@ class FigureResult:
             "metrics": self.metrics,
         }
 
-    def canonical_json(self, ignore_config: tuple = ("wall_seconds",)) -> str:
-        """See :func:`canonical_json`."""
-        return canonical_json(self.to_dict(), ignore_config=ignore_config)
-
     def render(self) -> str:
         """Aligned text table: x down the rows, one column per series."""
         lines = [f"== {self.fig_id}: {self.title} =="]
@@ -175,3 +176,15 @@ class FigureResult:
         if self.notes:
             lines.append(f"  note: {self.notes}")
         return "\n".join(lines)
+
+
+def figure_runner(sweeps: Callable, build: Callable) -> Callable:
+    """A figure module's public ``run(scale)``: its ``sweeps(scale)`` run
+    serially in this process, then ``build(scale, *results)`` with one
+    point-ordered result list per sweep."""
+
+    def run(scale: str = "quick") -> FigureResult:
+        return build(scale, *([r.value for r in results]
+                              for results in run_sweeps(sweeps(scale))))
+
+    return run

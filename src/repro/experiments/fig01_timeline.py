@@ -17,12 +17,12 @@ depicts steady state).
 from __future__ import annotations
 
 from repro.apps.harness import compute_with_tests
-from repro.experiments.common import FigureResult, Series, SimBarrier
+from repro.experiments.common import FigureResult, Series, SimBarrier, Sweep, figure_runner
 from repro.hw import Cluster, ClusterSpec
 from repro.mpi import MpiWorld
 from repro.offload import OffloadFramework
 
-__all__ = ["run", "SIZE", "COMPUTE"]
+__all__ = ["run", "sweeps", "build", "SIZE", "COMPUTE"]
 
 SIZE = 64 * 1024
 #: Per-rank compute window, chosen between the GVMI ring's completion
@@ -123,11 +123,20 @@ class _FakeBackend:
         return iter(())
 
 
-def run(scale: str = "quick") -> FigureResult:
+def _case(kind: str) -> float:
+    """One case: ``mpi`` (Listing 1) or an offload mode (Listing 5)."""
     spec = ClusterSpec(nodes=RANKS, ppn=1, proxies_per_dpu=1)
-    mpi_t = _mpi_case(spec) * 1e6
-    staged_t = _offload_case(spec, "staged") * 1e6
-    gvmi_t = _offload_case(spec, "gvmi") * 1e6
+    if kind == "mpi":
+        return _mpi_case(spec)
+    return _offload_case(spec, kind)
+
+
+def sweeps(scale: str) -> list[Sweep]:
+    return [Sweep("fig01", _case, [("mpi",), ("staged",), ("gvmi",)])]
+
+
+def build(scale: str, cases: list) -> FigureResult:
+    mpi_t, staged_t, gvmi_t = (t * 1e6 for t in cases)
     fig = FigureResult(
         fig_id="fig01",
         title="Ring broadcast under compute: completion at the last rank",
@@ -154,3 +163,6 @@ def run(scale: str = "quick") -> FigureResult:
         f"MPI {mpi_t:.1f}us",
     )
     return fig
+
+
+run = figure_runner(sweeps, build)

@@ -10,12 +10,11 @@ whose initiator runs on the ARM cores).
 
 from __future__ import annotations
 
-from repro.experiments.common import FigureResult, Series, fmt_size
-from repro.experiments.parallel import sweep_map
+from repro.experiments.common import FigureResult, Series, Sweep, figure_runner, fmt_size
 from repro.hw import Cluster, ClusterSpec
 from repro.verbs import reg_mr, rdma_write
 
-__all__ = ["run", "SIZES"]
+__all__ = ["run", "sweeps", "build", "SIZES"]
 
 SIZES = [1, 64, 256, 1024, 4096, 16384, 65536]
 
@@ -47,10 +46,13 @@ def _measure(initiator_kind: str, size: int, iters: int = 10) -> float:
     return sum(samples) / len(samples)
 
 
-def run(scale: str = "quick") -> FigureResult:
+def sweeps(scale: str) -> list[Sweep]:
+    return [Sweep("fig02", _measure,
+                  [(kind, s) for kind in ("host", "dpu") for s in SIZES])]
+
+
+def build(scale: str, values: list) -> FigureResult:
     sizes = SIZES
-    points = [(kind, s) for kind in ("host", "dpu") for s in sizes]
-    values = sweep_map(_measure, points, label="fig02")
     host = [v * 1e6 for v in values[: len(sizes)]]
     dpu = [v * 1e6 for v in values[len(sizes):]]
     fig = FigureResult(
@@ -78,3 +80,6 @@ def run(scale: str = "quick") -> FigureResult:
         all(d >= h * 0.999 for d, h in zip(dpu, host)),
     )
     return fig
+
+
+run = figure_runner(sweeps, build)

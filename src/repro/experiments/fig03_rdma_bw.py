@@ -11,12 +11,11 @@ small-message gap and the large-message ceiling.
 
 from __future__ import annotations
 
-from repro.experiments.common import FigureResult, Series, fmt_size
-from repro.experiments.parallel import sweep_map
+from repro.experiments.common import FigureResult, Series, Sweep, figure_runner, fmt_size
 from repro.hw import Cluster, ClusterSpec
 from repro.verbs import reg_mr, rdma_write
 
-__all__ = ["run", "SIZES"]
+__all__ = ["run", "sweeps", "build", "SIZES"]
 
 SIZES = [256, 1024, 4096, 16384, 65536, 262144, 1048576]
 WINDOW = 32
@@ -51,10 +50,13 @@ def _measure_bw(initiator_kind: str, size: int, window: int = WINDOW) -> float:
     return window * size / box["elapsed"]
 
 
-def run(scale: str = "quick") -> FigureResult:
+def sweeps(scale: str) -> list[Sweep]:
+    return [Sweep("fig03", _measure_bw,
+                  [(kind, s) for kind in ("host", "dpu") for s in SIZES])]
+
+
+def build(scale: str, values: list) -> FigureResult:
     sizes = SIZES
-    points = [(kind, s) for kind in ("host", "dpu") for s in sizes]
-    values = sweep_map(_measure_bw, points, label="fig03")
     host = values[: len(sizes)]
     dpu = values[len(sizes):]
     normalised = [d / h for d, h in zip(dpu, host)]
@@ -85,3 +87,6 @@ def run(scale: str = "quick") -> FigureResult:
     )
     fig.check("host path is never slower", all(r <= 1.001 for r in normalised))
     return fig
+
+
+run = figure_runner(sweeps, build)

@@ -11,13 +11,12 @@ recovers most of the gap -- the motivation for Section V.
 from __future__ import annotations
 
 from repro.apps.harness import mean
-from repro.experiments.common import FigureResult, Series, fmt_size
-from repro.experiments.parallel import sweep_map
+from repro.experiments.common import FigureResult, Series, Sweep, figure_runner, fmt_size
 from repro.hw import Cluster, ClusterSpec
 from repro.offload import OffloadFramework
 from repro.apps.omb import pingpong_latency
 
-__all__ = ["run", "SIZES"]
+__all__ = ["run", "sweeps", "build", "SIZES"]
 
 SIZES = [4096, 16384, 65536, 262144, 524288]
 
@@ -59,10 +58,13 @@ def _point(variant: str, size: int) -> float:
     return _offload_pingpong(variant, size)
 
 
-def run(scale: str = "quick") -> FigureResult:
+def sweeps(scale: str) -> list[Sweep]:
+    return [Sweep("fig04", _point,
+                  [(v, s) for v in ("host", "staged", "gvmi") for s in SIZES])]
+
+
+def build(scale: str, values: list) -> FigureResult:
     sizes = SIZES
-    points = [(v, s) for v in ("host", "staged", "gvmi") for s in sizes]
-    values = sweep_map(_point, points, label="fig04")
     n = len(sizes)
     host = [v * 1e6 for v in values[:n]]
     staged = [v * 1e6 for v in values[n:2 * n]]
@@ -92,3 +94,6 @@ def run(scale: str = "quick") -> FigureResult:
         all(g < st for g, st in zip(gvmi, staged)),
     )
     return fig
+
+
+run = figure_runner(sweeps, build)

@@ -10,12 +10,11 @@ overheads are what the array-of-BST caches of Section VII-B amortise.
 
 from __future__ import annotations
 
-from repro.experiments.common import FigureResult, Series, fmt_size
-from repro.experiments.parallel import sweep_map
+from repro.experiments.common import FigureResult, Series, Sweep, figure_runner, fmt_size
 from repro.hw import Cluster, ClusterSpec
 from repro.verbs import cross_register, gvmi_id_of, host_gvmi_register
 
-__all__ = ["run", "SIZES"]
+__all__ = ["run", "sweeps", "build", "SIZES"]
 
 SIZES = [4096, 16384, 65536, 262144, 1048576]
 
@@ -43,10 +42,14 @@ def _measure(size: int) -> tuple[float, float]:
     return box["host"], box["dpu"]
 
 
-def run(scale: str = "quick") -> FigureResult:
+def sweeps(scale: str) -> list[Sweep]:
+    return [Sweep("fig05", _measure, [(s,) for s in SIZES])]
+
+
+def build(scale: str, costs: list) -> FigureResult:
     sizes = SIZES
     host_costs, dpu_costs = [], []
-    for h, d in sweep_map(_measure, sizes, label="fig05"):
+    for h, d in costs:
         host_costs.append(h * 1e6)
         dpu_costs.append(d * 1e6)
     fig = FigureResult(
@@ -76,3 +79,6 @@ def run(scale: str = "quick") -> FigureResult:
         f"reg {total:.0f}us vs wire {wire:.0f}us",
     )
     return fig
+
+
+run = figure_runner(sweeps, build)

@@ -7,14 +7,17 @@ time than IntelMPI.
 
 from __future__ import annotations
 
-from repro.experiments.appruns import stencil_sizes, stencil_spec, stencil_sweep
-from repro.experiments.common import FigureResult, Series, improvement_pct
+from repro.experiments.appruns import stencil_sizes, stencil_spec, stencil_sweeps
+from repro.experiments.common import FigureResult, Series, figure_runner, improvement_pct
 
-__all__ = ["run"]
+__all__ = ["run", "sweeps", "build"]
+
+sweeps = stencil_sweeps
 
 
-def run(scale: str = "quick") -> FigureResult:
-    data = stencil_sweep(scale)
+def build(scale: str, results: list) -> FigureResult:
+    data = {(f, n): r for (_, f, n), r
+            in zip(sweeps(scale)[0].points, results)}
     sizes = stencil_sizes(scale)
     spec = stencil_spec(scale)
     intel = [data[("intelmpi", n)].overall for n in sizes]
@@ -44,3 +47,6 @@ def run(scale: str = "quick") -> FigureResult:
         f"best improvement {best:.1f}%",
     )
     return fig
+
+
+run = figure_runner(sweeps, build)

@@ -8,14 +8,17 @@ its overall time with it.
 
 from __future__ import annotations
 
-from repro.experiments.appruns import stencil_sizes, stencil_spec, stencil_sweep
-from repro.experiments.common import FigureResult, Series
+from repro.experiments.appruns import stencil_sizes, stencil_spec, stencil_sweeps
+from repro.experiments.common import FigureResult, Series, figure_runner
 
-__all__ = ["run"]
+__all__ = ["run", "sweeps", "build"]
+
+sweeps = stencil_sweeps
 
 
-def run(scale: str = "quick") -> FigureResult:
-    data = stencil_sweep(scale)
+def build(scale: str, results: list) -> FigureResult:
+    data = {(f, n): r for (_, f, n), r
+            in zip(sweeps(scale)[0].points, results)}
     sizes = stencil_sizes(scale)
     spec = stencil_spec(scale)
     intel = [data[("intelmpi", n)].overlap_pct for n in sizes]
@@ -46,3 +49,6 @@ def run(scale: str = "quick") -> FigureResult:
         f"{prop[-1]:.0f}% vs {intel[-1]:.0f}%",
     )
     return fig
+
+
+run = figure_runner(sweeps, build)

@@ -13,17 +13,20 @@ from repro.experiments.appruns import (
     ialltoall_blocks,
     ialltoall_nodes,
     ialltoall_spec,
-    ialltoall_sweep,
+    ialltoall_sweeps,
 )
-from repro.experiments.common import FigureResult, Series, fmt_size, improvement_pct
+from repro.experiments.common import FigureResult, Series, figure_runner, fmt_size, improvement_pct
 
-__all__ = ["run"]
+__all__ = ["run", "sweeps", "build"]
+
+sweeps = ialltoall_sweeps
 
 _LABELS = {"intelmpi": "IntelMPI", "bluesmpi": "BluesMPI", "proposed": "Proposed"}
 
 
-def run(scale: str = "quick") -> FigureResult:
-    data = ialltoall_sweep(scale)
+def build(scale: str, results: list) -> FigureResult:
+    data = {(f, n, b): r for (_, n, f, b), r
+            in zip(sweeps(scale)[0].points, results)}
     nodes_list = ialltoall_nodes(scale)
     blocks = ialltoall_blocks(scale)
     xs = [f"{n}n/{fmt_size(b)}" for n in nodes_list for b in blocks]
@@ -90,3 +93,6 @@ def run(scale: str = "quick") -> FigureResult:
         ),
     )
     return fig
+
+
+run = figure_runner(sweeps, build)

@@ -16,13 +16,14 @@ control-message counters:
 from __future__ import annotations
 
 from repro.apps.harness import mean
-from repro.experiments.common import FigureResult, Series, SimBarrier, fmt_size
-from repro.experiments.parallel import sweep_map
+from repro.experiments.common import (
+    FigureResult, Series, SimBarrier, Sweep, figure_runner, fmt_size,
+)
 from repro.hw import Cluster, ClusterSpec
 from repro.mpi import schedules
 from repro.offload import OffloadFramework, build_ialltoall
 
-__all__ = ["run"]
+__all__ = ["run", "sweeps", "build"]
 
 QUICK_BLOCKS = [4096, 16384, 65536]
 PAPER_BLOCKS = [16384, 65536, 262144]
@@ -104,15 +105,23 @@ def _scatter_point(scale: str, block: int, variant: str) -> tuple:
     return t, c, cl.metrics.snapshot_full()
 
 
-def run(scale: str = "quick") -> FigureResult:
-    blocks = PAPER_BLOCKS if scale == "paper" else QUICK_BLOCKS
+def _blocks(scale: str) -> list[int]:
+    return PAPER_BLOCKS if scale == "paper" else QUICK_BLOCKS
+
+
+def sweeps(scale: str) -> list[Sweep]:
+    return [Sweep("fig15", _scatter_point,
+                  [(scale, b, variant) for b in _blocks(scale)
+                   for variant in ("simple", "group")])]
+
+
+def build(scale: str, results: list) -> FigureResult:
+    blocks = _blocks(scale)
     simple_t, group_t = [], []
     simple_ctrl, group_ctrl = [], []
     snaps: dict = {}
-    points = [(scale, b, variant) for b in blocks
-              for variant in ("simple", "group")]
-    results = sweep_map(_scatter_point, points, label="fig15")
-    for (_, _b, variant), (t, c, snap) in zip(points, results):
+    (sweep,) = sweeps(scale)
+    for (_, _b, variant), (t, c, snap) in zip(sweep.points, results):
         if variant == "simple":
             simple_t.append(t * 1e6)
             simple_ctrl.append(c)
@@ -150,3 +159,6 @@ def run(scale: str = "quick") -> FigureResult:
         f"e.g. {simple_ctrl[0]:.0f} -> {group_ctrl[0]:.0f} per iteration",
     )
     return fig
+
+
+run = figure_runner(sweeps, build)

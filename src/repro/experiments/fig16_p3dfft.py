@@ -11,17 +11,20 @@ behind warm-up iterations).
 
 from __future__ import annotations
 
-from repro.experiments.appruns import FLAVORS, p3dfft_configs, p3dfft_sweep
-from repro.experiments.common import FigureResult, Series, improvement_pct
+from repro.experiments.appruns import FLAVORS, p3dfft_configs, p3dfft_sweeps
+from repro.experiments.common import FigureResult, Series, figure_runner, improvement_pct
 
-__all__ = ["run"]
+__all__ = ["run", "sweeps", "build"]
+
+sweeps = p3dfft_sweeps
 
 _LABELS = {"intelmpi": "IntelMPI", "bluesmpi": "BluesMPI", "proposed": "Proposed"}
 
 
-def run(scale: str = "quick") -> FigureResult:
-    data = p3dfft_sweep(scale)
+def build(scale: str, results: list) -> FigureResult:
     cfgs = p3dfft_configs(scale)
+    data = {(f, cfgs[i]["label"], z): r for (_, i, f, z), r
+            in zip(sweeps(scale)[0].points, results)}
     xs, intel, blues, prop = [], [], [], []
     for cfg in cfgs:
         for z in cfg["zs"]:
@@ -79,3 +82,6 @@ def run(scale: str = "quick") -> FigureResult:
         "mpi: " + ", ".join(f"{k}={v * 1e3:.2f}ms" for k, v in mpi_times.items()),
     )
     return fig
+
+
+run = figure_runner(sweeps, build)

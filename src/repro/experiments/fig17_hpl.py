@@ -10,14 +10,17 @@ BluesMPI track each other.
 
 from __future__ import annotations
 
-from repro.experiments.appruns import hpl_fractions, hpl_spec, hpl_sweep, hpl_variants
-from repro.experiments.common import FigureResult, Series
+from repro.experiments.appruns import hpl_fractions, hpl_spec, hpl_sweeps, hpl_variants
+from repro.experiments.common import FigureResult, Series, figure_runner
 
-__all__ = ["run"]
+__all__ = ["run", "sweeps", "build"]
+
+sweeps = hpl_sweeps
 
 
-def run(scale: str = "quick") -> FigureResult:
-    data = hpl_sweep(scale)
+def build(scale: str, results: list) -> FigureResult:
+    data = {(lab, f): r for (_, f, lab), r
+            in zip(sweeps(scale)[0].points, results)}
     fractions = hpl_fractions()
     xs = [f"{int(f * 100)}%" for f in fractions]
     base = {f: data[("IntelMPI-1ring", f)].total for f in fractions}
@@ -61,3 +64,6 @@ def run(scale: str = "quick") -> FigureResult:
         f"{(1 - prop[0] / ibc[0]) * 100:.1f}%",
     )
     return fig
+
+
+run = figure_runner(sweeps, build)

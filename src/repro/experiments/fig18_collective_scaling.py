@@ -25,15 +25,16 @@ the end-to-end exercise of the scale-out path (quick scale tops out at
 from __future__ import annotations
 
 from repro.apps.harness import mean
-from repro.experiments.common import FigureResult, Series, SimBarrier, fmt_size
-from repro.experiments.parallel import sweep_map
+from repro.experiments.common import (
+    FigureResult, Series, SimBarrier, Sweep, figure_runner, fmt_size,
+)
 from repro.hw import Cluster, ClusterSpec
 from repro.hw.params import MachineParams
 from repro.mpi import MpiWorld
 from repro.mpi.collectives import allreduce
 from repro.offload import OffloadFramework, build_iallreduce
 
-__all__ = ["run"]
+__all__ = ["run", "sweeps", "build"]
 
 QUICK_RANKS = [16, 32, 64]
 PAPER_RANKS = [64, 256, 1024, 4096]
@@ -189,23 +190,29 @@ def _ml_step_point(scale: str, variant: str, iters: int = 2,
 
 
 # ----------------------------------------------------------------------
-def run(scale: str = "quick") -> FigureResult:
+def sweeps(scale: str) -> list[Sweep]:
     ranks = PAPER_RANKS if scale == "paper" else QUICK_RANKS
     large = PAPER_LARGE_BYTES if scale == "paper" else QUICK_LARGE_BYTES
+    return [
+        Sweep("fig18", _latency_point,
+              [(scale, p, nbytes, variant)
+               for nbytes in (SMALL_BYTES, large)
+               for p in ranks
+               for variant in ("host", "offload")]),
+        Sweep("fig18-ml", _ml_step_point,
+              [(scale, variant) for variant in ("host", "offload")]),
+    ]
 
-    lat_points = [(scale, p, nbytes, variant)
-                  for nbytes in (SMALL_BYTES, large)
-                  for p in ranks
-                  for variant in ("host", "offload")]
-    ml_points = [(scale, variant) for variant in ("host", "offload")]
 
-    lat_results = sweep_map(_latency_point, lat_points, label="fig18")
-    ml_results = sweep_map(_ml_step_point, ml_points, label="fig18-ml")
+def build(scale: str, lat_results: list, ml_results: list) -> FigureResult:
+    ranks = PAPER_RANKS if scale == "paper" else QUICK_RANKS
+    large = PAPER_LARGE_BYTES if scale == "paper" else QUICK_LARGE_BYTES
+    lat_sweep, ml_sweep = sweeps(scale)
 
     lat: dict[tuple, float] = {}
-    for (_, p, nbytes, variant), t in zip(lat_points, lat_results):
+    for (_, p, nbytes, variant), t in zip(lat_sweep.points, lat_results):
         lat[(p, nbytes, variant)] = t * 1e6
-    ml = {variant: t * 1e6 for (_, variant), t in zip(ml_points, ml_results)}
+    ml = {variant: t * 1e6 for (_, variant), t in zip(ml_sweep.points, ml_results)}
 
     xs = [str(p) for p in ranks]
     series = []
@@ -259,7 +266,10 @@ def run(scale: str = "quick") -> FigureResult:
     )
     fig.check(
         "every sweep point completed at every rank count",
-        len(lat) == len(lat_points) and all(t > 0 for t in lat.values()),
+        len(lat) == len(lat_sweep.points) and all(t > 0 for t in lat.values()),
         f"{len(lat)} points, up to {ranks[-1]} ranks",
     )
     return fig
+
+
+run = figure_runner(sweeps, build)

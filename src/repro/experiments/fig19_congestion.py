@@ -28,11 +28,10 @@ from __future__ import annotations
 
 from repro.apps.harness import mean
 from repro.baselines.base import make_stack
-from repro.experiments.common import FigureResult, Series
-from repro.experiments.parallel import sweep_map
+from repro.experiments.common import FigureResult, Series, Sweep, figure_runner
 from repro.hw import ClusterSpec
 
-__all__ = ["run", "INCAST_N", "AGGRESSORS", "SIZE"]
+__all__ = ["run", "sweeps", "build", "INCAST_N", "AGGRESSORS", "SIZE"]
 
 #: Bulk message size (well above the fluid threshold: every data
 #: transfer rides the link-level FlowEngine).
@@ -168,18 +167,25 @@ def _interference_point(flavor: str, k: int, iters: int = 3,
 
 
 def _point(scenario: str, flavor: str, x: int) -> float:
-    """One sweep point (top-level so sweep_map can pickle it)."""
+    """One sweep point (top-level so pool workers can unpickle it)."""
     if scenario == "incast":
         return _incast_point(flavor, x)
     return _interference_point(flavor, x)
 
 
-def run(scale: str = "quick") -> FigureResult:
-    incast_n = INCAST_N if scale == "quick" else INCAST_N + [16]
+def _incast_n(scale: str) -> list[int]:
+    return INCAST_N if scale == "quick" else INCAST_N + [16]
+
+
+def sweeps(scale: str) -> list[Sweep]:
+    points = [("incast", f, n) for f in _FLAVORS for n in _incast_n(scale)]
+    points += [("interfere", f, k) for f in _FLAVORS for k in AGGRESSORS]
+    return [Sweep("fig19", _point, points)]
+
+
+def build(scale: str, values: list) -> FigureResult:
+    incast_n = _incast_n(scale)
     aggressors = AGGRESSORS
-    points = [("incast", f, n) for f in _FLAVORS for n in incast_n]
-    points += [("interfere", f, k) for f in _FLAVORS for k in aggressors]
-    values = sweep_map(_point, points, label="fig19")
     ni, na = len(incast_n), len(aggressors)
     series = []
     incast: dict[str, list[float]] = {}
@@ -257,3 +263,6 @@ def run(scale: str = "quick") -> FigureResult:
             f"difference ratio {r3:.2f}",
         )
     return fig
+
+
+run = figure_runner(sweeps, build)

@@ -1,34 +1,35 @@
 """Process-pool scheduler for embarrassingly parallel sweeps.
 
-Every paper figure is (or contains) a sweep: an ordered list of
+Every paper figure is one or more sweeps: an ordered list of
 independent points -- ``(message_size, variant)``, ``(flavor, nodes,
 block)`` -- each of which builds its own :class:`~repro.hw.Cluster`,
 runs one isolated simulation, and returns a picklable record.
-:func:`sweep_map` runs those points either serially (the reference
-semantics) or across worker processes, and **merges the results in
-point order**, so the output is bit-identical to the serial run
-regardless of job count or completion order.
+:func:`run_sweeps` runs the points of many sweeps as one list (a
+campaign's), serially or across worker processes, and **merges the
+results in point order**, so the output is bit-identical to the serial
+run regardless of job count or completion order.
 
 Design rules that make "parallel changes nothing" hold:
 
 * **Ordered merge.**  The parent pushes the next undone point to the
-  first idle worker, one point per worker at a time; results come back
-  tagged with their point index, and :func:`merge_messages`
-  re-assembles them in index order.
+  first idle worker, one point per worker at a time, function included;
+  results come back tagged with their slot, and :func:`merge_messages`
+  re-assembles them in point order.
 * **Seeds from the spec, never the clock.**  Each point gets a seed
-  derived by :func:`repro.sim.rng.spawn_seed` from the sweep's root
-  seed and the point's stable key ``(label, index)``.  The derivation
-  is pure, so job count, completion order and retries cannot perturb it.
+  derived by :func:`repro.sim.rng.spawn_seed` from the root seed and
+  the point's stable key ``(label, index)``.  The derivation is pure,
+  so job count, completion order and retries cannot perturb it.
 * **Fresh interpreters.**  Workers are started with the ``spawn``
-  method: no inherited module-global counters, lru_caches or RNG state
+  method: no inherited module-global counters, caches or RNG state
   from the parent can leak into a point's behaviour.
 * **Crash isolation.**  A point that raises (or a worker process that
   dies outright) surfaces as a structured :class:`PointFailure` in the
   merged result instead of killing the sweep -- the same keep-going
   semantics ``runall`` applies to whole figures.
-* **Watermark merge.**  Each worker measures ``hw.memory.peak_stats()``
-  around its point and the parent max-merges them, so per-figure
-  ``peak_resident_bytes`` snapshots match the serial run exactly.
+* **Per-point watermarks.**  Every point measures
+  ``hw.memory.peak_stats()`` over itself alone, in whichever process
+  runs it, and hands it back in its :class:`PointResult`; a caller
+  max-merges the peaks of the points it cares about.
 
 Each worker owns one duplex pipe and the parent blocks on the busy
 workers' pipes and process sentinels together.  A pipe send has no
@@ -39,19 +40,15 @@ one of three things: a result, a worker death (``WorkerDied``) or a
 passed deadline (``PointTimeout``).
 
 Retries, quarantine, the ``point_timeout`` hang watchdog and the
-resume journal are described on :func:`sweep_map` and in
+resume journal are described on :func:`run_sweeps` and in
 docs/RESILIENCE.md.  Both execution modes resolve every attempt through
-one :class:`_Sweep`, so retry classification, backoff, quarantine,
+one :class:`_Run`, so retry classification, backoff, quarantine,
 journal records and ``progress`` events are written once.
-
-Job-count resolution: an explicit ``jobs=`` argument wins; otherwise
-:data:`default_jobs` applies (``runall --jobs`` / ``$REPRO_JOBS`` set
-it for a campaign).  Nested sweeps inside a worker always run serially
-(no pool-in-pool).
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 import multiprocessing as mp
@@ -69,18 +66,14 @@ from repro.sim.rng import spawn_seed
 
 __all__ = [
     "PointFailure",
+    "PointResult",
+    "Sweep",
     "SweepError",
     "TRANSIENT_ERROR_TYPES",
+    "run_sweeps",
     "sweep_map",
     "merge_messages",
-    "point_seeds",
 ]
-
-#: Set in worker processes: nested sweeps must not spawn pools.
-_IN_WORKER = False
-
-#: Worker processes for a sweep called without ``jobs=``.
-default_jobs = 1
 
 #: Error types treated as *transient* by the retry machinery: the point
 #: itself may be fine, the execution environment failed around it.
@@ -102,16 +95,30 @@ TRANSIENT_ERROR_TYPES = frozenset({
 RETRY_BACKOFF = 0.05
 
 
-def _resolve_jobs(jobs: int | None, n_points: int) -> int:
-    if _IN_WORKER:
-        return 1
-    j = default_jobs if jobs is None else max(1, int(jobs))
-    return min(j, max(1, n_points))
+# ---------------------------------------------------------------------------
+# sweeps and their outcomes
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Sweep:
+    """Independent points and the module-level ``fn(*point)`` that runs
+    one.  Label and point are a point's journal key, so a point holds
+    every argument its value depends on, the scale included."""
+
+    label: str
+    fn: Callable
+    points: list
 
 
-# ---------------------------------------------------------------------------
-# failures
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class PointResult:
+    """A completed point: its value, the peak resident bytes per side it
+    reached on its own, and its wall time (0.0 when journal-served)."""
+
+    value: Any
+    peak: dict
+    wall_s: float
+
 
 @dataclass
 class PointFailure:
@@ -142,12 +149,6 @@ class PointFailure:
             "attempts": self.attempts,
             "quarantined": self.quarantined,
         }
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        q = " quarantined" if self.quarantined else ""
-        return f"PointFailure(#{self.index} {self.point!r}: " \
-               f"{self.error_type}: {self.message}; " \
-               f"attempts={self.attempts}{q})"
 
 
 class SweepError(RuntimeError):
@@ -206,168 +207,170 @@ class _Missing:
 _MISSING = _Missing()
 
 
-def point_seeds(root_seed: int, label: str, n_points: int) -> list[int]:
-    """Per-point seeds for a sweep: pure in (root, label, index).
+def _call_point(fn: Callable, point, kwargs: dict) -> tuple:
+    """Run one point, in process or in a worker: ``(value, peak)``.
 
-    Identical for every job count and completion order by construction
-    (property-tested in ``tests/test_properties_parallel.py``).
+    The cyclic collector pauses for the point: its generation-0 sweeps
+    cost several percent and find nothing, since a finished job is freed
+    by refcount (tests/test_memory_lifetime.py).  Paused, nothing leaves
+    generation 0, so the young collection after sees all the point made:
+    the cycles of a bare Cluster it never closed.
     """
-    return [spawn_seed(root_seed, label, i) for i in range(n_points)]
-
-
-def _call_point(fn: Callable, point, seed_kwarg: str | None, seed: int):
     args = point if isinstance(point, tuple) else (point,)
-    if seed_kwarg:
-        return fn(*args, **{seed_kwarg: seed})
-    return fn(*args)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    hw_memory.reset_peak_stats()
+    try:
+        return fn(*args, **kwargs), hw_memory.peak_stats()
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+        gc.collect(0)
 
 
 # ---------------------------------------------------------------------------
 # the sweep: one resolution path for both execution modes
 # ---------------------------------------------------------------------------
 
-class _Sweep:
-    """One sweep's points and the one place an attempt is resolved.
+class _Run:
+    """One run's points and the one place an attempt is resolved.
 
     Both executors call :meth:`start` before every attempt and
     :meth:`finish` or :meth:`fail` after it, so retry classification,
     backoff, quarantine, journal records and progress events are the
-    same in-process and in a pool.
+    same in-process and in a pool.  A point's *slot* is its position in
+    the run; its ``index`` is its position in its own sweep.
     """
 
-    def __init__(self, fn: Callable, points: list, label: str,
-                 seed_root: int, seed_kwarg: str | None, on_error: str,
+    def __init__(self, sweeps: list[Sweep], seed_root: int,
+                 seed_kwarg: str | None, on_error: str,
                  progress: Callable[[dict], None] | None, retries: int,
-                 journal, journal_if: Callable[[Any], bool] | None):
-        self.fn = fn
-        self.points = points
-        self.label = label
-        self.seeds = point_seeds(seed_root, label, len(points))
+                 journal):
+        self.sweeps = sweeps
+        self.slots = [(s, i) for s in sweeps for i in range(len(s.points))]
+        self.seeds = [spawn_seed(seed_root, s.label, i) for s, i in self.slots]
         self.seed_kwarg = seed_kwarg
         self.on_error = on_error
         self.progress = progress
         self.retries = retries
         self.journal = journal
-        self.journal_if = journal_if
-        self.attempts = [0] * len(points)
+        self.attempts = [0] * len(self.slots)
         self.messages: list[tuple] = []
 
     def unresolved(self) -> int:
-        return len(self.points) - len(self.messages)
+        return len(self.slots) - len(self.messages)
 
-    def _event(self, event: str, index: int, **fields) -> None:
+    def _event(self, event: str, slot: int, **fields) -> None:
         if self.progress is not None:
-            self.progress({"event": event, "label": self.label,
-                           "index": index, "point": self.points[index],
-                           "seed": self.seeds[index], **fields})
+            sweep, index = self.slots[slot]
+            self.progress({"event": event, "label": sweep.label,
+                           "index": index, "point": sweep.points[index],
+                           "seed": self.seeds[slot], **fields})
 
-    def _journal_key(self, index: int) -> str:
+    def _journal_key(self, slot: int) -> str:
         """Journal key of one point: (label, seed, point).
 
-        The seed enters the key only for seeded sweeps (``seed_kwarg``
+        The seed enters the key only for seeded runs (``seed_kwarg``
         set): an unseeded ``fn`` cannot depend on the per-point seed, so
-        its records stay valid -- and reusable -- whatever position the
-        point occupies in a later selection (``runall --resume`` with a
-        different figure subset).
+        its records stay valid -- and reusable -- whatever else a later
+        run selects (``runall --resume`` with a different figure subset).
         """
-        seed = self.seeds[index] if self.seed_kwarg else None
-        return point_key(self.label, seed, self.points[index])
+        sweep, index = self.slots[slot]
+        seed = self.seeds[slot] if self.seed_kwarg else None
+        return point_key(sweep.label, seed, sweep.points[index])
 
     def serve_journaled(self) -> list[int]:
-        """Resolve every journaled point; return the indices left to run."""
+        """Resolve every journaled point; return the slots left to run."""
         todo = []
-        for index in range(len(self.points)):
+        for slot in range(len(self.slots)):
             cached = (None if self.journal is None
-                      else self.journal.lookup(self._journal_key(index)))
+                      else self.journal.lookup(self._journal_key(slot)))
             if cached is None:
-                todo.append(index)
+                todo.append(slot)
                 continue
             value, peak = cached
-            hw_memory.record_peak(peak)
-            self.messages.append(("ok", index, value))
-            self._event("done", index, ok=True, wall_s=0.0, cached=True)
+            self.messages.append(("ok", slot, PointResult(value, peak, 0.0)))
+            self._event("done", slot, ok=True, wall_s=0.0, cached=True)
         return todo
 
-    def start(self, index: int) -> tuple:
-        """Count one attempt at ``index``; return its task."""
-        self.attempts[index] += 1
-        self._event("start", index, attempt=self.attempts[index])
-        return index, self.points[index], self.seeds[index]
+    def start(self, slot: int) -> tuple:
+        """Count one attempt at ``slot``; return its message for the
+        executor: ``(index, point, fn, kwargs)``."""
+        self.attempts[slot] += 1
+        self._event("start", slot, attempt=self.attempts[slot])
+        sweep, index = self.slots[slot]
+        kwargs = {self.seed_kwarg: self.seeds[slot]} if self.seed_kwarg else {}
+        return index, sweep.points[index], sweep.fn, kwargs
 
-    def finish(self, index: int, value, peak, wall: float,
+    def finish(self, slot: int, value, peak, wall: float,
                blob: bytes | None = None) -> None:
-        """Resolve ``index`` with ``value``.  ``blob`` is the worker's
+        """Resolve ``slot`` with ``value``.  ``blob`` is the worker's
         pickle of ``(value, peak)``, journaled as is."""
-        hw_memory.record_peak(peak)
-        self.messages.append(("ok", index, value))
-        if self.journal is not None and (self.journal_if is None
-                                         or self.journal_if(value)):
+        self.messages.append(("ok", slot, PointResult(value, peak, wall)))
+        if self.journal is not None:
             try:
                 self.journal.record_bytes(
-                    self._journal_key(index),
-                    blob or pickle.dumps((value, peak)), meta={"index": index})
+                    self._journal_key(slot),
+                    blob or pickle.dumps((value, peak)),
+                    meta={"index": self.slots[slot][1]})
             except Exception:
                 # Journaling is an optimisation for the *next* run; never
                 # let a record failure (unpicklable value, full disk)
                 # kill this one.
                 pass
-        self._event("done", index, ok=True, wall_s=wall,
-                    attempt=self.attempts[index])
+        self._event("done", slot, ok=True, wall_s=wall,
+                    attempt=self.attempts[slot])
 
-    def fail(self, index: int, failure: PointFailure,
+    def fail(self, slot: int, failure: PointFailure,
              wall: float) -> float | None:
-        """Resolve a failed attempt at ``index``.
+        """Resolve a failed attempt at ``slot``.
 
         Returns the backoff before a retry when the failure is transient
         and the point has budget left; otherwise records the failure in
         the point's slot and returns None.
         """
-        attempts = self.attempts[index]
+        attempts = self.attempts[slot]
         if (failure.error_type in TRANSIENT_ERROR_TYPES
                 and attempts <= self.retries):
-            self._event("retry", index, attempt=attempts,
+            self._event("retry", slot, attempt=attempts,
                         error_type=failure.error_type)
             return RETRY_BACKOFF * 2 ** (attempts - 1)
         failure.attempts = attempts
         failure.quarantined = self.on_error == "keep"
-        self.messages.append(("err", index, failure))
-        self._event("done", index, ok=False, wall_s=wall, attempt=attempts)
+        self.messages.append(("err", slot, failure))
+        self._event("done", slot, ok=False, wall_s=wall, attempt=attempts)
         return None
 
-    def result(self) -> list:
-        merged = merge_messages(len(self.points), self.messages)
-        failures = [r for r in merged if isinstance(r, PointFailure)]
+    def result(self) -> list[list]:
+        merged = iter(merge_messages(len(self.slots), self.messages))
+        results = [[next(merged) for _ in s.points] for s in self.sweeps]
+        failures = [r for rs in results for r in rs if isinstance(r, PointFailure)]
         if failures and self.on_error == "raise":
             raise SweepError(failures)
-        return merged
+        return results
 
 
-def sweep_map(
-    fn: Callable,
-    points: Sequence,
-    jobs: int | None = None,
+def run_sweeps(
+    sweeps: Sequence[Sweep],
+    jobs: int = 1,
     on_error: str = "raise",
-    label: str | None = None,
     seed_root: int = 0,
     seed_kwarg: str | None = None,
     progress: Callable[[dict], None] | None = None,
     retries: int = 0,
     journal=None,
-    journal_if: Callable[[Any], bool] | None = None,
     point_timeout: float | None = None,
 ) -> list:
-    """Run ``fn`` over ``points``; return results in point order.
+    """Run every point of every sweep; return, per sweep and in point
+    order, a :class:`PointResult` per point that completed and a
+    :class:`PointFailure` per point that did not.  With ``jobs > 1`` the
+    points run on a spawn-based worker pool, dispatched in sweep and
+    point order, one per worker at a time; the result is identical to
+    the serial run's but for wall times.
 
-    Each point is a tuple of positional arguments for ``fn`` (a bare
-    value is treated as a 1-tuple).  With ``jobs > 1`` the points run
-    on a spawn-based worker pool; results (and per-point peak-memory
-    watermarks) are merged so the returned list -- and all observable
-    parent-process state -- is identical to the serial run.
-
-    ``on_error='raise'`` raises :class:`SweepError` once the whole
-    sweep has drained (serial mode raises in place, preserving the
-    original exception); ``on_error='keep'`` leaves a
-    :class:`PointFailure` in the failed slot.
+    ``on_error='raise'`` raises :class:`SweepError` once every point has
+    drained (serial mode raises in place, preserving the original
+    exception); ``on_error='keep'`` leaves the failures in their slots.
 
     ``retries`` grants each point that many *extra* attempts when it
     fails with one of :data:`TRANSIENT_ERROR_TYPES`, waiting
@@ -376,19 +379,19 @@ def sweep_map(
     exhausts the budget is quarantined (see :class:`PointFailure`).
 
     ``journal`` (a :class:`repro.experiments.campaign.Journal`) makes
-    the sweep resumable: completed points are recorded durably and
-    served from the journal on re-runs.  ``journal_if`` optionally
-    filters which successful results are worth journaling.
+    the run resumable: completed points are recorded durably and
+    served from the journal on re-runs.
 
     ``point_timeout`` kills any single point exceeding that many
     wall-clock seconds (a retryable ``PointTimeout`` failure); it must
     be positive and finite, and it forces pool execution even at
     jobs=1, since hang conversion needs a killable process boundary.
 
-    ``seed_kwarg`` names a keyword argument of ``fn`` that receives the
-    point's derived seed (``spawn_seed(seed_root, label, index)``);
-    without it the seeds are still derived and reported through
-    ``progress`` so stochastic figures can adopt them incrementally.
+    ``seed_kwarg`` names a keyword argument of every ``fn`` that
+    receives the point's derived seed (``spawn_seed(seed_root, label,
+    index)``); without it the seeds are still derived and reported
+    through ``progress`` so stochastic sweeps can adopt them
+    incrementally.
 
     ``progress`` (parent-side) receives dict events:
     ``{"event": "start"|"done"|"retry", "label", "index", "point",
@@ -399,52 +402,55 @@ def sweep_map(
     if point_timeout is not None and not 0 < point_timeout < math.inf:
         raise ValueError("point_timeout must be a positive, finite number "
                          f"of seconds, not {point_timeout!r}")
-    points = list(points)
-    label = label or getattr(fn, "__name__", "sweep")
-    sweep = _Sweep(fn, points, label, seed_root, seed_kwarg, on_error,
-                   progress, max(0, int(retries)), journal, journal_if)
-    todo = sweep.serve_journaled()
-    n_jobs = _resolve_jobs(jobs, len(todo))
+    run = _Run(list(sweeps), seed_root, seed_kwarg, on_error, progress,
+               max(0, int(retries)), journal)
+    todo = run.serve_journaled()
+    n_jobs = min(max(1, int(jobs)), max(1, len(todo)))
     # Hang conversion needs a killable process boundary; route a
-    # timed sweep through a pool even when it is otherwise serial.
-    if n_jobs > 1 or (point_timeout is not None and not _IN_WORKER):
-        _Pool(sweep, n_jobs, point_timeout).run(todo)
+    # timed run through a pool even when it is otherwise serial.
+    if n_jobs > 1 or point_timeout is not None:
+        _Pool(run, n_jobs, point_timeout).drain(todo)
     else:
-        _run_serial(sweep, todo)
-    return sweep.result()
+        _run_serial(run, todo)
+    return run.result()
+
+
+def sweep_map(fn: Callable, points: Sequence, label: str | None = None,
+              **options) -> list:
+    """Run ``fn`` over ``points`` as sweep ``label`` (default: the
+    function's name); return the values in point order, a
+    :class:`PointFailure` in a failed point's slot.  Each point is a
+    tuple of positional arguments for ``fn`` (a bare value is treated
+    as a 1-tuple).  ``options`` are those of :func:`run_sweeps`."""
+    sweep = Sweep(label or getattr(fn, "__name__", "sweep"), fn, list(points))
+    (results,) = run_sweeps([sweep], **options)
+    return [r.value if isinstance(r, PointResult) else r for r in results]
 
 
 # ---------------------------------------------------------------------------
 # serial execution (the reference semantics)
 # ---------------------------------------------------------------------------
 
-def _run_serial(sweep: _Sweep, todo: list[int]) -> None:
-    """Run ``todo`` in this process, in point order; a point's retries
+def _run_serial(run: _Run, todo: list[int]) -> None:
+    """Run ``todo`` in this process, in slot order; a point's retries
     run before the next point starts.  ``on_error='raise'`` re-raises
     the original exception once the point's retry budget is spent."""
-    for index in todo:
+    for slot in todo:
         while True:
-            _, point, seed = sweep.start(index)
-            # Isolate this point's watermark so its journal record
-            # carries its own peak; max-merge keeps the global one exact.
-            before = hw_memory.peak_stats()
-            hw_memory.reset_peak_stats()
+            index, point, fn, kwargs = run.start(slot)
             t0 = time.perf_counter()
             try:
-                value = _call_point(sweep.fn, point, sweep.seed_kwarg, seed)
+                value, peak = _call_point(fn, point, kwargs)
             except Exception as exc:
-                hw_memory.record_peak(before)
-                backoff = sweep.fail(index, _failure(index, point, exc),
-                                     time.perf_counter() - t0)
+                backoff = run.fail(slot, _failure(index, point, exc),
+                                   time.perf_counter() - t0)
                 if backoff is None:
-                    if sweep.on_error == "raise":
+                    if run.on_error == "raise":
                         raise
                     break
                 time.sleep(backoff)
             else:
-                peak = hw_memory.peak_stats()
-                hw_memory.record_peak(before)
-                sweep.finish(index, value, peak, time.perf_counter() - t0)
+                run.finish(slot, value, peak, time.perf_counter() - t0)
                 break
 
 
@@ -452,29 +458,26 @@ def _run_serial(sweep: _Sweep, todo: list[int]) -> None:
 # pool execution
 # ---------------------------------------------------------------------------
 
-def _worker_main(fn, seed_kwarg, conn) -> None:
+def _worker_main(conn) -> None:
     """Serve points from ``conn`` until the parent closes it.
 
-    The parent sends one ``(index, point, seed)`` task at a time and
-    reads one reply per task: ``(True, pickle of (value, peak), wall)``
-    or ``(False, PointFailure, wall)``.  A worker that failed a point
-    exits, so no attempt ever runs in a process another attempt broke.
+    The parent sends one ``(index, point, fn, kwargs)`` task at a time
+    and reads one reply per task: ``(True, pickle of (value, peak),
+    wall)`` or ``(False, PointFailure, wall)``.  A worker that failed a
+    point exits, so no attempt ever runs in a process another attempt
+    broke.
     """
-    global _IN_WORKER
-    _IN_WORKER = True
     while True:
         try:
-            index, point, seed = conn.recv()
+            index, point, fn, kwargs = conn.recv()
         except EOFError:
             return
-        hw_memory.reset_peak_stats()
         t0 = time.perf_counter()
         try:
-            value = _call_point(fn, point, seed_kwarg, seed)
             # Pickle here, synchronously: an unpicklable result must
             # surface as this point's failure.  The same blob doubles
             # as the journal payload on the parent side.
-            blob = pickle.dumps((value, hw_memory.peak_stats()))
+            blob = pickle.dumps(_call_point(fn, point, kwargs))
         except BaseException as exc:  # noqa: BLE001 - crash isolation
             conn.send((False, _failure(index, point, exc),
                        time.perf_counter() - t0))
@@ -488,8 +491,8 @@ class _Worker:
 
     proc: Any
     conn: Any
-    #: Point index dispatched to this worker while it is busy.
-    index: int = -1
+    #: Slot of the point dispatched to this worker while it is busy.
+    slot: int = -1
     #: ``time.monotonic()`` of the dispatch (hang watchdog anchor).
     started: float = 0.0
 
@@ -503,21 +506,21 @@ class _Pool:
     workers are race-free by construction.
     """
 
-    def __init__(self, sweep: _Sweep, n_jobs: int,
+    def __init__(self, run: _Run, n_jobs: int,
                  point_timeout: float | None):
-        self.sweep = sweep
+        self.run = run
         self.n_jobs = n_jobs
         self.point_timeout = point_timeout
         self.ctx = mp.get_context("spawn")
         self.pending: deque[int] = deque()
-        self.retry_at: list[tuple[float, int]] = []  # (monotonic, index) heap
+        self.retry_at: list[tuple[float, int]] = []  # (monotonic, slot) heap
         self.idle: list[_Worker] = []
         self.busy: list[_Worker] = []
 
-    def run(self, todo: list[int]) -> None:
+    def drain(self, todo: list[int]) -> None:
         self.pending.extend(todo)
         try:
-            while self.sweep.unresolved():
+            while self.run.unresolved():
                 self.dispatch()
                 ready = set(wait([o for w in self.busy
                                   for o in (w.conn, w.proc.sentinel)],
@@ -540,7 +543,7 @@ class _Pool:
         conn, child = self.ctx.Pipe()
         proc = self.ctx.Process(
             target=_worker_main,
-            args=(self.sweep.fn, self.sweep.seed_kwarg, child),
+            args=(child,),
             daemon=True,
         )
         proc.start()
@@ -560,11 +563,11 @@ class _Pool:
             if not worker.proc.is_alive():
                 self.retire(worker)
                 continue
-            worker.index = self.pending.popleft()
+            worker.slot = self.pending.popleft()
             worker.started = now
             self.busy.append(worker)
             try:
-                worker.conn.send(self.sweep.start(worker.index))
+                worker.conn.send(self.run.start(worker.slot))
             except OSError:
                 pass  # the worker is gone: its sentinel resolves the point
 
@@ -592,27 +595,26 @@ class _Pool:
         if ok:
             value, peak = pickle.loads(payload)
             self.idle.append(worker)
-            self.sweep.finish(worker.index, value, peak, wall, blob=payload)
+            self.run.finish(worker.slot, value, peak, wall, blob=payload)
         else:
             self.retire(worker)  # it exits after a failure anyway
-            self.failed(worker.index, payload, wall)
+            self.failed(worker.slot, payload, wall)
 
     def lost(self, worker: _Worker, error_type: str, what: str) -> None:
         """``worker`` died or overran its deadline holding its point."""
         self.busy.remove(worker)
         self.retire(worker)
-        index = worker.index
-        self.failed(index, PointFailure(
-            index=index, point=self.sweep.points[index],
-            error_type=error_type,
+        sweep, index = self.run.slots[worker.slot]
+        self.failed(worker.slot, PointFailure(
+            index=index, point=sweep.points[index], error_type=error_type,
             message=f"point #{index}: {what} (pid {worker.proc.pid}, "
                     f"exit code {worker.proc.exitcode})",
         ), time.monotonic() - worker.started)
 
-    def failed(self, index: int, failure: PointFailure, wall: float) -> None:
-        backoff = self.sweep.fail(index, failure, wall)
+    def failed(self, slot: int, failure: PointFailure, wall: float) -> None:
+        backoff = self.run.fail(slot, failure, wall)
         if backoff is not None:
-            heapq.heappush(self.retry_at, (time.monotonic() + backoff, index))
+            heapq.heappush(self.retry_at, (time.monotonic() + backoff, slot))
 
     # -- lifecycle ------------------------------------------------------
 

@@ -24,14 +24,13 @@ __all__ = [
     "OutOfMemoryError",
     "reset_peak_stats",
     "peak_stats",
-    "record_peak",
 ]
 
 #: Virtual-memory page size assumed by the registration cost model.
 PAGE_SIZE = 4096
 
 #: Peak resident bytes observed per process kind since the last
-#: :func:`reset_peak_stats` (experiments record this per figure).
+#: :func:`reset_peak_stats` (experiments record this per sweep point).
 _PEAK_RESIDENT: dict[str, int] = {"host": 0, "dpu": 0}
 
 
@@ -44,20 +43,6 @@ def reset_peak_stats() -> None:
 def peak_stats() -> dict[str, int]:
     """Peak resident bytes per process kind since the last reset."""
     return dict(_PEAK_RESIDENT)
-
-
-def record_peak(stats: dict[str, int]) -> None:
-    """Fold another process's ``peak_stats()`` into this one's tracker.
-
-    The parallel sweep engine runs points in worker processes, each with
-    its own module-wide watermark; merging the per-point maxima keeps
-    ``peak_stats()`` in the parent identical to what a serial in-process
-    run would have observed (the watermark is a per-space maximum, so
-    max-merge is exact).
-    """
-    for kind, value in stats.items():
-        if kind in _PEAK_RESIDENT and value > _PEAK_RESIDENT[kind]:
-            _PEAK_RESIDENT[kind] = value
 
 
 class OutOfMemoryError(MemoryError):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import parallel
 from repro.hw import Cluster, ClusterSpec
 from repro.mpi import MpiWorld
 
@@ -31,20 +30,6 @@ def pytest_addoption(parser):
 @pytest.fixture
 def regen_golden(request) -> bool:
     return request.config.getoption("--regen-golden")
-
-
-@pytest.fixture(autouse=True)
-def run_config(monkeypatch):
-    """Every test starts with serial sweeps and gets them back
-    afterwards, whatever the test (or a CLI ``main`` it calls) sets.
-    ``run_config(jobs=N)`` sets the default job count for the rest of
-    the test."""
-    monkeypatch.setattr(parallel, "default_jobs", 1)
-
-    def set_jobs(*, jobs: int) -> None:
-        monkeypatch.setattr(parallel, "default_jobs", jobs)
-
-    return set_jobs
 
 
 @pytest.fixture

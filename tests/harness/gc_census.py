@@ -1,8 +1,8 @@
 """Garbage census: what a job leaves for the cyclic collector.
 
-The sweep drivers (``experiments.runall.run_one``, the repo benchmark)
-pause the collector for a whole figure, so a job's memory comes back
-only if reference counting frees it.  :func:`census` measures how far
+The sweep drivers (``experiments.parallel._call_point``, the repo
+benchmark) pause the collector for a whole sweep point, so a job's
+memory comes back only if reference counting frees it.  :func:`census` measures how far
 that is true: pause the collector, run ``job()``, then let one
 ``gc.collect()`` under ``DEBUG_SAVEALL`` *save* instead of free what it
 finds unreachable, and histogram that by type name.  An object shows up

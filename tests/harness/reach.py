@@ -57,7 +57,7 @@ CATEGORIES = ("item-14 fault path", "diagnostic", "safety", "oracle", "public AP
 CEILINGS = {
     "item-14 fault path": 681,
     "diagnostic": 104,
-    "safety": 271,
+    "safety": 268,
     "oracle": 54,
     "public API": 212,
 }
@@ -68,7 +68,7 @@ USER_PATHS = (
     ("run-jobs1", ["-m", "repro", "run", "--all", "--jobs", "1", "--out", "{tmp}/run1"]),
     ("run-jobs2", ["-m", "repro", "run", "--all", "--jobs", "2",
                    "--resume", "{tmp}/campaign", "--out", "{tmp}/run2"]),
-    ("run-resumed", ["-m", "repro", "figures", "fig05", "--resume", "{tmp}/campaign"]),
+    ("run-resumed", ["-m", "repro", "run", "fig05", "--resume", "{tmp}/campaign"]),
     ("ablations", ["-m", "repro", "ablations"]),
     ("soak", ["-m", "repro", "soak", "--iters", "3", "--out", "{tmp}/soak"]),
     ("soak-fluid", ["-m", "repro", "soak", "--fluid", "--nodes", "16", "--iters", "2",

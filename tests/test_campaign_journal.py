@@ -7,7 +7,6 @@ never to wrong results.
 """
 
 import base64
-import hashlib
 import json
 import os
 
@@ -56,7 +55,7 @@ class TestPointKey:
         assert k != point_key("fig15", 4, ("quick", 4096, "group"))
         assert k != point_key("fig14", 3, ("quick", 4096, "group"))
         assert k != point_key("fig15", 3, ("quick", 4096, "simple"))
-        assert k != point_key("fig15", 3, ("quick", 4096, "group"), "paper")
+        assert k != point_key("fig15", 3, ("paper", 4096, "group"))
 
     def test_is_a_filename_safe_digest(self):
         k = point_key("x", 0, (1, 2))

@@ -21,8 +21,10 @@ import time
 
 import pytest
 
+from repro.experiments import fig02_rdma_latency, fig05_registration
 from repro.experiments.campaign import Journal, point_key
 from repro.experiments.parallel import PointFailure, sweep_map
+from repro.experiments.runall import plan
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -65,24 +67,28 @@ class TestRunallResume:
         # First campaign: crashes (simulated by only running fig02).
         first = runall.run_selected(["fig02_rdma_latency"], journal=j)
         assert first[0]["error"] is None
-        assert len(j.keys()) == 1
+        (fig02,) = fig02_rdma_latency.sweeps("quick")
+        assert len(j.keys()) == len(fig02.points)
 
         # Resumed campaign over the full selection.
         j2 = Journal(tmp_path, label="runall")
         resumed = runall.run_selected(
             ["fig02_rdma_latency", "fig05_registration"], journal=j2)
-        assert j2.hits == 1  # fig02 served from the journal
+        assert j2.hits == len(fig02.points)  # fig02 served from the journal
         for a, b in zip(cold, resumed):
             assert a["name"] == b["name"]
             assert _strip_wall(a["fig"].to_dict()) == _strip_wall(
                 b["fig"].to_dict())
 
     def test_journal_key_depends_on_scale(self, tmp_path):
-        """A quick-scale record must never serve a paper-scale run."""
-        from repro.experiments.runall import _group_key
+        """A quick-scale record must never serve a paper-scale run: a
+        point whose value depends on the scale carries it."""
+        def keys(scale):
+            _, sweeps = plan(["fig11_stencil_time"], scale)
+            return {point_key(s.label, None, p)
+                    for s in sweeps.values() for p in s.points}
 
-        assert _group_key(["fig02_rdma_latency"], "quick") != \
-            _group_key(["fig02_rdma_latency"], "paper")
+        assert keys("quick") and not keys("quick") & keys("paper")
 
     def test_failed_figures_are_not_journaled(self, tmp_path, monkeypatch):
         from repro.experiments import runall
@@ -94,10 +100,10 @@ class TestRunallResume:
         by_name = {r["name"]: r for r in records}
         assert by_name["fig99_missing"]["error"] is not None
         assert by_name["fig05_registration"]["error"] is None
-        # Only the successful group went durable.
-        assert len(j.keys()) == 1
-        assert point_key("figures", None,
-                         (("fig05_registration",), "quick")) in j
+        # Only the successful figure's points went durable.
+        (fig05,) = fig05_registration.sweeps("quick")
+        assert sorted(j.keys()) == sorted(
+            point_key("fig05", None, p) for p in fig05.points)
 
     @pytest.mark.slow
     def test_sigkill_mid_campaign_then_resume_is_byte_identical(self, tmp_path):

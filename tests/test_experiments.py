@@ -188,9 +188,9 @@ def test_fig04_records_dpu_residency():
     """The staging figure bounces every message through DPU DRAM, so its
     snapshot's peak-residency row must show DPU bytes (524 288 at quick
     scale)."""
-    from repro.experiments.runall import run_one
+    from repro.experiments.runall import run_selected
 
-    fig, exc = run_one("fig04_pingpong_staging")
-    assert exc is None, repr(exc)
-    peak = fig.metrics["peak_resident_bytes"]
+    (record,) = run_selected(["fig04_pingpong_staging"])
+    assert record["error"] is None, record["error"]
+    peak = record["fig"].metrics["peak_resident_bytes"]
     assert peak.get("dpu", 0) > 0, peak

@@ -56,9 +56,9 @@ def _committed(name: str) -> dict:
 
 
 def _run(name: str):
-    fig, exc = runall.run_one(name, scale="quick")
-    assert exc is None, f"{name} crashed: {exc!r}"
-    return fig
+    (record,) = runall.run_selected([name], scale="quick")
+    assert record["error"] is None, f"{name} crashed: {record['error']}"
+    return record["fig"]
 
 
 def _build_on_fluid(monkeypatch, single_switch_tree: bool = False) -> None:

