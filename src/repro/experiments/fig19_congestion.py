@@ -20,8 +20,8 @@ probe them directly:
   offload moves *who does the work*, not *whose bytes win the wire* --
   a congested fabric erodes everyone equally.
 
-Both sweeps run on the fluid engine: their specs set ``fluid=True``,
-the only switch that selects it.
+Both sweeps run on the fluid engine: their specs' ``nodes_per_switch``
+builds the fat-tree, and a fat-tree is what selects it.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ def _incast_spec(n: int) -> ClusterSpec:
     """n senders + 1 receiver on a 2-nodes-per-leaf, 2-spine fat-tree."""
     return ClusterSpec(
         nodes=n + 1, ppn=1, proxies_per_dpu=1,
-        nodes_per_switch=2, spine_count=2,
-        fluid=True, fluid_threshold=64 * 1024,
+        nodes_per_switch=2, spine_count=2, fluid_threshold=64 * 1024,
     )
 
 
@@ -102,8 +101,7 @@ def _interference_spec() -> ClusterSpec:
     """8 nodes, 4 per leaf, ONE spine: every cross-leaf flow shares it."""
     return ClusterSpec(
         nodes=8, ppn=1, proxies_per_dpu=1,
-        nodes_per_switch=4, spine_count=1,
-        fluid=True, fluid_threshold=64 * 1024,
+        nodes_per_switch=4, spine_count=1, fluid_threshold=64 * 1024,
     )
 
 

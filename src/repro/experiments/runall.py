@@ -25,8 +25,10 @@ Options:
 Profile a figure with the standard library:
 ``python -m cProfile -s cumulative -m repro.experiments.runall figNN``.
 
-Each figure's engine is part of its machine: a figure that wants the
-fluid-flow hybrid sets ``ClusterSpec(fluid=True)`` itself (fig19).
+Each figure's engine is part of its machine: a figure on a leaf/spine
+fat-tree sets ``ClusterSpec(nodes_per_switch=N)`` itself, and its bulk
+transfers ride the flow engine (fig19); every other figure runs on the
+paper's single switch, exactly.
 
 Campaign exit codes (docs/RESILIENCE.md): 0 = clean (every figure
 passed), 1 = failed (shape checks failed, or nothing survived),

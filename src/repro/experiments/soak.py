@@ -8,10 +8,11 @@ schema-stamped SLO report.  The workload is a ring exchange -- every
 rank posts a receive from its left neighbour, sends to its right, and
 waits on both -- so the harness scales from the default 2-rank
 ping-pong shape to paper-scale topologies via ``--nodes``, ``--ppn``
-and ``--proxies``.  With ``--fluid`` the same iterations run on the
-fluid-flow hybrid engine with the threshold pinned at the message size,
-so every exchange rides the FlowEngine and (with ``--flow-drop``)
-exercises the flow-path fault fates.  SLO columns:
+and ``--proxies``.  ``--nodes-per-switch N`` (N > 0) hangs the nodes
+off a leaf/spine fat-tree with N nodes per leaf and pins the flow
+threshold at the message size, so every exchange rides the FlowEngine
+and ``--flow-drop`` exercises the flow-path fault fates; 0 (the
+default) is the paper's single switch, run exactly.  SLO columns:
 
 * ``recovery_latency`` -- p50/p95/p99 of simulated seconds from a
   request's first post to completion *for requests that needed at least
@@ -69,15 +70,15 @@ _DPU_BUDGET = 1 << 20
 
 def soak_iteration(iteration: int, scale: str, drop: float,
                    error_cqe: float, nodes: int = 2, ppn: int = 1,
-                   proxies: int = 1, fluid: bool = False,
+                   proxies: int = 1, nodes_per_switch: int = 0,
                    flow_drop: float = 0.0, *, seed: int) -> dict:
     """One chaos iteration: fresh cluster, seeded faults, ring exchange.
 
     Every rank posts a receive from its left neighbour and a send to its
     right each round, then waits on both -- deadlock-free at any world
-    size because all receives are pre-posted.  With ``fluid`` the
-    cluster runs the hybrid engine with ``fluid_threshold`` pinned at
-    the message size, so each exchange is a FlowEngine flow and
+    size because all receives are pre-posted.  With ``nodes_per_switch``
+    > 0 the cluster is a fat-tree with ``fluid_threshold`` pinned at the
+    message size, so each exchange is a FlowEngine flow and
     ``flow_drop`` injects flow-path drop/retransmit fates.
 
     Returns a picklable record of the iteration's counters, fault-plan
@@ -91,7 +92,8 @@ def soak_iteration(iteration: int, scale: str, drop: float,
     iters, size = _SCALES[scale]
     params = MachineParams().with_overrides(dpu_mem_budget=_DPU_BUDGET)
     spec = ClusterSpec(nodes=nodes, ppn=ppn, proxies_per_dpu=proxies,
-                       seed=seed, params=params, fluid=fluid,
+                       seed=seed, params=params,
+                       nodes_per_switch=nodes_per_switch,
                        fluid_threshold=size)
     cl = Cluster(spec)
     # The SLO metrics are latencies and counters; skip moving payload
@@ -99,7 +101,7 @@ def soak_iteration(iteration: int, scale: str, drop: float,
     cl.payloads = False
     plan = FaultPlan(
         FaultSpec(drop_prob=drop, error_cqe_prob=error_cqe,
-                  flow_drop_prob=flow_drop if fluid else 0.0,
+                  flow_drop_prob=flow_drop if nodes_per_switch > 0 else 0.0,
                   control_kinds=OFFLOAD_CONTROL_KINDS),
         seed=seed,
     )
@@ -140,7 +142,7 @@ def soak_iteration(iteration: int, scale: str, drop: float,
         "fallbacks": m.get("offload.fallbacks"),
         "oom_fallbacks": m.get("offload.oom_fallbacks"),
     }
-    if fluid:
+    if nodes_per_switch > 0:
         counters.update({
             "flows": m.get("fabric.flows"),
             "flow_drops": m.get("fabric.flow_drops"),
@@ -190,8 +192,9 @@ def _summarise(records: list[dict], failures: list[PointFailure],
             "nodes": args.nodes,
             "ppn": args.ppn,
             "proxies": args.proxies,
-            "fluid": bool(args.fluid),
-            "flow_drop_prob": args.flow_drop if args.fluid else 0.0,
+            "nodes_per_switch": args.nodes_per_switch,
+            "flow_drop_prob": (args.flow_drop if args.nodes_per_switch > 0
+                               else 0.0),
         },
         "iterations": {
             "requested": args.iters,
@@ -234,13 +237,14 @@ def main(argv: list[str] | None = None) -> int:
                         help="host ranks per node (default 1)")
     parser.add_argument("--proxies", type=int, default=1,
                         help="proxy workers per DPU (default 1)")
-    parser.add_argument("--fluid", action="store_true",
-                        help="run on the fluid-flow hybrid engine with the "
-                             "threshold pinned at the message size, so every "
-                             "exchange rides the FlowEngine")
+    parser.add_argument("--nodes-per-switch", type=int, default=0,
+                        metavar="N",
+                        help="nodes per leaf of a leaf/spine fat-tree whose "
+                             "flows carry every exchange (default 0: the "
+                             "single switch, run exactly)")
     parser.add_argument("--flow-drop", type=float, default=0.05,
-                        help="flow drop/retransmit probability, fluid mode "
-                             "only (default 0.05)")
+                        help="flow drop/retransmit probability, with "
+                             "--nodes-per-switch > 0 only (default 0.05)")
     parser.add_argument("--jobs", type=int, default=None,
                         help="iteration worker processes "
                              "(default: $REPRO_JOBS or 1)")
@@ -253,6 +257,8 @@ def main(argv: list[str] | None = None) -> int:
                              "(default results/soak); rerunning with the "
                              "same DIR resumes completed iterations")
     args = parser.parse_args(argv)
+    if args.nodes_per_switch < 0:
+        parser.error("--nodes-per-switch must be >= 0")
     jobs = campaign_jobs(parser, args)
 
     out = Path(args.out)
@@ -260,8 +266,8 @@ def main(argv: list[str] | None = None) -> int:
     journal = Journal(out, label="soak")
 
     points = [(i, args.scale, args.drop, args.error_cqe, args.nodes,
-               args.ppn, args.proxies, bool(args.fluid),
-               args.flow_drop if args.fluid else 0.0)
+               args.ppn, args.proxies, args.nodes_per_switch,
+               args.flow_drop if args.nodes_per_switch > 0 else 0.0)
               for i in range(args.iters)]
     t0 = time.time()
     outcomes = sweep_map(

@@ -94,19 +94,14 @@ class Cluster:
         self.fabric = Fabric(self.sim, [n.hca for n in self.nodes], self.params,
                              spec=spec)
 
-        #: Explicit leaf/spine link graph (fluid mode with
-        #: ``nodes_per_switch > 0``); None keeps flows endpoint-only.
+        #: Leaf/spine link graph the flows contend on; None on the
+        #: paper's single switch, which runs the exact port walk alone.
         self.topology = None
-        # Exact mode leaves ``fabric.flow_engine`` as None, so the hybrid
-        # engine (docs/PERFORMANCE.md) touches nothing unless the spec
-        # asks for it.
-        if spec.fluid:
-            engine = FlowEngine(self.sim, threshold=spec.fluid_threshold)
+        if spec.nodes_per_switch > 0:
+            engine = FlowEngine(self.sim)
             self.sim.attach_flow_engine(engine)
-            if spec.nodes_per_switch > 0:
-                self.topology = FatTreeTopology(spec)
-            self.fabric.attach_flow_engine(engine, spec.fluid_threshold,
-                                           topology=self.topology)
+            self.topology = FatTreeTopology(spec)
+            self.fabric.attach_flow_engine(engine, self.topology)
 
         ppd = spec.proxies_per_dpu
         #: Host rank contexts, indexed by MPI rank (built on first index).

@@ -24,8 +24,10 @@ delay, error CQE, control drop/dup); the EventBus is an ``is not None``
 emission guard inside the landing step.  The run you observe, or
 inject faults into, therefore executes the same functions and schedules
 the same events as the bare run you time
-(tests/test_obs_nonperturbation.py pins it).  In fluid hybrid mode a bulk transfer swaps the port walk for a
-rate-shared flow and lands through the very same code.
+(tests/test_obs_nonperturbation.py pins it).  On a leaf/spine fat-tree
+(``ClusterSpec.nodes_per_switch > 0``) a bulk transfer swaps the port
+walk for a rate-shared flow over its link path and lands through the
+very same code.
 """
 
 from __future__ import annotations
@@ -56,14 +58,13 @@ class Delivery:
     #: completion (no bytes moved; the initiator must re-post).
     status: str = "ok"
     #: Which engine carried the bytes: "event" (exact store-and-forward
-    #: port walk) or "flow" (fluid hybrid mode).  Lets consumers -- the
+    #: port walk) or "flow" (a fat-tree bulk flow).  Lets consumers -- the
     #: offload proxy's CQE accounting, the differential harness -- tell
     #: flow-completed CQEs apart without changing any timing.
     via: str = "event"
-    #: Link keys the bytes crossed, in order (fluid mode with a
-    #: fat-tree topology attached: ``(("tx", s), ("up", l, k),
-    #: ("down", k, l'), ("rx", d))``).  ``None`` on the event path and
-    #: on endpoint-only fluid runs.
+    #: Link keys a flow's bytes crossed, in order (``(("tx", s),
+    #: ("up", l, k), ("down", k, l'), ("rx", d))`` across leaves);
+    #: ``None`` on the event path.
     path: Any = None
 
 
@@ -92,7 +93,7 @@ class _Message(Event):
     function (the kernel passes the message itself as the event), so a
     message never holds a bound method of itself.  The walk ends in
     :meth:`land` for data (Delivery, payload callback, CQE after the
-    hardware ack) or :meth:`_land_control` (into the inbox).  A fluid
+    hardware ack) or :meth:`_land_control` (into the inbox).  A flow
     transfer never walks: the FlowEngine drains it and the fabric files
     :meth:`land` after the unshared protocol tail, so both engines
     share one landing.
@@ -112,7 +113,7 @@ class _Message(Event):
         "meta", "on_deliver", "completed", "via", "path", "_dv",
         # control landing (inbox stays None on data messages)
         "inbox", "msg",
-        # fluid mode: the unshared rx re-serialization tail, the engine's
+        # flows: the unshared rx re-serialization tail, the engine's
         # flow id, the 1-based transmission attempt (bumped per
         # flow-drop retransmit), the port-seconds still to send after a
         # mid-flight drop (None when the current flow carries the
@@ -142,7 +143,7 @@ class _Message(Event):
         self.extra_delay = 0.0
         self.inbox = None
         self.via = "event"
-        #: Link keys the flow crosses (topology mode); None otherwise.
+        #: Link keys the flow crosses; None on the port walk.
         self.path = None
 
     def _file_at(self, steps, when: float) -> None:
@@ -269,12 +270,12 @@ _ACKED = (_Message._acked,)
 
 class Fabric:
     def __init__(self, sim: Simulator, hcas: list[Hca], params: MachineParams,
-                 spec=None):
+                 spec):
         self.sim = sim
         self.hcas = hcas
         self.params = params
-        #: Optional ClusterSpec for topology-aware hop counts (a
-        #: two-level leaf/spine fabric when spec.nodes_per_switch > 0).
+        #: The ClusterSpec: hop counts (a two-level leaf/spine fabric
+        #: when spec.nodes_per_switch > 0) and the flows' byte threshold.
         self.spec = spec
         #: Optional :class:`~repro.hw.faults.FaultPlan`; None leaves every
         #: message its default fate (status "ok", no delay, "deliver").
@@ -282,15 +283,12 @@ class Fabric:
         #: Optional :class:`~repro.obs.events.EventBus`; set by
         #: ``EventBus.attach``.  None keeps every message emission-free.
         self.bus = None
-        #: Optional :class:`~repro.sim.flows.FlowEngine` (fluid hybrid
-        #: mode); None keeps every transfer on the exact port walk.
+        #: :class:`~repro.sim.flows.FlowEngine` and the
+        #: :class:`~repro.hw.topology.FatTreeTopology` its flows cross,
+        #: set together by :meth:`attach_flow_engine`; None on a single
+        #: switch keeps every transfer on the exact port walk.
         self.flow_engine = None
-        #: Optional :class:`~repro.hw.topology.FatTreeTopology`; set by
-        #: attach_flow_engine.  None keeps flows endpoint-only.
         self.topology = None
-        #: Byte threshold above which data transfers become flows when
-        #: a flow engine is attached.
-        self.fluid_threshold = 0
         # Per-fabric ids tagging bus events so posts/deliveries/
         # completions of one message correlate (deterministic: assigned
         # in post order).
@@ -300,25 +298,17 @@ class Fabric:
         # hop count never needs recomputing per message.
         self._lat_cache: dict[tuple[int, int], float] = {}
 
-    def attach_flow_engine(self, engine, threshold: int,
-                           topology=None) -> None:
-        """Enable fluid hybrid mode: bulk transfers >= ``threshold`` bytes
-        become rate-shared flows; everything else stays event-exact.
-
-        With a :class:`~repro.hw.topology.FatTreeTopology` attached,
-        every flow additionally carries an explicit link path (tx port,
-        spine up/down links, rx port) and the engine water-fills over
-        the full flow x link incidence; the fabric then also tracks
-        per-link utilization and surfaces ``link.congested`` /
-        ``link.clear`` obs events on contention edges.  ``None``
-        (default) keeps the endpoint-only engine bit-identical.
+    def attach_flow_engine(self, engine, topology) -> None:
+        """Make bulk data transfers (at least ``spec.fluid_threshold``
+        bytes) rate-shared flows over ``topology``'s link paths (tx
+        port, spine up/down links, rx port); everything else stays
+        event-exact.  The engine water-fills over the full flow x link
+        incidence, and the fabric surfaces ``link.congested`` /
+        ``link.clear`` obs events on contention edges.
         """
         self.flow_engine = engine
-        self.fluid_threshold = threshold
         self.topology = topology
-        if topology is not None:
-            engine.util_enabled = True
-            engine.on_congestion = self._on_link_congestion
+        engine.on_congestion = self._on_link_congestion
 
     def one_way_latency(self, src_node: int, dst_node: int) -> float:
         lat = self._lat_cache.get((src_node, dst_node))
@@ -326,7 +316,7 @@ class Fabric:
             if src_node == dst_node:
                 lat = self.params.wire_latency
             else:
-                hops = 1 if self.spec is None else self.spec.switch_hops(src_node, dst_node)
+                hops = self.spec.switch_hops(src_node, dst_node)
                 lat = self.params.wire_latency + hops * self.params.switch_hop_latency
             self._lat_cache[(src_node, dst_node)] = lat
         return lat
@@ -382,7 +372,7 @@ class Fabric:
             m.status, m.extra_delay = plan.transfer_fate(
                 kind, initiator, src_node, dst_node)
 
-        # Fluid hybrid mode: bulk data rides the rate-shared FlowEngine;
+        # On a fat-tree, bulk data rides the rate-shared FlowEngine;
         # control messages (Fabric.control) and sub-threshold transfers
         # keep the exact port walk.  An armed FaultPlan composes with the
         # flow path: the transfer_fate decided above (error CQE / extra
@@ -390,13 +380,13 @@ class Fabric:
         # for both engines) rides the flow's protocol tail, and per-flow
         # drop fates come from the plan's independent flow stream.
         engine = self.flow_engine
-        if engine is not None and size >= self.fluid_threshold:
+        if engine is not None and size >= self.spec.fluid_threshold:
             self._flow_transfer(engine, m, serialization, owner)
         else:
             m.walk(dst_hca, serialization)
         return Transfer(completed, size)
 
-    # -- fluid hybrid mode (docs/PERFORMANCE.md) -------------------------
+    # -- fat-tree flows (docs/PERFORMANCE.md) ----------------------------
     def _flow_transfer(self, engine, st: _Message, work: float,
                        owner: Any) -> None:
         """Route one bulk transfer through the rate-shared FlowEngine.
@@ -445,17 +435,9 @@ class Fabric:
             if action == "drop":
                 st.drop_remaining = work * (1.0 - frac)
                 work = work * frac
-        topo = self.topology
-        if topo is not None:
-            path = topo.path(st.src_node, st.dst_node)
-            flow = engine.add_flow(path=path, work=work,
-                                   finish=self._flow_drained, tag=st)
-            st.path = path
-        else:
-            flow = engine.add_flow(tx=("tx", st.src_node),
-                                   rx=("rx", st.dst_node),
-                                   work=work, finish=self._flow_drained,
-                                   tag=st)
+        path = st.path = self.topology.path(st.src_node, st.dst_node)
+        flow = engine.add_flow(path=path, work=work,
+                               finish=self._flow_drained, tag=st)
         st.fid = flow.fid
         bus = self.bus
         if bus is not None:

@@ -163,8 +163,8 @@ class MachineParams:
     shmem_queue_depth: Optional[int] = None
 
     # ----- thousand-rank scale-out (docs/PERFORMANCE.md "Scaling") -------
-    # All default to None / False = byte-identical to the pre-scale-out
-    # behaviour: one proxy wakeup per message, one doorbell per counter.
+    # None (the default) is byte-identical to the pre-scale-out
+    # behaviour: one proxy wakeup per message.
     #: Max inbox items a proxy drains per wakeup.  ``None`` (default)
     #: keeps the one-message-per-wakeup loop; a positive value switches
     #: the proxy to batched drain -- everything already queued (up to
@@ -172,9 +172,9 @@ class MachineParams:
     #: so proxy event count scales with batches, not messages.  Each
     #: drain emits one ``queue.drain`` event carrying the batch size.
     proxy_batch_drain: Optional[int] = None
-    #: Batch the per-destination counter doorbells a group barrier
-    #: flushes: one ARM doorbell (``dpu_post_overhead``) arms the whole
-    #: WQE chain instead of one per destination.  Off by default.
+    #: Ignored (every flush segment writes one counter per doorbell);
+    #: accepted only because bench/workloads.py passes it -- delete with
+    #: that argument in the next ``benchmark`` PR.
     counter_doorbell_batch: bool = False
 
     # ----- compute -------------------------------------------------------
@@ -248,10 +248,14 @@ class ClusterSpec:
     #: Root seed for all random streams.
     seed: int = 0
     #: Nodes per leaf switch.  0 (default) = the paper's single-switch
-    #: topology; a positive value builds a two-level leaf/spine fabric
-    #: where cross-leaf traffic pays two extra switch hops and, in
-    #: fluid mode, contends on an explicit leaf/spine link graph
-    #: (see ``repro.hw.topology``).
+    #: topology, run on the exact port walk alone.  A value above 0
+    #: selects the per-link model: a two-level leaf/spine fabric where
+    #: cross-leaf traffic pays two extra switch hops and bulk transfers
+    #: of at least :attr:`fluid_threshold` bytes become rate-shared
+    #: :class:`~repro.sim.flows.FlowEngine` flows contending on an
+    #: explicit leaf/spine link graph (see ``repro.hw.topology``).  A
+    #: single leaf (``nodes_per_switch=nodes``) is the single switch
+    #: with flows.
     nodes_per_switch: int = 0
     #: Equal-cost leaf<->spine uplinks per leaf (= number of spine
     #: switches).  Only meaningful with ``nodes_per_switch > 0``; the
@@ -260,18 +264,18 @@ class ClusterSpec:
     #: capacity, so ``nodes_per_switch / spine_count`` is the tree's
     #: oversubscription ratio.
     spine_count: int = 1
-    #: Fluid-flow hybrid engine (docs/PERFORMANCE.md): ``True`` routes
-    #: bulk transfers of at least :attr:`fluid_threshold` bytes into the
-    #: rate-shared :class:`~repro.sim.flows.FlowEngine`; ``False`` (the
-    #: default) runs everything on the exact event engine.
+    #: Ignored (flows exist exactly when :attr:`nodes_per_switch` > 0);
+    #: accepted only because bench/workloads.py passes it -- delete with
+    #: that argument in the next ``benchmark`` PR.
     fluid: bool = False
-    #: Bulk/control split in fluid mode.  Below it, messages are
+    #: Bulk/control split on a fat-tree.  Below it, messages are
     #: latency-bound, cheap to price exactly, and -- critically -- still
     #: *contend* with control traffic for the tx/rx ports, an effect the
     #: decoupled FlowEngine cannot see (flows only rate-share with other
-    #: flows).  Measured on the figure suite (docs/PERFORMANCE.md): a
-    #: 64 KiB threshold lets fig15's contention-coupled 64 KiB exchanges
-    #: ride flows and distorts them by up to 10%; at 256 KiB every
+    #: flows).  Measured on the figure suite run on a one-leaf tree
+    #: (docs/PERFORMANCE.md): a 64 KiB threshold lets fig15's
+    #: contention-coupled 64 KiB exchanges ride flows and distorts them
+    #: by up to 10%; at 256 KiB every
     #: quick-scale figure matches the event engine to < 1e-9 relative.
     #: 16x the eager threshold also matches where serialization (not
     #: port arbitration) dominates the exact engine's timing.
@@ -291,6 +295,8 @@ class ClusterSpec:
             raise ValueError("need at least one proxy per DPU")
         if self.proxies_per_dpu > DPU_CORES:
             raise ValueError("more proxies than DPU cores")
+        if self.nodes_per_switch < 0:
+            raise ValueError("nodes_per_switch must be >= 0")
         if self.spine_count < 1:
             raise ValueError("need at least one spine uplink")
         if self.fluid_threshold < 1:

@@ -12,11 +12,9 @@ Every link is identified by a small hashable key, interned to a dense
 id by the :class:`~repro.sim.flows.FlowEngine`:
 
 ``("tx", node)``
-    the node's NIC -> leaf uplink (capacity 1.0 port-share).  Same key
-    the endpoint-only engine has always used for a flow's source.
+    the node's NIC -> leaf uplink (capacity 1.0 port-share).
 ``("rx", node)``
-    the leaf -> NIC downlink (capacity 1.0).  Same key as the
-    endpoint-only destination.
+    the leaf -> NIC downlink (capacity 1.0).
 ``("up", leaf, spine)`` / ``("down", spine, leaf)``
     one of ``spine_count`` equal-cost leaf<->spine links, capacity 1.0
     each (so ``nodes_per_switch / spine_count`` is the tree's
@@ -26,9 +24,7 @@ Paths
 -----
 A flow's path is the ordered tuple of link keys it crosses:
 
-* same leaf (or single-switch): ``(tx, rx)`` -- the degenerate two-link
-  path, which keeps the engine on its endpoint-only fast solver, bit
-  for bit identical to the pre-topology behaviour.
+* same leaf: ``(tx, rx)`` -- the two-link path.
 * cross-leaf: ``(tx, up, down, rx)`` through the spine ECMP picks:
   a deterministic hash of the (src, dst) node pair -- an arithmetic
   splitmix-style mix, **not** Python's ``hash()``, so the choice is
@@ -69,12 +65,9 @@ class FatTreeTopology:
 
     def __init__(self, spec):
         self.spec = spec
-        nps = spec.nodes_per_switch
-        if nps <= 0:
-            nps = spec.nodes  # single-switch: one leaf covering every node
-        self.nodes_per_switch = nps
+        nps = self.nodes_per_switch = spec.nodes_per_switch
         self.n_leaves = (spec.nodes + nps - 1) // nps
-        self.spine_count = max(1, getattr(spec, "spine_count", 1))
+        self.spine_count = spec.spine_count
 
     # -- structure -------------------------------------------------------
     def leaf_of_node(self, node: int) -> int:

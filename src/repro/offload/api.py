@@ -93,17 +93,14 @@ class OffloadFramework:
 
     def __init__(self, cluster: Cluster, mode: str = "gvmi",
                  group_caching: bool = True, gvmi_caching: bool = True,
-                 retry: Optional[RetryPolicy] = None,
-                 max_outstanding: Optional[int] = None):
+                 retry: Optional[RetryPolicy] = None):
         if mode not in ("gvmi", "staged"):
             raise OffloadError(f"unknown offload mode {mode!r}")
         self.cluster = cluster
         self.sim = cluster.sim
         #: Admission window: max incomplete requests per endpoint before
         #: further posts block in simulated time (None = unbounded).
-        if max_outstanding is None:
-            max_outstanding = cluster.params.max_outstanding_offloads
-        self.max_outstanding = max_outstanding
+        self.max_outstanding = cluster.params.max_outstanding_offloads
         #: "gvmi": the proposed direct cross-GVMI mechanism.
         #: "staged": bounce through DPU DRAM (the BluesMPI-style baseline).
         self.mode = mode

@@ -204,16 +204,9 @@ class GroupExecutor:
         if engine.recovery is not None:
             # A send may have completed with an error CQE (no bytes moved).
             yield from engine.recovery.repost_failed_sends(self, pending)
-        if engine.params.counter_doorbell_batch and len(send_set) > 1:
-            writes = [
-                (dst, (host_rank, dst, self.seqs[(host_rank, dst)]), epoch)
-                for dst in sorted(send_set)
-            ]
-            yield from engine.write_counters_batch(writes)
-        else:
-            for dst in sorted(send_set):
-                seq = self.seqs[(host_rank, dst)]
-                yield from engine.write_counter_to(dst, (host_rank, dst, seq), epoch)
+        for dst in sorted(send_set):
+            seq = self.seqs[(host_rank, dst)]
+            yield from engine.write_counter_to(dst, (host_rank, dst, seq), epoch)
 
     def _await_recvs(self, recv_set, host_rank, epoch):
         """Park until every expected peer's counter reaches ``epoch``."""

@@ -619,26 +619,6 @@ class ProxyEngine:
         self._control_write(peer, self.framework.proxy_engine(peer).counter_sink,
                             (key, epoch), "counter", "proxy.counter_writes", size=8)
 
-    def write_counters_batch(self, writes):
-        """Chained counter post: one doorbell arms many WQEs (a generator).
-
-        ``writes`` is ``[(dst_rank, key, epoch), ...]``.  With
-        ``MachineParams.counter_doorbell_batch`` the ARM links the
-        counter WQEs into one chain and pays a single post overhead for
-        the lot; the fabric still carries one 8-byte control write per
-        counter, so peers observe exactly the same messages in the same
-        (sorted-destination) order as the unbatched path.
-        """
-        yield self.ctx.consume(self.ctx.hca.post_overhead("dpu"))
-        self.ctx.cluster.metrics.add("proxy.counter_doorbells")
-        for dst_rank, key, epoch in writes:
-            peer = self.ctx.cluster.proxy_for_rank(dst_rank)
-            if self.recovery is not None:
-                self.recovery.counter_written(key, epoch)
-            self._control_write(
-                peer, self.framework.proxy_engine(peer).counter_sink,
-                (key, epoch), "counter", "proxy.counter_writes", size=8)
-
     # -- diagnostics --------------------------------------------------------
     @property
     def queued_rts(self) -> int:

@@ -1,32 +1,27 @@
-"""Fluid-flow engine for the hybrid simulation mode.
+"""Fluid-flow engine for the per-link fat-tree fabric.
 
-The event engine prices every message as a chain of discrete events,
-which caps simulated cluster size.  This module implements the
-coarse half of the hybrid: long transfers advance as *flows* that share
-port capacity max-min fairly (psim's ``make_progress_on_flows`` idiom),
-while everything else -- control messages, sub-threshold transfers,
-barrier traffic -- stays on the exact event engine.
+On a leaf/spine fat-tree (``ClusterSpec.nodes_per_switch > 0``) long
+transfers advance as *flows* that share link capacity max-min fairly
+(psim's ``make_progress_on_flows`` idiom), while everything else --
+control messages, sub-threshold transfers, barrier traffic -- stays on
+the exact event engine.  The paper's single switch has no flows.
 
 Model
 -----
 A flow's *work* is its store-and-forward serialization window measured
 in **port-seconds** (``serialization_time(size)/bw_scale``): one second
-of work consumes one second of exclusive port time.  Every flow pins two
-endpoints -- the source's tx port and the destination's rx port -- each
-with capacity 1.0 (a time-share, not a byte rate; folding path bandwidth
-into the work keeps DPU-memory-capped flows from overstating aggregate
-throughput on a faster wire).  Rates are the max-min fair (water-filling)
-allocation over those endpoints, each flow additionally capped at 1.0
-(a single message cannot use more than the whole port).
-
-With a fat-tree topology attached (``repro.hw.topology``), a flow
-instead carries an explicit *path* -- an ordered tuple of link keys
-(tx port, leaf->spine uplink, spine->leaf downlink, rx port) -- and
-contends on every link of it.  The two-endpoint flow is just the
-two-link path (tx, rx): the engine keeps one padded flow x link
-incidence for whatever is in flight and every re-solve goes through the
-one solver, :func:`fair_shares_links` (:func:`fair_shares` is its
-two-column adapter).
+of work consumes one second of exclusive port time.  A flow carries an
+explicit *path* -- an ordered tuple of link keys (tx port, leaf->spine
+uplink, spine->leaf downlink, rx port; ``repro.hw.topology``) -- and
+contends on every link of it, each with capacity 1.0 (a time-share, not
+a byte rate; folding path bandwidth into the work keeps DPU-memory-capped
+flows from overstating aggregate throughput on a faster wire).  Rates
+are the max-min fair (water-filling) allocation over those links, each
+flow additionally capped at 1.0 (a single message cannot use more than
+the whole port).  The engine keeps one padded flow x link incidence for
+whatever is in flight and every re-solve goes through the one solver,
+:func:`fair_shares_links` (:func:`fair_shares` is its two-column
+adapter for (tx, rx) pairs).
 
 The engine integrates ``remaining -= rate * dt`` lazily: it wakes only
 at the earliest predicted flow completion, or after the set of flows
@@ -59,9 +54,8 @@ _TINY = 1e-12
 def fair_shares(tx, rx, caps, n_endpoints: int) -> np.ndarray:
     """Max-min fair time-shares for flows over (tx, rx) endpoint pairs.
 
-    The two-link special case of :func:`fair_shares_links`, kept as the
-    flat port model's entry point: ``tx``/``rx`` are dense endpoint ids
-    per flow (a flow loads both).
+    The two-link special case of :func:`fair_shares_links`:
+    ``tx``/``rx`` are dense endpoint ids per flow (a flow loads both).
     """
     pairs = np.stack([np.asarray(tx, dtype=np.intp),
                       np.asarray(rx, dtype=np.intp)], axis=1)
@@ -176,8 +170,7 @@ class Flow:
                  finish: Callable[["Flow", float], None], tag: Any,
                  t_start: float):
         self.fid = fid
-        #: Dense link ids the flow crosses, in order ((tx, rx) for the
-        #: default two-endpoint flow).
+        #: Dense link ids the flow crosses, in order.
         self.path = path
         self.work = work
         self.cap = cap
@@ -205,11 +198,8 @@ class FlowEngine:
     changes within one instant batch into a single zero-delay *kick*.
     """
 
-    def __init__(self, sim: Simulator, threshold: int = 0):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        #: Byte threshold above which the fabric routes transfers here
-        #: (stored on the engine purely for diagnostics/probes).
-        self.threshold = threshold
         self._active: list[Flow] = []
         self._pending: list[Flow] = []
         # Arrays aligned with _active, maintained incrementally (append
@@ -232,13 +222,11 @@ class FlowEngine:
         #: sharing a saturated link).  Computed only when set.
         self.on_congestion: Optional[Callable[[Any, bool, int], None]] = None
         self._congested: set[int] = set()
-        #: Opt-in per-link utilization integration (port-seconds of
-        #: occupied capacity per link); set before admitting flows.
-        self.util_enabled = False
+        #: Port-seconds of occupied capacity per link, integrated as
+        #: the flows progress.
         self._util = np.empty(0, dtype=np.float64)
         # Per-link flow counts and share-weighted occupancy of the
-        # current allocation; tallied once per re-solve, and only when
-        # the congestion hook or utilization asks for them.
+        # current allocation; tallied once per re-solve.
         self._link_counts = np.empty(0, dtype=np.intp)
         self._link_used = np.empty(0, dtype=np.float64)
         self._next_fid = 0
@@ -266,36 +254,26 @@ class FlowEngine:
             self._eid_keys.append(key)
         return eid
 
-    def add_flow(self, *, tx: Any = None, rx: Any = None, work: float,
+    def add_flow(self, *, path: Iterable[Any], work: float,
                  finish: Callable[[Flow, float], None],
-                 cap: float = 1.0, tag: Any = None,
-                 path: Optional[Iterable[Any]] = None) -> Flow:
+                 cap: float = 1.0, tag: Any = None) -> Flow:
         """Admit a flow; ``finish(flow, t)`` fires when its work drains.
 
-        ``tx``/``rx`` are endpoint keys (mapped to dense ids), ``work``
-        is in port-seconds, ``cap`` the flow's own rate ceiling.
-        Alternatively ``path`` gives the ordered link keys the flow
-        crosses (at least two; a topology's tx port, spine links, rx
-        port) -- the flow then contends on *every* link of its path
-        (``tx``/``rx`` is shorthand for the two-link path).  The finish
-        callback runs during event processing at the drain instant; it
-        may add new flows (they batch into the same instant's
-        recompute).
+        ``path`` gives the ordered link keys the flow crosses (at least
+        two; a topology's tx port, spine links, rx port; mapped to dense
+        ids) and the flow contends on *every* link of it.  ``work`` is
+        in port-seconds, ``cap`` the flow's own rate ceiling.  The
+        finish callback runs during event processing at the drain
+        instant; it may add new flows (they batch into the same
+        instant's recompute).
         """
         if work <= 0.0:
             raise ValueError(f"flow work must be positive, got {work!r}")
         if not cap > 0.0:
             raise ValueError(f"flow cap must be positive, got {cap!r}")
-        if path is None:
-            if tx is None or rx is None:
-                raise ValueError("add_flow needs tx and rx, or a path")
-            keys = (tx, rx)
-        else:
-            keys = tuple(path)
-            if len(keys) < 2:
-                raise ValueError(
-                    f"flow path needs at least two links, got {keys!r}"
-                )
+        keys = tuple(path)
+        if len(keys) < 2:
+            raise ValueError(f"flow path needs at least two links, got {keys!r}")
         flow = Flow(self._next_fid, tuple(self.endpoint(k) for k in keys),
                     float(work), float(cap), finish, tag, self.sim.now)
         self._next_fid += 1
@@ -325,8 +303,7 @@ class FlowEngine:
         now = self.sim.now
         dt = now - self._last_t
         if dt > 0.0:
-            if self.util_enabled:
-                self._accumulate_util(dt)
+            self._accumulate_util(dt)
             self._rem -= dt * self._share
             self._last_t = now
         remaining = max(0.0, float(self._rem[i]))
@@ -364,12 +341,9 @@ class FlowEngine:
         return self._active + self._pending
 
     def link_utilization(self) -> dict:
-        """Integrated busy port-seconds per link since construction.
-
-        Only populated while :attr:`util_enabled` is set (the per-link
-        tally at each re-solve is opt-in); divide by elapsed simulated
-        time x link capacity for a utilization fraction.
-        """
+        """Integrated busy port-seconds per link since construction;
+        divide by elapsed simulated time x link capacity for a
+        utilization fraction."""
         out = {}
         for eid, key in enumerate(self._eid_keys):
             if eid < self._util.shape[0] and self._util[eid] > 0.0:
@@ -410,8 +384,7 @@ class FlowEngine:
         now = self.sim.now
         dt = now - self._last_t
         if dt > 0.0 and len(self._active):
-            if self.util_enabled:
-                self._accumulate_util(dt)
+            self._accumulate_util(dt)
             self._rem -= dt * self._share
         self._last_t = now
         self._finish_due(now)
@@ -498,10 +471,9 @@ class FlowEngine:
         # oracle) sees every solve.
         self._share = fair_shares_links(
             self._pad, self._caps, len(self._endpoints))
-        if self.util_enabled or self.on_congestion is not None:
-            self._tally_links()
-            if self.on_congestion is not None:
-                self._watch_congestion()
+        self._tally_links()
+        if self.on_congestion is not None:
+            self._watch_congestion()
 
     def _tally_links(self) -> None:
         """Per-link flow counts and occupied shares of this allocation."""

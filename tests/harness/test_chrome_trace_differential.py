@@ -95,7 +95,7 @@ class TestRealRuns:
         """flow.fault / flow.retry rows; str and int args (float and
         ``None`` values only occur in the synthetic streams below)."""
         cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1, seed=11,
-                                 fluid=True, fluid_threshold=4096))
+                                 nodes_per_switch=2, fluid_threshold=4096))
         obs = observe_cluster(cl)
         cl.install_faults(FaultPlan(FaultSpec(flow_drop_prob=0.5), seed=11))
         assert flows._stream(cl, n=8) == ["ok"] * 8
@@ -113,7 +113,7 @@ class TestRealRuns:
     def test_bus_cleared_midway(self):
         """After ``clear()`` positions in the stream and ``seq`` disagree."""
         cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1, seed=3,
-                                 fluid=True, fluid_threshold=4096))
+                                 nodes_per_switch=2, fluid_threshold=4096))
         obs = observe_cluster(cl)
         cl.install_faults(FaultPlan(FaultSpec(), seed=3))
         flows._stream(cl, n=3)

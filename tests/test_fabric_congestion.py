@@ -40,7 +40,7 @@ REL = 1e-9
 
 def _engine():
     sim = Simulator()
-    eng = FlowEngine(sim, threshold=1)
+    eng = FlowEngine(sim)
     sim.attach_flow_engine(eng)
     return sim, eng
 
@@ -117,7 +117,7 @@ def _staggered_run(seed=11, nodes=32, waves=2, posts_per_wave=3):
     shape of the repo benchmark's ``fattree_bulk_fluid``); returns the
     engine and every transfer's completion time in post order."""
     cl = Cluster(ClusterSpec(nodes=nodes, ppn=1, proxies_per_dpu=1,
-                             nodes_per_switch=8, spine_count=2, fluid=True))
+                             nodes_per_switch=8, spine_count=2))
     cl.payloads = False
     rng = random.Random(seed)
     plan = [[[(rng.uniform(0.0, 50e-6), (node + 1 + rng.randrange(nodes - 1))
@@ -169,7 +169,7 @@ class TestStaggeredArrivals:
 def _incast_cluster(n):
     return Cluster(ClusterSpec(nodes=n + 1, ppn=1, proxies_per_dpu=1,
                                nodes_per_switch=n + 1,
-                               fluid=True, fluid_threshold=1024))
+                               fluid_threshold=1024))
 
 
 def _fabric_incast_time(n, size=1 << 20):
@@ -204,7 +204,7 @@ class TestFabricIncast:
         n = 4
         cl = Cluster(ClusterSpec(nodes=n + 1, ppn=1, proxies_per_dpu=1,
                                  nodes_per_switch=2, spine_count=2,
-                                 fluid=True, fluid_threshold=1024))
+                                 fluid_threshold=1024))
 
         def prog():
             pending = [
@@ -227,7 +227,7 @@ class TestFabricSpine:
         """Victim's delivery time with k same-spine aggressor flows."""
         cl = Cluster(ClusterSpec(nodes=8, ppn=1, proxies_per_dpu=1,
                                  nodes_per_switch=4, spine_count=1,
-                                 fluid=True, fluid_threshold=1024))
+                                 fluid_threshold=1024))
         t_victim = []
 
         def prog():
@@ -256,7 +256,7 @@ class TestFabricSpine:
         """Path-routed deliveries carry the 4-link path they crossed."""
         cl = Cluster(ClusterSpec(nodes=8, ppn=1, proxies_per_dpu=1,
                                  nodes_per_switch=4, spine_count=1,
-                                 fluid=True, fluid_threshold=1024))
+                                 fluid_threshold=1024))
         got = []
 
         def prog():
@@ -310,7 +310,7 @@ class TestEcmp:
         paths = []
         for seed in (1, 12345):
             cl = Cluster(ClusterSpec(nodes=8, ppn=1, nodes_per_switch=2,
-                                     spine_count=2, seed=seed, fluid=True))
+                                     spine_count=2, seed=seed))
             paths.append([cl.topology.path(s, d)
                           for s in range(2) for d in range(4, 8)])
         assert paths[0] == paths[1]

@@ -1,13 +1,13 @@
-"""Flow-path fault fates: drops, error CQEs, aborts on the fluid engine.
+"""Flow-path fault fates: drops, error CQEs, aborts on the flow engine.
 
-The chaos-hardened hybrid: an armed FaultPlan no longer forces the exact
-engine -- fault fates ride the flow path itself.  Flow drops retransmit
+An armed FaultPlan composes with a fat-tree's flows: fault fates ride
+the flow path itself.  Flow drops retransmit
 the lost remainder through the RetryPolicy's exponential backoff; error
 CQEs surface after a full drain; proxy kills abort in-flight flows into
 flush errors that the existing recovery machinery (incarnation-guarded
 watchers, host retransmit, group replay) absorbs.  Drop fates draw from
-a dedicated ``flow-faults`` stream, so arming them never perturbs an
-exact-mode trace.
+a dedicated ``flow-faults`` stream, so arming them never perturbs a
+single-switch trace.
 """
 
 import pytest
@@ -31,7 +31,7 @@ MB = 1 << 20
 
 def _fluid_cluster(spec=None, seed=11, threshold=4096, kills=(), retry=None):
     cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1, seed=seed,
-                             fluid=True, fluid_threshold=threshold))
+                             nodes_per_switch=2, fluid_threshold=threshold))
     bus = EventBus.attach(cl)
     plan = FaultPlan(spec if spec is not None else FaultSpec(),
                      kills=kills, seed=seed, retry=retry)
@@ -146,7 +146,8 @@ class TestErrorCqesOnFlows:
 class TestDeterminism:
     def _trace(self, seed, flow_drop, fluid):
         spec = ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1, seed=seed,
-                           fluid=fluid, fluid_threshold=4096)
+                           nodes_per_switch=2 if fluid else 0,
+                           fluid_threshold=4096)
         cl = Cluster(spec)
         bus = EventBus.attach(cl)
         cl.install_faults(FaultPlan(
@@ -161,7 +162,7 @@ class TestDeterminism:
         assert self._trace(5, 0.3, True) == self._trace(5, 0.3, True)
 
     def test_flow_stream_independent_of_event_path(self):
-        """Arming flow-drop fates must leave exact-mode traces
+        """Arming flow-drop fates must leave single-switch traces
         bit-identical: flow fates draw from their own RNG stream."""
         assert self._trace(5, 0.0, False) == self._trace(5, 0.9, False)
 

@@ -177,7 +177,6 @@ class TestBoundedDpuPlanCache:
 class TestCounterProbing:
     @pytest.mark.parametrize("batch, drops, probes, rewrites, doorbells", [
         (False, 27, 32, 27, 0),
-        (True, 28, 48, 29, 12),  # counter_doorbell_batch: chained writes
     ])
     def test_lost_counter_writes_are_probed_and_rewritten(
             self, batch, drops, probes, rewrites, doorbells):
@@ -299,10 +298,10 @@ class TestFallbackUnderFaults:
 
 
     def test_fallback_pull_rides_the_fluid_engine(self):
-        """On a fluid cluster the host's own bulk pull is a flow, and its
+        """On a fat-tree the host's own bulk pull is a flow, and its
         CQE comes from the flow drain."""
         cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1,
-                                 fluid=True, fluid_threshold=4096))
+                                 nodes_per_switch=2, fluid_threshold=4096))
         cl.install_faults(FaultPlan(
             kills=[ProxyKillPlan(proxy_gid=_proxy_gid(), at=2e-6)], seed=1))
         fw = OffloadFramework(cl)
@@ -569,11 +568,11 @@ def _chaos_alltoall_barrier():
 
 def _admission_window():
     """The resilient admission stall: drain, serve offers, nudge."""
-    cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1))
+    params = MachineParams().with_overrides(max_outstanding_offloads=2)
+    cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1, params=params))
     plan = FaultPlan(FaultSpec(drop_prob=0.2), seed=5)
     cl.install_faults(plan)
-    fw = OffloadFramework(cl, max_outstanding=2,
-                          retry=RetryPolicy(timeout=30e-6))
+    fw = OffloadFramework(cl, retry=RetryPolicy(timeout=30e-6))
     finish = _stream(cl, fw, n=6, size=1024)
     return _pin(cl, finish, plan, fw)
 

@@ -1,9 +1,10 @@
-"""Work done by the fluid engine on a 256-node bulk sweep, pinned.
+"""Work done by the flow engine on a 256-node bulk sweep, pinned.
 
 Every node streams four 1 MiB transfers through ``Fabric.transfer``,
 alternating its ring neighbour and its bisection peer.  What the sweep
 costs is counted, not timed: events the kernel processed, flows the
-engine started and full rate recomputations.  The counts repeat
+engine started and full rate recomputations, on one leaf holding every
+node and on a 16-leaf tree.  The counts repeat
 exactly, so a change that makes the flow path do more work fails here
 whatever machine the suite runs on (docs/PERFORMANCE.md, "Throughput"
 and "Per-link topology mode").
@@ -16,9 +17,10 @@ from repro.hw import Cluster, ClusterSpec, FaultPlan, FaultSpec
 NODES, WINDOW, SIZE = 256, 4, 1 << 20
 
 
-def _sweep(plan: FaultPlan | None = None, **spec) -> Cluster:
+def _sweep(plan: FaultPlan | None = None, nodes_per_switch: int = NODES,
+           **spec) -> Cluster:
     cl = Cluster(ClusterSpec(nodes=NODES, ppn=1, proxies_per_dpu=1,
-                             fluid=True, **spec))
+                             nodes_per_switch=nodes_per_switch, **spec))
     if plan is not None:
         cl.install_faults(plan)
 

@@ -1,20 +1,24 @@
-"""Differential equivalence harness for the fluid-flow hybrid engine.
+"""Differential equivalence harness for the flow engine.
 
-The fluid engine (docs/PERFORMANCE.md) is only allowed to exist behind
-two guarantees, both enforced here:
+Flows exist exactly when ``ClusterSpec.nodes_per_switch > 0``
+(docs/PERFORMANCE.md); the paper's single switch runs the exact port
+walk alone.  Two guarantees, both enforced here:
 
-1. **Exact mode is bit-identical.**  With fluid off, the figure tables
-   regenerate byte-for-byte against the committed ``results/figNN.json``
-   snapshots, and the golden observability traces are untouched.
-2. **Fluid mode is equivalent within a stated tolerance.**  The
-   quick-scale micro figures (fig02/03/05/15) must match the committed
-   event-exact tables point by point within ``FLUID_RTOL``, and every
-   paper-shape check must still pass.
+1. **The single switch is exact.**  The figure tables regenerate
+   byte-for-byte against the committed ``results/figNN.json``
+   snapshots, the golden observability traces are untouched, and the
+   ignored ``fluid`` spec field builds no flow engine.
+2. **A one-leaf tree is equivalent within a stated tolerance.**  With
+   every single-switch spec rewritten to one leaf holding every node
+   (``nodes_per_switch=nodes``: flows over the two-link (tx, rx) path),
+   the quick-scale micro figures (fig02/03/05/15) must match the
+   committed exact tables point by point within ``FLUID_RTOL``, and
+   every paper-shape check must still pass.
 
 The measured deviations behind the tolerance choice (also quoted in
-docs/PERFORMANCE.md): fig02/05/15 are bit-identical in fluid mode (all
-their transfers sit below the 256 KiB threshold or run solo, where a
-flow lands on exactly the event engine's timestamps), and fig03's worst
+docs/PERFORMANCE.md): fig02/05/15 are bit-identical on flows (all their
+transfers sit below the 256 KiB threshold or run solo, where a flow
+lands on exactly the event engine's timestamps), and fig03's worst
 point is ~1e-15 (one float round-trip through the rate solver).
 ``FLUID_RTOL = 1e-9`` therefore has six orders of magnitude of margin
 while still catching any genuine modelling drift.
@@ -28,10 +32,12 @@ from pathlib import Path
 
 import pytest
 
+from tests.helpers import run_procs
 from repro.experiments import runall
 from repro.experiments.common import canonical_json
 from repro.hw import Cluster, ClusterSpec
 from repro.obs import EventBus, trace_violations
+from repro.offload import OffloadFramework, build_iallreduce
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -61,123 +67,104 @@ def _run(name: str):
     return record["fig"]
 
 
-def _build_on_fluid(monkeypatch, single_switch_tree: bool = False) -> None:
-    """Every cluster built for the rest of the test gets its spec with
-    ``fluid=True`` (the only engine switch); with ``single_switch_tree``
-    a single-switch spec also gets the identity fat-tree: one leaf
-    holding every node, so the per-link machinery is attached."""
+def _rebuild_specs(monkeypatch, rewrite) -> None:
+    """Every cluster built for the rest of the test gets ``rewrite(spec)``."""
     build = Cluster.__init__
-
-    def init(self, spec):
-        spec = replace(spec, fluid=True)
-        if single_switch_tree and spec.nodes_per_switch == 0:
-            spec = replace(spec, nodes_per_switch=1 << 20)
-        build(self, spec)
-
-    monkeypatch.setattr(Cluster, "__init__", init)
+    monkeypatch.setattr(Cluster, "__init__",
+                        lambda self, spec: build(self, rewrite(spec)))
 
 
 @pytest.fixture
-def fluid_engine(monkeypatch):
-    _build_on_fluid(monkeypatch)
+def fluid_flag(monkeypatch):
+    _rebuild_specs(monkeypatch, lambda spec: replace(spec, fluid=True))
+
+
+def _offloaded_allreduce_s(**spec_kw) -> float:
+    """Finish time of one offloaded 1 MiB Iallreduce over 8 ranks."""
+    cl = Cluster(ClusterSpec(nodes=4, ppn=2, proxies_per_dpu=2, **spec_kw))
+    cl.payloads = False
+    fw = OffloadFramework(cl)
+    nbytes, P = 1 << 20, cl.spec.world_size
+
+    def prog(rank):
+        ep = fw.endpoint(rank)
+        addr = ep.ctx.space.alloc(nbytes)
+        greq, _ = build_iallreduce(ep, addr, nbytes, comm_size=P)
+        yield from ep.group_call(greq)
+        yield from ep.group_wait(greq)
+        return cl.sim.now
+
+    return max(run_procs(cl, [prog(r) for r in range(P)]))
 
 
 class TestExactModeBitIdentity:
-    """Fluid off => committed tables regenerate byte-for-byte."""
+    """The single switch => committed tables regenerate byte-for-byte."""
 
     @pytest.mark.parametrize("name", DIFF_FIGURES)
     def test_tables_match_committed(self, name):
         fig = _run(name)
         assert canonical_json(fig.to_dict()) == canonical_json(_committed(name)), (
             f"{name}: exact-mode table drifted from the committed snapshot -- "
-            f"the event engine must stay bit-identical with fluid off"
+            f"the single switch must stay bit-identical"
         )
 
     def test_flow_engine_disengaged(self):
-        cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1))
-        assert cl.fabric.flow_engine is None
-        assert cl.sim.flow_engine is None
+        """No flows on a single switch, whatever the ignored ``fluid``."""
+        for spec in (ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1),
+                     ClusterSpec(nodes=4, fluid=True)):
+            cl = Cluster(spec)
+            assert cl.fabric.flow_engine is None
+            assert cl.sim.flow_engine is None
+            assert cl.topology is None
 
-    def test_golden_traces_unchanged_even_in_fluid_mode(self, fluid_engine):
-        """Control-plane scenarios carry no bulk: their event streams
-        must match the golden files byte-for-byte in *both* modes (the
-        hybrid split leaves everything below the threshold exact)."""
+    def test_golden_traces_unchanged_even_in_fluid_mode(self, fluid_flag):
+        """The ignored ``fluid`` field changes no event stream."""
         from tests.test_golden_traces import GOLDEN_DIR, SCENARIOS, serialize_events
 
         obs = SCENARIOS["ring_broadcast"]()
         got = serialize_events(obs.bus)
         assert got == (GOLDEN_DIR / "ring_broadcast.events").read_text()
 
+    def test_offloaded_allreduce_ignores_the_fluid_flag(self):
+        """A 1 MiB offloaded Iallreduce: the flag moves no timestamp."""
+        assert _offloaded_allreduce_s(fluid=True) == \
+            _offloaded_allreduce_s(fluid=False)
 
-class TestFluidWithinTolerance:
-    """Fluid on => every micro-figure point within FLUID_RTOL."""
 
-    @pytest.mark.parametrize("name", DIFF_FIGURES)
-    def test_tables_match_within_tolerance(self, name, fluid_engine):
-        fig = _run(name)
-        assert fig.all_passed, (
-            f"{name}: paper-shape checks failed in fluid mode: "
-            + "; ".join(c.name for c in fig.checks if not c.passed)
-        )
-        committed = _committed(name)
-        got = fig.to_dict()
-        assert [s["label"] for s in got["series"]] == \
-            [s["label"] for s in committed["series"]]
-        for se, sf in zip(committed["series"], got["series"]):
-            assert sf["x"] == se["x"]
-            for x, exact, fluid in zip(se["x"], se["y"], sf["y"]):
-                assert fluid == pytest.approx(exact, rel=FLUID_RTOL), (
-                    f"{name} {se['label']}@{x}: fluid {fluid!r} vs "
-                    f"exact {exact!r} exceeds rtol={FLUID_RTOL}"
-                )
-
-    def test_bulk_actually_rides_flows(self):
-        """Guard against the differential passing vacuously: a transfer
-        above the threshold must engage the FlowEngine and complete via
-        the flow path."""
-        cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1, fluid=True))
+class TestFlowsNeedATopology:
+    def test_fat_tree_builds_the_flow_engine(self):
+        cl = Cluster(ClusterSpec(nodes=4, nodes_per_switch=2))
+        assert cl.fabric.flow_engine is cl.sim.flow_engine is not None
+        assert cl.fabric.topology is cl.topology is not None
+        assert cl.topology.n_leaves == 2
         seen = {}
 
         def prog():
-            t = cl.fabric.transfer(src_node=0, dst_node=1, size=1 << 20,
+            t = cl.fabric.transfer(src_node=0, dst_node=3, size=1 << 20,
                                    initiator="host")
             dv = yield t.completed
-            seen["via"] = dv.via
+            seen["dv"] = dv
 
         cl.sim.process(prog())
         cl.sim.run()
-        assert seen["via"] == "flow"
-        assert cl.fabric.flow_engine.flows_finished == 1
-        assert cl.nodes[0].hca.metrics.get("fabric.flows") == 1
-
-    def test_sub_threshold_stays_event_exact(self):
-        cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1, fluid=True))
-        seen = {}
-
-        def prog():
-            t = cl.fabric.transfer(src_node=0, dst_node=1, size=4096,
-                                   initiator="host")
-            dv = yield t.completed
-            seen["via"] = dv.via
-
-        cl.sim.process(prog())
-        cl.sim.run()
-        assert seen["via"] == "event"
-        assert cl.fabric.flow_engine.flows_started == 0
+        assert seen["dv"].via == "flow"
+        assert seen["dv"].path == (("tx", 0), ("up", 0, 0), ("down", 0, 1),
+                                   ("rx", 3))
 
 
 @pytest.fixture
 def single_switch_fat_tree(monkeypatch):
-    _build_on_fluid(monkeypatch, single_switch_tree=True)
+    _rebuild_specs(monkeypatch, lambda spec: replace(
+        spec, nodes_per_switch=spec.nodes_per_switch or spec.nodes))
 
 
 @pytest.mark.usefixtures("single_switch_fat_tree")
 class TestTopologyModeBitIdentity:
-    """A single-switch fat-tree is the identity topology: every flow's
-    path degenerates to the 2-link (tx, rx) pair, and the committed
-    fluid-equivalent tables must regenerate within FLUID_RTOL -- with
-    the per-link machinery attached, not bypassed.  Golden traces stay
-    byte-identical too (the control plane never touches the flow
+    """The one-leaf tree (``nodes_per_switch=nodes``) is the single
+    switch with flows: every flow's path is the 2-link (tx, rx) pair,
+    and the committed exact tables must regenerate within FLUID_RTOL --
+    with the per-link machinery attached, not bypassed.  Golden traces
+    stay byte-identical too (the control plane never touches the flow
     engine)."""
 
     @pytest.mark.parametrize("name", DIFF_FIGURES)
@@ -224,11 +211,48 @@ class TestTopologyModeBitIdentity:
         got = serialize_events(obs.bus)
         assert got == (GOLDEN_DIR / "ring_broadcast.events").read_text()
 
+    def test_bulk_actually_rides_flows(self):
+        """Guard against the differential passing vacuously: a transfer
+        above the threshold must engage the FlowEngine and complete via
+        the flow path."""
+        cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1,
+                                 nodes_per_switch=2))
+        seen = {}
+
+        def prog():
+            t = cl.fabric.transfer(src_node=0, dst_node=1, size=1 << 20,
+                                   initiator="host")
+            dv = yield t.completed
+            seen["via"] = dv.via
+
+        cl.sim.process(prog())
+        cl.sim.run()
+        assert seen["via"] == "flow"
+        assert cl.fabric.flow_engine.flows_finished == 1
+        assert cl.nodes[0].hca.metrics.get("fabric.flows") == 1
+
+    def test_sub_threshold_stays_event_exact(self):
+        cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1,
+                                 nodes_per_switch=2))
+        seen = {}
+
+        def prog():
+            t = cl.fabric.transfer(src_node=0, dst_node=1, size=4096,
+                                   initiator="host")
+            dv = yield t.completed
+            seen["via"] = dv.via
+
+        cl.sim.process(prog())
+        cl.sim.run()
+        assert seen["via"] == "event"
+        assert cl.fabric.flow_engine.flows_started == 0
+
 
 def _bulk_observed(break_finisher=None):
-    """Two crossing bulk transfers in fluid mode with the bus attached;
+    """Two crossing bulk flows on a one-leaf tree with the bus attached;
     returns the bus after the run."""
-    cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1, fluid=True))
+    cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1,
+                             nodes_per_switch=2))
     bus = EventBus.attach(cl)
     if break_finisher is not None:
         fabric = cl.fabric
@@ -303,15 +327,16 @@ class TestFlowWindowInvariant:
 
 
 class TestFaultyDifferential:
-    """Fault injection composed with the hybrid engine: the same seeded
-    chaos campaign must tell the same recovery story on both engines.
+    """Fault injection composed with the flow engine: the same seeded
+    chaos campaign must tell the same recovery story on the single
+    switch and on the one-leaf tree.
 
     At the soak workload's message sizes each exchange rides a solo
     flow, where the fluid engine reproduces the event engine's
     timestamps exactly -- so the differential is strict: identical
     fault statistics, identical completion counts, and latency samples
-    within FLUID_RTOL.  Flow-drop fates exist only on the fluid path
-    (their stream is never consumed in exact mode), so the strict
+    within FLUID_RTOL.  Flow-drop fates exist only on the flow path
+    (their stream is never consumed on the port walk), so the strict
     comparison runs with flow_drop=0 and a separate check covers the
     composed fates.
     """
@@ -323,9 +348,9 @@ class TestFaultyDifferential:
         from repro.experiments.soak import soak_iteration
 
         exact = soak_iteration(0, "quick", 0.05, 0.02, 4, 1, 1,
-                               False, 0.0, seed=seed)
+                               0, 0.0, seed=seed)
         fluid = soak_iteration(0, "quick", 0.05, 0.02, 4, 1, 1,
-                               True, 0.0, seed=seed)
+                               4, 0.0, seed=seed)
         assert exact["fault_stats"] == fluid["fault_stats"]
         for k, v in exact["counters"].items():
             assert fluid["counters"][k] == v, f"counter {k} diverged"
@@ -347,9 +372,9 @@ class TestFaultyDifferential:
         from repro.experiments.soak import soak_iteration
 
         exact = soak_iteration(0, "quick", 0.05, 0.02, 4, 1, 1,
-                               False, 0.0, seed=7)
+                               0, 0.0, seed=7)
         faulty = soak_iteration(0, "quick", 0.05, 0.02, 4, 1, 1,
-                                True, 0.2, seed=7)
+                                4, 0.2, seed=7)
         assert faulty["counters"]["completions"] == \
             exact["counters"]["completions"]
         assert faulty["fault_stats"]["flow_drops"] > 0

@@ -9,11 +9,11 @@ ring broadcast the offloading backends record:
    non-power-of-two communicator sizes.  Reductions use integer-valued
    float64 payloads, so the sum is exact in any association order and
    "same result" genuinely means byte-identical.
-2. **Fluid-vs-exact equivalence.**  At collective scale the fluid
-   engine must reproduce the exact event engine's completion times
-   within ``FLUID_RTOL`` (barrier lockstep leaves each bulk flow alone
-   on its link, where the rate solver lands on the event engine's own
-   timestamps -- measured deviation is exactly zero).
+2. **Fluid-vs-exact equivalence.**  At collective scale the flows of
+   a one-leaf tree must reproduce the single switch's exact completion
+   times within ``FLUID_RTOL`` (barrier lockstep leaves each bulk flow
+   alone on its link, where the rate solver lands on the event
+   engine's own timestamps -- measured deviation is exactly zero).
 3. **Zero host CPU inside the window.**  Between ``Group_Offload_call``
    and ``Group_Wait`` the whole DAG runs on the DPUs: the trace
    invariant that flags host spans inside offloaded windows must stay
@@ -221,10 +221,9 @@ class TestFluidVsExact:
         p = 8
         vals = _contrib(p, nbytes // 8)
         ref = np.sum(vals, axis=0)
-        exact, t_exact = _offload_allreduce(
-            p, vals, algorithm=algorithm, fluid=False)
+        exact, t_exact = _offload_allreduce(p, vals, algorithm=algorithm)
         fluid, t_fluid = _offload_allreduce(
-            p, vals, algorithm=algorithm, fluid=True)
+            p, vals, algorithm=algorithm, nodes_per_switch=p)
         assert abs(t_fluid - t_exact) <= FLUID_RTOL * t_exact
         for r in range(p):
             assert exact[r].tobytes() == ref.tobytes()

@@ -1,4 +1,4 @@
-"""Property-based tests (hypothesis) on the fluid-flow hybrid engine.
+"""Property-based tests (hypothesis) on the fluid-flow engine.
 
 Three families of invariants (docs/PERFORMANCE.md):
 
@@ -107,9 +107,9 @@ def test_fair_shares_order_invariant(flows, seed):
 
 def _finish_times(transfers, threshold=64 * 1024):
     """Completion time of each (src, dst, size) transfer, all posted at
-    t=0 on a 4-node fluid cluster; returned in posting order."""
-    cl = Cluster(ClusterSpec(nodes=4, ppn=1, proxies_per_dpu=1, fluid=True,
-                             fluid_threshold=threshold))
+    t=0 on a 4-node one-leaf tree; returned in posting order."""
+    cl = Cluster(ClusterSpec(nodes=4, ppn=1, proxies_per_dpu=1,
+                             nodes_per_switch=4, fluid_threshold=threshold))
     done = [None] * len(transfers)
 
     def prog():
@@ -195,18 +195,18 @@ def test_zero_work_flow_rejected():
     sim, eng = _engine()
     for bad in (0.0, -1.0):
         try:
-            eng.add_flow(tx="a", rx="b", work=bad, finish=lambda f, t: None)
+            eng.add_flow(path=("a", "b"), work=bad, finish=lambda f, t: None)
         except ValueError:
             pass
         else:
             raise AssertionError(f"work={bad} was admitted")
         # A zero-cap flow could never drain: no wake would be armed.
         with pytest.raises(ValueError, match="cap"):
-            eng.add_flow(tx="a", rx="b", work=1.0, cap=bad,
+            eng.add_flow(path=("a", "b"), work=1.0, cap=bad,
                          finish=lambda f, t: None)
     # A fully drained flow has no residue to requeue either.
     drained = []
-    f = eng.add_flow(tx="a", rx="b", work=1.0,
+    f = eng.add_flow(path=("a", "b"), work=1.0,
                      finish=lambda fl, t: drained.append(fl))
     sim.run()
     assert drained == [f] and f.remaining == 0.0
@@ -227,14 +227,14 @@ def test_flow_set_churn_in_one_instant():
     def fin(name):
         return lambda f, t: finished.setdefault(name, t)
 
-    f1 = eng.add_flow(tx="a", rx="b", work=1.0, finish=fin("f1"))
-    eng.add_flow(tx="a", rx="b", work=1.0, finish=fin("f2"))
+    f1 = eng.add_flow(path=("a", "b"), work=1.0, finish=fin("f1"))
+    eng.add_flow(path=("a", "b"), work=1.0, finish=fin("f2"))
 
     def churn(_ev):
         rem = eng.cancel_flow(f1)          # settled at t=0.5: 0.25 done
         assert rem is not None and abs(rem - 0.75) < 1e-9
         eng.requeue(f1, finish=fin("f1b"))  # back in the same instant
-        eng.add_flow(tx="a", rx="b", work=0.5, finish=fin("f3"))
+        eng.add_flow(path=("a", "b"), work=0.5, finish=fin("f3"))
 
     ev = sim.event()
     ev._ok = True
@@ -253,7 +253,7 @@ def test_flow_set_churn_in_one_instant():
 def test_cancel_pending_flow_same_instant():
     sim, eng = _engine()
     fired = []
-    f = eng.add_flow(tx="a", rx="b", work=1.0,
+    f = eng.add_flow(path=("a", "b"), work=1.0,
                      finish=lambda fl, t: fired.append(t))
     assert eng.cancel_flow(f) == 1.0  # cancelled before the batch kick
     sim.run()
@@ -263,7 +263,7 @@ def test_cancel_pending_flow_same_instant():
 
 def test_cancel_after_drain_returns_none():
     sim, eng = _engine()
-    f = eng.add_flow(tx="a", rx="b", work=1.0, finish=lambda fl, t: None)
+    f = eng.add_flow(path=("a", "b"), work=1.0, finish=lambda fl, t: None)
     sim.run()
     assert eng.cancel_flow(f) is None
 
@@ -285,7 +285,7 @@ def test_cancel_requeue_conserves_work(works, cancel_at, cancel_idx):
         sim, eng = _engine()
         done = {}
         flows = [
-            eng.add_flow(tx="x", rx=f"r{i}", work=w,
+            eng.add_flow(path=("x", f"r{i}"), work=w,
                          finish=lambda f, t, i=i: done.setdefault(i, t))
             for i, w in enumerate(works)
         ]

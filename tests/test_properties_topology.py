@@ -12,10 +12,8 @@ mode"):
   allocation can raise any flow without lowering a poorer one;
 * **order invariance** -- the shares are a pure function of the flow
   *set*: permuting the rows permutes the shares bit-identically;
-* **endpoint-mode equivalence** -- ``fair_shares`` is nothing but the
-  two-column adapter over ``fair_shares_links``, and a live
-  ``FlowEngine`` drains ``tx=``/``rx=`` flows exactly like their
-  2-link ``path=`` spelling;
+* **endpoint adapter** -- ``fair_shares`` is nothing but the
+  two-column adapter over ``fair_shares_links``;
 * **reference differential** -- the parallel-bottleneck solver lands
   on the allocation of the level-by-level water-filling it replaced
   (``tests.harness.waterfill``, the old loop kept as the oracle) and
@@ -28,8 +26,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Simulator, flows as flows_mod
-from repro.sim.flows import FlowEngine, fair_shares, fair_shares_links
+from repro.sim import flows as flows_mod
+from repro.sim.flows import fair_shares, fair_shares_links
 from tests.harness.waterfill import waterfill_reference
 
 _EPS = 1e-9
@@ -156,50 +154,3 @@ def test_links_match_reference_waterfill(flows):
     # levels are a floor on *its* round count; the solver under test
     # freezes every local bottleneck at once and must not exceed it.
     assert rounds <= len(np.unique(reference))
-
-
-# ---------------------------------------------------------------------------
-# engine-level equivalence: multilink paths vs endpoint pairs
-# ---------------------------------------------------------------------------
-
-engine_flows = st.lists(
-    st.tuples(
-        st.integers(0, 3),                        # src node
-        st.integers(4, 7),                        # dst node
-        st.floats(1e-5, 1e-3, allow_nan=False),   # work (port-seconds)
-    ),
-    min_size=1,
-    max_size=12,
-)
-
-
-def _drain_times(flows, *, as_paths: bool) -> list[float]:
-    sim = Simulator()
-    engine = FlowEngine(sim, threshold=1)
-    sim.attach_flow_engine(engine)
-    done: dict[int, float] = {}
-
-    def finish(flow, now, i=None):
-        done[flow.tag] = now
-
-    for i, (src, dst, work) in enumerate(flows):
-        if as_paths:
-            engine.add_flow(path=(("tx", src), ("rx", dst)),
-                            work=work, finish=finish, tag=i)
-        else:
-            engine.add_flow(tx=("tx", src), rx=("rx", dst),
-                            work=work, finish=finish, tag=i)
-    sim.run()
-    return [done[i] for i in range(len(flows))]
-
-
-@settings(max_examples=60, deadline=None)
-@given(flows=engine_flows)
-def test_engine_degenerate_paths_drain_identically(flows):
-    """2-link path= flows behave exactly like tx=/rx= endpoint flows.
-
-    ``tx=``/``rx=`` is shorthand for the two-link path, so both runs
-    build the same incidence -- drain times must match bit for bit.
-    """
-    assert _drain_times(flows, as_paths=True) == \
-        _drain_times(flows, as_paths=False)

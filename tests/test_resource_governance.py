@@ -317,8 +317,8 @@ class TestCacheEviction:
 
 class TestAdmission:
     def test_offload_window_blocks_and_drains(self):
-        cl = _cluster()
-        fw = OffloadFramework(cl, max_outstanding=1)
+        cl = _cluster(max_outstanding_offloads=1)
+        fw = OffloadFramework(cl)
         size = 2048
         datas = [pattern(size, seed=i) for i in range(3)]
 
@@ -357,10 +357,9 @@ class TestAdmission:
     def test_resilient_window_survives_faults(self):
         from repro.hw import FaultPlan, FaultSpec
 
-        cl = _cluster()
+        cl = _cluster(max_outstanding_offloads=2)
         cl.install_faults(FaultPlan(FaultSpec(drop_prob=0.2), seed=5))
-        fw = OffloadFramework(cl, max_outstanding=2,
-                              retry=RetryPolicy(timeout=30e-6))
+        fw = OffloadFramework(cl, retry=RetryPolicy(timeout=30e-6))
         size = 1024
         datas = [pattern(size, seed=10 + i) for i in range(6)]
 

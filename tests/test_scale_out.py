@@ -1,7 +1,7 @@
 """Scale-out machinery: first-touch state and proxy batching are timing-safe.
 
-The thousand-rank path rests on one structural rule and two opt-in
-knobs.  Each is allowed to change *resident memory* or *event count*,
+The thousand-rank path rests on one structural rule and one opt-in
+knob.  Each is allowed to change *resident memory* or *event count*,
 never simulated semantics:
 
 * **Per-rank state is built on first touch** -- rank contexts, MPI
@@ -14,10 +14,8 @@ never simulated semantics:
 * **proxy_batch_drain** drains a proxy's shmem queue in batches: one
   handler charge and one ``queue.drain`` event per wakeup instead of
   per message.  Payloads are unchanged; latency can only improve.
-* **counter_doorbell_batch** rings one WQE-post doorbell for a flush
-  segment's whole set of barrier-counter writes.
 
-With every knob at its default the batching metrics and events must
+With the knob at its default the batching metrics and events must
 not exist at all -- that is what keeps the committed golden traces and
 figure tables bit-identical.
 """
@@ -377,47 +375,3 @@ class TestBatchedProxyDrain:
             == cl_one.metrics.get("proxy.drained_items") > 0
         for r in range(4):
             assert out_one[r].tobytes() == out_plain[r].tobytes()
-
-
-# ----------------------------------------------------------------------
-# batched counter doorbells
-# ----------------------------------------------------------------------
-def _fanout_group(doorbell: bool):
-    """Each rank sends one block to every peer in a single flush segment."""
-    spec = _spec(4, **({"counter_doorbell_batch": True} if doorbell else {}))
-    cl = Cluster(spec)
-    fw = OffloadFramework(cl)
-    P, SZ = 4, 1024
-
-    def prog(rank):
-        ep = fw.endpoint(rank)
-        sbuf = ep.ctx.space.alloc(SZ, fill=rank + 10)
-        rbuf = ep.ctx.space.alloc(P * SZ)
-        greq = ep.group_start()
-        for d in range(1, P):
-            dst, src = (rank + d) % P, (rank - d) % P
-            ep.group_send(greq, sbuf, SZ, dst=dst, tag=5)
-            ep.group_recv(greq, rbuf + src * SZ, SZ, src=src, tag=5)
-        ep.group_end(greq)
-        yield from ep.group_call(greq)
-        yield from ep.group_wait(greq)
-        for s in range(P):
-            if s != rank:
-                assert (ep.ctx.space.read(rbuf + s * SZ, SZ) == s + 10).all()
-        return cl.sim.now
-
-    t = run_procs(cl, [prog(r) for r in range(P)])
-    return max(t), cl.metrics
-
-
-class TestCounterDoorbellBatch:
-    def test_one_doorbell_per_segment_fanout(self):
-        t_plain, m_plain = _fanout_group(doorbell=False)
-        t_batch, m_batch = _fanout_group(doorbell=True)
-
-        assert m_plain.get("proxy.counter_doorbells") == 0
-        # 4 ranks x 1 final flush segment, each covering 3 peers.
-        assert m_batch.get("proxy.counter_doorbells") == 4
-        assert m_batch.get("proxy.counter_writes") == 12
-        # One WQE-post charge instead of three makes the flush cheaper.
-        assert t_batch <= t_plain

@@ -8,11 +8,17 @@ journal and reproduces the report byte-for-byte (modulo wall clock).
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.experiments import soak
 from repro.experiments.campaign import Journal
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _run(tmp_path, *extra, iters=3):
@@ -94,7 +100,7 @@ class TestSoakHarness:
         assert report["config"]["seed"] == 5
         assert report["config"]["scale"] == "quick"
         assert report["config"]["nodes"] == 2
-        assert report["config"]["fluid"] is False
+        assert report["config"]["nodes_per_switch"] == 0
 
 
 class TestSoakTopologyKnobs:
@@ -126,9 +132,10 @@ class TestSoakTopologyKnobs:
 
 class TestSoakFluidMode:
     def test_fluid_soak_rides_the_flow_engine(self, tmp_path):
-        rc, _, report = _run(tmp_path, "--fluid", "--nodes", "4")
+        rc, _, report = _run(tmp_path, "--nodes-per-switch", "4",
+                             "--nodes", "4")
         assert rc == 0
-        assert report["config"]["fluid"] is True
+        assert report["config"]["nodes_per_switch"] == 4
         assert report["config"]["flow_drop_prob"] > 0
         # Every exchange is at the pinned threshold: flows were real.
         assert report["counters"]["flows"] > 0
@@ -140,18 +147,47 @@ class TestSoakFluidMode:
         assert report["slo"]["recovery_latency"]["count"] > 0
 
     def test_fluid_soak_is_deterministic(self, tmp_path):
-        _, _, a = _run(tmp_path / "a", "--fluid", "--nodes", "4")
-        _, _, b = _run(tmp_path / "b", "--fluid", "--nodes", "4")
+        _, _, a = _run(tmp_path / "a", "--nodes-per-switch", "4",
+                       "--nodes", "4")
+        _, _, b = _run(tmp_path / "b", "--nodes-per-switch", "4",
+                       "--nodes", "4")
         assert _strip_wall(a) == _strip_wall(b)
 
     def test_fluid_and_exact_share_a_journal_without_collision(self, tmp_path):
         out = tmp_path / "soak"
         assert soak.main(["--iters", "2", "--out", str(out)]) == 0
-        assert soak.main(["--iters", "2", "--out", str(out), "--fluid"]) == 0
+        assert soak.main(["--iters", "2", "--out", str(out),
+                          "--nodes-per-switch", "2"]) == 0
         assert len(Journal(out, label="soak").keys()) == 4
 
     def test_flow_drop_zero_disables_flow_fates(self, tmp_path):
-        rc, _, report = _run(tmp_path, "--fluid", "--flow-drop", "0")
+        rc, _, report = _run(tmp_path, "--nodes-per-switch", "2",
+                             "--flow-drop", "0")
         assert rc == 0
         assert report["fault_stats"]["flow_drops"] == 0
         assert report["counters"]["flows"] > 0
+
+    def test_cross_spine_soak_at_64_nodes(self, tmp_path):
+        """64 nodes, 8 per leaf: flow faults also cross spine links.
+        Two same-seed runs, each its own interpreter, recover and give
+        the same report outside ``wall_seconds``."""
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        reports = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            subprocess.run(
+                [sys.executable, "-m", "repro", "soak", "--nodes", "64",
+                 "--nodes-per-switch", "8", "--iters", "5", "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=600)
+            reports.append(json.loads((out / "SLO.json").read_text()))
+        a, b = reports
+        assert a["schema"] == "repro.soak/1", a["schema"]
+        assert a["config"]["nodes_per_switch"] == 8
+        assert a["iterations"]["quarantined"] == 0
+        rl = a["slo"]["recovery_latency"]
+        assert rl["count"] > 0, "no recoveries observed under faults"
+        assert a["counters"]["flows"] > 0, "nothing rode the flow engine"
+        assert a["fault_stats"]["flow_drops"] > 0, "no flow fates fired"
+        assert a["counters"]["flow_drops"] == a["counters"]["flow_retries"]
+        assert _strip_wall(a) == _strip_wall(b), \
+            "same-seed fat-tree soak reports diverged"

@@ -27,10 +27,10 @@ from repro.sim import FlowEngine, Simulator
 
 RANKS, SEED, WAVES = 64, 2019, 12
 spec = ClusterSpec(nodes=RANKS, ppn=1, nodes_per_switch=8,
-                   spine_count=4, fluid=True, seed=SEED)
+                   spine_count=4, seed=SEED)
 topo = FatTreeTopology(spec)
 sim = Simulator()
-eng = FlowEngine(sim, threshold=1)
+eng = FlowEngine(sim)
 sim.attach_flow_engine(eng)
 
 rng = np.random.default_rng(SEED)
