@@ -55,7 +55,7 @@ def _spec(scale: str, ranks: int) -> ClusterSpec:
         nodes=max(1, ranks // ppn),
         ppn=ppn,
         proxies_per_dpu=4 if scale == "paper" else 2,
-        params=MachineParams(proxy_batch_drain=16, counter_doorbell_batch=True),
+        params=MachineParams(proxy_batch_drain=16),
     )
 
 
@@ -232,7 +232,6 @@ def build(scale: str, lat_results: list, ml_results: list) -> FigureResult:
             "scale": scale, "ranks": ranks, "ppn": spec0.ppn,
             "small_bytes": SMALL_BYTES, "large_bytes": large,
             "proxy_batch_drain": 16,
-            "counter_doorbell_batch": True,
             "ml_ranks": _ml_ranks(scale), "ml_buckets": ML_BUCKETS,
             "ml_bucket_bytes": _ml_bucket_bytes(scale),
             "ml_compute_us": ML_COMPUTE_S * 1e6,

@@ -145,6 +145,7 @@ class Cluster:
         ``metrics``, ``sim.now`` / ``processed_events`` / ``flow_engine``
         counters and each built context's ``busy_time`` stay readable."""
         self.sim.close()
+        self.metrics.settle()
         for node in self.nodes:
             node.hca.tx.clear()
             node.hca.rx.clear()

@@ -215,9 +215,11 @@ class _Message(Event):
         if bus is not None:
             bus.emit("xfer", "deliver", fabric.hcas[self.dst_node].lane, xid=self.xid,
                      status=status, **self._via_tag())
-        self.src_hca.metrics.observe(
-            "fabric.xfer_latency." + self.kind, now - self.t_posted
-        )
+        lat = fabric.xfer_lat.get(self.kind)
+        if lat is None:
+            lat = fabric.xfer_lat[self.kind] = self.src_hca.metrics.samples(
+                "fabric.xfer_latency." + self.kind)
+        lat.append(now - self.t_posted)
         self.callbacks = _ACKED
         self._scheduled = False
         sim._schedule_at(self, now + fabric.params.ack_latency)
@@ -252,8 +254,11 @@ class _Message(Event):
         if bus is not None:
             bus.emit("ctrl", "deliver", self.dst_hca.lane, cid=self.xid,
                      kind=self.kind)
-        src_hca.metrics.observe("fabric.ctrl_latency",
-                                self.sim.now - self.t_posted)
+        fabric = self.fabric
+        lat = fabric.ctrl_lat
+        if lat is None:
+            lat = fabric.ctrl_lat = src_hca.metrics.samples("fabric.ctrl_latency")
+        lat.append(self.sim.now - self.t_posted)
 
 
 # One step per hop, as the ``callbacks`` a message files itself with
@@ -297,6 +302,10 @@ class Fabric:
         # (src, dst) -> one-way latency; the topology is static, so the
         # hop count never needs recomputing per message.
         self._lat_cache: dict[tuple[int, int], float] = {}
+        #: Live sample arrays of the latency histograms (per data kind,
+        #: and the control one), fetched from the metrics on first use.
+        self.xfer_lat: dict[str, Any] = {}
+        self.ctrl_lat = None
 
     def attach_flow_engine(self, engine, topology) -> None:
         """Make bulk data transfers (at least ``spec.fluid_threshold``
@@ -348,12 +357,30 @@ class Fabric:
         if size < 0:
             raise ValueError("negative message size")
         src_hca = self.hcas[src_node]
-        dst_hca = self.hcas[dst_node]
         serialization = src_hca.serialization_time(
             size, initiator, src_mem, dst_mem
         ) / max(1e-9, bw_scale)
+        completed = self.post(src_hca, self.hcas[dst_node], size, initiator,
+                              serialization, on_deliver, kind, owner, meta)
+        return Transfer(completed, size)
+
+    def post(self, src_hca: Hca, dst_hca: Hca, size: int, initiator: str,
+             serialization: float, on_deliver, kind: str, owner: Any,
+             meta: Any = None) -> Event:
+        """:meth:`transfer` from a resolved work request: ``serialization``
+        is the (bandwidth-scaled) port window :meth:`transfer` computes
+        and ``initiator`` one it has accepted.  Returns the CQE event.
+        """
         completed = self.sim.event()
-        src_hca.count_post(initiator, size)
+        if initiator == "dpu":
+            src_hca.dpu_msgs += 1
+            src_hca.dpu_bytes += size
+        else:
+            src_hca.host_msgs += 1
+            src_hca.host_bytes += size
+        if src_hca.bus is not None:
+            src_hca.bus.emit("wqe", "post", src_hca.lane, initiator=initiator, size=size)
+        src_node, dst_node = src_hca.node_id, dst_hca.node_id
         t_posted = self.sim.now
         xid = self._xfer_seq
         self._xfer_seq += 1
@@ -384,7 +411,7 @@ class Fabric:
             self._flow_transfer(engine, m, serialization, owner)
         else:
             m.walk(dst_hca, serialization)
-        return Transfer(completed, size)
+        return completed
 
     # -- fat-tree flows (docs/PERFORMANCE.md) ----------------------------
     def _flow_transfer(self, engine, st: _Message, work: float,
@@ -563,31 +590,52 @@ class Fabric:
         treat control traffic as fire-and-forget; recovery is the
         receiver's retransmit/timeout protocol).
         """
+        self.send_control(self.control_route(src_node, dst_node, initiator, size,
+                                             src_mem, dst_mem), inbox, msg, kind)
+
+    def control_route(self, src_node: int, dst_node: int, initiator: str,
+                      size: Optional[int] = None, src_mem: str = "host",
+                      dst_mem: str = "host") -> tuple:
+        """What every control message between two endpoints costs, worked
+        out once: ``(src_hca, dst_hca, nbytes, initiator, serialization,
+        latency)``, for :meth:`send_control`."""
         nbytes = self.params.ctrl_bytes if size is None else size
         src_hca = self.hcas[src_node]
-        dst_hca = self.hcas[dst_node]
         serialization = src_hca.serialization_time(nbytes, initiator,
                                                    src_mem, dst_mem)
-        src_hca.count_post(initiator, nbytes)
-        src_hca.metrics.add("fabric.control_msgs")
+        latency = (
+            self.params.ctrl_latency
+            if src_node == dst_node
+            else self.one_way_latency(src_node, dst_node)
+        )
+        return src_hca, self.hcas[dst_node], nbytes, initiator, serialization, latency
+
+    def send_control(self, route: tuple, inbox, msg: Any, kind: str) -> None:
+        """:meth:`control` over a :meth:`control_route`."""
+        src_hca, dst_hca, nbytes, initiator, serialization, latency = route
+        if initiator == "dpu":
+            src_hca.dpu_msgs += 1
+            src_hca.dpu_bytes += nbytes
+        else:
+            src_hca.host_msgs += 1
+            src_hca.host_bytes += nbytes
+        if src_hca.bus is not None:
+            src_hca.bus.emit("wqe", "post", src_hca.lane, initiator=initiator, size=nbytes)
+        src_hca.control_msgs += 1
         cid = self._ctrl_seq
         self._ctrl_seq += 1
         t_posted = self.sim.now
         bus = self.bus
         if bus is not None:
             bus.emit("ctrl", "post", src_hca.lane, cid=cid, kind=kind,
-                     size=nbytes, initiator=initiator, dst=dst_node)
-        latency = (
-            self.params.ctrl_latency
-            if src_node == dst_node
-            else self.one_way_latency(src_node, dst_node)
-        )
-        m = _Message(self, src_hca, src_node, dst_node, nbytes, kind, t_posted,
-                     cid, latency)
+                     size=nbytes, initiator=initiator, dst=dst_hca.node_id)
+        m = _Message(self, src_hca, src_hca.node_id, dst_hca.node_id, nbytes, kind,
+                     t_posted, cid, latency)
         m.inbox = inbox
         m.msg = msg
         m.action = "deliver"
         plan = self.fault_plan
         if plan is not None:
-            m.action, m.extra_delay = plan.control_fate(kind, src_node, dst_node)
+            m.action, m.extra_delay = plan.control_fate(kind, src_hca.node_id,
+                                                        dst_hca.node_id)
         m.walk(dst_hca, serialization)

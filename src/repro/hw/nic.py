@@ -31,8 +31,6 @@ __all__ = ["Hca", "Port"]
 
 #: Memory locations a DMA can touch.
 MEM_KINDS = ("host", "dpu")
-#: Cores that can post work requests.
-INITIATOR_KINDS = ("host", "dpu")
 
 
 class Port:
@@ -117,10 +115,20 @@ class Hca:
             for s in MEM_KINDS
             for d in MEM_KINDS
         }
-        self._post_labels = {
-            kind: (f"nic.{kind}_posted_msgs", f"nic.{kind}_posted_bytes")
-            for kind in INITIATOR_KINDS
-        }
+        # Hot counters, bumped in place by the fabric and the verbs layer
+        # (read through ``metrics``): posts and bytes per initiator,
+        # control messages, RDMA writes per initiator.
+        self.host_msgs = self.host_bytes = self.dpu_msgs = self.dpu_bytes = 0
+        self.control_msgs = self.host_writes = self.dpu_writes = 0
+        metrics.slots(self, (
+            ("nic.host_posted_msgs", "host_msgs", "host_msgs"),
+            ("nic.host_posted_bytes", "host_bytes", "host_msgs"),
+            ("nic.dpu_posted_msgs", "dpu_msgs", "dpu_msgs"),
+            ("nic.dpu_posted_bytes", "dpu_bytes", "dpu_msgs"),
+            ("fabric.control_msgs", "control_msgs", "control_msgs"),
+            ("rdma.write.host", "host_writes", "host_writes"),
+            ("rdma.write.dpu", "dpu_writes", "dpu_writes"),
+        ))
 
     # -- cost helpers -----------------------------------------------------
     def post_overhead(self, initiator: str) -> float:
@@ -150,14 +158,3 @@ class Hca:
             bad = dst_mem if src_mem in MEM_KINDS else src_mem
             raise ValueError(f"unknown memory kind {bad!r}") from None
         return max(gap, size / bw)
-
-    def count_post(self, initiator: str, size: int) -> None:
-        """Count one post; the fabric has already validated ``initiator``
-        (:meth:`serialization_time` runs first)."""
-        msgs_label, bytes_label = self._post_labels[initiator]
-        metrics = self.metrics
-        metrics.add(msgs_label)
-        metrics.add(bytes_label, size)
-        if self.bus is not None:
-            self.bus.emit("wqe", "post", self.lane,
-                          initiator=initiator, size=size)

@@ -45,18 +45,20 @@ class Histogram:
     __slots__ = ("_samples", "_sorted")
 
     def __init__(self, samples: Optional[Iterable[float]] = None):
+        #: The one sample array for the histogram's life: a hot observer
+        #: appends to it directly (``Metrics.samples``).
         self._samples = array("d", samples if samples is not None else ())
-        self._sorted = False
+        #: How many samples the last sort covered (-1: never sorted); a
+        #: later append or merge makes the array longer than that.
+        self._sorted = -1
 
     # -- recording ------------------------------------------------------
     def observe(self, value: float) -> None:
         self._samples.append(value)
-        self._sorted = False
 
     def merge(self, other: "Histogram") -> "Histogram":
         """Fold ``other``'s samples into this histogram (returns self)."""
         self._samples.extend(other._samples)
-        self._sorted = False
         return self
 
     # -- queries --------------------------------------------------------
@@ -77,10 +79,11 @@ class Histogram:
     def _ordered(self) -> array:
         # Sorts in place as far as callers can tell: ``mean`` / ``total``
         # sum in whatever order the last query left.
-        if not self._sorted:
-            self._samples = array("d", sorted(self._samples))
-            self._sorted = True
-        return self._samples
+        samples = self._samples
+        if self._sorted != len(samples):
+            samples[:] = array("d", sorted(samples))
+            self._sorted = len(samples)
+        return samples
 
     @property
     def min(self) -> float:

@@ -192,7 +192,8 @@ class OffloadFramework:
             owner.framework = owner.recovery = None
             owner.extra_handlers.clear()
         for engine in self._proxy_engines.values():
-            engine.process.close()
+            engine.core.close()
+            engine._parked.clear()
         for ep in self._endpoints.values():
             ep.completion_sink = None
             ep._ready_seen = False

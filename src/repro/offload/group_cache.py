@@ -44,11 +44,16 @@ class SendEntry:
     mode the source ``src_rkey`` instead.  ``dst_addr`` / ``rkey`` come
     from the receiver's descriptor (and are patched when it changes);
     ``mkey2`` is the DPU's cross-registration, attached on first
-    execution.
+    execution together with the resolved work request (``wqe_*``).
     """
 
     __slots__ = ("addr", "size", "peer", "tag", "mkey", "reg_addr", "reg_size",
-                 "gvmi_id", "src_rkey", "dst_addr", "rkey", "mkey2")
+                 "gvmi_id", "src_rkey", "dst_addr", "rkey", "mkey2",
+                 # the resolved work request, kept on first execution: the
+                 # KeyInfos of mkey2 and rkey it was checked against (whose
+                 # owners give both nodes), the scaled serialization window,
+                 # and the peer proxy's counter route
+                 "wqe_src", "wqe_dst", "wqe_ser", "wqe_ctr")
     kind = "send"
 
     def __init__(self, op, mkey=None, reg_addr=None, reg_size=None,
@@ -56,7 +61,7 @@ class SendEntry:
         self.addr, self.size, self.peer, self.tag = op.addr, op.size, op.peer, op.tag
         self.mkey, self.reg_addr, self.reg_size = mkey, reg_addr, reg_size
         self.gvmi_id, self.src_rkey = gvmi_id, src_rkey
-        self.dst_addr = self.rkey = self.mkey2 = None
+        self.dst_addr = self.rkey = self.mkey2 = self.wqe_src = self.wqe_ctr = None
 
 
 class DpuPlan(NamedTuple):
@@ -179,6 +184,7 @@ class HostGroupCache:
                 ):
                     entry.dst_addr = desc["addr"]
                     entry.rkey = desc["rkey"]
+                    entry.wqe_src = None
                     changed = True
             if changed:
                 plan.dirty = True

@@ -1,7 +1,7 @@
 """DPU proxy (worker) processes.
 
-Each proxy is one simulation process pinned to its own ARM core.  Its
-main loop drains the proxy inbox and dispatches (paper Figs. 8 and 10):
+Each proxy serializes its work on its own ARM core, :class:`ArmCore`,
+which drains the proxy inbox and dispatches (paper Figs. 8 and 10):
 
 * ``rts`` / ``rtr`` -- Basic-primitive control messages.  The proxy
   keeps a send-request queue and a receive-request queue (headers
@@ -14,37 +14,38 @@ main loop drains the proxy inbox and dispatches (paper Figs. 8 and 10):
 * ``group_plan`` / ``group_call`` -- Group-primitive packets, executed
   by :mod:`repro.offload.group_exec`.
 * internal items (``xfer_done``, ``resume``) that keep all ARM-time
-  serialized through this single loop.
+  serialized through the one core.
 
 Deadlock avoidance follows Algorithm 1: an executor that must wait (for
 send completions at a barrier, or for peer barrier counters) *parks* --
 returns control to this progress engine -- so a proxy serving several
-host ranks keeps making progress for the others.
+host ranks keeps making progress for the others.  Every entry the core
+files is filed at the instant, float and turn a generator process would
+have used (``tests/test_proxy_walk_pin.py``).
 """
 
 from __future__ import annotations
 
 from functools import partial
+from types import GeneratorType
 from typing import TYPE_CHECKING, Any
 
 from repro.hw.memory import OutOfMemoryError
 from repro.hw.node import ProcessContext
 from repro.offload.group_cache import DpuPlan, DpuPlanCache
+from repro.offload.group_exec import GroupExecutor, _noop
 from repro.offload.gvmi_cache import dpu_gvmi_cache
 from repro.offload.requests import OffloadError
 from repro.offload.staging import StagingChannel
 from repro.sim import Event, Interrupt
+from repro.sim.core import PENDING
 from repro.verbs.mr import ProtectionError
-from repro.verbs.rdma import rdma_read, rdma_write
+from repro.verbs.rdma import rdma_read, rdma_write, verbs_state
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.offload.api import OffloadFramework
 
-__all__ = ["ProxyEngine", "CounterBoard", "PARK"]
-
-#: Sentinel executors yield as ``(PARK, event)`` to suspend without
-#: holding the ARM core.
-PARK = "park"
+__all__ = ["ProxyEngine", "CounterBoard", "ArmCore"]
 
 
 class CounterBoard:
@@ -110,8 +111,315 @@ class _CounterSink:
         self.board.write(key, epoch)
 
 
+class ArmCore(Event):
+    """One incarnation of a proxy's ARM core: a FIFO slot for its work.
+
+    The core holds one inbox item at a time and is its own calendar
+    entry, as a fabric message is (:class:`repro.hw.fabric._Message`)
+    and as an HCA port hands itself on (:class:`repro.hw.nic.Port`): it
+    waits for an item as the inbox's getter, and every ARM charge files
+    it at ``now + cost`` -- the float a ``Timeout`` of that cost would
+    get -- with the next step, an *unbound* function, as its
+    ``callbacks``.  A Group executor runs as steps on it; cold handlers
+    that still ``yield`` -- Basic matching and FINs, the staged bounce,
+    the recovery hooks, SHMEM's ``extra_handlers`` -- run through one
+    adapter, :func:`_run_gen`, that waits on whatever event they yield.
+    ``interrupt`` and ``close`` end it as they would a process.
+    """
+
+    __slots__ = ("engine", "name", "batch", "pos", "job", "gen", "then",
+                 "waiting", "arg", "ended")
+
+    def __init__(self, engine: "ProxyEngine", name: str):
+        sim = self.sim = engine.sim
+        self._value = None
+        self._ok = True
+        self._scheduled = self._defused = self.ended = False
+        self.engine = engine
+        self.name = name
+        self.batch = self.job = self.gen = self.then = self.waiting = self.arg = None
+        self.pos = 0
+        if sim.bus is not None:
+            # The row a proxy's worker process has always started with.
+            sim.bus.emit("proc", "start", "sim", name="_main_loop")
+        self.callbacks = _TAKE
+        sim._schedule_at(self, sim.now)
+
+    def _resumed(self, event: Event) -> None:
+        """What a cold generator waited on has fired."""
+        self.waiting = None
+        if event._ok:
+            held = _gen_send(self, event._value, None)
+        else:
+            event._defused = True
+            held = _gen_send(self, None, event._value)
+        if not held:
+            _next(self)
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Kill: drop the wait in hand and end at the next turn of now."""
+        waiting = self.waiting
+        if not isinstance(waiting, Event):
+            self.callbacks = _IDLE
+        elif waiting.callbacks is not None:
+            waiting.callbacks.remove(self._resumed)
+        carrier = Event(self.sim)
+        carrier._ok, carrier._value, carrier._defused = False, Interrupt(cause), True
+        carrier.callbacks.append(self._interrupted)
+        self.sim._schedule_at(carrier, self.sim.now)
+
+    def _interrupted(self, carrier: Event) -> None:
+        if self.waiting is not None and not isinstance(self.waiting, Event):
+            self.waiting.cancel(self)  # still the inbox's getter
+        if self.gen is not None:
+            # A cold handler lets go of what it holds; a fresh exception,
+            # as the carrier's would hold this frame in its traceback.
+            try:
+                self.gen.throw(Interrupt(carrier._value.cause))
+            except Interrupt:
+                pass
+        _end(self)
+
+    def close(self) -> None:
+        """End of life without simulating: let go of the inbox, the work
+        in hand and the engine; a pending entry of this core fires as a
+        no-op."""
+        waiting = self.waiting
+        if isinstance(waiting, Event) and waiting.callbacks is not None:
+            waiting.callbacks.remove(self._resumed)
+        elif waiting is not None:
+            waiting.cancel(self)
+        if self.gen is not None:
+            self.gen.close()
+        self.callbacks = _IDLE
+        self.ended = True
+        self.batch = self.job = self.gen = self.then = self.waiting = None
+        self.arg = self.engine = None
+
+
+# -- the core's steps (each is ``callbacks[0](core)``) -----------------------
+def _take(core) -> None:
+    """Wait for the next inbox item, as the inbox's getter."""
+    engine = core.engine
+    inbox = engine.inbox
+    if inbox is None:
+        inbox = engine.inbox = engine.ctx.inbox
+    core.callbacks = _GOT
+    core._scheduled = False
+    if not inbox._getters and inbox._items:
+        core._value = inbox._items.pop(0)
+        core._scheduled = True
+        core.sim._cur.append(core)
+    else:
+        core._value = PENDING
+        core.waiting = inbox
+        inbox._getters.append((core, None))
+        inbox._dispatch()
+
+
+def _got(core) -> None:
+    """Wake, drain, charge once.
+
+    Each ARM wakeup serves up to ``proxy_batch_drain or 1`` queued items
+    under a single ``dpu_handler_cost`` charge.  The paper's proxy rings
+    through the doorbell/event path once per message -- that is the
+    default (one item per wakeup); at thousand-rank scale the handler
+    wakeups themselves dominate ARM time, so
+    ``MachineParams.proxy_batch_drain`` lets one wakeup drain whatever is
+    already queued (capped at the batch size).  Per-item protocol costs
+    are the same either way; only the per-message wakeup tax is
+    amortized.  The knob sets the drain cap and turns on the drain
+    accounting (``proxy.wakeups`` / ``proxy.drained_items`` and one
+    ``queue.drain`` bus event carrying the item count).
+    """
+    core.waiting = None
+    item = core._value
+    if item[0] == "stop":
+        _end(core)
+        return
+    engine = core.engine
+    batch = [item]
+    batch_drain = engine.params.proxy_batch_drain
+    if batch_drain:
+        inbox = engine.inbox
+        while len(batch) < batch_drain:
+            ok, nxt = inbox.try_get()
+            if not ok:
+                break
+            batch.append(nxt)
+        engine.wakeups += 1
+        engine.drained_items += len(batch)
+        bus = engine.ctx.cluster.bus
+        if bus is not None:
+            bus.emit("queue", "drain", engine.ctx.trace_name, n=len(batch))
+    core.batch, core.pos = batch, 0
+    _charge(core, engine.params.dpu_handler_cost, _NEXT)
+
+
+def _charge(core, cost: float, steps) -> None:
+    """Hold the core for ``cost`` seconds, then run ``steps``: what
+    ``ProcessContext.consume`` charges, filed where its ``Timeout`` would
+    be."""
+    ctx = core.engine.ctx
+    ctx.busy_time += cost
+    sim = core.sim
+    now = sim.now
+    bus = ctx.cluster.bus
+    if bus is not None and cost > 0:
+        bus.span(ctx.trace_name, now, now + cost)
+    if not cost >= 0:
+        raise ValueError(f"negative or NaN delay {cost!r}")
+    core.callbacks = steps
+    core._scheduled = False
+    sim._schedule_at(core, now + cost)
+
+
+def _next(core) -> None:
+    """Serve the rest of the wakeup's batch, then wait for more."""
+    batch = core.batch
+    while core.pos < len(batch):
+        item = batch[core.pos]
+        core.pos += 1
+        if _serve(core, item):
+            return
+    core.batch = None
+    _take(core)
+
+
+def _serve(core, item) -> bool:
+    """Dispatch one item; True while it holds the core."""
+    engine = core.engine
+    kind = item[0]
+    if kind == "resume":
+        if item[3] != engine.incarnation:
+            return False
+        engine._parked.pop(item[1], None)
+        core.job = item[1]
+        return _run_job(core)
+    if kind == "group_call":
+        return engine._on_group_call(core, item[1])
+    if kind == "group_plan":
+        packet = core.arg = item[1]
+        # Per-entry unpack cost: the packet is a contiguous message the
+        # ARM walks once.
+        _charge(core, engine.params.dpu_handler_cost * 0.25
+                * max(1, len(packet["entries"])), _PLAN)
+        return True
+    if kind == "rts":
+        return _run_gen(core, engine._match(item[1], engine._send_q, engine._recv_q))
+    if kind == "rtr":
+        return _run_gen(core, engine._match(item[1], engine._recv_q, engine._send_q))
+    if kind == "xfer_done":
+        return _run_gen(core, engine._on_xfer_done(item[1]))
+    if kind == "staged_write":
+        return _run_gen(core, engine._post_staged_write(item[1], 1, item[2]))
+    if kind == "stop":
+        _end(core)
+        return True
+    if kind in engine.extra_handlers:
+        return _run_gen(core, engine.extra_handlers[kind](engine, item[1]))
+    raise OffloadError(f"proxy: unknown inbox item {kind!r}")  # pragma: no cover
+
+
+def _run_job(core) -> bool:
+    """Step the executor in hand until it holds or lets go of the core."""
+    ex = core.job
+    held = ex.step(ex)
+    if held is None:
+        core.job = None
+        return False
+    if type(held) is GeneratorType:
+        return _run_gen(core, held, _job_got)
+    _charge(core, held, _JOB)
+    return True
+
+
+def _job_step(core) -> None:
+    """:func:`_run_job` as the step after an executor's charge (inlined:
+    it runs once per charge of every Group executor)."""
+    ex = core.job
+    held = ex.step(ex)
+    if held is None:
+        core.job = None
+        _next(core)
+    elif type(held) is GeneratorType:
+        if not _run_gen(core, held, _job_got):
+            _next(core)
+    else:
+        _charge(core, held, _JOB)
+
+
+def _job_got(core, value) -> bool:
+    core.job.got = value
+    return _run_job(core)
+
+
+def _run_gen(core, gen, then=None) -> bool:
+    """Drive a cold generator on the core; ``then(core, value)`` runs
+    when it returns."""
+    core.gen, core.then = gen, then
+    return _gen_send(core, None, None)
+
+
+def _gen_send(core, value, exc) -> bool:
+    gen = core.gen
+    while True:
+        try:
+            event = gen.send(value) if exc is None else gen.throw(exc)
+        except StopIteration as stop:
+            then = core.then
+            core.gen = core.then = None
+            return then is not None and then(core, stop.value)
+        if event.callbacks is not None:
+            event.callbacks.append(core._resumed)
+            core.waiting = event
+            return True
+        value, exc = (event._value, None) if event._ok else (None, event._value)
+
+
+def _end(core) -> None:
+    """``stop`` or a kill: the worker ends."""
+    core.ended = True
+    core.batch = core.job = core.gen = core.then = None
+    if core.sim.bus is not None:
+        core.sim.bus.emit("proc", "end", "sim", name=core.name)
+    core.sim.event().succeed(None)  # the worker process's own completion
+
+
+def _unpacked(core) -> None:
+    """A ``group_plan`` packet's unpack charge is over: launch it."""
+    if not core.engine._on_group_plan(core):
+        _next(core)
+
+
+_TAKE = (_take,)
+_GOT = (_got,)
+_NEXT = (_next,)
+_JOB = (_job_step,)
+_PLAN = (_unpacked,)
+_IDLE = (_noop,)  # a core killed or closed while filed
+
+
+#: The engine's hot counters: (metric, slot, the slot whose count makes
+#: the metric exist).
+_COUNTERS = tuple(("proxy." + name, name, witness) for name, witness in (
+    ("fin_writes", "fin_writes"), ("counter_writes", "counter_writes"),
+    ("group_completions", "group_completions"),
+    ("group_plans_cached", "group_plans_cached"),
+    ("group_plans_full", "group_plans_full"), ("basic_pairs", "basic_pairs"),
+    ("reduces", "reduces"), ("reduced_bytes", "reduces"),
+    ("wakeups", "wakeups"), ("drained_items", "wakeups")))
+
+
 class ProxyEngine:
     """Protocol engine of one DPU worker process."""
+
+    __slots__ = (
+        "framework", "ctx", "sim", "params", "inbox", "hca", "fabric", "verbs",
+        "post_cost", "mode", "gvmi_cache", "plan_cache", "staging",
+        "counters", "counter_sink", "_send_q", "_recv_q", "_seq_out", "_seq_in",
+        "_peers", "_hosts", "extra_handlers", "recovery", "incarnation", "alive",
+        "_parked", "core") + tuple(name for _key, name, _witness in _COUNTERS)
 
     def __init__(self, framework: "OffloadFramework", ctx: ProcessContext):
         if ctx.kind != "dpu":
@@ -120,6 +428,14 @@ class ProxyEngine:
         self.ctx = ctx
         self.sim = ctx.sim
         self.params = ctx.cluster.params
+        #: The context's inbox, bound when the core first waits on it
+        #: (an inbox is built on first touch).
+        self.inbox = None
+        self.hca = ctx.hca
+        self.fabric = ctx.cluster.fabric
+        self.verbs = verbs_state(ctx.cluster)
+        #: ARM cost of posting one work request.
+        self.post_cost = ctx.hca.post_overhead("dpu")
         #: "gvmi" (proposed, direct cross-GVMI writes) or "staged"
         #: (state-of-the-art bounce through DPU DRAM).
         self.mode = framework.mode
@@ -136,9 +452,13 @@ class ProxyEngine:
         self._seq_out: dict[tuple[int, int], int] = {}
         #: Inbound per-(src,dst) group-call sequence numbers.
         self._seq_in: dict[tuple[int, int], int] = {}
+        #: Control routes worked out once: peer proxy -> (counter sink,
+        #: route); (host rank, size) -> (endpoint, route).
+        self._peers: dict[int, tuple] = {}
+        self._hosts: dict[tuple, tuple] = {}
         #: Extension point: front-ends (the SHMEM layer, the recovery
         #: policy) register extra inbox-item handlers here:
-        #: kind -> generator(engine, payload).
+        #: kind -> generator(engine, payload), run on the core.
         self.extra_handlers: dict[str, object] = {}
         #: The recovery policy layer (repro.offload.recovery), installed
         #: by the framework iff it has a RetryPolicy.  Every recovery
@@ -151,95 +471,21 @@ class ProxyEngine:
         #: Executors parked on an event (Algorithm 1's return to the
         #: progress engine); process-local, so it dies with the worker.
         self._parked: dict[Any, Event] = {}
+        # Hot counters, read through the metrics as ``proxy.*``.
+        self.fin_writes = self.counter_writes = self.group_completions = 0
+        self.group_plans_cached = self.group_plans_full = self.basic_pairs = 0
+        self.reduces = self.reduced_bytes = self.wakeups = self.drained_items = 0
+        ctx.cluster.metrics.slots(self, _COUNTERS)
 
         self.sim.watchdog_probes.append(self._watchdog_report)
-        self.process = self.sim.process(self._main_loop())
-        self.process.name = f"proxy{ctx.global_id}"
+        self.start(f"proxy{ctx.global_id}")
         bus = ctx.cluster.bus
         if bus is not None:
             bus.emit("proxy", "start", ctx.trace_name, gid=ctx.global_id)
 
-    # ------------------------------------------------------------------
-    # main loop
-    # ------------------------------------------------------------------
-    def _main_loop(self):
-        """The one progress loop: wake, drain, charge once, dispatch.
-
-        Each ARM wakeup serves up to ``proxy_batch_drain or 1`` queued
-        items under a single ``dpu_handler_cost`` charge.  The paper's
-        proxy rings through the doorbell/event path once per message --
-        that is the default (one item per wakeup); at thousand-rank
-        scale the handler wakeups themselves dominate ARM time, so
-        ``MachineParams.proxy_batch_drain`` lets one wakeup drain
-        whatever is already queued (capped at the batch size).  Per-item
-        protocol costs (match cost, post overheads, transfer time) are
-        the same either way; only the per-message wakeup tax is
-        amortized.  The knob is data, not a second loop: it sets the
-        drain cap, and turns on the drain accounting
-        (``proxy.wakeups`` / ``proxy.drained_items`` and one
-        ``queue.drain`` bus event carrying the item count), which
-        default runs leave untouched.
-
-        The dispatch chain lives inline rather than in a helper
-        generator: ``yield from helper(item)`` would allocate a fresh
-        generator and add a delegation frame to every message.
-        """
-        ctx = self.ctx
-        handler_cost = self.params.dpu_handler_cost
-        batch_drain = self.params.proxy_batch_drain
-        batch_max = batch_drain or 1
-        metrics = ctx.cluster.metrics
-        while True:
-            get_ev = ctx.inbox.get()
-            try:
-                item = yield get_ev
-            except Interrupt:
-                # Killed while parked on the inbox: withdraw the getter
-                # so the (surviving) inbox does not hand the next item to
-                # a dead process.
-                ctx.inbox.cancel(get_ev)
-                return
-            if item[0] == "stop":
-                return
-            batch = [item]
-            while len(batch) < batch_max:
-                ok, nxt = ctx.inbox.try_get()
-                if not ok:
-                    break
-                batch.append(nxt)
-            if batch_drain:
-                metrics.add("proxy.wakeups")
-                metrics.add("proxy.drained_items", len(batch))
-                bus = ctx.cluster.bus
-                if bus is not None:
-                    bus.emit("queue", "drain", ctx.trace_name, n=len(batch))
-            try:
-                yield ctx.consume(handler_cost)
-                for item in batch:
-                    kind = item[0]
-                    if kind == "rts":
-                        yield from self._match(item[1], self._send_q, self._recv_q)
-                    elif kind == "rtr":
-                        yield from self._match(item[1], self._recv_q, self._send_q)
-                    elif kind == "xfer_done":
-                        yield from self._on_xfer_done(item[1])
-                    elif kind == "group_plan":
-                        yield from self._on_group_plan(item[1])
-                    elif kind == "group_call":
-                        yield from self._on_group_call(item[1])
-                    elif kind == "staged_write":
-                        yield from self._post_staged_write(item[1], 1, item[2])
-                    elif kind == "resume":
-                        if item[3] == self.incarnation:
-                            yield from self._drive_executor(item[1], item[2])
-                    elif kind == "stop":
-                        return
-                    elif kind in self.extra_handlers:
-                        yield from self.extra_handlers[kind](self, item[1])
-                    else:  # pragma: no cover - defensive
-                        raise OffloadError(f"proxy: unknown inbox item {kind!r}")
-            except Interrupt:
-                return
+    def start(self, name: str) -> None:
+        """Boot a worker: a fresh ARM core that starts at this instant."""
+        self.core = ArmCore(self, name)
 
     # ------------------------------------------------------------------
     # Basic primitives: RTS/RTR matching (Fig 8)
@@ -275,7 +521,7 @@ class ProxyEngine:
                 f"offloaded send of {rts['size']} bytes overflows receive of "
                 f"{rtr['size']} (src={rts['src']} dst={rts['dst']} tag={rts['tag']})"
             )
-        self.ctx.cluster.metrics.add("proxy.basic_pairs")
+        self.basic_pairs += 1
         bus = self.ctx.cluster.bus
         if bus is not None:
             bus.emit("proxy", "pair", self.ctx.trace_name,
@@ -320,22 +566,21 @@ class ProxyEngine:
     def _on_cqe(self, leg: str, state: dict, attempt: int, inc: int, ev) -> None:
         """A posted transfer completed: a direct callback on the CQE event
         (no watcher process) that hands the next step to the inbox, so
-        all ARM work stays serialized through the main loop.  ``leg`` is
+        all ARM work stays serialized through the core.  ``leg`` is
         ``"pair"`` (a basic pair's data landed), ``"read"`` (staged source
         leg: the write leg is next) or ``"write"`` (staged transfer done).
         """
         dv = ev.value
         if getattr(dv, "via", "event") == "flow":
-            # Fluid hybrid mode: the CQE was fired from a flow drain, not
-            # the exact port walk; the differential harness counts these
-            # to confirm completions really rode the FlowEngine.
+            # On a fat-tree the bulk bytes rode a flow, not the port
+            # walk; the count confirms completions really came that way.
             self.ctx.cluster.metrics.add("proxy.flow_cqes")
         if self.recovery is not None and getattr(dv, "status", "ok") == "error":
             self.recovery.repost_after_error(leg, state, attempt, inc)
         elif leg == "pair":
-            self.ctx.inbox.put(("xfer_done", state))
+            self.inbox.put(("xfer_done", state))
         elif leg == "read":
-            self.ctx.inbox.put(("staged_write", state, inc))
+            self.inbox.put(("staged_write", state, inc))
         else:
             self.staging.release(state["buf"])
             state["done"].succeed(None)
@@ -380,7 +625,7 @@ class ProxyEngine:
         # legs still run; only the intermediate memcpy is elided).  With
         # a FaultPlan armed, an error completion could leave the source
         # rescinded before the retry, so the copy must be eager.
-        lazy = self.ctx.cluster.fabric.fault_plan is None
+        lazy = self.fabric.fault_plan is None
         read = yield from rdma_read(
             self.ctx,
             lkey=st["buf"].lkey,
@@ -429,14 +674,23 @@ class ProxyEngine:
             req_id = info["req_id"]
             if self.recovery is not None:
                 self.recovery.fin_sent(req_id, host_rank)
-            ep = self.framework.endpoint(host_rank)
-            yield self.ctx.consume(self.ctx.hca.post_overhead("dpu"))
+            yield self.ctx.consume(self.post_cost)
             bus = self.ctx.cluster.bus
             if bus is not None:
                 bus.emit("proxy", "fin", self.ctx.trace_name,
                          rid=req_id, to=host_rank)
-            self._control_write(ep.ctx, ep.completion_sink, req_id, "fin",
-                                "proxy.fin_writes")
+            self.fin_writes += 1
+            self._host_write(host_rank, req_id, None)
+
+    def _host_write(self, host_rank: int, msg, size) -> None:
+        """One ``fin`` control write into ``host_rank``'s completion sink
+        (the caller has paid the post and counted it)."""
+        to = self._hosts.get((host_rank, size))
+        if to is None:
+            ep = self.framework.endpoint(host_rank)
+            to = self._hosts[host_rank, size] = (ep, self.fabric.control_route(
+                self.ctx.node_id, ep.ctx.node_id, "dpu", size, "dpu", ep.ctx.mem_kind))
+        self.fabric.send_control(to[1], to[0].completion_sink, msg, "fin")
 
     def _control_write(self, target: ProcessContext, inbox, msg, kind: str,
                        metric: str, size: int = None) -> None:
@@ -448,7 +702,7 @@ class ProxyEngine:
         ``proxy.fin_writes`` and ``proxy.group_completions``.
         """
         self.ctx.cluster.metrics.add(metric)
-        self.ctx.cluster.fabric.control(
+        self.fabric.control(
             src_node=self.ctx.node_id,
             dst_node=target.node_id,
             initiator="dpu",
@@ -504,23 +758,20 @@ class ProxyEngine:
     # ------------------------------------------------------------------
     # Group primitives (Figs 9-10, Algorithm 1)
     # ------------------------------------------------------------------
-    def _on_group_plan(self, packet: dict) -> None:
-        """Full plan arriving (host cache miss or dirty plan re-ship)."""
-        # Per-entry unpack cost: the packet is a contiguous message the
-        # ARM walks once.
-        yield self.ctx.consume(
-            self.params.dpu_handler_cost * 0.25 * max(1, len(packet["entries"]))
-        )
+    def _on_group_plan(self, core: ArmCore) -> bool:
+        """Full plan arriving (host cache miss or dirty plan re-ship),
+        its unpack already charged."""
+        packet, core.arg = core.arg, None
         plan = DpuPlan(packet["plan_id"], packet["host_rank"], packet["entries"])
         # Kept for calls by ID: the host's cached calls and recovery's
         # retransmits.  With neither (the uncached ablation, BluesMPI)
         # nobody asks again, and keeping it would grow per call.
         if self.framework.group_caching or self.recovery is not None:
             self.plan_cache.store(packet["plan_id"], plan)
-        yield from self._launch_plan(plan, packet["req_id"], cached=False,
-                                     call_no=packet.get("call_no", 1))
+        return self._launch_plan(core, plan, packet["req_id"], False,
+                                 packet.get("call_no", 1))
 
-    def _on_group_call(self, packet: dict) -> None:
+    def _on_group_call(self, core: ArmCore, packet: dict) -> bool:
         """Request-ID-only invocation (host cache hit, Section VII-D)."""
         plan = self.plan_cache.fetch(packet["plan_id"])
         if plan is None:
@@ -529,95 +780,79 @@ class ProxyEngine:
                     f"group_call for unknown plan {packet['plan_id']} "
                     f"(host cache believed the proxy had it)"
                 )
-            yield from self.recovery.plan_nack(packet["host_rank"], packet["plan_id"],
-                                               packet["req_id"], packet.get("call_no"))
-            return
-        yield from self._launch_plan(plan, packet["req_id"], cached=True,
-                                     call_no=packet.get("call_no", 1))
+            return _run_gen(core, self.recovery.plan_nack(
+                packet["host_rank"], packet["plan_id"], packet["req_id"],
+                packet.get("call_no")))
+        return self._launch_plan(core, plan, packet["req_id"], True,
+                                 packet.get("call_no", 1))
 
-    def _launch_plan(self, plan: DpuPlan, req_id: int, cached: bool,
-                     call_no: int = 1) -> None:
-        from repro.offload.group_exec import GroupExecutor
-
-        host_rank = plan.host_rank
-        seqs = None
+    def _launch_plan(self, core: ArmCore, plan: DpuPlan, req_id: int, cached: bool,
+                     call_no: int) -> bool:
+        core.job = GroupExecutor(self, plan, req_id, cached, call_no)
         if self.recovery is not None:
             # Idempotent launch: a retransmitted or replayed invocation
             # may need no executor at all (False), or the ORIGINAL
             # sequence numbers of the launch a kill interrupted.
-            seqs = yield from self.recovery.relaunch(plan, req_id, call_no)
-            if seqs is False:
-                return
+            return _run_gen(core, self.recovery.relaunch(plan, req_id, call_no),
+                            self._launch)
+        return self._launch(core, None)
+
+    def _launch(self, core: ArmCore, seqs) -> bool:
+        ex = core.job
+        if seqs is False:
+            core.job = None
+            return False
+        plan, host_rank = ex.plan, ex.plan.host_rank
         if seqs is None:
             seqs = {}
             for entry in plan.entries:
                 if entry.kind == "send":
                     pair = (host_rank, entry.peer)
                     if pair not in seqs:
-                        self._seq_out[pair] = self._seq_out.get(pair, 0) + 1
-                        seqs[pair] = self._seq_out[pair]
+                        seqs[pair] = self._seq_out[pair] = self._seq_out.get(pair, 0) + 1
                 elif entry.kind == "recv":
                     pair = (entry.peer, host_rank)
                     if pair not in seqs:
-                        self._seq_in[pair] = self._seq_in.get(pair, 0) + 1
-                        seqs[pair] = self._seq_in[pair]
+                        seqs[pair] = self._seq_in[pair] = self._seq_in.get(pair, 0) + 1
             if self.recovery is not None:
-                self.recovery.record_launch(req_id, seqs, call_no)
-        executor = GroupExecutor(self, plan, req_id, seqs, cached=cached,
-                                 call_no=call_no)
-        self.ctx.cluster.metrics.add("proxy.group_plans_cached" if cached else "proxy.group_plans_full")
+                self.recovery.record_launch(ex.req_id, seqs, ex.call_no)
+        ex.seqs = seqs
+        if ex.cached:
+            self.group_plans_cached += 1
+        else:
+            self.group_plans_full += 1
         bus = self.ctx.cluster.bus
         if bus is not None:
             bus.emit("group", "launch", self.ctx.trace_name,
-                     plan=plan.plan_id, call=req_id, cached=cached)
-        yield from self._drive_executor(executor, None)
+                     plan=plan.plan_id, call=ex.req_id, cached=ex.cached)
+        return _run_job(core)
 
-    def _send_group_completion(self, host_rank: int, req_id: int,
-                               call_no: int = 1):
-        """Completion-counter RDMA write into host memory (Group_Wait)."""
-        ep = self.framework.endpoint(host_rank)
-        yield self.ctx.consume(self.ctx.hca.post_overhead("dpu"))
-        self._control_write(ep.ctx, ep.completion_sink, (req_id, call_no),
-                            "fin", "proxy.group_completions", size=8)
-
-    def _drive_executor(self, executor, send_value) -> None:
-        """Advance an executor until it finishes or parks (Alg 1's 'break')."""
-        gen = executor.gen
-        self._parked.pop(executor, None)
-        while True:
-            try:
-                yielded = gen.send(send_value)
-            except StopIteration:
-                return
-            if isinstance(yielded, tuple) and yielded and yielded[0] is PARK:
-                event = yielded[1]
-                inc = self.incarnation
-
-                def _rearm(ev, executor=executor, inc=inc):
-                    self.ctx.inbox.put(("resume", executor, ev.value, inc))
-
-                self._parked[executor] = event
-                if event.processed:
-                    # Already satisfied: requeue immediately (still goes
-                    # through the inbox so other work interleaves).
-                    self.ctx.inbox.put(("resume", executor, event.value, inc))
-                else:
-                    event.callbacks.append(_rearm)
-                return
-            # A plain sim event: ARM-bound work, hold the core inline.
-            send_value = yield yielded
+    def completion_write(self, host_rank: int, req_id: int, call_no: int) -> None:
+        """Completion-counter RDMA write into host memory (Group_Wait);
+        the caller has paid the post."""
+        self.group_completions += 1
+        self._host_write(host_rank, (req_id, call_no), 8)
 
     # ------------------------------------------------------------------
     # counter writes (barrier/flow notifications)
     # ------------------------------------------------------------------
-    def write_counter_to(self, dst_rank: int, key: tuple, epoch: int):
-        """RDMA-write a barrier counter to ``dst_rank``'s proxy (a generator)."""
+    def counter_route(self, dst_rank: int) -> tuple:
+        """Where a barrier counter for ``dst_rank`` goes: its proxy's
+        counter sink and the control route there (one per peer proxy)."""
         peer = self.ctx.cluster.proxy_for_rank(dst_rank)
-        if self.recovery is not None:
-            self.recovery.counter_written(key, epoch)
-        yield self.ctx.consume(self.ctx.hca.post_overhead("dpu"))
-        self._control_write(peer, self.framework.proxy_engine(peer).counter_sink,
-                            (key, epoch), "counter", "proxy.counter_writes", size=8)
+        to = self._peers.get(peer.global_id)
+        if to is None:
+            to = self._peers[peer.global_id] = (
+                self.framework.proxy_engine(peer).counter_sink,
+                self.fabric.control_route(self.ctx.node_id, peer.node_id, "dpu", 8,
+                                          "dpu", peer.mem_kind))
+        return to
+
+    def counter_write(self, to: tuple, key: tuple, epoch: int) -> None:
+        """RDMA-write a barrier counter along a :meth:`counter_route`; the
+        caller has paid the post."""
+        self.counter_writes += 1
+        self.fabric.send_control(to[1], to[0], (key, epoch), "counter")
 
     # -- diagnostics --------------------------------------------------------
     @property

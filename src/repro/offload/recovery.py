@@ -22,7 +22,6 @@ import itertools
 from typing import TYPE_CHECKING
 
 from repro.hw.faults import RetryPolicy
-from repro.offload.proxy import PARK
 from repro.offload.requests import (
     OffloadError,
     OffloadGroupRequest,
@@ -33,6 +32,7 @@ from repro.verbs.rdma import post_control, rdma_read, verbs_state
 if TYPE_CHECKING:  # pragma: no cover
     from repro.offload.api import OffloadEndpoint, OffloadFramework
     from repro.offload.proxy import ProxyEngine
+    from repro.sim import Event
 
 __all__ = ["EndpointRecovery", "ProxyRecovery", "arm_kills", "check_kills"]
 
@@ -558,8 +558,8 @@ class ProxyRecovery(_ProcessOwner):
             aborted = fabric.abort_flows(engine.ctx)
             if aborted:
                 self.metrics.add("proxy.flows_aborted", aborted)
-        if engine.process.is_alive:
-            engine.process.interrupt("proxy killed")
+        if not engine.core.ended:
+            engine.core.interrupt("proxy killed")
 
     def restart(self) -> None:
         """Boot a fresh worker over the surviving DPU-DRAM state."""
@@ -569,8 +569,7 @@ class ProxyRecovery(_ProcessOwner):
         engine.alive = True
         self.metrics.add("proxy.restarts")
         _emit(engine.ctx, "proxy", "restart", incarnation=engine.incarnation)
-        engine.process = self.sim.process(engine._main_loop())
-        engine.process.name = f"proxy{engine.ctx.global_id}.inc{engine.incarnation}"
+        engine.start(f"proxy{engine.ctx.global_id}.inc{engine.incarnation}")
 
     # -- idempotent control receive ------------------------------------------------
     def duplicate_ctrl(self, info: dict):
@@ -635,29 +634,11 @@ class ProxyRecovery(_ProcessOwner):
             st["released"] = True
             self.engine.staging.release(st["buf"])
 
-    def repost_failed_sends(self, executor, pending: list):
-        """A group segment's sends have all completed; those that took an
-        error CQE are re-posted with backoff until they land or the
-        re-post limit trips (a generator run inside the executor)."""
-        attempt = 1
-        while True:
-            failed = [
-                entry for entry, ev in pending
-                if getattr(ev.value, "status", "ok") == "error"
-            ]
-            if not failed:
-                return
-            self._count_repost(
-                attempt, f"group send segment of host {executor.plan.host_rank}")
-            yield (PARK, self.sim.timeout(self.policy.rdma_backoff * attempt))
-            attempt += 1
-            pending = []
-            for entry in failed:
-                done = yield from executor._post_send(entry)
-                pending.append((entry, done))
-            incomplete = [ev for _entry, ev in pending if not ev.processed]
-            if incomplete:
-                yield (PARK, self.sim.all_of(incomplete))
+    def segment_backoff(self, executor) -> Event:
+        """Count a group segment's re-post; return the backoff to park on."""
+        self._count_repost(
+            executor.attempt, f"group send segment of host {executor.plan.host_rank}")
+        return self.sim.timeout(self.policy.rdma_backoff * executor.attempt)
 
     # -- resource governance: stale keys and memory exhaustion -----------------------
     def on_stale_pair(self, pair: dict, exc) -> None:
@@ -772,7 +753,8 @@ class ProxyRecovery(_ProcessOwner):
             # A duplicate of a superseded call, or of one that finished in
             # an earlier life/attempt: the completion write is the only
             # thing the host could still be missing -- resend it.
-            yield from engine._send_group_completion(plan.host_rank, req_id, call_no)
+            yield engine.ctx.consume(engine.post_cost)
+            engine.completion_write(plan.host_rank, req_id, call_no)
             return False
         if rec["incarnation"] == engine.incarnation:
             # Duplicate invocation while the executor still runs.
@@ -843,4 +825,5 @@ class ProxyRecovery(_ProcessOwner):
         if epoch is None:
             return  # not written yet; the peer will probe again
         self.metrics.add("proxy.counter_rewrites")
-        yield from engine.write_counter_to(info["rank"], key, epoch)
+        yield engine.ctx.consume(engine.post_cost)
+        engine.counter_write(engine.counter_route(info["rank"]), key, epoch)

@@ -19,9 +19,9 @@ return value, so processes can wait on each other::
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Generator, Optional
 
-from repro.sim.core import Event, Interrupt, PENDING, SimulationError, Simulator
+from repro.sim.core import Event, SimulationError, Simulator
 
 __all__ = ["Process"]
 
@@ -48,35 +48,6 @@ class Process(Event):
         sim.call_at(sim.now, self._start)
 
     # -- public --------------------------------------------------------
-    @property
-    def is_alive(self) -> bool:
-        return self._value is PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The process must currently be suspended on an event; the event is
-        left to fire normally (its callbacks simply no longer include the
-        process).
-        """
-        if not self.is_alive:
-            raise SimulationError(f"{self!r} has already terminated")
-        if self._target is None:
-            raise SimulationError("cannot interrupt a process that is running")
-        target = self._target
-        if target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:  # pragma: no cover - already detached
-                pass
-        self._target = None
-        carrier = Event(self.sim)
-        carrier._ok = False
-        carrier._value = Interrupt(cause)
-        carrier._defused = True
-        carrier.callbacks.append(self._resume)
-        self.sim._schedule_at(carrier, self.sim.now)
-
     def close(self) -> None:
         """End of life without simulating: stop waiting and close the
         generator (its ``finally`` blocks run); a parked process stays
@@ -144,5 +115,5 @@ class Process(Event):
             return
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "alive" if self.is_alive else "done"
+        state = "done" if self.triggered else "alive"
         return f"<Process {self.name!r} {state}>"

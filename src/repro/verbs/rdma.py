@@ -29,7 +29,6 @@ from repro.verbs.mr import KeyTable, ProtectionError
 __all__ = ["VerbsState", "verbs_state", "rdma_write", "rdma_read", "post_control"]
 
 # Hot-path metric labels (initiator.kind is "host" or "dpu").
-_WRITE_LABELS = {k: f"rdma.write.{k}" for k in ("host", "dpu")}
 _READ_LABELS = {k: f"rdma.read.{k}" for k in ("host", "dpu")}
 _CTRL_LABELS = {(a, b): f"ctrl.{a}_to_{b}"
                 for a in ("host", "dpu") for b in ("host", "dpu")}
@@ -127,9 +126,10 @@ def rdma_write(
             else:
                 dst_owner.space.write(dst_addr, src_owner.space.read(src_addr, size))
 
-    cluster.metrics.add(
-        _WRITE_LABELS.get(initiator.kind) or f"rdma.write.{initiator.kind}"
-    )
+    if initiator.kind == "dpu":
+        initiator.hca.dpu_writes += 1
+    else:
+        initiator.hca.host_writes += 1
     # Cross-GVMI data paths pay the mkey2 translation indirection.
     bw_scale = cluster.params.gvmi_bw_factor if src_info.kind == "mkey2" else 1.0
     return cluster.fabric.transfer(

@@ -55,9 +55,9 @@ CATEGORIES = ("item-14 fault path", "diagnostic", "safety", "oracle", "public AP
 #: Unreached lines each category may hold, as last measured: lower one
 #: when code goes, never raise one to make room.
 CEILINGS = {
-    "item-14 fault path": 680,
+    "item-14 fault path": 678,
     "diagnostic": 104,
-    "safety": 268,
+    "safety": 266,
     "oracle": 54,
     "public API": 189,
 }

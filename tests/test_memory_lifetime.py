@@ -371,7 +371,7 @@ def test_process_close_detaches_and_never_fires():
     sim.run()
     events = sim.processed_events
     proc.close()
-    assert log == ["finally"] and proc.is_alive
+    assert log == ["finally"] and not proc.triggered
     proc.close()  # idempotent
     sim.run()
     assert sim.processed_events == events
@@ -412,8 +412,8 @@ class TestFinalizeTakesEffect:
         assert fw.finalized
         assert tiny_cluster.sim.processed_events == events
         for engine in engines:
-            assert engine.process._target is None
-            assert engine.process._generator.gi_frame is None
+            assert engine.core.engine is None and engine.core.waiting is None
+            assert not engine.inbox._getters
         ep = fw.endpoint(0)
 
         def post():

@@ -196,7 +196,7 @@ class TestFinalize:
         fw.finalize()
         tiny_cluster.sim.run()
         for engine in fw._proxy_engines.values():
-            assert not engine.process.is_alive
+            assert engine.core.ended
 
     def test_finalize_idempotent(self, tiny_cluster):
         fw = OffloadFramework(tiny_cluster)

@@ -5,7 +5,7 @@ import pytest
 from tests.helpers import pattern, proxy_engine_of, run_procs
 from repro.hw import Cluster, ClusterSpec
 from repro.offload import OffloadError, OffloadFramework
-from repro.offload.proxy import PARK, CounterBoard
+from repro.offload.proxy import CounterBoard
 from repro.sim import Simulator
 
 
@@ -154,9 +154,6 @@ class TestParkProtocol:
         # rank 1's transfer must NOT have waited for rank 0's (which was
         # parked until 60us): it finishes first.
         assert done[1] < done[0]
-
-    def test_park_sentinel_shape(self):
-        assert PARK == "park"
 
 
 class TestProxyDiagnostics:

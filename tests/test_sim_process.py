@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, SimulationError
+from repro.sim import SimulationError
 
 
 class TestLifecycle:
@@ -28,14 +28,14 @@ class TestLifecycle:
         sim.run()
         assert p.value == ("from-child", 2.0)
 
-    def test_is_alive_tracks_state(self, sim):
+    def test_triggered_tracks_state(self, sim):
         def proc(sim):
             yield sim.timeout(1.0)
 
         p = sim.process(proc(sim))
-        assert p.is_alive
+        assert not p.triggered
         sim.run()
-        assert not p.is_alive
+        assert p.triggered
 
     def test_exception_fails_the_process_event(self, sim):
         def proc(sim):
@@ -78,7 +78,7 @@ class TestLifecycle:
         p = sim.process(proc(sim))
         with pytest.raises(SimulationError, match="non-event"):
             sim.run()
-        assert not p.is_alive
+        assert p.triggered
 
     def test_immediate_return_process(self, sim):
         def proc(sim):
@@ -118,58 +118,8 @@ class TestLifecycle:
         w = sim.process(waiter(sim, p))
         p.close()
         sim.run()
-        assert ran == [] and p.is_alive and not p.triggered
-        assert w.is_alive
-        # Interrupting a process whose kick-off is still queued is refused,
-        # closed or not.
-        q = sim.process(body(sim))
-        with pytest.raises(SimulationError, match="running"):
-            q.interrupt()
-
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self, sim):
-        def victim(sim):
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as i:
-                return ("interrupted", i.cause, sim.now)
-
-        def attacker(sim, target):
-            yield sim.timeout(2.0)
-            target.interrupt(cause="deadline")
-
-        v = sim.process(victim(sim))
-        sim.process(attacker(sim, v))
-        sim.run()
-        assert v.value == ("interrupted", "deadline", 2.0)
-
-    def test_interrupt_dead_process_rejected(self, sim):
-        def proc(sim):
-            yield sim.timeout(1.0)
-
-        p = sim.process(proc(sim))
-        sim.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-    def test_interrupted_process_can_continue(self, sim):
-        def victim(sim):
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt:
-                pass
-            yield sim.timeout(1.0)
-            return sim.now
-
-        def attacker(sim, target):
-            yield sim.timeout(5.0)
-            target.interrupt()
-
-        v = sim.process(victim(sim))
-        sim.process(attacker(sim, v))
-        sim.run()
-        assert v.value == 6.0
+        assert ran == [] and not p.triggered
+        assert not w.triggered
 
 
 class TestConcurrency:
