@@ -114,7 +114,7 @@ _REARM = (GroupExecutor._rearm,)
 def _walk(ex):
     """Run entries from ``ex.i`` until one holds the core."""
     entries = ex.plan.entries
-    i, n = ex.i, len(ex.plan.entries)
+    i, n = ex.i, len(entries)
     while i < n:
         entry = entries[i]
         kind = entry.kind

@@ -205,16 +205,11 @@ def _take(core) -> None:
     if inbox is None:
         inbox = engine.inbox = engine.ctx.inbox
     core.callbacks = _GOT
+    core._value = PENDING
     core._scheduled = False
-    if not inbox._getters and inbox._items:
-        core._value = inbox._items.pop(0)
-        core._scheduled = True
-        core.sim._cur.append(core)
-    else:
-        core._value = PENDING
+    inbox.get(into=core)
+    if not core._scheduled:
         core.waiting = inbox
-        inbox._getters.append((core, None))
-        inbox._dispatch()
 
 
 def _got(core) -> None:
@@ -267,8 +262,6 @@ def _charge(core, cost: float, steps) -> None:
     bus = ctx.cluster.bus
     if bus is not None and cost > 0:
         bus.span(ctx.trace_name, now, now + cost)
-    if not cost >= 0:
-        raise ValueError(f"negative or NaN delay {cost!r}")
     core.callbacks = steps
     core._scheduled = False
     sim._schedule_at(core, now + cost)

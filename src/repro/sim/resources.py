@@ -47,9 +47,12 @@ class Store:
         if self._getters:
             self._dispatch()
 
-    def get(self, filt: Optional[Callable[[Any], bool]] = None) -> Event:
-        """Pop the first item (optionally the first matching ``filt``)."""
-        ev = self.sim.event()
+    def get(self, filt: Optional[Callable[[Any], bool]] = None,
+            into: Optional[Event] = None) -> Event:
+        """Pop the first item (optionally the first matching ``filt``)
+        into a fresh event, or into ``into``: a pending event the caller
+        owns and files itself with (a proxy's ARM core)."""
+        ev = self.sim.event() if into is None else into
         if filt is None and not self._getters and self._items:
             # Fast path: nobody queued ahead and an item is ready.
             item = self._items[0]
