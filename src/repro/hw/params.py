@@ -156,11 +156,10 @@ class MachineParams:
     #: through the plan_nack path, so a bounded plan cache requires a
     #: RetryPolicy -- checked at Init_Offload (see docs/RESOURCES.md).
     plan_cache_capacity: Optional[int] = None
-    #: Admission window: max incomplete offload requests per endpoint;
-    #: further posts block (in simulated time) until one completes.
+    #: Admission window: max incomplete offload requests per endpoint
+    #: (basic, group and SHMEM put/get alike); further posts block (in
+    #: simulated time) until one completes.
     max_outstanding_offloads: Optional[int] = None
-    #: Max incomplete one-sided SHMEM ops per PE before put/get blocks.
-    shmem_queue_depth: Optional[int] = None
 
     # ----- thousand-rank scale-out (docs/PERFORMANCE.md "Scaling") -------
     # None (the default) is byte-identical to the pre-scale-out

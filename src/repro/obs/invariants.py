@@ -19,9 +19,10 @@ full:
 5. **No use after revoke** -- with a :class:`~repro.verbs.mr.KeyTable`
    (armed via ``record_uses``): no WQE under a revoked key, no live key
    over freed memory (the epoch protocol of docs/RESOURCES.md).
-6. **Flow windows are opaque DMA** (fluid mode) -- each ``flow.begin``
-   has a later ``flow.end``, its delivery comes after the window, and
-   no host-CPU or control event rides the flow's lane or ``fid`` inside.
+6. **Flow windows are opaque DMA** (a fat-tree's bulk flows) -- each
+   ``flow.begin`` has a later ``flow.end``, its delivery comes after the
+   window, and no host-CPU or control event rides the flow's lane or
+   ``fid`` inside.
 7. **Flow faults recover** -- a dropped attempt *n* is retried as
    *n+1*; an aborted flow's delivery carries ``status="error"``.
 

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING
 from repro.offload.requests import OffloadError
 from repro.sim.core import PENDING, Event
 from repro.verbs.mr import ProtectionError
-from repro.verbs.rdma import _check_lkey, _check_rkey
+from repro.verbs.rdma import work_request
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.offload.group_cache import DpuPlan
@@ -216,19 +216,15 @@ def _got_send(ex):
 
 
 def _checked(ex, entry):
-    """Check the keys the way ``rdma_write`` does, keep the resolved work
-    request in the entry, and charge the post."""
+    """Resolve the send's work request (``verbs.rdma.work_request``),
+    keep it in the entry, and charge the post."""
     engine = ex.engine
     try:
-        src = _check_lkey(engine.verbs, engine.ctx, entry.mkey2, entry.addr, entry.size)
-        dst = _check_rkey(engine.verbs, entry.rkey, entry.dst_addr, entry.size)
+        entry.wqe_src, entry.wqe_dst, entry.wqe_ser = work_request(
+            engine.verbs, engine.ctx, entry.mkey2, entry.addr, entry.rkey,
+            entry.dst_addr, entry.size)
     except ProtectionError as exc:
         return _stale(ex, exc)
-    # Cross-GVMI data paths pay the mkey2 translation indirection.
-    scale = engine.params.gvmi_bw_factor if src.kind == "mkey2" else 1.0
-    entry.wqe_ser = engine.fabric.hcas[src.owner.node_id].serialization_time(
-        entry.size, "dpu", src.owner.mem_kind, dst.owner.mem_kind) / max(1e-9, scale)
-    entry.wqe_src, entry.wqe_dst = src, dst
     ex.step = _send_posted
     return engine.post_cost
 
@@ -360,8 +356,6 @@ def _await(ex):
     host, src = ex.plan.host_rank, ex.todo[ex.k]
     key = (src, host, ex.seqs[(src, host)])
     ev = engine.counters.wait(key, ex.epoch)
-    if ev.callbacks is None:
-        return _awaited(ex)
     if engine.recovery is not None:
         # Chase a possibly-dropped counter write.
         engine.recovery.arm_counter_probe(key, ev, writer_rank=src, my_rank=host)

@@ -445,9 +445,9 @@ class ProxyEngine:
         self._seq_out: dict[tuple[int, int], int] = {}
         #: Inbound per-(src,dst) group-call sequence numbers.
         self._seq_in: dict[tuple[int, int], int] = {}
-        #: Control routes worked out once: peer proxy -> (counter sink,
-        #: route); (host rank, size) -> (endpoint, route).
-        self._peers: dict[int, tuple] = {}
+        #: Control routes worked out once: (peer proxy, size) -> (counter
+        #: sink, route); (host rank, size) -> (endpoint, route).
+        self._peers: dict[tuple, tuple] = {}
         self._hosts: dict[tuple, tuple] = {}
         #: Extension point: front-ends (the SHMEM layer, the recovery
         #: policy) register extra inbox-item handlers here:
@@ -675,37 +675,21 @@ class ProxyEngine:
             self.fin_writes += 1
             self._host_write(host_rank, req_id, None)
 
-    def _host_write(self, host_rank: int, msg, size) -> None:
-        """One ``fin`` control write into ``host_rank``'s completion sink
-        (the caller has paid the post and counted it)."""
+    def _host_write(self, host_rank: int, msg, size, kind: str = "fin",
+                    sink=None) -> None:
+        """One control write of ``kind`` into ``host_rank``'s completion
+        sink, or into ``sink`` of that endpoint, over the engine's cached
+        route there (the caller has paid the post and counted it).  Not
+        :func:`post_control`: that would also count it under
+        ``ctrl.dpu_to_*``, which the benchmark ledger adds *to*
+        ``proxy.fin_writes`` and ``proxy.group_completions``."""
         to = self._hosts.get((host_rank, size))
         if to is None:
             ep = self.framework.endpoint(host_rank)
             to = self._hosts[host_rank, size] = (ep, self.fabric.control_route(
                 self.ctx.node_id, ep.ctx.node_id, "dpu", size, "dpu", ep.ctx.mem_kind))
-        self.fabric.send_control(to[1], to[0].completion_sink, msg, "fin")
-
-    def _control_write(self, target: ProcessContext, inbox, msg, kind: str,
-                       metric: str, size: int = None) -> None:
-        """One control write from this ARM core into ``inbox`` -- a host
-        endpoint's sink or a peer proxy's -- counted as ``metric``; the
-        caller has paid ``post_overhead("dpu")``.  Not
-        :func:`post_control`: that would also count it under
-        ``ctrl.dpu_to_*``, which the benchmark ledger adds *to*
-        ``proxy.fin_writes`` and ``proxy.group_completions``.
-        """
-        self.ctx.cluster.metrics.add(metric)
-        self.fabric.control(
-            src_node=self.ctx.node_id,
-            dst_node=target.node_id,
-            initiator="dpu",
-            inbox=inbox,
-            msg=msg,
-            size=size,
-            src_mem="dpu",
-            dst_mem=target.mem_kind,
-            kind=kind,
-        )
+        self.fabric.send_control(to[1], to[0].completion_sink if sink is None else sink,
+                                 msg, kind)
 
     # ------------------------------------------------------------------
     # loud failures of the bare protocol: stale keys, memory exhaustion
@@ -829,15 +813,17 @@ class ProxyEngine:
     # ------------------------------------------------------------------
     # counter writes (barrier/flow notifications)
     # ------------------------------------------------------------------
-    def counter_route(self, dst_rank: int) -> tuple:
+    def counter_route(self, dst_rank: int, size: int = 8) -> tuple:
         """Where a barrier counter for ``dst_rank`` goes: its proxy's
-        counter sink and the control route there (one per peer proxy)."""
+        counter sink and the control route there for ``size``-byte
+        writes (one per peer proxy and size)."""
         peer = self.ctx.cluster.proxy_for_rank(dst_rank)
-        to = self._peers.get(peer.global_id)
+        key = (peer.global_id, size)
+        to = self._peers.get(key)
         if to is None:
-            to = self._peers[peer.global_id] = (
+            to = self._peers[key] = (
                 self.framework.proxy_engine(peer).counter_sink,
-                self.fabric.control_route(self.ctx.node_id, peer.node_id, "dpu", 8,
+                self.fabric.control_route(self.ctx.node_id, peer.node_id, "dpu", size,
                                           "dpu", peer.mem_kind))
         return to
 

@@ -454,8 +454,8 @@ class EndpointRecovery(_ProcessOwner):
             )
             dv = yield transfer.completed
             if getattr(dv, "via", "event") == "flow":
-                # Fluid hybrid mode: this CQE was signaled from a flow
-                # drain, not the exact chunk FSM (never hit in exact mode).
+                # On a fat-tree a bulk pull rides a flow: this CQE was
+                # signaled from its drain, not the exact port walk.
                 self.metrics.add("offload.flow_cqes")
             if getattr(dv, "status", "ok") != "error":
                 break
@@ -525,7 +525,8 @@ class ProxyRecovery(_ProcessOwner):
         engine = self.engine
         ep = engine.framework.endpoint(host_rank)
         yield engine.ctx.consume(engine.ctx.hca.post_overhead("dpu"))
-        engine._control_write(ep.ctx, getattr(ep, sink), msg, kind, metric)
+        self.metrics.add(metric)
+        engine._host_write(host_rank, msg, None, kind, getattr(ep, sink))
 
     # -- kill / restart ---------------------------------------------------------
     def kill(self) -> None:
@@ -548,7 +549,7 @@ class ProxyRecovery(_ProcessOwner):
         engine._parked.clear()
         self.metrics.add("proxy.kills")
         _emit(engine.ctx, "proxy", "kill", incarnation=engine.incarnation)
-        # Fluid mode: this worker's in-flight bulk flows die with its
+        # On a fat-tree this worker's in-flight bulk flows die with its
         # QPs.  Each aborts into a flush-error CQE; the dead
         # incarnation's watchers discard it, and the host-side
         # retransmit / group-replay machinery redoes the work against
@@ -810,10 +811,10 @@ class ProxyRecovery(_ProcessOwner):
                 yield self.sim.timeout(delay)
                 if ev.triggered or engine.incarnation != inc or not engine.alive:
                     return
-                engine._control_write(
-                    peer, peer.inbox,
-                    ("counter_probe", {"key": key, "rank": my_rank}),
-                    "counter_probe", "proxy.counter_probes", size=16)
+                self.metrics.add("proxy.counter_probes")
+                engine.fabric.send_control(
+                    engine.counter_route(writer_rank, 16)[1], peer.inbox,
+                    ("counter_probe", {"key": key, "rank": my_rank}), "counter_probe")
                 delay = pol.next_timeout(delay, 4 * pol.max_timeout)
 
         self.spawn(_prober())

@@ -23,33 +23,18 @@ exactly how OpenSHMEM implementations pre-register the symmetric heap.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
-from repro.hw.cluster import Cluster
+from repro.hw.cluster import Cluster, LazySeq
 from repro.mpi import schedules
-from repro.mpi.regcache import RegistrationCache
 from repro.offload.api import OffloadFramework
-from repro.offload.gvmi_cache import host_gvmi_cache
-from repro.offload.requests import OffloadError
+from repro.offload.requests import OffloadError, OffloadRequest
 from repro.sim import Event
 from repro.verbs.gvmi import gvmi_id_of
 from repro.verbs.rdma import post_control, rdma_read, rdma_write
 
 __all__ = ["ShmemWorld", "ShmemEndpoint"]
-
-_op_ids = itertools.count()
-
-
-@dataclass
-class _ShmemOp:
-    """One outstanding one-sided operation."""
-
-    kind: str  # "put" | "get"
-    op_id: int = field(default_factory=lambda: next(_op_ids))
-    complete: bool = False
-    event: Optional[Event] = None
 
 
 class ShmemWorld:
@@ -57,7 +42,11 @@ class ShmemWorld:
 
     Reuses an :class:`OffloadFramework` in GVMI mode (one proxy set, one
     GVMI exchange); a job may drive both MPI-style and SHMEM-style
-    traffic over the same proxies.
+    traffic over the same proxies.  A PE is a front-end over its rank's
+    :class:`~repro.offload.api.OffloadEndpoint`, built on first touch.
+    SHMEM has no recovery protocol, so a framework with a
+    ``RetryPolicy`` is rejected here rather than left to hang on the
+    first lost put.
     """
 
     def __init__(self, cluster: Cluster, framework: Optional[OffloadFramework] = None):
@@ -65,14 +54,17 @@ class ShmemWorld:
         self.framework = framework or OffloadFramework(cluster)
         if self.framework.mode != "gvmi":
             raise OffloadError("the SHMEM front-end requires cross-GVMI mode")
-        self.endpoints = [
-            ShmemEndpoint(self, rank) for rank in range(cluster.world_size)
-        ]
+        if self.framework.resilient:
+            raise OffloadError(
+                "the SHMEM front-end has no recovery: a framework with a RetryPolicy "
+                "(retry=, or an installed FaultPlan) cannot carry it (docs/FAULTS.md)"
+            )
+        self.endpoints = LazySeq("PE", cluster.world_size, partial(ShmemEndpoint, self))
         # Install the SHMEM handlers on every proxy engine.
-        self.framework._shmem_world = self
+        handlers = {"shmem_put": partial(handle_shmem_put, self),
+                    "shmem_get": partial(handle_shmem_get, self)}
         for engine in self.framework._proxy_engines.values():
-            engine.extra_handlers["shmem_put"] = handle_shmem_put
-            engine.extra_handlers["shmem_get"] = handle_shmem_get
+            engine.extra_handlers.update(handlers)
         #: rkeys of symmetric-heap blocks: (pe, addr) -> rkey.
         self._rkeys: dict[tuple[int, int], int] = {}
         #: Collective-allocation bookkeeping (call index -> per-PE addr).
@@ -105,18 +97,22 @@ class ShmemWorld:
 
 
 class ShmemEndpoint:
-    """Per-PE handle: the OpenSHMEM-style API surface."""
+    """Per-PE handle: the OpenSHMEM-style API surface.
+
+    Everything but the PGAS semantics is the PE's offload endpoint
+    (``self.offload``): its readiness check, admission window
+    (``max_outstanding_offloads``), request table, completion sink and
+    registration caches.  A put or get is an ``OffloadRequest`` of kind
+    ``"put"`` / ``"get"`` there, so a lost one shows in the deadlock
+    report and in ``OffloadFramework.assert_quiescent``.
+    """
 
     def __init__(self, world: ShmemWorld, pe: int):
         self.world = world
         self.pe = pe
-        self.ctx = world.cluster.rank_ctx(pe)
+        self.offload = world.framework.endpoint(pe)
+        self.ctx = self.offload.ctx
         self.sim = self.ctx.sim
-        self.params = world.cluster.params
-        self.gvmi_cache = host_gvmi_cache(self.ctx)
-        self.ib_cache = RegistrationCache(self.ctx, name=f"shmem_{pe}")
-        #: Outstanding one-sided ops awaiting proxy completion writes.
-        self._pending: dict[int, _ShmemOp] = {}
         #: wait_until watchers: addr -> list[(predicate, event)].
         self._watchers: dict[int, list] = {}
         self._alloc_seq = 0
@@ -133,9 +129,9 @@ class ShmemEndpoint:
         A generator; returns the symmetric address.  Registers the block
         (so remote PEs' proxies can address it) and publishes its rkey.
         """
-        yield from self._ensure_ready()
+        yield from self.offload._ensure_ready()
         addr = self.ctx.space.alloc(size, fill=fill)
-        handle = yield from self.ib_cache.get(addr, size)
+        handle = yield from self.offload.ib_cache.get(addr, size)
         call = self._alloc_seq
         self._alloc_seq += 1
         record = self.world._alloc_calls.setdefault(call, {})
@@ -159,60 +155,55 @@ class ShmemEndpoint:
         costs one GVMI-cache lookup and one control message.
         Returns an op handle; complete it with :meth:`quiet`.
         """
-        yield from self._ensure_ready()
-        yield from self._admit()
-        proxy = self.world.cluster.proxy_for_rank(self.pe)
-        gid = gvmi_id_of(proxy)
-        mkey = yield from self.gvmi_cache.get(src_addr, size, proxy)
-        rkey = self.world.rkey_of(pe, dst_addr)
-        op = _ShmemOp("put")
-        op.event = Event(self.sim)
-        self._pending[op.op_id] = op
-        self.ctx.cluster.metrics.add("shmem.puts")
-        yield from post_control(
-            self.ctx, proxy,
-            ("shmem_put", {
-                "src_pe": self.pe, "dst_pe": pe,
-                "src_addr": src_addr, "dst_addr": dst_addr, "size": size,
-                "mkey": mkey.key, "gvmi_id": gid,
-                "reg_addr": mkey.addr, "reg_size": mkey.size,
-                "rkey": rkey, "op_id": op.op_id,
-            }),
-        )
-        return op
+        return (yield from self._post("put", pe, src_addr, dst_addr, size))
 
     def get(self, dst_addr: int, src_addr: int, size: int, pe: int):
         """Non-blocking get: PE ``pe``'s [src_addr,+size) -> my dst_addr."""
-        yield from self._ensure_ready()
-        yield from self._admit()
+        return (yield from self._post("get", pe, dst_addr, src_addr, size))
+
+    def _post(self, kind: str, pe: int, local: int, remote: int, size: int):
+        """One put or get through my offload endpoint: the proxy needs an
+        mkey2 over my ``local`` buffer (it reads a put's source from it
+        and writes a get's data into it) and PE ``pe``'s rkey over
+        ``remote``."""
+        offload = self.offload
+        yield from offload._ensure_ready()
+        yield from offload._admit()
         proxy = self.world.cluster.proxy_for_rank(self.pe)
-        gid = gvmi_id_of(proxy)
-        # The proxy writes into *my* buffer: it needs an mkey2 over it.
-        mkey = yield from self.gvmi_cache.get(dst_addr, size, proxy)
-        rkey = self.world.rkey_of(pe, src_addr)
-        op = _ShmemOp("get")
-        op.event = Event(self.sim)
-        self._pending[op.op_id] = op
-        self.ctx.cluster.metrics.add("shmem.gets")
+        mkey = yield from offload.gvmi_cache.get(local, size, proxy)
+        rkey = self.world.rkey_of(pe, remote)
+        req = OffloadRequest(kind=kind, rank=self.pe, peer=pe, tag=0,
+                             addr=local, size=size)
+        offload._register_pending(req)
+        self.ctx.cluster.metrics.add(f"shmem.{kind}s")
+        src, dst = (self.pe, pe) if kind == "put" else (pe, self.pe)
+        src_addr, dst_addr = (local, remote) if kind == "put" else (remote, local)
+        req.post_time = self.sim.now
+        bus = self.ctx.cluster.bus
+        if bus is not None:
+            bus.emit("req", "post", self.ctx.trace_name, rid=req.req_id,
+                     kind=kind, peer=pe, tag=0, size=size)
         yield from post_control(
             self.ctx, proxy,
-            ("shmem_get", {
-                "src_pe": pe, "dst_pe": self.pe,
+            ("shmem_" + kind, {
+                "src_pe": src, "dst_pe": dst,
                 "src_addr": src_addr, "dst_addr": dst_addr, "size": size,
-                "mkey": mkey.key, "gvmi_id": gid,
+                "mkey": mkey.key, "gvmi_id": gvmi_id_of(proxy),
                 "reg_addr": mkey.addr, "reg_size": mkey.size,
-                "rkey": rkey, "op_id": op.op_id,
+                "rkey": rkey, "req_id": req.req_id,
             }),
         )
-        return op
+        return req
 
     def quiet(self):
-        """Block until every outstanding put/get of this PE completed."""
-        while self._pending:
-            op = next(iter(self._pending.values()))
-            if not op.complete:
-                yield op.event
-            self._pending.pop(op.op_id, None)
+        """Block until every outstanding put/get of this PE completed
+        (its offload endpoint drops a request when it completes)."""
+        pending = self.offload._pending
+        while True:
+            req = next((r for r in pending.values() if r.kind in _ONE_SIDED), None)
+            if req is None:
+                return
+            yield req.event
 
     # fence == quiet here: proxy execution is FIFO per endpoint already.
     fence = quiet
@@ -260,46 +251,6 @@ class ShmemEndpoint:
         self._barrier_scratch = yield from self.symmetric_alloc(slots, fill=0)
         self._barrier_round_values = 0
 
-    # ------------------------------------------------------------------
-    # plumbing
-    # ------------------------------------------------------------------
-    def _ensure_ready(self):
-        if not self.world.framework.ready.processed:
-            yield self.world.framework.ready
-
-    def _admit(self):
-        """Backpressure: bound the per-PE outstanding one-sided window.
-
-        With ``params.shmem_queue_depth`` set, a put/get whose window is
-        full blocks (in simulated time) until an outstanding op
-        completes -- the PGAS analogue of a bounded NIC work queue.
-        Entries linger in ``_pending`` until :meth:`quiet`, so the
-        window counts *incomplete* ops, not table entries.
-        """
-        depth = self.params.shmem_queue_depth
-        if depth is None:
-            return
-        while True:
-            incomplete = [op for op in self._pending.values() if not op.complete]
-            if len(incomplete) < depth:
-                return
-            self.ctx.cluster.metrics.add("shmem.backpressure_stalls")
-            bus = self.ctx.cluster.bus
-            if bus is not None:
-                bus.emit("req", "stall", self.ctx.trace_name,
-                         outstanding=len(incomplete), api="shmem")
-            yield self.sim.any_of(
-                [op.event for op in incomplete if op.event is not None]
-            )
-
-    def _complete_op(self, op_id: int) -> None:
-        op = self._pending.get(op_id)
-        if op is None:
-            raise OffloadError(f"completion for unknown SHMEM op {op_id}")
-        op.complete = True
-        if op.event is not None and not op.event.triggered:
-            op.event.succeed(None)
-
     def _notify_write(self, addr: int, size: int) -> None:
         """A remote put landed on ``[addr, addr + size)``: wake the
         waiters on any byte of it whose predicate now holds."""
@@ -317,24 +268,19 @@ class ShmemEndpoint:
                 del self._watchers[watched]
 
 
-class _OpCompletionSink:
-    """Adapter: a proxy completion write finishes a SHMEM op."""
-
-    def __init__(self, endpoint: ShmemEndpoint):
-        self.endpoint = endpoint
-
-    def put(self, op_id: int) -> None:
-        self.endpoint._complete_op(op_id)
+#: The request kinds :meth:`ShmemEndpoint.quiet` waits for.
+_ONE_SIDED = ("put", "get")
 
 
 # ---------------------------------------------------------------------------
-# proxy-side handlers (installed onto ProxyEngine via its dispatch table)
+# proxy-side handlers (installed onto ProxyEngine via its dispatch table,
+# with the world bound in)
 # ---------------------------------------------------------------------------
 
-def handle_shmem_put(engine, info: dict):
-    """Proxy: cross-register the source, RDMA-write to the remote PE,
-    then completion-write the initiator and nudge the target's waiters."""
-    world: ShmemWorld = engine.framework._shmem_world
+def handle_shmem_put(world: ShmemWorld, engine, info: dict):
+    """Proxy: cross-register the source, RDMA-write to the remote PE;
+    the write's CQE completes the initiator and nudges the target's
+    waiters."""
     mkey2 = yield from engine.gvmi_cache.get(
         info["reg_addr"], info["reg_size"],
         info["src_pe"], info["gvmi_id"], info["mkey"],
@@ -346,26 +292,18 @@ def handle_shmem_put(engine, info: dict):
         size=info["size"],
     )
     engine.ctx.cluster.metrics.add("proxy.shmem_puts")
-
-    def _after():
-        yield transfer.completed
-        src_ep = world.endpoint(info["src_pe"])
-        dst_ep = world.endpoint(info["dst_pe"])
-        cl = engine.ctx.cluster
-        cl.fabric.control(
-            src_node=engine.ctx.node_id, dst_node=src_ep.ctx.node_id,
-            initiator="dpu", inbox=_OpCompletionSink(src_ep),
-            msg=info["op_id"], size=8, src_mem="dpu", dst_mem="host",
-        )
-        # Memory-polling wakeup at the target (no CPU protocol work).
-        dst_ep._notify_write(info["dst_addr"], info["size"])
-
-    engine.sim.process(_after())
+    transfer.completed.callbacks.append(partial(_put_landed, world, engine, info))
 
 
-def handle_shmem_get(engine, info: dict):
-    """Proxy: cross-register the local PE's buffer, RDMA-read the remote."""
-    world: ShmemWorld = engine.framework._shmem_world
+def _put_landed(world: ShmemWorld, engine, info: dict, _cqe) -> None:
+    _completion_write(engine, info["src_pe"], info)
+    # Memory-polling wakeup at the target (no CPU protocol work).
+    world.endpoint(info["dst_pe"])._notify_write(info["dst_addr"], info["size"])
+
+
+def handle_shmem_get(world: ShmemWorld, engine, info: dict):
+    """Proxy: cross-register the local PE's buffer, RDMA-read the remote;
+    the read's CQE completes the initiator."""
     mkey2 = yield from engine.gvmi_cache.get(
         info["reg_addr"], info["reg_size"],
         info["dst_pe"], info["gvmi_id"], info["mkey"],
@@ -377,14 +315,11 @@ def handle_shmem_get(engine, info: dict):
         size=info["size"],
     )
     engine.ctx.cluster.metrics.add("proxy.shmem_gets")
+    transfer.completed.callbacks.append(
+        partial(_completion_write, engine, info["dst_pe"], info))
 
-    def _after():
-        yield transfer.completed
-        dst_ep = world.endpoint(info["dst_pe"])
-        engine.ctx.cluster.fabric.control(
-            src_node=engine.ctx.node_id, dst_node=dst_ep.ctx.node_id,
-            initiator="dpu", inbox=_OpCompletionSink(dst_ep),
-            msg=info["op_id"], size=8, src_mem="dpu", dst_mem="host",
-        )
 
-    engine.sim.process(_after())
+def _completion_write(engine, pe: int, info: dict, _cqe=None) -> None:
+    """At the CQE, with no ARM charge: an 8-byte completion write into
+    the initiating PE's completion sink."""
+    engine._host_write(pe, info["req_id"], 8, "ctrl")

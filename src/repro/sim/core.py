@@ -288,8 +288,9 @@ class Simulator:
         #: goes dry, so registering probes costs nothing in the hot path.
         self.watchdog_probes: list[Callable[[], Iterable[str]]] = []
         #: Optional :class:`~repro.sim.flows.FlowEngine` interleaving
-        #: coarse fluid-flow progress with this queue (hybrid mode).
-        #: ``None`` in exact mode; set via :meth:`attach_flow_engine`.
+        #: coarse fluid-flow progress with this queue: a fat-tree's bulk
+        #: transfers.  ``None`` on a single switch (every message walks
+        #: the exact ports); set via :meth:`attach_flow_engine`.
         self.flow_engine = None
 
     def attach_flow_engine(self, engine) -> None:

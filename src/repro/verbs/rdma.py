@@ -26,7 +26,8 @@ from repro.hw.node import ProcessContext
 from repro.verbs.gvmi import gvmi_id_of
 from repro.verbs.mr import KeyTable, ProtectionError
 
-__all__ = ["VerbsState", "verbs_state", "rdma_write", "rdma_read", "post_control"]
+__all__ = ["VerbsState", "verbs_state", "work_request", "rdma_write", "rdma_read",
+           "post_control"]
 
 # Hot-path metric labels (initiator.kind is "host" or "dpu").
 _READ_LABELS = {k: f"rdma.read.{k}" for k in ("host", "dpu")}
@@ -50,40 +51,60 @@ def verbs_state(cluster: Cluster) -> VerbsState:
     return state
 
 
-def _check_lkey(state: VerbsState, initiator: ProcessContext, lkey: int, addr: int, size: int):
-    info = state.keys.lookup(lkey)
-    if info.kind == "lkey":
-        if info.owner is not initiator:
+def work_request(state: VerbsState, initiator: ProcessContext, lkey: int,
+                 local_addr: int, rkey: int, remote_addr: int, size: int,
+                 write: bool = True) -> tuple:
+    """Resolve one RDMA work request: its keys and its port window.
+
+    Checks the local key -- an lkey of ``initiator``'s own, or an mkey2
+    whose GVMI is the initiating DPU process's -- and the remote rkey,
+    each over the bytes the operation touches.  Returns ``(local,
+    remote, serialization)``: the two keys' ``KeyInfo`` records and the
+    source HCA's serialization of ``size`` bytes (a write's source is
+    the local buffer, a read's the remote one), stretched by
+    ``gvmi_bw_factor`` when a write reads through an mkey2 -- the
+    cross-GVMI translation indirection.  What :func:`rdma_write`,
+    :func:`rdma_read` and the Group executor's first post of a send all
+    check; a cached replay revalidates by identity instead.
+    """
+    if size < 0:
+        raise ValueError("negative message size")
+    keys = state.keys
+    local = keys.lookup(lkey)
+    if local.kind == "lkey":
+        if local.owner is not initiator:
             raise ProtectionError(
-                f"lkey {lkey:#x} belongs to {info.owner!r}; {initiator!r} cannot use it"
+                f"lkey {lkey:#x} belongs to {local.owner!r}; {initiator!r} cannot use it"
             )
-    elif info.kind == "mkey2":
-        if initiator.kind != "dpu" or info.gvmi_id != gvmi_id_of(initiator):
+    elif local.kind == "mkey2":
+        if initiator.kind != "dpu" or local.gvmi_id != gvmi_id_of(initiator):
             raise ProtectionError(
-                f"mkey2 {lkey:#x} (GVMI {info.gvmi_id:#x}) is not usable by {initiator!r}"
+                f"mkey2 {lkey:#x} (GVMI {local.gvmi_id:#x}) is not usable by {initiator!r}"
             )
     else:
         raise ProtectionError(
-            f"key {lkey:#x} is a {info.kind}; RDMA local access needs an lkey or mkey2"
+            f"key {lkey:#x} is a {local.kind}; RDMA local access needs an lkey or mkey2"
         )
-    if not info.covers(addr, size):
+    if not local.covers(local_addr, size):
         raise ProtectionError(
-            f"local key {lkey:#x} covers [{info.addr:#x}, +{info.size}) but the "
-            f"operation touches [{addr:#x}, +{size})"
+            f"local key {lkey:#x} covers [{local.addr:#x}, +{local.size}) but the "
+            f"operation touches [{local_addr:#x}, +{size})"
         )
-    return info
-
-
-def _check_rkey(state: VerbsState, rkey: int, addr: int, size: int):
-    info = state.keys.lookup(rkey)
-    if info.kind != "rkey":
-        raise ProtectionError(f"key {rkey:#x} is a {info.kind}; remote access needs an rkey")
-    if not info.covers(addr, size):
+    remote = keys.lookup(rkey)
+    if remote.kind != "rkey":
+        raise ProtectionError(f"key {rkey:#x} is a {remote.kind}; remote access needs an rkey")
+    if not remote.covers(remote_addr, size):
         raise ProtectionError(
-            f"rkey {rkey:#x} covers [{info.addr:#x}, +{info.size}) but the "
-            f"operation touches [{addr:#x}, +{size})"
+            f"rkey {rkey:#x} covers [{remote.addr:#x}, +{remote.size}) but the "
+            f"operation touches [{remote_addr:#x}, +{size})"
         )
-    return info
+    src, dst = (local.owner, remote.owner) if write else (remote.owner, local.owner)
+    cluster = initiator.cluster
+    serialization = cluster.fabric.hcas[src.node_id].serialization_time(
+        size, initiator.kind, src.mem_kind, dst.mem_kind)
+    if write and local.kind == "mkey2":
+        serialization /= max(1e-9, cluster.params.gvmi_bw_factor)
+    return local, remote, serialization
 
 
 def rdma_write(
@@ -110,9 +131,8 @@ def rdma_write(
     unaffected -- only the byte movement is short-circuited.
     """
     cluster = initiator.cluster
-    state = verbs_state(cluster)
-    src_info = _check_lkey(state, initiator, lkey, src_addr, size)
-    dst_info = _check_rkey(state, rkey, dst_addr, size)
+    src_info, dst_info, serialization = work_request(
+        verbs_state(cluster), initiator, lkey, src_addr, rkey, dst_addr, size)
     src_owner = src_info.owner
     dst_owner = dst_info.owner
 
@@ -130,20 +150,10 @@ def rdma_write(
         initiator.hca.dpu_writes += 1
     else:
         initiator.hca.host_writes += 1
-    # Cross-GVMI data paths pay the mkey2 translation indirection.
-    bw_scale = cluster.params.gvmi_bw_factor if src_info.kind == "mkey2" else 1.0
-    return cluster.fabric.transfer(
-        src_node=src_owner.node_id,
-        dst_node=dst_owner.node_id,
-        size=size,
-        initiator=initiator.kind,
-        src_mem=src_owner.mem_kind,
-        dst_mem=dst_owner.mem_kind,
-        on_deliver=deliver,
-        kind="rdma_write",
-        bw_scale=bw_scale,
-        owner=initiator,
-    )
+    hcas = cluster.fabric.hcas
+    return Transfer(cluster.fabric.post(
+        hcas[src_owner.node_id], hcas[dst_owner.node_id], size, initiator.kind,
+        serialization, deliver, "rdma_write", initiator), size)
 
 
 def rdma_read(
@@ -173,9 +183,9 @@ def rdma_read(
     nothing reads the local buffer in between.
     """
     cluster = initiator.cluster
-    state = verbs_state(cluster)
-    local_info = _check_lkey(state, initiator, lkey, local_addr, size)
-    remote_info = _check_rkey(state, rkey, remote_addr, size)
+    local_info, remote_info, serialization = work_request(
+        verbs_state(cluster), initiator, lkey, local_addr, rkey, remote_addr, size,
+        write=False)
     local_owner = local_info.owner
     remote_owner = remote_info.owner
 
@@ -191,17 +201,10 @@ def rdma_read(
     cluster.metrics.add(
         _READ_LABELS.get(initiator.kind) or f"rdma.read.{initiator.kind}"
     )
-    t = cluster.fabric.transfer(
-        src_node=remote_owner.node_id,
-        dst_node=local_owner.node_id,
-        size=size,
-        initiator=initiator.kind,
-        src_mem=remote_owner.mem_kind,
-        dst_mem=local_owner.mem_kind,
-        on_deliver=deliver,
-        kind="rdma_read",
-        owner=initiator,
-    )
+    hcas = cluster.fabric.hcas
+    t = Transfer(cluster.fabric.post(
+        hcas[remote_owner.node_id], hcas[local_owner.node_id], size, initiator.kind,
+        serialization, deliver, "rdma_read", initiator), size)
     if lazy_payload:
         t.payload_src = (remote_owner.space, remote_addr)
     return t

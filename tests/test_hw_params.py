@@ -122,7 +122,7 @@ def test_flag_surface_may_only_shrink(capsys):
 
     src = Path(__file__).resolve().parent.parent / "src" / "repro"
     text = "\n".join(p.read_text() for p in sorted(src.rglob("*.py")))
-    assert len(fields(MachineParams)) + len(fields(ClusterSpec)) <= 55
+    assert len(fields(MachineParams)) + len(fields(ClusterSpec)) <= 54
     assert len(set(re.findall(r"\bREPRO_[A-Z_]+", text))) <= 1
     assert len(re.findall(r"^\s*def using_", text, flags=re.M)) == 0
     run = _cli_options(capsys, "run")

@@ -53,7 +53,7 @@ RATCHET = 0
 #: ever wait for the collector.
 PER_MESSAGE = ("Request", "OffloadRequest", "OffloadGroupRequest", "GroupOp",
                "Timeout", "_Message", "Delivery", "Transfer", "MpiRequest",
-               "_ShmemOp", "KeyInfo", "HostPlan")
+               "KeyInfo", "HostPlan")
 
 
 def alltoall(flavor: str, iters: int):

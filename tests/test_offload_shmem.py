@@ -8,9 +8,10 @@ MPI-style matching at all.
 import pytest
 
 from tests.helpers import pattern, run_procs
-from repro.hw import Cluster, ClusterSpec
-from repro.offload import OffloadError
+from repro.hw import Cluster, ClusterSpec, FaultPlan, FaultSpec, RetryPolicy
+from repro.offload import OffloadError, OffloadFramework
 from repro.offload.shmem import ShmemWorld
+from repro.sim import DeadlockError
 
 
 def _world(nodes=2, ppn=1, proxies=1):
@@ -218,3 +219,82 @@ class TestSynchronisation:
 
         run_procs(cl, [make(pe)(cl.sim) for pe in range(n)])
         assert min(leave.values()) >= max(arrive.values())
+
+
+class TestOneOffloadStack:
+    """A PE is its rank's offload endpoint: one request table, one
+    admission window, one set of caches, one watchdog line."""
+
+    def test_an_untouched_world_builds_no_rank_context(self):
+        cl = Cluster(ClusterSpec(nodes=4, ppn=2, proxies_per_dpu=1))
+        world = ShmemWorld(cl)
+        assert len(world.endpoints) == 8
+        assert cl.ranks.materialized() == []
+        world.endpoint(5)
+        assert [ctx.global_id for ctx in cl.ranks.materialized()] == [5]
+
+    def test_send_offload_and_put_share_the_host_gvmi_cache(self):
+        cl, world = _world()
+        fw = world.framework
+        data = pattern(4096, seed=4)
+
+        def pe0(sim):
+            ep = world.endpoint(0)
+            sym = yield from ep.symmetric_alloc(4096)
+            buf = ep.ctx.space.alloc_like(data)
+            req = yield from fw.endpoint(0).send_offload(buf, 4096, dst=1, tag=0)
+            yield from fw.endpoint(0).wait(req)
+            yield from ep.put(sym, buf, 4096, pe=1)
+            yield from ep.quiet()
+
+        def pe1(sim):
+            ep = world.endpoint(1)
+            sym = yield from ep.symmetric_alloc(4096)
+            rbuf = ep.ctx.space.alloc(4096)
+            req = yield from fw.endpoint(1).recv_offload(rbuf, 4096, src=0, tag=0)
+            yield from fw.endpoint(1).wait(req)
+            yield sim.timeout(100e-6)
+            assert (ep.ctx.space.read(rbuf, 4096) == data).all()
+            assert (ep.ctx.space.read(sym, 4096) == data).all()
+
+        run_procs(cl, [pe0(cl.sim), pe1(cl.sim)])
+        assert cl.metrics.get("gvmi.host_registrations") == 1
+        assert cl.metrics.get("gvmi_cache.host.hit") == 1
+
+    def test_a_dropped_put_is_named_by_the_watchdog_and_not_quiescent(self):
+        cl, world = _world()
+
+        def swallow(engine, info):  # the put's control item is lost
+            return
+            yield
+
+        for engine in world.framework._proxy_engines.values():
+            engine.extra_handlers["shmem_put"] = swallow
+
+        def pe0(sim):
+            ep = world.endpoint(0)
+            sym = yield from ep.symmetric_alloc(64)
+            src = ep.ctx.space.alloc(64, fill=1)
+            yield from ep.put(sym, src, 64, pe=1)
+            yield from ep.quiet()
+
+        def pe1(sim):
+            yield from world.endpoint(1).symmetric_alloc(64)
+
+        with pytest.raises(DeadlockError) as err:
+            run_procs(cl, [pe0(cl.sim), pe1(cl.sim)])
+        assert any(line.startswith("rank 0: offload request(s)")
+                   for line in err.value.reports), err.value.reports
+        with pytest.raises(OffloadError, match="rank 0"):
+            world.framework.assert_quiescent()
+
+    @pytest.mark.parametrize("how", ["policy", "fault_plan"])
+    def test_a_resilient_framework_is_rejected(self, how):
+        cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1))
+        if how == "policy":
+            fw = OffloadFramework(cl, retry=RetryPolicy())
+        else:
+            cl.install_faults(FaultPlan(FaultSpec(), seed=1))
+            fw = OffloadFramework(cl)
+        with pytest.raises(OffloadError, match="RetryPolicy"):
+            ShmemWorld(cl, fw)

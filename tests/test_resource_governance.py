@@ -3,8 +3,8 @@
 Covers the bounded-memory machinery of docs/RESOURCES.md layer by
 layer: AddressSpace byte budgets and address reuse, the free ->
 revoke-covering-keys protocol, LRU eviction in every registration
-cache, and the admission windows of the offload and SHMEM
-front-ends.  Integration of the recovery paths (stale keys, OOM
+cache, and the offload admission window (SHMEM puts and gets count
+against it too).  Integration of the recovery paths (stale keys, OOM
 degradation) lives in test_free_reuse.py and test_soak_governance.py.
 """
 
@@ -384,8 +384,8 @@ class TestAdmission:
 
         run_procs(cl, [sender(cl.sim), receiver(cl.sim)])
 
-    def test_shmem_queue_depth_stalls(self):
-        cl = _cluster(shmem_queue_depth=1)
+    def test_shmem_puts_share_the_offload_window(self):
+        cl = _cluster(max_outstanding_offloads=1)
         world = ShmemWorld(cl)
         size = 512
         data = pattern(size, seed=3)
@@ -406,7 +406,7 @@ class TestAdmission:
             yield sim.timeout(2e-3)
 
         run_procs(cl, [pe0(cl.sim), pe1(cl.sim)])
-        assert cl.metrics.get("shmem.backpressure_stalls") >= 1
+        assert cl.metrics.get("offload.admission_stalls") >= 1
         dst_space = cl.rank_ctx(1).space
         # All four puts landed despite the depth-1 window.
         assert cl.metrics.get("proxy.shmem_puts") == 4
@@ -426,7 +426,6 @@ class TestDormantByDefault:
         assert p.group_cache_capacity is None
         assert p.plan_cache_capacity is None
         assert p.max_outstanding_offloads is None
-        assert p.shmem_queue_depth is None
         assert p.reuse_freed_addresses is False
 
     def test_clean_run_emits_no_governance_metrics(self, tiny_cluster):

@@ -219,11 +219,12 @@ class TestLaziness:
 @pytest.mark.parametrize("spec_kw", [{}, {"slim": True}],
                          ids=["default", "slim-keyword"])
 class TestShmemOnUntouchedCluster:
-    """SHMEM installs its handlers on the proxy engines and posts to
-    their inboxes directly, so it needs every engine running whether or
-    not any offload endpoint was ever built.  (``slim`` is the inert
-    keyword the repo benchmark still passes; at the parent it selected
-    a framework with no engines and these programs hung.)"""
+    """SHMEM installs its handlers on the proxy engines, so it needs
+    every engine running however few PEs a program touches; a PE is its
+    rank's offload endpoint, built on first touch like every per-rank
+    state.  (``slim`` is the inert keyword the repo benchmark still
+    passes; it once selected a framework with no engines and these
+    programs hung.)"""
 
     def test_put_get_between_two_of_eight_pes(self, spec_kw):
         cl = Cluster(ClusterSpec(nodes=4, ppn=2, **spec_kw))
@@ -248,7 +249,9 @@ class TestShmemOnUntouchedCluster:
             assert (cl.ranks[b].space.read(sym, 2048) == data).all()
 
         run_procs(cl, [pe_a(cl.sim), pe_b(cl.sim)])
-        assert shmem.framework._endpoints == {}
+        # Only the PEs the program touched.
+        assert sorted(shmem.framework._endpoints) == [a, b]
+        assert [ctx.global_id for ctx in cl.ranks.materialized()] == [a, b]
 
     def test_barrier_all(self, spec_kw):
         cl = Cluster(ClusterSpec(nodes=2, ppn=2, **spec_kw))
