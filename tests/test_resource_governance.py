@@ -398,6 +398,7 @@ class TestAdmission:
             for k in range(4):
                 yield from ep.put(dst + k * size, src, size, 1)
             yield from ep.quiet()
+            return dst
 
         def pe1(sim):
             ep = world.endpoint(1)
@@ -405,11 +406,13 @@ class TestAdmission:
             yield from ep.symmetric_alloc(4 * size)
             yield sim.timeout(2e-3)
 
-        run_procs(cl, [pe0(cl.sim), pe1(cl.sim)])
+        dst, _ = run_procs(cl, [pe0(cl.sim), pe1(cl.sim)])
         assert cl.metrics.get("offload.admission_stalls") >= 1
         dst_space = cl.rank_ctx(1).space
         # All four puts landed despite the depth-1 window.
         assert cl.metrics.get("proxy.shmem_puts") == 4
+        for k in range(4):
+            assert (dst_space.read(dst + k * size, size) == data).all()
 
 
 # ---------------------------------------------------------------------------
