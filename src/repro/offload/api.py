@@ -549,7 +549,6 @@ class OffloadEndpoint:
         """Cache miss: prepare the pattern (Fig 9's registration, descriptor
         exchange and matching) and file it under a new plan ID."""
         proxy = self.ctx.cluster.proxy_for_rank(self.rank)
-        gvmi = gvmi_id_of(proxy)
         entries: list = []
         # Per-op bookkeeping cost of walking the recorded queue.
         yield self.ctx.consume(self.params.host_cache_lookup * max(1, len(greq.ops)))
@@ -561,12 +560,10 @@ class OffloadEndpoint:
             if op.kind == "send":
                 # dst_addr / rkey are resolved in pass 2.
                 if staged:
-                    handle = yield from self.ib_cache.get(op.addr, op.size)
-                    entries.append(SendEntry(op, src_rkey=handle.rkey))
+                    reg = yield from self.ib_cache.get(op.addr, op.size)
                 else:
-                    mkey = yield from self.gvmi_cache.get(op.addr, op.size, proxy)
-                    entries.append(SendEntry(op, mkey=mkey.key, reg_addr=mkey.addr,
-                                             reg_size=mkey.size, gvmi_id=gvmi))
+                    reg = yield from self.gvmi_cache.get(op.addr, op.size, proxy)
+                entries.append(SendEntry(op, reg))
                 continue
             # A recv, reduce or barrier entry is the recorded op itself.
             # A reduce's two buffers are this rank's own memory, which the

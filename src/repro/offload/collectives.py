@@ -63,23 +63,31 @@ def record_schedule(ep: "OffloadEndpoint", sched: Schedule, *, base_tag: int,
     ``copy`` ops are the caller's, before ``Group_Offload_call``.
     Returns ``(request, scratch_addr)``; the scratch (``None`` when the
     schedule needs none) must stay allocated while the request lives.
+    Each distinct address or tag is one int object in the recording, however
+    many ops repeat it: the request keeps its ops for its whole life.
     """
     greq = ep.group_start()
     scratch = ep.ctx.space.alloc(sched.scratch_bytes) if sched.scratch_bytes else None
     bufs = {SEND: send_addr, RECV: recv_addr, SCRATCH: scratch}
+    minted: dict[int, int] = {}
     for i, ops in enumerate(sched.rounds):
         if i:
             ep.group_barrier(greq)
         for op in ops:
             addr = bufs[op.buf] + op.off
+            if op.kind == "copy":
+                continue
+            addr = minted.setdefault(addr, addr)
+            if op.kind == "reduce":
+                src = bufs[op.src] + op.src_off
+                ep.group_reduce(greq, minted.setdefault(src, src), addr, op.nbytes)
+                continue
+            tag = base_tag + op.tag
+            tag = minted.setdefault(tag, tag)
             if op.kind == "send":
-                ep.group_send(greq, addr, op.nbytes, dst=world_rank(op.peer),
-                              tag=base_tag + op.tag)
-            elif op.kind == "recv":
-                ep.group_recv(greq, addr, op.nbytes, src=world_rank(op.peer),
-                              tag=base_tag + op.tag)
-            elif op.kind == "reduce":
-                ep.group_reduce(greq, bufs[op.src] + op.src_off, addr, op.nbytes)
+                ep.group_send(greq, addr, op.nbytes, dst=world_rank(op.peer), tag=tag)
+            else:
+                ep.group_recv(greq, addr, op.nbytes, src=world_rank(op.peer), tag=tag)
     ep.group_end(greq)
     return greq, scratch
 

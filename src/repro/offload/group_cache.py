@@ -38,30 +38,30 @@ _plan_ids = itertools.count(1)
 
 
 class SendEntry:
-    """A prepared send: source keys resolved, destination matched.
+    """A prepared send: source registered, destination matched.
 
-    GVMI mode carries the host mkey and its registered range; staged
-    mode the source ``src_rkey`` instead.  ``dst_addr`` / ``rkey`` come
-    from the receiver's descriptor (and are patched when it changes);
-    ``mkey2`` is the DPU's cross-registration, attached on first
-    execution together with the resolved work request (``wqe_*``).
+    ``reg`` is the source buffer's registration record: in GVMI mode the
+    host mkey (its key, registered range and GVMI-ID), in staged mode the
+    IB registration whose rkey the proxy reads through.  ``dst_addr`` /
+    ``rkey`` come from the receiver's descriptor (and are patched when it
+    changes); ``mkey2`` is the DPU's cross-registration record, attached
+    on first execution together with the resolved work request
+    (``wqe_*``).
     """
 
-    __slots__ = ("addr", "size", "peer", "tag", "mkey", "reg_addr", "reg_size",
-                 "gvmi_id", "src_rkey", "dst_addr", "rkey", "mkey2",
+    __slots__ = ("addr", "size", "peer", "tag", "reg", "dst_addr", "rkey", "mkey2",
                  # the resolved work request, kept on first execution: the
-                 # KeyInfos of mkey2 and rkey it was checked against (whose
-                 # owners give both nodes), the scaled serialization window,
-                 # and the peer proxy's counter route
-                 "wqe_src", "wqe_dst", "wqe_ser", "wqe_ctr")
+                 # rkey's registration it was checked against (its owner
+                 # gives the destination node; mkey2's the source), the
+                 # scaled serialization window, and the peer proxy's
+                 # counter route
+                 "wqe_dst", "wqe_ser", "wqe_ctr")
     kind = "send"
 
-    def __init__(self, op, mkey=None, reg_addr=None, reg_size=None,
-                 gvmi_id=None, src_rkey=None):
+    def __init__(self, op, reg):
         self.addr, self.size, self.peer, self.tag = op.addr, op.size, op.peer, op.tag
-        self.mkey, self.reg_addr, self.reg_size = mkey, reg_addr, reg_size
-        self.gvmi_id, self.src_rkey = gvmi_id, src_rkey
-        self.dst_addr = self.rkey = self.mkey2 = self.wqe_src = self.wqe_ctr = None
+        self.reg = reg
+        self.dst_addr = self.rkey = self.mkey2 = self.wqe_dst = self.wqe_ctr = None
 
 
 class DpuPlan(NamedTuple):
@@ -184,7 +184,7 @@ class HostGroupCache:
                 ):
                     entry.dst_addr = desc["addr"]
                     entry.rkey = desc["rkey"]
-                    entry.wqe_src = None
+                    entry.wqe_dst = None
                     changed = True
             if changed:
                 plan.dirty = True

@@ -441,10 +441,10 @@ class ProxyEngine:
         #: key; each entry is the RTS / RTR info dict awaiting its match.
         self._send_q: dict[tuple, list[dict]] = {}
         self._recv_q: dict[tuple, list[dict]] = {}
-        #: Outbound per-(src,dst) group-call sequence numbers.
-        self._seq_out: dict[tuple[int, int], int] = {}
-        #: Inbound per-(src,dst) group-call sequence numbers.
-        self._seq_in: dict[tuple[int, int], int] = {}
+        #: Per-(src,dst) group-call sequence numbers of the host ranks this
+        #: proxy serves: outbound host -> {dst: seq}, inbound host -> {src: seq}.
+        self._seq_out: dict[int, dict[int, int]] = {}
+        self._seq_in: dict[int, dict[int, int]] = {}
         #: Control routes worked out once: (peer proxy, size) -> (counter
         #: sink, route); (host rank, size) -> (endpoint, route).
         self._peers: dict[tuple, tuple] = {}
@@ -782,15 +782,17 @@ class ProxyEngine:
         plan, host_rank = ex.plan, ex.plan.host_rank
         if seqs is None:
             seqs = {}
+            outs = self._seq_out.setdefault(host_rank, {})
+            ins = self._seq_in.setdefault(host_rank, {})
             for entry in plan.entries:
                 if entry.kind == "send":
                     pair = (host_rank, entry.peer)
                     if pair not in seqs:
-                        seqs[pair] = self._seq_out[pair] = self._seq_out.get(pair, 0) + 1
+                        seqs[pair] = outs[entry.peer] = outs.get(entry.peer, 0) + 1
                 elif entry.kind == "recv":
                     pair = (entry.peer, host_rank)
                     if pair not in seqs:
-                        seqs[pair] = self._seq_in[pair] = self._seq_in.get(pair, 0) + 1
+                        seqs[pair] = ins[entry.peer] = ins.get(entry.peer, 0) + 1
             if self.recovery is not None:
                 self.recovery.record_launch(ex.req_id, seqs, ex.call_no)
         ex.seqs = seqs

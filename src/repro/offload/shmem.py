@@ -69,6 +69,7 @@ class ShmemWorld:
         self._rkeys: dict[tuple[int, int], int] = {}
         #: Collective-allocation bookkeeping (call index -> per-PE addr).
         self._alloc_calls: dict[int, dict[int, int]] = {}
+        cluster.sim.watchdog_probes.append(self._watchdog_report)
 
     @property
     def n_pes(self) -> int:
@@ -76,6 +77,13 @@ class ShmemWorld:
 
     def endpoint(self, pe: int) -> "ShmemEndpoint":
         return self.endpoints[pe]
+
+    def _watchdog_report(self):
+        """Lines for :class:`repro.sim.DeadlockError`: each PE parked in ``wait_until``."""
+        for ep in self.endpoints.materialized():
+            for addr, waiters in ep._watchers.items():
+                yield (f"PE {ep.pe}: {len(waiters)} wait_until on {addr:#x} "
+                       f"(byte now {ep.ctx.space.view(addr, 1)[0]})")
 
     def rkey_of(self, pe: int, addr: int) -> int:
         # The heap is registered in blocks; find the covering block.

@@ -18,28 +18,13 @@ buffers do not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.hw.memory import OutOfMemoryError
 from repro.hw.node import ProcessContext
 from repro.offload.requests import OffloadError
 from repro.sim import Interrupt
 from repro.verbs.mr import MemoryRegionHandle, dereg_mr, reg_mr
 
-__all__ = ["StagingBuffer", "StagingChannel"]
-
-
-@dataclass
-class StagingBuffer:
-    """One registered DPU-DRAM buffer."""
-
-    addr: int
-    size_class: int
-    handle: MemoryRegionHandle
-
-    @property
-    def lkey(self) -> int:
-        return self.handle.lkey
+__all__ = ["StagingChannel"]
 
 
 def size_class_of(size: int) -> int:
@@ -59,7 +44,9 @@ class StagingChannel:
         if ctx.kind != "dpu":
             raise OffloadError("staging buffers live in DPU DRAM")
         self.ctx = ctx
-        self._free: dict[int, list[StagingBuffer]] = {}
+        #: Pooled buffers by size class; a staging buffer is its own
+        #: registration (its ``size`` is the class).
+        self._free: dict[int, list[MemoryRegionHandle]] = {}
         #: Buffers created so far (diagnostics; also the warm-up signal).
         self.created = 0
         self.reused = 0
@@ -98,14 +85,13 @@ class StagingChannel:
                                      size=sc, pooled=self.pooled)
                 raise
         try:
-            handle = yield from reg_mr(self.ctx, addr, sc)
+            return (yield from reg_mr(self.ctx, addr, sc))
         except (Interrupt, GeneratorExit):
             # The proxy was killed or closed inside the registration:
             # nobody will ever hold this buffer.
             self.ctx.space.free(addr)
             self._outstanding -= 1
             raise
-        return StagingBuffer(addr=addr, size_class=sc, handle=handle)
 
     def _reclaim(self, needed: int) -> None:
         """Tear down pooled (idle) buffers until ``needed`` bytes fit.
@@ -120,20 +106,20 @@ class StagingChannel:
             bucket = self._free[sc]
             while bucket and freed < needed:
                 buf = bucket.pop()
-                dereg_mr(self.ctx, buf.handle)
+                dereg_mr(self.ctx, buf)
                 self.ctx.space.free(buf.addr)
-                freed += buf.size_class
+                freed += buf.size
                 self.evictions += 1
                 cluster.metrics.add("staging.evictions")
                 if cluster.bus is not None:
                     cluster.bus.emit("cache", "evict", self.ctx.trace_name,
-                                     cache="staging", size=buf.size_class)
+                                     cache="staging", size=buf.size)
             if freed >= needed:
                 break
 
-    def release(self, buf: StagingBuffer) -> None:
+    def release(self, buf: MemoryRegionHandle) -> None:
         self._outstanding -= 1
-        self._free.setdefault(buf.size_class, []).append(buf)
+        self._free.setdefault(buf.size, []).append(buf)
 
     @property
     def outstanding(self) -> int:

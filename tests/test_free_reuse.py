@@ -191,7 +191,7 @@ class TestBasicPairRecovery:
         _free_race_exchange(cl, fw)
         keys = verbs_state(cl).keys
         host0 = cl.rank_ctx(0)
-        for info in keys.live_owned_by(host0):
+        for _key, info in keys.live_owned_by(host0):
             assert host0.space.contains(info.addr, info.size)
 
 

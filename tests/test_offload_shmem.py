@@ -288,6 +288,23 @@ class TestOneOffloadStack:
         with pytest.raises(OffloadError, match="rank 0"):
             world.framework.assert_quiescent()
 
+    def test_a_wait_nobody_satisfies_is_named_by_the_watchdog(self):
+        cl, world = _world()
+        flag = {}
+
+        def pe0(sim):
+            yield from world.endpoint(0).symmetric_alloc(8, fill=0)
+
+        def pe1(sim):
+            ep = world.endpoint(1)
+            flag[1] = yield from ep.symmetric_alloc(8, fill=0)
+            yield from ep.wait_until(flag[1], lambda v: v == 1)
+
+        with pytest.raises(DeadlockError) as err:
+            run_procs(cl, [pe0(cl.sim), pe1(cl.sim)])
+        assert f"PE 1: 1 wait_until on {flag[1]:#x} (byte now 0)" in err.value.reports, (
+            err.value.reports)
+
     @pytest.mark.parametrize("how", ["policy", "fault_plan"])
     def test_a_resilient_framework_is_rejected(self, how):
         cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1))

@@ -56,7 +56,7 @@ class TestPool:
             return a, b
 
         a, b = run_proc(tiny_cluster, prog(tiny_cluster.sim))
-        assert a.size_class != b.size_class
+        assert a.size != b.size
         assert ch.created == 2
 
     def test_concurrent_acquires_get_distinct_buffers(self, tiny_cluster):
@@ -83,5 +83,5 @@ class TestPool:
             return buf
 
         buf = run_proc(tiny_cluster, prog(tiny_cluster.sim))
-        assert proxy.space.contains(buf.addr, buf.size_class)
-        assert buf.handle.owner is proxy
+        assert proxy.space.contains(buf.addr, buf.size)
+        assert buf.owner is proxy

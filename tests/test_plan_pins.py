@@ -38,6 +38,7 @@ from repro.hw import Cluster, ClusterSpec
 from repro.offload import OffloadFramework, build_iallreduce
 from repro.offload.group_cache import DpuPlanCache, HostGroupCache
 from repro.util import atomic_write
+from repro.verbs import MemoryRegionHandle
 
 PIN_FILE = Path(__file__).resolve().parent / "golden" / "plan_pins.json"
 
@@ -55,13 +56,14 @@ def _render(entry) -> dict:
     out = {"kind": "send", "addr": entry.addr, "size": entry.size,
            "dst": entry.peer, "tag": entry.tag,
            "dst_addr": entry.dst_addr, "rkey": entry.rkey}
-    if entry.src_rkey is not None:  # staged
-        out["src_rkey"] = entry.src_rkey
+    reg = entry.reg
+    if isinstance(reg, MemoryRegionHandle):  # staged
+        out["src_rkey"] = reg.rkey
     else:
-        out.update(reg_addr=entry.reg_addr, reg_size=entry.reg_size,
-                   mkey=entry.mkey, gvmi_id=entry.gvmi_id)
+        out.update(reg_addr=reg.addr, reg_size=reg.size, mkey=reg.key,
+                   gvmi_id=reg.gvmi_id)
     if entry.mkey2 is not None:
-        out["mkey2"] = entry.mkey2
+        out["mkey2"] = entry.mkey2.key
     return out
 
 

@@ -99,9 +99,9 @@ class GovernanceMachine(RuleBasedStateMachine):
     # -- invariants ----------------------------------------------------
     @invariant()
     def no_key_over_freed_memory(self):
-        for info in self.keys.live_owned_by(self.ctx):
+        for key, info in self.keys.live_owned_by(self.ctx):
             assert self.ctx.space.contains(info.addr, info.size), (
-                f"live key {info.key:#x} covers freed range "
+                f"live key {key:#x} covers freed range "
                 f"[{info.addr:#x}, +{info.size})")
 
     @invariant()

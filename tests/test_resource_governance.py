@@ -127,7 +127,7 @@ class TestFreeRevokes:
         keys = verbs_state(tiny_cluster).keys
         assert keys.is_live(handle.lkey) and keys.is_live(handle.rkey)
         revoked = ctx.free(addr)
-        assert {i.key for i in revoked} == {handle.lkey, handle.rkey}
+        assert {key for key, _reg in revoked} == {handle.lkey, handle.rkey}
         assert not keys.is_live(handle.lkey)
         assert not keys.live_owned_by(ctx)
         with pytest.raises(ProtectionError, match="revoked"):
@@ -293,8 +293,8 @@ class TestCacheEviction:
 
         bufs, big = run_proc(tiny_cluster, prog(tiny_cluster.sim))
         assert chan.evictions >= 2
-        assert not keys.is_live(bufs[0].handle.lkey)
-        assert keys.is_live(big.handle.lkey)
+        assert not keys.is_live(bufs[0].lkey)
+        assert keys.is_live(big.lkey)
         assert tiny_cluster.metrics.get("staging.evictions") == chan.evictions
 
     def test_staging_oom_when_reclaim_insufficient(self, tiny_cluster):

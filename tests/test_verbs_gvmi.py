@@ -10,6 +10,7 @@ from repro.verbs import (
     gvmi_id_of,
     host_gvmi_register,
 )
+from repro.verbs.mr import key_kind
 
 
 class TestGvmiId:
@@ -40,7 +41,7 @@ class TestHostRegistration:
         host = tiny_cluster.rank_ctx(0)
         proxy = tiny_cluster.proxy_ctx(0, 0)
         _, info = _do_host_reg(tiny_cluster, host, proxy)
-        assert info.kind == "mkey"
+        assert key_kind(info, info.key) == "mkey"
         assert info.gvmi_id == gvmi_id_of(proxy)
         assert info.owner is host
 
@@ -76,7 +77,7 @@ class TestCrossRegistration:
                 proxy, addr, 4096, gvmi_id_of(proxy), mkey.key))
 
         info = run_proc(tiny_cluster, prog(tiny_cluster.sim))
-        assert info.kind == "mkey2"
+        assert key_kind(info, info.key) == "mkey2"
         assert info.owner is host  # grants access to *host* memory
         assert info.parent_mkey == mkey.key
 
