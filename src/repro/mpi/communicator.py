@@ -84,6 +84,3 @@ class Communicator:
             )
         self._split_cache[cache_key] = out
         return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Communicator {self.name} size={self.size}>"

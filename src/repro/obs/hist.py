@@ -132,9 +132,3 @@ class Histogram:
             "p99": self.p99,
             "total": self.total,
         }
-
-    def __repr__(self):  # pragma: no cover
-        if not self._samples:
-            return "Histogram(empty)"
-        return (f"Histogram(n={self.count}, p50={self.p50:.3e}, "
-                f"p95={self.p95:.3e}, p99={self.p99:.3e})")

@@ -184,10 +184,6 @@ class Flow:
         self.t_start = t_start
         self.t_drain: Optional[float] = None
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Flow {self.fid} work={self.work:.3e} "
-                f"remaining={self.remaining:.3e} rate={self.rate:.3f}>")
-
 
 class FlowEngine:
     """Rate-shared flow progression interleaved with the event queue.
