@@ -32,6 +32,7 @@ from repro.offload.collectives import (
 )
 from repro.offload.requests import (
     GroupOp,
+    ReduceOp,
     OffloadError,
     OffloadGroupRequest,
     OffloadRequest,
@@ -43,6 +44,7 @@ __all__ = [
     "build_iallreduce",
     "build_ialltoall",
     "GroupOp",
+    "ReduceOp",
     "OffloadEndpoint",
     "OffloadError",
     "OffloadFramework",

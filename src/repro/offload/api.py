@@ -51,6 +51,7 @@ from repro.offload.requests import (
     OffloadError,
     OffloadGroupRequest,
     OffloadRequest,
+    ReduceOp,
 )
 from repro.sim import Event, Store
 from repro.verbs.gvmi import gvmi_id_of
@@ -133,6 +134,9 @@ class OffloadFramework:
         #: (time, rank, kind, req_id) records of graceful degradations
         #: (requests that abandoned their proxy for the host path).
         self.fallback_log: list[tuple] = []
+        #: Operand ints of recorded schedules, one object per distinct
+        #: value (``collectives.record_schedule``).
+        self.operands: dict[int, int] = {}
 
         #: Per-rank endpoints are built on first use; the proxy engines
         #: -- O(nodes), and the paper launches the DPU proxy processes
@@ -427,11 +431,11 @@ class OffloadEndpoint:
 
     def group_send(self, greq: OffloadGroupRequest, addr: int, size: int, dst: int, tag: int) -> None:
         """``Send_Goffload``: record a send (no simulated cost)."""
-        greq.record(GroupOp("send", addr=addr, size=size, peer=dst, tag=tag))
+        greq.record(GroupOp("send", addr, size, dst, tag))
 
     def group_recv(self, greq: OffloadGroupRequest, addr: int, size: int, src: int, tag: int) -> None:
         """``Recv_Goffload``: record a receive."""
-        greq.record(GroupOp("recv", addr=addr, size=size, peer=src, tag=tag))
+        greq.record(GroupOp("recv", addr, size, src, tag))
 
     def group_reduce(self, greq: OffloadGroupRequest, src_addr: int,
                      dst_addr: int, size: int) -> None:
@@ -447,7 +451,7 @@ class OffloadEndpoint:
         if size % 8:
             raise OffloadError("group_reduce operates on float64 words "
                                "(size must be a multiple of 8)")
-        greq.record(GroupOp("reduce", addr=src_addr, addr2=dst_addr, size=size))
+        greq.record(ReduceOp(src_addr, size, dst_addr))
 
     def group_barrier(self, greq: OffloadGroupRequest) -> None:
         """``Local_barrier_Goffload``: everything after starts only after
@@ -591,11 +595,12 @@ class OffloadEndpoint:
         for entry in entries:
             if entry.kind != "send":
                 continue
-            desc = yield from self._await_descriptor((entry.peer, entry.tag))
-            if desc["size"] < entry.size:
+            op = entry.op
+            desc = yield from self._await_descriptor((op.peer, op.tag))
+            if desc["size"] < op.size:
                 raise OffloadError(
-                    f"group send of {entry.size} bytes overflows remote "
-                    f"receive of {desc['size']} (dst={entry.peer} tag={entry.tag})"
+                    f"group send of {op.size} bytes overflows remote "
+                    f"receive of {desc['size']} (dst={op.peer} tag={op.tag})"
                 )
             entry.dst_addr = desc["addr"]
             entry.rkey = desc["rkey"]

@@ -63,13 +63,15 @@ def record_schedule(ep: "OffloadEndpoint", sched: Schedule, *, base_tag: int,
     ``copy`` ops are the caller's, before ``Group_Offload_call``.
     Returns ``(request, scratch_addr)``; the scratch (``None`` when the
     schedule needs none) must stay allocated while the request lives.
-    Each distinct address or tag is one int object in the recording, however
-    many ops repeat it: the request keeps its ops for its whole life.
+    Each distinct address, tag or peer is one int object per framework
+    (``ep.framework.operands``), however many ops and ranks repeat it: an
+    SPMD pattern puts the same addresses and tags on every rank, and the
+    requests keep their ops for their whole life.
     """
     greq = ep.group_start()
     scratch = ep.ctx.space.alloc(sched.scratch_bytes) if sched.scratch_bytes else None
     bufs = {SEND: send_addr, RECV: recv_addr, SCRATCH: scratch}
-    minted: dict[int, int] = {}
+    minted = ep.framework.operands
     for i, ops in enumerate(sched.rounds):
         if i:
             ep.group_barrier(greq)
@@ -84,10 +86,12 @@ def record_schedule(ep: "OffloadEndpoint", sched: Schedule, *, base_tag: int,
                 continue
             tag = base_tag + op.tag
             tag = minted.setdefault(tag, tag)
+            peer = world_rank(op.peer)
+            peer = minted.setdefault(peer, peer)
             if op.kind == "send":
-                ep.group_send(greq, addr, op.nbytes, dst=world_rank(op.peer), tag=tag)
+                ep.group_send(greq, addr, op.nbytes, dst=peer, tag=tag)
             else:
-                ep.group_recv(greq, addr, op.nbytes, src=world_rank(op.peer), tag=tag)
+                ep.group_recv(greq, addr, op.nbytes, src=peer, tag=tag)
     ep.group_end(greq)
     return greq, scratch
 

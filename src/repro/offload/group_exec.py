@@ -175,7 +175,7 @@ def _post_send(ex, entry):
     if engine.mode == "staged":
         ex.step = _got_send
         return _guarded(engine.staged_send_start(
-            src_rkey=entry.reg.rkey, src_addr=entry.addr, size=entry.size,
+            src_rkey=entry.reg.rkey, src_addr=entry.op.addr, size=entry.op.size,
             dst_rkey=entry.rkey, dst_addr=entry.dst_addr))
     keys = engine.verbs.keys
     mkey2, dst, records = entry.mkey2, entry.wqe_dst, keys._records
@@ -219,10 +219,11 @@ def _checked(ex, entry):
     """Resolve the send's work request (``verbs.rdma.work_request``),
     keep it in the entry, and charge the post."""
     engine = ex.engine
+    op = entry.op
     try:
         entry.mkey2, entry.wqe_dst, entry.wqe_ser = work_request(
-            engine.verbs, engine.ctx, entry.mkey2.key, entry.addr, entry.rkey,
-            entry.dst_addr, entry.size)
+            engine.verbs, engine.ctx, entry.mkey2.key, op.addr, entry.rkey,
+            entry.dst_addr, op.size)
     except ProtectionError as exc:
         return _stale(ex, exc)
     ex.step = _send_posted
@@ -233,10 +234,11 @@ def _send_posted(ex):
     entry = ex.entry
     engine = ex.engine
     engine.hca.dpu_writes += 1
-    src, dst, size = entry.mkey2.owner, entry.wqe_dst.owner, entry.size
+    op = entry.op
+    src, dst, size = entry.mkey2.owner, entry.wqe_dst.owner, op.size
     deliver = None
     if size and engine.ctx.cluster.payloads:
-        src_space, src_addr = src.space, entry.addr
+        src_space, src_addr = src.space, op.addr
         dst_space, dst_addr = dst.space, entry.dst_addr
 
         def deliver(_dv):
@@ -252,7 +254,7 @@ def _sent(ex, done):
     entry, ex.entry = ex.entry, None
     ex.pending.append((entry, done))
     if ex.failed is None:
-        ex.send_set[entry.peer] = entry
+        ex.send_set[entry.op.peer] = entry
         ex.i += 1
         return _walk(ex)
     ex.k += 1

@@ -37,6 +37,10 @@ from repro.verbs.gvmi import cross_register, gvmi_id_of, host_gvmi_register
 __all__ = ["host_gvmi_cache", "dpu_gvmi_cache"]
 
 
+#: The host cache's slot: the mapped proxy's global index.
+_PROXY_SLOT = attrgetter("global_id")
+
+
 def _revoke(ctx: ProcessContext, info) -> None:
     from repro.verbs.rdma import verbs_state
 
@@ -66,7 +70,7 @@ def host_gvmi_cache(ctx: ProcessContext, enabled: bool = True,
     return RegistrationCache(
         ctx, capacity=capacity, capacity_param="gvmi_cache_capacity",
         metric="gvmi_cache.host", label="gvmi.host", enabled=enabled,
-        register=_register_mkey, revoke=_revoke, slot_of=attrgetter("global_id"),
+        register=_register_mkey, revoke=_revoke, slot_of=_PROXY_SLOT,
     )
 
 

@@ -786,9 +786,10 @@ class ProxyEngine:
             ins = self._seq_in.setdefault(host_rank, {})
             for entry in plan.entries:
                 if entry.kind == "send":
-                    pair = (host_rank, entry.peer)
+                    peer = entry.op.peer
+                    pair = (host_rank, peer)
                     if pair not in seqs:
-                        seqs[pair] = outs[entry.peer] = outs.get(entry.peer, 0) + 1
+                        seqs[pair] = outs[peer] = outs.get(peer, 0) + 1
                 elif entry.kind == "recv":
                     pair = (entry.peer, host_rank)
                     if pair not in seqs:

@@ -6,7 +6,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Optional
 
-__all__ = ["OffloadError", "OffloadRequest", "GroupOp", "BARRIER", "OffloadGroupRequest"]
+__all__ = ["OffloadError", "OffloadRequest", "GroupOp", "ReduceOp", "BARRIER",
+           "OffloadGroupRequest"]
 
 _ids = itertools.count()
 
@@ -45,22 +46,34 @@ class OffloadRequest:
 
 
 class GroupOp(NamedTuple):
-    """One recorded entry of a group pattern (the paper's ``Group_op``).
+    """One recorded send, recv or barrier of a group pattern (the paper's
+    ``Group_op``).
 
     A tuple, so the op is its own cache signature; the recv / reduce /
-    barrier ops double as their plan entries (see ``group_cache``).
+    barrier ops double as their plan entries (see ``group_cache``).  An
+    op keeps only the fields its kind uses: a reduce is a
+    :class:`ReduceOp`.
     """
 
-    #: "send" | "recv" | "barrier" | "reduce"
+    #: "send" | "recv" | "barrier"
     kind: str
     addr: int = 0
     size: int = 0
     #: Destination rank (send) / source rank (recv); -1 for barriers.
     peer: int = -1
     tag: int = 0
-    #: Second address operand: the accumulator of a "reduce" op
-    #: (``addr`` is then the source the DPU folds in); 0 otherwise.
-    addr2: int = 0
+
+
+class ReduceOp(NamedTuple):
+    """A recorded DPU-side accumulate, ``addr2 += addr`` over ``size``
+    bytes of float64.  Its kind is the class's: no other op is a
+    three-tuple, so two ops of different kinds never compare equal."""
+
+    addr: int
+    size: int
+    #: The accumulator (``addr`` is the source the DPU folds in).
+    addr2: int
+    kind = "reduce"
 
 
 #: ``Local_barrier_Goffload``: every recorded barrier is this one op.

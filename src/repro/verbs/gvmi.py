@@ -40,10 +40,14 @@ _GVMI_BASE = 0x5000
 
 
 def gvmi_id_of(proxy: ProcessContext) -> int:
-    """The GVMI-ID of a proxy's protection domain (stable per process)."""
-    if proxy.kind != "dpu":
-        raise GvmiError(f"{proxy!r} is not a DPU process; only proxies own GVMIs")
-    return _GVMI_BASE + proxy.global_id
+    """The GVMI-ID of a proxy's protection domain: minted on first use and
+    kept on the context, so every mkey of the domain shares one object."""
+    gvmi = getattr(proxy, "gvmi_id", None)
+    if gvmi is None:
+        if proxy.kind != "dpu":
+            raise GvmiError(f"{proxy!r} is not a DPU process; only proxies own GVMIs")
+        gvmi = proxy.gvmi_id = _GVMI_BASE + proxy.global_id
+    return gvmi
 
 
 def _gvmi_reg_cost(ctx: ProcessContext, addr: int, size: int) -> float:

@@ -10,7 +10,10 @@ A registration is one slotted record filed under each of its keys: a
 :class:`MemoryRegionHandle` under its lkey and its rkey, an
 :class:`Mkey` or :class:`Mkey2` under its one key.  A key's kind is
 read from which record, and which of its keys, it is
-(:func:`key_kind`); revocation is still per key.
+(:func:`key_kind`); revocation is still per key.  A record also carries
+the four slots a :class:`~repro.mpi.regcache.RegistrationCache` files it
+by (``left``, ``right``, ``height``, ``far``): a cached registration is
+its own cache node.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ __all__ = [
 
 #: The first key number a :class:`KeyTable` draws.
 FIRST_KEY = 0x1000
+#: The tree slots of a record a registration cache holds (set when filed).
+_CACHE_SLOTS = ("left", "right", "height", "far")
 
 
 class ProtectionError(RuntimeError):
@@ -46,7 +51,7 @@ class MemoryRegionHandle:
     handle :func:`reg_mr` returns.  Building it draws its keys from
     ``table`` (lkey, then rkey) and files it there under both."""
 
-    __slots__ = ("owner", "addr", "size", "epoch", "lkey", "rkey")
+    __slots__ = ("owner", "addr", "size", "epoch", "lkey", "rkey") + _CACHE_SLOTS
 
     def __init__(self, table: "KeyTable", owner: ProcessContext, addr: int,
                  size: int, epoch: int):
@@ -69,7 +74,7 @@ class Mkey:
     """A host buffer registered under a proxy's GVMI-ID: one ``mkey``.
     Building it draws its key from ``table`` and files it there."""
 
-    __slots__ = ("key", "owner", "addr", "size", "epoch", "gvmi_id")
+    __slots__ = ("key", "owner", "addr", "size", "epoch", "gvmi_id") + _CACHE_SLOTS
     kind = "mkey"
 
     def __init__(self, table: "KeyTable", owner: ProcessContext, addr: int,
@@ -90,7 +95,8 @@ class Mkey2:
     (``parent_mkey``).  Like its parent it grants access to the *host*
     buffer (``owner``)."""
 
-    __slots__ = ("key", "owner", "addr", "size", "epoch", "gvmi_id", "parent_mkey")
+    __slots__ = ("key", "owner", "addr", "size", "epoch", "gvmi_id",
+                 "parent_mkey") + _CACHE_SLOTS
     kind = "mkey2"
 
     def __init__(self, table: "KeyTable", parent: Mkey):

@@ -52,7 +52,7 @@ RATCHET = 0
 #: Allocated per message, per request or per iteration: none of these may
 #: ever wait for the collector.
 PER_MESSAGE = ("Request", "OffloadRequest", "OffloadGroupRequest", "GroupOp",
-               "Timeout", "_Message", "Delivery", "Transfer", "MpiRequest",
+               "ReduceOp", "Timeout", "_Message", "Delivery", "Transfer", "MpiRequest",
                "Mkey", "Mkey2", "MemoryRegionHandle", "HostPlan")
 
 

@@ -140,7 +140,7 @@ class TestDpuCache:
 
         run_proc(small_cluster, prog(small_cluster.sim))
         assert cache.misses == 2 and len(cache) == 2
-        assert cache._trees == {}  # exact match: no trees
+        assert sorted(cache._trees) == [0, 1]  # one slot per host rank
 
 
 @pytest.mark.parametrize("caching", [True, False])

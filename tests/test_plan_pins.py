@@ -53,8 +53,9 @@ def _render(entry) -> dict:
                 "size": entry.size}
     if entry.kind == "barrier":
         return {"kind": "barrier"}
-    out = {"kind": "send", "addr": entry.addr, "size": entry.size,
-           "dst": entry.peer, "tag": entry.tag,
+    op = entry.op
+    out = {"kind": "send", "addr": op.addr, "size": op.size,
+           "dst": op.peer, "tag": op.tag,
            "dst_addr": entry.dst_addr, "rkey": entry.rkey}
     reg = entry.reg
     if isinstance(reg, MemoryRegionHandle):  # staged
