@@ -68,13 +68,13 @@ def run_reg_cache_ablation(scale: str = "quick") -> FigureResult:
     for size in sizes:
         row = {}
         for caching in (True, False):
-            cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1))
-            fw = OffloadFramework(cl, gvmi_caching=caching)
-            times = _basic_exchange_iters(cl, fw, size, iters)
-            # steady state: skip the cold first iteration
-            row[caching] = mean(times[1:]) * 1e6
-            if not caching:
-                xregs.append(cl.metrics.get("gvmi.cross_registrations"))
+            with Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1)) as cl:
+                fw = OffloadFramework(cl, gvmi_caching=caching)
+                times = _basic_exchange_iters(cl, fw, size, iters)
+                # steady state: skip the cold first iteration
+                row[caching] = mean(times[1:]) * 1e6
+                if not caching:
+                    xregs.append(cl.metrics.get("gvmi.cross_registrations"))
         cached.append(row[True])
         uncached.append(row[False])
     xs = [fmt_size(s) for s in sizes]
@@ -112,40 +112,40 @@ def run_group_cache_ablation(scale: str = "quick") -> FigureResult:
     iters = 5
     results = {}
     for caching in (True, False):
-        cl = Cluster(ClusterSpec(nodes=2, ppn=2, proxies_per_dpu=2))
-        fw = OffloadFramework(cl, group_caching=caching)
-        P = cl.world_size
-        barrier = SimBarrier(cl.sim, P)
-        per_iter: list[float] = []
+        with Cluster(ClusterSpec(nodes=2, ppn=2, proxies_per_dpu=2)) as cl:
+            fw = OffloadFramework(cl, group_caching=caching)
+            P = cl.world_size
+            barrier = SimBarrier(cl.sim, P)
+            per_iter: list[float] = []
 
-        def make(rank):
-            def prog(sim):
-                ep = fw.endpoint(rank)
-                sbuf = ep.ctx.space.alloc(P * block, fill=1)
-                rbuf = ep.ctx.space.alloc(P * block)
-                greq = build_ialltoall(ep, sbuf, rbuf, block, comm_size=P, base_tag=2)
-                for it in range(iters):
-                    yield from barrier.arrive()
-                    t0 = sim.now
-                    yield from ep.group_call(greq)
-                    yield from ep.group_wait(greq)
-                    if rank == 0:
-                        per_iter.append(sim.now - t0)
-                return True
+            def make(rank):
+                def prog(sim):
+                    ep = fw.endpoint(rank)
+                    sbuf = ep.ctx.space.alloc(P * block, fill=1)
+                    rbuf = ep.ctx.space.alloc(P * block)
+                    greq = build_ialltoall(ep, sbuf, rbuf, block, comm_size=P, base_tag=2)
+                    for it in range(iters):
+                        yield from barrier.arrive()
+                        t0 = sim.now
+                        yield from ep.group_call(greq)
+                        yield from ep.group_wait(greq)
+                        if rank == 0:
+                            per_iter.append(sim.now - t0)
+                    return True
 
-            return prog
+                return prog
 
-        procs = [cl.sim.process(make(r)(cl.sim)) for r in range(P)]
-        cl.sim.run(until=cl.sim.all_of(procs))
-        # Count the *host-initiated* control traffic the caches target
-        # (plan packets + descriptor gathers); DPU-side barrier counters
-        # and completion writes happen either way.
-        host_ctrl = (cl.metrics.get("ctrl.host_to_dpu")
-                     + cl.metrics.get("ctrl.host_to_host"))
-        results[caching] = {
-            "steady": mean(per_iter[1:]) * 1e6,
-            "ctrl": host_ctrl / iters,
-        }
+            procs = [cl.sim.process(make(r)(cl.sim)) for r in range(P)]
+            cl.sim.run(until=cl.sim.all_of(procs))
+            # Count the *host-initiated* control traffic the caches target
+            # (plan packets + descriptor gathers); DPU-side barrier counters
+            # and completion writes happen either way.
+            host_ctrl = (cl.metrics.get("ctrl.host_to_dpu")
+                         + cl.metrics.get("ctrl.host_to_host"))
+            results[caching] = {
+                "steady": mean(per_iter[1:]) * 1e6,
+                "ctrl": host_ctrl / iters,
+            }
     fig = FigureResult(
         fig_id="abl-groupcache",
         title="Ablation: group request caches (Section VII-D) on/off",

@@ -37,77 +37,77 @@ RANKS = 4
 
 def _mpi_case(spec: ClusterSpec) -> float:
     """Listing 1: ring over Isend/Irecv with test-driven compute."""
-    cl = Cluster(spec)
-    world = MpiWorld(cl)
-    barrier = SimBarrier(cl.sim, RANKS)
-    finish: dict[tuple[int, int], float] = {}
+    with Cluster(spec) as cl:
+        world = MpiWorld(cl)
+        barrier = SimBarrier(cl.sim, RANKS)
+        finish: dict[tuple[int, int], float] = {}
 
-    def program(rt):
-        comm = world.comm_world
-        buf = rt.ctx.space.alloc(SIZE, fill=1)
-        me = rt.rank
-        for it in range(2):  # iteration 0 warms registration caches
-            yield from barrier.arrive()
-            t0 = rt.sim.now
-            if me == 0:
-                req = yield from rt.isend(comm, 1, buf, SIZE, tag=2 + it)
-            else:
-                req = yield from rt.irecv(comm, me - 1, buf, SIZE, tag=2 + it)
-            # the while(!complete){do_compute(); MPI_Test()} loop
-            remaining = COMPUTE
-            while remaining > 0:
-                step = min(CHUNK, remaining)
-                yield rt.ctx.consume(step)
-                remaining -= step
-                yield from rt.test(req)
-            yield from rt.wait(req)
-            if me != 0 and me + 1 < RANKS:
-                fwd = yield from rt.isend(comm, me + 1, buf, SIZE, tag=2 + it)
-                yield from rt.wait(fwd)
-            finish[(it, me)] = rt.sim.now - t0
-        return None
+        def program(rt):
+            comm = world.comm_world
+            buf = rt.ctx.space.alloc(SIZE, fill=1)
+            me = rt.rank
+            for it in range(2):  # iteration 0 warms registration caches
+                yield from barrier.arrive()
+                t0 = rt.sim.now
+                if me == 0:
+                    req = yield from rt.isend(comm, 1, buf, SIZE, tag=2 + it)
+                else:
+                    req = yield from rt.irecv(comm, me - 1, buf, SIZE, tag=2 + it)
+                # the while(!complete){do_compute(); MPI_Test()} loop
+                remaining = COMPUTE
+                while remaining > 0:
+                    step = min(CHUNK, remaining)
+                    yield rt.ctx.consume(step)
+                    remaining -= step
+                    yield from rt.test(req)
+                yield from rt.wait(req)
+                if me != 0 and me + 1 < RANKS:
+                    fwd = yield from rt.isend(comm, me + 1, buf, SIZE, tag=2 + it)
+                    yield from rt.wait(fwd)
+                finish[(it, me)] = rt.sim.now - t0
+            return None
 
-    world.run(program, ranks=range(RANKS))
-    return max(v for (it, _), v in finish.items() if it == 1)
+        world.run(program, ranks=range(RANKS))
+        return max(v for (it, _), v in finish.items() if it == 1)
 
 
 def _offload_case(spec: ClusterSpec, mode: str) -> float:
     """Listing 5: the whole ring recorded and offloaded up front."""
-    cl = Cluster(spec)
-    fw = OffloadFramework(cl, mode=mode)
-    barrier = SimBarrier(cl.sim, RANKS)
-    finish: dict[tuple[int, int], float] = {}
+    with Cluster(spec) as cl:
+        fw = OffloadFramework(cl, mode=mode)
+        barrier = SimBarrier(cl.sim, RANKS)
+        finish: dict[tuple[int, int], float] = {}
 
-    def make(rank):
-        def prog(sim):
-            ep = fw.endpoint(rank)
-            buf = ep.ctx.space.alloc(SIZE, fill=1)
-            greq = ep.group_start()
-            if rank == 0:
-                ep.group_send(greq, buf, SIZE, dst=1, tag=2)
-                ep.group_barrier(greq)
-            else:
-                ep.group_recv(greq, buf, SIZE, src=rank - 1, tag=2)
-                ep.group_barrier(greq)
-                if rank + 1 < RANKS:
-                    ep.group_send(greq, buf, SIZE, dst=rank + 1, tag=2)
-            ep.group_end(greq)
-            for it in range(2):  # iteration 0 warms the request caches
-                yield from barrier.arrive()
-                t0 = sim.now
-                yield from ep.group_call(greq)
-                yield from compute_with_tests(
-                    _FakeBackend(ep), greq, COMPUTE, chunk=CHUNK
-                )
-                yield from ep.group_wait(greq)
-                finish[(it, rank)] = sim.now - t0
-            return None
+        def make(rank):
+            def prog(sim):
+                ep = fw.endpoint(rank)
+                buf = ep.ctx.space.alloc(SIZE, fill=1)
+                greq = ep.group_start()
+                if rank == 0:
+                    ep.group_send(greq, buf, SIZE, dst=1, tag=2)
+                    ep.group_barrier(greq)
+                else:
+                    ep.group_recv(greq, buf, SIZE, src=rank - 1, tag=2)
+                    ep.group_barrier(greq)
+                    if rank + 1 < RANKS:
+                        ep.group_send(greq, buf, SIZE, dst=rank + 1, tag=2)
+                ep.group_end(greq)
+                for it in range(2):  # iteration 0 warms the request caches
+                    yield from barrier.arrive()
+                    t0 = sim.now
+                    yield from ep.group_call(greq)
+                    yield from compute_with_tests(
+                        _FakeBackend(ep), greq, COMPUTE, chunk=CHUNK
+                    )
+                    yield from ep.group_wait(greq)
+                    finish[(it, rank)] = sim.now - t0
+                return None
 
-        return prog
+            return prog
 
-    procs = [cl.sim.process(make(r)(cl.sim)) for r in range(RANKS)]
-    cl.sim.run(until=cl.sim.all_of(procs))
-    return max(v for (it, _), v in finish.items() if it == 1)
+        procs = [cl.sim.process(make(r)(cl.sim)) for r in range(RANKS)]
+        cl.sim.run(until=cl.sim.all_of(procs))
+        return max(v for (it, _), v in finish.items() if it == 1)
 
 
 class _FakeBackend:

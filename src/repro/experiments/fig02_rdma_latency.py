@@ -21,29 +21,29 @@ SIZES = [1, 64, 256, 1024, 4096, 16384, 65536]
 
 def _measure(initiator_kind: str, size: int, iters: int = 10) -> float:
     """Average post->CQE time of one RDMA write of ``size`` bytes."""
-    cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1))
-    src = cl.rank_ctx(0) if initiator_kind == "host" else cl.proxy_ctx(0, 0)
-    dst = cl.rank_ctx(1)
-    samples: list[float] = []
+    with Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1)) as cl:
+        src = cl.rank_ctx(0) if initiator_kind == "host" else cl.proxy_ctx(0, 0)
+        dst = cl.rank_ctx(1)
+        samples: list[float] = []
 
-    def prog(sim):
-        s_addr = src.space.alloc(size, fill=1)
-        d_addr = dst.space.alloc(size)
-        mr_s = yield from reg_mr(src, s_addr, size)
-        mr_d = yield from reg_mr(dst, d_addr, size)
-        for _ in range(iters):
-            t0 = sim.now
-            t = yield from rdma_write(
-                src, lkey=mr_s.lkey, src_addr=s_addr,
-                rkey=mr_d.rkey, dst_addr=d_addr, size=size,
-            )
-            yield t.completed
-            samples.append(sim.now - t0)
-        return None
+        def prog(sim):
+            s_addr = src.space.alloc(size, fill=1)
+            d_addr = dst.space.alloc(size)
+            mr_s = yield from reg_mr(src, s_addr, size)
+            mr_d = yield from reg_mr(dst, d_addr, size)
+            for _ in range(iters):
+                t0 = sim.now
+                t = yield from rdma_write(
+                    src, lkey=mr_s.lkey, src_addr=s_addr,
+                    rkey=mr_d.rkey, dst_addr=d_addr, size=size,
+                )
+                yield t.completed
+                samples.append(sim.now - t0)
+            return None
 
-    done = cl.sim.process(prog(cl.sim))
-    cl.sim.run(until=done)
-    return sum(samples) / len(samples)
+        done = cl.sim.process(prog(cl.sim))
+        cl.sim.run(until=done)
+        return sum(samples) / len(samples)
 
 
 def sweeps(scale: str) -> list[Sweep]:

@@ -23,31 +23,31 @@ WINDOW = 32
 
 def _measure_bw(initiator_kind: str, size: int, window: int = WINDOW) -> float:
     """Bytes/second of a window of pipelined writes."""
-    cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1))
-    src = cl.rank_ctx(0) if initiator_kind == "host" else cl.proxy_ctx(0, 0)
-    dst = cl.rank_ctx(1)
-    box: dict[str, float] = {}
+    with Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1)) as cl:
+        src = cl.rank_ctx(0) if initiator_kind == "host" else cl.proxy_ctx(0, 0)
+        dst = cl.rank_ctx(1)
+        box: dict[str, float] = {}
 
-    def prog(sim):
-        s_addr = src.space.alloc(size, fill=1)
-        d_addr = dst.space.alloc(size)
-        mr_s = yield from reg_mr(src, s_addr, size)
-        mr_d = yield from reg_mr(dst, d_addr, size)
-        t0 = sim.now
-        transfers = []
-        for _ in range(window):
-            t = yield from rdma_write(
-                src, lkey=mr_s.lkey, src_addr=s_addr,
-                rkey=mr_d.rkey, dst_addr=d_addr, size=size, copy=False,
-            )
-            transfers.append(t.completed)
-        yield sim.all_of(transfers)
-        box["elapsed"] = sim.now - t0
-        return None
+        def prog(sim):
+            s_addr = src.space.alloc(size, fill=1)
+            d_addr = dst.space.alloc(size)
+            mr_s = yield from reg_mr(src, s_addr, size)
+            mr_d = yield from reg_mr(dst, d_addr, size)
+            t0 = sim.now
+            transfers = []
+            for _ in range(window):
+                t = yield from rdma_write(
+                    src, lkey=mr_s.lkey, src_addr=s_addr,
+                    rkey=mr_d.rkey, dst_addr=d_addr, size=size, copy=False,
+                )
+                transfers.append(t.completed)
+            yield sim.all_of(transfers)
+            box["elapsed"] = sim.now - t0
+            return None
 
-    done = cl.sim.process(prog(cl.sim))
-    cl.sim.run(until=done)
-    return window * size / box["elapsed"]
+        done = cl.sim.process(prog(cl.sim))
+        cl.sim.run(until=done)
+        return window * size / box["elapsed"]
 
 
 def sweeps(scale: str) -> list[Sweep]:

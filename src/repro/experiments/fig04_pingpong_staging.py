@@ -23,31 +23,31 @@ SIZES = [4096, 16384, 65536, 262144, 524288]
 
 def _offload_pingpong(mode: str, size: int, iters: int = 10, warmup: int = 3) -> float:
     """Two-way Basic-primitive exchange through a fresh framework."""
-    cl = Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1))
-    fw = OffloadFramework(cl, mode=mode)
-    samples: list[float] = []
+    with Cluster(ClusterSpec(nodes=2, ppn=1, proxies_per_dpu=1)) as cl:
+        fw = OffloadFramework(cl, mode=mode)
+        samples: list[float] = []
 
-    def make_prog(rank, peer):
-        def prog(sim):
-            ep = fw.endpoint(rank)
-            sbuf = ep.ctx.space.alloc(size, fill=1)
-            rbuf = ep.ctx.space.alloc(size)
-            for it in range(warmup + iters):
-                t0 = sim.now
-                r = yield from ep.recv_offload(rbuf, size, src=peer, tag=9)
-                s = yield from ep.send_offload(sbuf, size, dst=peer, tag=9)
-                yield from ep.wait(s)
-                yield from ep.wait(r)
-                if it >= warmup and rank == 0:
-                    samples.append(sim.now - t0)
-            return None
+        def make_prog(rank, peer):
+            def prog(sim):
+                ep = fw.endpoint(rank)
+                sbuf = ep.ctx.space.alloc(size, fill=1)
+                rbuf = ep.ctx.space.alloc(size)
+                for it in range(warmup + iters):
+                    t0 = sim.now
+                    r = yield from ep.recv_offload(rbuf, size, src=peer, tag=9)
+                    s = yield from ep.send_offload(sbuf, size, dst=peer, tag=9)
+                    yield from ep.wait(s)
+                    yield from ep.wait(r)
+                    if it >= warmup and rank == 0:
+                        samples.append(sim.now - t0)
+                return None
 
-        return prog
+            return prog
 
-    procs = [cl.sim.process(make_prog(0, 1)(cl.sim)),
-             cl.sim.process(make_prog(1, 0)(cl.sim))]
-    cl.sim.run(until=cl.sim.all_of(procs))
-    return mean(samples)
+        procs = [cl.sim.process(make_prog(0, 1)(cl.sim)),
+                 cl.sim.process(make_prog(1, 0)(cl.sim))]
+        cl.sim.run(until=cl.sim.all_of(procs))
+        return mean(samples)
 
 
 def _point(variant: str, size: int) -> float:

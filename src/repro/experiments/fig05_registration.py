@@ -21,25 +21,25 @@ SIZES = [4096, 16384, 65536, 262144, 1048576]
 
 def _measure(size: int) -> tuple[float, float]:
     """(host mkey registration, DPU cross-registration) seconds."""
-    cl = Cluster(ClusterSpec(nodes=1, ppn=1, proxies_per_dpu=1))
-    host = cl.rank_ctx(0)
-    proxy = cl.proxy_ctx(0, 0)
-    box: dict[str, float] = {}
+    with Cluster(ClusterSpec(nodes=1, ppn=1, proxies_per_dpu=1)) as cl:
+        host = cl.rank_ctx(0)
+        proxy = cl.proxy_ctx(0, 0)
+        box: dict[str, float] = {}
 
-    def prog(sim):
-        addr = host.space.alloc(size)
-        gid = gvmi_id_of(proxy)
-        t0 = sim.now
-        mkey = yield from host_gvmi_register(host, addr, size, gid)
-        box["host"] = sim.now - t0
-        t1 = sim.now
-        yield from cross_register(proxy, addr, size, gid, mkey.key)
-        box["dpu"] = sim.now - t1
-        return None
+        def prog(sim):
+            addr = host.space.alloc(size)
+            gid = gvmi_id_of(proxy)
+            t0 = sim.now
+            mkey = yield from host_gvmi_register(host, addr, size, gid)
+            box["host"] = sim.now - t0
+            t1 = sim.now
+            yield from cross_register(proxy, addr, size, gid, mkey.key)
+            box["dpu"] = sim.now - t1
+            return None
 
-    done = cl.sim.process(prog(cl.sim))
-    cl.sim.run(until=done)
-    return box["host"], box["dpu"]
+        done = cl.sim.process(prog(cl.sim))
+        cl.sim.run(until=done)
+        return box["host"], box["dpu"]
 
 
 def sweeps(scale: str) -> list[Sweep]:

@@ -102,7 +102,8 @@ def _scatter_dest(scale: str, block: int, variant: str, iters: int = 3, warmup: 
 def _scatter_point(scale: str, block: int, variant: str) -> tuple:
     """Picklable sweep point: (per-iter time, ctrl msgs, metrics snap)."""
     t, c, cl = _scatter_dest(scale, block, variant)
-    return t, c, cl.metrics.snapshot_full()
+    with cl:
+        return t, c, cl.metrics.snapshot_full()
 
 
 def _blocks(scale: str) -> list[int]:

@@ -82,46 +82,46 @@ def _latency_point(scale: str, ranks: int, nbytes: int, variant: str,
                    iters: int = 2, warmup: int = 1) -> float:
     """Mean per-call latency (seconds) of one sum-allreduce variant."""
     spec = _spec(scale, ranks)
-    cl = Cluster(spec)
-    cl.payloads = False  # timing sweep; nothing reads the gradients
-    P = spec.world_size
-    barrier = SimBarrier(cl.sim, P)
-    samples: list[float] = []
+    with Cluster(spec) as cl:
+        cl.payloads = False  # timing sweep; nothing reads the gradients
+        P = spec.world_size
+        barrier = SimBarrier(cl.sim, P)
+        samples: list[float] = []
 
-    if variant == "offload":
-        fw = OffloadFramework(cl, mode="gvmi", group_caching=True)
+        if variant == "offload":
+            fw = OffloadFramework(cl, mode="gvmi", group_caching=True)
 
-        def make(rank):
-            def prog(sim):
-                ep = fw.endpoint(rank)
-                addr = ep.ctx.space.alloc(nbytes)
-                greq, _scratch = build_iallreduce(
-                    ep, addr, nbytes, comm_size=P)
+            def make(rank):
+                def prog(sim):
+                    ep = fw.endpoint(rank)
+                    addr = ep.ctx.space.alloc(nbytes)
+                    greq, _scratch = build_iallreduce(
+                        ep, addr, nbytes, comm_size=P)
+                    for it in range(warmup + iters):
+                        yield from barrier.arrive()
+                        t0 = sim.now
+                        yield from ep.group_call(greq)
+                        yield from ep.group_wait(greq)
+                        if it >= warmup and rank == 0:
+                            samples.append(sim.now - t0)
+
+                return prog
+
+            _run_ranks(cl, [make(r)(cl.sim) for r in range(P)])
+        else:
+            world = MpiWorld(cl)
+
+            def prog(rt):
+                addr = rt.ctx.space.alloc(nbytes)
                 for it in range(warmup + iters):
                     yield from barrier.arrive()
-                    t0 = sim.now
-                    yield from ep.group_call(greq)
-                    yield from ep.group_wait(greq)
-                    if it >= warmup and rank == 0:
-                        samples.append(sim.now - t0)
+                    t0 = rt.sim.now
+                    yield from allreduce(rt, world.comm_world, addr, nbytes)
+                    if it >= warmup and rt.rank == 0:
+                        samples.append(rt.sim.now - t0)
 
-            return prog
-
-        _run_ranks(cl, [make(r)(cl.sim) for r in range(P)])
-    else:
-        world = MpiWorld(cl)
-
-        def prog(rt):
-            addr = rt.ctx.space.alloc(nbytes)
-            for it in range(warmup + iters):
-                yield from barrier.arrive()
-                t0 = rt.sim.now
-                yield from allreduce(rt, world.comm_world, addr, nbytes)
-                if it >= warmup and rt.rank == 0:
-                    samples.append(rt.sim.now - t0)
-
-        world.run(prog)
-    return mean(samples)
+            world.run(prog)
+        return mean(samples)
 
 
 # ----------------------------------------------------------------------
@@ -133,60 +133,60 @@ def _ml_step_point(scale: str, variant: str, iters: int = 2,
     ranks = _ml_ranks(scale)
     bucket = _ml_bucket_bytes(scale)
     spec = _spec(scale, ranks)
-    cl = Cluster(spec)
-    cl.payloads = False
-    P = spec.world_size
-    barrier = SimBarrier(cl.sim, P)
-    samples: list[float] = []
+    with Cluster(spec) as cl:
+        cl.payloads = False
+        P = spec.world_size
+        barrier = SimBarrier(cl.sim, P)
+        samples: list[float] = []
 
-    if variant == "offload":
-        fw = OffloadFramework(cl, mode="gvmi", group_caching=True)
+        if variant == "offload":
+            fw = OffloadFramework(cl, mode="gvmi", group_caching=True)
 
-        def make(rank):
-            def prog(sim):
-                ep = fw.endpoint(rank)
-                greqs = []
-                for b in range(ML_BUCKETS):
-                    addr = ep.ctx.space.alloc(bucket)
-                    greq, _ = build_iallreduce(
-                        ep, addr, bucket, comm_size=P,
-                        base_tag=0x7C00 + 0x100 * b)
-                    greqs.append(greq)
+            def make(rank):
+                def prog(sim):
+                    ep = fw.endpoint(rank)
+                    greqs = []
+                    for b in range(ML_BUCKETS):
+                        addr = ep.ctx.space.alloc(bucket)
+                        greq, _ = build_iallreduce(
+                            ep, addr, bucket, comm_size=P,
+                            base_tag=0x7C00 + 0x100 * b)
+                        greqs.append(greq)
+                    for it in range(warmup + iters):
+                        yield from barrier.arrive()
+                        t0 = sim.now
+                        # Backprop produces bucket b, its collective window
+                        # opens immediately, and the host goes straight back
+                        # to computing bucket b+1 -- the DPU owns the rest.
+                        for b in range(ML_BUCKETS):
+                            yield ep.ctx.consume(ML_COMPUTE_S)
+                            yield from ep.group_call(greqs[b])
+                        for b in range(ML_BUCKETS):
+                            yield from ep.group_wait(greqs[b])
+                        if it >= warmup and rank == 0:
+                            samples.append(sim.now - t0)
+
+                return prog
+
+            _run_ranks(cl, [make(r)(cl.sim) for r in range(P)])
+        else:
+            world = MpiWorld(cl)
+
+            def prog(rt):
+                addrs = [rt.ctx.space.alloc(bucket) for _ in range(ML_BUCKETS)]
                 for it in range(warmup + iters):
                     yield from barrier.arrive()
-                    t0 = sim.now
-                    # Backprop produces bucket b, its collective window
-                    # opens immediately, and the host goes straight back
-                    # to computing bucket b+1 -- the DPU owns the rest.
+                    t0 = rt.sim.now
+                    # Host MPI: each bucket's allreduce occupies the host
+                    # CPU, so compute and communication serialize.
                     for b in range(ML_BUCKETS):
-                        yield ep.ctx.consume(ML_COMPUTE_S)
-                        yield from ep.group_call(greqs[b])
-                    for b in range(ML_BUCKETS):
-                        yield from ep.group_wait(greqs[b])
-                    if it >= warmup and rank == 0:
-                        samples.append(sim.now - t0)
+                        yield rt.ctx.consume(ML_COMPUTE_S)
+                        yield from allreduce(rt, world.comm_world, addrs[b], bucket)
+                    if it >= warmup and rt.rank == 0:
+                        samples.append(rt.sim.now - t0)
 
-            return prog
-
-        _run_ranks(cl, [make(r)(cl.sim) for r in range(P)])
-    else:
-        world = MpiWorld(cl)
-
-        def prog(rt):
-            addrs = [rt.ctx.space.alloc(bucket) for _ in range(ML_BUCKETS)]
-            for it in range(warmup + iters):
-                yield from barrier.arrive()
-                t0 = rt.sim.now
-                # Host MPI: each bucket's allreduce occupies the host
-                # CPU, so compute and communication serialize.
-                for b in range(ML_BUCKETS):
-                    yield rt.ctx.consume(ML_COMPUTE_S)
-                    yield from allreduce(rt, world.comm_world, addrs[b], bucket)
-                if it >= warmup and rt.rank == 0:
-                    samples.append(rt.sim.now - t0)
-
-        world.run(prog)
-    return mean(samples)
+            world.run(prog)
+        return mean(samples)
 
 
 # ----------------------------------------------------------------------

@@ -143,7 +143,8 @@ class Cluster:
         forgets its calendar and every pointer back up to the cluster is
         dropped, so dropping the cluster frees it by reference counting.
         ``metrics``, ``sim.now`` / ``processed_events`` / ``flow_engine``
-        counters and each built context's ``busy_time`` stay readable."""
+        counters and each built context's ``busy_time`` stay readable.
+        ``with Cluster(spec) as cl:`` closes it on the way out."""
         self.sim.close()
         self.metrics.settle()
         for node in self.nodes:
@@ -157,6 +158,12 @@ class Cluster:
             for ctx in seq.materialized():
                 ctx.cluster = None
                 ctx.free_listeners.clear()
+
+    def __enter__(self) -> "Cluster":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
 
     # -- lookups -----------------------------------------------------------
     @property

@@ -302,6 +302,8 @@ class Fabric:
         # (src, dst) -> one-way latency; the topology is static, so the
         # hop count never needs recomputing per message.
         self._lat_cache: dict[tuple[int, int], float] = {}
+        # control_route's arguments -> its route, shared by every sender.
+        self._routes: dict[tuple, tuple] = {}
         #: Live sample arrays of the latency histograms (per data kind,
         #: and the control one), fetched from the metrics on first use.
         self.xfer_lat: dict[str, Any] = {}
@@ -590,15 +592,24 @@ class Fabric:
         treat control traffic as fire-and-forget; recovery is the
         receiver's retransmit/timeout protocol).
         """
-        self.send_control(self.control_route(src_node, dst_node, initiator, size,
-                                             src_mem, dst_mem), inbox, msg, kind)
+        self.send_control(self._route(src_node, dst_node, initiator, size,
+                                      src_mem, dst_mem), inbox, msg, kind)
 
     def control_route(self, src_node: int, dst_node: int, initiator: str,
                       size: Optional[int] = None, src_mem: str = "host",
                       dst_mem: str = "host") -> tuple:
         """What every control message between two endpoints costs, worked
-        out once: ``(src_hca, dst_hca, nbytes, initiator, serialization,
-        latency)``, for :meth:`send_control`."""
+        out once per fabric: ``(src_hca, dst_hca, nbytes, initiator,
+        serialization, latency)``, for :meth:`send_control`.  For the
+        senders that keep a route; a one-off :meth:`control` files none."""
+        key = (src_node, dst_node, initiator, size, src_mem, dst_mem)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = self._route(*key)
+        return route
+
+    def _route(self, src_node: int, dst_node: int, initiator: str,
+               size: Optional[int], src_mem: str, dst_mem: str) -> tuple:
         nbytes = self.params.ctrl_bytes if size is None else size
         src_hca = self.hcas[src_node]
         serialization = src_hca.serialization_time(nbytes, initiator,

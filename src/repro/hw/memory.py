@@ -126,8 +126,9 @@ class AddressSpace:
         self.budget = budget
         self.reuse = reuse
         self._next = PAGE_SIZE  # never hand out address 0
-        self._buffers: dict[int, np.ndarray] = {}
-        self._sizes: dict[int, int] = {}
+        #: Base address -> its size until first touched, then its
+        #: backing array (see :meth:`_materialize`).
+        self._buffers: dict[int, int | np.ndarray] = {}
         #: Freed blocks by aligned step size, popped LIFO when
         #: ``reuse`` is on.
         self._free_blocks: dict[int, list[int]] = {}
@@ -161,9 +162,8 @@ class AddressSpace:
             # Lazy backing: the array is materialised (zero-filled) on
             # first access (see _materialize).  Timing-only runs allocate
             # thousands of buffers nobody ever reads or writes.
-            buf = None
+            buf = size
         self._buffers[addr] = buf
-        self._sizes[addr] = size
         self.allocated_bytes += size
         if self.allocated_bytes > self.peak_bytes:
             self.peak_bytes = self.allocated_bytes
@@ -180,41 +180,42 @@ class AddressSpace:
         return addr
 
     def free(self, addr: int) -> None:
-        if addr not in self._buffers:
+        buf = self._buffers.pop(addr, None)
+        if buf is None:
             raise KeyError(f"{self.owner}: free of unknown address {addr:#x}")
-        size = self._sizes[addr]
+        size = buf.size if isinstance(buf, np.ndarray) else buf
         self.allocated_bytes -= size
-        del self._buffers[addr]
-        del self._sizes[addr]
         self.epoch += 1
         if self.reuse:
             step = (size + self.ALIGN - 1) // self.ALIGN * self.ALIGN
             self._free_blocks.setdefault(step, []).append(addr)
 
     def size_of(self, addr: int) -> int:
-        return self._sizes[addr]
+        buf = self._buffers[addr]
+        return buf.size if isinstance(buf, np.ndarray) else buf
 
     def contains(self, addr: int, size: int = 1) -> bool:
         """True if [addr, addr+size) falls inside one allocation."""
         base = self._find_base(addr)
         if base is None:
             return False
-        return addr - base + size <= self._sizes[base]
+        buf = self._buffers[base]
+        return addr - base + size <= (buf.size if isinstance(buf, np.ndarray) else buf)
 
     def _find_base(self, addr: int) -> Optional[int]:
         if addr in self._buffers:
             return addr
         # Interior pointer: scan (allocations are few per process).
-        for base, size in self._sizes.items():
-            if base <= addr < base + size:
+        for base, buf in self._buffers.items():
+            if base <= addr < base + (buf.size if isinstance(buf, np.ndarray) else buf):
                 return base
         return None
 
     def _materialize(self, base: int) -> np.ndarray:
         """The backing array for ``base``, creating it on first access."""
         buf = self._buffers[base]
-        if buf is None:
-            buf = self._buffers[base] = np.zeros(self._sizes[base], dtype=np.uint8)
+        if not isinstance(buf, np.ndarray):
+            buf = self._buffers[base] = np.zeros(buf, dtype=np.uint8)
         return buf
 
     def view(self, addr: int, size: int) -> np.ndarray:
@@ -222,13 +223,14 @@ class AddressSpace:
         base = self._find_base(addr)
         if base is None:
             raise KeyError(f"{self.owner}: no buffer covering address {addr:#x}")
+        buf = self._materialize(base)
         off = addr - base
-        if off + size > self._sizes[base]:
+        if off + size > buf.size:
             raise ValueError(
                 f"{self.owner}: range [{addr:#x}, +{size}) overruns allocation "
-                f"of {self._sizes[base]} bytes at {base:#x}"
+                f"of {buf.size} bytes at {base:#x}"
             )
-        return self._materialize(base)[off : off + size]
+        return buf[off : off + size]
 
     def write(self, addr: int, data: np.ndarray) -> None:
         """Copy ``data``'s bytes into [addr, addr+len).

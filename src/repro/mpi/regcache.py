@@ -19,13 +19,14 @@ instances.  What differs between them is constructor data:
 * the metric prefix and the bus ``cache=`` label.
 
 A cached registration is one record: the :mod:`repro.verbs.mr` record
-itself is the LRU entry (one dict, record -> slot, in LRU order) and a
-node of its slot's AVL tree, ordered by ``(addr, size)``, which answers
-the exact and the covering lookups.  A node keeps its child links, its
-height and ``far``, the record of its subtree ending last (None: itself),
-so a covering query walks one root-to-leaf path, and no node points up.
-An untouched slot holds nothing.  The winner is the exact match, else the
-cover with the lowest ``(addr, size)``.
+itself is a node of its slot's AVL tree, ordered by ``(addr, size)``,
+which answers the exact and the covering lookups, and, in a cache with
+a capacity, the LRU entry (one dict, record -> slot, in LRU order; an
+unbounded cache never evicts, so it keeps no order).  A node keeps its
+child links, its height and ``far``, the record of its subtree ending
+last (None: itself), so a covering query walks one root-to-leaf path,
+and no node points up.  An untouched slot holds nothing.  The winner is
+the exact match, else the cover with the lowest ``(addr, size)``.
 """
 
 from __future__ import annotations
@@ -38,8 +39,11 @@ from repro.verbs.mr import dereg_mr, reg_mr
 __all__ = ["RegistrationCache", "lru_get", "lru_put"]
 
 
-def lru_get(entries: dict, key):
-    """``entries[key]`` refreshed to newest, or None."""
+def lru_get(entries: dict, key, capacity: Optional[int]):
+    """``entries[key]``, or None; refreshed to newest under a ``capacity``
+    (unbounded, nothing is evicted and the order is never read)."""
+    if capacity is None:
+        return entries.get(key)
     value = entries.pop(key, None)
     if value is not None:
         entries[key] = value
@@ -104,8 +108,9 @@ class RegistrationCache:
         self._revoke = revoke
         self._slot_of = slot_of
         self._valid = valid
-        #: Registration record -> its slot, oldest first.
-        self._lru: dict = {}
+        #: Registration record -> its slot, oldest first; None in an
+        #: unbounded cache.
+        self._lru: Optional[dict] = None if self.capacity is None else {}
         #: Slot -> root of its tree of records.
         self._trees: dict = {}
         self.hits = self.misses = self.evictions = self.stale = 0
@@ -113,7 +118,7 @@ class RegistrationCache:
             ctx.free_listeners.append(self._on_free)
 
     def __len__(self) -> int:
-        return len(self._lru)
+        return sum(1 for root in self._trees.values() for _ in _records(root))
 
     def peek(self, addr: int, size: int, peer=None):
         """The exact entry, without charging or refreshing it."""
@@ -145,8 +150,8 @@ class RegistrationCache:
                     entry = _find(root, addr, size) or entry
             if entry is not None:
                 if self._valid is None or self._valid(entry, peer, *extra):
-                    lru = self._lru
-                    lru[entry] = lru.pop(entry)
+                    if self._lru is not None:
+                        self._lru[entry] = self._lru.pop(entry)
                     self.hits += 1
                     self._emit("hit", size)
                     return entry
@@ -159,7 +164,8 @@ class RegistrationCache:
         entry = yield from self._register(ctx, addr, size, peer, *extra)
         if self.enabled:
             self._trees[slot] = _insert(self._trees.get(slot), entry)
-            lru_put(self._lru, entry, slot, self.capacity, self._evict)
+            if self._lru is not None:
+                lru_put(self._lru, entry, slot, self.capacity, self._evict)
         return entry
 
     def _emit(self, kind: str, size: int) -> None:
@@ -176,7 +182,8 @@ class RegistrationCache:
         self._emit("evict", entry.size)
 
     def _drop(self, entry, slot) -> None:
-        del self._lru[entry]
+        if self._lru is not None:
+            del self._lru[entry]
         self._untree(entry, slot)
 
     def _untree(self, entry, slot) -> None:
@@ -188,14 +195,14 @@ class RegistrationCache:
         """Drop one entry, without revoking it; True if it existed."""
         entry = self.peek(addr, size, peer)
         if entry is not None:
-            self._drop(entry, self._lru[entry])
+            self._drop(entry, peer if self._slot_of is None else self._slot_of(peer))
         return entry is not None
 
     def _on_free(self, addr: int, size: int) -> None:
         end = addr + size
-        for entry, slot in [(e, s) for e, s in self._lru.items()
-                            if e.addr < end and addr < e.addr + e.size]:
-            self._drop(entry, slot)
+        for slot, root in list(self._trees.items()):
+            for entry in [e for e in _records(root) if e.addr < end and addr < e.addr + e.size]:
+                self._drop(entry, slot)
 
 
 # -- the per-slot interval tree ----------------------------------------------
@@ -203,6 +210,14 @@ class RegistrationCache:
 # size)``; the records carry the ``left`` / ``right`` / ``height`` /
 # ``far`` slots themselves.  Module functions, not methods of a tree
 # object: a slot is just its root record.
+
+
+def _records(node):
+    """The records of the tree rooted at ``node``, in key order."""
+    while node is not None:
+        yield from _records(node.left)
+        yield node
+        node = node.right
 
 
 def _find(node, addr: int, size: int):

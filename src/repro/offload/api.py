@@ -70,6 +70,8 @@ class _CompletionSink:
     overlap.
     """
 
+    __slots__ = ("endpoint",)
+
     def __init__(self, endpoint: "OffloadEndpoint"):
         self.endpoint = endpoint
 
@@ -134,9 +136,9 @@ class OffloadFramework:
         #: (time, rank, kind, req_id) records of graceful degradations
         #: (requests that abandoned their proxy for the host path).
         self.fallback_log: list[tuple] = []
-        #: Operand ints of recorded schedules, one object per distinct
-        #: value (``collectives.record_schedule``).
-        self.operands: dict[int, int] = {}
+        #: Recorded operand ints and reduce ops, and the proxies' sequence
+        #: pairs: one object per distinct value, however many ranks hold it.
+        self.operands: dict = {}
 
         #: Per-rank endpoints are built on first use; the proxy engines
         #: -- O(nodes), and the paper launches the DPU proxy processes
@@ -275,6 +277,8 @@ class OffloadEndpoint:
                 raise OffloadError(f"completion write for unknown request {req_id}")
             self.recovery.duplicate_completion()
             return
+        if not self._pending:
+            self._pending.clear()  # an empty dict keeps its grown table
         req.complete = True
         req.complete_time = self.sim.now
         if req.post_time is not None:
@@ -451,7 +455,8 @@ class OffloadEndpoint:
         if size % 8:
             raise OffloadError("group_reduce operates on float64 words "
                                "(size must be a multiple of 8)")
-        greq.record(ReduceOp(src_addr, size, dst_addr))
+        op = ReduceOp(src_addr, size, dst_addr)
+        greq.record(self.framework.operands.setdefault(op, op))
 
     def group_barrier(self, greq: OffloadGroupRequest) -> None:
         """``Local_barrier_Goffload``: everything after starts only after
@@ -614,6 +619,8 @@ class OffloadEndpoint:
                 desc = bucket.pop(0)
                 if not bucket:
                     del self._recv_descs[key]
+                    if not self._recv_descs:
+                        self._recv_descs.clear()  # as _pending: free the table
                 return desc
             if self.recovery is None:
                 item = yield self.inbox.get()

@@ -114,7 +114,7 @@ class HostGroupCache:
             ctx.free_listeners.append(self._on_free)
 
     def lookup(self, signature: tuple) -> Optional[HostPlan]:
-        plan = lru_get(self._by_sig, signature)
+        plan = lru_get(self._by_sig, signature, self.capacity)
         if plan is not None:
             self.hits += 1
         else:
@@ -152,7 +152,7 @@ class HostGroupCache:
                 return True
         return False
 
-    def drop_range(self, addr: int, size: int) -> int:
+    def _on_free(self, addr: int, size: int) -> None:
         """Drop plans whose sends or recvs touch local range [addr, addr+size)."""
         doomed = [
             sig
@@ -165,10 +165,6 @@ class HostGroupCache:
         ]
         for sig in doomed:
             del self._by_sig[sig]
-        return len(doomed)
-
-    def _on_free(self, addr: int, size: int) -> None:
-        self.drop_range(addr, size)
 
     def patch_descriptor(self, src_rank: int, tag: int, dst_rank: int, desc: dict) -> int:
         """Apply an updated remote receive descriptor to cached plans.
@@ -236,7 +232,7 @@ class DpuPlanCache:
         lru_put(self._plans, plan_id, plan, self.capacity, self._evicted)
 
     def fetch(self, plan_id: int) -> Optional[DpuPlan]:
-        plan = lru_get(self._plans, plan_id)
+        plan = lru_get(self._plans, plan_id, self.capacity)
         if plan is not None:
             self.hits += 1
         else:

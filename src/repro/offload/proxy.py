@@ -103,6 +103,8 @@ class CounterBoard:
 class _CounterSink:
     """Inbox adapter: an arriving counter write lands straight in the board."""
 
+    __slots__ = ("board",)
+
     def __init__(self, board: CounterBoard):
         self.board = board
 
@@ -410,7 +412,7 @@ class ProxyEngine:
     __slots__ = (
         "framework", "ctx", "sim", "params", "inbox", "hca", "fabric", "verbs",
         "post_cost", "mode", "gvmi_cache", "plan_cache", "staging",
-        "counters", "counter_sink", "_send_q", "_recv_q", "_seq_out", "_seq_in",
+        "counters", "counter_sink", "_send_q", "_recv_q", "_seqs",
         "_peers", "_hosts", "extra_handlers", "recovery", "incarnation", "alive",
         "_parked", "core") + tuple(name for _key, name, _witness in _COUNTERS)
 
@@ -442,12 +444,13 @@ class ProxyEngine:
         self._send_q: dict[tuple, list[dict]] = {}
         self._recv_q: dict[tuple, list[dict]] = {}
         #: Per-(src,dst) group-call sequence numbers of the host ranks this
-        #: proxy serves: outbound host -> {dst: seq}, inbound host -> {src: seq}.
-        self._seq_out: dict[int, dict[int, int]] = {}
-        self._seq_in: dict[int, dict[int, int]] = {}
-        #: Control routes worked out once: (peer proxy, size) -> (counter
-        #: sink, route); (host rank, size) -> (endpoint, route).
-        self._peers: dict[tuple, tuple] = {}
+        #: proxy serves: host -> {peer: (seq to peer, seq from peer)}, each
+        #: pair one object per framework (``framework.operands``).
+        self._seqs: dict[int, dict[int, tuple]] = {}
+        #: Control routes, shared per fabric, paired with where they lead:
+        #: peer proxy -> (its counter sink, route of a counter write);
+        #: (host rank, size) -> (endpoint, route).
+        self._peers: dict[int, tuple] = {}
         self._hosts: dict[tuple, tuple] = {}
         #: Extension point: front-ends (the SHMEM layer, the recovery
         #: policy) register extra inbox-item handlers here:
@@ -782,18 +785,23 @@ class ProxyEngine:
         plan, host_rank = ex.plan, ex.plan.host_rank
         if seqs is None:
             seqs = {}
-            outs = self._seq_out.setdefault(host_rank, {})
-            ins = self._seq_in.setdefault(host_rank, {})
+            mine = self._seqs.setdefault(host_rank, {})
+            minted = self.framework.operands
             for entry in plan.entries:
                 if entry.kind == "send":
-                    peer = entry.op.peer
-                    pair = (host_rank, peer)
-                    if pair not in seqs:
-                        seqs[pair] = outs[peer] = outs.get(peer, 0) + 1
+                    peer, pair = entry.op.peer, (host_rank, entry.op.peer)
                 elif entry.kind == "recv":
-                    pair = (entry.peer, host_rank)
-                    if pair not in seqs:
-                        seqs[pair] = ins[entry.peer] = ins.get(entry.peer, 0) + 1
+                    peer, pair = entry.peer, (entry.peer, host_rank)
+                else:
+                    continue
+                if pair not in seqs:
+                    out, back = mine.get(peer, (0, 0))
+                    if entry.kind == "send":
+                        seqs[pair] = out = out + 1
+                    else:
+                        seqs[pair] = back = back + 1
+                    both = (out, back)
+                    mine[peer] = minted.setdefault(both, both)
             if self.recovery is not None:
                 self.recovery.record_launch(ex.req_id, seqs, ex.call_no)
         ex.seqs = seqs
@@ -816,17 +824,15 @@ class ProxyEngine:
     # ------------------------------------------------------------------
     # counter writes (barrier/flow notifications)
     # ------------------------------------------------------------------
-    def counter_route(self, dst_rank: int, size: int = 8) -> tuple:
+    def counter_route(self, dst_rank: int) -> tuple:
         """Where a barrier counter for ``dst_rank`` goes: its proxy's
-        counter sink and the control route there for ``size``-byte
-        writes (one per peer proxy and size)."""
+        counter sink and the control route of an 8-byte write there."""
         peer = self.ctx.cluster.proxy_for_rank(dst_rank)
-        key = (peer.global_id, size)
-        to = self._peers.get(key)
+        to = self._peers.get(peer.global_id)
         if to is None:
-            to = self._peers[key] = (
+            to = self._peers[peer.global_id] = (
                 self.framework.proxy_engine(peer).counter_sink,
-                self.fabric.control_route(self.ctx.node_id, peer.node_id, "dpu", size,
+                self.fabric.control_route(self.ctx.node_id, peer.node_id, "dpu", 8,
                                           "dpu", peer.mem_kind))
         return to
 

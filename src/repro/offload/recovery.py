@@ -812,9 +812,9 @@ class ProxyRecovery(_ProcessOwner):
                 if ev.triggered or engine.incarnation != inc or not engine.alive:
                     return
                 self.metrics.add("proxy.counter_probes")
-                engine.fabric.send_control(
-                    engine.counter_route(writer_rank, 16)[1], peer.inbox,
-                    ("counter_probe", {"key": key, "rank": my_rank}), "counter_probe")
+                engine.fabric.send_control(engine.fabric.control_route(
+                    engine.ctx.node_id, peer.node_id, "dpu", 16, "dpu", peer.mem_kind),
+                    peer.inbox, ("counter_probe", {"key": key, "rank": my_rank}), "counter_probe")
                 delay = pol.next_timeout(delay, 4 * pol.max_timeout)
 
         self.spawn(_prober())

@@ -219,7 +219,7 @@ class TestScratchAndTagLifetime:
             for _ in range(iters):
                 yield from blocking(rt, coll.ibarrier(rt, world.comm_world))
                 yield from coll.allreduce(rt, world.comm_world, addr, 1024)
-            return len(rt.ctx.space._sizes), rt.ctx.space.allocated_bytes
+            return len(rt.ctx.space._buffers), rt.ctx.space.allocated_bytes
 
         return world.run(program), dict(cl.metrics)
 

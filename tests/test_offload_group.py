@@ -4,7 +4,7 @@ import pytest
 
 from tests.helpers import pattern, run_procs
 from repro.hw import Cluster, ClusterSpec
-from repro.offload import OffloadError, OffloadFramework
+from repro.offload import OffloadError, OffloadFramework, build_iallreduce
 
 
 def _cluster(nodes=3, ppn=1, proxies=1):
@@ -56,6 +56,22 @@ class TestRecording:
         assert a.signature() == b.signature()
         ep.group_barrier(b)
         assert a.signature() != b.signature()
+
+    def test_ranks_share_recorded_reduce_ops(self, tiny_cluster):
+        """Every rank of one Iallreduce records the same reduces: one
+        ``ReduceOp`` object per framework, while each rank's signature
+        still differs from the other's by value."""
+        fw = OffloadFramework(tiny_cluster)
+        greqs = [build_iallreduce(fw.endpoint(r), 0x1000, 2048, comm_size=2)[0]
+                 for r in (0, 1)]
+        mine, theirs = ([op for op in g.ops if op.kind == "reduce"] for g in greqs)
+        assert mine and all(a is b for a, b in zip(mine, theirs, strict=True))
+        assert greqs[0].signature() != greqs[1].signature()
+        ep = fw.endpoint(0)
+        g = ep.group_start()
+        ep.group_reduce(g, 0x1000, 0x2000, 64)
+        ep.group_reduce(g, 0x1000, 0x2000, 128)
+        assert g.ops[0] != g.ops[1] and g.ops[0] is not g.ops[1]
 
 
 def _ring_program(fw, rank, ranks, size, data, iters=1, compute=0.0):

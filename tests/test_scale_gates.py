@@ -7,9 +7,9 @@ own (``python -m tests.test_scale_gates NAME`` runs one directly):
   finishes within 120 s, and the trace invariant finds no host CPU in any
   rank's offloaded window (docs/PERFORMANCE.md "scaling");
 * ``observed_1024`` -- the bench's exact 1024-rank point with the bus
-  attached, checked and exported as a Chrome trace, under 138 MiB;
+  attached, checked and exported as a Chrome trace, under 132 MiB;
 * ``offload_4096`` -- the 4096-rank offloaded Iallreduce with the
-  collector off, as the sweep drivers run: within 300 s and 156 MiB, and
+  collector off, as the sweep drivers run: within 300 s and 143 MiB, and
   fewer than ``RANKS // 4`` objects left for the collector.
 
 Each writes a JSON report (and the trace) into ``$SCALE_RESULTS`` (default
@@ -99,8 +99,9 @@ def offload_1024() -> None:
 
 
 def observed_1024() -> None:
-    # The bench's exact point with the bus attached: 105.7 MiB measured
-    # with typed argument columns, x 1.3 (119 MiB with a boxed object per
+    # The bench's exact point with the bus attached: 101.2 MiB measured,
+    # x 1.3 (104.1 with per-rank copies of rank-invariant state; 105.7
+    # with typed argument columns, 119 MiB with a boxed object per
     # argument, 223 MiB with one per record, 2 099 MiB before).
     sys.path.insert(0, str(ROOT))
     import bench.workloads as W
@@ -116,7 +117,7 @@ def observed_1024() -> None:
     path = OUT / "observed_1024.trace.json"
     doc = obs.write_chrome_trace(str(path))
     peak = _peak_mib()
-    assert peak < 138, f"peak RSS {peak:.0f} MiB"
+    assert peak < 132, f"peak RSS {peak:.0f} MiB"
     with open(path) as f:
         rows = len(json.load(f)["traceEvents"])
     assert rows == len(doc["traceEvents"]) == len(obs.chrome_trace()["traceEvents"])
@@ -135,11 +136,12 @@ def offload_4096() -> None:
         "sim_s": cl.sim.now, "ceiling_s": ceiling_s, "gc_unreachable": cyclic,
         "peak_rss_mb": peak,
     })
-    # 135.6 MiB measured, x 1.15 (149.4 with a key tuple and a tree node
-    # beside each cached registration and six fields in every recorded
-    # op; 179.5 with two dataclass key records and a handle per
-    # registration, and a dict as the key table).
-    assert peak < 156, f"peak RSS {peak:.0f} MiB"
+    # 124.1 MiB measured, x 1.15 (135.6 with per-rank copies of
+    # rank-invariant state and grown empty maps; 149.4 with a key tuple
+    # and a tree node beside each cached registration and six fields in
+    # every recorded op; 179.5 with two dataclass key records and a
+    # handle per registration, and a dict as the key table).
+    assert peak < 143, f"peak RSS {peak:.0f} MiB"
 
 
 GATES = {"offload_1024": offload_1024, "observed_1024": observed_1024,
